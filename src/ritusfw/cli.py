@@ -8,16 +8,20 @@ the report when ``--out`` names a directory.
 
 Exit codes: 0 all configured checks pass, 1 a residual exceeded its
 tolerance (report still written) or the computation aborted, 2 usage or
-configuration error (nothing written).
+configuration error (nothing written).  Under ``all`` a section that aborts
+is recorded in the report as ``{"error": ..., "checks": {}}``, the other
+sections still run, and the report is written with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -54,6 +58,8 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
         if self.grid_n < 64:
@@ -172,7 +178,8 @@ def _make_profile(cfg: RunConfig):
 
 
 class _Bundle:
-    """Shared per-run state: grid, channel spectra, operators, levels."""
+    """Shared per-run state: grid, channel spectra, operators, levels, and
+    the field FW operator, built on first use."""
 
     def __init__(self, cfg: RunConfig):
         from .clifford import make_rep
@@ -198,6 +205,16 @@ class _Bundle:
                            p0=cfg.p0, p_y=cfg.p_y, rep=self.rep)
             for n in range(cfg.n_max + 1)
         ]
+        self._cfg = cfg
+
+    @cached_property
+    def fw(self):
+        from .foldy_wouthuysen import field_fw
+
+        cfg = self._cfg
+        return field_fw(self.profile, cfg.p_y, cfg.e, cfg.mass, self.grid, self.rep,
+                        cfg.n_max, spectra=(self.spec_plus, self.spec_minus),
+                        operators=self.ops)
 
 
 def _cmd_spectrum(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
@@ -274,8 +291,7 @@ def _cmd_fw_exact(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
                                    verify_main_claim)
     from .operators import GridOperators
 
-    fw = field_fw(b.profile, cfg.p_y, cfg.e, cfg.mass, b.grid, b.rep,
-                  cfg.n_max, spectra=(b.spec_plus, b.spec_minus), operators=b.ops)
+    fw = b.fw
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
@@ -323,11 +339,10 @@ def _cmd_fw_exact(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
 def _cmd_fw_series(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
     import numpy as np
 
-    from .foldy_wouthuysen import (bd_iteration, field_fw, fw_series_hamiltonian,
+    from .foldy_wouthuysen import (bd_iteration, fw_series_hamiltonian,
                                    restricted_hamiltonian)
 
-    fw = field_fw(b.profile, cfg.p_y, cfg.e, cfg.mass, b.grid, b.rep,
-                  cfg.n_max, spectra=(b.spec_plus, b.spec_minus), operators=b.ops)
+    fw = b.fw
     masses = [4.0, 8.0, 16.0]
 
     bd_rows = []
@@ -371,7 +386,7 @@ def _cmd_propagator(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
     res = project_propagator(b.profile, b.grid, b.levels, cfg.p0, cfg.mass,
                              b.rep, e=cfg.e, operators=b.ops)
     sweep = pole_sweep(b.profile, b.grid, b.levels, n_target=1, m=cfg.mass,
-                       rep=b.rep, e=cfg.e)
+                       rep=b.rep, e=cfg.e, operators=b.ops)
     checks = {
         "diagonal_blocks": _check(res["diagonal_error"], cfg.tol_residual),
         "cross_blocks": _check(res["cross_norm"], cfg.tol_residual),
@@ -402,14 +417,26 @@ def _all_pass(section: dict) -> bool:
 
 
 def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
-    """Execute a command against a fresh bundle. Returns (report, ok)."""
+    """Execute a command against a fresh bundle. Returns (report, ok).
+
+    For ``all``, a RitusFWError other than a ConfigurationError raised inside
+    one section is recorded as that section's ``error`` (with no checks) and
+    fails the run; the other sections still run.
+    """
     bundle = _Bundle(cfg)
     report = {"version": _VERSION, "command": command, "config": cfg.echo()}
     if command == "all":
         ok = True
         sections = {}
         for name, fn in _COMMANDS.items():
-            sections[name] = fn(cfg, bundle, outdir)
+            try:
+                sections[name] = fn(cfg, bundle, outdir)
+            except ConfigurationError:
+                raise
+            except RitusFWError as exc:
+                sections[name] = {"error": f"{type(exc).__name__}: {exc}", "checks": {}}
+                ok = False
+                continue
             ok = ok and _all_pass(sections[name])
         report["sections"] = sections
     else:

@@ -18,7 +18,10 @@ real antisymmetric because the spatial Dirac operator X is), so
 
 is exactly unitary, commutes with the eigenprojectors by construction, and
 is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0).
-Off the resolved span U acts as the identity.
+Off the resolved span U acts as the identity.  U is never formed: it is kept
+as the factors B = [B_0 | B_1 | ...] (2N x L) and the block-diagonal
+W = diag(expm(theta_n X_nn)) (L x L), U = 1 + B (W - 1) B^T, and applied as
+a scipy LinearOperator.  Its checks reduce to L x L algebra.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
+from scipy.sparse.linalg import LinearOperator
 
 from .clifford import GammaRep, make_rep
 from .errors import ArgumentError, TruncationError
@@ -50,6 +54,7 @@ __all__ = [
     "free_fw_hamiltonian",
     "field_fw",
     "field_fw_from_levels",
+    "low_rank_operator",
     "transform_hamiltonian",
     "verify_main_claim",
     "bd_iteration",
@@ -76,22 +81,24 @@ def theta(k: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class FWOperator:
-    """A unitary FW operator, free (2x2) or field (2N x 2N).
+    """A unitary FW operator: free (2x2), field (2N x 2N) or field-restricted (L x L).
 
-    For the field kind the construction bookkeeping is kept: the resolved
-    span (ell^2-orthonormal columns), one 2x2 (or 1x1) rotation per level,
-    and the gamma^0 grading of the span columns.
+    U is a dense array for the free and restricted kinds.  For the field kind
+    it is a LinearOperator applying 1 + B (W - 1) B^T, and the factors are
+    kept: the resolved span B (ell^2-orthonormal columns), the block-diagonal
+    W holding one 2x2 (or 1x1) rotation per level at cluster_slices, and the
+    gamma^0 grading of the span columns.
     """
 
     kind: str
-    U: np.ndarray
+    U: Union[np.ndarray, LinearOperator]
     theta_spec: str
     mass: float
     rep_variant: str = "first"
     levels: Optional[tuple] = None
     span: Optional[np.ndarray] = field(default=None, repr=False)
     span_grading: Optional[np.ndarray] = field(default=None, repr=False)
-    cluster_unitaries: Optional[tuple] = field(default=None, repr=False)
+    W: Optional[np.ndarray] = field(default=None, repr=False)
     cluster_slices: Optional[tuple] = None
     grid: Optional[Grid] = None
     operators: Optional[GridOperators] = field(default=None, repr=False)
@@ -150,7 +157,6 @@ def field_fw_from_levels(
     if not levels:
         raise ArgumentError("need at least one level")
     grid = ops.grid
-    N = grid.n_points
     sqh = math.sqrt(grid.h)
 
     cols: List[np.ndarray] = []
@@ -174,15 +180,11 @@ def field_fw_from_levels(
             grading.append(1.0 if c == 0 else -1.0)
 
     B = np.hstack(cols)
-    L = B.shape[1]
-    W = np.zeros((L, L))
-    for sl, Unn in zip(slices, units):
-        W[sl, sl] = Unn
-    U = np.eye(2 * N) + B @ (W - np.eye(L)) @ B.T
+    W = block_diag(*units)
 
     return FWOperator(
         kind="field",
-        U=U,
+        U=low_rank_operator(B, W),
         theta_spec="theta(k) = arctan(sqrt(k)/m)/(2 sqrt(k)) on resolved clusters; "
                    f"identity off-span, m={m:.12g}",
         mass=m,
@@ -190,7 +192,7 @@ def field_fw_from_levels(
         levels=tuple(levels),
         span=B,
         span_grading=np.array(grading),
-        cluster_unitaries=tuple(units),
+        W=W,
         cluster_slices=tuple(slices),
         grid=grid,
         operators=ops,
@@ -228,23 +230,63 @@ def field_fw(
     return field_fw_from_levels(levels, ops, m)
 
 
+def low_rank_operator(B: np.ndarray, W: np.ndarray) -> LinearOperator:
+    """U = 1 + B (W - 1) B^T as a LinearOperator; U^T is its adjoint."""
+    D = W - np.eye(W.shape[0])
+
+    def apply(V):
+        return V + B @ (D @ (B.T @ V))
+
+    def apply_transpose(V):
+        return V + B @ (D.T @ (B.T @ V))
+
+    return LinearOperator((B.shape[0], B.shape[0]), matvec=apply, matmat=apply,
+                          rmatvec=apply_transpose, rmatmat=apply_transpose,
+                          dtype=np.float64)
+
+
+def _span_factors(fw: FWOperator):
+    """(D, G, R): D = W - 1, G = B^T B and the thin QR factor R of the span B."""
+    B = fw.span
+    return fw.W - np.eye(fw.W.shape[0]), B.T @ B, np.linalg.qr(B, mode="r")
+
+
+def _span_norm(R: np.ndarray, C: np.ndarray) -> float:
+    """||B C B^T||_2 = ||R C R^T||_2, since B = Q R with orthonormal Q."""
+    return float(np.linalg.norm(R @ C @ R.T, 2))
+
+
 def unitarity_residual(fw: FWOperator) -> float:
-    """max |U^dag U - 1|, on the full matrix (the span check is implied)."""
-    U = fw.U
-    G = U.conj().T @ U
-    return float(np.abs(G - np.eye(G.shape[0])).max())
+    """Spectral norm ||U^dag U - 1||_2.
+
+    For the field kind, with D = W - 1 and G = B^T B,
+    U^T U - 1 = B (D + D^T + D^T G D) B^T, whose spectral norm is that of
+    the L x L matrix R C R^T (R from a thin QR of B): exact, and never below
+    the largest entry of U^T U - 1.  Other kinds use the dense U.
+    """
+    if fw.span is None:
+        U = fw.U
+        return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
+    D, G, R = _span_factors(fw)
+    return _span_norm(R, D + D.T + D.T @ G @ D)
 
 
 def projector_commutation_residual(fw: FWOperator) -> float:
-    """max over resolved clusters of max |[U, P_n]| with P_n = B_n B_n^T."""
+    """max over resolved clusters n of the spectral norm ||[U, P_n]||_2.
+
+    P_n = B_n B_n^T = B E_n B^T with E_n the L x L selector of cluster n, so
+    [U, P_n] = B (D G E_n - E_n G D) B^T with D = W - 1 and G = B^T B; its
+    norm is taken exactly from the L x L factors, as in unitarity_residual.
+    """
     if fw.span is None:
         return 0.0
+    D, G, R = _span_factors(fw)
     worst = 0.0
     for sl in fw.cluster_slices:
-        Bn = fw.span[:, sl]
-        PU = Bn @ (Bn.T @ fw.U)
-        UP = (fw.U @ Bn) @ Bn.T
-        worst = max(worst, float(np.abs(PU - UP).max()))
+        E = np.zeros(G.shape[0])
+        E[sl] = 1.0
+        C = (D @ G) * E[None, :] - E[:, None] * (G @ D)
+        worst = max(worst, _span_norm(R, C))
     return worst
 
 
@@ -271,8 +313,12 @@ def transform_hamiltonian(
     beta is the diagonal gamma^0 grading (+/-1 per basis vector).  Default:
     upper half +1, lower half -1, matching the spinor-slot (kron) layout of
     grid operators and the 2x2 free case.  Pass the span grading when
-    transforming matrices restricted to a Ritus cluster basis.
+    transforming matrices restricted to a Ritus cluster basis.  The field
+    kind is rejected: compress it with restricted_fw first.
     """
+    if fw.kind == "field":
+        raise ArgumentError("transform_hamiltonian needs a free or restricted operator; "
+                            "use restricted_fw on a field-kind operator")
     U = fw.U
     if U.shape != H.shape:
         raise ArgumentError(f"dimension mismatch: U {U.shape} vs H {H.shape}")
@@ -303,8 +349,7 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
     mm = fw.mass if m is None else m
     B = fw.span
     ops = fw.operators
-    G0X = ops.G0 @ ops.X
-    H_r = B.T @ (G0X @ B) + mm * np.diag(fw.span_grading)
+    H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + mm * np.diag(fw.span_grading)
     H_r = 0.5 * (H_r + H_r.T)
     return H_r, fw.span_grading.copy()
 
@@ -313,20 +358,15 @@ def restricted_fw(fw: FWOperator) -> FWOperator:
     """The field FW operator compressed to the resolved span (block diagonal)."""
     if fw.span is None:
         raise ArgumentError("restricted_fw needs a field-kind operator")
-    L = fw.span.shape[1]
-    W = np.zeros((L, L))
-    for sl, Unn in zip(fw.cluster_slices, fw.cluster_unitaries):
-        W[sl, sl] = Unn
     return FWOperator(
         kind="field-restricted",
-        U=W,
+        U=fw.W.copy(),
         theta_spec=fw.theta_spec,
         mass=fw.mass,
         rep_variant=fw.rep_variant,
         levels=fw.levels,
         span_grading=fw.span_grading.copy(),
         cluster_slices=fw.cluster_slices,
-        cluster_unitaries=fw.cluster_unitaries,
         grid=fw.grid,
     )
 

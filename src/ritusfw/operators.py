@@ -1,11 +1,13 @@
 """Grid realizations of the differential operators.
 
-Everything here is a dense or banded matrix on a uniform grid with Dirichlet
-boundaries.  Conventions shared by the rest of the package:
+Everything here is a scipy.sparse matrix (or a LAPACK banded array for the
+channel eigen-solve) on a uniform grid with Dirichlet boundaries; no
+operator is ever stored dense.  Conventions shared by the rest of the
+package:
 
 * spinor (x) grid ordering: a grid spinor v has layout
   ``v = [upper component (N values), lower component (N values)]``,
-  i.e. operators are built with ``np.kron(spinor_2x2, grid_NxN)``.
+  i.e. operators are built with ``kron(spinor_2x2, grid_NxN)``.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix
@@ -27,12 +29,14 @@ H = gamma^0 (gamma.Pi + m)) is
 which is exactly real antisymmetric for both representations, and
 Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
 Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
-which channel depends on the representation).
+which channel depends on the representation).  gamma^0 = sigma_3 in both
+representations, so G0 is the diagonal matrix of its +/-1 entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clifford import GammaRep
 from .field_profiles import FieldProfile, evaluate_potential, susy_partner_potentials
@@ -41,6 +45,7 @@ __all__ = [
     "first_derivative",
     "second_derivative_banded",
     "channel_hamiltonian_banded",
+    "banded_to_sparse",
     "kinetic_diagonal",
     "gamma_dot_pi_spatial",
     "pi_tilde_squared",
@@ -48,7 +53,6 @@ __all__ = [
     "gamma_dot_pi_full",
     "channel_slots",
     "GridOperators",
-    "build_operators",
 ]
 
 # ----------------------------------------------------------------------
@@ -56,17 +60,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def first_derivative(N: int, h: float) -> np.ndarray:
+def first_derivative(N: int, h: float) -> sp.csr_matrix:
     """Fourth-order central first derivative, exactly antisymmetric (Dirichlet)."""
-    D = np.zeros((N, N))
     c1 = 8.0 / (12.0 * h)
     c2 = -1.0 / (12.0 * h)
-    idx = np.arange(N)
-    D[idx[:-1], idx[:-1] + 1] = c1
-    D[idx[1:], idx[1:] - 1] = -c1
-    D[idx[:-2], idx[:-2] + 2] = c2
-    D[idx[2:], idx[2:] - 2] = -c2
-    return D
+    return sp.diags([-c2, -c1, c1, c2], [-2, -1, 1, 2], shape=(N, N), format="csr")
 
 
 def second_derivative_banded(N: int, h: float) -> np.ndarray:
@@ -85,13 +83,12 @@ def channel_hamiltonian_banded(V: np.ndarray, h: float) -> np.ndarray:
     return ab
 
 
-def banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    """Expand a symmetric lower-banded matrix to a dense one."""
-    N = ab.shape[1]
-    H = np.diag(ab[0])
-    for k in range(1, ab.shape[0]):
-        H += np.diag(ab[k, : N - k], -k) + np.diag(ab[k, : N - k], k)
-    return H
+def banded_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
+    """Expand a symmetric lower-banded matrix to a sparse one (exactly symmetric)."""
+    K, N = ab.shape
+    bands = [ab[k, : N - k] for k in range(K)]
+    # sub-diagonals -(K-1)..-1 mirror super-diagonals 1..K-1
+    return sp.diags(bands[:0:-1] + bands, range(1 - K, K), shape=(N, N), format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -105,14 +102,23 @@ def kinetic_diagonal(profile: FieldProfile, p_y: float, e: float, x: np.ndarray)
     return p_y - e * W
 
 
-def _realify(mat: np.ndarray) -> np.ndarray:
+def _realify(mat) -> sp.csr_matrix:
     """Drop a numerically zero imaginary part (sanity-checked)."""
-    if np.iscomplexobj(mat):
-        imax = float(np.abs(mat.imag).max()) if mat.size else 0.0
+    mat = sp.csr_matrix(mat)
+    if np.iscomplexobj(mat.data):
+        imax = float(np.abs(mat.data.imag).max()) if mat.nnz else 0.0
         if imax > 1e-12:
             raise AssertionError(f"operator expected real, max imag {imax}")
-        return np.ascontiguousarray(mat.real)
+        return mat.real
     return mat
+
+
+def _gamma0_diagonal(rep: GammaRep, N: int) -> np.ndarray:
+    """The +/-1 diagonal of kron(gamma^0, 1_N); gamma^0 must be real diagonal."""
+    g0 = rep.gamma[0]
+    if np.any(g0 != np.diag(np.diag(g0)).real):
+        raise AssertionError("gamma^0 expected real diagonal")
+    return np.repeat(np.diag(g0).real, N)
 
 
 def channel_slots(rep: GammaRep) -> dict:
@@ -127,44 +133,40 @@ def channel_slots(rep: GammaRep) -> dict:
     return {+1: 1, -1: 0}
 
 
-def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> np.ndarray:
+def gamma_dot_pi_spatial(rep: GammaRep, D1, M: np.ndarray) -> sp.csr_matrix:
     """X = kron(gamma^1, -i D1) + kron(gamma^2, diag(M)); real antisymmetric."""
-    X = np.kron(rep.gamma[1], -1j * D1) + np.kron(rep.gamma[2], np.diag(M))
+    X = sp.kron(rep.gamma[1], -1j * sp.csr_matrix(D1)) + sp.kron(rep.gamma[2], sp.diags(M))
     return _realify(X)
 
 
 def pi_tilde_squared(
     rep: GammaRep, profile: FieldProfile, p_y: float, e: float, x: np.ndarray, h: float
-) -> np.ndarray:
-    """Dense (2N)x(2N) realization of Pi-tilde^2 = Pi^2 - e sigma_3-like W'.
+) -> sp.csr_matrix:
+    """Sparse (2N)x(2N) realization of Pi-tilde^2 = Pi^2 - e sigma_3-like W'.
 
     Built from the solved channel form blockdiag(-D2 + V_sigma) with the
     slot assignment of the representation.
     """
     Vp, Vm = susy_partner_potentials(profile, p_y, e)
     slots = channel_slots(rep)
-    N = x.size
-    out = np.zeros((2 * N, 2 * N))
+    blocks = [None, None]
     for sigma, V in ((+1, Vp), (-1, Vm)):
-        s = slots[sigma]
-        out[s * N:(s + 1) * N, s * N:(s + 1) * N] = banded_to_dense(
-            channel_hamiltonian_banded(V(x), h)
-        )
-    return out
+        blocks[slots[sigma]] = banded_to_sparse(channel_hamiltonian_banded(V(x), h))
+    return sp.block_diag(blocks, format="csr")
 
 
-def dirac_hamiltonian(rep: GammaRep, X: np.ndarray, m: float) -> np.ndarray:
+def dirac_hamiltonian(rep: GammaRep, X, m: float) -> sp.csr_matrix:
     """H_D = gamma^0 (gamma.Pi + m) on the grid; real symmetric."""
     N2 = X.shape[0]
-    G0 = _realify(np.kron(rep.gamma[0], np.eye(N2 // 2)))
-    return G0 @ (X + m * np.eye(N2))
+    G0 = sp.diags(_gamma0_diagonal(rep, N2 // 2))
+    return sp.csr_matrix(G0 @ (X + m * sp.identity(N2)))
 
 
-def gamma_dot_pi_full(rep: GammaRep, X: np.ndarray, p0: float) -> np.ndarray:
+def gamma_dot_pi_full(rep: GammaRep, X, p0: float) -> sp.csr_matrix:
     """Covariant contraction gamma.Pi = gamma^0 p0 - X at fixed energy p0."""
     N2 = X.shape[0]
-    G0 = _realify(np.kron(rep.gamma[0], np.eye(N2 // 2)))
-    return p0 * G0 - X
+    G0 = sp.diags(_gamma0_diagonal(rep, N2 // 2))
+    return sp.csr_matrix(p0 * G0 - X)
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +177,9 @@ def gamma_dot_pi_full(rep: GammaRep, X: np.ndarray, p0: float) -> np.ndarray:
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h, w (quadrature weights), D1, M, A (=D1+M), X, G0,
-    PiTilde2.  All real dense arrays.
+    Attributes: x, h, w (quadrature weights) and M, arrays of length N;
+    D1, A (=D1+M), X, G0 and PiTilde2, real scipy.sparse CSR matrices;
+    g0diag, the +/-1 diagonal of G0 (length 2N).
     """
 
     def __init__(self, rep: GammaRep, profile: FieldProfile, p_y: float, e: float, grid):
@@ -191,17 +194,14 @@ class GridOperators:
         self.w = np.full(x.size, h)
         self.D1 = first_derivative(x.size, h)
         self.M = kinetic_diagonal(profile, p_y, e, x)
-        self.A = self.D1 + np.diag(self.M)
+        self.A = self.D1 + sp.diags(self.M, format="csr")
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
-        self.G0 = _realify(np.kron(rep.gamma[0], np.eye(x.size)))
+        self.g0diag = _gamma0_diagonal(rep, x.size)
+        self.G0 = sp.diags(self.g0diag, format="csr")
         self.PiTilde2 = pi_tilde_squared(rep, profile, p_y, e, x, h)
 
-    def dirac_hamiltonian(self, m: float) -> np.ndarray:
+    def dirac_hamiltonian(self, m: float) -> sp.csr_matrix:
         return dirac_hamiltonian(self.rep, self.X, m)
 
-    def gamma_dot_pi(self, p0: float) -> np.ndarray:
+    def gamma_dot_pi(self, p0: float) -> sp.csr_matrix:
         return gamma_dot_pi_full(self.rep, self.X, p0)
-
-
-def build_operators(rep, profile, p_y, e, grid) -> GridOperators:
-    return GridOperators(rep, profile, p_y, e, grid)

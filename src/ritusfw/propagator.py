@@ -2,8 +2,8 @@
 
 Per level, the propagator in the Ritus basis is the free-form 2x2 matrix
 S(pbar) = (gamma.pbar + m) / (pbar^2 - m^2) at pbar = (p0, 0, sqrt(k)).
-The check: invert (gamma.Pi - m) on the grid at fixed off-shell p0,
-sandwich between Ritus levels, and compare the diagonal blocks against
+The check: factor the sparse (gamma.Pi - m) on the grid once at fixed
+off-shell p0 (SuperLU), solve for the Ritus level columns, sandwich, and compare the diagonal blocks against
 the free form (the spin projector cuts the zero-mode block down to its
 populated slot).  Cross-level blocks must vanish to quadrature accuracy.
 """
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
@@ -97,16 +98,13 @@ def project_propagator(
     N = grid.n_points
     h = grid.h
 
-    K = ops.gamma_dot_pi(p0) - m * np.eye(2 * N)      # (gamma.Pi - m), real
-    lu = lu_factor(K)
-
+    # (gamma.Pi - m), real and sparse; SuperLU's fill-reducing ordering is
+    # a fixed function of the sparsity pattern, so the solve is deterministic
+    K = ops.gamma_dot_pi(p0) - m * sp.identity(2 * N, format="csr")
     cols = np.hstack([lv.Ep for lv in levels])        # (2N, 2L), real
-    Z = lu_solve(lu, np.real(cols))
+    Z = splu(K.tocsc()).solve(np.real(cols))
 
-    G0diag = np.concatenate([
-        np.full(N, float(rep.gamma[0][0, 0].real)),
-        np.full(N, float(rep.gamma[0][1, 1].real)),
-    ])
+    G0diag = ops.g0diag
     g0 = rep.gamma[0]
 
     L = len(levels)
@@ -151,19 +149,21 @@ def pole_sweep(
     rep: GammaRep,
     distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125),
     e: float = 1.0,
+    operators: Optional[GridOperators] = None,
 ) -> dict:
     """Approach the on-shell energy of one level and fit the pole exponent.
 
     p0 = sqrt(k_n + m^2) - d for each distance d; fits
     log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
-    (expected 1) plus the sweep rows.
+    (expected 1) plus the sweep rows.  Pass ``operators`` to reuse the grid
+    operators of the levels.
     """
     target = next((lv for lv in levels if lv.n == n_target), None)
     if target is None:
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     E_on = math.sqrt(target.k + m * m)
 
-    ops = GridOperators(rep, profile, levels[0].p_y, e, grid)
+    ops = operators or GridOperators(rep, profile, levels[0].p_y, e, grid)
     rows = []
     for d in distances:
         p0 = E_on - d

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clifford import GammaRep, SpinProjector, make_rep
 from .errors import ArgumentError, DiscretizationError, PairingError, TruncationError
@@ -174,9 +175,8 @@ def assemble_level(
         # partner channel is A^T (zero channel sigma=+1) or A (sigma=-1)
         if spec_plus.profile is None:
             raise ArgumentError("spectrum lacks profile metadata needed for pairing")
-        D1 = first_derivative(N, grid.h)
         M = kinetic_diagonal(spec_plus.profile, p_y, spec_plus.e, grid.x)
-        A = D1 + np.diag(M)
+        A = first_derivative(N, grid.h) + sp.diags(M)
         ladder = A.T if zc > 0 else A
         overlap = grid.h * float(v @ (ladder @ u))
         if overlap < 0:

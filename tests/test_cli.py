@@ -122,3 +122,39 @@ def test_stdout_report_when_no_out_dir(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "spectrum"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify-ritus", "fw-exact",
+                                     "fw-series", "propagator", "all"])
+def test_nonpositive_mass_exits_two_without_output(tmp_path, command):
+    cfg = write_config(tmp_path / "cfg.json", mass=-1.0)
+    proc = run_cli(command, "--config", str(cfg), "--out",
+                   str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert not (tmp_path / "out").exists()
+    assert "mass" in proc.stderr
+
+
+@pytest.mark.parametrize("mass", ["0", "nan", "inf"])
+def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, mass):
+    cfg = write_config(tmp_path / "cfg.json")
+    proc = run_cli("spectrum", "--config", str(cfg), f"--mass={mass}",
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "mass" in proc.stderr
+
+
+def test_all_records_failed_section_and_runs_the_others(tmp_path):
+    # p0 = 1 sits on the zero mode's mass shell, so only the propagator aborts
+    out = tmp_path / "d"
+    proc = run_cli("all", "--p0", "1.0", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail"
+    sections = report["sections"]
+    assert sections["propagator"]["checks"] == {}
+    assert sections["propagator"]["error"].startswith("ConditioningError: ")
+    for name in ("spectrum", "verify-ritus", "fw-exact", "fw-series"):
+        assert "error" not in sections[name]
+        assert sections[name]["checks"]

@@ -124,6 +124,9 @@ def test_three_routes_agree(uni):
 def test_transform_shape_validation(uni):
     with pytest.raises(ArgumentError):
         transform_hamiltonian(restricted_fw(uni.fw), np.eye(3))
+    # the field kind is a low-rank operator, never conjugated densely
+    with pytest.raises(ArgumentError):
+        transform_hamiltonian(uni.fw, np.eye(2))
 
 
 def test_main_claim_all_levels(uni):

@@ -6,14 +6,14 @@ from numpy.testing import assert_allclose
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
-from ritusfw.operators import (GridOperators, banded_to_dense, channel_slots,
+from ritusfw.operators import (GridOperators, banded_to_sparse, channel_slots,
                                dirac_hamiltonian, first_derivative,
                                gamma_dot_pi_full, gamma_dot_pi_spatial,
                                kinetic_diagonal, second_derivative_banded)
 
 
 def test_first_derivative_exactly_antisymmetric():
-    D1 = first_derivative(200, 0.05)
+    D1 = first_derivative(200, 0.05).toarray()
     assert np.array_equal(D1, -D1.T)
 
 
@@ -23,7 +23,8 @@ def test_stencil_orders_on_smooth_function():
         h = 2.0 / N
         x = np.arange(N) * h
         D1 = first_derivative(N, h)
-        D2 = banded_to_dense(second_derivative_banded(N, h))
+        # the same banded-to-sparse expansion that assembles PiTilde2
+        D2 = banded_to_sparse(second_derivative_banded(N, h))
         err1 = np.abs((D1 @ np.sin(x)) - np.cos(x))[4:-4].max()
         # the banded operator is -d^2/dx^2, so it maps sin to +sin
         err2 = np.abs((D2 @ np.sin(x)) - np.sin(x))[4:-4].max()
@@ -52,6 +53,7 @@ def test_spatial_contraction_real_antisymmetric(variant, uni):
     M = np.linspace(-2, 2, 64)
     X = gamma_dot_pi_spatial(rep, D1, M)
     assert X.dtype == np.float64
+    X = X.toarray()
     assert np.array_equal(X, -X.T)
 
 
@@ -68,23 +70,25 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni):
 
 
 def test_dirac_hamiltonian_exactly_symmetric(uni):
-    H = dirac_hamiltonian(uni.rep, uni.ops.X, 1.0)
+    H = dirac_hamiltonian(uni.rep, uni.ops.X, 1.0).toarray()
     assert np.array_equal(H, H.T)
 
 
 def test_gamma_dot_pi_full_blocks(uni):
-    K = gamma_dot_pi_full(uni.rep, uni.ops.X, 0.7)
+    K = gamma_dot_pi_full(uni.rep, uni.ops.X, 0.7).toarray()
+    X = uni.ops.X.toarray()
     N = uni.grid.n_points
     assert_allclose(K[:N, :N], 0.7 * np.eye(N), rtol=0, atol=0)
     assert_allclose(K[N:, N:], -0.7 * np.eye(N), rtol=0, atol=0)
-    assert np.array_equal(K[:N, N:], -uni.ops.X[:N, N:])
+    assert np.array_equal(K[:N, N:], -X[:N, N:])
 
 
 def test_grid_operators_bundle_consistency(uni):
     ops = uni.ops
     N = uni.grid.n_points
     assert ops.X.shape == (2 * N, 2 * N)
-    assert np.array_equal(ops.A, ops.D1 + np.diag(ops.M))
+    assert np.array_equal(ops.A.toarray(), ops.D1.toarray() + np.diag(ops.M))
     rebuilt = gamma_dot_pi_spatial(uni.rep, ops.D1, ops.M)
-    assert np.array_equal(ops.X, rebuilt)
+    assert np.array_equal(ops.X.toarray(), rebuilt.toarray())
+    assert np.array_equal(ops.G0.toarray(), np.diag(ops.g0diag))
     assert_allclose(ops.w, uni.grid.h, rtol=0)

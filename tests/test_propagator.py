@@ -91,6 +91,9 @@ def test_pole_sweep_exponent(uni):
     assert 0.9 < sweep["exponent"] < 1.1
     norms = [row["block_norm"] for row in sweep["rows"]]
     assert norms == sorted(norms)
+    reused = pole_sweep(uni.profile, uni.grid, uni.levels, 1, MASS, uni.rep,
+                        operators=uni.ops)
+    assert reused["rows"] == sweep["rows"]
     with pytest.raises(ArgumentError):
         pole_sweep(uni.profile, uni.grid, uni.levels, 99, MASS, uni.rep)
 
