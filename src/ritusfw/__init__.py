@@ -2,8 +2,8 @@
 for 2+1 dimensional Dirac fermions in static magnetic fields.
 
 The numeric API lives in the submodules (clifford, field_profiles,
-operators, spectral_grid, ritus_basis, foldy_wouthuysen, propagator);
-import from them directly.  This package module stays import-light so
+operators, spectral_grid, ritus_basis, foldy_wouthuysen, propagator,
+problem); import from them directly.  This package module stays import-light so
 the ``rfw`` entry point can cap BLAS threads before numpy loads.
 """
 
@@ -30,6 +30,7 @@ _SUBMODULES = (
     "ritus_basis",
     "foldy_wouthuysen",
     "propagator",
+    "problem",
     "cli",
 )
 

@@ -21,15 +21,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigurationError, RitusFWError
+
+if TYPE_CHECKING:
+    from .problem import Problem
 
 _VERSION = "0.1.0"
 
 _PROFILE_KEYS = {"kind", "B", "alpha", "path"}
+_PROFILE_DEFAULTS = {"B": 1.0, "alpha": 0.1}
 _TOP_KEYS = {"profile", "e", "mass", "p_y", "p0", "grid", "n_max",
              "tolerances", "rep", "out"}
 
@@ -58,18 +61,44 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        """Reject unusable input before any numerics; each message names its key."""
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
         if self.grid_n < 64:
             raise ConfigurationError(f"grid N must be >= 64, got {self.grid_n}")
-        if self.tol_eig <= 0 or self.tol_residual <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        for key, value in (("tolerances.eig", self.tol_eig),
+                           ("tolerances.residual", self.tol_residual)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{key} must be positive and finite, got {value}")
+        for key, value in (("e", self.e), ("p_y", self.p_y), ("p0", self.p0)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite, got {value}")
+        if self.e == 0:
+            raise ConfigurationError("e must be nonzero: the field does not couple at e = 0")
         if self.rep not in ("first", "second"):
             raise ConfigurationError(f"unknown representation {self.rep!r}")
-        if self.profile_kind not in ("uniform", "exponential", "tabulated"):
+        if self.profile_kind == "tabulated":
+            if "path" not in self.profile_params:
+                raise ConfigurationError("tabulated profile needs a 'path' entry")
+        elif self.profile_kind in ("uniform", "exponential"):
+            self.profile_number("B")
+            if self.profile_kind == "exponential":
+                self.profile_number("alpha")
+        else:
             raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
+
+    def profile_number(self, key: str) -> float:
+        """Profile parameter ``key`` (B or alpha) as a finite nonzero float."""
+        raw = self.profile_params.get(key, _PROFILE_DEFAULTS[key])
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"profile {key} must be a number, got {raw!r}") from None
+        if not (math.isfinite(value) and value != 0):
+            raise ConfigurationError(f"profile {key} must be finite and nonzero, got {value}")
+        return value
 
     def echo(self) -> dict:
         return {
@@ -163,85 +192,49 @@ def _window_check(value: float, lo: float, hi: float) -> dict:
             "pass": bool(lo <= float(value) <= hi)}
 
 
-def _make_profile(cfg: RunConfig):
+def _make_problem(cfg: RunConfig):
     from . import field_profiles as fp
+    from .clifford import make_rep
+    from .problem import Problem
+    from .spectral_grid import GridConfig
 
-    params = cfg.profile_params
     if cfg.profile_kind == "uniform":
-        return fp.uniform_profile(B=float(params.get("B", 1.0)))
-    if cfg.profile_kind == "exponential":
-        return fp.exponential_profile(B=float(params.get("B", 1.0)),
-                                      alpha=float(params.get("alpha", 0.1)))
-    if "path" not in params:
-        raise ConfigurationError("tabulated profile needs a 'path' entry")
-    return fp.load_tabulated_csv(params["path"])
+        profile = fp.uniform_profile(B=cfg.profile_number("B"))
+    elif cfg.profile_kind == "exponential":
+        profile = fp.exponential_profile(B=cfg.profile_number("B"),
+                                         alpha=cfg.profile_number("alpha"))
+    else:
+        profile = fp.load_tabulated_csv(cfg.profile_params["path"])
+    return Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
+                   cfg.n_max, GridConfig(n_points=cfg.grid_n, padding=cfg.padding),
+                   cfg.tol_eig)
 
 
-class _Bundle:
-    """Shared per-run state: grid, channel spectra, operators, levels, and
-    the field FW operator, built on first use."""
-
-    def __init__(self, cfg: RunConfig):
-        from .clifford import make_rep
-        from .operators import GridOperators
-        from .ritus_basis import assemble_level
-        from .spectral_grid import GridConfig, build_grid, solve_channel
-
-        self.profile = _make_profile(cfg)
-        self.rep = make_rep(cfg.rep)
-        self.grid = build_grid(
-            self.profile, cfg.p_y, cfg.n_max,
-            GridConfig(n_points=cfg.grid_n, padding=cfg.padding), e=cfg.e,
-        )
-        self.spec_plus = solve_channel(self.profile, cfg.p_y, cfg.e, +1,
-                                       self.grid, n_levels=cfg.n_max + 1,
-                                       tol_eig=cfg.tol_eig)
-        self.spec_minus = solve_channel(self.profile, cfg.p_y, cfg.e, -1,
-                                        self.grid, n_levels=cfg.n_max + 1,
-                                        tol_eig=cfg.tol_eig)
-        self.ops = GridOperators(self.rep, self.profile, cfg.p_y, cfg.e, self.grid)
-        self.levels = [
-            assemble_level(self.spec_plus, self.spec_minus, n,
-                           p0=cfg.p0, p_y=cfg.p_y, rep=self.rep)
-            for n in range(cfg.n_max + 1)
-        ]
-        self._cfg = cfg
-
-    @cached_property
-    def fw(self):
-        from .foldy_wouthuysen import field_fw
-
-        cfg = self._cfg
-        return field_fw(self.profile, cfg.p_y, cfg.e, cfg.mass, self.grid, self.rep,
-                        cfg.n_max, spectra=(self.spec_plus, self.spec_minus),
-                        operators=self.ops)
-
-
-def _cmd_spectrum(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
+def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     from .field_profiles import analytic_landau_levels
     from .spectral_grid import export_spectrum_csv
 
     results = {
-        "grid": {"x_min": b.grid.x_min, "x_max": b.grid.x_max,
-                 "N": b.grid.n_points, "h": b.grid.h},
-        "sigma_plus": list(b.spec_plus.eigenvalues),
-        "sigma_minus": list(b.spec_minus.eigenvalues),
-        "flags": list(b.spec_plus.flags) + list(b.spec_minus.flags),
+        "grid": {"x_min": prob.grid.x_min, "x_max": prob.grid.x_max,
+                 "N": prob.grid.n_points, "h": prob.grid.h},
+        "sigma_plus": list(prob.spec_plus.eigenvalues),
+        "sigma_minus": list(prob.spec_minus.eigenvalues),
+        "flags": list(prob.spec_plus.flags) + list(prob.spec_minus.flags),
     }
     checks = {}
-    if b.profile.kind == "uniform":
-        B = b.profile.params["B"]
+    if prob.profile.kind == "uniform":
+        B = prob.profile.params["B"]
         err = 0.0
-        for spec in (b.spec_plus, b.spec_minus):
+        for spec in (prob.spec_plus, prob.spec_minus):
             for n, k in enumerate(spec.eigenvalues):
                 err = max(err, abs(k - analytic_landau_levels(cfg.e, B, n, spec.sigma)))
         checks["spectrum_error"] = _check(err, cfg.tol_eig)
     if outdir is not None:
-        export_spectrum_csv([b.spec_plus, b.spec_minus], outdir / "spectrum.csv")
+        export_spectrum_csv([prob.spec_plus, prob.spec_minus], outdir / "spectrum.csv")
     return {"results": results, "checks": checks}
 
 
-def _cmd_verify_ritus(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
+def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
     from .ritus_basis import (export_levels_csv, orthonormality_matrix,
@@ -251,19 +244,19 @@ def _cmd_verify_ritus(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dic
     per_level = []
     worst_eig = 0.0
     worst_int = 0.0
-    for lv in b.levels:
-        r_eig = verify_eigen_relation(lv, b.rep, b.profile, cfg.mass, operators=b.ops)
-        r_int = verify_gpEp(lv, b.rep, b.profile, operators=b.ops)
+    for lv in prob.levels:
+        r_eig = verify_eigen_relation(lv, prob.ops)
+        r_int = verify_gpEp(lv, prob.ops)
         worst_eig = max(worst_eig, r_eig)
         worst_int = max(worst_int, r_int)
         per_level.append({"n": lv.n, "k": lv.k,
                           "residual_eigen_relation": r_eig,
                           "residual_intertwining": r_int})
-    zm = zero_mode_annihilation(b.levels[0], b.rep, b.profile, operators=b.ops)
+    zm = zero_mode_annihilation(prob.levels[0], prob.ops)
 
-    gram = orthonormality_matrix(b.levels)
+    gram = orthonormality_matrix(prob.levels)
     expected = np.zeros_like(gram)
-    for i, lv in enumerate(b.levels):
+    for i, lv in enumerate(prob.levels):
         expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector.matrix
     ortho_dev = float(np.abs(gram - expected).max())
 
@@ -274,24 +267,21 @@ def _cmd_verify_ritus(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dic
         "orthonormality": _check(ortho_dev, cfg.tol_residual),
     }
     if outdir is not None:
-        export_levels_csv(b.levels, cfg.mass, outdir / "levels.csv")
+        export_levels_csv(prob.levels, cfg.mass, outdir / "levels.csv")
     return {"results": {"levels": per_level,
                         "zero_mode_annihilation": zm,
                         "orthonormality_deviation": ortho_dev},
             "checks": checks}
 
 
-def _cmd_fw_exact(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
+def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
-    from .clifford import make_rep
-    from .foldy_wouthuysen import (field_fw, projector_commutation_residual,
-                                   restricted_fw, restricted_hamiltonian,
-                                   transform_hamiltonian, unitarity_residual,
-                                   verify_main_claim)
-    from .operators import GridOperators
+    from .foldy_wouthuysen import (projector_commutation_residual, restricted_fw,
+                                   restricted_hamiltonian, transform_hamiltonian,
+                                   unitarity_residual, verify_main_claim)
 
-    fw = b.fw
+    fw = prob.fw
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
@@ -305,15 +295,12 @@ def _cmd_fw_exact(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
     eig_err = float(np.abs(np.sort(report.eigenvalues) - np.array(expected)).max())
     ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
 
-    residuals = [verify_main_claim(fw, lv, cfg.mass, b.rep) for lv in fw.levels]
+    residuals = [verify_main_claim(fw, lv) for lv in fw.levels]
 
     # same residuals from the other representation; the levels are re-assembled
     # there but share the channel spectra, so k_n cannot drift
-    other = make_rep("second" if cfg.rep == "first" else "first")
-    ops2 = GridOperators(other, b.profile, cfg.p_y, cfg.e, b.grid)
-    fw2 = field_fw(b.profile, cfg.p_y, cfg.e, cfg.mass, b.grid, other,
-                   cfg.n_max, spectra=(b.spec_plus, b.spec_minus), operators=ops2)
-    residuals2 = [verify_main_claim(fw2, lv, cfg.mass, other) for lv in fw2.levels]
+    other = prob.other_rep()
+    residuals2 = [verify_main_claim(other.fw, lv) for lv in other.fw.levels]
     rep_gap = max(abs(a - c) for a, c in zip(residuals, residuals2))
 
     per_level = [{"n": lv.n, "k": lv.k, "residual_main_claim": r}
@@ -336,13 +323,13 @@ def _cmd_fw_exact(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
             "checks": checks}
 
 
-def _cmd_fw_series(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
+def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
     from .foldy_wouthuysen import (bd_iteration, fw_series_hamiltonian,
                                    restricted_hamiltonian)
 
-    fw = b.fw
+    fw = prob.fw
     masses = [4.0, 8.0, 16.0]
 
     bd_rows = []
@@ -356,7 +343,7 @@ def _cmd_fw_series(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
     bd_slope = float(np.polyfit(np.log(masses),
                                 np.log([r["odd_after"] for r in bd_rows]), 1)[0])
 
-    k = b.levels[1].k
+    k = prob.levels[1].k
     series_rows = []
     for m in masses:
         exact = (k + m * m) ** 0.5
@@ -380,13 +367,11 @@ def _cmd_fw_series(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
             "checks": checks}
 
 
-def _cmd_propagator(cfg: RunConfig, b: _Bundle, outdir: Optional[Path]) -> dict:
+def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     from .propagator import export_pole_sweep_csv, pole_sweep, project_propagator
 
-    res = project_propagator(b.profile, b.grid, b.levels, cfg.p0, cfg.mass,
-                             b.rep, e=cfg.e, operators=b.ops)
-    sweep = pole_sweep(b.profile, b.grid, b.levels, n_target=1, m=cfg.mass,
-                       rep=b.rep, e=cfg.e, operators=b.ops)
+    res = project_propagator(prob.levels, cfg.p0, cfg.mass, prob.ops)
+    sweep = pole_sweep(prob.levels, n_target=1, m=cfg.mass, operators=prob.ops)
     checks = {
         "diagonal_blocks": _check(res["diagonal_error"], cfg.tol_residual),
         "cross_blocks": _check(res["cross_norm"], cfg.tol_residual),
@@ -417,20 +402,20 @@ def _all_pass(section: dict) -> bool:
 
 
 def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
-    """Execute a command against a fresh bundle. Returns (report, ok).
+    """Execute a command against a fresh Problem. Returns (report, ok).
 
     For ``all``, a RitusFWError other than a ConfigurationError raised inside
     one section is recorded as that section's ``error`` (with no checks) and
     fails the run; the other sections still run.
     """
-    bundle = _Bundle(cfg)
+    prob = _make_problem(cfg)
     report = {"version": _VERSION, "command": command, "config": cfg.echo()}
     if command == "all":
         ok = True
         sections = {}
         for name, fn in _COMMANDS.items():
             try:
-                sections[name] = fn(cfg, bundle, outdir)
+                sections[name] = fn(cfg, prob, outdir)
             except ConfigurationError:
                 raise
             except RitusFWError as exc:
@@ -440,7 +425,7 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
             ok = ok and _all_pass(sections[name])
         report["sections"] = sections
     else:
-        section = _COMMANDS[command](cfg, bundle, outdir)
+        section = _COMMANDS[command](cfg, prob, outdir)
         report.update(section)
         ok = _all_pass(section)
     report["status"] = "pass" if ok else "fail"

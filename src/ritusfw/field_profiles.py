@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_potential",
     "susy_partner_potentials",
     "analytic_landau_levels",
+    "analytic_landau_levels_checked",
 ]
 
 

@@ -39,12 +39,10 @@ import numpy as np
 from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import LinearOperator
 
-from .clifford import GammaRep, make_rep
-from .errors import ArgumentError, TruncationError
-from .field_profiles import FieldProfile
+from .clifford import GammaRep
+from .errors import ArgumentError
 from .operators import GridOperators
-from .ritus_basis import BarMomentum, RitusLevel, assemble_level, bar_momentum, on_shell_level
-from .spectral_grid import Grid, solve_channel
+from .ritus_basis import BarMomentum, RitusLevel, bar_momentum
 
 __all__ = [
     "FWOperator",
@@ -52,7 +50,6 @@ __all__ = [
     "theta",
     "free_fw",
     "free_fw_hamiltonian",
-    "field_fw",
     "field_fw_from_levels",
     "low_rank_operator",
     "transform_hamiltonian",
@@ -92,15 +89,12 @@ class FWOperator:
 
     kind: str
     U: Union[np.ndarray, LinearOperator]
-    theta_spec: str
     mass: float
-    rep_variant: str = "first"
     levels: Optional[tuple] = None
     span: Optional[np.ndarray] = field(default=None, repr=False)
     span_grading: Optional[np.ndarray] = field(default=None, repr=False)
     W: Optional[np.ndarray] = field(default=None, repr=False)
     cluster_slices: Optional[tuple] = None
-    grid: Optional[Grid] = None
     operators: Optional[GridOperators] = field(default=None, repr=False)
 
 
@@ -127,13 +121,7 @@ def free_fw(pbar: BarMomentum, m: float, rep: GammaRep) -> FWOperator:
     beta = 0.5 * math.atan2(p, m)          # = |p| * theta(|p|^2), safe at p=0
     g2 = rep.gamma[2]
     U = math.cos(beta) * np.eye(2, dtype=complex) + math.sin(beta) * g2
-    return FWOperator(
-        kind="free",
-        U=U,
-        theta_spec=f"theta = arctan(|p|/m)/(2|p|), |p|={p:.12g}, m={m:.12g}",
-        mass=m,
-        rep_variant=rep.variant,
-    )
+    return FWOperator(kind="free", U=U, mass=m)
 
 
 def free_fw_hamiltonian(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
@@ -185,49 +173,14 @@ def field_fw_from_levels(
     return FWOperator(
         kind="field",
         U=low_rank_operator(B, W),
-        theta_spec="theta(k) = arctan(sqrt(k)/m)/(2 sqrt(k)) on resolved clusters; "
-                   f"identity off-span, m={m:.12g}",
         mass=m,
-        rep_variant=ops.rep.variant,
         levels=tuple(levels),
         span=B,
         span_grading=np.array(grading),
         W=W,
         cluster_slices=tuple(slices),
-        grid=grid,
         operators=ops,
     )
-
-
-def field_fw(
-    profile: FieldProfile,
-    p_y: float,
-    e: float,
-    m: float,
-    grid: Grid,
-    rep: GammaRep,
-    n_max: int,
-    spectra=None,
-    operators: Optional[GridOperators] = None,
-) -> FWOperator:
-    """Exact FW operator for the field profile, resolved through level n_max.
-
-    Pass ``spectra=(spec_plus, spec_minus)`` to reuse channel solves; each
-    must hold at least n_max + 1 levels.
-    """
-    if n_max < 1:
-        raise TruncationError("need n_max >= 1 resolved levels")
-    if spectra is None:
-        spec_p = solve_channel(profile, p_y, e, +1, grid, n_levels=n_max + 1)
-        spec_m = solve_channel(profile, p_y, e, -1, grid, n_levels=n_max + 1)
-    else:
-        spec_p, spec_m = spectra
-    ops = operators or GridOperators(rep, profile, p_y, e, grid)
-    levels = []
-    for n in range(n_max + 1):
-        lv = assemble_level(spec_p, spec_m, n, p0=0.0, p_y=p_y, rep=rep)
-        levels.append(on_shell_level(lv, m))
-    return field_fw_from_levels(levels, ops, m)
 
 
 def low_rank_operator(B: np.ndarray, W: np.ndarray) -> LinearOperator:
@@ -361,13 +314,10 @@ def restricted_fw(fw: FWOperator) -> FWOperator:
     return FWOperator(
         kind="field-restricted",
         U=fw.W.copy(),
-        theta_spec=fw.theta_spec,
         mass=fw.mass,
-        rep_variant=fw.rep_variant,
         levels=fw.levels,
         span_grading=fw.span_grading.copy(),
         cluster_slices=fw.cluster_slices,
-        grid=fw.grid,
     )
 
 
@@ -376,14 +326,17 @@ def restricted_fw(fw: FWOperator) -> FWOperator:
 # ----------------------------------------------------------------------
 
 
-def verify_main_claim(fw: FWOperator, level: RitusLevel, m: float, rep: GammaRep) -> float:
+def verify_main_claim(fw: FWOperator, level: RitusLevel) -> float:
     """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F.
 
     U is the exact field FW operator; U_free is built independently from
-    the closed-form free rotation at pbar = (sqrt(k+m^2), 0, sqrt(k)).
+    the closed-form free rotation at pbar = (sqrt(k+m^2), 0, sqrt(k)), with
+    the mass and gamma representation U was built with.
     """
-    pbar = bar_momentum(level.k, m, +1)
-    Ufree = free_fw(pbar, m, rep).U
+    if fw.kind != "field":
+        raise ArgumentError("verify_main_claim needs a field-kind operator")
+    pbar = bar_momentum(level.k, fw.mass, +1)
+    Ufree = free_fw(pbar, fw.mass, fw.operators.rep).U
     lhs = fw.U @ level.Ep
     rhs = level.Ep @ Ufree
     h = level.grid.h

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,10 +21,8 @@ from scipy.sparse.linalg import splu
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
-from .field_profiles import FieldProfile
 from .operators import GridOperators
 from .ritus_basis import BarMomentum, RitusLevel
-from .spectral_grid import Grid
 
 __all__ = [
     "DiagonalPropagator",
@@ -71,15 +69,33 @@ def _conditioning_guard(levels: Sequence[RitusLevel], p0: float, m: float) -> No
             )
 
 
+def _factor(levels: Sequence[RitusLevel], p0: float, m: float, operators: GridOperators):
+    """SuperLU factors of the sparse (gamma.Pi - m) at p0, after the guards.
+
+    SuperLU's fill-reducing ordering is a fixed function of the sparsity
+    pattern, so the solve is deterministic.
+    """
+    if not levels:
+        raise ArgumentError("need at least one level")
+    for lv in levels:
+        if not lv.grid.same_as(operators.grid):
+            raise ArgumentError("levels and operators use different grids")
+    _conditioning_guard(levels, p0, m)
+    K = operators.gamma_dot_pi(p0) - m * sp.identity(2 * operators.x.size, format="csr")
+    return splu(K.tocsc())
+
+
+def _sandwich(level: RitusLevel, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
+    """The 2x2 block gamma^0 E^dag gamma^0 Z (quadrature weight h)."""
+    g0 = operators.rep.gamma[0]
+    return g0 @ (operators.h * (level.Ep.conj().T @ (operators.g0diag[:, None] * Z)))
+
+
 def project_propagator(
-    profile: FieldProfile,
-    grid: Grid,
     levels: Sequence[RitusLevel],
     p0: float,
     m: float,
-    rep: GammaRep,
-    e: float = 1.0,
-    operators: Optional[GridOperators] = None,
+    operators: GridOperators,
 ) -> dict:
     """Grid-inverted propagator sandwiched between Ritus levels.
 
@@ -87,39 +103,20 @@ def project_propagator(
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
-    if not levels:
-        raise ArgumentError("need at least one level")
-    for lv in levels:
-        if not lv.grid.same_as(grid):
-            raise ArgumentError("levels must live on the given grid")
-    _conditioning_guard(levels, p0, m)
-
-    ops = operators or GridOperators(rep, profile, levels[0].p_y, e, grid)
-    N = grid.n_points
-    h = grid.h
-
-    # (gamma.Pi - m), real and sparse; SuperLU's fill-reducing ordering is
-    # a fixed function of the sparsity pattern, so the solve is deterministic
-    K = ops.gamma_dot_pi(p0) - m * sp.identity(2 * N, format="csr")
-    cols = np.hstack([lv.Ep for lv in levels])        # (2N, 2L), real
-    Z = splu(K.tocsc()).solve(np.real(cols))
-
-    G0diag = ops.g0diag
-    g0 = rep.gamma[0]
+    lu = _factor(levels, p0, m, operators)
+    Z = lu.solve(np.hstack([lv.Ep for lv in levels]))        # (2N, 2L), real
 
     L = len(levels)
     blocks = np.zeros((L, L, 2, 2), dtype=complex)
     for i, lv_i in enumerate(levels):
-        Ei = lv_i.Ep
         for j in range(L):
-            Zj = Z[:, 2 * j:2 * j + 2]
-            blocks[i, j] = g0 @ (h * (Ei.conj().T @ (G0diag[:, None] * Zj)))
+            blocks[i, j] = _sandwich(lv_i, Z[:, 2 * j:2 * j + 2], operators)
 
     diag_err = 0.0
     diag_norms = []
     for i, lv in enumerate(levels):
         pbar = BarMomentum(p0=p0, p1=0.0, p2=math.sqrt(max(lv.k, 0.0)), E_D=math.sqrt(lv.k + m * m))
-        free = diagonal_propagator(pbar, m, rep).Stilde
+        free = diagonal_propagator(pbar, m, operators.rep).Stilde
         P = lv.projector.matrix
         target = P @ free @ P
         diag_err = max(diag_err, float(np.abs(blocks[i, i] - target).max()))
@@ -141,38 +138,32 @@ def project_propagator(
 
 
 def pole_sweep(
-    profile: FieldProfile,
-    grid: Grid,
     levels: Sequence[RitusLevel],
     n_target: int,
     m: float,
-    rep: GammaRep,
+    operators: GridOperators,
     distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125),
-    e: float = 1.0,
-    operators: Optional[GridOperators] = None,
 ) -> dict:
     """Approach the on-shell energy of one level and fit the pole exponent.
 
     p0 = sqrt(k_n + m^2) - d for each distance d; fits
     log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
-    (expected 1) plus the sweep rows.  Pass ``operators`` to reuse the grid
-    operators of the levels.
+    (expected 1) plus the sweep rows.  Each p0 solves for the target level's
+    two columns alone; the conditioning guard still covers every level.
     """
     target = next((lv for lv in levels if lv.n == n_target), None)
     if target is None:
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     E_on = math.sqrt(target.k + m * m)
 
-    ops = operators or GridOperators(rep, profile, levels[0].p_y, e, grid)
     rows = []
     for d in distances:
         p0 = E_on - d
-        res = project_propagator(profile, grid, levels, p0, m, rep, e=e, operators=ops)
-        i = list(levels).index(target)
+        Z = _factor(levels, p0, m, operators).solve(target.Ep)
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(res["blocks"][i, i])),
+            "block_norm": float(np.linalg.norm(_sandwich(target, Z, operators))),
             "offshellness": abs(p0 * p0 - (target.k + m * m)),
         })
 

@@ -20,19 +20,13 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .clifford import GammaRep, SpinProjector, make_rep
+from .clifford import SpinProjector, make_rep
 from .errors import ArgumentError, DiscretizationError, PairingError, TruncationError
-from .operators import (
-    GridOperators,
-    channel_slots,
-    first_derivative,
-    kinetic_diagonal,
-)
+from .operators import GridOperators, channel_slots
 from .spectral_grid import Grid, ScalarSpectrum
 
 __all__ = [
@@ -40,8 +34,10 @@ __all__ = [
     "RitusLevel",
     "bar_momentum",
     "assemble_level",
+    "on_shell_level",
     "verify_eigen_relation",
     "verify_gpEp",
+    "zero_mode_annihilation",
     "orthonormality_matrix",
     "completeness_residual",
     "export_levels_csv",
@@ -94,7 +90,6 @@ class RitusLevel:
     pbar: BarMomentum
     projector: SpinProjector
     grid: Grid
-    e: float
     rep_variant: str
     zero_channel: int
     channel_eigenvalues: tuple
@@ -114,8 +109,7 @@ def assemble_level(
     spec_minus: ScalarSpectrum,
     n: int,
     p0: float,
-    p_y: float,
-    rep: Optional[GammaRep] = None,
+    ops: GridOperators,
     pairing_tol: float = 1e-6,
 ) -> RitusLevel:
     """Build E_p for level n from the two channel spectra.
@@ -123,9 +117,9 @@ def assemble_level(
     n = 0 takes the zero-mode channel's ground state alone; n >= 1 pairs the
     zero-mode channel's level n with the partner channel's level n-1 (the
     eigenvalues must agree within pairing_tol relative) and averages k.
+    The spinor slots follow ops.rep, and the ladder ops.A aligns the signs;
+    ops must share the spectra's grid, p_y and charge.
     """
-    if rep is None:
-        rep = make_rep("first")
     if n < 0:
         raise ArgumentError(f"level must be non-negative, got {n}")
     if spec_plus.sigma != +1 or spec_minus.sigma != -1:
@@ -134,13 +128,16 @@ def assemble_level(
         raise PairingError("channel spectra were computed on different grids")
     if abs(spec_plus.p_y - spec_minus.p_y) > 0 or spec_plus.e != spec_minus.e:
         raise PairingError("channel spectra differ in p_y or charge")
+    if (not ops.grid.same_as(spec_plus.grid) or ops.p_y != spec_plus.p_y
+            or ops.e != spec_plus.e):
+        raise ArgumentError("operators and spectra differ in grid, p_y or charge")
 
     grid = spec_plus.grid
     N = grid.n_points
     zc = _zero_channel(spec_plus, spec_minus)
     spec_zero = spec_plus if zc > 0 else spec_minus
     spec_other = spec_minus if zc > 0 else spec_plus
-    slots = channel_slots(rep)
+    slots = channel_slots(ops.rep)
     Ep = np.zeros((2 * N, 2))
 
     if n == 0:
@@ -173,11 +170,7 @@ def assemble_level(
 
         # ladder alignment: the operator mapping the zero channel into the
         # partner channel is A^T (zero channel sigma=+1) or A (sigma=-1)
-        if spec_plus.profile is None:
-            raise ArgumentError("spectrum lacks profile metadata needed for pairing")
-        M = kinetic_diagonal(spec_plus.profile, p_y, spec_plus.e, grid.x)
-        A = first_derivative(N, grid.h) + sp.diags(M)
-        ladder = A.T if zc > 0 else A
+        ladder = ops.A.T if zc > 0 else ops.A
         overlap = grid.h * float(v @ (ladder @ u))
         if overlap < 0:
             v = -v
@@ -194,14 +187,13 @@ def assemble_level(
     return RitusLevel(
         n=n,
         p0=float(p0),
-        p_y=float(p_y),
+        p_y=ops.p_y,
         k=k,
         Ep=Ep,
         pbar=pbar,
         projector=projector,
         grid=grid,
-        e=spec_plus.e,
-        rep_variant=rep.variant,
+        rep_variant=ops.rep.variant,
         zero_channel=zc,
         channel_eigenvalues=channel_eigs,
     )
@@ -230,51 +222,32 @@ def _weighted_fro(mat: np.ndarray, h: float) -> float:
     return math.sqrt(h) * float(np.linalg.norm(mat))
 
 
-def verify_eigen_relation(
-    level: RitusLevel,
-    rep: GammaRep,
-    profile,
-    m: float,
-    operators: Optional[GridOperators] = None,
-) -> float:
+def verify_eigen_relation(level: RitusLevel, operators: GridOperators) -> float:
     """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
-    drops out of the relation; m is accepted for interface symmetry with
-    the other verifiers.
+    drops out of the relation.
     """
-    ops = operators or GridOperators(rep, profile, level.p_y, level.e, level.grid)
     h = level.grid.h
-    lhs = (level.pbar.p0**2) * level.Ep - ops.PiTilde2 @ level.Ep
+    lhs = (level.pbar.p0**2) * level.Ep - operators.PiTilde2 @ level.Ep
     rhs = level.pbar.squared * level.Ep
     return _weighted_fro(lhs - rhs, h) / _weighted_fro(level.Ep, h)
 
 
-def verify_gpEp(
-    level: RitusLevel,
-    rep: GammaRep,
-    profile,
-    operators: Optional[GridOperators] = None,
-) -> float:
+def verify_gpEp(level: RitusLevel, operators: GridOperators) -> float:
     """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F."""
-    ops = operators or GridOperators(rep, profile, level.p_y, level.e, level.grid)
     h = level.grid.h
-    gPi_E = level.pbar.p0 * (ops.G0 @ level.Ep) - ops.X @ level.Ep
-    g_pbar = level.pbar.p0 * rep.gamma[0] - level.pbar.p2 * rep.gamma[2]
+    gamma = operators.rep.gamma
+    gPi_E = level.pbar.p0 * (operators.G0 @ level.Ep) - operators.X @ level.Ep
+    g_pbar = level.pbar.p0 * gamma[0] - level.pbar.p2 * gamma[2]
     E_gpbar = level.Ep @ g_pbar
     return _weighted_fro(gPi_E - E_gpbar, h) / _weighted_fro(level.Ep, h)
 
 
-def zero_mode_annihilation(
-    level: RitusLevel,
-    rep: GammaRep,
-    profile,
-    operators: Optional[GridOperators] = None,
-) -> float:
+def zero_mode_annihilation(level: RitusLevel, operators: GridOperators) -> float:
     """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone."""
-    ops = operators or GridOperators(rep, profile, level.p_y, level.e, level.grid)
     h = level.grid.h
-    return _weighted_fro(ops.X @ level.Ep, h) / _weighted_fro(level.Ep, h)
+    return _weighted_fro(operators.X @ level.Ep, h) / _weighted_fro(level.Ep, h)
 
 
 def orthonormality_matrix(levels: Sequence["RitusLevel"]) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -99,7 +99,6 @@ class ScalarSpectrum:
     grid: Grid
     p_y: float
     e: float
-    profile: Optional[FieldProfile] = None
     flags: tuple = ()
 
     def quadrature_norms(self) -> np.ndarray:
@@ -290,7 +289,6 @@ def solve_channel(
         grid=grid,
         p_y=p_y,
         e=e,
-        profile=profile,
         flags=tuple(flags),
     )
 

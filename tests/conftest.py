@@ -1,9 +1,9 @@
-"""Shared fixtures: one uniform-field bundle solved once per session.
+"""Shared fixtures: one uniform-field Problem per representation, per session.
 
 Unit tests run at N=640 / n_max=6: fast, yet fine enough that the raw
 zero-mode eigenvalue lands inside the solver's 1e-8 clamp window (at
 N=512 it sits just outside and stays a flagged negative).  The acceptance
-harness builds its own N=1024 bundle.
+harness builds its own N=1024 problem.
 """
 
 import sys
@@ -13,46 +13,19 @@ import pytest
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
-from ritusfw.foldy_wouthuysen import field_fw
-from ritusfw.operators import GridOperators
-from ritusfw.ritus_basis import assemble_level
-from ritusfw.spectral_grid import GridConfig, build_grid, solve_channel
-
-N_POINTS = 640
-N_MAX = 6
-P0 = 0.3
-MASS = 1.0
-
-
-class Bundle:
-    def __init__(self, rep_variant="first"):
-        self.profile = uniform_profile(1.0)
-        self.rep = make_rep(rep_variant)
-        self.grid = build_grid(self.profile, 0.0, N_MAX,
-                               GridConfig(n_points=N_POINTS), e=1.0)
-        self.spec_plus = solve_channel(self.profile, 0.0, 1.0, +1,
-                                       self.grid, n_levels=N_MAX + 1)
-        self.spec_minus = solve_channel(self.profile, 0.0, 1.0, -1,
-                                        self.grid, n_levels=N_MAX + 1)
-        self.ops = GridOperators(self.rep, self.profile, 0.0, 1.0, self.grid)
-        self.levels = [
-            assemble_level(self.spec_plus, self.spec_minus, n,
-                           p0=P0, p_y=0.0, rep=self.rep)
-            for n in range(N_MAX + 1)
-        ]
-        self.fw = field_fw(self.profile, 0.0, 1.0, MASS, self.grid, self.rep,
-                           N_MAX, spectra=(self.spec_plus, self.spec_minus),
-                           operators=self.ops)
+from ritusfw.problem import Problem
+from ritusfw.spectral_grid import GridConfig
 
 
 @pytest.fixture(scope="session")
 def uni():
-    return Bundle("first")
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
+                   n_max=6, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
 
 
 @pytest.fixture(scope="session")
-def uni_second():
-    return Bundle("second")
+def uni_second(uni):
+    return uni.other_rep()
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ then asserts, so the harness doubles as a human-readable report:
     python tests/test_acceptance.py
 
 runs the same checks without pytest.  Criteria 2-9 share one uniform-field
-bundle at N=1024, n_max=8, e = B = m = 1.
+Problem at N=1024, n_max=8, e = B = m = 1.
 """
 
 import functools
@@ -15,7 +15,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from ritusfw.clifford import anticommutator, check_product_identity, make_rep
 from ritusfw.field_profiles import uniform_profile
 from ritusfw.foldy_wouthuysen import (
     bd_iteration,
-    field_fw,
     fw_series_hamiltonian,
     restricted_fw,
     restricted_hamiltonian,
@@ -32,24 +30,19 @@ from ritusfw.foldy_wouthuysen import (
     unitarity_residual,
     verify_main_claim,
 )
-from ritusfw.operators import GridOperators
+from ritusfw.problem import Problem
 from ritusfw.propagator import pole_sweep, project_propagator
 from ritusfw.ritus_basis import (
-    assemble_level,
     verify_eigen_relation,
     verify_gpEp,
     zero_mode_annihilation,
 )
-from ritusfw.spectral_grid import (
-    GridConfig,
-    build_grid,
-    convergence_study,
-    solve_channel,
-)
+from ritusfw.spectral_grid import GridConfig, convergence_study
 
 N_POINTS = 1024
 N_MAX = 8
 MASS = 1.0
+P0 = 0.3
 METRIC_DIAG = (1.0, -1.0, -1.0)
 
 
@@ -68,22 +61,9 @@ def emit(num, ok, detail):
 
 
 @functools.lru_cache(maxsize=None)
-def production_bundle():
-    profile = uniform_profile(1.0)
-    rep = make_rep("first")
-    grid = build_grid(profile, 0.0, N_MAX, GridConfig(n_points=N_POINTS), e=1.0)
-    spec_plus = solve_channel(profile, 0.0, 1.0, +1, grid, n_levels=N_MAX + 1)
-    spec_minus = solve_channel(profile, 0.0, 1.0, -1, grid, n_levels=N_MAX + 1)
-    ops = GridOperators(rep, profile, 0.0, 1.0, grid)
-    levels = [
-        assemble_level(spec_plus, spec_minus, n, p0=0.3, p_y=0.0, rep=rep)
-        for n in range(N_MAX + 1)
-    ]
-    fw = field_fw(profile, 0.0, 1.0, MASS, grid, rep, N_MAX,
-                  spectra=(spec_plus, spec_minus), operators=ops)
-    return SimpleNamespace(profile=profile, rep=rep, grid=grid,
-                           spec_plus=spec_plus, spec_minus=spec_minus,
-                           ops=ops, levels=levels, fw=fw)
+def production_problem():
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
+                   n_max=N_MAX, grid_config=GridConfig(n_points=N_POINTS), tol_eig=1e-6)
 
 
 def test_criterion_01_clifford_exact():
@@ -105,7 +85,7 @@ def test_criterion_01_clifford_exact():
 
 
 def test_criterion_02_landau_spectrum():
-    b = production_bundle()
+    b = production_problem()
     err = 0.0
     for n in range(N_MAX + 1):
         err = max(err, abs(b.spec_plus.eigenvalues[n] - 2.0 * n))
@@ -120,7 +100,7 @@ def test_criterion_02_landau_spectrum():
 
 
 def test_criterion_03_susy_pairing():
-    b = production_bundle()
+    b = production_problem()
     rel = max(
         abs(b.spec_plus.eigenvalues[n] - b.spec_minus.eigenvalues[n - 1])
         / b.spec_plus.eigenvalues[n]
@@ -134,19 +114,17 @@ def test_criterion_03_susy_pairing():
 
 
 def test_criterion_04_ritus_diagonalization():
-    b = production_bundle()
-    res = max(verify_eigen_relation(lv, b.rep, b.profile, MASS, operators=b.ops)
-              for lv in b.levels)
+    b = production_problem()
+    res = max(verify_eigen_relation(lv, b.ops) for lv in b.levels)
     ok = res < 1e-6
     emit(4, ok, f"max ||(gamma.Pi)^2 E - pbar^2 E|| / ||E|| = {res:.3e} (tol 1e-06)")
     assert ok
 
 
 def test_criterion_05_intertwining():
-    b = production_bundle()
-    res = max(verify_gpEp(lv, b.rep, b.profile, operators=b.ops)
-              for lv in b.levels)
-    zero = zero_mode_annihilation(b.levels[0], b.rep, b.profile, operators=b.ops)
+    b = production_problem()
+    res = max(verify_gpEp(lv, b.ops) for lv in b.levels)
+    zero = zero_mode_annihilation(b.levels[0], b.ops)
     ok = res < 1e-5 and zero < 1e-8
     emit(5, ok, f"max intertwining residual = {res:.3e} (tol 1e-05), "
                 f"zero-mode annihilation = {zero:.3e} (tol 1e-08)")
@@ -154,7 +132,7 @@ def test_criterion_05_intertwining():
 
 
 def test_criterion_06_exact_fw():
-    b = production_bundle()
+    b = production_problem()
     unit = unitarity_residual(b.fw)
     H_r, grading = restricted_hamiltonian(b.fw)
     report = transform_hamiltonian(restricted_fw(b.fw), H_r, beta=grading)
@@ -173,14 +151,11 @@ def test_criterion_06_exact_fw():
 
 
 def test_criterion_07_main_claim():
-    b = production_bundle()
-    res = [verify_main_claim(b.fw, lv, MASS, b.rep) for lv in b.fw.levels]
+    b = production_problem()
+    res = [verify_main_claim(b.fw, lv) for lv in b.fw.levels]
 
-    rep2 = make_rep("second")
-    ops2 = GridOperators(rep2, b.profile, 0.0, 1.0, b.grid)
-    fw2 = field_fw(b.profile, 0.0, 1.0, MASS, b.grid, rep2, N_MAX,
-                   spectra=(b.spec_plus, b.spec_minus), operators=ops2)
-    res2 = [verify_main_claim(fw2, lv, MASS, rep2) for lv in fw2.levels]
+    b2 = b.other_rep()
+    res2 = [verify_main_claim(b2.fw, lv) for lv in b2.fw.levels]
     gap = max(abs(a - c) for a, c in zip(res, res2))
 
     ok = max(res) < 1e-6 and gap < 1e-8
@@ -190,7 +165,7 @@ def test_criterion_07_main_claim():
 
 
 def test_criterion_08_series_consistency():
-    b = production_bundle()
+    b = production_problem()
     masses = [4.0, 8.0, 16.0]
 
     reduced = True
@@ -216,11 +191,9 @@ def test_criterion_08_series_consistency():
 
 
 def test_criterion_09_propagator():
-    b = production_bundle()
-    res = project_propagator(b.profile, b.grid, b.levels, 0.3, MASS,
-                             b.rep, e=1.0, operators=b.ops)
-    sweep = pole_sweep(b.profile, b.grid, b.levels, n_target=1, m=MASS,
-                       rep=b.rep, e=1.0)
+    b = production_problem()
+    res = project_propagator(b.levels, P0, MASS, b.ops)
+    sweep = pole_sweep(b.levels, n_target=1, m=MASS, operators=b.ops)
     diag = res["diagonal_error"]
     cross = res["cross_norm"]
     expo = sweep["exponent"]

@@ -124,25 +124,57 @@ def test_stdout_report_when_no_out_dir(tmp_path):
     assert report["command"] == "spectrum"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify-ritus", "fw-exact",
-                                     "fw-series", "propagator", "all"])
-def test_nonpositive_mass_exits_two_without_output(tmp_path, command):
-    cfg = write_config(tmp_path / "cfg.json", mass=-1.0)
+# the six mass cases keep the command as their id; the others run under `all`
+BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
+               for command in ("spectrum", "verify-ritus", "fw-exact",
+                               "fw-series", "propagator", "all")] + [
+    pytest.param("all", {"e": 0.0}, "e must", id="e-zero"),
+    pytest.param("all", {"profile": {"kind": "exponential", "alpha": 0.0}},
+                 "alpha", id="alpha-zero"),
+    pytest.param("all", {"tolerances": {"eig": float("nan"), "residual": 1e-3}},
+                 "tolerances.eig", id="eig-nan"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,key", BAD_CONFIGS)
+def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides, key):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
     proc = run_cli(command, "--config", str(cfg), "--out",
                    str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 2
     assert not (tmp_path / "out").exists()
-    assert "mass" in proc.stderr
+    assert key in proc.stderr
 
 
-@pytest.mark.parametrize("mass", ["0", "nan", "inf"])
-def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, mass):
+# the three mass cases keep their value as the id
+@pytest.mark.parametrize("flag,key", [
+    pytest.param("--mass=0", "mass", id="0"),
+    pytest.param("--mass=nan", "mass", id="nan"),
+    pytest.param("--mass=inf", "mass", id="inf"),
+    pytest.param("--eB=0", "B", id="eB-0"),
+    pytest.param("--eB=nan", "B", id="eB-nan"),
+    pytest.param("--eB=inf", "B", id="eB-inf"),
+    pytest.param("--py=nan", "p_y", id="py-nan"),
+    pytest.param("--p0=nan", "p0", id="p0-nan"),
+])
+def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, flag, key):
     cfg = write_config(tmp_path / "cfg.json")
-    proc = run_cli("spectrum", "--config", str(cfg), f"--mass={mass}",
-                   cwd=tmp_path)
+    proc = run_cli("spectrum", "--config", str(cfg), flag, cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "mass" in proc.stderr
+    assert key in proc.stderr
+
+
+def test_spectrum_builds_no_levels(tmp_path):
+    # at N=256 the default config's levels do not pair (PairingError), but
+    # `spectrum` never builds them: it writes its report and fails only its
+    # own closed-form check
+    out = tmp_path / "d"
+    proc = run_cli("spectrum", "--grid-n", "256", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert not report["checks"]["spectrum_error"]["pass"]
+    assert (out / "spectrum.csv").exists()
 
 
 def test_all_records_failed_section_and_runs_the_others(tmp_path):

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from ritusfw.foldy_wouthuysen import (field_fw, low_rank_operator,
+from ritusfw.foldy_wouthuysen import (low_rank_operator,
                                       projector_commutation_residual,
                                       restricted_hamiltonian,
                                       unitarity_residual)
-from ritusfw.operators import GridOperators
 from ritusfw.propagator import project_propagator
 
 P0 = 0.3
@@ -66,8 +65,7 @@ def test_restricted_hamiltonian_matches_dense(uni):
 
 def test_project_propagator_matches_dense_lu(uni):
     ops, levels = uni.ops, uni.levels
-    res = project_propagator(uni.profile, uni.grid, levels, P0, MASS, uni.rep,
-                             operators=ops)
+    res = project_propagator(levels, P0, MASS, ops)
     G0 = dense_G0(ops)
     K = P0 * G0 - ops.X.toarray() - MASS * np.eye(G0.shape[0])
     Z = lu_solve(lu_factor(K), np.hstack([lv.Ep for lv in levels]))
@@ -107,18 +105,18 @@ def test_residuals_not_below_dense_max_entry(uni, where):
 def test_no_dense_grid_matrix_allocated(uni):
     N2 = 2 * uni.grid.n_points
     one_dense = N2 * N2 * np.dtype(np.float64).itemsize
+    uni.levels  # grid and both spectra are built before tracing, whatever the test order
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        ops = GridOperators(uni.rep, uni.profile, 0.0, 1.0, uni.grid)
-        fw = field_fw(uni.profile, 0.0, 1.0, MASS, uni.grid, uni.rep,
-                      len(uni.levels) - 1,
-                      spectra=(uni.spec_plus, uni.spec_minus), operators=ops)
+        # a fresh problem on uni's grid and spectra builds its operators,
+        # every level and U inside the traced region
+        prob = uni.other_rep()
+        fw = prob.fw
         unitarity_residual(fw)
         projector_commutation_residual(fw)
         restricted_hamiltonian(fw)
-        project_propagator(uni.profile, uni.grid, uni.levels, P0, MASS,
-                           uni.rep, operators=ops)
+        project_propagator(prob.levels, P0, MASS, prob.ops)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

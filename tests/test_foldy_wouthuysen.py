@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh, expm
 
 from ritusfw.clifford import make_rep
-from ritusfw.errors import ArgumentError, TruncationError
-from ritusfw.foldy_wouthuysen import (bd_iteration, field_fw, free_fw,
+from ritusfw.errors import ArgumentError
+from ritusfw.foldy_wouthuysen import (bd_iteration, field_fw_from_levels, free_fw,
                                       free_fw_hamiltonian,
                                       fw_series_hamiltonian,
                                       projector_commutation_residual,
@@ -84,8 +84,8 @@ def test_field_fw_identity_on_zero_mode(uni):
 
 
 def test_field_fw_requires_levels(uni):
-    with pytest.raises(TruncationError):
-        field_fw(uni.profile, 0.0, 1.0, MASS, uni.grid, uni.rep, 0)
+    with pytest.raises(ArgumentError):
+        field_fw_from_levels([], uni.ops, MASS)
 
 
 def test_restricted_hamiltonian_eigenvalues(uni):
@@ -130,16 +130,13 @@ def test_transform_shape_validation(uni):
 
 
 def test_main_claim_all_levels(uni):
-    worst = max(verify_main_claim(uni.fw, lv, MASS, uni.rep)
-                for lv in uni.fw.levels)
+    worst = max(verify_main_claim(uni.fw, lv) for lv in uni.fw.levels)
     assert worst < 5e-6
 
 
 def test_main_claim_agrees_across_reps(uni, uni_second):
-    r1 = [verify_main_claim(uni.fw, lv, MASS, uni.rep)
-          for lv in uni.fw.levels]
-    r2 = [verify_main_claim(uni_second.fw, lv, MASS, uni_second.rep)
-          for lv in uni_second.fw.levels]
+    r1 = [verify_main_claim(uni.fw, lv) for lv in uni.fw.levels]
+    r2 = [verify_main_claim(uni_second.fw, lv) for lv in uni_second.fw.levels]
     assert max(abs(a - b) for a, b in zip(r1, r2)) < 1e-12
 
 
@@ -149,7 +146,9 @@ def test_column_sign_convention_is_load_bearing(uni):
     flipped = lv.Ep.copy()
     flipped[:, 1] *= -1.0
     bad = dataclasses.replace(lv, Ep=flipped)
-    assert verify_main_claim(uni.fw, bad, MASS, uni.rep) > 0.1
+    assert verify_main_claim(uni.fw, bad) > 0.1
+    with pytest.raises(ArgumentError):
+        verify_main_claim(restricted_fw(uni.fw), lv)
 
 
 # ----------------------------------------------------------------------

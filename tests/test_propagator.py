@@ -45,8 +45,7 @@ def test_pole_error_on_shell():
 
 
 def test_projected_diagonal_matches_free_form(uni):
-    res = project_propagator(uni.profile, uni.grid, uni.levels, P0, MASS,
-                             uni.rep, operators=uni.ops)
+    res = project_propagator(uni.levels, P0, MASS, uni.ops)
     assert res["diagonal_error"] < 1e-5
     assert res["cross_norm"] < 1e-5
     # zero-mode block: projector cuts the free form to its populated slot
@@ -56,11 +55,8 @@ def test_projected_diagonal_matches_free_form(uni):
 
 
 def test_block_singular_values_across_reps(uni, uni_second):
-    r1 = project_propagator(uni.profile, uni.grid, uni.levels, P0, MASS,
-                            uni.rep, operators=uni.ops)
-    r2 = project_propagator(uni_second.profile, uni_second.grid,
-                            uni_second.levels, P0, MASS, uni_second.rep,
-                            operators=uni_second.ops)
+    r1 = project_propagator(uni.levels, P0, MASS, uni.ops)
+    r2 = project_propagator(uni_second.levels, P0, MASS, uni_second.ops)
     # n >= 1 blocks carry the full 2x2 form; their Gram matrices differ only
     # by a diagonal sign conjugation, so the singular values agree
     for i in range(1, len(uni.levels)):
@@ -77,30 +73,30 @@ def test_block_singular_values_across_reps(uni, uni_second):
 def test_conditioning_guard(uni):
     near = math.sqrt(uni.levels[1].k + MASS**2) - 1e-4
     with pytest.raises(ConditioningError):
-        project_propagator(uni.profile, uni.grid, uni.levels, near, MASS,
-                           uni.rep, operators=uni.ops)
+        project_propagator(uni.levels, near, MASS, uni.ops)
 
 
 def test_project_propagator_validation(uni):
     with pytest.raises(ArgumentError):
-        project_propagator(uni.profile, uni.grid, [], P0, MASS, uni.rep)
+        project_propagator([], P0, MASS, uni.ops)
 
 
 def test_pole_sweep_exponent(uni):
-    sweep = pole_sweep(uni.profile, uni.grid, uni.levels, 1, MASS, uni.rep)
+    sweep = pole_sweep(uni.levels, 1, MASS, uni.ops)
     assert 0.9 < sweep["exponent"] < 1.1
     norms = [row["block_norm"] for row in sweep["rows"]]
     assert norms == sorted(norms)
-    reused = pole_sweep(uni.profile, uni.grid, uni.levels, 1, MASS, uni.rep,
-                        operators=uni.ops)
-    assert reused["rows"] == sweep["rows"]
+    # solving the target level alone gives the full projection's block
+    for row in sweep["rows"]:
+        full = project_propagator(uni.levels, row["p0"], MASS, uni.ops)
+        assert_allclose(row["block_norm"], np.linalg.norm(full["blocks"][1, 1]),
+                        rtol=1e-13, atol=0)
     with pytest.raises(ArgumentError):
-        pole_sweep(uni.profile, uni.grid, uni.levels, 99, MASS, uni.rep)
+        pole_sweep(uni.levels, 99, MASS, uni.ops)
 
 
 def test_pole_sweep_csv(tmp_path, uni):
-    sweep = pole_sweep(uni.profile, uni.grid, uni.levels, 1, MASS, uni.rep,
-                       distances=(0.2, 0.1))
+    sweep = pole_sweep(uni.levels, 1, MASS, uni.ops, distances=(0.2, 0.1))
     path = tmp_path / "sweep.csv"
     export_pole_sweep_csv(sweep, path)
     lines = path.read_text().strip().splitlines()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, PairingError, TruncationError
 from ritusfw.operators import GridOperators
 from ritusfw.ritus_basis import (BarMomentum, assemble_level, bar_momentum,
@@ -66,7 +65,10 @@ def test_level_columns_quadrature_orthonormal(uni):
 
 def test_sigma_order_is_enforced(uni):
     with pytest.raises(ArgumentError):
-        assemble_level(uni.spec_minus, uni.spec_plus, 1, p0=0.0, p_y=0.0)
+        assemble_level(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
+    shifted = GridOperators(uni.rep, uni.profile, 0.5, 1.0, uni.grid)
+    with pytest.raises(ArgumentError):       # operators built at another p_y
+        assemble_level(uni.spec_plus, uni.spec_minus, 1, 0.0, shifted)
 
 
 def test_pairing_mismatch_detected(uni):
@@ -74,13 +76,12 @@ def test_pairing_mismatch_detected(uni):
     vals[0] *= 1.01
     doctored = dataclasses.replace(uni.spec_minus, eigenvalues=vals)
     with pytest.raises(PairingError):
-        assemble_level(uni.spec_plus, doctored, 1, p0=0.0, p_y=0.0, rep=uni.rep)
+        assemble_level(uni.spec_plus, doctored, 1, 0.0, uni.ops)
 
 
 def test_truncation_when_level_not_stored(uni):
     with pytest.raises(TruncationError):
-        assemble_level(uni.spec_plus, uni.spec_minus, 40, p0=0.0, p_y=0.0,
-                       rep=uni.rep)
+        assemble_level(uni.spec_plus, uni.spec_minus, 40, 0.0, uni.ops)
 
 
 def test_orthonormality_blocks_are_projectors(uni):
@@ -97,38 +98,33 @@ def test_duplicate_levels_warn(uni):
 
 
 def test_eigen_relation_residual_small(uni):
-    worst = max(verify_eigen_relation(lv, uni.rep, uni.profile, 1.0,
-                                      operators=uni.ops)
-                for lv in uni.levels)
+    worst = max(verify_eigen_relation(lv, uni.ops) for lv in uni.levels)
     assert worst < 5e-6
 
 
 def test_intertwining_residual_small(uni):
-    worst = max(verify_gpEp(lv, uni.rep, uni.profile, operators=uni.ops)
-                for lv in uni.levels)
+    worst = max(verify_gpEp(lv, uni.ops) for lv in uni.levels)
     assert worst < 1e-5
 
 
 def test_zero_mode_annihilation_small(uni):
-    assert zero_mode_annihilation(uni.levels[0], uni.rep, uni.profile,
-                                  operators=uni.ops) < 5e-7
+    assert zero_mode_annihilation(uni.levels[0], uni.ops) < 5e-7
 
 
 def test_residuals_identical_across_reps(uni, uni_second):
     for lv1, lv2 in zip(uni.levels[:4], uni_second.levels[:4]):
-        r1 = verify_gpEp(lv1, uni.rep, uni.profile, operators=uni.ops)
-        r2 = verify_gpEp(lv2, uni_second.rep, uni.profile,
-                         operators=uni_second.ops)
+        r1 = verify_gpEp(lv1, uni.ops)
+        r2 = verify_gpEp(lv2, uni_second.ops)
         assert abs(r1 - r2) < 1e-12
 
 
 def test_wrong_pbar_is_detected(uni):
     lv = uni.levels[2]
-    base = verify_gpEp(lv, uni.rep, uni.profile, operators=uni.ops)
+    base = verify_gpEp(lv, uni.ops)
     off = dataclasses.replace(
         lv, pbar=BarMomentum(p0=lv.pbar.p0, p1=0.0,
                              p2=lv.pbar.p2 + 0.1, E_D=lv.pbar.E_D))
-    assert verify_gpEp(off, uni.rep, uni.profile, operators=uni.ops) > 100 * base
+    assert verify_gpEp(off, uni.ops) > 100 * base
 
 
 def test_on_shell_level(uni):
@@ -179,19 +175,13 @@ def test_level_matrix_csv(tmp_path, uni):
     assert len(lines) == 1 + uni.grid.n_points
 
 
-def test_gauge_center_shift_preserves_levels():
+def test_gauge_center_shift_preserves_levels(uni):
     # p_y shifts the magnetic center; spectra and residuals are unchanged
-    from ritusfw.field_profiles import uniform_profile
-    from ritusfw.spectral_grid import GridConfig, build_grid, solve_channel
+    from ritusfw.spectral_grid import GridConfig
 
-    prof = uniform_profile(1.0)
-    rep = make_rep("first")
-    grid = build_grid(prof, 1.2, 3, GridConfig(n_points=512))
-    sp = solve_channel(prof, 1.2, 1.0, +1, grid, n_levels=4)
-    sm = solve_channel(prof, 1.2, 1.0, -1, grid, n_levels=4)
-    ops = GridOperators(rep, prof, 1.2, 1.0, grid)
-    lv = assemble_level(sp, sm, 2, p0=0.3, p_y=1.2, rep=rep)
+    prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
+    lv = prob.levels[2]
     assert lv.k == pytest.approx(4.0, abs=1e-5)
-    assert verify_gpEp(lv, rep, prof, operators=ops) < 1e-5
-    peak = grid.x[np.argmax(np.abs(sp.eigenfunctions[:, 0]))]
+    assert verify_gpEp(lv, prob.ops) < 1e-5
+    peak = prob.grid.x[np.argmax(np.abs(prob.spec_plus.eigenfunctions[:, 0]))]
     assert abs(peak - 1.2) < 0.1
