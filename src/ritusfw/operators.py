@@ -1,9 +1,8 @@
 """Grid realizations of the differential operators.
 
-Everything here is a scipy.sparse matrix (or a LAPACK banded array for the
-channel eigen-solve) on a uniform grid with Dirichlet boundaries; no
-operator is ever stored dense.  Conventions shared by the rest of the
-package:
+Everything here is a scipy.sparse matrix on a uniform grid with Dirichlet
+boundaries; no operator is ever stored dense.  Conventions shared by the
+rest of the package:
 
 * spinor (x) grid ordering: a grid spinor v has layout
   ``v = [upper component (N values), lower component (N values)]``,
@@ -43,9 +42,7 @@ from .field_profiles import FieldProfile, evaluate_potential, susy_partner_poten
 
 __all__ = [
     "first_derivative",
-    "second_derivative_banded",
-    "channel_hamiltonian_banded",
-    "banded_to_sparse",
+    "channel_hamiltonian",
     "kinetic_diagonal",
     "gamma_dot_pi_spatial",
     "pi_tilde_squared",
@@ -67,28 +64,13 @@ def first_derivative(N: int, h: float) -> sp.csr_matrix:
     return sp.diags([-c2, -c1, c1, c2], [-2, -1, 1, 2], shape=(N, N), format="csr")
 
 
-def second_derivative_banded(N: int, h: float) -> np.ndarray:
-    """Fourth-order -d^2/dx^2 in LAPACK lower-banded form, shape (3, N)."""
-    ab = np.zeros((3, N))
-    ab[0, :] = 30.0 / (12.0 * h * h)
-    ab[1, :] = -16.0 / (12.0 * h * h)
-    ab[2, :] = 1.0 / (12.0 * h * h)
-    return ab
-
-
-def channel_hamiltonian_banded(V: np.ndarray, h: float) -> np.ndarray:
-    """Banded form of H = -d^2/dx^2 + diag(V)."""
-    ab = second_derivative_banded(V.size, h)
-    ab[0, :] += V
-    return ab
-
-
-def banded_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
-    """Expand a symmetric lower-banded matrix to a sparse one (exactly symmetric)."""
-    K, N = ab.shape
-    bands = [ab[k, : N - k] for k in range(K)]
-    # sub-diagonals -(K-1)..-1 mirror super-diagonals 1..K-1
-    return sp.diags(bands[:0:-1] + bands, range(1 - K, K), shape=(N, N), format="csr")
+def channel_hamiltonian(V: np.ndarray, h: float) -> sp.csr_matrix:
+    """Fourth-order H = -d^2/dx^2 + diag(V), exactly symmetric (Dirichlet)."""
+    c0 = 30.0 / (12.0 * h * h)
+    c1 = -16.0 / (12.0 * h * h)
+    c2 = 1.0 / (12.0 * h * h)
+    return sp.diags([c2, c1, c0 + V, c1, c2], [-2, -1, 0, 1, 2],
+                    shape=(V.size, V.size), format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +126,14 @@ def pi_tilde_squared(
 ) -> sp.csr_matrix:
     """Sparse (2N)x(2N) realization of Pi-tilde^2 = Pi^2 - e sigma_3-like W'.
 
-    Built from the solved channel form blockdiag(-D2 + V_sigma) with the
-    slot assignment of the representation.
+    Built from the solved channel Hamiltonians blockdiag(-D2 + V_sigma) with
+    the slot assignment of the representation.
     """
     Vp, Vm = susy_partner_potentials(profile, p_y, e)
     slots = channel_slots(rep)
     blocks = [None, None]
     for sigma, V in ((+1, Vp), (-1, Vm)):
-        blocks[slots[sigma]] = banded_to_sparse(channel_hamiltonian_banded(V(x), h))
+        blocks[slots[sigma]] = channel_hamiltonian(V(x), h)
     return sp.block_diag(blocks, format="csr")
 
 

@@ -5,15 +5,17 @@ E_p paired from them, and the exact field FW operator U assembled from the
 levels.  ``Problem`` holds the inputs of that chain and builds each link on
 first use, once: the grid, both channel spectra, the grid operators, the
 levels at the problem's p0, and U from the on-shell copies of those levels.
-The CLI, the tests and the README all build through it.
+A link whose build raises a RitusFWError keeps that error and re-raises it,
+so it is not rebuilt by every reader.  The CLI, the tests and the README all
+build through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .clifford import GammaRep, make_rep
+from .errors import RitusFWError
 from .field_profiles import FieldProfile
 from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
@@ -21,6 +23,39 @@ from .ritus_basis import assemble_level, on_shell_level
 from .spectral_grid import GridConfig, build_grid, solve_channel
 
 __all__ = ["Problem"]
+
+
+class _link:
+    """A link of the chain, built on first read and kept in the instance dict.
+
+    Like functools.cached_property, except that a RitusFWError raised by the
+    build is kept too and re-raised on every later read.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        cache = vars(obj)
+        if self.name not in cache:
+            try:
+                cache[self.name] = self.build(obj)
+            except RitusFWError as exc:
+                cache[self.name] = exc
+        value = cache[self.name]
+        if isinstance(value, RitusFWError):
+            raise value
+        return value
+
+    def __set__(self, obj, value):
+        # a data descriptor, so a kept error is raised rather than returned
+        raise AttributeError(f"{self.name} is built, not set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +77,7 @@ class Problem:
     grid_config: GridConfig
     tol_eig: float
 
-    @cached_property
+    @_link
     def grid(self):
         return build_grid(self.profile, self.p_y, self.n_max, self.grid_config, e=self.e)
 
@@ -50,24 +85,24 @@ class Problem:
         return solve_channel(self.profile, self.p_y, self.e, sigma, self.grid,
                              n_levels=self.n_max + 1, tol_eig=self.tol_eig)
 
-    @cached_property
+    @_link
     def spec_plus(self):
         return self._channel(+1)
 
-    @cached_property
+    @_link
     def spec_minus(self):
         return self._channel(-1)
 
-    @cached_property
+    @_link
     def ops(self) -> GridOperators:
         return GridOperators(self.rep, self.profile, self.p_y, self.e, self.grid)
 
-    @cached_property
+    @_link
     def levels(self) -> list:
         return [assemble_level(self.spec_plus, self.spec_minus, n, self.p0, self.ops)
                 for n in range(self.n_max + 1)]
 
-    @cached_property
+    @_link
     def fw(self):
         return field_fw_from_levels([on_shell_level(lv, self.m) for lv in self.levels],
                                     self.ops, self.m)
@@ -79,7 +114,7 @@ class Problem:
         they are not yet), so the two representations pair the same k_n.
         """
         other = replace(self, rep=make_rep("second" if self.rep.variant == "first" else "first"))
-        # cached_property keeps its value in the instance dict; seed it
+        # a link keeps its value in the instance dict; seed it
         vars(other).update(grid=self.grid, spec_plus=self.spec_plus,
                            spec_minus=self.spec_minus)
         return other

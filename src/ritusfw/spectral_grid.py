@@ -2,14 +2,23 @@
 
 The eigenpairs (k_n, phi_n) of the two spin channels are the raw material
 for the Ritus construction.  Discretization is fourth-order central
-differences with Dirichlet boundaries; the banded symmetric eigenproblem
-is solved with LAPACK (scipy.linalg.eig_banded), lowest eigenpairs only.
+differences with Dirichlet boundaries, one sparse pentadiagonal matrix per
+channel.  Its lowest eigenpairs come from implicitly restarted Lanczos in
+shift-invert mode (ARPACK through scipy.sparse.linalg.eigsh; Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, 1998).  The shift sits just below
+min V: the discrete -D2 is positive definite, so every eigenvalue lies above
+min V and the lowest levels are the largest of (H - shift)^-1.  The start
+vector v0 is a fixed seeded Gaussian vector, so runs are deterministic; it
+has no mirror symmetry, so it overlaps the odd states of a symmetric well.
+Each solve costs O(N) time and memory per level.
 
 Grid sizing: the domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
 k-estimate), extended by a padding factor, and further extended until the
 WKB decay integral int sqrt(V - k_est) dx exceeds ``decay_exponent`` so
 that Dirichlet-wall eigenvalue shifts stay well below the stencil error.
+Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
+of vectorized potential calls.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
     ArgumentError,
@@ -29,7 +38,7 @@ from .errors import (
     TruncationError,
 )
 from .field_profiles import FieldProfile, analytic_landau_levels, susy_partner_potentials
-from .operators import channel_hamiltonian_banded
+from .operators import channel_hamiltonian
 
 __all__ = [
     "Grid",
@@ -43,6 +52,10 @@ __all__ = [
 ]
 
 ZERO_CLAMP = 1e-8  # negative eigenvalues above -ZERO_CLAMP are clamped to 0
+SHIFT_GAP = 1e-2  # relative distance of the Lanczos shift below min V
+_GUARD = 2_000_000  # lattice steps the two sublevel walks may take together
+_CHUNK = 256  # first chunk of a lattice walk; each later chunk doubles ...
+_CHUNK_MAX = 1 << 17  # ... up to this many points
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,54 @@ def _scan_window(profile: FieldProfile, p_y: float, e: float):
     return -1.0, 1.0
 
 
+def _lattice(x0: float, step: float, n: int) -> np.ndarray:
+    """x0 and the n points after it on x0 + k*step, summed in a scalar walk's order."""
+    return np.cumsum(np.concatenate(([x0], np.full(n, step))))
+
+
+def _sublevel_walk(vmin, k_est, x0, step, budget, domain=None):
+    """Step from x0 while vmin <= k_est, at most ``budget`` steps.
+
+    Returns (last covered point, steps taken).  On a tabulated ``domain`` the
+    first point outside it is evaluated only once every point before it is
+    covered, so the walk raises DomainError exactly where a scalar walk would.
+    """
+    taken, chunk = 0, _CHUNK
+    while taken < budget:
+        xs = _lattice(x0, step, min(chunk, budget - taken))[1:]
+        n_in = xs.size
+        if domain is not None:
+            outside = np.flatnonzero((xs < domain[0]) | (xs > domain[1]))
+            n_in = int(outside[0]) if outside.size else xs.size
+        stop = np.flatnonzero(~(vmin(xs[:n_in]) <= k_est))
+        if stop.size:
+            i = int(stop[0])
+            return (xs[i - 1] if i else x0), taken + i
+        if n_in < xs.size:
+            vmin(xs[n_in:n_in + 1])  # raises DomainError
+        x0, taken = xs[-1], taken + xs.size
+        chunk = min(2 * chunk, _CHUNK_MAX)
+    return x0, taken
+
+
+def _wkb_walk(vmin, k_est, x0, direction, step, target, center, reach):
+    """Step from the turning point x0 until int sqrt(V - k_est) dx reaches
+    ``target`` or |x - center| reaches ``reach``; returns the point reached.
+
+    The integral is the sequential cumulative trapezoid of a scalar walk.
+    """
+    total, chunk = 0.0, _CHUNK
+    while True:
+        xs = _lattice(x0, direction * step, chunk)
+        g = np.sqrt(np.maximum(vmin(xs) - k_est, 0.0))
+        totals = np.cumsum(np.concatenate(([total], 0.5 * (g[:-1] + g[1:]) * step)))
+        stop = np.flatnonzero(~((totals < target) & (np.abs(xs - center) < reach)))
+        if stop.size:
+            return xs[stop[0]]
+        x0, total = xs[-1], totals[-1]
+        chunk = min(2 * chunk, _CHUNK_MAX)
+
+
 def build_grid(
     profile: FieldProfile,
     p_y: float,
@@ -145,13 +206,13 @@ def build_grid(
     lo, hi = _scan_window(profile, p_y, e)
     clip = profile.kind == "tabulated"
 
-    def union_V(x):
-        return np.minimum(Vp(x), Vm(x)), np.maximum(Vp(x), Vm(x))
+    def vmin(x):
+        return np.minimum(Vp(x), Vm(x))
 
     # widen until the minimum of the sampled potential is interior
     for _ in range(60):
         xs = np.linspace(lo, hi, 4001)
-        vmin_curve, _ = union_V(xs)
+        vmin_curve = vmin(xs)
         i0 = int(np.argmin(vmin_curve))
         if 0 < i0 < xs.size - 1 or clip:
             break
@@ -168,21 +229,13 @@ def build_grid(
     omega = math.sqrt(max(curv, 1e-12) / 2.0)
     k_est = v_min + (2 * (n_max + 1) + 3) * omega
 
-    # sublevel set of the *shallower* channel at k_est, then padding
-    def covered(x):
-        vlo, vhi = union_V(np.asarray([x]))
-        return float(vlo[0]) <= k_est
-
-    xa, xb = xs[i0], xs[i0]
+    # sublevel set of the *shallower* channel at k_est, then padding; both
+    # walks stay on the lattice xs[i0] +- k*step and share one step budget
     step = max(dx, 1e-3)
-    guard = 0
-    while covered(xa - step) and guard < 2_000_000:
-        xa -= step
-        guard += 1
-    while covered(xb + step) and guard < 2_000_000:
-        xb += step
-        guard += 1
-    if guard >= 2_000_000:
+    domain = profile.domain_hint if clip else None
+    xa, left = _sublevel_walk(vmin, k_est, xs[i0], -step, _GUARD, domain)
+    xb, right = _sublevel_walk(vmin, k_est, xs[i0], step, _GUARD - left, domain)
+    if left + right >= _GUARD:
         raise ConfigurationError("potential appears unbounded below on the scan range")
 
     center = 0.5 * (xa + xb)
@@ -192,21 +245,10 @@ def build_grid(
 
     # WKB check: walls deep enough that int sqrt(V - k_est) from the
     # turning point reaches the target; extend only where padding fell short
-    def wkb(turning_point, direction):
-        total, x0 = 0.0, turning_point
-        while total < config.decay_exponent and abs(x0 - center) < 1e4 * max(half, 1.0):
-            x1 = x0 + direction * step
-            vlo0, _ = union_V(np.asarray([x0]))
-            vlo1, _ = union_V(np.asarray([x1]))
-            g0 = math.sqrt(max(float(vlo0[0]) - k_est, 0.0))
-            g1 = math.sqrt(max(float(vlo1[0]) - k_est, 0.0))
-            total += 0.5 * (g0 + g1) * step
-            x0 = x1
-        return x0
-
     if not clip:
-        a = min(a, wkb(xa, -1.0))
-        b = max(b, wkb(xb, +1.0))
+        reach = 1e4 * max(half, 1.0)
+        a = min(a, _wkb_walk(vmin, k_est, xa, -1.0, step, config.decay_exponent, center, reach))
+        b = max(b, _wkb_walk(vmin, k_est, xb, +1.0, step, config.decay_exponent, center, reach))
     else:
         lo_t, hi_t = profile.domain_hint
         a, b = max(a, lo_t), min(b, hi_t)
@@ -247,11 +289,20 @@ def solve_channel(
 
     Vp, Vm = susy_partner_potentials(profile, p_y, e)
     V = (Vp if sigma > 0 else Vm)(grid.x)
-    ab = channel_hamiltonian_banded(V, grid.h)
-    vals, vecs = eig_banded(
-        ab, lower=True, select="i", select_range=(0, n_levels - 1),
-        overwrite_a_band=True,
-    )
+    # -D2 is positive definite, so every eigenvalue lies above min V and the
+    # lowest levels are the largest eigenvalues of (H - shift)^-1
+    v_min = float(V.min())
+    shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
+    v0 = np.random.default_rng(0).standard_normal(N)
+    try:
+        vals, vecs = eigsh(channel_hamiltonian(V, grid.h), k=n_levels, sigma=shift,
+                           which="LM", v0=v0, tol=0)
+    except ArpackNoConvergence as exc:
+        raise DiscretizationError(
+            f"shift-invert Lanczos did not converge for {n_levels} levels: {exc}"
+        ) from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
 
     # bound states must sit below the potential at the walls
     v_edge = float(min(V[0], V[-1]))

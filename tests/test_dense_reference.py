@@ -1,21 +1,34 @@
-"""The sparse and low-rank paths against dense references on the N=640 bundle.
+"""The sparse, low-rank and Lanczos paths against dense references.
 
-The library never forms a 2N x 2N dense matrix; the dense forms of U, G0 X
-and gamma.Pi - m live here only, as references.
+The library never forms a dense N x N or 2N x 2N matrix; the dense forms of
+U, G0 X, gamma.Pi - m and the channel Hamiltonians live here only, as
+references: for the FW and propagator paths on the N=640 bundle, for the
+shift-invert Lanczos channel solve (against numpy.linalg.eigh) at N=256 and
+N=384 over the profile kinds, the sign of eB and p_y.
 """
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from ritusfw import cli, spectral_grid
+from ritusfw.errors import DiscretizationError
+from ritusfw.field_profiles import (exponential_profile,
+                                    susy_partner_potentials, tabulated_profile,
+                                    uniform_profile)
 from ritusfw.foldy_wouthuysen import (low_rank_operator,
                                       projector_commutation_residual,
                                       restricted_hamiltonian,
                                       unitarity_residual)
+from ritusfw.operators import channel_hamiltonian
 from ritusfw.propagator import project_propagator
+from ritusfw.spectral_grid import (ZERO_CLAMP, GridConfig, build_grid,
+                                   solve_channel)
 
 P0 = 0.3
 MASS = 1.0
@@ -121,3 +134,89 @@ def test_no_dense_grid_matrix_allocated(uni):
     finally:
         tracemalloc.stop()
     assert peak < one_dense, f"peak {peak / 2**20:.1f} MiB >= one dense 2N x 2N array"
+
+
+# ----------------------------------------------------------------------
+# channel solve: shift-invert Lanczos against dense eigh
+# ----------------------------------------------------------------------
+
+N_LEVELS = 7
+TABLE_X = np.linspace(-8.0, 8.0, 161)
+PROFILES = {
+    "uniform+": uniform_profile(1.0),
+    "uniform-": uniform_profile(-1.0),
+    "exponential+": exponential_profile(1.0, 0.1),
+    "exponential-": exponential_profile(-1.0, 0.1),
+    "tabulated": tabulated_profile(TABLE_X, TABLE_X + 0.05 * np.sin(TABLE_X)),
+}
+
+
+def dense_channel(profile, p_y, sigma, grid):
+    """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's clamp."""
+    V = susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
+    vals, vecs = np.linalg.eigh(channel_hamiltonian(V, grid.h).toarray())
+    vals = vals[:N_LEVELS]
+    vals = np.where((vals > -ZERO_CLAMP) & (vals < 0.0), 0.0, vals)
+    return vals, vecs[:, :N_LEVELS] / np.sqrt(grid.h)
+
+
+@pytest.mark.parametrize("N", [256, 384])
+@pytest.mark.parametrize("p_y", [-0.7, 0.0, 0.9])
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_channel_solve_matches_dense_eigh(name, p_y, N):
+    profile = PROFILES[name]
+    grid = build_grid(profile, p_y, N_LEVELS - 1, GridConfig(n_points=N))
+    for sigma in (+1, -1):
+        spec = solve_channel(profile, p_y, 1.0, sigma, grid, N_LEVELS, tol_eig=1e-3)
+        vals, vecs = dense_channel(profile, p_y, sigma, grid)
+        assert np.abs(spec.eigenvalues - vals).max() < 1e-10
+        phi = spec.eigenfunctions
+        # the reference is phase-fixed at the solver's peak of |phi_n|: the
+        # mirror peaks of an odd state in a symmetric well tie up to rounding
+        peak = np.argmax(np.abs(phi), axis=0)
+        cols = np.arange(N_LEVELS)
+        assert np.all(phi[peak, cols] > 0)
+        vecs = vecs * np.sign(vecs[peak, cols])
+        assert np.abs(phi - vecs).max() < 1e-8
+        if name == "uniform+" and p_y == 0.0:
+            # a skipped odd level would show up as a wrong node count
+            assert [spec.sign_changes(n) for n in cols] == list(cols)
+
+
+def no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+
+def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
+    monkeypatch.setattr(spectral_grid, "eigsh", no_convergence)
+    with pytest.raises(DiscretizationError, match="did not converge"):
+        solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+
+
+def test_lanczos_no_convergence_under_all(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral_grid, "eigsh", no_convergence)
+    # main() sets the thread variables it finds unset; keep them test-local
+    for var in ("RFW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    out = tmp_path / "d"
+    assert cli.main(["all", "--grid-n", "256", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail"
+    for section in report["sections"].values():
+        assert section["checks"] == {}
+        assert section["error"].startswith("DiscretizationError: shift-invert Lanczos")
+
+
+def test_channel_solve_allocates_no_dense_matrix(uni):
+    N = uni.grid.n_points
+    one_dense = N * N * np.dtype(np.float64).itemsize
+    for sigma in (+1, -1):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            solve_channel(uni.profile, 0.0, 1.0, sigma, uni.grid, N_LEVELS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_dense, f"peak {peak / 2**20:.2f} MiB >= one dense N x N array"

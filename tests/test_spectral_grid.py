@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ritusfw import field_profiles
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
-from ritusfw.field_profiles import exponential_profile, uniform_profile
+from ritusfw.field_profiles import (exponential_profile, tabulated_profile,
+                                    uniform_profile)
 from ritusfw.spectral_grid import (Grid, GridConfig, build_grid,
                                    convergence_study, export_eigenfunction_csv,
                                    export_spectrum_csv, solve_channel)
@@ -37,6 +39,30 @@ def test_build_grid_widens_with_levels():
     g4 = build_grid(uniform_profile(1.0), 0.0, 4, GridConfig(n_points=256))
     g8 = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=256))
     assert g8.x_max - g8.x_min > g4.x_max - g4.x_min
+
+
+TABLE_X = np.linspace(-8.0, 8.0, 161)
+
+
+@pytest.mark.parametrize("profile,p_y,n_max", [
+    (uniform_profile(1.0), 0.0, 8),
+    (uniform_profile(-2.5), 0.8, 3),
+    (exponential_profile(1.0, 0.05), 0.0, 8),
+    (exponential_profile(-1.0, 0.1), 0.9, 3),
+    (tabulated_profile(TABLE_X, TABLE_X), 0.5, 6),
+])
+def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y, n_max):
+    # the domain walks sample the lattice in doubling chunks, not point by point
+    calls = []
+    evaluate = field_profiles.evaluate_potential
+
+    def counting(prof, x):
+        calls.append(np.size(x))
+        return evaluate(prof, x)
+
+    monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
+    build_grid(profile, p_y, n_max, GridConfig(n_points=256))
+    assert len(calls) <= 64
 
 
 @pytest.mark.parametrize("sigma,offset", [(+1, 0), (-1, 2)])
