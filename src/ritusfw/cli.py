@@ -254,7 +254,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
                           "residual_intertwining": r_int})
     zm = zero_mode_annihilation(prob.levels[0], prob.ops)
 
-    gram = orthonormality_matrix(prob.levels)
+    gram = orthonormality_matrix(prob.levels, prob.ops)
     expected = np.zeros_like(gram)
     for i, lv in enumerate(prob.levels):
         expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector.matrix
@@ -277,16 +277,16 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
 def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
-    from .foldy_wouthuysen import (projector_commutation_residual, restricted_fw,
-                                   restricted_hamiltonian, transform_hamiltonian,
-                                   unitarity_residual, verify_main_claim)
+    from .foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
+                                   transform_hamiltonian, unitarity_residual,
+                                   verify_main_claim)
 
     fw = prob.fw
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
     H_r, grading = restricted_hamiltonian(fw)
-    report = transform_hamiltonian(restricted_fw(fw), H_r, beta=grading)
+    report = transform_hamiltonian(fw.W, H_r, beta=grading)
     expected = sorted(
         g * (lv.k + cfg.mass ** 2) ** 0.5
         for lv, sl in zip(fw.levels, fw.cluster_slices)

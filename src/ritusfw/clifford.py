@@ -29,7 +29,6 @@ __all__ = [
     "make_rep",
     "anticommutator",
     "check_product_identity",
-    "spin_projector",
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0])
@@ -57,8 +56,6 @@ class GammaRep:
         The three matrices (gamma^0, gamma^1, gamma^2), complex 2x2.
     metric : ndarray
         diag(+1, -1, -1).
-    epsilon_sign : int
-        Convention marker: eps^{012} = +1.
     product_sign : int
         Sign ``s`` in gamma^mu gamma^nu = g^{mu nu} + s*i*eps^{mu nu lam} gamma_lam;
         -1 for the first variant, +1 for the second.
@@ -67,7 +64,6 @@ class GammaRep:
     variant: str
     gamma: tuple
     metric: np.ndarray = field(default_factory=lambda: METRIC.copy())
-    epsilon_sign: int = 1
     product_sign: int = -1
 
     def lower(self, mu: int) -> np.ndarray:
@@ -146,27 +142,3 @@ def check_product_identity(rep: GammaRep) -> dict:
             res = np.abs(rep.gamma[mu] @ rep.gamma[nu] - rhs).max()
             worst = max(worst, float(res))
     return {"max_residual": worst, "sign": s}
-
-
-def spin_projector(n: int, field_sign: int) -> SpinProjector:
-    """Pi(n): identity for n >= 1, rank-1 zero-mode projector for n = 0.
-
-    Parameters
-    ----------
-    n : int
-        Level index, >= 0.
-    field_sign : {+1, -1}
-        sign(eB).  The zero mode lives in the sigma = sign(eB) channel,
-        i.e. the upper spinor slot for eB > 0 with gamma^0 = sigma_3.
-    """
-    if n < 0:
-        raise ArgumentError(f"level must be non-negative, got {n}")
-    if field_sign not in (1, -1):
-        raise ArgumentError(f"field_sign must be +1 or -1, got {field_sign}")
-    if n >= 1:
-        mat = np.eye(2)
-    elif field_sign > 0:
-        mat = np.diag([1.0, 0.0])
-    else:
-        mat = np.diag([0.0, 1.0])
-    return SpinProjector(level=n, matrix=mat)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ArgumentError, DomainError, UnsupportedProfileError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "FieldProfile",
@@ -30,7 +32,6 @@ __all__ = [
     "evaluate_potential",
     "susy_partner_potentials",
     "analytic_landau_levels",
-    "analytic_landau_levels_checked",
 ]
 
 
@@ -42,10 +43,6 @@ class FieldProfile:
     params: dict
     domain_hint: Optional[Tuple[float, float]] = None
     _spline: Optional[CubicSpline] = field(default=None, repr=False, compare=False)
-
-    @property
-    def B(self) -> float:
-        return self.params.get("B", 0.0)
 
 
 def uniform_profile(B: float = 1.0) -> FieldProfile:
@@ -62,6 +59,9 @@ def exponential_profile(B: float = 1.0, alpha: float = 0.1) -> FieldProfile:
 
 def tabulated_profile(x: np.ndarray, W: np.ndarray) -> FieldProfile:
     """Profile from samples; W is cubic-spline interpolated, W' is the spline derivative."""
+    # imported here: scipy.interpolate costs more to import than a default run's numerics
+    from scipy.interpolate import CubicSpline
+
     x = np.asarray(x, dtype=float)
     W = np.asarray(W, dtype=float)
     if x.ndim != 1 or x.shape != W.shape or x.size < 4:
@@ -150,12 +150,3 @@ def analytic_landau_levels(e: float, B: float, n: int, sigma: int) -> float:
     if eB == 0.0:
         raise UnsupportedProfileError("analytic levels require eB != 0")
     return (2 * n + 1) * abs(eB) - sigma * np.sign(eB) * abs(eB)
-
-
-def analytic_landau_levels_checked(profile: FieldProfile, e: float, n: int, sigma: int) -> float:
-    """Same as analytic_landau_levels but gated on the profile kind."""
-    if profile.kind != "uniform":
-        raise UnsupportedProfileError(
-            f"analytic Landau levels only exist for the uniform profile, got {profile.kind!r}"
-        )
-    return analytic_landau_levels(e, profile.params["B"], n, sigma)

@@ -21,7 +21,8 @@ is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0).
 Off the resolved span U acts as the identity.  U is never formed: it is kept
 as the factors B = [B_0 | B_1 | ...] (2N x L) and the block-diagonal
 W = diag(expm(theta_n X_nn)) (L x L), U = 1 + B (W - 1) B^T, and applied as
-a scipy LinearOperator.  Its checks reduce to L x L algebra.
+a scipy LinearOperator.  Its checks reduce to L x L algebra, and W itself is
+U compressed to the resolved span.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -51,7 +52,6 @@ __all__ = [
     "free_fw",
     "free_fw_hamiltonian",
     "field_fw_from_levels",
-    "low_rank_operator",
     "transform_hamiltonian",
     "verify_main_claim",
     "bd_iteration",
@@ -59,7 +59,6 @@ __all__ = [
     "unitarity_residual",
     "projector_commutation_residual",
     "restricted_hamiltonian",
-    "restricted_fw",
 ]
 
 
@@ -78,31 +77,42 @@ def theta(k: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class FWOperator:
-    """A unitary FW operator: free (2x2), field (2N x 2N) or field-restricted (L x L).
+    """The exact field FW operator U = 1 + B (W - 1) B^T (2N x 2N), kept as factors.
 
-    U is a dense array for the free and restricted kinds.  For the field kind
-    it is a LinearOperator applying 1 + B (W - 1) B^T, and the factors are
-    kept: the resolved span B (ell^2-orthonormal columns), the block-diagonal
-    W holding one 2x2 (or 1x1) rotation per level at cluster_slices, and the
-    gamma^0 grading of the span columns.
+    span is the resolved span B (ell^2-orthonormal columns), W the
+    block-diagonal L x L matrix holding one 2x2 (or 1x1) rotation per level
+    at cluster_slices, and span_grading the gamma^0 grading of the span
+    columns.
     """
 
-    kind: str
-    U: Union[np.ndarray, LinearOperator]
     mass: float
-    levels: Optional[tuple] = None
-    span: Optional[np.ndarray] = field(default=None, repr=False)
-    span_grading: Optional[np.ndarray] = field(default=None, repr=False)
-    W: Optional[np.ndarray] = field(default=None, repr=False)
-    cluster_slices: Optional[tuple] = None
-    operators: Optional[GridOperators] = field(default=None, repr=False)
+    levels: tuple
+    span: np.ndarray = field(repr=False)
+    span_grading: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
+    cluster_slices: tuple
+    operators: GridOperators = field(repr=False)
+
+    @property
+    def U(self) -> LinearOperator:
+        """1 + B (W - 1) B^T as a LinearOperator; U^T is its adjoint."""
+        B, D = self.span, self.W - np.eye(self.W.shape[0])
+
+        def apply(V):
+            return V + B @ (D @ (B.T @ V))
+
+        def apply_transpose(V):
+            return V + B @ (D.T @ (B.T @ V))
+
+        return LinearOperator((B.shape[0], B.shape[0]), matvec=apply, matmat=apply,
+                              rmatvec=apply_transpose, rmatmat=apply_transpose,
+                              dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class FWHamiltonianReport:
-    """U H U^dag along with its gamma^0-grading split and spectrum."""
+    """The gamma^0-grading split and spectrum of a transformed Hamiltonian."""
 
-    transformed: np.ndarray
     even_part_norm: float
     odd_part_norm: float
     eigenvalues: np.ndarray
@@ -113,15 +123,14 @@ class FWHamiltonianReport:
 # ----------------------------------------------------------------------
 
 
-def free_fw(pbar: BarMomentum, m: float, rep: GammaRep) -> FWOperator:
-    """Free FW rotation at momentum |p| = pbar.p2 (the Ritus label sqrt(k))."""
+def free_fw(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
+    """The 2x2 free FW rotation at momentum |p| = pbar.p2 (the Ritus label sqrt(k))."""
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
     p = abs(pbar.p2)
     beta = 0.5 * math.atan2(p, m)          # = |p| * theta(|p|^2), safe at p=0
     g2 = rep.gamma[2]
-    U = math.cos(beta) * np.eye(2, dtype=complex) + math.sin(beta) * g2
-    return FWOperator(kind="free", U=U, mass=m)
+    return math.cos(beta) * np.eye(2, dtype=complex) + math.sin(beta) * g2
 
 
 def free_fw_hamiltonian(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
@@ -167,35 +176,15 @@ def field_fw_from_levels(
         for c in occupied:
             grading.append(1.0 if c == 0 else -1.0)
 
-    B = np.hstack(cols)
-    W = block_diag(*units)
-
     return FWOperator(
-        kind="field",
-        U=low_rank_operator(B, W),
         mass=m,
         levels=tuple(levels),
-        span=B,
+        span=np.hstack(cols),
         span_grading=np.array(grading),
-        W=W,
+        W=block_diag(*units),
         cluster_slices=tuple(slices),
         operators=ops,
     )
-
-
-def low_rank_operator(B: np.ndarray, W: np.ndarray) -> LinearOperator:
-    """U = 1 + B (W - 1) B^T as a LinearOperator; U^T is its adjoint."""
-    D = W - np.eye(W.shape[0])
-
-    def apply(V):
-        return V + B @ (D @ (B.T @ V))
-
-    def apply_transpose(V):
-        return V + B @ (D.T @ (B.T @ V))
-
-    return LinearOperator((B.shape[0], B.shape[0]), matvec=apply, matmat=apply,
-                          rmatvec=apply_transpose, rmatmat=apply_transpose,
-                          dtype=np.float64)
 
 
 def _span_factors(fw: FWOperator):
@@ -212,14 +201,11 @@ def _span_norm(R: np.ndarray, C: np.ndarray) -> float:
 def unitarity_residual(fw: FWOperator) -> float:
     """Spectral norm ||U^dag U - 1||_2.
 
-    For the field kind, with D = W - 1 and G = B^T B,
+    With D = W - 1 and G = B^T B,
     U^T U - 1 = B (D + D^T + D^T G D) B^T, whose spectral norm is that of
     the L x L matrix R C R^T (R from a thin QR of B): exact, and never below
-    the largest entry of U^T U - 1.  Other kinds use the dense U.
+    the largest entry of U^T U - 1.
     """
-    if fw.span is None:
-        U = fw.U
-        return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
     D, G, R = _span_factors(fw)
     return _span_norm(R, D + D.T + D.T @ G @ D)
 
@@ -231,8 +217,6 @@ def projector_commutation_residual(fw: FWOperator) -> float:
     [U, P_n] = B (D G E_n - E_n G D) B^T with D = W - 1 and G = B^T B; its
     norm is taken exactly from the L x L factors, as in unitarity_residual.
     """
-    if fw.span is None:
-        return 0.0
     D, G, R = _span_factors(fw)
     worst = 0.0
     for sl in fw.cluster_slices:
@@ -248,47 +232,26 @@ def projector_commutation_residual(fw: FWOperator) -> float:
 # ----------------------------------------------------------------------
 
 
-def _default_grading(dim: int) -> np.ndarray:
-    if dim % 2:
-        raise ArgumentError("default gamma^0 grading needs even dimension")
-    beta = np.ones(dim)
-    beta[dim // 2:] = -1.0
-    return beta
+def _graded_report(T: np.ndarray, beta: np.ndarray) -> FWHamiltonianReport:
+    """Even/odd norms of T under the diagonal grading beta, and its spectrum."""
+    mask = np.outer(beta, beta) > 0
+    return FWHamiltonianReport(
+        even_part_norm=float(np.linalg.norm(np.where(mask, T, 0.0))),
+        odd_part_norm=float(np.linalg.norm(np.where(mask, 0.0, T))),
+        eigenvalues=np.linalg.eigvalsh(0.5 * (T + T.conj().T)),
+    )
 
 
-def transform_hamiltonian(
-    fw: FWOperator,
-    H: np.ndarray,
-    beta: Optional[np.ndarray] = None,
-) -> FWHamiltonianReport:
-    """U H U^dag with even/odd norms and spectrum.
+def transform_hamiltonian(U: np.ndarray, H: np.ndarray, beta: np.ndarray) -> FWHamiltonianReport:
+    """U H U^dag for a dense U, with even/odd norms and spectrum.
 
-    beta is the diagonal gamma^0 grading (+/-1 per basis vector).  Default:
-    upper half +1, lower half -1, matching the spinor-slot (kron) layout of
-    grid operators and the 2x2 free case.  Pass the span grading when
-    transforming matrices restricted to a Ritus cluster basis.  The field
-    kind is rejected: compress it with restricted_fw first.
+    beta is the diagonal gamma^0 grading (+/-1 per basis vector).  For the
+    field operator pass U = fw.W, H and beta from restricted_hamiltonian:
+    W is U compressed to the resolved span.
     """
-    if fw.kind == "field":
-        raise ArgumentError("transform_hamiltonian needs a free or restricted operator; "
-                            "use restricted_fw on a field-kind operator")
-    U = fw.U
     if U.shape != H.shape:
         raise ArgumentError(f"dimension mismatch: U {U.shape} vs H {H.shape}")
-    if beta is None:
-        beta = _default_grading(H.shape[0])
-    T = U @ H @ U.conj().T
-    mask = np.outer(beta, beta) > 0
-    even = np.where(mask, T, 0.0)
-    odd = np.where(mask, 0.0, T)
-    herm = 0.5 * (T + T.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    return FWHamiltonianReport(
-        transformed=T,
-        even_part_norm=float(np.linalg.norm(even)),
-        odd_part_norm=float(np.linalg.norm(odd)),
-        eigenvalues=eigs,
-    )
+    return _graded_report(U @ H @ U.conj().T, beta)
 
 
 def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
@@ -297,28 +260,12 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
     H_r = B^T H_D B with H_D = gamma^0 (gamma.Pi + m); beta_r is the exact
     gamma^0 grading of the span columns.
     """
-    if fw.span is None:
-        raise ArgumentError("restricted_hamiltonian needs a field-kind operator")
     mm = fw.mass if m is None else m
     B = fw.span
     ops = fw.operators
     H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + mm * np.diag(fw.span_grading)
     H_r = 0.5 * (H_r + H_r.T)
     return H_r, fw.span_grading.copy()
-
-
-def restricted_fw(fw: FWOperator) -> FWOperator:
-    """The field FW operator compressed to the resolved span (block diagonal)."""
-    if fw.span is None:
-        raise ArgumentError("restricted_fw needs a field-kind operator")
-    return FWOperator(
-        kind="field-restricted",
-        U=fw.W.copy(),
-        mass=fw.mass,
-        levels=fw.levels,
-        span_grading=fw.span_grading.copy(),
-        cluster_slices=fw.cluster_slices,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +280,8 @@ def verify_main_claim(fw: FWOperator, level: RitusLevel) -> float:
     the closed-form free rotation at pbar = (sqrt(k+m^2), 0, sqrt(k)), with
     the mass and gamma representation U was built with.
     """
-    if fw.kind != "field":
-        raise ArgumentError("verify_main_claim needs a field-kind operator")
     pbar = bar_momentum(level.k, fw.mass, +1)
-    Ufree = free_fw(pbar, fw.mass, fw.operators.rep).U
+    Ufree = free_fw(pbar, fw.mass, fw.operators.rep)
     lhs = fw.U @ level.Ep
     rhs = level.Ep @ Ufree
     h = level.grid.h
@@ -354,7 +299,7 @@ def bd_iteration(
     H: np.ndarray,
     m: float,
     steps: int,
-    beta: Optional[np.ndarray] = None,
+    beta: np.ndarray,
 ) -> List[FWHamiltonianReport]:
     """Successive 1/m block-diagonalization steps.
 
@@ -366,28 +311,16 @@ def bd_iteration(
         raise ArgumentError(f"steps must be >= 1, got {steps}")
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
-    H = np.asarray(H, dtype=float)
-    if beta is None:
-        beta = _default_grading(H.shape[0])
     mask = np.outer(beta, beta) > 0
 
     reports = []
-    cur = H
+    cur = np.asarray(H, dtype=float)
     for _ in range(steps):
         odd = np.where(mask, 0.0, cur)
         gen = (beta[:, None] * odd) / (2.0 * m)      # beta O / 2m, antisymmetric
         U = expm(gen)
         cur = U @ cur @ U.T
-        odd_n = float(np.linalg.norm(np.where(mask, 0.0, cur)))
-        even_n = float(np.linalg.norm(np.where(mask, cur, 0.0)))
-        reports.append(
-            FWHamiltonianReport(
-                transformed=cur,
-                even_part_norm=even_n,
-                odd_part_norm=odd_n,
-                eigenvalues=np.linalg.eigvalsh(0.5 * (cur + cur.T)),
-            )
-        )
+        reports.append(_graded_report(cur, beta))
     return reports
 
 

@@ -29,7 +29,7 @@ which is exactly real antisymmetric for both representations, and
 Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
 Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
 which channel depends on the representation).  gamma^0 = sigma_3 in both
-representations, so G0 is the diagonal matrix of its +/-1 entries.
+representations, so kron(gamma^0, 1_N) is kept as its +/-1 diagonal g0diag.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "kinetic_diagonal",
     "gamma_dot_pi_spatial",
     "pi_tilde_squared",
-    "dirac_hamiltonian",
-    "gamma_dot_pi_full",
     "channel_slots",
     "GridOperators",
 ]
@@ -137,20 +135,6 @@ def pi_tilde_squared(
     return sp.block_diag(blocks, format="csr")
 
 
-def dirac_hamiltonian(rep: GammaRep, X, m: float) -> sp.csr_matrix:
-    """H_D = gamma^0 (gamma.Pi + m) on the grid; real symmetric."""
-    N2 = X.shape[0]
-    G0 = sp.diags(_gamma0_diagonal(rep, N2 // 2))
-    return sp.csr_matrix(G0 @ (X + m * sp.identity(N2)))
-
-
-def gamma_dot_pi_full(rep: GammaRep, X, p0: float) -> sp.csr_matrix:
-    """Covariant contraction gamma.Pi = gamma^0 p0 - X at fixed energy p0."""
-    N2 = X.shape[0]
-    G0 = sp.diags(_gamma0_diagonal(rep, N2 // 2))
-    return sp.csr_matrix(p0 * G0 - X)
-
-
 # ----------------------------------------------------------------------
 # one-stop bundle
 # ----------------------------------------------------------------------
@@ -159,9 +143,9 @@ def gamma_dot_pi_full(rep: GammaRep, X, p0: float) -> sp.csr_matrix:
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h, w (quadrature weights) and M, arrays of length N;
-    D1, A (=D1+M), X, G0 and PiTilde2, real scipy.sparse CSR matrices;
-    g0diag, the +/-1 diagonal of G0 (length 2N).
+    Attributes: x, h and M, arrays of length N; D1, A (=D1+M), X and
+    PiTilde2, real scipy.sparse CSR matrices; g0diag, the +/-1 diagonal of
+    kron(gamma^0, 1_N) (length 2N).
     """
 
     def __init__(self, rep: GammaRep, profile: FieldProfile, p_y: float, e: float, grid):
@@ -173,17 +157,13 @@ class GridOperators:
         x = grid.x
         h = grid.h
         self.x, self.h = x, h
-        self.w = np.full(x.size, h)
         self.D1 = first_derivative(x.size, h)
         self.M = kinetic_diagonal(profile, p_y, e, x)
         self.A = self.D1 + sp.diags(self.M, format="csr")
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
-        self.G0 = sp.diags(self.g0diag, format="csr")
         self.PiTilde2 = pi_tilde_squared(rep, profile, p_y, e, x, h)
 
-    def dirac_hamiltonian(self, m: float) -> sp.csr_matrix:
-        return dirac_hamiltonian(self.rep, self.X, m)
-
     def gamma_dot_pi(self, p0: float) -> sp.csr_matrix:
-        return gamma_dot_pi_full(self.rep, self.X, p0)
+        """Covariant contraction gamma.Pi = gamma^0 p0 - X at fixed energy p0."""
+        return sp.csr_matrix(p0 * sp.diags(self.g0diag) - self.X)

@@ -3,16 +3,16 @@
 Per level, the propagator in the Ritus basis is the free-form 2x2 matrix
 S(pbar) = (gamma.pbar + m) / (pbar^2 - m^2) at pbar = (p0, 0, sqrt(k)).
 The check: factor the sparse (gamma.Pi - m) on the grid once at fixed
-off-shell p0 (SuperLU), solve for the Ritus level columns, sandwich, and compare the diagonal blocks against
-the free form (the spin projector cuts the zero-mode block down to its
-populated slot).  Cross-level blocks must vanish to quadrature accuracy.
+off-shell p0 (SuperLU), solve for the Ritus level columns, take their
+Dirac-adjoint overlaps, and compare the diagonal blocks against the free
+form (the spin projector cuts the zero-mode block down to its populated
+slot).  Cross-level blocks must vanish to quadrature accuracy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +22,9 @@ from scipy.sparse.linalg import splu
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
 from .operators import GridOperators
-from .ritus_basis import BarMomentum, RitusLevel
+from .ritus_basis import BarMomentum, RitusLevel, dirac_overlap
 
 __all__ = [
-    "DiagonalPropagator",
     "diagonal_propagator",
     "project_propagator",
     "pole_sweep",
@@ -33,17 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalPropagator:
-    """Free-form level propagator S(pbar) = (gamma.pbar + m)/(pbar^2 - m^2)."""
+def diagonal_propagator(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
+    """Closed-form 2x2 propagator S(pbar) = (gamma.pbar + m)/(pbar^2 - m^2).
 
-    pbar: BarMomentum
-    m: float
-    Stilde: np.ndarray
-
-
-def diagonal_propagator(pbar: BarMomentum, m: float, rep: GammaRep) -> DiagonalPropagator:
-    """Closed-form 2x2 propagator at pbar; raises PoleError on shell."""
+    Raises PoleError on shell.
+    """
     denom = pbar.squared - m * m
     if abs(denom) <= 1e-8:
         raise PoleError(
@@ -55,7 +48,7 @@ def diagonal_propagator(pbar: BarMomentum, m: float, rep: GammaRep) -> DiagonalP
     direct = np.linalg.inv(g_pbar - m * np.eye(2))
     if np.abs(Stilde - direct).max() > 1e-12 * max(1.0, np.abs(direct).max()):
         raise AssertionError("closed form disagrees with direct 2x2 inversion")
-    return DiagonalPropagator(pbar=pbar, m=m, Stilde=Stilde)
+    return Stilde
 
 
 def _conditioning_guard(levels: Sequence[RitusLevel], p0: float, m: float) -> None:
@@ -85,19 +78,13 @@ def _factor(levels: Sequence[RitusLevel], p0: float, m: float, operators: GridOp
     return splu(K.tocsc())
 
 
-def _sandwich(level: RitusLevel, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
-    """The 2x2 block gamma^0 E^dag gamma^0 Z (quadrature weight h)."""
-    g0 = operators.rep.gamma[0]
-    return g0 @ (operators.h * (level.Ep.conj().T @ (operators.g0diag[:, None] * Z)))
-
-
 def project_propagator(
     levels: Sequence[RitusLevel],
     p0: float,
     m: float,
     operators: GridOperators,
 ) -> dict:
-    """Grid-inverted propagator sandwiched between Ritus levels.
+    """Grid-inverted propagator between Ritus levels, as Dirac-adjoint overlaps.
 
     Returns a dict with the (L, L) array of 2x2 blocks, the worst
     diagonal-block deviation from the free form, and the worst cross-level
@@ -110,13 +97,13 @@ def project_propagator(
     blocks = np.zeros((L, L, 2, 2), dtype=complex)
     for i, lv_i in enumerate(levels):
         for j in range(L):
-            blocks[i, j] = _sandwich(lv_i, Z[:, 2 * j:2 * j + 2], operators)
+            blocks[i, j] = dirac_overlap(lv_i, Z[:, 2 * j:2 * j + 2], operators)
 
     diag_err = 0.0
     diag_norms = []
     for i, lv in enumerate(levels):
         pbar = BarMomentum(p0=p0, p1=0.0, p2=math.sqrt(max(lv.k, 0.0)), E_D=math.sqrt(lv.k + m * m))
-        free = diagonal_propagator(pbar, m, operators.rep).Stilde
+        free = diagonal_propagator(pbar, m, operators.rep)
         P = lv.projector.matrix
         target = P @ free @ P
         diag_err = max(diag_err, float(np.abs(blocks[i, i] - target).max()))
@@ -163,7 +150,7 @@ def pole_sweep(
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(_sandwich(target, Z, operators))),
+            "block_norm": float(np.linalg.norm(dirac_overlap(target, Z, operators))),
             "offshellness": abs(p0 * p0 - (target.k + m * m)),
         })
 

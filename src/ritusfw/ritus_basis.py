@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import SpinProjector, make_rep
+from .clifford import SpinProjector
 from .errors import ArgumentError, DiscretizationError, PairingError, TruncationError
 from .operators import GridOperators, channel_slots
 from .spectral_grid import Grid, ScalarSpectrum
@@ -38,10 +38,10 @@ __all__ = [
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
+    "dirac_overlap",
     "orthonormality_matrix",
     "completeness_residual",
     "export_levels_csv",
-    "export_level_matrix_csv",
 ]
 
 
@@ -57,9 +57,6 @@ class BarMomentum:
     @property
     def squared(self) -> float:
         return self.p0**2 - self.p1**2 - self.p2**2
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2])
 
 
 def bar_momentum(k: float, m: float, branch: int = +1) -> BarMomentum:
@@ -90,13 +87,8 @@ class RitusLevel:
     pbar: BarMomentum
     projector: SpinProjector
     grid: Grid
-    rep_variant: str
     zero_channel: int
     channel_eigenvalues: tuple
-
-    @property
-    def columns(self) -> int:
-        return 1 if self.n == 0 else 2
 
 
 def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:
@@ -193,7 +185,6 @@ def assemble_level(
         pbar=pbar,
         projector=projector,
         grid=grid,
-        rep_variant=ops.rep.variant,
         zero_channel=zc,
         channel_eigenvalues=channel_eigs,
     )
@@ -238,7 +229,7 @@ def verify_gpEp(level: RitusLevel, operators: GridOperators) -> float:
     """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F."""
     h = level.grid.h
     gamma = operators.rep.gamma
-    gPi_E = level.pbar.p0 * (operators.G0 @ level.Ep) - operators.X @ level.Ep
+    gPi_E = level.pbar.p0 * (operators.g0diag[:, None] * level.Ep) - operators.X @ level.Ep
     g_pbar = level.pbar.p0 * gamma[0] - level.pbar.p2 * gamma[2]
     E_gpbar = level.Ep @ g_pbar
     return _weighted_fro(gPi_E - E_gpbar, h) / _weighted_fro(level.Ep, h)
@@ -250,7 +241,17 @@ def zero_mode_annihilation(level: RitusLevel, operators: GridOperators) -> float
     return _weighted_fro(operators.X @ level.Ep, h) / _weighted_fro(level.Ep, h)
 
 
-def orthonormality_matrix(levels: Sequence["RitusLevel"]) -> np.ndarray:
+def dirac_overlap(level: RitusLevel, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
+    """The Dirac-adjoint overlap gamma^0 E^dag gamma^0 Z (quadrature weight h).
+
+    Z has 2N rows; the result has one row per column of E and one column
+    per column of Z.
+    """
+    g0, g0diag, h, E = operators.rep.gamma[0], operators.g0diag, operators.h, level.Ep
+    return g0 @ (h * (E.conj().T @ (g0diag[:, None] * Z)))
+
+
+def orthonormality_matrix(levels: Sequence[RitusLevel], operators: GridOperators) -> np.ndarray:
     """Gram matrix of Dirac-adjoint overlaps, blocks gamma^0 E_i^dag gamma^0 E_j.
 
     Diagonal blocks equal the spin projector Pi(n_i); everything else
@@ -268,42 +269,24 @@ def orthonormality_matrix(levels: Sequence["RitusLevel"]) -> np.ndarray:
     if len(set(seen)) != len(seen):
         warnings.warn("duplicate levels passed to orthonormality_matrix", stacklevel=2)
 
-    rep = make_rep(levels[0].rep_variant)
-    g0 = rep.gamma[0]
-    N = grid.n_points
-    G0 = np.zeros((2 * N,))
-    G0[:N], G0[N:] = g0[0, 0].real, g0[1, 1].real
-    h = grid.h
-
     L = len(levels)
     out = np.zeros((2 * L, 2 * L), dtype=complex)
     for i, lv_i in enumerate(levels):
         for j, lv_j in enumerate(levels):
-            block = h * (lv_i.Ep.conj().T @ (G0[:, None] * lv_j.Ep))
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = g0 @ block
+            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = dirac_overlap(lv_i, lv_j.Ep, operators)
     return out
 
 
-def completeness_residual(levels: Sequence["RitusLevel"], test: np.ndarray) -> float:
+def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
+                          operators: GridOperators) -> float:
     """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||."""
     test = np.asarray(test)
     nrm = float(np.linalg.norm(test))
     if nrm == 0.0:
         raise ArgumentError("test function is identically zero")
-    if not levels:
-        return 1.0
-    grid = levels[0].grid
-    N = grid.n_points
-    rep = make_rep(levels[0].rep_variant)
-    g0 = rep.gamma[0]
-    G0 = np.zeros((2 * N,))
-    G0[:N], G0[N:] = g0[0, 0].real, g0[1, 1].real
-    h = grid.h
-
     acc = np.zeros_like(test, dtype=complex)
     for lv in levels:
-        coeff = g0 @ (h * (lv.Ep.conj().T @ (G0 * test)))
-        acc = acc + lv.Ep @ coeff
+        acc = acc + lv.Ep @ dirac_overlap(lv, test[:, None], operators)[:, 0]
     return float(np.linalg.norm(test - acc)) / nrm
 
 
@@ -326,23 +309,3 @@ def export_levels_csv(levels: Sequence[RitusLevel], m: float, path) -> None:
                 format(lv.p_y, ".12g"),
                 format(E_D, ".12g"),
             ])
-
-
-def export_level_matrix_csv(level: RitusLevel, path) -> None:
-    """Eigenfunction matrix dump: columns x, then re/im of column c, slot s."""
-    N = level.grid.n_points
-    header = ["x"]
-    cols = []
-    for c in range(level.Ep.shape[1]):
-        for s in range(2):
-            header += [f"re_c{c + 1}s{s + 1}", f"im_c{c + 1}s{s + 1}"]
-            cols.append(level.Ep[s * N:(s + 1) * N, c])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for i, x in enumerate(level.grid.x):
-            row = [format(float(x), ".12g")]
-            for col in cols:
-                z = complex(col[i])
-                row += [format(z.real, ".12g"), format(z.imag, ".12g")]
-            wr.writerow(row)

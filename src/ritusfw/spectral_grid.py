@@ -48,11 +48,11 @@ __all__ = [
     "solve_channel",
     "convergence_study",
     "export_spectrum_csv",
-    "export_eigenfunction_csv",
 ]
 
 ZERO_CLAMP = 1e-8  # negative eigenvalues above -ZERO_CLAMP are clamped to 0
 SHIFT_GAP = 1e-2  # relative distance of the Lanczos shift below min V
+PHASE_THRESHOLD = 1e-3  # phi_n is positive at its first sample above this fraction of its peak
 _GUARD = 2_000_000  # lattice steps the two sublevel walks may take together
 _CHUNK = 256  # first chunk of a lattice walk; each later chunk doubles ...
 _CHUNK_MAX = 1 << 17  # ... up to this many points
@@ -102,8 +102,11 @@ class ScalarSpectrum:
     """Lowest eigenpairs of one spin channel.
 
     eigenfunctions[:, n] is phi_n on the grid, normalized to 1 under the
-    quadrature weight h and phase-fixed (positive value at the global
-    maximum of |phi_n|).
+    quadrature weight h and phase-fixed: positive at the first sample from
+    the left where |phi_n| exceeds PHASE_THRESHOLD times its peak.  That
+    sample lies in the left tail, where rounding cannot flip the sign; the
+    global peak would not do, since the mirror peaks of an odd state in a
+    symmetric well tie up to rounding.
     """
 
     sigma: int
@@ -113,12 +116,6 @@ class ScalarSpectrum:
     p_y: float
     e: float
     flags: tuple = ()
-
-    def quadrature_norms(self) -> np.ndarray:
-        w = np.full(self.grid.n_points, self.grid.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return np.sqrt(w @ self.eigenfunctions**2)
 
     def sign_changes(self, n: int) -> int:
         phi = self.eigenfunctions[:, n]
@@ -236,7 +233,15 @@ def build_grid(
     xa, left = _sublevel_walk(vmin, k_est, xs[i0], -step, _GUARD, domain)
     xb, right = _sublevel_walk(vmin, k_est, xs[i0], step, _GUARD - left, domain)
     if left + right >= _GUARD:
-        raise ConfigurationError("potential appears unbounded below on the scan range")
+        # a growing potential leaves the sublevel set and a table ends in a
+        # DomainError, so the budget runs out on a plateau below k_est
+        x_end = xa if left >= _GUARD else xb
+        v_end = float(vmin(np.array([x_end]))[0])
+        raise ConfigurationError(
+            f"the potential levels off at V = {v_end:.6g} near x = {x_end:.6g}, below the "
+            f"level estimate k_est = {k_est:.6g} for n_max = {n_max}: the well does not "
+            f"bind levels 0..{n_max} within {_GUARD:,} grid steps"
+        )
 
     center = 0.5 * (xa + xb)
     half = 0.5 * (xb - xa)
@@ -328,10 +333,9 @@ def solve_channel(
 
     # normalize under quadrature weight h and fix the sign convention
     vecs = vecs / math.sqrt(grid.h)
-    for n in range(vecs.shape[1]):
-        peak = np.argmax(np.abs(vecs[:, n]))
-        if vecs[peak, n] < 0:
-            vecs[:, n] = -vecs[:, n]
+    mags = np.abs(vecs)
+    first = np.argmax(mags > PHASE_THRESHOLD * mags.max(axis=0), axis=0)
+    vecs = vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
     return ScalarSpectrum(
         sigma=sigma,
@@ -429,14 +433,3 @@ def export_spectrum_csv(spectra: Sequence[ScalarSpectrum], path) -> None:
         for spec in spectra:
             for n, k in enumerate(spec.eigenvalues):
                 wr.writerow([spec.sigma, n, format(float(k), ".12g")])
-
-
-def export_eigenfunction_csv(spec: ScalarSpectrum, n: int, path) -> None:
-    """CSV columns x,phi for one eigenfunction."""
-    if n >= spec.eigenfunctions.shape[1]:
-        raise ArgumentError(f"level {n} not stored")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "phi"])
-        for x, v in zip(spec.grid.x, spec.eigenfunctions[:, n]):
-            wr.writerow([format(float(x), ".12g"), format(float(v), ".12g")])

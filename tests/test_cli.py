@@ -1,6 +1,7 @@
 """End-to-end CLI runs in subprocesses: determinism, exit codes, schemas."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -190,3 +191,20 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
     for name in ("spectrum", "verify-ritus", "fw-exact", "fw-series"):
         assert "error" not in sections[name]
         assert sections[name]["checks"]
+
+
+@pytest.mark.parametrize("B,n_max,k_est", [(1.0, 1, 6.81), (-1.0, 8, 22.56)])
+def test_potential_plateau_below_level_estimate_exits_two(tmp_path, B, n_max, k_est):
+    # at alpha = 0.5 the potential levels off at (eB/alpha)^2 = 4 near
+    # x = 2000, below the level estimate k_est
+    cfg = write_config(tmp_path / "cfg.json", n_max=n_max,
+                       profile={"kind": "exponential", "B": B, "alpha": 0.5})
+    proc = run_cli("spectrum", "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    found = re.search(r"levels off at V = ([\d.]+) near x = ([\d.]+), .* k_est = ([\d.]+)",
+                      proc.stderr)
+    assert found, proc.stderr
+    V, x, k = map(float, found.groups())
+    assert V == pytest.approx(4.0) and 1900 < x < 2000
+    assert k == pytest.approx(k_est, abs=0.01)

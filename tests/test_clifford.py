@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ritusfw.clifford import (METRIC, GammaRep, SpinProjector, anticommutator,
-                              check_product_identity, make_rep, spin_projector)
+                              check_product_identity, make_rep)
 from ritusfw.errors import ArgumentError, ConfigurationError
 
 VARIANTS = ("first", "second")
@@ -67,26 +67,7 @@ def test_anticommutator_index_range():
         anticommutator(rep, -1, 0)
 
 
-@pytest.mark.parametrize("field_sign,slot", [(+1, 0), (-1, 1)])
-def test_zero_mode_projector(field_sign, slot):
-    proj = spin_projector(0, field_sign)
-    expected = np.zeros((2, 2))
-    expected[slot, slot] = 1.0
-    assert np.array_equal(proj.matrix, expected)
-    assert proj.level == 0
-
-
-@pytest.mark.parametrize("n", [1, 2, 7])
-def test_higher_projectors_are_identity(n):
-    for field_sign in (+1, -1):
-        assert np.array_equal(spin_projector(n, field_sign).matrix, np.eye(2))
-
-
 def test_projector_validation():
-    with pytest.raises(ArgumentError):
-        spin_projector(-1, +1)
-    with pytest.raises(ArgumentError):
-        spin_projector(0, 0)
     with pytest.raises(ConfigurationError):
         SpinProjector(level=1, matrix=np.array([[0.5, 0.0], [0.0, 0.5]]))
 

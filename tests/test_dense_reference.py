@@ -21,14 +21,13 @@ from ritusfw.errors import DiscretizationError
 from ritusfw.field_profiles import (exponential_profile,
                                     susy_partner_potentials, tabulated_profile,
                                     uniform_profile)
-from ritusfw.foldy_wouthuysen import (low_rank_operator,
-                                      projector_commutation_residual,
+from ritusfw.foldy_wouthuysen import (projector_commutation_residual,
                                       restricted_hamiltonian,
                                       unitarity_residual)
 from ritusfw.operators import channel_hamiltonian
 from ritusfw.propagator import project_propagator
-from ritusfw.spectral_grid import (ZERO_CLAMP, GridConfig, build_grid,
-                                   solve_channel)
+from ritusfw.spectral_grid import (PHASE_THRESHOLD, ZERO_CLAMP, GridConfig,
+                                   build_grid, solve_channel)
 
 P0 = 0.3
 MASS = 1.0
@@ -100,7 +99,7 @@ def test_residuals_not_below_dense_max_entry(uni, where):
     else:
         a, b = fw.cluster_slices[2].start, fw.cluster_slices[4].start
         W[a, b] = 1e-6
-    bad = dataclasses.replace(fw, W=W, U=low_rank_operator(fw.span, W))
+    bad = dataclasses.replace(fw, W=W)
 
     unit, unit_ref = unitarity_residual(bad), dense_unitarity(bad)
     assert unit_ref > 1e-10
@@ -152,12 +151,21 @@ PROFILES = {
 
 
 def dense_channel(profile, p_y, sigma, grid):
-    """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's clamp."""
+    """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's clamp.
+
+    Each vector is phase-fixed by the solver's rule, applied here on its own:
+    positive at its first sample from the left above PHASE_THRESHOLD of its peak.
+    """
     V = susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
     vals, vecs = np.linalg.eigh(channel_hamiltonian(V, grid.h).toarray())
     vals = vals[:N_LEVELS]
     vals = np.where((vals > -ZERO_CLAMP) & (vals < 0.0), 0.0, vals)
-    return vals, vecs[:, :N_LEVELS] / np.sqrt(grid.h)
+    vecs = vecs[:, :N_LEVELS] / np.sqrt(grid.h)
+    for n in range(N_LEVELS):
+        mag = np.abs(vecs[:, n])
+        first = np.flatnonzero(mag > PHASE_THRESHOLD * mag.max())[0]
+        vecs[:, n] *= np.sign(vecs[first, n])
+    return vals, vecs
 
 
 @pytest.mark.parametrize("N", [256, 384])
@@ -170,17 +178,10 @@ def test_channel_solve_matches_dense_eigh(name, p_y, N):
         spec = solve_channel(profile, p_y, 1.0, sigma, grid, N_LEVELS, tol_eig=1e-3)
         vals, vecs = dense_channel(profile, p_y, sigma, grid)
         assert np.abs(spec.eigenvalues - vals).max() < 1e-10
-        phi = spec.eigenfunctions
-        # the reference is phase-fixed at the solver's peak of |phi_n|: the
-        # mirror peaks of an odd state in a symmetric well tie up to rounding
-        peak = np.argmax(np.abs(phi), axis=0)
-        cols = np.arange(N_LEVELS)
-        assert np.all(phi[peak, cols] > 0)
-        vecs = vecs * np.sign(vecs[peak, cols])
-        assert np.abs(phi - vecs).max() < 1e-8
+        assert np.abs(spec.eigenfunctions - vecs).max() < 1e-8
         if name == "uniform+" and p_y == 0.0:
             # a skipped odd level would show up as a wrong node count
-            assert [spec.sign_changes(n) for n in cols] == list(cols)
+            assert [spec.sign_changes(n) for n in range(N_LEVELS)] == list(range(N_LEVELS))
 
 
 def no_convergence(*args, **kwargs):

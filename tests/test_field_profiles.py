@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ritusfw.errors import ArgumentError, DomainError, UnsupportedProfileError
+from ritusfw.errors import ArgumentError, DomainError
 from ritusfw.field_profiles import (analytic_landau_levels,
-                                    analytic_landau_levels_checked,
                                     evaluate_potential, exponential_profile,
                                     load_tabulated_csv,
                                     susy_partner_potentials, tabulated_profile,
@@ -119,12 +118,6 @@ def test_partner_potentials_formula(sigma):
 )
 def test_analytic_landau_levels(e, B, n, sigma, expected):
     assert analytic_landau_levels(e, B, n, sigma) == pytest.approx(expected, abs=1e-14)
-
-
-def test_analytic_levels_gate_on_profile_kind():
-    assert analytic_landau_levels_checked(uniform_profile(1.0), 1.0, 1, +1) == 2.0
-    with pytest.raises(UnsupportedProfileError):
-        analytic_landau_levels_checked(exponential_profile(1.0, 0.1), 1.0, 1, +1)
 
 
 def test_level_formula_validation():

@@ -6,10 +6,8 @@ from numpy.testing import assert_allclose
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
-from ritusfw.operators import (GridOperators, channel_hamiltonian, channel_slots,
-                               dirac_hamiltonian, first_derivative,
-                               gamma_dot_pi_full, gamma_dot_pi_spatial,
-                               kinetic_diagonal)
+from ritusfw.operators import (channel_hamiltonian, channel_slots, first_derivative,
+                               gamma_dot_pi_spatial, kinetic_diagonal)
 
 
 def test_first_derivative_exactly_antisymmetric():
@@ -70,13 +68,8 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni):
     assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
 
 
-def test_dirac_hamiltonian_exactly_symmetric(uni):
-    H = dirac_hamiltonian(uni.rep, uni.ops.X, 1.0).toarray()
-    assert np.array_equal(H, H.T)
-
-
 def test_gamma_dot_pi_full_blocks(uni):
-    K = gamma_dot_pi_full(uni.rep, uni.ops.X, 0.7).toarray()
+    K = uni.ops.gamma_dot_pi(0.7).toarray()
     X = uni.ops.X.toarray()
     N = uni.grid.n_points
     assert_allclose(K[:N, :N], 0.7 * np.eye(N), rtol=0, atol=0)
@@ -91,5 +84,3 @@ def test_grid_operators_bundle_consistency(uni):
     assert np.array_equal(ops.A.toarray(), ops.D1.toarray() + np.diag(ops.M))
     rebuilt = gamma_dot_pi_spatial(uni.rep, ops.D1, ops.M)
     assert np.array_equal(ops.X.toarray(), rebuilt.toarray())
-    assert np.array_equal(ops.G0.toarray(), np.diag(ops.g0diag))
-    assert_allclose(ops.w, uni.grid.h, rtol=0)

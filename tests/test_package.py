@@ -1,11 +1,15 @@
-"""Package-level contracts: the README's library snippet runs, and __all__ is honest."""
+"""Package-level contracts: the README's library snippet runs, __all__ is honest,
+and imports stay light."""
 
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ritusfw
+from child_env import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +37,23 @@ def test_all_lists_exactly_the_public_api():
         if missing or public - listed:
             wrong[name] = {"missing": sorted(missing), "unlisted": sorted(public - listed)}
     assert wrong == {}
+
+
+def loaded_in_child(imports, names):
+    """Which of ``names`` are in sys.modules of a fresh interpreter after ``imports``."""
+    code = f"import sys, {', '.join(imports)}; print(*[n for n in {names!r} if n in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_numerics():
+    # main() caps the BLAS threads from RFW_THREADS before numpy loads
+    assert loaded_in_child(["ritusfw.cli"], ("numpy", "scipy")) == []
+
+
+def test_package_import_leaves_out_scipy_interpolate():
+    # only a tabulated profile needs CubicSpline
+    modules = [f"ritusfw.{name}" for name in ritusfw._SUBMODULES]
+    assert loaded_in_child(modules, ("scipy.interpolate",)) == []

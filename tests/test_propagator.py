@@ -19,7 +19,7 @@ MASS = 1.0
 def test_diagonal_propagator_hand_value():
     rep = make_rep("first")
     pb = BarMomentum(p0=P0, p1=0.0, p2=0.0, E_D=MASS)
-    S = diagonal_propagator(pb, MASS, rep).Stilde
+    S = diagonal_propagator(pb, MASS, rep)
     denom = P0**2 - 1.0
     expected = np.array([[(P0 + 1.0) / denom, 0.0],
                          [0.0, (-P0 + 1.0) / denom]])
@@ -31,7 +31,7 @@ def test_diagonal_propagator_hand_value():
 def test_diagonal_propagator_inverts(variant, k):
     rep = make_rep(variant)
     pb = BarMomentum(p0=P0, p1=0.0, p2=math.sqrt(k), E_D=math.sqrt(k + 1.0))
-    S = diagonal_propagator(pb, MASS, rep).Stilde
+    S = diagonal_propagator(pb, MASS, rep)
     g_pbar = pb.p0 * rep.gamma[0] - pb.p2 * rep.gamma[2]
     assert_allclose(S @ (g_pbar - MASS * np.eye(2)), np.eye(2), atol=1e-12)
 

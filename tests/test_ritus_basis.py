@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 from ritusfw.errors import ArgumentError, PairingError, TruncationError
 from ritusfw.operators import GridOperators
 from ritusfw.ritus_basis import (BarMomentum, assemble_level, bar_momentum,
-                                 completeness_residual, export_level_matrix_csv,
-                                 export_levels_csv, on_shell_level,
+                                 completeness_residual, export_levels_csv,
+                                 on_shell_level,
                                  orthonormality_matrix, verify_eigen_relation,
                                  verify_gpEp, zero_mode_annihilation)
 
@@ -37,7 +37,6 @@ def test_bar_momentum_validation():
 def test_zero_level_structure(uni):
     lv = uni.levels[0]
     assert lv.n == 0 and lv.zero_channel == +1
-    assert lv.columns == 1
     assert np.array_equal(lv.projector.matrix, np.diag([1.0, 0.0]))
     # single populated column on slot 0, nothing anywhere else
     N = uni.grid.n_points
@@ -49,7 +48,6 @@ def test_zero_level_structure(uni):
 def test_higher_levels_pair_channels(uni):
     for n in range(1, len(uni.levels)):
         lv = uni.levels[n]
-        assert lv.columns == 2
         assert np.array_equal(lv.projector.matrix, np.eye(2))
         k_zero, k_other = lv.channel_eigenvalues
         assert lv.k == pytest.approx(0.5 * (k_zero + k_other))
@@ -85,7 +83,7 @@ def test_truncation_when_level_not_stored(uni):
 
 
 def test_orthonormality_blocks_are_projectors(uni):
-    G = orthonormality_matrix(uni.levels)
+    G = orthonormality_matrix(uni.levels, uni.ops)
     expected = np.zeros_like(G)
     for i, lv in enumerate(uni.levels):
         expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector.matrix
@@ -94,7 +92,7 @@ def test_orthonormality_blocks_are_projectors(uni):
 
 def test_duplicate_levels_warn(uni):
     with pytest.warns(UserWarning):
-        orthonormality_matrix([uni.levels[1], uni.levels[1]])
+        orthonormality_matrix([uni.levels[1], uni.levels[1]], uni.ops)
 
 
 def test_eigen_relation_residual_small(uni):
@@ -143,7 +141,7 @@ def test_completeness_improves_with_levels(uni):
     test_vec[:N] = bump
     test_vec[N:] = 0.3 * np.roll(bump, 5)
     test_vec /= np.sqrt(uni.grid.h) * np.linalg.norm(test_vec)
-    residuals = [completeness_residual(uni.levels[:j], test_vec)
+    residuals = [completeness_residual(uni.levels[:j], test_vec, uni.ops)
                  for j in (1, 3, len(uni.levels))]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 0.05
@@ -151,8 +149,8 @@ def test_completeness_improves_with_levels(uni):
 
 def test_completeness_validation(uni):
     with pytest.raises(ArgumentError):
-        completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points))
-    full = completeness_residual([], np.ones(2 * uni.grid.n_points))
+        completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points), uni.ops)
+    full = completeness_residual([], np.ones(2 * uni.grid.n_points), uni.ops)
     assert full == 1.0
 
 
@@ -165,14 +163,6 @@ def test_levels_csv(tmp_path, uni):
     row = lines[2].split(",")
     assert int(row[0]) == 1
     assert float(row[4]) == pytest.approx(np.sqrt(uni.levels[1].k + 1.0))
-
-
-def test_level_matrix_csv(tmp_path, uni):
-    path = tmp_path / "E1.csv"
-    export_level_matrix_csv(uni.levels[1], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[:3] == ["x", "re_c1s1", "im_c1s1"]
-    assert len(lines) == 1 + uni.grid.n_points
 
 
 def test_gauge_center_shift_preserves_levels(uni):
