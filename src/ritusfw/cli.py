@@ -83,11 +83,27 @@ class RunConfig:
             if "path" not in self.profile_params:
                 raise ConfigurationError("tabulated profile needs a 'path' entry")
         elif self.profile_kind in ("uniform", "exponential"):
-            self.profile_number("B")
+            B = self.profile_number("B")
             if self.profile_kind == "exponential":
-                self.profile_number("alpha")
+                self._check_bound_states(B, self.profile_number("alpha"))
         else:
             raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
+
+    def _check_bound_states(self, B: float, alpha: float) -> None:
+        """The exponential field binds only the levels n < |c|/|alpha|, c = p_y - eB/alpha.
+
+        Its superpotential c + (eB/alpha) exp(-alpha x) is shape invariant,
+        with k_n = c^2 - (|c| - n|alpha|)^2 for those n (Cooper, Khare &
+        Sukhatme, Phys. Rep. 251, 1995).
+        """
+        c = self.p_y - self.e * B / alpha
+        ratio = abs(c) / abs(alpha)
+        if self.n_max >= ratio:
+            raise ConfigurationError(
+                f"n_max = {self.n_max} asks for {self.n_max + 1} levels, but the exponential "
+                f"field binds {math.ceil(ratio)} (levels n < |c|/|alpha| = {ratio:.6g}, "
+                f"c = p_y - eB/alpha = {c:.6g})"
+            )
 
     def profile_number(self, key: str) -> float:
         """Profile parameter ``key`` (B or alpha) as a finite nonzero float."""

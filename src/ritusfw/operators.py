@@ -1,12 +1,18 @@
 """Grid realizations of the differential operators.
 
 Everything here is a scipy.sparse matrix on a uniform grid with Dirichlet
-boundaries; no operator is ever stored dense.  Conventions shared by the
-rest of the package:
+boundaries, or a LAPACK band; no operator is ever stored dense.  Conventions
+shared by the rest of the package:
 
 * spinor (x) grid ordering: a grid spinor v has layout
   ``v = [upper component (N values), lower component (N values)]``,
-  i.e. operators are built with ``kron(spinor_2x2, grid_NxN)``.
+  i.e. operators are built with ``kron(spinor_2x2, grid_NxN)``.  The one
+  exception is the band of gamma.Pi - m (``GridOperators.dirac_band``),
+  which interleaves the components, q = 2i + s for grid point i and spinor
+  slot s, so that the two slots of one point are neighbours and the matrix
+  has half-bandwidth ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors
+  it with LAPACK's banded LU (xGBTRF/xGBTRS; Anderson et al., LAPACK
+  Users' Guide, 3rd ed., 1999) and takes and returns block-ordered spinors.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix
@@ -21,11 +27,12 @@ operators
 the spatial Dirac operator ("bold" gamma.Pi, the one entering
 H = gamma^0 (gamma.Pi + m)) is
 
-    X = kron(gamma^1, -i D1) + kron(gamma^2, M)
+    X = kron(gamma^1, -i D1) + kron(gamma^2, M) = kron(c1, D1) + kron(c2, M)
       = [[0, A], [-A^T, 0]]          (first representation)
       = [[0, -A^T], [A, 0]]          (second representation)
 
-which is exactly real antisymmetric for both representations, and
+with the real 2x2 coefficients c1 = -i gamma^1 and c2 = gamma^2, so X is
+exactly real antisymmetric for both representations, and
 Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
 Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
 which channel depends on the representation).  gamma^0 = sigma_3 in both
@@ -36,8 +43,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .clifford import GammaRep
+from .errors import ConditioningError
 from .field_profiles import FieldProfile, evaluate_potential, susy_partner_potentials
 
 __all__ = [
@@ -47,8 +56,11 @@ __all__ = [
     "gamma_dot_pi_spatial",
     "pi_tilde_squared",
     "channel_slots",
+    "BAND",
     "GridOperators",
 ]
+
+BAND = 5  # half-bandwidth of gamma.Pi - m in the interleaved spinor order
 
 # ----------------------------------------------------------------------
 # finite-difference stencils
@@ -82,17 +94,6 @@ def kinetic_diagonal(profile: FieldProfile, p_y: float, e: float, x: np.ndarray)
     return p_y - e * W
 
 
-def _realify(mat) -> sp.csr_matrix:
-    """Drop a numerically zero imaginary part (sanity-checked)."""
-    mat = sp.csr_matrix(mat)
-    if np.iscomplexobj(mat.data):
-        imax = float(np.abs(mat.data.imag).max()) if mat.nnz else 0.0
-        if imax > 1e-12:
-            raise AssertionError(f"operator expected real, max imag {imax}")
-        return mat.real
-    return mat
-
-
 def _gamma0_diagonal(rep: GammaRep, N: int) -> np.ndarray:
     """The +/-1 diagonal of kron(gamma^0, 1_N); gamma^0 must be real diagonal."""
     g0 = rep.gamma[0]
@@ -113,10 +114,18 @@ def channel_slots(rep: GammaRep) -> dict:
     return {+1: 1, -1: 0}
 
 
+def _spinor_coefficients(rep: GammaRep) -> tuple:
+    """The real 2x2 coefficients (c1, c2) = (-i gamma^1, gamma^2) of D1 and M in X."""
+    c1, c2 = -1j * rep.gamma[1], rep.gamma[2]
+    if np.any(c1.imag) or np.any(c2.imag):
+        raise AssertionError("gamma^1 expected imaginary and gamma^2 real")
+    return c1.real, c2.real
+
+
 def gamma_dot_pi_spatial(rep: GammaRep, D1, M: np.ndarray) -> sp.csr_matrix:
-    """X = kron(gamma^1, -i D1) + kron(gamma^2, diag(M)); real antisymmetric."""
-    X = sp.kron(rep.gamma[1], -1j * sp.csr_matrix(D1)) + sp.kron(rep.gamma[2], sp.diags(M))
-    return _realify(X)
+    """X = kron(c1, D1) + kron(c2, diag(M)); real antisymmetric."""
+    c1, c2 = _spinor_coefficients(rep)
+    return sp.csr_matrix(sp.kron(c1, D1) + sp.kron(c2, sp.diags(M)))
 
 
 def pi_tilde_squared(
@@ -164,6 +173,53 @@ class GridOperators:
         self.g0diag = _gamma0_diagonal(rep, x.size)
         self.PiTilde2 = pi_tilde_squared(rep, profile, p_y, e, x, h)
 
-    def gamma_dot_pi(self, p0: float) -> sp.csr_matrix:
-        """Covariant contraction gamma.Pi = gamma^0 p0 - X at fixed energy p0."""
-        return sp.csr_matrix(p0 * sp.diags(self.g0diag) - self.X)
+    def dirac_band(self, p0: float, m: float) -> np.ndarray:
+        """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.
+
+        Rows and columns are in the interleaved order q = 2i + s, where
+        K[2i+s, 2j+t] = delta_ij delta_st (p0 g0_s - m) - c1[s,t] D1[i,j]
+        - c2[s,t] M_i delta_ij.  D1 reaches j - i = +/-2, so the half-bandwidth
+        is BAND = 5 on both sides.  Entry (q, r) sits at ab[2*BAND + q - r, r];
+        the BAND rows on top are the room xGBTRF needs for fill-in.  Shape
+        (4*BAND + 1, 2N), built fresh from the diagonals of D1, M and g0diag.
+        """
+        N = self.x.size
+        c1, c2 = _spinor_coefficients(self.rep)
+        g0 = self.g0diag[::N]
+        stencil = {d: self.D1.diagonal(d) for d in (-2, -1, 1, 2)}
+        ab = np.zeros((4 * BAND + 1, 2 * N))
+        for s in range(2):
+            for t in range(2):
+                # the entries of grid offset d = j - i lie on band row 2*BAND - 2d + s - t
+                diag = -c2[s, t] * self.M
+                if s == t:
+                    diag = diag + (p0 * g0[s] - m)
+                ab[2 * BAND + s - t, t::2] = diag
+                if c1[s, t]:
+                    for d, D1_d in stencil.items():
+                        j0, j1 = max(0, d), min(N, N + d)
+                        ab[2 * BAND - 2 * d + s - t, 2 * j0 + t:2 * j1:2] = -c1[s, t] * D1_d
+        return ab
+
+    def dirac_solver(self, p0: float, m: float):
+        """Solves with gamma.Pi - m at p0: one banded LU with partial pivoting.
+
+        The LU of ``dirac_band`` is computed here, once (LAPACK xGBTRF).  The
+        returned function maps (2N, c) right-hand sides in the block spinor
+        order to the solutions in the same order (xGBTRS in the interleaved
+        order).  An exactly zero pivot raises ConditioningError.
+        """
+        lu, piv, info = dgbtrf(self.dirac_band(p0, m), BAND, BAND, overwrite_ab=True)
+        if info > 0:
+            raise ConditioningError(
+                f"gamma.Pi - m is singular at p0 = {p0:.6g}: pivot {info} of its banded LU is 0"
+            )
+        N = self.x.size
+
+        def solve(E: np.ndarray) -> np.ndarray:
+            rhs = np.empty(E.shape, order="F")
+            rhs[0::2], rhs[1::2] = E[:N], E[N:]
+            Z, _ = dgbtrs(lu, BAND, BAND, rhs, piv, overwrite_b=True)
+            return np.concatenate([Z[0::2], Z[1::2]])
+
+        return solve

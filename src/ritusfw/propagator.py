@@ -2,11 +2,17 @@
 
 Per level, the propagator in the Ritus basis is the free-form 2x2 matrix
 S(pbar) = (gamma.pbar + m) / (pbar^2 - m^2) at pbar = (p0, 0, sqrt(k)).
-The check: factor the sparse (gamma.Pi - m) on the grid once at fixed
-off-shell p0 (SuperLU), solve for the Ritus level columns, take their
-Dirac-adjoint overlaps, and compare the diagonal blocks against the free
-form (the spin projector cuts the zero-mode block down to its populated
-slot).  Cross-level blocks must vanish to quadrature accuracy.
+The check: factor (gamma.Pi - m) on the grid once at fixed off-shell p0,
+solve for the Ritus level columns, take their Dirac-adjoint overlaps, and
+compare the diagonal blocks against the free form (the spin projector cuts
+the zero-mode block down to its populated slot).  Cross-level blocks must
+vanish to quadrature accuracy.
+
+With the spinor components interleaved, gamma.Pi - m is a band matrix of
+half-width 5, factored once per p0 by banded Gaussian elimination with
+partial pivoting (``GridOperators.dirac_solver``, LAPACK xGBTRF/xGBTRS;
+Golub & Van Loan, Matrix Computations, section 4.3): O(N) time and memory
+per p0, and deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
@@ -63,19 +67,14 @@ def _conditioning_guard(levels: Sequence[RitusLevel], p0: float, m: float) -> No
 
 
 def _factor(levels: Sequence[RitusLevel], p0: float, m: float, operators: GridOperators):
-    """SuperLU factors of the sparse (gamma.Pi - m) at p0, after the guards.
-
-    SuperLU's fill-reducing ordering is a fixed function of the sparsity
-    pattern, so the solve is deterministic.
-    """
+    """The banded solve of (gamma.Pi - m) at p0, after the guards."""
     if not levels:
         raise ArgumentError("need at least one level")
     for lv in levels:
         if not lv.grid.same_as(operators.grid):
             raise ArgumentError("levels and operators use different grids")
     _conditioning_guard(levels, p0, m)
-    K = operators.gamma_dot_pi(p0) - m * sp.identity(2 * operators.x.size, format="csr")
-    return splu(K.tocsc())
+    return operators.dirac_solver(p0, m)
 
 
 def project_propagator(
@@ -90,14 +89,11 @@ def project_propagator(
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
-    lu = _factor(levels, p0, m, operators)
-    Z = lu.solve(np.hstack([lv.Ep for lv in levels]))        # (2N, 2L), real
-
+    solve = _factor(levels, p0, m, operators)
+    E = np.hstack([lv.Ep for lv in levels])
     L = len(levels)
-    blocks = np.zeros((L, L, 2, 2), dtype=complex)
-    for i, lv_i in enumerate(levels):
-        for j in range(L):
-            blocks[i, j] = dirac_overlap(lv_i, Z[:, 2 * j:2 * j + 2], operators)
+    # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
+    blocks = dirac_overlap(E, solve(E), operators).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
 
     diag_err = 0.0
     diag_norms = []
@@ -146,11 +142,11 @@ def pole_sweep(
     rows = []
     for d in distances:
         p0 = E_on - d
-        Z = _factor(levels, p0, m, operators).solve(target.Ep)
+        Z = _factor(levels, p0, m, operators)(target.Ep)
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(dirac_overlap(target, Z, operators))),
+            "block_norm": float(np.linalg.norm(dirac_overlap(target.Ep, Z, operators))),
             "offshellness": abs(p0 * p0 - (target.k + m * m)),
         })
 

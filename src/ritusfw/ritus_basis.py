@@ -198,7 +198,7 @@ def on_shell_level(level: RitusLevel, m: float, branch: int = +1) -> RitusLevel:
         # only reachable through a flagged zero mode the solver kept negative
         raise DiscretizationError(
             f"level {level.n} has k = {level.k:.3e} < 0: the zero mode is not "
-            "resolved inside the 1e-8 clamp window; refine the grid"
+            "resolved inside the zero-mode clamp; refine the grid"
         )
     pbar = bar_momentum(level.k, m, branch)
     return dataclasses.replace(level, p0=pbar.p0, pbar=pbar)
@@ -241,14 +241,17 @@ def zero_mode_annihilation(level: RitusLevel, operators: GridOperators) -> float
     return _weighted_fro(operators.X @ level.Ep, h) / _weighted_fro(level.Ep, h)
 
 
-def dirac_overlap(level: RitusLevel, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
-    """The Dirac-adjoint overlap gamma^0 E^dag gamma^0 Z (quadrature weight h).
+def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
+    """The Dirac-adjoint overlaps gamma^0 E_i^dag gamma^0 Z (quadrature weight h).
 
-    Z has 2N rows; the result has one row per column of E and one column
-    per column of Z.
+    E stacks the (2N, 2) matrices E_i of L levels side by side, Z has 2N
+    rows.  All overlaps come from the one product h E^dag (g0diag * Z);
+    gamma^0 then acts on each pair of rows.  Rows 2i, 2i+1 of the (2L, c)
+    result belong to E_i, one column per column of Z.
     """
-    g0, g0diag, h, E = operators.rep.gamma[0], operators.g0diag, operators.h, level.Ep
-    return g0 @ (h * (E.conj().T @ (g0diag[:, None] * Z)))
+    g0, g0diag, h = operators.rep.gamma[0], operators.g0diag, operators.h
+    G = h * (E.conj().T @ (g0diag[:, None] * Z))
+    return (g0 @ G.reshape(-1, 2, G.shape[1])).reshape(G.shape)
 
 
 def orthonormality_matrix(levels: Sequence[RitusLevel], operators: GridOperators) -> np.ndarray:
@@ -269,12 +272,8 @@ def orthonormality_matrix(levels: Sequence[RitusLevel], operators: GridOperators
     if len(set(seen)) != len(seen):
         warnings.warn("duplicate levels passed to orthonormality_matrix", stacklevel=2)
 
-    L = len(levels)
-    out = np.zeros((2 * L, 2 * L), dtype=complex)
-    for i, lv_i in enumerate(levels):
-        for j, lv_j in enumerate(levels):
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = dirac_overlap(lv_i, lv_j.Ep, operators)
-    return out
+    E = np.hstack([lv.Ep for lv in levels])
+    return dirac_overlap(E, E, operators)
 
 
 def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
@@ -286,7 +285,7 @@ def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
         raise ArgumentError("test function is identically zero")
     acc = np.zeros_like(test, dtype=complex)
     for lv in levels:
-        acc = acc + lv.Ep @ dirac_overlap(lv, test[:, None], operators)[:, 0]
+        acc = acc + lv.Ep @ dirac_overlap(lv.Ep, test[:, None], operators)[:, 0]
     return float(np.linalg.norm(test - acc)) / nrm
 
 

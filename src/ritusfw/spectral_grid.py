@@ -7,10 +7,17 @@ channel.  Its lowest eigenpairs come from implicitly restarted Lanczos in
 shift-invert mode (ARPACK through scipy.sparse.linalg.eigsh; Lehoucq,
 Sorensen & Yang, ARPACK Users' Guide, 1998).  The shift sits just below
 min V: the discrete -D2 is positive definite, so every eigenvalue lies above
-min V and the lowest levels are the largest of (H - shift)^-1.  The start
-vector v0 is a fixed seeded Gaussian vector, so runs are deterministic; it
-has no mirror symmetry, so it overlaps the odd states of a symmetric well.
-Each solve costs O(N) time and memory per level.
+min V and the lowest levels are the largest of (H - shift)^-1.  H - shift is
+therefore symmetric positive definite, and (H - shift)^-1 is applied through
+a banded Cholesky factorization (LAPACK xPBTRF/xPBTRS) of its three upper
+diagonals.  The start vector v0 is a fixed seeded Gaussian vector, so runs
+are deterministic; it has no mirror symmetry, so it overlaps the odd states
+of a symmetric well.  Each solve costs O(N) time and memory per level.
+
+Zero mode: an eigenvalue within the rounding bound
+ZERO_ROUNDING * eps * ||H||, with ||H|| <= 16/(3h^2) + max|V| from the
+stencil, is an exact zero mode up to rounding and is set to 0; so is a
+slightly negative one inside the truncation window (-ZERO_CLAMP, 0).
 
 Grid sizing: the domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
@@ -29,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     ArgumentError,
@@ -51,6 +59,7 @@ __all__ = [
 ]
 
 ZERO_CLAMP = 1e-8  # negative eigenvalues above -ZERO_CLAMP are clamped to 0
+ZERO_ROUNDING = 16  # |k| <= ZERO_ROUNDING * eps * ||H|| is clamped to 0
 SHIFT_GAP = 1e-2  # relative distance of the Lanczos shift below min V
 PHASE_THRESHOLD = 1e-3  # phi_n is positive at its first sample above this fraction of its peak
 _GUARD = 2_000_000  # lattice steps the two sublevel walks may take together
@@ -277,8 +286,10 @@ def solve_channel(
     sigma : +1 or -1, selects the partner potential.
     n_levels : number of eigenpairs (levels 0 .. n_levels-1).
     tol_eig : eigenvalues below -tol_eig abort with DiscretizationError;
-        values in (-tol_eig, -1e-8] are kept but flagged; values in
-        (-1e-8, 0) are clamped to exactly 0 (zero mode).
+        values in (-ZERO_CLAMP, 0) or within the rounding bound
+        ZERO_ROUNDING * eps * (16/(3h^2) + max|V|) of 0 are clamped to
+        exactly 0 (zero mode); other values within tol_eig of 0 are kept
+        but flagged.
 
     Returns
     -------
@@ -299,9 +310,20 @@ def solve_channel(
     v_min = float(V.min())
     shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
     v0 = np.random.default_rng(0).standard_normal(N)
+    H = channel_hamiltonian(V, grid.h)
+    # upper band storage of H - shift: superdiagonals 2 and 1, then the diagonal
+    band = np.zeros((3, N))
+    band[0, 2:], band[1, 1:], band[2] = H.diagonal(2), H.diagonal(1), H.diagonal(0) - shift
+    chol, info = dpbtrf(band, overwrite_ab=True)
+    if info != 0:
+        raise DiscretizationError(
+            f"H - shift is not positive definite (banded Cholesky info {info}) at "
+            f"shift {shift:.6g} below min V = {v_min:.6g}"
+        )
+    op_inv = LinearOperator((N, N), matvec=lambda v: dpbtrs(chol, v)[0], dtype=float)
     try:
-        vals, vecs = eigsh(channel_hamiltonian(V, grid.h), k=n_levels, sigma=shift,
-                           which="LM", v0=v0, tol=0)
+        vals, vecs = eigsh(H, k=n_levels, sigma=shift, which="LM", v0=v0, tol=0,
+                           OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise DiscretizationError(
             f"shift-invert Lanczos did not converge for {n_levels} levels: {exc}"
@@ -324,12 +346,22 @@ def solve_channel(
             f"eigenvalue {vals.min():.3e} below -tol_eig={-tol_eig:.1e}; "
             "discretization inconsistent with a bound-state problem"
         )
-    suspect = (vals < -ZERO_CLAMP) & (vals >= -tol_eig)
-    if np.any(suspect):
+    # rounding bound of an exact zero mode, with ||H|| bounded from the stencil
+    bound = ZERO_ROUNDING * np.finfo(float).eps * (16.0 / (3.0 * grid.h**2) + float(np.abs(V).max()))
+    clamp = (np.abs(vals) <= bound) | ((vals > -ZERO_CLAMP) & (vals < 0.0))
+    below = ~clamp & (vals < 0.0)
+    above = ~clamp & (vals > 0.0) & (vals <= tol_eig)
+    if np.any(below):
         flags.append(
-            f"sigma={sigma}: {int(suspect.sum())} eigenvalue(s) below -{ZERO_CLAMP:.0e} kept un-clamped"
+            f"sigma={sigma}: {int(below.sum())} eigenvalue(s) below "
+            f"-{max(ZERO_CLAMP, bound):.0e} kept un-clamped"
         )
-    vals = np.where((vals > -ZERO_CLAMP) & (vals < 0.0), 0.0, vals)
+    if np.any(above):
+        flags.append(
+            f"sigma={sigma}: {int(above.sum())} eigenvalue(s) in ({bound:.1e}, {tol_eig:.0e}] "
+            "kept un-clamped: above the zero-mode rounding bound"
+        )
+    vals = np.where(clamp, 0.0, vals)
 
     # normalize under quadrature weight h and fix the sign convention
     vecs = vecs / math.sqrt(grid.h)

@@ -17,6 +17,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from child_env import child_env
 from ritusfw.clifford import anticommutator, check_product_identity, make_rep
@@ -60,9 +61,23 @@ def emit(num, ok, detail):
 
 
 @functools.lru_cache(maxsize=None)
-def production_problem():
+def production_problem(n_points=N_POINTS):
     return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
-                   n_max=N_MAX, grid_config=GridConfig(n_points=N_POINTS), tol_eig=1e-6)
+                   n_max=N_MAX, grid_config=GridConfig(n_points=n_points), tol_eig=1e-6)
+
+
+def intertwining(b):
+    """Criterion 5's numbers: worst intertwining residual, zero-mode annihilation."""
+    return (max(verify_gpEp(lv, b.ops) for lv in b.levels),
+            zero_mode_annihilation(b.levels[0], b.ops))
+
+
+def main_claim(b):
+    """Criterion 7's numbers: main-claim residual per level, representation gap."""
+    res = [verify_main_claim(b.fw, lv) for lv in b.fw.levels]
+    b2 = b.other_rep()
+    res2 = [verify_main_claim(b2.fw, lv) for lv in b2.fw.levels]
+    return res, max(abs(a - c) for a, c in zip(res, res2))
 
 
 def test_criterion_01_clifford_exact():
@@ -121,9 +136,7 @@ def test_criterion_04_ritus_diagonalization():
 
 
 def test_criterion_05_intertwining():
-    b = production_problem()
-    res = max(verify_gpEp(lv, b.ops) for lv in b.levels)
-    zero = zero_mode_annihilation(b.levels[0], b.ops)
+    res, zero = intertwining(production_problem())
     ok = res < 1e-5 and zero < 1e-8
     emit(5, ok, f"max intertwining residual = {res:.3e} (tol 1e-05), "
                 f"zero-mode annihilation = {zero:.3e} (tol 1e-08)")
@@ -150,13 +163,7 @@ def test_criterion_06_exact_fw():
 
 
 def test_criterion_07_main_claim():
-    b = production_problem()
-    res = [verify_main_claim(b.fw, lv) for lv in b.fw.levels]
-
-    b2 = b.other_rep()
-    res2 = [verify_main_claim(b2.fw, lv) for lv in b2.fw.levels]
-    gap = max(abs(a - c) for a, c in zip(res, res2))
-
+    res, gap = main_claim(production_problem())
     ok = max(res) < 1e-6 and gap < 1e-8
     emit(7, ok, f"max ||U E - E U_free|| / ||E|| = {max(res):.3e} (tol 1e-06), "
                 f"rep agreement gap = {gap:.1e} (tol 1e-08)")
@@ -222,6 +229,19 @@ def test_criterion_10_determinism(tmp_path):
     emit(10, ok, f"two default `all` runs byte-identical across "
                  f"{len(outputs[0])} artifacts; status = {report['status']}")
     assert ok
+
+
+@pytest.mark.parametrize("n_points", [4096, 16384])
+def test_criteria_05_07_at_large_n(n_points):
+    # the zero mode sits at rounding level here; clamped to 0, it keeps the
+    # level-0 residuals at rounding level too
+    b = production_problem(n_points)
+    res, zero = intertwining(b)
+    assert res < 1e-5 and zero < 1e-8
+    res, gap = main_claim(b)
+    assert max(res) < 1e-6 and gap < 1e-8
+    if n_points == 16384:
+        assert res[0] < 1e-9
 
 
 if __name__ == "__main__":

@@ -193,10 +193,11 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
         assert sections[name]["checks"]
 
 
-@pytest.mark.parametrize("B,n_max,k_est", [(1.0, 1, 6.81), (-1.0, 8, 22.56)])
+@pytest.mark.parametrize("B,n_max,k_est", [(1.0, 1, 6.81), (-1.0, 3, 11.31)])
 def test_potential_plateau_below_level_estimate_exits_two(tmp_path, B, n_max, k_est):
     # at alpha = 0.5 the potential levels off at (eB/alpha)^2 = 4 near
-    # x = 2000, below the level estimate k_est
+    # x = 2000, below the level estimate k_est; the field binds levels 0..3,
+    # so validation lets n_max <= 3 through to the grid sizing
     cfg = write_config(tmp_path / "cfg.json", n_max=n_max,
                        profile={"kind": "exponential", "B": B, "alpha": 0.5})
     proc = run_cli("spectrum", "--config", str(cfg), cwd=tmp_path)
@@ -208,3 +209,15 @@ def test_potential_plateau_below_level_estimate_exits_two(tmp_path, B, n_max, k_
     V, x, k = map(float, found.groups())
     assert V == pytest.approx(4.0) and 1900 < x < 2000
     assert k == pytest.approx(k_est, abs=0.01)
+
+
+@pytest.mark.parametrize("B", [1.0, -1.0])
+def test_exponential_run_beyond_bound_state_count_exits_two(tmp_path, B):
+    # |c|/|alpha| = |0 - B/0.5| / 0.5 = 4: levels 0..3 are bound, 9 are asked for
+    cfg = write_config(tmp_path / "cfg.json", n_max=8,
+                       profile={"kind": "exponential", "B": B, "alpha": 0.5})
+    proc = run_cli("all", "--config", str(cfg), "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+    assert "asks for 9 levels, but the exponential field binds 4" in proc.stderr

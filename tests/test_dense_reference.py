@@ -1,22 +1,26 @@
-"""The sparse, low-rank and Lanczos paths against dense references.
+"""The sparse, banded, low-rank and Lanczos paths against dense references.
 
 The library never forms a dense N x N or 2N x 2N matrix; the dense forms of
 U, G0 X, gamma.Pi - m and the channel Hamiltonians live here only, as
 references: for the FW and propagator paths on the N=640 bundle, for the
 shift-invert Lanczos channel solve (against numpy.linalg.eigh) at N=256 and
-N=384 over the profile kinds, the sign of eB and p_y.
+N=384 over the profile kinds, the sign of eB and p_y.  No run goes through
+SuperLU: the propagator and the channel solve use LAPACK band kernels.
 """
 
 import dataclasses
 import json
+import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from ritusfw import cli, spectral_grid
+from ritusfw.clifford import make_rep
 from ritusfw.errors import DiscretizationError
 from ritusfw.field_profiles import (exponential_profile,
                                     susy_partner_potentials, tabulated_profile,
@@ -24,9 +28,11 @@ from ritusfw.field_profiles import (exponential_profile,
 from ritusfw.foldy_wouthuysen import (projector_commutation_residual,
                                       restricted_hamiltonian,
                                       unitarity_residual)
-from ritusfw.operators import channel_hamiltonian
+from ritusfw.operators import BAND, channel_hamiltonian
+from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
-from ritusfw.spectral_grid import (PHASE_THRESHOLD, ZERO_CLAMP, GridConfig,
+from ritusfw.ritus_basis import dirac_overlap, orthonormality_matrix
+from ritusfw.spectral_grid import (PHASE_THRESHOLD, ZERO_CLAMP, ZERO_ROUNDING, GridConfig,
                                    build_grid, solve_channel)
 
 P0 = 0.3
@@ -87,6 +93,105 @@ def test_project_propagator_matches_dense_lu(uni):
         for j in range(len(levels)):
             ref = g0 @ (h * (lv.Ep.T @ (np.diag(G0)[:, None] * Z[:, 2 * j:2 * j + 2])))
             assert np.abs(res["blocks"][i, j] - ref).max() < 1e-12
+
+
+def dense_K(ops, p0, m):
+    return p0 * dense_G0(ops) - ops.X.toarray() - m * np.eye(2 * ops.x.size)
+
+
+def interleaved_order(N):
+    """Block-order index of each interleaved position q = 2i + s."""
+    order = np.empty(2 * N, dtype=int)
+    order[0::2], order[1::2] = np.arange(N), np.arange(N, 2 * N)
+    return order
+
+
+@pytest.fixture(scope="module")
+def expo():
+    return Problem(exponential_profile(1.0, 0.1), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
+                   p0=P0, n_max=6, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
+
+
+@pytest.mark.parametrize("near_pole", [False, True])
+@pytest.mark.parametrize("which", ["uniform-first", "uniform-second", "exponential"])
+def test_banded_solve_matches_dense_lu(uni, uni_second, expo, which, near_pole):
+    prob = {"uniform-first": uni, "uniform-second": uni_second, "exponential": expo}[which]
+    ops, levels = prob.ops, prob.levels
+    # the pole sweep's closest p0 to the on-shell energy of level 1
+    p0 = math.sqrt(levels[1].k + MASS**2) - 0.0125 if near_pole else P0
+    E = np.hstack([lv.Ep for lv in levels])
+    Z = ops.dirac_solver(p0, MASS)(E)
+    K = dense_K(ops, p0, MASS)
+    # backward stable: the residual is rounding relative to |K| |Z|
+    assert np.abs(K @ Z - E).max() < 1e-14 * np.abs(K).sum(axis=1).max() * np.abs(Z).max()
+    # the dense reference factors the same matrix in the interleaved order:
+    # in the block order, partial pivoting grows the entries of U by ~4e4 on
+    # the N=640 uniform bundle and leaves a residual ~2e-9
+    order = interleaved_order(ops.x.size)
+    ref = np.empty_like(Z)
+    ref[order] = lu_solve(lu_factor(K[np.ix_(order, order)]), E[order])
+    assert np.abs(Z - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+def test_interleaved_gamma_dot_pi_has_half_bandwidth_five(uni, uni_second, variant):
+    ops = (uni if variant == "first" else uni_second).ops
+    order = interleaved_order(ops.x.size)
+    q, r = np.nonzero(dense_K(ops, P0, MASS)[np.ix_(order, order)])
+    assert BAND == 5
+    assert np.abs(q - r).max() == BAND
+
+
+def test_orthonormality_matrix_matches_blockwise_overlaps(uni):
+    levels = uni.levels
+    gram = orthonormality_matrix(levels, uni.ops)
+    for i, lv_i in enumerate(levels):
+        for j, lv_j in enumerate(levels):
+            block = dirac_overlap(lv_i.Ep, lv_j.Ep, uni.ops)
+            assert np.abs(gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] - block).max() < 1e-14
+
+
+def cap_threads(monkeypatch):
+    # main() sets the thread variables it finds unset; keep them test-local
+    for var in ("RFW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+
+def test_default_all_passes_without_superlu(tmp_path, monkeypatch):
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("SuperLU called")
+
+    # every module that bound splu, scipy's own ARPACK wrapper among them
+    for module in list(sys.modules.values()):
+        if vars(module).get("splu") is splu:
+            monkeypatch.setattr(module, "splu", no_superlu)
+    cap_threads(monkeypatch)
+    out = tmp_path / "d"
+    assert cli.main(["all", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["status"] == "pass"
+
+
+def not_positive_definite(band, *args, **kwargs):
+    return band, 1
+
+
+def test_cholesky_failure_is_a_discretization_error(uni, monkeypatch):
+    monkeypatch.setattr(spectral_grid, "dpbtrf", not_positive_definite)
+    with pytest.raises(DiscretizationError, match="not positive definite"):
+        solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+
+
+def test_cholesky_failure_under_all(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral_grid, "dpbtrf", not_positive_definite)
+    cap_threads(monkeypatch)
+    out = tmp_path / "d"
+    assert cli.main(["all", "--grid-n", "256", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail"
+    for section in report["sections"].values():
+        assert section["checks"] == {}
+        assert section["error"].startswith("DiscretizationError: H - shift is not positive")
 
 
 @pytest.mark.parametrize("where", ["cluster", "cross"])
@@ -159,7 +264,8 @@ def dense_channel(profile, p_y, sigma, grid):
     V = susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
     vals, vecs = np.linalg.eigh(channel_hamiltonian(V, grid.h).toarray())
     vals = vals[:N_LEVELS]
-    vals = np.where((vals > -ZERO_CLAMP) & (vals < 0.0), 0.0, vals)
+    bound = ZERO_ROUNDING * np.finfo(float).eps * (16 / (3 * grid.h**2) + np.abs(V).max())
+    vals = np.where((np.abs(vals) <= bound) | ((vals > -ZERO_CLAMP) & (vals < 0.0)), 0.0, vals)
     vecs = vecs[:, :N_LEVELS] / np.sqrt(grid.h)
     for n in range(N_LEVELS):
         mag = np.abs(vecs[:, n])
@@ -196,10 +302,7 @@ def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
 
 def test_lanczos_no_convergence_under_all(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral_grid, "eigsh", no_convergence)
-    # main() sets the thread variables it finds unset; keep them test-local
-    for var in ("RFW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+    cap_threads(monkeypatch)
     out = tmp_path / "d"
     assert cli.main(["all", "--grid-n", "256", "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
-from ritusfw.operators import (channel_hamiltonian, channel_slots, first_derivative,
+from ritusfw.operators import (BAND, channel_hamiltonian, channel_slots, first_derivative,
                                gamma_dot_pi_spatial, kinetic_diagonal)
 
 
@@ -68,13 +68,23 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni):
     assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
 
 
-def test_gamma_dot_pi_full_blocks(uni):
-    K = uni.ops.gamma_dot_pi(0.7).toarray()
-    X = uni.ops.X.toarray()
+def test_gamma_dot_pi_full_blocks(uni, uni_second):
+    # the band of gamma.Pi - m, read back into the block spinor order, is
+    # exactly the dense p0 G0 - X - m in both representations
+    p0, m = 0.7, 1.3
     N = uni.grid.n_points
-    assert_allclose(K[:N, :N], 0.7 * np.eye(N), rtol=0, atol=0)
-    assert_allclose(K[N:, N:], -0.7 * np.eye(N), rtol=0, atol=0)
-    assert np.array_equal(K[:N, N:], -X[:N, N:])
+    for ops in (uni.ops, uni_second.ops):
+        ab = ops.dirac_band(p0, m)
+        assert ab.shape == (4 * BAND + 1, 2 * N)
+        assert not ab[:BAND].any()
+        K = np.zeros((2 * N, 2 * N))
+        for r in range(2 * N):
+            q = np.arange(max(0, r - BAND), min(2 * N, r + BAND + 1))
+            K[q, r] = ab[2 * BAND + q - r, r]
+        order = np.concatenate([np.arange(0, 2 * N, 2), np.arange(1, 2 * N, 2)])
+        K = K[np.ix_(order, order)]
+        dense = p0 * np.diag(ops.g0diag) - ops.X.toarray() - m * np.eye(2 * N)
+        assert np.array_equal(K, dense)
 
 
 def test_grid_operators_bundle_consistency(uni):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ritusfw import operators
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError, PoleError
 from ritusfw.propagator import (diagonal_propagator, export_pole_sweep_csv,
@@ -74,6 +75,15 @@ def test_conditioning_guard(uni):
     near = math.sqrt(uni.levels[1].k + MASS**2) - 1e-4
     with pytest.raises(ConditioningError):
         project_propagator(uni.levels, near, MASS, uni.ops)
+
+
+def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
+    def zero_pivot(ab, kl, ku, **kwargs):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
+
+    monkeypatch.setattr(operators, "dgbtrf", zero_pivot)
+    with pytest.raises(ConditioningError, match="pivot 7"):
+        project_propagator(uni.levels, P0, MASS, uni.ops)
 
 
 def test_project_propagator_validation(uni):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ritusfw import field_profiles
+from ritusfw import field_profiles, spectral_grid
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
 from ritusfw.field_profiles import (exponential_profile, tabulated_profile,
@@ -75,6 +75,27 @@ def test_uniform_landau_levels(uni, sigma, offset):
 def test_zero_mode_clamped_to_exact_zero(uni):
     assert uni.spec_plus.eigenvalues[0] == 0.0
     assert uni.spec_plus.flags == ()
+
+
+@pytest.mark.parametrize("raw,clamped,flagged", [
+    (3e-12, True, False),    # inside the rounding bound (3.6e-11 at N=640): a zero mode
+    (-3e-12, True, False),
+    (-5e-9, True, False),    # inside the negative truncation window
+    (2e-9, False, True),     # above the bound, within tol_eig: kept and flagged
+    (-2e-8, False, True),
+])
+def test_zero_mode_rounding_clamp(uni, monkeypatch, raw, clamped, flagged):
+    real_eigsh = spectral_grid.eigsh
+
+    def shifted(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        vals[np.argmin(vals)] = raw
+        return vals, vecs
+
+    monkeypatch.setattr(spectral_grid, "eigsh", shifted)
+    spec = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, 4)
+    assert spec.eigenvalues[0] == (0.0 if clamped else raw)
+    assert bool(spec.flags) == flagged
 
 
 def test_quadrature_norms_and_sturm_counts(uni):
