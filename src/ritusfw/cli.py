@@ -273,7 +273,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     gram = orthonormality_matrix(prob.levels, prob.ops)
     expected = np.zeros_like(gram)
     for i, lv in enumerate(prob.levels):
-        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector.matrix
+        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector
     ortho_dev = float(np.abs(gram - expected).max())
 
     checks = {

@@ -25,7 +25,6 @@ from .errors import ArgumentError, ConfigurationError
 
 __all__ = [
     "GammaRep",
-    "SpinProjector",
     "make_rep",
     "anticommutator",
     "check_product_identity",
@@ -69,23 +68,6 @@ class GammaRep:
     def lower(self, mu: int) -> np.ndarray:
         """gamma_mu = g_{mu nu} gamma^nu (no sum surprises: metric is diagonal)."""
         return self.metric[mu, mu] * self.gamma[mu]
-
-
-@dataclass(frozen=True)
-class SpinProjector:
-    """Projector Pi(n) selecting the populated spin orientations of level n.
-
-    Identity for n >= 1; for n = 0 it is the rank-1 projector onto the spin
-    channel that hosts the zero mode (which channel depends on sign(eB)).
-    """
-
-    level: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        p = self.matrix
-        if not np.array_equal(p, p @ p):
-            raise ConfigurationError("spin projector must be idempotent")
 
 
 def make_rep(variant: str) -> GammaRep:

@@ -41,16 +41,15 @@ from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import LinearOperator
 
 from .clifford import GammaRep
-from .errors import ArgumentError
+from .errors import ArgumentError, DiscretizationError
 from .operators import GridOperators
-from .ritus_basis import BarMomentum, RitusLevel, bar_momentum
+from .ritus_basis import RitusLevel
 
 __all__ = [
     "FWOperator",
     "FWHamiltonianReport",
     "theta",
     "free_fw",
-    "free_fw_hamiltonian",
     "field_fw_from_levels",
     "transform_hamiltonian",
     "verify_main_claim",
@@ -123,21 +122,14 @@ class FWHamiltonianReport:
 # ----------------------------------------------------------------------
 
 
-def free_fw(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
-    """The 2x2 free FW rotation at momentum |p| = pbar.p2 (the Ritus label sqrt(k))."""
+def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
+    """The 2x2 free FW rotation at momentum |p| = sqrt(k) (the Ritus label)."""
+    if k < 0:
+        raise ArgumentError(f"k must be non-negative, got {k}")
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
-    p = abs(pbar.p2)
-    beta = 0.5 * math.atan2(p, m)          # = |p| * theta(|p|^2), safe at p=0
-    g2 = rep.gamma[2]
-    return math.cos(beta) * np.eye(2, dtype=complex) + math.sin(beta) * g2
-
-
-def free_fw_hamiltonian(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarray:
-    """gamma^0 sqrt(p^2 + m^2): the free Hamiltonian after the FW rotation."""
-    if m <= 0:
-        raise ArgumentError(f"mass must be positive, got {m}")
-    return rep.gamma[0] * math.sqrt(pbar.p2**2 + m * m)
+    beta = 0.5 * math.atan2(math.sqrt(k), m)   # = |p| * theta(|p|^2), safe at p=0
+    return math.cos(beta) * np.eye(2, dtype=complex) + math.sin(beta) * rep.gamma[2]
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +142,7 @@ def field_fw_from_levels(
     ops: GridOperators,
     m: float,
 ) -> FWOperator:
-    """Assemble the exact field FW operator from already-built levels."""
+    """Assemble the exact field FW operator from levels; only their E_p and k enter."""
     if not levels:
         raise ArgumentError("need at least one level")
     grid = ops.grid
@@ -164,7 +156,13 @@ def field_fw_from_levels(
     for lv in levels:
         if not lv.grid.same_as(grid):
             raise ArgumentError("levels and operators use different grids")
-        occupied = [c for c in range(2) if np.any(lv.Ep[:, c] != 0.0)]
+        if lv.k < 0:
+            # only reachable through a flagged zero mode the solver kept negative
+            raise DiscretizationError(
+                f"level {lv.n} has k = {lv.k:.3e} < 0: the zero mode is not "
+                "resolved inside the zero-mode clamp; refine the grid"
+            )
+        occupied = np.flatnonzero(np.diag(lv.projector))
         Bn = np.real(lv.Ep[:, occupied]) * sqh          # ell^2-orthonormal
         Xnn = Bn.T @ (ops.X @ Bn)
         Xnn = 0.5 * (Xnn - Xnn.T)                        # kill rounding symmetric part
@@ -277,11 +275,10 @@ def verify_main_claim(fw: FWOperator, level: RitusLevel) -> float:
     """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F.
 
     U is the exact field FW operator; U_free is built independently from
-    the closed-form free rotation at pbar = (sqrt(k+m^2), 0, sqrt(k)), with
-    the mass and gamma representation U was built with.
+    the closed-form free rotation at |p| = sqrt(k), with the mass and gamma
+    representation U was built with.
     """
-    pbar = bar_momentum(level.k, fw.mass, +1)
-    Ufree = free_fw(pbar, fw.mass, fw.operators.rep)
+    Ufree = free_fw(level.k, fw.mass, fw.operators.rep)
     lhs = fw.U @ level.Ep
     rhs = level.Ep @ Ufree
     h = level.grid.h

@@ -152,8 +152,8 @@ def pi_tilde_squared(
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h and M, arrays of length N; D1, A (=D1+M), X and
-    PiTilde2, real scipy.sparse CSR matrices; g0diag, the +/-1 diagonal of
+    Attributes: x, h and M, arrays of length N; D1, X and PiTilde2, real
+    scipy.sparse CSR matrices; g0diag, the +/-1 diagonal of
     kron(gamma^0, 1_N) (length 2N).
     """
 
@@ -168,7 +168,6 @@ class GridOperators:
         self.x, self.h = x, h
         self.D1 = first_derivative(x.size, h)
         self.M = kinetic_diagonal(profile, p_y, e, x)
-        self.A = self.D1 + sp.diags(self.M, format="csr")
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
         self.PiTilde2 = pi_tilde_squared(rep, profile, p_y, e, x, h)
@@ -176,29 +175,21 @@ class GridOperators:
     def dirac_band(self, p0: float, m: float) -> np.ndarray:
         """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.
 
-        Rows and columns are in the interleaved order q = 2i + s, where
-        K[2i+s, 2j+t] = delta_ij delta_st (p0 g0_s - m) - c1[s,t] D1[i,j]
-        - c2[s,t] M_i delta_ij.  D1 reaches j - i = +/-2, so the half-bandwidth
-        is BAND = 5 on both sides.  Entry (q, r) sits at ab[2*BAND + q - r, r];
-        the BAND rows on top are the room xGBTRF needs for fill-in.  Shape
-        (4*BAND + 1, 2N), built fresh from the diagonals of D1, M and g0diag.
+        Rows and columns are in the interleaved order q = 2i + s, so block
+        row rho = s N + i maps to q = 2 (rho mod N) + rho div N.  The entries
+        are -X, read off X's sparse indices (X has no diagonal and no
+        duplicate entries), and p0 g0diag - m on the diagonal.  D1 reaches
+        j - i = +/-2, so the half-bandwidth is BAND = 5 on both sides.  Entry
+        (q, r) sits at ab[2*BAND + q - r, r]; the BAND rows on top are the
+        room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N).
         """
         N = self.x.size
-        c1, c2 = _spinor_coefficients(self.rep)
-        g0 = self.g0diag[::N]
-        stencil = {d: self.D1.diagonal(d) for d in (-2, -1, 1, 2)}
+        X = self.X.tocoo()
+        q, r = 2 * (X.row % N) + X.row // N, 2 * (X.col % N) + X.col // N
         ab = np.zeros((4 * BAND + 1, 2 * N))
-        for s in range(2):
-            for t in range(2):
-                # the entries of grid offset d = j - i lie on band row 2*BAND - 2d + s - t
-                diag = -c2[s, t] * self.M
-                if s == t:
-                    diag = diag + (p0 * g0[s] - m)
-                ab[2 * BAND + s - t, t::2] = diag
-                if c1[s, t]:
-                    for d, D1_d in stencil.items():
-                        j0, j1 = max(0, d), min(N, N + d)
-                        ab[2 * BAND - 2 * d + s - t, 2 * j0 + t:2 * j1:2] = -c1[s, t] * D1_d
+        ab[2 * BAND + q - r, r] = -X.data
+        rho = np.arange(2 * N)
+        ab[2 * BAND, 2 * (rho % N) + rho // N] = p0 * self.g0diag - m
         return ab
 
     def dirac_solver(self, p0: float, m: float):

@@ -4,7 +4,7 @@ The paper's claim is one chain: the two channel spectra, the Ritus levels
 E_p paired from them, and the exact field FW operator U assembled from the
 levels.  ``Problem`` holds the inputs of that chain and builds each link on
 first use, once: the grid, both channel spectra, the grid operators, the
-levels at the problem's p0, and U from the on-shell copies of those levels.
+levels at the problem's p0, and U from those levels.
 A link whose build raises a RitusFWError keeps that error and re-raises it,
 so it is not rebuilt by every reader.  The CLI, the tests and the README all
 build through it.
@@ -19,7 +19,7 @@ from .errors import RitusFWError
 from .field_profiles import FieldProfile
 from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
-from .ritus_basis import assemble_level, on_shell_level
+from .ritus_basis import assemble_level
 from .spectral_grid import GridConfig, build_grid, solve_channel
 
 __all__ = ["Problem"]
@@ -63,7 +63,7 @@ class Problem:
     """Physical and grid inputs; grid, spectra, ops, levels and fw are built lazily.
 
     Levels 0..n_max are resolved; ``levels`` carry the off-shell energy p0,
-    ``fw`` is built from their on-shell copies at mass m.  Every input is
+    ``fw`` is built from their E_p and k at mass m.  Every input is
     required: the default run lives in the CLI's ``RunConfig`` alone.
     """
 
@@ -104,8 +104,7 @@ class Problem:
 
     @_link
     def fw(self):
-        return field_fw_from_levels([on_shell_level(lv, self.m) for lv in self.levels],
-                                    self.ops, self.m)
+        return field_fw_from_levels(self.levels, self.ops, self.m)
 
     def other_rep(self) -> "Problem":
         """The same problem in the other gamma representation.

@@ -47,7 +47,7 @@ def diagonal_propagator(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarra
             f"pbar^2 - m^2 = {denom:.3e} is on shell (|pbar^2 - m^2| <= 1e-8)",
             distance=abs(denom),
         )
-    g_pbar = pbar.p0 * rep.gamma[0] - pbar.p2 * rep.gamma[2]
+    g_pbar = pbar.slash(rep)
     Stilde = (g_pbar + m * np.eye(2)) / denom
     direct = np.linalg.inv(g_pbar - m * np.eye(2))
     if np.abs(Stilde - direct).max() > 1e-12 * max(1.0, np.abs(direct).max()):
@@ -98,9 +98,8 @@ def project_propagator(
     diag_err = 0.0
     diag_norms = []
     for i, lv in enumerate(levels):
-        pbar = BarMomentum(p0=p0, p1=0.0, p2=math.sqrt(max(lv.k, 0.0)), E_D=math.sqrt(lv.k + m * m))
-        free = diagonal_propagator(pbar, m, operators.rep)
-        P = lv.projector.matrix
+        free = diagonal_propagator(BarMomentum(p0, lv.pbar.p2), m, operators.rep)
+        P = lv.projector
         target = P @ free @ P
         diag_err = max(diag_err, float(np.abs(blocks[i, i] - target).max()))
         diag_norms.append(float(np.linalg.norm(blocks[i, i])))

@@ -9,9 +9,10 @@ pbar = (p0, 0, sqrt(k)).  The level n = 0 is the zero mode: one column,
 k = 0, annihilated by the spatial Dirac operator.
 
 Sign conventions: the scalar solver fixes each phi's overall phase; on top
-of that the paired column is sign-aligned so that the ladder overlap
-<partner, (ladder) zero-channel-fn> is positive, which is what makes the
-intertwining hold with the non-negative branch of sqrt(k).
+of that the paired column is sign-aligned by the intertwining itself,
+X E_p = E_p (sqrt(k) gamma^2): the entry of h E_p^T X E_p that couples the
+two slots gets the sign of gamma^2's entry there, so the intertwining holds
+with the non-negative branch of sqrt(k).
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import SpinProjector
-from .errors import ArgumentError, DiscretizationError, PairingError, TruncationError
+from .clifford import GammaRep
+from .errors import ArgumentError, PairingError, TruncationError
 from .operators import GridOperators, channel_slots
 from .spectral_grid import Grid, ScalarSpectrum
 
 __all__ = [
     "BarMomentum",
     "RitusLevel",
-    "bar_momentum",
     "assemble_level",
-    "on_shell_level",
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
@@ -47,36 +46,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarMomentum:
-    """Effective momentum pbar = (p0, 0, sqrt(k)) with on-shell energy E_D."""
+    """Effective momentum pbar = (p0, 0, p2); a level's is (p0, 0, sqrt(k))."""
 
     p0: float
-    p1: float
     p2: float
-    E_D: float
 
     @property
     def squared(self) -> float:
-        return self.p0**2 - self.p1**2 - self.p2**2
+        return self.p0**2 - self.p2**2
 
-
-def bar_momentum(k: float, m: float, branch: int = +1) -> BarMomentum:
-    """On-shell bar momentum: E_D = sqrt(k + m^2), p0 = branch * E_D."""
-    if k < 0:
-        raise ArgumentError(f"k must be non-negative, got {k}")
-    if m <= 0:
-        raise ArgumentError(f"mass must be positive, got {m}")
-    if branch not in (1, -1):
-        raise ArgumentError(f"branch must be +1 or -1, got {branch}")
-    E_D = math.sqrt(k + m * m)
-    return BarMomentum(p0=branch * E_D, p1=0.0, p2=math.sqrt(k), E_D=E_D)
+    def slash(self, rep: GammaRep) -> np.ndarray:
+        """gamma.pbar = p0 gamma^0 - p2 gamma^2."""
+        return self.p0 * rep.gamma[0] - self.p2 * rep.gamma[2]
 
 
 @dataclass(frozen=True)
 class RitusLevel:
     """One assembled level: E_p, its quantum numbers, and bookkeeping.
 
-    Ep has shape (2N, 2); for n = 0 the unpopulated column is zero and the
-    projector records which spinor slot carries the zero mode.
+    Ep has shape (2N, 2); for n = 0 the unpopulated column is zero.
     """
 
     n: int
@@ -84,11 +72,19 @@ class RitusLevel:
     p_y: float
     k: float
     Ep: np.ndarray
-    pbar: BarMomentum
-    projector: SpinProjector
     grid: Grid
     zero_channel: int
     channel_eigenvalues: tuple
+
+    @property
+    def pbar(self) -> BarMomentum:
+        return BarMomentum(self.p0, math.sqrt(max(self.k, 0.0)))
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Pi(n), the diagonal 0/1 matrix of Ep's populated columns: the identity
+        for n >= 1, rank 1 on the slot carrying the zero mode for n = 0."""
+        return np.diag(np.any(self.Ep != 0.0, axis=0).astype(float))
 
 
 def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:
@@ -109,8 +105,8 @@ def assemble_level(
     n = 0 takes the zero-mode channel's ground state alone; n >= 1 pairs the
     zero-mode channel's level n with the partner channel's level n-1 (the
     eigenvalues must agree within pairing_tol relative) and averages k.
-    The spinor slots follow ops.rep, and the ladder ops.A aligns the signs;
-    ops must share the spectra's grid, p_y and charge.
+    The spinor slots follow ops.rep, and ops.X aligns the signs; ops must
+    share the spectra's grid, p_y and charge.
     """
     if n < 0:
         raise ArgumentError(f"level must be non-negative, got {n}")
@@ -138,9 +134,6 @@ def assemble_level(
         k = float(spec_zero.eigenvalues[0])
         slot = slots[zc]
         Ep[slot * N:(slot + 1) * N, slot] = spec_zero.eigenfunctions[:, 0]
-        proj = np.zeros((2, 2))
-        proj[slot, slot] = 1.0
-        projector = SpinProjector(level=0, matrix=proj)
         channel_eigs = (k,)
     else:
         if n >= spec_zero.eigenvalues.size or (n - 1) >= spec_other.eigenvalues.size:
@@ -157,24 +150,16 @@ def assemble_level(
             )
         k = 0.5 * (k_zero + k_other)
 
-        u = spec_zero.eigenfunctions[:, n]          # zero channel, level n
+        a, b = slots[zc], slots[-zc]
         v = spec_other.eigenfunctions[:, n - 1]     # partner channel, level n-1
+        Ep[a * N:(a + 1) * N, a] = spec_zero.eigenfunctions[:, n]
 
-        # ladder alignment: the operator mapping the zero channel into the
-        # partner channel is A^T (zero channel sigma=+1) or A (sigma=-1)
-        ladder = ops.A.T if zc > 0 else ops.A
-        overlap = grid.h * float(v @ (ladder @ u))
-        if overlap < 0:
+        # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p
+        # has the sign of gamma^2[b, a]; flip v before placing it, so no -0.0
+        if float(v @ (ops.X @ Ep[:, a])[b * N:(b + 1) * N]) * ops.rep.gamma[2][b, a].real < 0:
             v = -v
-
-        Ep[slots[zc] * N:(slots[zc] + 1) * N, slots[zc]] = u
-        Ep[slots[-zc] * N:(slots[-zc] + 1) * N, slots[-zc]] = v
-        projector = SpinProjector(level=n, matrix=np.eye(2))
+        Ep[b * N:(b + 1) * N, b] = v
         channel_eigs = (k_zero, k_other)
-
-    # E_D in pbar mirrors |p0|; it is the on-shell energy when the caller
-    # assembles at p0 = +/- sqrt(k + m^2), and just a label off shell.
-    pbar = BarMomentum(p0=float(p0), p1=0.0, p2=math.sqrt(max(k, 0.0)), E_D=abs(float(p0)))
 
     return RitusLevel(
         n=n,
@@ -182,26 +167,10 @@ def assemble_level(
         p_y=ops.p_y,
         k=k,
         Ep=Ep,
-        pbar=pbar,
-        projector=projector,
         grid=grid,
         zero_channel=zc,
         channel_eigenvalues=channel_eigs,
     )
-
-
-def on_shell_level(level: RitusLevel, m: float, branch: int = +1) -> RitusLevel:
-    """Copy of the level relabeled with the on-shell energy p0 = branch*sqrt(k+m^2)."""
-    import dataclasses
-
-    if level.k < 0:
-        # only reachable through a flagged zero mode the solver kept negative
-        raise DiscretizationError(
-            f"level {level.n} has k = {level.k:.3e} < 0: the zero mode is not "
-            "resolved inside the zero-mode clamp; refine the grid"
-        )
-    pbar = bar_momentum(level.k, m, branch)
-    return dataclasses.replace(level, p0=pbar.p0, pbar=pbar)
 
 
 # ----------------------------------------------------------------------
@@ -228,10 +197,8 @@ def verify_eigen_relation(level: RitusLevel, operators: GridOperators) -> float:
 def verify_gpEp(level: RitusLevel, operators: GridOperators) -> float:
     """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F."""
     h = level.grid.h
-    gamma = operators.rep.gamma
     gPi_E = level.pbar.p0 * (operators.g0diag[:, None] * level.Ep) - operators.X @ level.Ep
-    g_pbar = level.pbar.p0 * gamma[0] - level.pbar.p2 * gamma[2]
-    E_gpbar = level.Ep @ g_pbar
+    E_gpbar = level.Ep @ level.pbar.slash(operators.rep)
     return _weighted_fro(gPi_E - E_gpbar, h) / _weighted_fro(level.Ep, h)
 
 

@@ -173,20 +173,23 @@ def _sublevel_walk(vmin, k_est, x0, step, budget, domain=None):
     return x0, taken
 
 
-def _wkb_walk(vmin, k_est, x0, direction, step, target, center, reach):
+def _wkb_walk(vmin, k_est, x0, direction, step, target, lo, hi):
     """Step from the turning point x0 until int sqrt(V - k_est) dx reaches
-    ``target`` or |x - center| reaches ``reach``; returns the point reached.
+    ``target`` or x leaves (lo, hi); returns the point reached and the
+    integral there.
 
     The integral is the sequential cumulative trapezoid of a scalar walk.
+    The potential is evaluated at points clipped to [lo, hi], so a walk
+    bounded by a table's edge never samples outside the table.
     """
     total, chunk = 0.0, _CHUNK
     while True:
         xs = _lattice(x0, direction * step, chunk)
-        g = np.sqrt(np.maximum(vmin(xs) - k_est, 0.0))
+        g = np.sqrt(np.maximum(vmin(np.clip(xs, lo, hi)) - k_est, 0.0))
         totals = np.cumsum(np.concatenate(([total], 0.5 * (g[:-1] + g[1:]) * step)))
-        stop = np.flatnonzero(~((totals < target) & (np.abs(xs - center) < reach)))
+        stop = np.flatnonzero(~((totals < target) & (xs > lo) & (xs < hi)))
         if stop.size:
-            return xs[stop[0]]
+            return xs[stop[0]], totals[stop[0]]
         x0, total = xs[-1], totals[-1]
         chunk = min(2 * chunk, _CHUNK_MAX)
 
@@ -203,7 +206,9 @@ def build_grid(
     The domain covers {x : V_sigma(x) <= k_estimate} for both channels,
     extended by config.padding, then extended further if the WKB decay
     integral from the k_estimate turning point to the wall falls short of
-    config.decay_exponent on either side.
+    config.decay_exponent on either side.  A table bounds the domain: if it
+    ends before the integral reaches the target, TruncationError names the
+    decay reached.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -258,14 +263,25 @@ def build_grid(
     b = center + config.padding * half
 
     # WKB check: walls deep enough that int sqrt(V - k_est) from the
-    # turning point reaches the target; extend only where padding fell short
-    if not clip:
-        reach = 1e4 * max(half, 1.0)
-        a = min(a, _wkb_walk(vmin, k_est, xa, -1.0, step, config.decay_exponent, center, reach))
-        b = max(b, _wkb_walk(vmin, k_est, xb, +1.0, step, config.decay_exponent, center, reach))
-    else:
-        lo_t, hi_t = profile.domain_hint
-        a, b = max(a, lo_t), min(b, hi_t)
+    # turning point reaches the target; extend only where padding fell short.
+    # On a table the walks stop at its edges and must reach the target.
+    reach = 1e4 * max(half, 1.0)
+    lo, hi = center - reach, center + reach
+    if clip:
+        lo, hi = max(lo, domain[0]), min(hi, domain[1])
+    target = config.decay_exponent
+    wall_a, decay_a = _wkb_walk(vmin, k_est, xa, -1.0, step, target, lo, hi)
+    wall_b, decay_b = _wkb_walk(vmin, k_est, xb, +1.0, step, target, lo, hi)
+    if clip and min(decay_a, decay_b) < target:
+        edge, decay = (lo, decay_a) if decay_a < decay_b else (hi, decay_b)
+        raise TruncationError(
+            f"the table ends at x = {edge:.6g}, where the WKB decay int sqrt(V - k_est) dx "
+            f"reaches {decay:.3g} of the decay_exponent {target:.3g} that levels "
+            f"0..{n_max} need: extend the table"
+        )
+    a, b = min(a, wall_a), max(b, wall_b)
+    if clip:
+        a, b = max(a, domain[0]), min(b, domain[1])
 
     return Grid(x_min=a, x_max=b, n_points=config.n_points)
 

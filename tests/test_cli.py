@@ -117,6 +117,21 @@ def test_verify_ritus_command(tmp_path):
     assert header == "n,k,p0,py,E_D"
 
 
+def test_tabulated_verify_ritus_passes(tmp_path):
+    # W = x tabulated on [-12, 12] at the default N, n_max and tolerances:
+    # the WKB walls inside the table keep level 8's intertwining below 1e-5
+    table = tmp_path / "W.csv"
+    table.write_text("x,W\n" + "".join(f"{x / 10!r},{x / 10!r}\n" for x in range(-120, 121)))
+    cfg = write_config(tmp_path / "cfg.json", profile={"kind": "tabulated", "path": str(table)},
+                       grid={"N": 1024}, n_max=8, tolerances={"eig": 1e-6, "residual": 1e-5})
+    proc = run_cli("verify-ritus", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "pass"
+    assert report["checks"]["intertwining"]["pass"]
+
+
 def test_stdout_report_when_no_out_dir(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     proc = run_cli("spectrum", "--config", str(cfg), cwd=tmp_path)

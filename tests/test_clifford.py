@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ritusfw.clifford import (METRIC, GammaRep, SpinProjector, anticommutator,
-                              check_product_identity, make_rep)
+from ritusfw.clifford import (METRIC, GammaRep, anticommutator, check_product_identity,
+                              make_rep)
 from ritusfw.errors import ArgumentError, ConfigurationError
 
 VARIANTS = ("first", "second")
@@ -65,11 +65,6 @@ def test_anticommutator_index_range():
         anticommutator(rep, 0, 3)
     with pytest.raises(ArgumentError):
         anticommutator(rep, -1, 0)
-
-
-def test_projector_validation():
-    with pytest.raises(ConfigurationError):
-        SpinProjector(level=1, matrix=np.array([[0.5, 0.0], [0.0, 0.5]]))
 
 
 def test_rep_is_frozen():

@@ -9,16 +9,14 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh, expm
 
 from ritusfw.clifford import make_rep
-from ritusfw.errors import ArgumentError
+from ritusfw.errors import ArgumentError, DiscretizationError
 from ritusfw.foldy_wouthuysen import (bd_iteration, field_fw_from_levels, free_fw,
-                                      free_fw_hamiltonian,
                                       fw_series_hamiltonian,
                                       projector_commutation_residual,
                                       restricted_hamiltonian, theta,
                                       transform_hamiltonian,
                                       unitarity_residual, verify_main_claim)
 from ritusfw.operators import channel_slots
-from ritusfw.ritus_basis import bar_momentum
 
 MASS = 1.0
 
@@ -43,26 +41,30 @@ def test_theta_closed_form(k, m):
 @pytest.mark.parametrize("k,m", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (5.0, 0.7)])
 def test_free_fw_diagonalizes_free_hamiltonian(variant, k, m):
     rep = make_rep(variant)
-    pb = bar_momentum(k, m)
-    U = free_fw(pb, m, rep)
+    U = free_fw(k, m, rep)
     assert np.abs(U @ U.conj().T - np.eye(2)).max() < 1e-14
     H = rep.gamma[0] @ (math.sqrt(k) * rep.gamma[2] + m * np.eye(2))
     transformed = U @ H @ U.conj().T
-    assert_allclose(transformed, free_fw_hamiltonian(pb, m, rep), atol=1e-13)
+    assert_allclose(transformed, rep.gamma[0] * math.sqrt(k + m * m), atol=1e-13)
 
 
 def test_free_fw_hand_value():
     # |p| = m = 1: transformed Hamiltonian is gamma^0 sqrt(2)
     rep = make_rep("first")
-    pb = bar_momentum(1.0, 1.0)
     H = rep.gamma[0] @ (rep.gamma[2] + np.eye(2))
-    U = free_fw(pb, 1.0, rep)
+    U = free_fw(1.0, 1.0, rep)
     assert_allclose(U @ H @ U.conj().T, math.sqrt(2.0) * rep.gamma[0], atol=1e-14)
 
 
 def test_free_fw_requires_positive_mass():
-    with pytest.raises(ArgumentError):
-        free_fw(bar_momentum(1.0, 1.0), 0.0, make_rep("first"))
+    for m in (0.0, -1.0):
+        with pytest.raises(ArgumentError, match="mass must be positive"):
+            free_fw(1.0, m, make_rep("first"))
+
+
+def test_free_fw_requires_nonnegative_k():
+    with pytest.raises(ArgumentError, match="k must be non-negative"):
+        free_fw(-1.0, 1.0, make_rep("first"))
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +88,19 @@ def test_field_fw_identity_on_zero_mode(uni):
 def test_field_fw_requires_levels(uni):
     with pytest.raises(ArgumentError):
         field_fw_from_levels([], uni.ops, MASS)
+
+
+def test_field_fw_rejects_negative_k(uni):
+    # a zero mode the solver kept negative (flagged) cannot enter theta(k)
+    bad = dataclasses.replace(uni.levels[0], k=-2e-8)
+    with pytest.raises(DiscretizationError, match="level 0 has k = -2.000e-08 < 0"):
+        field_fw_from_levels([bad] + uni.levels[1:], uni.ops, MASS)
+
+
+def test_field_fw_ignores_the_level_energy(uni):
+    # U reads each level's E_p and k only: relabeling p0 leaves W unchanged
+    moved = [dataclasses.replace(lv, p0=math.sqrt(lv.k + MASS**2)) for lv in uni.levels]
+    assert np.array_equal(field_fw_from_levels(moved, uni.ops, MASS).W, uni.fw.W)
 
 
 def test_restricted_hamiltonian_eigenvalues(uni):
@@ -235,5 +250,5 @@ def test_free_field_reduction_on_ring(variant):
         k = keff * keff
         assert np.abs(X @ E - E @ (math.sqrt(k) * rep.gamma[2])).max() < 1e-12
         Unn = expm(theta(k, MASS) * (E.conj().T @ (X @ E)))
-        Ufree = free_fw(bar_momentum(k, MASS), MASS, rep)
+        Ufree = free_fw(k, MASS, rep)
         assert np.abs(Unn - Ufree).max() < 1e-13

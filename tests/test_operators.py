@@ -87,10 +87,16 @@ def test_gamma_dot_pi_full_blocks(uni, uni_second):
         assert np.array_equal(K, dense)
 
 
-def test_grid_operators_bundle_consistency(uni):
-    ops = uni.ops
+def test_grid_operators_bundle_consistency(uni, uni_second):
     N = uni.grid.n_points
+    # the off-diagonal blocks of X are the ladder A = D1 + diag(M) and -A^T:
+    # [[0, A], [-A^T, 0]] in the first representation, [[0, -A^T], [A, 0]] in the second
+    A = uni.ops.D1.toarray() + np.diag(uni.ops.M)
+    for ops, upper, lower in ((uni.ops, A, -A.T), (uni_second.ops, -A.T, A)):
+        X = ops.X.toarray()
+        assert not X[:N, :N].any() and not X[N:, N:].any()
+        assert np.array_equal(X[:N, N:], upper) and np.array_equal(X[N:, :N], lower)
+    ops = uni.ops
     assert ops.X.shape == (2 * N, 2 * N)
-    assert np.array_equal(ops.A.toarray(), ops.D1.toarray() + np.diag(ops.M))
     rebuilt = gamma_dot_pi_spatial(uni.rep, ops.D1, ops.M)
     assert np.array_equal(ops.X.toarray(), rebuilt.toarray())

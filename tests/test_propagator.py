@@ -11,7 +11,7 @@ from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError, PoleError
 from ritusfw.propagator import (diagonal_propagator, export_pole_sweep_csv,
                                 pole_sweep, project_propagator)
-from ritusfw.ritus_basis import BarMomentum, bar_momentum
+from ritusfw.ritus_basis import BarMomentum
 
 P0 = 0.3
 MASS = 1.0
@@ -19,7 +19,7 @@ MASS = 1.0
 
 def test_diagonal_propagator_hand_value():
     rep = make_rep("first")
-    pb = BarMomentum(p0=P0, p1=0.0, p2=0.0, E_D=MASS)
+    pb = BarMomentum(p0=P0, p2=0.0)
     S = diagonal_propagator(pb, MASS, rep)
     denom = P0**2 - 1.0
     expected = np.array([[(P0 + 1.0) / denom, 0.0],
@@ -31,15 +31,17 @@ def test_diagonal_propagator_hand_value():
 @pytest.mark.parametrize("k", [0.0, 2.0, 6.0])
 def test_diagonal_propagator_inverts(variant, k):
     rep = make_rep(variant)
-    pb = BarMomentum(p0=P0, p1=0.0, p2=math.sqrt(k), E_D=math.sqrt(k + 1.0))
+    pb = BarMomentum(p0=P0, p2=math.sqrt(k))
     S = diagonal_propagator(pb, MASS, rep)
     g_pbar = pb.p0 * rep.gamma[0] - pb.p2 * rep.gamma[2]
+    assert np.array_equal(pb.slash(rep), g_pbar)
+    assert pb.squared == pytest.approx(P0**2 - k, abs=1e-14)
     assert_allclose(S @ (g_pbar - MASS * np.eye(2)), np.eye(2), atol=1e-12)
 
 
 def test_pole_error_on_shell():
     rep = make_rep("first")
-    pb = bar_momentum(2.0, MASS)           # p0 = sqrt(k + m^2): on shell
+    pb = BarMomentum(p0=math.sqrt(2.0 + MASS**2), p2=math.sqrt(2.0))   # on shell
     with pytest.raises(PoleError) as exc:
         diagonal_propagator(pb, MASS, rep)
     assert exc.value.distance <= 1e-8

@@ -5,39 +5,26 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, PairingError, TruncationError
-from ritusfw.operators import GridOperators
-from ritusfw.ritus_basis import (BarMomentum, assemble_level, bar_momentum,
-                                 completeness_residual, export_levels_csv,
-                                 on_shell_level,
+from ritusfw.field_profiles import exponential_profile, uniform_profile
+from ritusfw.operators import GridOperators, channel_slots
+from ritusfw.problem import Problem
+from ritusfw.ritus_basis import (assemble_level, completeness_residual, export_levels_csv,
                                  orthonormality_matrix, verify_eigen_relation,
                                  verify_gpEp, zero_mode_annihilation)
-
-
-def test_bar_momentum_on_shell():
-    pb = bar_momentum(3.0, 2.0)
-    assert pb.E_D == pytest.approx(np.sqrt(7.0))
-    assert pb.p0 == pb.E_D and pb.p1 == 0.0
-    assert pb.p2 == pytest.approx(np.sqrt(3.0))
-    assert pb.squared == pytest.approx(4.0)          # = m^2 on shell
-    assert bar_momentum(3.0, 2.0, branch=-1).p0 == -pb.E_D
-
-
-def test_bar_momentum_validation():
-    with pytest.raises(ArgumentError):
-        bar_momentum(-1.0, 1.0)
-    with pytest.raises(ArgumentError):
-        bar_momentum(1.0, 0.0)
-    with pytest.raises(ArgumentError):
-        bar_momentum(1.0, 1.0, branch=2)
+from ritusfw.spectral_grid import GridConfig
 
 
 def test_zero_level_structure(uni):
     lv = uni.levels[0]
     assert lv.n == 0 and lv.zero_channel == +1
-    assert np.array_equal(lv.projector.matrix, np.diag([1.0, 0.0]))
+    assert np.array_equal(lv.projector, np.diag([1.0, 0.0]))
     # single populated column on slot 0, nothing anywhere else
     N = uni.grid.n_points
     assert np.all(lv.Ep[N:, :] == 0.0)
@@ -48,7 +35,7 @@ def test_zero_level_structure(uni):
 def test_higher_levels_pair_channels(uni):
     for n in range(1, len(uni.levels)):
         lv = uni.levels[n]
-        assert np.array_equal(lv.projector.matrix, np.eye(2))
+        assert np.array_equal(lv.projector, np.eye(2))
         k_zero, k_other = lv.channel_eigenvalues
         assert lv.k == pytest.approx(0.5 * (k_zero + k_other))
         assert abs(k_zero - k_other) / k_zero < 1e-6
@@ -86,7 +73,7 @@ def test_orthonormality_blocks_are_projectors(uni):
     G = orthonormality_matrix(uni.levels, uni.ops)
     expected = np.zeros_like(G)
     for i, lv in enumerate(uni.levels):
-        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector.matrix
+        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector
     assert np.abs(G - expected).max() < 1e-9
 
 
@@ -119,18 +106,43 @@ def test_residuals_identical_across_reps(uni, uni_second):
 def test_wrong_pbar_is_detected(uni):
     lv = uni.levels[2]
     base = verify_gpEp(lv, uni.ops)
-    off = dataclasses.replace(
-        lv, pbar=BarMomentum(p0=lv.pbar.p0, p1=0.0,
-                             p2=lv.pbar.p2 + 0.1, E_D=lv.pbar.E_D))
+    # pbar is built from (p0, k): relabel k so that pbar_2 = sqrt(k) + 0.1
+    off = dataclasses.replace(lv, k=(lv.pbar.p2 + 0.1) ** 2)
+    assert off.pbar.p0 == lv.pbar.p0 and off.pbar.p2 == pytest.approx(lv.pbar.p2 + 0.1)
     assert verify_gpEp(off, uni.ops) > 100 * base
 
 
-def test_on_shell_level(uni):
-    lv = on_shell_level(uni.levels[3], m=1.0)
-    assert lv.p0 == pytest.approx(np.sqrt(lv.k + 1.0))
-    assert lv.pbar.squared - 1.0 == pytest.approx(0.0, abs=1e-12)
-    down = on_shell_level(uni.levels[3], m=1.0, branch=-1)
-    assert down.p0 == -lv.p0
+def test_projector_is_populated_columns(uni, uni_second):
+    for lv in uni.levels + uni_second.levels:
+        P = lv.projector
+        populated = [float(np.any(lv.Ep[:, c] != 0.0)) for c in range(2)]
+        assert np.array_equal(P, np.diag(populated))
+        assert np.array_equal(P @ P, P)
+        assert np.array_equal(lv.Ep @ P, lv.Ep)
+    # the second representation hosts the zero mode on the other slot
+    assert np.array_equal(uni_second.levels[0].projector, np.diag([0.0, 1.0]))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(sign=st.sampled_from([1.0, -1.0]), e=st.sampled_from([1.0, -2.0]),
+       p_y=st.floats(-1.0, 1.0), variant=st.sampled_from(["first", "second"]),
+       alpha=st.sampled_from([None, 0.1, -0.1]), N=st.sampled_from([640, 768, 1024]))
+def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, alpha, N):
+    # alpha None draws the uniform field, otherwise the exponential one
+    profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
+    prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, p0=0.3, n_max=8,
+                   grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+    ops, h = prob.ops, prob.grid.h
+    # the ladder A = D1 + diag(M) maps the zero channel's level n onto the
+    # partner's level n - 1 as A^T (zero channel sigma = +1) or A (sigma = -1)
+    A = ops.D1 + sp.diags(ops.M)
+    slots = channel_slots(prob.rep)
+    for lv in prob.levels[1:]:
+        a, b = slots[lv.zero_channel], slots[-lv.zero_channel]
+        u, v = lv.Ep[a * N:(a + 1) * N, a], lv.Ep[b * N:(b + 1) * N, b]
+        ladder = A.T if lv.zero_channel > 0 else A
+        assert h * float(v @ (ladder @ u)) > 0
+    assert max(verify_gpEp(lv, ops) for lv in prob.levels) < 1e-5
 
 
 def test_completeness_improves_with_levels(uni):
@@ -167,8 +179,6 @@ def test_levels_csv(tmp_path, uni):
 
 def test_gauge_center_shift_preserves_levels(uni):
     # p_y shifts the magnetic center; spectra and residuals are unchanged
-    from ritusfw.spectral_grid import GridConfig
-
     prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
     lv = prob.levels[2]
     assert lv.k == pytest.approx(4.0, abs=1e-5)

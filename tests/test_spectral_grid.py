@@ -5,10 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ritusfw import field_profiles, spectral_grid
+from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
 from ritusfw.field_profiles import (exponential_profile, tabulated_profile,
                                     uniform_profile)
+from ritusfw.problem import Problem
+from ritusfw.ritus_basis import verify_gpEp
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, GridConfig, build_grid,
                                    convergence_study, export_spectrum_csv,
                                    solve_channel)
@@ -63,6 +66,26 @@ def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y
     monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
     build_grid(profile, p_y, n_max, GridConfig(n_points=256))
     assert len(calls) <= 64
+
+
+@pytest.mark.parametrize("L", [8.0, 12.0, 20.0])
+def test_tabulated_walls_reach_the_wkb_target(L):
+    # W = x tabulated on [-L, L]: the walls sit where the uniform field's
+    # WKB walls do, inside the table, and the top level intertwines
+    xs = np.linspace(-L, L, int(20 * L) + 1)
+    prob = Problem(tabulated_profile(xs, xs), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
+                   p0=0.3, n_max=8, grid_config=GridConfig(n_points=1024), tol_eig=1e-6)
+    uniform = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=1024))
+    assert -L <= prob.grid.x_min and prob.grid.x_max <= L
+    assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
+    assert max(verify_gpEp(lv, prob.ops) for lv in prob.levels) < 1e-5
+
+
+def test_table_ending_before_the_wkb_target_is_a_truncation_error():
+    xs = np.linspace(-5.0, 5.0, 101)
+    with pytest.raises(TruncationError, match=r"the table ends at x = -?5, where the WKB "
+                                              r"decay .* reaches 0\.55"):
+        build_grid(tabulated_profile(xs, xs), 0.0, 8, GridConfig(n_points=1024))
 
 
 @pytest.mark.parametrize("sigma,offset", [(+1, 0), (-1, 2)])
