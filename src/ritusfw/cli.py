@@ -68,6 +68,14 @@ class RunConfig:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
         if self.grid_n < 64:
             raise ConfigurationError(f"grid N must be >= 64, got {self.grid_n}")
+        if self.n_max + 1 > self.grid_n // 4:
+            raise ConfigurationError(
+                f"n_max = {self.n_max} asks for {self.n_max + 1} levels, but grid.N = "
+                f"{self.grid_n} resolves at most N // 4 = {self.grid_n // 4}"
+            )
+        if not (math.isfinite(self.padding) and self.padding > 0):
+            raise ConfigurationError(
+                f"grid.padding must be positive and finite, got {self.padding}")
         for key, value in (("tolerances.eig", self.tol_eig),
                            ("tolerances.residual", self.tol_residual)):
             if not (math.isfinite(value) and value > 0):
@@ -80,14 +88,28 @@ class RunConfig:
         if self.rep not in ("first", "second"):
             raise ConfigurationError(f"unknown representation {self.rep!r}")
         if self.profile_kind == "tabulated":
-            if "path" not in self.profile_params:
-                raise ConfigurationError("tabulated profile needs a 'path' entry")
+            self._check_table()
         elif self.profile_kind in ("uniform", "exponential"):
             B = self.profile_number("B")
             if self.profile_kind == "exponential":
                 self._check_bound_states(B, self.profile_number("alpha"))
         else:
             raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
+
+    def _check_table(self) -> None:
+        """Load the table, so that a bad one exits 2 before --out is created."""
+        # imported here: `import ritusfw.cli` stays free of numpy
+        from .errors import ArgumentError
+        from .field_profiles import load_tabulated_csv
+
+        path = self.profile_params.get("path")
+        if not isinstance(path, str):
+            raise ConfigurationError(f"profile.path must name an x,W table, got {path!r}")
+        try:
+            load_tabulated_csv(path)
+        except (OSError, ValueError, ArgumentError) as exc:
+            raise ConfigurationError(
+                f"profile.path {path!r} is not a usable x,W table: {exc}") from None
 
     def _check_bound_states(self, B: float, alpha: float) -> None:
         """The exponential field binds only the levels n < |c|/|alpha|, c = p_y - eB/alpha.
@@ -127,6 +149,14 @@ class RunConfig:
         }
 
 
+def _integer(raw, key: str) -> int:
+    """raw as an int; a number with a fractional part is a configuration error."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
+    return int(value)
+
+
 def load_config(path) -> RunConfig:
     """Parse a JSON config file; unknown keys are configuration errors."""
     try:
@@ -154,9 +184,9 @@ def load_config(path) -> RunConfig:
         cfg.p_y = float(raw.get("p_y", cfg.p_y))
         cfg.p0 = float(raw.get("p0", cfg.p0))
         grid = raw.get("grid", {})
-        cfg.grid_n = int(grid.get("N", cfg.grid_n))
+        cfg.grid_n = _integer(grid.get("N", cfg.grid_n), "grid.N")
         cfg.padding = float(grid.get("padding", cfg.padding))
-        cfg.n_max = int(raw.get("n_max", cfg.n_max))
+        cfg.n_max = _integer(raw.get("n_max", cfg.n_max), "n_max")
         tol = raw.get("tolerances", {})
         cfg.tol_eig = float(tol.get("eig", cfg.tol_eig))
         cfg.tol_residual = float(tol.get("residual", cfg.tol_residual))
@@ -261,7 +291,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     worst_eig = 0.0
     worst_int = 0.0
     for lv in prob.levels:
-        r_eig = verify_eigen_relation(lv, prob.ops)
+        r_eig = verify_eigen_relation(lv, prob.spec_plus, prob.spec_minus, prob.rep)
         r_int = verify_gpEp(lv, prob.ops)
         worst_eig = max(worst_eig, r_eig)
         worst_int = max(worst_int, r_int)

@@ -82,12 +82,14 @@ def load_tabulated_csv(path) -> FieldProfile:
     xs, ws = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["x", "W"]:
             raise ArgumentError(f"expected header 'x,W' in {path}, got {header!r}")
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ArgumentError(f"line {reader.line_num} of {path} has no W value")
             xs.append(float(row[0]))
             ws.append(float(row[1]))
     return tabulated_profile(np.array(xs), np.array(ws))

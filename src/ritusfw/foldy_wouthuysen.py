@@ -22,7 +22,8 @@ Off the resolved span U acts as the identity.  U is never formed: it is kept
 as the factors B = [B_0 | B_1 | ...] (2N x L) and the block-diagonal
 W = diag(expm(theta_n X_nn)) (L x L), U = 1 + B (W - 1) B^T, and applied as
 a scipy LinearOperator.  Its checks reduce to L x L algebra, and W itself is
-U compressed to the resolved span.
+U compressed to the resolved span.  X acts on B once, giving the generators
+and K = B^T X B, from which the restricted Hamiltonian is L x L for any mass.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -80,8 +81,9 @@ class FWOperator:
 
     span is the resolved span B (ell^2-orthonormal columns), W the
     block-diagonal L x L matrix holding one 2x2 (or 1x1) rotation per level
-    at cluster_slices, and span_grading the gamma^0 grading of the span
-    columns.
+    at cluster_slices, span_grading the gamma^0 grading of the span columns,
+    K = B^T X B the spatial Dirac operator compressed to the span, and rep
+    the gamma representation U was built in.
     """
 
     mass: float
@@ -89,8 +91,9 @@ class FWOperator:
     span: np.ndarray = field(repr=False)
     span_grading: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
     cluster_slices: tuple
-    operators: GridOperators = field(repr=False)
+    rep: GammaRep = field(repr=False)
 
     @property
     def U(self) -> LinearOperator:
@@ -151,7 +154,6 @@ def field_fw_from_levels(
     cols: List[np.ndarray] = []
     grading: List[float] = []
     slices = []
-    units = []
     pos = 0
     for lv in levels:
         if not lv.grid.same_as(grid):
@@ -163,25 +165,28 @@ def field_fw_from_levels(
                 "resolved inside the zero-mode clamp; refine the grid"
             )
         occupied = np.flatnonzero(np.diag(lv.projector))
-        Bn = np.real(lv.Ep[:, occupied]) * sqh          # ell^2-orthonormal
-        Xnn = Bn.T @ (ops.X @ Bn)
-        Xnn = 0.5 * (Xnn - Xnn.T)                        # kill rounding symmetric part
-        Unn = expm(theta(lv.k, m) * Xnn)
-        cols.append(Bn)
-        units.append(Unn)
+        cols.append(np.real(lv.Ep[:, occupied]) * sqh)  # ell^2-orthonormal
         slices.append(slice(pos, pos + len(occupied)))
         pos += len(occupied)
-        for c in occupied:
-            grading.append(1.0 if c == 0 else -1.0)
+        grading.extend(1.0 if c == 0 else -1.0 for c in occupied)
+
+    B = np.hstack(cols)
+    XB = ops.X @ B
+    units = []
+    for lv, sl in zip(levels, slices):
+        Xnn = B[:, sl].T @ XB[:, sl]
+        Xnn = 0.5 * (Xnn - Xnn.T)                        # kill rounding symmetric part
+        units.append(expm(theta(lv.k, m) * Xnn))
 
     return FWOperator(
         mass=m,
         levels=tuple(levels),
-        span=np.hstack(cols),
+        span=B,
         span_grading=np.array(grading),
         W=block_diag(*units),
+        K=B.T @ XB,
         cluster_slices=tuple(slices),
-        operators=ops,
+        rep=ops.rep,
     )
 
 
@@ -256,14 +261,14 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
     """(H_r, beta_r): the Dirac Hamiltonian compressed to the resolved span.
 
     H_r = B^T H_D B with H_D = gamma^0 (gamma.Pi + m); beta_r is the exact
-    gamma^0 grading of the span columns.
+    gamma^0 grading of the span columns.  Each column lives on one spinor
+    slot, so H_r = diag(beta_r) (K + m): L x L work for any mass.
     """
     mm = fw.mass if m is None else m
-    B = fw.span
-    ops = fw.operators
-    H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + mm * np.diag(fw.span_grading)
+    beta = fw.span_grading
+    H_r = beta[:, None] * fw.K + mm * np.diag(beta)
     H_r = 0.5 * (H_r + H_r.T)
-    return H_r, fw.span_grading.copy()
+    return H_r, beta.copy()
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +283,7 @@ def verify_main_claim(fw: FWOperator, level: RitusLevel) -> float:
     the closed-form free rotation at |p| = sqrt(k), with the mass and gamma
     representation U was built with.
     """
-    Ufree = free_fw(level.k, fw.mass, fw.operators.rep)
+    Ufree = free_fw(level.k, fw.mass, fw.rep)
     lhs = fw.U @ level.Ep
     rhs = level.Ep @ Ufree
     h = level.grid.h

@@ -47,14 +47,13 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .clifford import GammaRep
 from .errors import ConditioningError
-from .field_profiles import FieldProfile, evaluate_potential, susy_partner_potentials
+from .field_profiles import FieldProfile, evaluate_potential
 
 __all__ = [
     "first_derivative",
     "channel_hamiltonian",
     "kinetic_diagonal",
     "gamma_dot_pi_spatial",
-    "pi_tilde_squared",
     "channel_slots",
     "BAND",
     "GridOperators",
@@ -128,22 +127,6 @@ def gamma_dot_pi_spatial(rep: GammaRep, D1, M: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(sp.kron(c1, D1) + sp.kron(c2, sp.diags(M)))
 
 
-def pi_tilde_squared(
-    rep: GammaRep, profile: FieldProfile, p_y: float, e: float, x: np.ndarray, h: float
-) -> sp.csr_matrix:
-    """Sparse (2N)x(2N) realization of Pi-tilde^2 = Pi^2 - e sigma_3-like W'.
-
-    Built from the solved channel Hamiltonians blockdiag(-D2 + V_sigma) with
-    the slot assignment of the representation.
-    """
-    Vp, Vm = susy_partner_potentials(profile, p_y, e)
-    slots = channel_slots(rep)
-    blocks = [None, None]
-    for sigma, V in ((+1, Vp), (-1, Vm)):
-        blocks[slots[sigma]] = channel_hamiltonian(V(x), h)
-    return sp.block_diag(blocks, format="csr")
-
-
 # ----------------------------------------------------------------------
 # one-stop bundle
 # ----------------------------------------------------------------------
@@ -152,14 +135,14 @@ def pi_tilde_squared(
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h and M, arrays of length N; D1, X and PiTilde2, real
-    scipy.sparse CSR matrices; g0diag, the +/-1 diagonal of
-    kron(gamma^0, 1_N) (length 2N).
+    Attributes: x, h and M, arrays of length N; D1 and X, real scipy.sparse
+    CSR matrices; g0diag, the +/-1 diagonal of kron(gamma^0, 1_N) (length
+    2N).  Pi-tilde^2 lives on the spectra: on each spinor slot it is the
+    channel's ScalarSpectrum.hamiltonian.
     """
 
     def __init__(self, rep: GammaRep, profile: FieldProfile, p_y: float, e: float, grid):
         self.rep = rep
-        self.profile = profile
         self.p_y = float(p_y)
         self.e = float(e)
         self.grid = grid
@@ -170,7 +153,6 @@ class GridOperators:
         self.M = kinetic_diagonal(profile, p_y, e, x)
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
-        self.PiTilde2 = pi_tilde_squared(rep, profile, p_y, e, x, h)
 
     def dirac_band(self, p0: float, m: float) -> np.ndarray:
         """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.

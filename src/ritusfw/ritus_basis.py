@@ -182,14 +182,21 @@ def _weighted_fro(mat: np.ndarray, h: float) -> float:
     return math.sqrt(h) * float(np.linalg.norm(mat))
 
 
-def verify_eigen_relation(level: RitusLevel, operators: GridOperators) -> float:
+def verify_eigen_relation(level: RitusLevel, spec_plus: ScalarSpectrum,
+                          spec_minus: ScalarSpectrum, rep: GammaRep) -> float:
     """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
-    drops out of the relation.
+    drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
+    channel Hamiltonian that channel_slots(rep) places there.
     """
-    h = level.grid.h
-    lhs = (level.pbar.p0**2) * level.Ep - operators.PiTilde2 @ level.Ep
+    h, N = level.grid.h, level.grid.n_points
+    slots = channel_slots(rep)
+    PiE = np.empty_like(level.Ep)
+    for spec in (spec_plus, spec_minus):
+        rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
+        PiE[rows] = spec.hamiltonian @ level.Ep[rows]
+    lhs = (level.pbar.p0**2) * level.Ep - PiE
     rhs = level.pbar.squared * level.Ep
     return _weighted_fro(lhs - rhs, h) / _weighted_fro(level.Ep, h)
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -115,7 +116,9 @@ class ScalarSpectrum:
     the left where |phi_n| exceeds PHASE_THRESHOLD times its peak.  That
     sample lies in the left tail, where rounding cannot flip the sign; the
     global peak would not do, since the mirror peaks of an odd state in a
-    symmetric well tie up to rounding.
+    symmetric well tie up to rounding.  hamiltonian is the CSR matrix
+    -D2 + diag(V_sigma) the pairs solve; on the channel's spinor slot it is
+    Pi-tilde^2.
     """
 
     sigma: int
@@ -124,6 +127,7 @@ class ScalarSpectrum:
     grid: Grid
     p_y: float
     e: float
+    hamiltonian: sp.csr_matrix = field(repr=False, compare=False)
     flags: tuple = ()
 
     def sign_changes(self, n: int) -> int:
@@ -392,6 +396,7 @@ def solve_channel(
         grid=grid,
         p_y=p_y,
         e=e,
+        hamiltonian=H,
         flags=tuple(flags),
     )
 

@@ -129,7 +129,7 @@ def test_criterion_03_susy_pairing():
 
 def test_criterion_04_ritus_diagonalization():
     b = production_problem()
-    res = max(verify_eigen_relation(lv, b.ops) for lv in b.levels)
+    res = max(verify_eigen_relation(lv, b.spec_plus, b.spec_minus, b.rep) for lv in b.levels)
     ok = res < 1e-6
     emit(4, ok, f"max ||(gamma.Pi)^2 E - pbar^2 E|| / ||E|| = {res:.3e} (tol 1e-06)")
     assert ok

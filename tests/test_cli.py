@@ -149,6 +149,13 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
                  "alpha", id="alpha-zero"),
     pytest.param("all", {"tolerances": {"eig": float("nan"), "residual": 1e-3}},
                  "tolerances.eig", id="eig-nan"),
+    pytest.param("all", {"grid": {"N": 256, "padding": float("inf")}}, "grid.padding",
+                 id="padding-inf"),
+    pytest.param("all", {"grid": {"N": 256, "padding": float("nan")}}, "grid.padding",
+                 id="padding-nan"),
+    pytest.param("all", {"grid": {"N": 1024}, "n_max": 300}, "n_max", id="n_max-above-quarter-N"),
+    pytest.param("all", {"grid": {"N": 64.7}}, "grid.N", id="N-fractional"),
+    pytest.param("all", {"n_max": 2.9}, "n_max", id="n_max-fractional"),
 ]
 
 
@@ -160,6 +167,34 @@ def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides,
     assert proc.returncode == 2
     assert not (tmp_path / "out").exists()
     assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+TABLES = {
+    "missing": None,
+    "directory": None,
+    "non-numeric": "x,W\n0,0\n1,1\n2,abc\n3,3\n",
+    "three-rows": "x,W\n0,0\n1,1\n2,2\n",
+    "wrong-header": "a,b\n0,0\n1,1\n2,2\n3,3\n",
+    "empty": "",
+    "no-W-cell": "x,W\n0,0\n1\n2,2\n3,3\n4,4\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLES))
+def test_bad_table_exits_two_naming_its_path(tmp_path, case):
+    table = tmp_path / "table.csv"
+    if case == "directory":
+        table.mkdir()
+    elif TABLES[case] is not None:
+        table.write_text(TABLES[case])
+    cfg = write_config(tmp_path / "cfg.json", profile={"kind": "tabulated", "path": str(table)})
+    proc = run_cli("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert not (tmp_path / "out").exists()
+    assert "profile.path" in proc.stderr and str(table) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # the three mass cases keep their value as the id

@@ -21,7 +21,7 @@ def test_stencil_orders_on_smooth_function():
         h = 2.0 / N
         x = np.arange(N) * h
         D1 = first_derivative(N, h)
-        # the channel Hamiltonian at V = 0, as solved and as assembled in PiTilde2
+        # the channel Hamiltonian at V = 0, as the channel solve builds it
         D2 = channel_hamiltonian(np.zeros(N), h)
         assert (D2 != D2.T).nnz == 0
         err1 = np.abs((D1 @ np.sin(x)) - np.cos(x))[4:-4].max()
@@ -56,16 +56,22 @@ def test_spatial_contraction_real_antisymmetric(variant, uni):
     assert np.array_equal(X, -X.T)
 
 
-def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni):
-    # -X^2 uses the squared first-derivative stencil, PiTilde2 the direct
-    # second-derivative one; they agree on smooth vectors at truncation level
-    ops = uni.ops
+def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni, uni_second):
+    # Pi-tilde^2 is each channel's Hamiltonian on the slot channel_slots
+    # gives it.  -X^2 uses the squared first-derivative stencil, the channel
+    # Hamiltonian the direct second-derivative one; they agree on smooth
+    # vectors at truncation level
+    N = uni.grid.n_points
     phi = uni.spec_plus.eigenfunctions[:, 0]
     vec = np.concatenate([phi, 0.5 * phi])
-    lhs = ops.PiTilde2 @ vec
-    rhs = -(ops.X @ (ops.X @ vec))
-    scale = np.abs(lhs).max()
-    assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
+    for prob in (uni, uni_second):
+        lhs = np.empty_like(vec)
+        for spec in (prob.spec_plus, prob.spec_minus):
+            s = channel_slots(prob.rep)[spec.sigma]
+            lhs[s * N:(s + 1) * N] = spec.hamiltonian @ vec[s * N:(s + 1) * N]
+        rhs = -(prob.ops.X @ (prob.ops.X @ vec))
+        scale = np.abs(lhs).max()
+        assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
 
 
 def test_gamma_dot_pi_full_blocks(uni, uni_second):

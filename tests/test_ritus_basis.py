@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ritusfw.clifford import make_rep
-from ritusfw.errors import ArgumentError, PairingError, TruncationError
-from ritusfw.field_profiles import exponential_profile, uniform_profile
-from ritusfw.operators import GridOperators, channel_slots
+from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, TruncationError
+from ritusfw.field_profiles import exponential_profile, susy_partner_potentials, uniform_profile
+from ritusfw.foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
+                                      unitarity_residual, verify_main_claim)
+from ritusfw.operators import GridOperators, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import (assemble_level, completeness_residual, export_levels_csv,
                                  orthonormality_matrix, verify_eigen_relation,
@@ -83,7 +85,8 @@ def test_duplicate_levels_warn(uni):
 
 
 def test_eigen_relation_residual_small(uni):
-    worst = max(verify_eigen_relation(lv, uni.ops) for lv in uni.levels)
+    worst = max(verify_eigen_relation(lv, uni.spec_plus, uni.spec_minus, uni.rep)
+                for lv in uni.levels)
     assert worst < 5e-6
 
 
@@ -128,7 +131,9 @@ def test_projector_is_populated_columns(uni, uni_second):
        p_y=st.floats(-1.0, 1.0), variant=st.sampled_from(["first", "second"]),
        alpha=st.sampled_from([None, 0.1, -0.1]), N=st.sampled_from([640, 768, 1024]))
 def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, alpha, N):
-    # alpha None draws the uniform field, otherwise the exponential one
+    # alpha None draws the uniform field, otherwise the exponential one; past
+    # the levels, the same draw checks the eigen relation and the field FW
+    # operator's invariants
     profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
     prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, p0=0.3, n_max=8,
                    grid_config=GridConfig(n_points=N), tol_eig=1e-6)
@@ -143,6 +148,34 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         ladder = A.T if lv.zero_channel > 0 else A
         assert h * float(v @ (ladder @ u)) > 0
     assert max(verify_gpEp(lv, ops) for lv in prob.levels) < 1e-5
+
+    # Pi-tilde^2 assembled here: blockdiag of the channel Hamiltonians, by slot
+    blocks = [None, None]
+    for sigma, V in zip((+1, -1), susy_partner_potentials(profile, p_y, e)):
+        blocks[slots[sigma]] = channel_hamiltonian(V(prob.grid.x), h)
+    pi_tilde2 = sp.block_diag(blocks, format="csr")
+    for lv in prob.levels:
+        diff = (lv.pbar.p0**2 * lv.Ep - pi_tilde2 @ lv.Ep) - lv.pbar.squared * lv.Ep
+        ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
+               / (np.sqrt(h) * float(np.linalg.norm(lv.Ep))))
+        res = verify_eigen_relation(lv, prob.spec_plus, prob.spec_minus, prob.rep)
+        assert res == ref and res < 1e-5
+
+    try:
+        fw = prob.fw
+    except DiscretizationError:
+        # the documented refusal: the solver kept a negative zero mode
+        assert prob.levels[0].k < 0
+        return
+    B = fw.span
+    for m in (1.0, 4.0):
+        H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + m * np.diag(fw.span_grading)
+        assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
+    main = [verify_main_claim(fw, lv) for lv in fw.levels]
+    assert max(main) < 1e-5
+    assert unitarity_residual(fw) < 1e-10 and projector_commutation_residual(fw) < 1e-10
+    other = prob.other_rep().fw
+    assert max(abs(r - verify_main_claim(other, lv)) for r, lv in zip(main, other.levels)) < 1e-8
 
 
 def test_completeness_improves_with_levels(uni):
