@@ -149,9 +149,17 @@ class RunConfig:
         }
 
 
+def _number(raw, key: str) -> float:
+    """raw as a float; a value that is not a number is a configuration error naming key."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be a number, got {raw!r}") from None
+
+
 def _integer(raw, key: str) -> int:
     """raw as an int; a number with a fractional part is a configuration error."""
-    value = float(raw)
+    value = _number(raw, key)
     if not value.is_integer():
         raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
     return int(value)
@@ -179,17 +187,17 @@ def load_config(path) -> RunConfig:
                     raise ConfigurationError(f"unknown profile key {key!r}")
             cfg.profile_kind = str(prof.get("kind", cfg.profile_kind))
             cfg.profile_params = {k: v for k, v in prof.items() if k != "kind"}
-        cfg.e = float(raw.get("e", cfg.e))
-        cfg.mass = float(raw.get("mass", cfg.mass))
-        cfg.p_y = float(raw.get("p_y", cfg.p_y))
-        cfg.p0 = float(raw.get("p0", cfg.p0))
+        cfg.e = _number(raw.get("e", cfg.e), "e")
+        cfg.mass = _number(raw.get("mass", cfg.mass), "mass")
+        cfg.p_y = _number(raw.get("p_y", cfg.p_y), "p_y")
+        cfg.p0 = _number(raw.get("p0", cfg.p0), "p0")
         grid = raw.get("grid", {})
         cfg.grid_n = _integer(grid.get("N", cfg.grid_n), "grid.N")
-        cfg.padding = float(grid.get("padding", cfg.padding))
+        cfg.padding = _number(grid.get("padding", cfg.padding), "grid.padding")
         cfg.n_max = _integer(raw.get("n_max", cfg.n_max), "n_max")
         tol = raw.get("tolerances", {})
-        cfg.tol_eig = float(tol.get("eig", cfg.tol_eig))
-        cfg.tol_residual = float(tol.get("residual", cfg.tol_residual))
+        cfg.tol_eig = _number(tol.get("eig", cfg.tol_eig), "tolerances.eig")
+        cfg.tol_residual = _number(tol.get("residual", cfg.tol_residual), "tolerances.residual")
         cfg.rep = str(raw.get("rep", cfg.rep))
         if raw.get("out") is not None:
             cfg.out = str(raw["out"])
@@ -282,38 +290,31 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
 
 def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
+    import scipy.linalg
 
     from .ritus_basis import (export_levels_csv, orthonormality_matrix,
                               verify_eigen_relation, verify_gpEp,
                               zero_mode_annihilation)
 
-    per_level = []
-    worst_eig = 0.0
-    worst_int = 0.0
-    for lv in prob.levels:
-        r_eig = verify_eigen_relation(lv, prob.spec_plus, prob.spec_minus, prob.rep)
-        r_int = verify_gpEp(lv, prob.ops)
-        worst_eig = max(worst_eig, r_eig)
-        worst_int = max(worst_int, r_int)
-        per_level.append({"n": lv.n, "k": lv.k,
-                          "residual_eigen_relation": r_eig,
-                          "residual_intertwining": r_int})
-    zm = zero_mode_annihilation(prob.levels[0], prob.ops)
+    levels = prob.levels
+    r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus, prob.rep)
+    r_int = verify_gpEp(levels, prob.ops)
+    per_level = [{"n": lv.n, "k": lv.k, "residual_eigen_relation": a, "residual_intertwining": b}
+                 for lv, a, b in zip(levels, r_eig.tolist(), r_int.tolist())]
+    zm = zero_mode_annihilation(levels[0], prob.ops)
 
-    gram = orthonormality_matrix(prob.levels, prob.ops)
-    expected = np.zeros_like(gram)
-    for i, lv in enumerate(prob.levels):
-        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector
+    gram = orthonormality_matrix(levels, prob.ops)
+    expected = scipy.linalg.block_diag(*(lv.projector for lv in levels))
     ortho_dev = float(np.abs(gram - expected).max())
 
     checks = {
-        "eigen_relation": _check(worst_eig, cfg.tol_residual),
-        "intertwining": _check(worst_int, cfg.tol_residual),
+        "eigen_relation": _check(r_eig.max(), cfg.tol_residual),
+        "intertwining": _check(r_int.max(), cfg.tol_residual),
         "zero_mode_annihilation": _check(zm, cfg.tol_residual),
         "orthonormality": _check(ortho_dev, cfg.tol_residual),
     }
     if outdir is not None:
-        export_levels_csv(prob.levels, cfg.mass, outdir / "levels.csv")
+        export_levels_csv(levels, cfg.mass, outdir / "levels.csv")
     return {"results": {"levels": per_level,
                         "zero_mode_annihilation": zm,
                         "orthonormality_deviation": ortho_dev},
@@ -341,22 +342,22 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     eig_err = float(np.abs(np.sort(report.eigenvalues) - np.array(expected)).max())
     ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
 
-    residuals = [verify_main_claim(fw, lv) for lv in fw.levels]
-
-    # same residuals from the other representation; the levels are re-assembled
-    # there but share the channel spectra, so k_n cannot drift
-    other = prob.other_rep()
-    residuals2 = [verify_main_claim(other.fw, lv) for lv in other.fw.levels]
-    rep_gap = max(abs(a - c) for a, c in zip(residuals, residuals2))
+    # the same residuals from the other representation; its levels are
+    # re-assembled but share the channel spectra, so k_n cannot drift.  Its U
+    # is built before either check, so that the two checks' grid-sized
+    # temporaries come back to back and reuse the same memory.
+    other = prob.other_rep().fw
+    residuals = verify_main_claim(fw, fw.levels)
+    rep_gap = float(np.abs(residuals - verify_main_claim(other, other.levels)).max())
 
     per_level = [{"n": lv.n, "k": lv.k, "residual_main_claim": r}
-                 for lv, r in zip(fw.levels, residuals)]
+                 for lv, r in zip(fw.levels, residuals.tolist())]
     checks = {
         "unitarity": _check(unit, 1e-10),
         "projector_commutation": _check(proj, 1e-10),
         "eigenvalue_match": _check(eig_err, cfg.tol_eig),
         "odd_even_ratio": _check(ratio, cfg.tol_residual),
-        "main_claim": _check(max(residuals), cfg.tol_residual),
+        "main_claim": _check(residuals.max(), cfg.tol_residual),
         "rep_agreement": _check(rep_gap, 1e-8),
     }
     return {"results": {"levels": per_level,
@@ -376,7 +377,9 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
                                    restricted_hamiltonian)
 
     fw = prob.fw
-    masses = [4.0, 8.0, 16.0]
+    # the 1/m slopes need m^2 >> k on every level: m = 4, 8, 16 up to k_max = 16
+    scale = max(4.0, max(lv.k for lv in fw.levels) ** 0.5)
+    masses = [scale, 2.0 * scale, 4.0 * scale]
 
     bd_rows = []
     for m in masses:

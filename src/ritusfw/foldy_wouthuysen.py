@@ -11,19 +11,25 @@ In a static magnetic field the same construction goes through with |p|
 replaced by the square root of Pi-tilde^2 = (gamma^0 gamma.Pi)^2: the angle
 function theta(k) = arctan(sqrt(k)/m) / (2 sqrt(k)) is applied spectrally.
 Numerically the operator is built cluster by cluster on the resolved span:
-each paired level contributes a 2x2 generator X_nn = B_n^T X B_n (exactly
-real antisymmetric because the spatial Dirac operator X is), so
+each paired level contributes a 2x2 generator X_nn = B_n^T X B_n, exactly
+real antisymmetric because the spatial Dirac operator X is, so
+X_nn = x_n J with J = [[0, 1], [-1, 0]], and its exponential is the rotation
 
-    U = 1 + sum_n B_n (expm(theta_n X_nn) - 1) B_n^T
+    W_n = expm(theta_n X_nn) = [[cos a_n, sin a_n], [-sin a_n, cos a_n]],
+    a_n = theta_n x_n,
 
+taken in closed form.  U = 1 + sum_n B_n (W_n - 1) B_n^T
 is exactly unitary, commutes with the eigenprojectors by construction, and
-is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0).
-Off the resolved span U acts as the identity.  U is never formed: it is kept
-as the factors B = [B_0 | B_1 | ...] (2N x L) and the block-diagonal
-W = diag(expm(theta_n X_nn)) (L x L), U = 1 + B (W - 1) B^T, and applied as
+is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0,
+so W_0 = 1).  Off the resolved span U acts as the identity.  U is never
+formed: it is kept as the factors B = [B_0 | B_1 | ...] (2N x L) and the
+block-diagonal W = diag(W_n) (L x L), U = 1 + B (W - 1) B^T, and applied as
 a scipy LinearOperator.  Its checks reduce to L x L algebra, and W itself is
-U compressed to the resolved span.  X acts on B once, giving the generators
-and K = B^T X B, from which the restricted Hamiltonian is L x L for any mass.
+U compressed to the resolved span.  X acts on B once, giving
+K = B^T X B: its diagonal 2x2 blocks are the generators X_nn, and the
+restricted Hamiltonian is L x L for any mass.  The main claim applies U
+once to the stacked levels E and compares with E times the block-diagonal
+free rotations.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -38,13 +44,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator
 
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
 from .operators import GridOperators
-from .ritus_basis import RitusLevel
+from .ritus_basis import RitusLevel, RitusLevels, times_blocks
 
 __all__ = [
     "FWOperator",
@@ -79,16 +85,18 @@ def theta(k: float, m: float) -> float:
 class FWOperator:
     """The exact field FW operator U = 1 + B (W - 1) B^T (2N x 2N), kept as factors.
 
-    span is the resolved span B (ell^2-orthonormal columns), W the
-    block-diagonal L x L matrix holding one 2x2 (or 1x1) rotation per level
-    at cluster_slices, span_grading the gamma^0 grading of the span columns,
+    levels are the stacked levels U was built from and span_columns the
+    columns of their E that span the resolved span B (``span``, E's
+    populated columns scaled to be ell^2-orthonormal), W the block-diagonal
+    L x L matrix holding one 2x2 (or 1x1) rotation per level at
+    cluster_slices, span_grading the gamma^0 grading of the span columns,
     K = B^T X B the spatial Dirac operator compressed to the span, and rep
     the gamma representation U was built in.
     """
 
     mass: float
-    levels: tuple
-    span: np.ndarray = field(repr=False)
+    levels: RitusLevels
+    span_columns: tuple = field(repr=False)
     span_grading: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
@@ -96,15 +104,24 @@ class FWOperator:
     rep: GammaRep = field(repr=False)
 
     @property
+    def span(self) -> np.ndarray:
+        """B, gathered from the levels' E on each read: E holds the same numbers."""
+        return _gather_span(self.levels, self.span_columns)
+
+    @property
     def U(self) -> LinearOperator:
         """1 + B (W - 1) B^T as a LinearOperator; U^T is its adjoint."""
         B, D = self.span, self.W - np.eye(self.W.shape[0])
 
         def apply(V):
-            return V + B @ (D @ (B.T @ V))
+            UV = B @ (D @ (B.T @ V))
+            UV += V                     # in place: one grid-sized array per product
+            return UV
 
         def apply_transpose(V):
-            return V + B @ (D.T @ (B.T @ V))
+            UV = B @ (D.T @ (B.T @ V))
+            UV += V
+            return UV
 
         return LinearOperator((B.shape[0], B.shape[0]), matvec=apply, matmat=apply,
                               rmatvec=apply_transpose, rmatmat=apply_transpose,
@@ -140,51 +157,57 @@ def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _gather_span(levels: RitusLevels, columns) -> np.ndarray:
+    """The given columns of the levels' E, scaled to be ell^2-orthonormal (C order)."""
+    B = np.ascontiguousarray(levels.E[:, columns])
+    B *= math.sqrt(levels[0].grid.h)
+    return B
+
+
 def field_fw_from_levels(
     levels: Sequence[RitusLevel],
     ops: GridOperators,
     m: float,
 ) -> FWOperator:
-    """Assemble the exact field FW operator from levels; only their E_p and k enter."""
-    if not levels:
-        raise ArgumentError("need at least one level")
-    grid = ops.grid
-    sqh = math.sqrt(grid.h)
+    """Assemble the exact field FW operator from levels; only their E_p and k enter.
 
-    cols: List[np.ndarray] = []
-    grading: List[float] = []
-    slices = []
-    pos = 0
-    for lv in levels:
-        if not lv.grid.same_as(grid):
-            raise ArgumentError("levels and operators use different grids")
+    The span B holds the populated columns of the stacked E, scaled to be
+    ell^2-orthonormal; the operator keeps their indices, not a copy.  Each
+    level's rotation angle is theta(k_n) times the coupling
+    x_n = (K_01 - K_10) / 2 of its diagonal block of K = B^T X B (the mean
+    of the two entries kills K's rounding-level symmetric part).
+    """
+    levels = RitusLevels(levels)
+    if not levels[0].grid.same_as(ops.grid):
+        raise ArgumentError("levels and operators use different grids")
+    columns, grading, slices = [], [], []
+    for i, lv in enumerate(levels):
         if lv.k < 0:
             # only reachable through a flagged zero mode the solver kept negative
             raise DiscretizationError(
                 f"level {lv.n} has k = {lv.k:.3e} < 0: the zero mode is not "
                 "resolved inside the zero-mode clamp; refine the grid"
             )
-        occupied = np.flatnonzero(np.diag(lv.projector))
-        cols.append(np.real(lv.Ep[:, occupied]) * sqh)  # ell^2-orthonormal
-        slices.append(slice(pos, pos + len(occupied)))
-        pos += len(occupied)
-        grading.extend(1.0 if c == 0 else -1.0 for c in occupied)
+        slices.append(slice(len(columns), len(columns) + len(lv.populated)))
+        columns.extend(2 * i + c for c in lv.populated)
+        grading.extend(1.0 if c == 0 else -1.0 for c in lv.populated)
 
-    B = np.hstack(cols)
-    XB = ops.X @ B
-    units = []
+    B = _gather_span(levels, columns)
+    K = B.T @ (ops.X @ B)
+    W = np.eye(len(columns))
     for lv, sl in zip(levels, slices):
-        Xnn = B[:, sl].T @ XB[:, sl]
-        Xnn = 0.5 * (Xnn - Xnn.T)                        # kill rounding symmetric part
-        units.append(expm(theta(lv.k, m) * Xnn))
+        if sl.stop - sl.start == 2:
+            i, j = sl.start, sl.start + 1
+            a = theta(lv.k, m) * 0.5 * (K[i, j] - K[j, i])
+            W[sl, sl] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
 
     return FWOperator(
         mass=m,
-        levels=tuple(levels),
-        span=B,
+        levels=levels,
+        span_columns=tuple(columns),
         span_grading=np.array(grading),
-        W=block_diag(*units),
-        K=B.T @ XB,
+        W=W,
+        K=K,
         cluster_slices=tuple(slices),
         rep=ops.rep,
     )
@@ -276,20 +299,21 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
 # ----------------------------------------------------------------------
 
 
-def verify_main_claim(fw: FWOperator, level: RitusLevel) -> float:
-    """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F.
+def verify_main_claim(fw: FWOperator, levels: Sequence[RitusLevel]) -> np.ndarray:
+    """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F of each level.
 
-    U is the exact field FW operator; U_free is built independently from
-    the closed-form free rotation at |p| = sqrt(k), with the mass and gamma
-    representation U was built with.
+    U is the exact field FW operator, applied once to the stacked E; U_free
+    is built independently from the closed-form free rotation at
+    |p| = sqrt(k), with the mass and gamma representation U was built with
+    (real: cos + sin gamma^2, and gamma^2 is real).
     """
-    Ufree = free_fw(level.k, fw.mass, fw.rep)
-    lhs = fw.U @ level.Ep
-    rhs = level.Ep @ Ufree
-    h = level.grid.h
-    num = math.sqrt(h) * float(np.linalg.norm(lhs - rhs))
-    den = math.sqrt(h) * float(np.linalg.norm(level.Ep))
-    return num / den
+    levels = RitusLevels(levels)
+    E = levels.E
+    free = np.array([free_fw(lv.k, fw.mass, fw.rep).real for lv in levels])
+    UE = fw.U @ E           # the span U gathers is freed before the block product
+    residual = times_blocks(E, free)                # Fortran order, as E
+    np.subtract(UE, residual, out=residual)
+    return levels.norms(residual) / levels.norms(E)
 
 
 # ----------------------------------------------------------------------

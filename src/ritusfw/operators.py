@@ -6,7 +6,8 @@ shared by the rest of the package:
 
 * spinor (x) grid ordering: a grid spinor v has layout
   ``v = [upper component (N values), lower component (N values)]``,
-  i.e. operators are built with ``kron(spinor_2x2, grid_NxN)``.  The one
+  i.e. a spinor 2x2 matrix c acting with a grid N x N matrix D is the
+  Kronecker product c (x) D, whose block (s, t) is c[s, t] D.  The one
   exception is the band of gamma.Pi - m (``GridOperators.dirac_band``),
   which interleaves the components, q = 2i + s for grid point i and spinor
   slot s, so that the two slots of one point are neighbours and the matrix
@@ -27,7 +28,7 @@ operators
 the spatial Dirac operator ("bold" gamma.Pi, the one entering
 H = gamma^0 (gamma.Pi + m)) is
 
-    X = kron(gamma^1, -i D1) + kron(gamma^2, M) = kron(c1, D1) + kron(c2, M)
+    X = gamma^1 (x) (-i D1) + gamma^2 (x) M = c1 (x) D1 + c2 (x) M
       = [[0, A], [-A^T, 0]]          (first representation)
       = [[0, -A^T], [A, 0]]          (second representation)
 
@@ -35,11 +36,16 @@ with the real 2x2 coefficients c1 = -i gamma^1 and c2 = gamma^2, so X is
 exactly real antisymmetric for both representations, and
 Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
 Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
-which channel depends on the representation).  gamma^0 = sigma_3 in both
-representations, so kron(gamma^0, 1_N) is kept as its +/-1 diagonal g0diag.
+which channel depends on the representation).  X is assembled entry by
+entry: each nonzero coefficient places the stencil entries of D1, or the
+values of M, in its block, one COO triplet list converted to CSR once.
+gamma^0 = sigma_3 in both representations, so gamma^0 (x) 1_N is kept as
+its +/-1 diagonal g0diag.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,7 +100,7 @@ def kinetic_diagonal(profile: FieldProfile, p_y: float, e: float, x: np.ndarray)
 
 
 def _gamma0_diagonal(rep: GammaRep, N: int) -> np.ndarray:
-    """The +/-1 diagonal of kron(gamma^0, 1_N); gamma^0 must be real diagonal."""
+    """The +/-1 diagonal of gamma^0 (x) 1_N; gamma^0 must be real diagonal."""
     g0 = rep.gamma[0]
     if np.any(g0 != np.diag(np.diag(g0)).real):
         raise AssertionError("gamma^0 expected real diagonal")
@@ -122,9 +128,23 @@ def _spinor_coefficients(rep: GammaRep) -> tuple:
 
 
 def gamma_dot_pi_spatial(rep: GammaRep, D1, M: np.ndarray) -> sp.csr_matrix:
-    """X = kron(c1, D1) + kron(c2, diag(M)); real antisymmetric."""
+    """X = c1 (x) D1 + c2 (x) diag(M); real antisymmetric.
+
+    Block (s, t) holds c1[s, t] D1 + c2[s, t] diag(M).  D1 has no diagonal,
+    so the two terms never share an entry and the triplets need no summing.
+    """
     c1, c2 = _spinor_coefficients(rep)
-    return sp.csr_matrix(sp.kron(c1, D1) + sp.kron(c2, sp.diags(M)))
+    D1 = sp.coo_matrix(D1)
+    N = M.size
+    diag = np.arange(N)
+    rows, cols, vals = [], [], []
+    for c, r, k, v in ((c1, D1.row, D1.col, D1.data), (c2, diag, diag, M)):
+        for s, t in zip(*np.nonzero(c)):
+            rows.append(s * N + r)
+            cols.append(t * N + k)
+            vals.append(c[s, t] * v)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * N, 2 * N))
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +156,7 @@ class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
     Attributes: x, h and M, arrays of length N; D1 and X, real scipy.sparse
-    CSR matrices; g0diag, the +/-1 diagonal of kron(gamma^0, 1_N) (length
+    CSR matrices; g0diag, the +/-1 diagonal of gamma^0 (x) 1_N (length
     2N).  Pi-tilde^2 lives on the spectra: on each spinor slot it is the
     channel's ScalarSpectrum.hamiltonian.
     """
@@ -154,24 +174,38 @@ class GridOperators:
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
 
-    def dirac_band(self, p0: float, m: float) -> np.ndarray:
-        """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.
+    @cached_property
+    def _minus_x_rows(self) -> tuple:
+        """(rows, values): the rows of the ``dirac_band`` storage that hold -X, and their values.
 
         Rows and columns are in the interleaved order q = 2i + s, so block
         row rho = s N + i maps to q = 2 (rho mod N) + rho div N.  The entries
-        are -X, read off X's sparse indices (X has no diagonal and no
-        duplicate entries), and p0 g0diag - m on the diagonal.  D1 reaches
-        j - i = +/-2, so the half-bandwidth is BAND = 5 on both sides.  Entry
-        (q, r) sits at ab[2*BAND + q - r, r]; the BAND rows on top are the
-        room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N).
+        are read off X's sparse indices (X has no diagonal and no duplicate
+        entries).  Built on the first solve and kept: only the diagonal
+        depends on p0 and m, and X couples the two slots only, so just the
+        odd offsets q - r = +/-1, +/-3, +/-5 are kept.
         """
         N = self.x.size
         X = self.X.tocoo()
         q, r = 2 * (X.row % N) + X.row // N, 2 * (X.col % N) + X.col // N
         ab = np.zeros((4 * BAND + 1, 2 * N))
         ab[2 * BAND + q - r, r] = -X.data
-        rho = np.arange(2 * N)
-        ab[2 * BAND, 2 * (rho % N) + rho // N] = p0 * self.g0diag - m
+        rows = np.flatnonzero(ab.any(axis=1))
+        return rows, ab[rows]
+
+    def dirac_band(self, p0: float, m: float) -> np.ndarray:
+        """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.
+
+        The kept -X rows (``_minus_x_rows``) with p0 g0diag - m on the
+        diagonal, in the interleaved order q = 2i + s.  D1 reaches
+        j - i = +/-2, so the half-bandwidth is BAND = 5 on both sides.  Entry
+        (q, r) sits at ab[2*BAND + q - r, r]; the BAND rows on top are the
+        room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N).
+        """
+        rows, values = self._minus_x_rows
+        ab = np.zeros((4 * BAND + 1, 2 * self.x.size))
+        ab[rows] = values
+        ab[2 * BAND] = (p0 * self.g0diag - m).reshape(2, -1).T.ravel()
         return ab
 
     def dirac_solver(self, p0: float, m: float):

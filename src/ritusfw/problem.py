@@ -4,7 +4,8 @@ The paper's claim is one chain: the two channel spectra, the Ritus levels
 E_p paired from them, and the exact field FW operator U assembled from the
 levels.  ``Problem`` holds the inputs of that chain and builds each link on
 first use, once: the grid, both channel spectra, the grid operators, the
-levels at the problem's p0, and U from those levels.
+levels at the problem's p0 (stacked, as RitusLevels), and U from those
+levels.
 A link whose build raises a RitusFWError keeps that error and re-raises it,
 so it is not rebuilt by every reader.  The CLI, the tests and the README all
 build through it.
@@ -19,7 +20,7 @@ from .errors import RitusFWError
 from .field_profiles import FieldProfile
 from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
-from .ritus_basis import assemble_level
+from .ritus_basis import RitusLevels, assemble_level
 from .spectral_grid import GridConfig, build_grid, solve_channel
 
 __all__ = ["Problem"]
@@ -98,9 +99,9 @@ class Problem:
         return GridOperators(self.rep, self.profile, self.p_y, self.e, self.grid)
 
     @_link
-    def levels(self) -> list:
-        return [assemble_level(self.spec_plus, self.spec_minus, n, self.p0, self.ops)
-                for n in range(self.n_max + 1)]
+    def levels(self) -> RitusLevels:
+        return RitusLevels(assemble_level(self.spec_plus, self.spec_minus, n, self.p0, self.ops)
+                           for n in range(self.n_max + 1))
 
     @_link
     def fw(self):

@@ -26,7 +26,7 @@ import numpy as np
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
 from .operators import GridOperators
-from .ritus_basis import BarMomentum, RitusLevel, dirac_overlap
+from .ritus_basis import BarMomentum, RitusLevel, RitusLevels, dirac_overlap
 
 __all__ = [
     "diagonal_propagator",
@@ -89,32 +89,25 @@ def project_propagator(
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
+    levels = RitusLevels(levels)
     solve = _factor(levels, p0, m, operators)
-    E = np.hstack([lv.Ep for lv in levels])
+    E = levels.E
     L = len(levels)
     # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
     blocks = dirac_overlap(E, solve(E), operators).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
+    diagonal = blocks[np.arange(L), np.arange(L)]
 
-    diag_err = 0.0
-    diag_norms = []
-    for i, lv in enumerate(levels):
-        free = diagonal_propagator(BarMomentum(p0, lv.pbar.p2), m, operators.rep)
-        P = lv.projector
-        target = P @ free @ P
-        diag_err = max(diag_err, float(np.abs(blocks[i, i] - target).max()))
-        diag_norms.append(float(np.linalg.norm(blocks[i, i])))
-
-    cross = 0.0
-    for i in range(L):
-        for j in range(L):
-            if i != j:
-                cross = max(cross, float(np.linalg.norm(blocks[i, j])))
+    free = np.array([diagonal_propagator(BarMomentum(p0, lv.pbar.p2), m, operators.rep)
+                     for lv in levels])
+    P = np.array([lv.projector for lv in levels])
+    norms = np.linalg.norm(blocks, axis=(2, 3))
+    np.fill_diagonal(norms, 0.0)
 
     return {
         "blocks": blocks,
-        "diagonal_error": diag_err,
-        "cross_norm": cross,
-        "diagonal_norms": diag_norms,
+        "diagonal_error": float(np.abs(diagonal - P @ free @ P).max()),
+        "cross_norm": float(norms.max()),
+        "diagonal_norms": [float(np.linalg.norm(block)) for block in diagonal],
         "p0": p0,
     }
 

@@ -13,6 +13,13 @@ of that the paired column is sign-aligned by the intertwining itself,
 X E_p = E_p (sqrt(k) gamma^2): the entry of h E_p^T X E_p that couples the
 two slots gets the sign of gamma^2's entry there, so the intertwining holds
 with the non-negative branch of sqrt(k).
+
+The levels of one run are held stacked, as ``RitusLevels``: one (2N, 2L)
+matrix E = [E_0 | E_1 | ...], of which each level's E_p is a view.  Every
+check over the levels is one function of E: the grid operator acts on E
+once, the free-form side is E times the block-diagonal matrix of the
+levels' 2x2 blocks (``times_blocks``), and the per-level residuals are the
+norms of the column pairs of the one result.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +40,9 @@ from .spectral_grid import Grid, ScalarSpectrum
 __all__ = [
     "BarMomentum",
     "RitusLevel",
+    "RitusLevels",
     "assemble_level",
+    "times_blocks",
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
@@ -65,6 +74,7 @@ class RitusLevel:
     """One assembled level: E_p, its quantum numbers, and bookkeeping.
 
     Ep has shape (2N, 2); for n = 0 the unpopulated column is zero.
+    populated lists the columns of Ep that carry a channel function.
     """
 
     n: int
@@ -75,6 +85,7 @@ class RitusLevel:
     grid: Grid
     zero_channel: int
     channel_eigenvalues: tuple
+    populated: tuple
 
     @property
     def pbar(self) -> BarMomentum:
@@ -84,7 +95,64 @@ class RitusLevel:
     def projector(self) -> np.ndarray:
         """Pi(n), the diagonal 0/1 matrix of Ep's populated columns: the identity
         for n >= 1, rank 1 on the slot carrying the zero mode for n = 0."""
-        return np.diag(np.any(self.Ep != 0.0, axis=0).astype(float))
+        return np.diag([float(c in self.populated) for c in range(2)])
+
+
+class RitusLevels(tuple):
+    """Levels on one grid, with their E_p stacked once.
+
+    E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order; each
+    level's Ep is the view of its column pair 2i, 2i + 1, which the Fortran
+    order keeps contiguous.  E is read-only, and so is every Ep view: the
+    operators built from E (the FW span) read it again later.  Indexing and
+    iteration give the RitusLevel records; a slice is a plain tuple.  A
+    sequence of levels stacks into a new E, with each level's Ep replaced
+    by its view; a RitusLevels passes through unchanged.  The levels keep
+    their own p0 and p_y.
+    """
+
+    E: np.ndarray
+
+    def __new__(cls, levels: Sequence[RitusLevel]):
+        if isinstance(levels, RitusLevels):
+            return levels
+        levels = tuple(levels)
+        if not levels:
+            raise ArgumentError("need at least one level")
+        first = levels[0]
+        for lv in levels[1:]:
+            if not lv.grid.same_as(first.grid):
+                raise ArgumentError("stacked levels need a shared grid")
+        E = np.empty((2 * first.grid.n_points, 2 * len(levels)), order="F")
+        for i, lv in enumerate(levels):
+            E[:, 2 * i:2 * i + 2] = lv.Ep
+        E.flags.writeable = False
+        self = super().__new__(cls, (replace(lv, Ep=E[:, 2 * i:2 * i + 2])
+                                     for i, lv in enumerate(levels)))
+        self.E = E
+        return self
+
+    def norms(self, R: np.ndarray) -> np.ndarray:
+        """sqrt(h) ||R_i||_F of each column pair R_i of a (2N, 2L) R, e.g. a residual.
+
+        Each norm sums its pair in R's memory order: contiguously for a
+        Fortran-ordered R, row by row (through a copy) for a C-ordered one.
+        """
+        sqh = math.sqrt(self[0].grid.h)
+        return np.array([sqh * float(np.linalg.norm(R[:, 2 * i:2 * i + 2]))
+                         for i in range(len(self))])
+
+
+def times_blocks(E: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """E @ blockdiag(S_0, ..., S_{L-1}) for a (2N, 2L) E and (L, 2, 2) blocks S.
+
+    One batched product of each column pair with its block: O(N L), where
+    the dense block-diagonal product would be O(N L^2).
+    """
+    n_rows, L = E.shape[0], S.shape[0]
+    out = np.empty((L, 2, n_rows))      # the (n_rows, 2L) result in Fortran order
+    np.matmul(E.reshape(n_rows, L, 2).transpose(1, 0, 2), S, out=out.transpose(0, 2, 1))
+    return out.transpose(2, 0, 1).reshape(n_rows, 2 * L)
 
 
 def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:
@@ -126,7 +194,7 @@ def assemble_level(
     spec_zero = spec_plus if zc > 0 else spec_minus
     spec_other = spec_minus if zc > 0 else spec_plus
     slots = channel_slots(ops.rep)
-    Ep = np.zeros((2 * N, 2))
+    Ep = np.zeros((2 * N, 2), order="F")
 
     if n == 0:
         if spec_zero.eigenvalues.size < 1:
@@ -135,6 +203,7 @@ def assemble_level(
         slot = slots[zc]
         Ep[slot * N:(slot + 1) * N, slot] = spec_zero.eigenfunctions[:, 0]
         channel_eigs = (k,)
+        populated = (slot,)
     else:
         if n >= spec_zero.eigenvalues.size or (n - 1) >= spec_other.eigenvalues.size:
             raise TruncationError(
@@ -160,6 +229,7 @@ def assemble_level(
             v = -v
         Ep[b * N:(b + 1) * N, b] = v
         channel_eigs = (k_zero, k_other)
+        populated = (0, 1)
 
     return RitusLevel(
         n=n,
@@ -170,6 +240,7 @@ def assemble_level(
         grid=grid,
         zero_channel=zc,
         channel_eigenvalues=channel_eigs,
+        populated=populated,
     )
 
 
@@ -178,41 +249,46 @@ def assemble_level(
 # ----------------------------------------------------------------------
 
 
-def _weighted_fro(mat: np.ndarray, h: float) -> float:
-    return math.sqrt(h) * float(np.linalg.norm(mat))
-
-
-def verify_eigen_relation(level: RitusLevel, spec_plus: ScalarSpectrum,
-                          spec_minus: ScalarSpectrum, rep: GammaRep) -> float:
-    """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F.
+def verify_eigen_relation(levels: Sequence[RitusLevel], spec_plus: ScalarSpectrum,
+                          spec_minus: ScalarSpectrum, rep: GammaRep) -> np.ndarray:
+    """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F of each level.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
     drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
-    channel Hamiltonian that channel_slots(rep) places there.
+    channel Hamiltonian that channel_slots(rep) places there, once on the
+    stacked E.
     """
-    h, N = level.grid.h, level.grid.n_points
+    levels = RitusLevels(levels)
+    E, N = levels.E, levels[0].grid.n_points
     slots = channel_slots(rep)
-    PiE = np.empty_like(level.Ep)
+    residual = np.empty(E.shape)  # C order, as H @ E_p of one level: its norm sums row by row
     for spec in (spec_plus, spec_minus):
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-        PiE[rows] = spec.hamiltonian @ level.Ep[rows]
-    lhs = (level.pbar.p0**2) * level.Ep - PiE
-    rhs = level.pbar.squared * level.Ep
-    return _weighted_fro(lhs - rhs, h) / _weighted_fro(level.Ep, h)
+        residual[rows] = spec.hamiltonian @ E[rows]            # Pi-tilde^2 E
+    np.subtract(np.repeat([lv.p0**2 for lv in levels], 2) * E, residual, out=residual)
+    residual -= np.repeat([lv.pbar.squared for lv in levels], 2) * E
+    return levels.norms(residual) / levels.norms(E)
 
 
-def verify_gpEp(level: RitusLevel, operators: GridOperators) -> float:
-    """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F."""
-    h = level.grid.h
-    gPi_E = level.pbar.p0 * (operators.g0diag[:, None] * level.Ep) - operators.X @ level.Ep
-    E_gpbar = level.Ep @ level.pbar.slash(operators.rep)
-    return _weighted_fro(gPi_E - E_gpbar, h) / _weighted_fro(level.Ep, h)
+def verify_gpEp(levels: Sequence[RitusLevel], operators: GridOperators) -> np.ndarray:
+    """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F of each level."""
+    levels = RitusLevels(levels)
+    E = levels.E
+    XE = operators.X @ E
+    residual = operators.g0diag[:, None] * E        # Fortran order, as E
+    residual *= np.repeat([lv.p0 for lv in levels], 2)
+    residual -= XE                                  # (gamma.Pi) E
+    del XE                                          # one grid-sized temporary at a time
+    # gamma.pbar is real: gamma^0 and gamma^2 are
+    residual -= times_blocks(E, np.array([lv.pbar.slash(operators.rep).real for lv in levels]))
+    return levels.norms(residual) / levels.norms(E)
 
 
 def zero_mode_annihilation(level: RitusLevel, operators: GridOperators) -> float:
     """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone."""
-    h = level.grid.h
-    return _weighted_fro(operators.X @ level.Ep, h) / _weighted_fro(level.Ep, h)
+    sqh = math.sqrt(level.grid.h)
+    return ((sqh * float(np.linalg.norm(operators.X @ level.Ep)))
+            / (sqh * float(np.linalg.norm(level.Ep))))
 
 
 def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
@@ -236,18 +312,14 @@ def orthonormality_matrix(levels: Sequence[RitusLevel], operators: GridOperators
     """
     if not levels:
         return np.zeros((0, 0), dtype=complex)
-    grid = levels[0].grid
+    levels = RitusLevels(levels)
     for lv in levels[1:]:
-        if not lv.grid.same_as(grid):
-            raise ArgumentError("orthonormality_matrix needs a shared grid")
         if lv.p0 != levels[0].p0 or lv.p_y != levels[0].p_y:
             raise ArgumentError("orthonormality_matrix needs shared (p0, p_y)")
     seen = [lv.n for lv in levels]
     if len(set(seen)) != len(seen):
         warnings.warn("duplicate levels passed to orthonormality_matrix", stacklevel=2)
-
-    E = np.hstack([lv.Ep for lv in levels])
-    return dirac_overlap(E, E, operators)
+    return dirac_overlap(levels.E, levels.E, operators)
 
 
 def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
@@ -257,10 +329,10 @@ def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
     nrm = float(np.linalg.norm(test))
     if nrm == 0.0:
         raise ArgumentError("test function is identically zero")
-    acc = np.zeros_like(test, dtype=complex)
-    for lv in levels:
-        acc = acc + lv.Ep @ dirac_overlap(lv.Ep, test[:, None], operators)[:, 0]
-    return float(np.linalg.norm(test - acc)) / nrm
+    if not levels:
+        return 1.0
+    E = RitusLevels(levels).E
+    return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], operators)[:, 0])) / nrm
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from child_env import child_env
+from ritusfw.cli import RunConfig, load_config, run
+from ritusfw.errors import ConfigurationError
 
 RFW = [sys.executable, "-m", "ritusfw.cli"]
 
@@ -156,6 +158,8 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
     pytest.param("all", {"grid": {"N": 1024}, "n_max": 300}, "n_max", id="n_max-above-quarter-N"),
     pytest.param("all", {"grid": {"N": 64.7}}, "grid.N", id="N-fractional"),
     pytest.param("all", {"n_max": 2.9}, "n_max", id="n_max-fractional"),
+    pytest.param("all", {"grid": {"N": "abc"}}, "grid.N", id="N-non-numeric"),
+    pytest.param("all", {"mass": "x"}, "mass", id="mass-non-numeric"),
 ]
 
 
@@ -168,6 +172,41 @@ def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides,
     assert not (tmp_path / "out").exists()
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["e", "mass", "p_y", "p0", "grid.N", "grid.padding", "n_max",
+                                 "tolerances.eig", "tolerances.residual"])
+def test_non_numeric_config_value_names_its_key(tmp_path, key):
+    section, _, name = key.rpartition(".")
+    cfg = write_config(tmp_path / "cfg.json",
+                       **({section: {name: "abc"}} if section else {name: "abc"}))
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == f"{key} must be a number, got 'abc'"
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({}, id="default"),
+    pytest.param({"profile_kind": "exponential", "profile_params": {"B": 1.0, "alpha": 0.1},
+                  "grid_n": 1536}, id="exponential-N1536"),
+])
+def test_fw_series_masses_stay_4_8_16_up_to_k_16(overrides):
+    # k_max is 15.9999994 and 15.36 here, so the ladder {1, 2, 4} max(4, sqrt(k_max))
+    # is the fixed {4, 8, 16} and the section keeps its bytes
+    report, ok = run("fw-series", RunConfig(**overrides))
+    assert ok
+    assert [row["m"] for row in report["results"]["bd"]] == [4.0, 8.0, 16.0]
+
+
+def test_fw_series_masses_follow_k_max():
+    # n_max = 12 reaches k = 24: the masses scale with sqrt(k_max), so m^2 >> k
+    # holds on every level and the 1/m^2 slope stays in its window
+    report, ok = run("fw-series", RunConfig(n_max=12))
+    assert ok, report["checks"]
+    masses = [row["m"] for row in report["results"]["bd"]]
+    assert masses[0] == pytest.approx(24.0 ** 0.5, rel=1e-6)
+    assert masses[1:] == [2.0 * masses[0], 4.0 * masses[0]]
+    assert -2.2 <= report["results"]["bd_slope"] <= -1.8
 
 
 TABLES = {

@@ -84,14 +84,21 @@ def test_duplicate_levels_warn(uni):
         orthonormality_matrix([uni.levels[1], uni.levels[1]], uni.ops)
 
 
+def test_orthonormality_needs_shared_energy_and_py(uni):
+    # the Gram matrix compares levels at one (p0, p_y); the stack itself does not
+    for change in ({"p0": uni.levels[1].p0 + 1.0}, {"p_y": uni.levels[1].p_y + 1.0}):
+        moved = [uni.levels[0], dataclasses.replace(uni.levels[1], **change)]
+        with pytest.raises(ArgumentError, match="shared"):
+            orthonormality_matrix(moved, uni.ops)
+
+
 def test_eigen_relation_residual_small(uni):
-    worst = max(verify_eigen_relation(lv, uni.spec_plus, uni.spec_minus, uni.rep)
-                for lv in uni.levels)
+    worst = verify_eigen_relation(uni.levels, uni.spec_plus, uni.spec_minus, uni.rep).max()
     assert worst < 5e-6
 
 
 def test_intertwining_residual_small(uni):
-    worst = max(verify_gpEp(lv, uni.ops) for lv in uni.levels)
+    worst = verify_gpEp(uni.levels, uni.ops).max()
     assert worst < 1e-5
 
 
@@ -100,19 +107,18 @@ def test_zero_mode_annihilation_small(uni):
 
 
 def test_residuals_identical_across_reps(uni, uni_second):
-    for lv1, lv2 in zip(uni.levels[:4], uni_second.levels[:4]):
-        r1 = verify_gpEp(lv1, uni.ops)
-        r2 = verify_gpEp(lv2, uni_second.ops)
-        assert abs(r1 - r2) < 1e-12
+    r1 = verify_gpEp(uni.levels, uni.ops)[:4]
+    r2 = verify_gpEp(uni_second.levels, uni_second.ops)[:4]
+    assert np.abs(r1 - r2).max() < 1e-12
 
 
 def test_wrong_pbar_is_detected(uni):
     lv = uni.levels[2]
-    base = verify_gpEp(lv, uni.ops)
+    base = verify_gpEp(uni.levels, uni.ops)[2]
     # pbar is built from (p0, k): relabel k so that pbar_2 = sqrt(k) + 0.1
     off = dataclasses.replace(lv, k=(lv.pbar.p2 + 0.1) ** 2)
     assert off.pbar.p0 == lv.pbar.p0 and off.pbar.p2 == pytest.approx(lv.pbar.p2 + 0.1)
-    assert verify_gpEp(off, uni.ops) > 100 * base
+    assert verify_gpEp([off], uni.ops)[0] > 100 * base
 
 
 def test_projector_is_populated_columns(uni, uni_second):
@@ -147,18 +153,18 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         u, v = lv.Ep[a * N:(a + 1) * N, a], lv.Ep[b * N:(b + 1) * N, b]
         ladder = A.T if lv.zero_channel > 0 else A
         assert h * float(v @ (ladder @ u)) > 0
-    assert max(verify_gpEp(lv, ops) for lv in prob.levels) < 1e-5
+    assert verify_gpEp(prob.levels, ops).max() < 1e-5
 
     # Pi-tilde^2 assembled here: blockdiag of the channel Hamiltonians, by slot
     blocks = [None, None]
     for sigma, V in zip((+1, -1), susy_partner_potentials(profile, p_y, e)):
         blocks[slots[sigma]] = channel_hamiltonian(V(prob.grid.x), h)
     pi_tilde2 = sp.block_diag(blocks, format="csr")
-    for lv in prob.levels:
+    residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
+    for lv, res in zip(prob.levels, residuals):
         diff = (lv.pbar.p0**2 * lv.Ep - pi_tilde2 @ lv.Ep) - lv.pbar.squared * lv.Ep
         ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
                / (np.sqrt(h) * float(np.linalg.norm(lv.Ep))))
-        res = verify_eigen_relation(lv, prob.spec_plus, prob.spec_minus, prob.rep)
         assert res == ref and res < 1e-5
 
     try:
@@ -171,11 +177,11 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     for m in (1.0, 4.0):
         H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + m * np.diag(fw.span_grading)
         assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
-    main = [verify_main_claim(fw, lv) for lv in fw.levels]
-    assert max(main) < 1e-5
+    main = verify_main_claim(fw, fw.levels)
+    assert main.max() < 1e-5
     assert unitarity_residual(fw) < 1e-10 and projector_commutation_residual(fw) < 1e-10
     other = prob.other_rep().fw
-    assert max(abs(r - verify_main_claim(other, lv)) for r, lv in zip(main, other.levels)) < 1e-8
+    assert np.abs(main - verify_main_claim(other, other.levels)).max() < 1e-8
 
 
 def test_completeness_improves_with_levels(uni):
@@ -215,6 +221,6 @@ def test_gauge_center_shift_preserves_levels(uni):
     prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
     lv = prob.levels[2]
     assert lv.k == pytest.approx(4.0, abs=1e-5)
-    assert verify_gpEp(lv, prob.ops) < 1e-5
+    assert verify_gpEp(prob.levels, prob.ops)[2] < 1e-5
     peak = prob.grid.x[np.argmax(np.abs(prob.spec_plus.eigenfunctions[:, 0]))]
     assert abs(peak - 1.2) < 0.1

@@ -78,7 +78,7 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     uniform = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=1024))
     assert -L <= prob.grid.x_min and prob.grid.x_max <= L
     assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
-    assert max(verify_gpEp(lv, prob.ops) for lv in prob.levels) < 1e-5
+    assert verify_gpEp(prob.levels, prob.ops).max() < 1e-5
 
 
 def test_table_ending_before_the_wkb_target_is_a_truncation_error():
