@@ -177,6 +177,9 @@ def load_config(path) -> RunConfig:
     for key in raw:
         if key not in _TOP_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
+    for key in ("profile", "grid", "tolerances"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigurationError(f"{key} must be a JSON object, got {raw[key]!r}")
 
     cfg = RunConfig()
     try:

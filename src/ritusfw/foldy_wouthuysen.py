@@ -24,8 +24,9 @@ is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0,
 so W_0 = 1).  Off the resolved span U acts as the identity.  U is never
 formed: it is kept as the factors B = [B_0 | B_1 | ...] (2N x L) and the
 block-diagonal W = diag(W_n) (L x L), U = 1 + B (W - 1) B^T, and applied as
-a scipy LinearOperator.  Its checks reduce to L x L algebra, and W itself is
-U compressed to the resolved span.  X acts on B once, giving
+that low-rank update of the identity.  Its checks reduce to L x L algebra on
+W - 1, B^T B and the thin QR factor of B, computed once per operator, and W
+itself is U compressed to the resolved span.  X acts on B once, giving
 K = B^T X B: its diagonal 2x2 blocks are the generators X_nn, and the
 restricted Hamiltonian is L x L for any mass.  The main claim applies U
 once to the stacked levels E and compares with E times the block-diagonal
@@ -41,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator
 
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
@@ -91,7 +92,8 @@ class FWOperator:
     L x L matrix holding one 2x2 (or 1x1) rotation per level at
     cluster_slices, span_grading the gamma^0 grading of the span columns,
     K = B^T X B the spatial Dirac operator compressed to the span, and rep
-    the gamma representation U was built in.
+    the gamma representation U was built in.  ``apply`` applies U to grid
+    vectors; ``factors`` holds the L x L factors its checks read.
     """
 
     mass: float
@@ -108,24 +110,18 @@ class FWOperator:
         """B, gathered from the levels' E on each read: E holds the same numbers."""
         return _gather_span(self.levels, self.span_columns)
 
-    @property
-    def U(self) -> LinearOperator:
-        """1 + B (W - 1) B^T as a LinearOperator; U^T is its adjoint."""
-        B, D = self.span, self.W - np.eye(self.W.shape[0])
+    @cached_property
+    def factors(self):
+        """(D, G, R): D = W - 1, G = B^T B and the thin QR factor R of B, built on first read."""
+        B = self.span
+        return self.W - np.eye(self.W.shape[0]), B.T @ B, np.linalg.qr(B, mode="r")
 
-        def apply(V):
-            UV = B @ (D @ (B.T @ V))
-            UV += V                     # in place: one grid-sized array per product
-            return UV
-
-        def apply_transpose(V):
-            UV = B @ (D.T @ (B.T @ V))
-            UV += V
-            return UV
-
-        return LinearOperator((B.shape[0], B.shape[0]), matvec=apply, matmat=apply,
-                              rmatvec=apply_transpose, rmatmat=apply_transpose,
-                              dtype=np.float64)
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """U V = V + B ((W - 1)(B^T V)) for a grid vector or matrix V."""
+        B = self.span
+        UV = B @ ((self.W - np.eye(self.W.shape[0])) @ (B.T @ V))
+        UV += V                     # in place: one grid-sized array per product
+        return UV
 
 
 @dataclass(frozen=True)
@@ -213,12 +209,6 @@ def field_fw_from_levels(
     )
 
 
-def _span_factors(fw: FWOperator):
-    """(D, G, R): D = W - 1, G = B^T B and the thin QR factor R of the span B."""
-    B = fw.span
-    return fw.W - np.eye(fw.W.shape[0]), B.T @ B, np.linalg.qr(B, mode="r")
-
-
 def _span_norm(R: np.ndarray, C: np.ndarray) -> float:
     """||B C B^T||_2 = ||R C R^T||_2, since B = Q R with orthonormal Q."""
     return float(np.linalg.norm(R @ C @ R.T, 2))
@@ -232,7 +222,7 @@ def unitarity_residual(fw: FWOperator) -> float:
     the L x L matrix R C R^T (R from a thin QR of B): exact, and never below
     the largest entry of U^T U - 1.
     """
-    D, G, R = _span_factors(fw)
+    D, G, R = fw.factors
     return _span_norm(R, D + D.T + D.T @ G @ D)
 
 
@@ -243,7 +233,7 @@ def projector_commutation_residual(fw: FWOperator) -> float:
     [U, P_n] = B (D G E_n - E_n G D) B^T with D = W - 1 and G = B^T B; its
     norm is taken exactly from the L x L factors, as in unitarity_residual.
     """
-    D, G, R = _span_factors(fw)
+    D, G, R = fw.factors
     worst = 0.0
     for sl in fw.cluster_slices:
         E = np.zeros(G.shape[0])
@@ -310,7 +300,7 @@ def verify_main_claim(fw: FWOperator, levels: Sequence[RitusLevel]) -> np.ndarra
     levels = RitusLevels(levels)
     E = levels.E
     free = np.array([free_fw(lv.k, fw.mass, fw.rep).real for lv in levels])
-    UE = fw.U @ E           # the span U gathers is freed before the block product
+    UE = fw.apply(E)        # the span apply gathers is freed before the block product
     residual = times_blocks(E, free)                # Fortran order, as E
     np.subtract(UE, residual, out=residual)
     return levels.norms(residual) / levels.norms(E)

@@ -52,6 +52,8 @@ __all__ = [
     "export_levels_csv",
 ]
 
+PAIRING_TOL = 1e-6     # relative gap allowed between a level's partner eigenvalues
+
 
 @dataclass(frozen=True)
 class BarMomentum:
@@ -166,13 +168,12 @@ def assemble_level(
     n: int,
     p0: float,
     ops: GridOperators,
-    pairing_tol: float = 1e-6,
 ) -> RitusLevel:
     """Build E_p for level n from the two channel spectra.
 
     n = 0 takes the zero-mode channel's ground state alone; n >= 1 pairs the
     zero-mode channel's level n with the partner channel's level n-1 (the
-    eigenvalues must agree within pairing_tol relative) and averages k.
+    eigenvalues must agree within PAIRING_TOL relative) and averages k.
     The spinor slots follow ops.rep, and ops.X aligns the signs; ops must
     share the spectra's grid, p_y and charge.
     """
@@ -212,10 +213,10 @@ def assemble_level(
         k_zero = float(spec_zero.eigenvalues[n])
         k_other = float(spec_other.eigenvalues[n - 1])
         mismatch = abs(k_zero - k_other) / max(abs(k_zero), abs(k_other), 1e-300)
-        if mismatch > pairing_tol:
+        if mismatch > PAIRING_TOL:
             raise PairingError(
                 f"partner eigenvalues k={k_zero:.9g} and k={k_other:.9g} differ by "
-                f"{mismatch:.2e} relative (> {pairing_tol:.0e}); channels do not pair"
+                f"{mismatch:.2e} relative (> {PAIRING_TOL:.0e}); channels do not pair"
             )
         k = 0.5 * (k_zero + k_other)
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from child_env import child_env
@@ -160,6 +161,11 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
     pytest.param("all", {"n_max": 2.9}, "n_max", id="n_max-fractional"),
     pytest.param("all", {"grid": {"N": "abc"}}, "grid.N", id="N-non-numeric"),
     pytest.param("all", {"mass": "x"}, "mass", id="mass-non-numeric"),
+    pytest.param("spectrum", {"grid": 5}, "must be a JSON object", id="grid-not-object"),
+    pytest.param("spectrum", {"tolerances": [1]}, "must be a JSON object",
+                 id="tolerances-not-object"),
+    pytest.param("spectrum", {"profile": "uniform"}, "must be a JSON object",
+                 id="profile-not-object"),
 ]
 
 
@@ -196,6 +202,22 @@ def test_fw_series_masses_stay_4_8_16_up_to_k_16(overrides):
     report, ok = run("fw-series", RunConfig(**overrides))
     assert ok
     assert [row["m"] for row in report["results"]["bd"]] == [4.0, 8.0, 16.0]
+
+
+def test_all_factors_the_span_once(monkeypatch):
+    # unitarity and projector commutation share one thin QR of the span; the
+    # other representation's operator, read only by the main claim, factors nothing
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    report, ok = run("all", RunConfig())
+    assert ok
+    assert len(calls) == 1
 
 
 def test_fw_series_masses_follow_k_max():

@@ -82,7 +82,7 @@ def test_field_fw_commutes_with_cluster_projectors(uni):
 
 def test_field_fw_identity_on_zero_mode(uni):
     E0 = uni.fw.levels[0].Ep[:, 0].real
-    assert np.abs(uni.fw.U @ E0 - E0).max() < 1e-12
+    assert np.abs(uni.fw.apply(E0) - E0).max() < 1e-12
 
 
 def test_field_fw_requires_levels(uni):

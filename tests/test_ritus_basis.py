@@ -179,7 +179,23 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
     main = verify_main_claim(fw, fw.levels)
     assert main.max() < 1e-5
-    assert unitarity_residual(fw) < 1e-10 and projector_commutation_residual(fw) < 1e-10
+
+    # U applied as the low-rank update, and both residuals from a fresh
+    # factorization of the span, bit for bit
+    D = fw.W - np.eye(fw.W.shape[0])
+    V = np.random.default_rng(N).standard_normal((2 * N, 3))
+    for vec in (V, V[:, 0]):
+        assert np.array_equal(fw.apply(vec), vec + B @ (D @ (B.T @ vec)))
+    G, R = B.T @ B, np.linalg.qr(B, mode="r")
+    unit = float(np.linalg.norm(R @ (D + D.T + D.T @ G @ D) @ R.T, 2))
+    proj = 0.0
+    for sl in fw.cluster_slices:
+        sel = np.zeros(G.shape[0])
+        sel[sl] = 1.0
+        C = (D @ G) * sel[None, :] - sel[:, None] * (G @ D)
+        proj = max(proj, float(np.linalg.norm(R @ C @ R.T, 2)))
+    assert unitarity_residual(fw) == unit < 1e-10
+    assert projector_commutation_residual(fw) == proj < 1e-10
     other = prob.other_rep().fw
     assert np.abs(main - verify_main_claim(other, other.levels)).max() < 1e-8
 

@@ -60,7 +60,7 @@ def intertwining_loop(prob, levels):
 
 
 def main_claim_loop(fw):
-    return np.array([np.linalg.norm(fw.U @ lv.Ep - lv.Ep @ free_fw(lv.k, fw.mass, fw.rep))
+    return np.array([np.linalg.norm(fw.apply(lv.Ep) - lv.Ep @ free_fw(lv.k, fw.mass, fw.rep))
                      / np.linalg.norm(lv.Ep) for lv in fw.levels])
 
 
