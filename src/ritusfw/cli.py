@@ -129,11 +129,7 @@ class RunConfig:
 
     def profile_number(self, key: str) -> float:
         """Profile parameter ``key`` (B or alpha) as a finite nonzero float."""
-        raw = self.profile_params.get(key, _PROFILE_DEFAULTS[key])
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"profile {key} must be a number, got {raw!r}") from None
+        value = _number(self.profile_params.get(key, _PROFILE_DEFAULTS[key]), f"profile {key}")
         if not (math.isfinite(value) and value != 0):
             raise ConfigurationError(f"profile {key} must be finite and nonzero, got {value}")
         return value
@@ -150,11 +146,16 @@ class RunConfig:
 
 
 def _number(raw, key: str) -> float:
-    """raw as a float; a value that is not a number is a configuration error naming key."""
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be a number, got {raw!r}") from None
+    """raw as a float; a value that is not a number is a configuration error naming key.
+
+    A JSON boolean is not a number, though float(True) is 1.0.
+    """
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{key} must be a number, got {raw!r}")
 
 
 def _integer(raw, key: str) -> int:
@@ -293,7 +294,6 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
 
 def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
-    import scipy.linalg
 
     from .ritus_basis import (export_levels_csv, orthonormality_matrix,
                               verify_eigen_relation, verify_gpEp,
@@ -307,7 +307,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     zm = zero_mode_annihilation(levels[0], prob.ops)
 
     gram = orthonormality_matrix(levels, prob.ops)
-    expected = scipy.linalg.block_diag(*(lv.projector for lv in levels))
+    expected = np.diag([p for lv in levels for p in lv.projector.diagonal()])
     ortho_dev = float(np.abs(gram - expected).max())
 
     checks = {

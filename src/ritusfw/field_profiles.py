@@ -6,6 +6,15 @@ The magnetic field is B(x) = W'(x).  Three kinds are supported:
 * exponential:  W(x) = (B/alpha)(1 - e^{-alpha x})   (W' = B e^{-alpha x})
 * tabulated:    cubic-spline interpolation of samples (x_i, W_i)
 
+The tabulated kind is the not-a-knot cubic spline (de Boor, A Practical
+Guide to Splines, 1978): the third derivative is continuous at the second
+and the second-to-last sample.  Its knot slopes solve one tridiagonal system
+(LAPACK xGTSV through scipy.linalg.solve_banded), built term for term as
+scipy's CubicSpline builds it for n >= 4 samples, and each interval's cubic
+is summed in ascending powers as scipy's PPoly sums it.  So W and W' equal
+CubicSpline's bit for bit, and no run imports scipy's interpolation package,
+which loads about two hundred more scipy modules.
+
 The supersymmetric partner potentials entering the squared spatial Dirac
 operator are V_sigma(x) = (p_y - e W(x))^2 - sigma e W'(x).
 """
@@ -14,14 +23,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import ArgumentError, DomainError, UnsupportedProfileError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "FieldProfile",
@@ -42,7 +49,8 @@ class FieldProfile:
     kind: str                      # "uniform" | "exponential" | "tabulated"
     params: dict
     domain_hint: Optional[Tuple[float, float]] = None
-    _spline: Optional[CubicSpline] = field(default=None, repr=False, compare=False)
+    # tabulated only: row i holds the cubic on [x_i, x_{i+1}], see _not_a_knot_table
+    _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def uniform_profile(B: float = 1.0) -> FieldProfile:
@@ -57,23 +65,50 @@ def exponential_profile(B: float = 1.0, alpha: float = 0.1) -> FieldProfile:
     return FieldProfile(kind="exponential", params={"B": float(B), "alpha": float(alpha)})
 
 
-def tabulated_profile(x: np.ndarray, W: np.ndarray) -> FieldProfile:
-    """Profile from samples; W is cubic-spline interpolated, W' is the spline derivative."""
-    # imported here: scipy.interpolate costs more to import than a default run's numerics
-    from scipy.interpolate import CubicSpline
+def _not_a_knot_table(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through (x_i, W_i), n >= 4.
 
+    Row i holds (W_i, s_i, c_2, c_3) of W_i + s_i t + c_2 t^2 + c_3 t^3,
+    t = x - x_i, on [x_i, x_{i+1}]; shape (n - 1, 4).  The knot slopes s
+    solve the tridiagonal system of C^2 continuity with the two not-a-knot
+    end rows, in CubicSpline's operation order.  The first two columns get
+    + 0.0, the start value of PPoly's sum, which turns a -0.0 into 0.0.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(W) / dx
+    ab = np.zeros((3, n))  # superdiagonal, diagonal, subdiagonal
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[-1, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.column_stack((W[:-1] + 0.0, s[:-1] + 0.0, (slope - s[:-1]) / dx - t, t / dx))
+
+
+def tabulated_profile(x: np.ndarray, W: np.ndarray) -> FieldProfile:
+    """Profile from samples; W is the not-a-knot cubic spline, W' its derivative."""
     x = np.asarray(x, dtype=float)
     W = np.asarray(W, dtype=float)
     if x.ndim != 1 or x.shape != W.shape or x.size < 4:
         raise ArgumentError("tabulated profile needs matching 1D arrays with >= 4 samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(W))):
+        raise ArgumentError("tabulated samples must be finite")
     if not np.all(np.diff(x) > 0):
         raise ArgumentError("tabulated x samples must be strictly increasing")
-    spline = CubicSpline(x, W)
     return FieldProfile(
         kind="tabulated",
         params={"x": x, "W": W},
         domain_hint=(float(x[0]), float(x[-1])),
-        _spline=spline,
+        _table=_not_a_knot_table(x, W),
     )
 
 
@@ -117,7 +152,14 @@ def evaluate_potential(profile: FieldProfile, x):
             raise DomainError(
                 f"x outside tabulated range [{lo}, {hi}]"
             )
-        return profile._spline(x), profile._spline(x, 1)
+        knots = profile.params["x"]
+        # interval i holds x_i <= x < x_{i+1}; the last one is closed on the right
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+        t = x - knots[i]
+        c0, c1, c2, c3 = np.moveaxis(profile._table[i], -1, 0)
+        # PPoly's sums, term by term: ascending powers, t^3 as (t t) t
+        tt = t * t
+        return (c0 + c1 * t) + c2 * tt + c3 * (tt * t), c1 + (c2 * t) * 2 + (c3 * tt) * 3
     raise ArgumentError(f"unknown profile kind {profile.kind!r}")
 
 

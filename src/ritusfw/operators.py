@@ -200,10 +200,11 @@ class GridOperators:
         diagonal, in the interleaved order q = 2i + s.  D1 reaches
         j - i = +/-2, so the half-bandwidth is BAND = 5 on both sides.  Entry
         (q, r) sits at ab[2*BAND + q - r, r]; the BAND rows on top are the
-        room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N).
+        room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N), in Fortran
+        order, so that xGBTRF factors it in place.
         """
         rows, values = self._minus_x_rows
-        ab = np.zeros((4 * BAND + 1, 2 * self.x.size))
+        ab = np.zeros((4 * BAND + 1, 2 * self.x.size), order="F")
         ab[rows] = values
         ab[2 * BAND] = (p0 * self.g0diag - m).reshape(2, -1).T.ravel()
         return ab

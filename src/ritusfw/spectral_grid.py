@@ -46,7 +46,8 @@ from .errors import (
     DiscretizationError,
     TruncationError,
 )
-from .field_profiles import FieldProfile, analytic_landau_levels, susy_partner_potentials
+from .field_profiles import (FieldProfile, analytic_landau_levels, evaluate_potential,
+                             susy_partner_potentials)
 from .operators import channel_hamiltonian
 
 __all__ = [
@@ -216,13 +217,13 @@ def build_grid(
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    Vp, Vm = susy_partner_potentials(profile, p_y, e)
-
     lo, hi = _scan_window(profile, p_y, e)
     clip = profile.kind == "tabulated"
 
     def vmin(x):
-        return np.minimum(Vp(x), Vm(x))
+        # min over sigma of V_sigma = (p_y - eW)^2 - sigma eW', from one (W, W')
+        W, Wp = evaluate_potential(profile, x)
+        return (p_y - e * W) ** 2 - np.abs(e * Wp)
 
     # widen until the minimum of the sampled potential is interior
     for _ in range(60):

@@ -166,6 +166,12 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
                  id="tolerances-not-object"),
     pytest.param("spectrum", {"profile": "uniform"}, "must be a JSON object",
                  id="profile-not-object"),
+    pytest.param("spectrum", {"mass": True}, "mass must be a number, got True",
+                 id="mass-boolean"),
+    pytest.param("spectrum", {"n_max": True}, "n_max must be a number, got True",
+                 id="n_max-boolean"),
+    pytest.param("spectrum", {"profile": {"kind": "uniform", "B": True}},
+                 "profile B must be a number, got True", id="B-boolean"),
 ]
 
 
@@ -239,6 +245,8 @@ TABLES = {
     "wrong-header": "a,b\n0,0\n1,1\n2,2\n3,3\n",
     "empty": "",
     "no-W-cell": "x,W\n0,0\n1\n2,2\n3,3\n4,4\n",
+    "non-finite": "x,W\n0,0\n1,nan\n2,2\n3,3\n",
+    "infinite-x": "x,W\n0,0\n1,1\n2,2\n3,3\ninf,4\n",
 }
 
 

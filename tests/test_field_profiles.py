@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ritusfw.errors import ArgumentError, DomainError
@@ -68,12 +70,52 @@ def test_tabulated_domain_and_validation():
     tab = tabulated_profile(xs, xs**2)
     with pytest.raises(DomainError):
         evaluate_potential(tab, np.array([1.5]))
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match=">= 4 samples"):
         tabulated_profile(xs[:3], xs[:3])
     bad = xs.copy()
     bad[4] = bad[2]
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="strictly increasing"):
         tabulated_profile(bad, xs**2)
+    with pytest.raises(ArgumentError, match="strictly increasing"):
+        tabulated_profile(xs[::-1], xs**2)
+    for x_bad, W_bad in [(np.append(xs[:-1], np.inf), xs**2),
+                         (xs, np.where(xs == xs[3], np.nan, xs**2)),
+                         (xs, np.where(xs == xs[3], -np.inf, xs**2))]:
+        with pytest.raises(ArgumentError, match="must be finite"):
+            tabulated_profile(x_bad, W_bad)
+
+
+@st.composite
+def tables(draw):
+    """(x, W, points): n in [4, 200] samples, uniform or random spacing, and
+    every knot, both ends and interior points to evaluate at."""
+    n = draw(st.integers(4, 200))
+    x0 = draw(st.floats(-50.0, 50.0))
+    if draw(st.booleans()):
+        x = x0 + draw(st.floats(0.01, 5.0)) * np.arange(n)
+    else:
+        gaps = draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1))
+        x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    W = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50)))
+    inner = np.clip(x[0] + fractions * (x[-1] - x[0]), x[0], x[-1])
+    points = np.concatenate((x, [x[0], x[-1]], 0.5 * (x[:-1] + x[1:]), inner))
+    return x, W, points
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(tables())
+# W = -(x^3 + x^2 + x): every term at x = 0 is -0.0, and PPoly's sum starts at +0.0
+@example((np.arange(4.0), -np.array([0.0, 3.0, 14.0, 39.0]), np.arange(4.0)))
+def test_tabulated_spline_is_scipy_cubic_spline_bit_for_bit(table):
+    # the oracle is scipy's not-a-knot CubicSpline, imported only here
+    from scipy.interpolate import CubicSpline
+
+    x, W, points = table
+    spline = CubicSpline(x, W)
+    Wt, Wpt = evaluate_potential(tabulated_profile(x, W), points)
+    assert Wt.tobytes() == spline(points).tobytes()
+    assert Wpt.tobytes() == spline(points, 1).tobytes()
 
 
 def test_csv_loader_round_trip(tmp_path):

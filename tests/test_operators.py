@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dgbtrf
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
@@ -91,6 +92,9 @@ def test_gamma_dot_pi_full_blocks(uni, uni_second):
         K = K[np.ix_(order, order)]
         dense = p0 * np.diag(ops.g0diag) - ops.X.toarray() - m * np.eye(2 * N)
         assert np.array_equal(K, dense)
+        # Fortran order: xGBTRF factors the band in place, with no copy
+        lu, _, info = dgbtrf(ab, BAND, BAND, overwrite_ab=True)
+        assert info == 0 and np.shares_memory(lu, ab)
 
 
 def test_grid_operators_bundle_consistency(uni, uni_second):

@@ -3,6 +3,7 @@ and imports stay light."""
 
 import importlib
 import inspect
+import math
 import re
 import subprocess
 import sys
@@ -39,9 +40,11 @@ def test_all_lists_exactly_the_public_api():
     assert wrong == {}
 
 
-def loaded_in_child(imports, names):
-    """Which of ``names`` are in sys.modules of a fresh interpreter after ``imports``."""
-    code = f"import sys, {', '.join(imports)}; print(*[n for n in {names!r} if n in sys.modules])"
+def loaded_in_child(imports, names, then="pass"):
+    """Which of ``names`` are in sys.modules of a fresh interpreter after ``imports``
+    and the statement ``then``."""
+    code = (f"import sys, {', '.join(imports)}; {then}; "
+            f"print(*[n for n in {names!r} if n in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -53,7 +56,23 @@ def test_cli_import_loads_no_numerics():
     assert loaded_in_child(["ritusfw.cli"], ("numpy", "scipy")) == []
 
 
+UNUSED_SCIPY = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",
+                "scipy.fft")
+
+
 def test_package_import_leaves_out_scipy_interpolate():
-    # only a tabulated profile needs CubicSpline
+    # importing the package loads no scipy subpackage that it does not use
     modules = [f"ritusfw.{name}" for name in ritusfw._SUBMODULES]
-    assert loaded_in_child(modules, ("scipy.interpolate",)) == []
+    assert loaded_in_child(modules, UNUSED_SCIPY) == []
+
+
+def test_tabulated_all_leaves_out_unused_scipy(tmp_path):
+    # the table's spline is the package's own: a full run on a table loads
+    # none of the scipy subpackages that scipy.interpolate pulls in
+    table = tmp_path / "table.csv"
+    xs = [-16.0 + 0.2 * i for i in range(161)]
+    table.write_text("x,W\n" + "".join(f"{x!r},{x + 0.003 * math.sin(0.5 * x)!r}\n" for x in xs))
+    then = (f"cfg = ritusfw.cli.RunConfig(profile_kind='tabulated', "
+            f"profile_params={{'path': {str(table)!r}}}); "
+            f"assert ritusfw.cli.run('all', cfg)[1]")
+    assert loaded_in_child(["ritusfw.cli"], UNUSED_SCIPY, then) == []

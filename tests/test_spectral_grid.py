@@ -55,17 +55,20 @@ TABLE_X = np.linspace(-8.0, 8.0, 161)
     (tabulated_profile(TABLE_X, TABLE_X), 0.5, 6),
 ])
 def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y, n_max):
-    # the domain walks sample the lattice in doubling chunks, not point by point
+    # the domain walks sample the lattice in doubling chunks, not point by point,
+    # and both channels come from one (W, W') per point set
     calls = []
     evaluate = field_profiles.evaluate_potential
 
     def counting(prof, x):
-        calls.append(np.size(x))
+        calls.append(np.array(x, dtype=float))
         return evaluate(prof, x)
 
     monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
+    monkeypatch.setattr(spectral_grid, "evaluate_potential", counting)
     build_grid(profile, p_y, n_max, GridConfig(n_points=256))
-    assert len(calls) <= 64
+    assert len(calls) <= 32
+    assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
 
 @pytest.mark.parametrize("L", [8.0, 12.0, 20.0])
