@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConfigurationError, RitusFWError
 
 if TYPE_CHECKING:
+    from .field_profiles import FieldProfile
     from .problem import Problem
 
 _VERSION = "0.1.0"
@@ -60,8 +61,11 @@ class RunConfig:
     rep: str = "first"
     out: Optional[str] = None
 
-    def validate(self) -> None:
-        """Reject unusable input before any numerics; each message names its key."""
+    def validate(self) -> FieldProfile:
+        """Reject unusable input before any numerics; each message names its key.
+
+        Returns the field profile, so that a run reads its table only here.
+        """
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
         if self.n_max < 1:
@@ -87,26 +91,28 @@ class RunConfig:
             raise ConfigurationError("e must be nonzero: the field does not couple at e = 0")
         if self.rep not in ("first", "second"):
             raise ConfigurationError(f"unknown representation {self.rep!r}")
-        if self.profile_kind == "tabulated":
-            self._check_table()
-        elif self.profile_kind in ("uniform", "exponential"):
-            B = self.profile_number("B")
-            if self.profile_kind == "exponential":
-                self._check_bound_states(B, self.profile_number("alpha"))
-        else:
+        if self.profile_kind == "exponential":
+            self._check_bound_states(self.profile_number("B"), self.profile_number("alpha"))
+        elif self.profile_kind not in ("uniform", "tabulated"):
             raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
+        return self.field_profile()
 
-    def _check_table(self) -> None:
-        """Load the table, so that a bad one exits 2 before --out is created."""
+    def field_profile(self) -> FieldProfile:
+        """The field profile of this config; a table is loaded, and a bad one exits 2."""
         # imported here: `import ritusfw.cli` stays free of numpy
+        from . import field_profiles as fp
         from .errors import ArgumentError
-        from .field_profiles import load_tabulated_csv
 
+        if self.profile_kind == "uniform":
+            return fp.uniform_profile(B=self.profile_number("B"))
+        if self.profile_kind == "exponential":
+            return fp.exponential_profile(B=self.profile_number("B"),
+                                          alpha=self.profile_number("alpha"))
         path = self.profile_params.get("path")
         if not isinstance(path, str):
             raise ConfigurationError(f"profile.path must name an x,W table, got {path!r}")
         try:
-            load_tabulated_csv(path)
+            return fp.load_tabulated_csv(path)
         except (OSError, ValueError, ArgumentError) as exc:
             raise ConfigurationError(
                 f"profile.path {path!r} is not a usable x,W table: {exc}") from None
@@ -248,24 +254,6 @@ def _check(value: float, threshold: float) -> dict:
 def _window_check(value: float, lo: float, hi: float) -> dict:
     return {"value": float(value), "window": [float(lo), float(hi)],
             "pass": bool(lo <= float(value) <= hi)}
-
-
-def _make_problem(cfg: RunConfig):
-    from . import field_profiles as fp
-    from .clifford import make_rep
-    from .problem import Problem
-    from .spectral_grid import GridConfig
-
-    if cfg.profile_kind == "uniform":
-        profile = fp.uniform_profile(B=cfg.profile_number("B"))
-    elif cfg.profile_kind == "exponential":
-        profile = fp.exponential_profile(B=cfg.profile_number("B"),
-                                         alpha=cfg.profile_number("alpha"))
-    else:
-        profile = fp.load_tabulated_csv(cfg.profile_params["path"])
-    return Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
-                   cfg.n_max, GridConfig(n_points=cfg.grid_n, padding=cfg.padding),
-                   cfg.tol_eig)
 
 
 def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
@@ -460,7 +448,18 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     one section is recorded as that section's ``error`` (with no checks) and
     fails the run; the other sections still run.
     """
-    prob = _make_problem(cfg)
+    return _run(command, cfg, cfg.field_profile(), outdir)
+
+
+def _run(command: str, cfg: RunConfig, profile: FieldProfile, outdir: Optional[Path]):
+    """``run`` on a field profile already built from cfg."""
+    from .clifford import make_rep
+    from .problem import Problem
+    from .spectral_grid import GridConfig
+
+    prob = Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
+                   cfg.n_max, GridConfig(n_points=cfg.grid_n, padding=cfg.padding),
+                   cfg.tol_eig)
     report = {"version": _VERSION, "command": command, "config": cfg.echo()}
     if command == "all":
         ok = True
@@ -515,7 +514,7 @@ def main(argv=None) -> int:
             val = getattr(args, name)
             if val is not None:
                 setattr(cfg, name, val)
-        cfg.validate()
+        profile = cfg.validate()
         outdir = None
         if cfg.out is not None:
             outdir = Path(cfg.out)
@@ -525,7 +524,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report, ok = run(args.command, cfg, outdir)
+        report, ok = _run(args.command, cfg, profile, outdir)
     except ConfigurationError as exc:
         print(f"rfw: {exc}", file=sys.stderr)
         return 2

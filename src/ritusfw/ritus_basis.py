@@ -34,7 +34,7 @@ import numpy as np
 
 from .clifford import GammaRep
 from .errors import ArgumentError, PairingError, TruncationError
-from .operators import GridOperators, channel_slots
+from .operators import GridOperators, band_product, channel_slots
 from .spectral_grid import Grid, ScalarSpectrum
 
 __all__ = [
@@ -224,9 +224,11 @@ def assemble_level(
         v = spec_other.eigenfunctions[:, n - 1]     # partner channel, level n-1
         Ep[a * N:(a + 1) * N, a] = spec_zero.eigenfunctions[:, n]
 
-        # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p
-        # has the sign of gamma^2[b, a]; flip v before placing it, so no -0.0
-        if float(v @ (ops.X @ Ep[:, a])[b * N:(b + 1) * N]) * ops.rep.gamma[2][b, a].real < 0:
+        # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p,
+        # v^T X_ba u with X's block (b, a), has the sign of gamma^2[b, a];
+        # flip v before placing it, so no -0.0
+        Xu = band_product(ops.X.blocks[b][a], Ep[a * N:(a + 1) * N, a])
+        if float(v @ Xu) * ops.rep.gamma[2][b, a].real < 0:
             v = -v
         Ep[b * N:(b + 1) * N, b] = v
         channel_eigs = (k_zero, k_other)
@@ -262,10 +264,10 @@ def verify_eigen_relation(levels: Sequence[RitusLevel], spec_plus: ScalarSpectru
     levels = RitusLevels(levels)
     E, N = levels.E, levels[0].grid.n_points
     slots = channel_slots(rep)
-    residual = np.empty(E.shape)  # C order, as H @ E_p of one level: its norm sums row by row
+    residual = np.zeros(E.shape)  # C order, as H @ E_p of one level: its norm sums row by row
     for spec in (spec_plus, spec_minus):
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-        residual[rows] = spec.hamiltonian @ E[rows]            # Pi-tilde^2 E
+        band_product(spec.hamiltonian, E[rows], out=residual[rows], symmetric=True)  # Pi-tilde^2 E
     np.subtract(np.repeat([lv.p0**2 for lv in levels], 2) * E, residual, out=residual)
     residual -= np.repeat([lv.pbar.squared for lv in levels], 2) * E
     return levels.norms(residual) / levels.norms(E)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from child_env import child_env
+from ritusfw import cli, field_profiles
 from ritusfw.cli import RunConfig, load_config, run
 from ritusfw.errors import ConfigurationError
 
@@ -264,6 +265,28 @@ def test_bad_table_exits_two_naming_its_path(tmp_path, case):
     assert not (tmp_path / "out").exists()
     assert "profile.path" in proc.stderr and str(table) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_main_reads_a_table_once(tmp_path, monkeypatch):
+    # validation loads the table, and the run builds on the profile it returns
+    table = tmp_path / "W.csv"
+    table.write_text("x,W\n" + "".join(f"{x / 10!r},{x / 10!r}\n" for x in range(-120, 121)))
+    cfg = write_config(tmp_path / "cfg.json", profile={"kind": "tabulated", "path": str(table)},
+                       grid={"N": 1024}, n_max=8, tolerances={"eig": 1e-6, "residual": 1e-5})
+    calls = []
+    load = field_profiles.load_tabulated_csv
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(field_profiles, "load_tabulated_csv", counting_load)
+    # main() sets the thread variables it finds unset; keep them test-local
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [str(table)]
 
 
 # the three mass cases keep their value as the id

@@ -1,11 +1,14 @@
-"""The sparse, banded, low-rank and Lanczos paths against dense references.
+"""The banded, low-rank and Lanczos paths against dense references.
 
 The library never forms a dense N x N or 2N x 2N matrix; the dense forms of
 U, G0 X, gamma.Pi - m and the channel Hamiltonians live here only, as
 references: for the FW and propagator paths on the N=640 bundle, for the
 shift-invert Lanczos channel solve (against numpy.linalg.eigh) at N=256 and
-N=384 over the profile kinds, the sign of eB and p_y.  No run goes through
-SuperLU: the propagator and the channel solve use LAPACK band kernels.
+N=384 over the profile kinds, the sign of eB and p_y, and on derandomized
+draws up to N=2048 and n_max=16 against both numpy.linalg.eigh and ARPACK
+(scipy's eigsh, the solver the package ran before its own Lanczos).  No run
+goes through SuperLU: the propagator and the channel solve use LAPACK band
+kernels.
 """
 
 import dataclasses
@@ -16,8 +19,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence, splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ritusfw import cli, spectral_grid
 from ritusfw.clifford import make_rep
@@ -28,12 +34,14 @@ from ritusfw.field_profiles import (exponential_profile,
 from ritusfw.foldy_wouthuysen import (projector_commutation_residual,
                                       restricted_hamiltonian,
                                       unitarity_residual)
-from ritusfw.operators import BAND, channel_hamiltonian
+from ritusfw.operators import BAND, band_product, channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
 from ritusfw.ritus_basis import dirac_overlap, orthonormality_matrix
-from ritusfw.spectral_grid import (PHASE_THRESHOLD, ZERO_CLAMP, ZERO_ROUNDING, GridConfig,
-                                   build_grid, solve_channel)
+from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING,
+                                   GridConfig, build_grid, solve_channel)
+
+from bands import dense, dense_spinor
 
 P0 = 0.3
 MASS = 1.0
@@ -75,13 +83,13 @@ def test_restricted_hamiltonian_matches_dense(uni):
     for m in (MASS, 4.0):
         H_r, grading = restricted_hamiltonian(fw, m)
         B = fw.span
-        ref = B.T @ ((dense_G0(ops) @ ops.X.toarray()) @ B) + m * np.diag(grading)
+        ref = B.T @ ((dense_G0(ops) @ dense_spinor(ops.X)) @ B) + m * np.diag(grading)
         ref = 0.5 * (ref + ref.T)
         assert np.abs(H_r - ref).max() < 1e-12
 
 
 def dense_K(ops, p0, m):
-    return p0 * dense_G0(ops) - ops.X.toarray() - m * np.eye(2 * ops.x.size)
+    return p0 * dense_G0(ops) - dense_spinor(ops.X) - m * np.eye(2 * ops.x.size)
 
 
 def interleaved_order(N):
@@ -258,23 +266,49 @@ PROFILES = {
 }
 
 
-def dense_channel(profile, p_y, sigma, grid):
-    """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's clamp.
+def channel_potential(profile, p_y, sigma, grid):
+    return susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
 
-    Each vector is phase-fixed by the solver's rule, applied here on its own:
-    positive at its first sample from the left above PHASE_THRESHOLD of its peak.
+
+def solver_conventions(vals, vecs, V, h):
+    """The solver's zero-mode clamp, quadrature norm and phase rule, applied here on their own.
+
+    Each vector is positive at its first sample from the left above
+    PHASE_THRESHOLD of its peak.
     """
-    V = susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
-    vals, vecs = np.linalg.eigh(channel_hamiltonian(V, grid.h).toarray())
-    vals = vals[:N_LEVELS]
-    bound = ZERO_ROUNDING * np.finfo(float).eps * (16 / (3 * grid.h**2) + np.abs(V).max())
+    bound = ZERO_ROUNDING * np.finfo(float).eps * (16 / (3 * h**2) + np.abs(V).max())
     vals = np.where((np.abs(vals) <= bound) | ((vals > -ZERO_CLAMP) & (vals < 0.0)), 0.0, vals)
-    vecs = vecs[:, :N_LEVELS] / np.sqrt(grid.h)
-    for n in range(N_LEVELS):
+    vecs = vecs / np.sqrt(h)
+    for n in range(vecs.shape[1]):
         mag = np.abs(vecs[:, n])
         first = np.flatnonzero(mag > PHASE_THRESHOLD * mag.max())[0]
         vecs[:, n] *= np.sign(vecs[first, n])
     return vals, vecs
+
+
+def dense_channel(profile, p_y, sigma, grid, n_levels=N_LEVELS):
+    """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's conventions."""
+    V = channel_potential(profile, p_y, sigma, grid)
+    vals, vecs = np.linalg.eigh(dense(channel_hamiltonian(V, grid.h), symmetric=True))
+    return solver_conventions(vals[:n_levels], vecs[:, :n_levels], V, grid.h)
+
+
+def arpack_channel(profile, p_y, sigma, grid, n_levels):
+    """ARPACK's implicitly restarted Lanczos (eigsh) on the solver's shift, factor and v0."""
+    V = channel_potential(profile, p_y, sigma, grid)
+    N, H = V.size, channel_hamiltonian(V, grid.h)
+    v_min = float(V.min())
+    shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
+    band = H.copy()
+    band[2] -= shift
+    chol, info = dpbtrf(band)
+    assert info == 0
+    vals, vecs = eigsh(
+        LinearOperator((N, N), matvec=lambda v: band_product(H, v, symmetric=True), dtype=float),
+        k=n_levels, sigma=shift, which="LM", v0=np.random.default_rng(0).standard_normal(N),
+        tol=0, OPinv=LinearOperator((N, N), matvec=lambda v: dpbtrs(chol, v)[0], dtype=float))
+    order = np.argsort(vals)
+    return solver_conventions(vals[order], vecs[:, order], V, grid.h)
 
 
 @pytest.mark.parametrize("N", [256, 384])
@@ -293,18 +327,66 @@ def test_channel_solve_matches_dense_eigh(name, p_y, N):
             assert [spec.sign_changes(n) for n in range(N_LEVELS)] == list(range(N_LEVELS))
 
 
-def no_convergence(*args, **kwargs):
-    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+LANCZOS = spectral_grid._shift_invert_lanczos
+WIDE_X = np.linspace(-16.0, 16.0, 321)
+KINDS = {
+    "uniform": uniform_profile,
+    "exponential": lambda B: exponential_profile(B, 0.1),
+    # wide enough for the WKB walls of level 16
+    "tabulated": lambda B: tabulated_profile(WIDE_X, B * (WIDE_X + 0.05 * np.sin(WIDE_X))),
+}
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(KINDS)), sign=st.sampled_from([1.0, -1.0]),
+       sigma=st.sampled_from([1, -1]), p_y=st.floats(-1.0, 1.0), N=st.integers(256, 2048),
+       n_max=st.integers(1, 16))
+def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, n_max):
+    profile = KINDS[kind](sign)
+    grid = build_grid(profile, p_y, n_max, GridConfig(n_points=N))
+    spec = solve_channel(profile, p_y, 1.0, sigma, grid, n_max + 1, tol_eig=1e-3)
+    V = channel_potential(profile, p_y, sigma, grid)
+    # dense eigh is backward stable only: its eigenvalues carry an error of
+    # up to about eps ||H||, ~2e-11 at N=2048, on top of which the Lanczos
+    # values are held to 1e-12 relative
+    norm_H = 16 / (3 * grid.h**2) + np.abs(V).max()
+    for (vals, vecs), floor in ((dense_channel(profile, p_y, sigma, grid, n_max + 1),
+                                 4 * np.finfo(float).eps * norm_H),
+                                (arpack_channel(profile, p_y, sigma, grid, n_max + 1), 0.0)):
+        err = np.abs(spec.eigenvalues - vals)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(vals)) + floor), err.max()
+        assert np.abs(spec.eigenfunctions - vecs).max() < 1e-8
+
+
+@pytest.mark.parametrize("m", [N_LEVELS + 1, N_LEVELS + 5])
+def test_thick_restarts_reach_the_unrestarted_pairs(uni, monkeypatch, m):
+    # a basis of m vectors needs thick restarts before the 7 levels converge
+    ref = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+
+    def small_basis(chol, shift, v0, k, _, restarts):
+        with pytest.raises(DiscretizationError, match="did not converge"):
+            LANCZOS(chol, shift, v0, k, m, 0)
+        return LANCZOS(chol, shift, v0, k, m, 200)
+
+    monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", small_basis)
+    spec = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+    assert np.abs(spec.eigenvalues - ref.eigenvalues).max() < 1e-12 * ref.eigenvalues.max()
+    assert np.abs(spec.eigenfunctions - ref.eigenfunctions).max() < 1e-8
+
+
+def no_convergence(chol, shift, v0, k, m, restarts):
+    # the solver itself, on a basis of k + 1 vectors that it may not restart
+    return LANCZOS(chol, shift, v0, k, k + 1, 0)
 
 
 def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
-    monkeypatch.setattr(spectral_grid, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", no_convergence)
     with pytest.raises(DiscretizationError, match="did not converge"):
         solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
 
 
 def test_lanczos_no_convergence_under_all(tmp_path, monkeypatch):
-    monkeypatch.setattr(spectral_grid, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", no_convergence)
     cap_threads(monkeypatch)
     out = tmp_path / "d"
     assert cli.main(["all", "--grid-n", "256", "--out", str(out)]) == 1

@@ -76,3 +76,19 @@ def test_tabulated_all_leaves_out_unused_scipy(tmp_path):
             f"profile_params={{'path': {str(table)!r}}}); "
             f"assert ritusfw.cli.run('all', cfg)[1]")
     assert loaded_in_child(["ritusfw.cli"], UNUSED_SCIPY, then) == []
+
+
+
+def test_all_imports_no_scipy_sparse(tmp_path):
+    # every operator is a band and the channel solve is the package's own
+    # Lanczos: a full default run, CSV files included, never imports
+    # scipy.sparse (nor ARPACK, which lives under it)
+    code = ("import pathlib, sys, ritusfw.cli as cli; "
+            f"report, ok = cli.run('all', cli.RunConfig(), pathlib.Path({str(tmp_path)!r})); "
+            "assert ok; "
+            "print(*[n for n in sys.modules if n.split('.')[:2] == ['scipy', 'sparse']])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+    assert (tmp_path / "levels.csv").is_file()

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -15,7 +14,7 @@ from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, Tru
 from ritusfw.field_profiles import exponential_profile, susy_partner_potentials, uniform_profile
 from ritusfw.foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
                                       unitarity_residual, verify_main_claim)
-from ritusfw.operators import GridOperators, channel_hamiltonian, channel_slots
+from ritusfw.operators import GridOperators, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import (assemble_level, completeness_residual, export_levels_csv,
                                  orthonormality_matrix, verify_eigen_relation,
@@ -146,23 +145,28 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     ops, h = prob.ops, prob.grid.h
     # the ladder A = D1 + diag(M) maps the zero channel's level n onto the
     # partner's level n - 1 as A^T (zero channel sigma = +1) or A (sigma = -1)
-    A = ops.D1 + sp.diags(ops.M)
+    A = ops.D1.copy()
+    A[2] = ops.M  # D1's band has an empty diagonal
     slots = channel_slots(prob.rep)
     for lv in prob.levels[1:]:
         a, b = slots[lv.zero_channel], slots[-lv.zero_channel]
         u, v = lv.Ep[a * N:(a + 1) * N, a], lv.Ep[b * N:(b + 1) * N, b]
-        ladder = A.T if lv.zero_channel > 0 else A
-        assert h * float(v @ (ladder @ u)) > 0
+        # v A^T u is u A v
+        overlap = u @ band_product(A, v) if lv.zero_channel > 0 else v @ band_product(A, u)
+        assert h * float(overlap) > 0
     assert verify_gpEp(prob.levels, ops).max() < 1e-5
 
     # Pi-tilde^2 assembled here: blockdiag of the channel Hamiltonians, by slot
     blocks = [None, None]
     for sigma, V in zip((+1, -1), susy_partner_potentials(profile, p_y, e)):
         blocks[slots[sigma]] = channel_hamiltonian(V(prob.grid.x), h)
-    pi_tilde2 = sp.block_diag(blocks, format="csr")
     residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
     for lv, res in zip(prob.levels, residuals):
-        diff = (lv.pbar.p0**2 * lv.Ep - pi_tilde2 @ lv.Ep) - lv.pbar.squared * lv.Ep
+        pi_tilde2_Ep = np.zeros(lv.Ep.shape)
+        for s, H in enumerate(blocks):
+            band_product(H, lv.Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N],
+                         symmetric=True)
+        diff = (lv.pbar.p0**2 * lv.Ep - pi_tilde2_Ep) - lv.pbar.squared * lv.Ep
         ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
                / (np.sqrt(h) * float(np.linalg.norm(lv.Ep))))
         assert res == ref and res < 1e-5

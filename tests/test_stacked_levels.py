@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
 from ritusfw.foldy_wouthuysen import field_fw_from_levels, free_fw, theta, verify_main_claim
-from ritusfw.operators import channel_slots
+from ritusfw.operators import band_product, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import diagonal_propagator, project_propagator
 from ritusfw.ritus_basis import (BarMomentum, RitusLevels, dirac_overlap, times_blocks,
@@ -46,7 +46,7 @@ def eigen_relation_loop(prob, levels):
         PiE = np.empty_like(lv.Ep)
         for spec in (prob.spec_plus, prob.spec_minus):
             rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-            PiE[rows] = spec.hamiltonian @ lv.Ep[rows]
+            PiE[rows] = band_product(spec.hamiltonian, lv.Ep[rows], symmetric=True)
         residual = (lv.pbar.p0**2 * lv.Ep - PiE) - lv.pbar.squared * lv.Ep
         out.append(np.linalg.norm(residual) / np.linalg.norm(lv.Ep))
     return np.array(out)
