@@ -32,7 +32,8 @@ if TYPE_CHECKING:
 
 _VERSION = "0.1.0"
 
-_PROFILE_KEYS = {"kind", "B", "alpha", "path"}
+# the parameters each profile kind reads; a config may give no other
+_KIND_KEYS = {"uniform": ("B",), "exponential": ("B", "alpha"), "tabulated": ("path",)}
 _PROFILE_DEFAULTS = {"B": 1.0, "alpha": 0.1}
 _TOP_KEYS = {"profile", "e", "mass", "p_y", "p0", "grid", "n_max",
              "tolerances", "rep", "out"}
@@ -91,10 +92,16 @@ class RunConfig:
             raise ConfigurationError("e must be nonzero: the field does not couple at e = 0")
         if self.rep not in ("first", "second"):
             raise ConfigurationError(f"unknown representation {self.rep!r}")
+        if self.profile_kind not in _KIND_KEYS:
+            raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
+        keys = _KIND_KEYS[self.profile_kind]
+        for key in self.profile_params:
+            if key not in keys:
+                raise ConfigurationError(
+                    f"profile key {key!r} is not read by the {self.profile_kind} profile, "
+                    f"which reads {', '.join(keys)}")
         if self.profile_kind == "exponential":
             self._check_bound_states(self.profile_number("B"), self.profile_number("alpha"))
-        elif self.profile_kind not in ("uniform", "tabulated"):
-            raise ConfigurationError(f"unknown profile kind {self.profile_kind!r}")
         return self.field_profile()
 
     def field_profile(self) -> FieldProfile:
@@ -173,7 +180,11 @@ def _integer(raw, key: str) -> int:
 
 
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file; unknown keys are configuration errors."""
+    """Parse a JSON config file; unknown keys are configuration errors.
+
+    A profile key its kind does not read is rejected by RunConfig.validate,
+    which also sees the --eB flag.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -192,9 +203,6 @@ def load_config(path) -> RunConfig:
     try:
         prof = raw.get("profile", {})
         if prof:
-            for key in prof:
-                if key not in _PROFILE_KEYS:
-                    raise ConfigurationError(f"unknown profile key {key!r}")
             cfg.profile_kind = str(prof.get("kind", cfg.profile_kind))
             cfg.profile_params = {k: v for k, v in prof.items() if k != "kind"}
         cfg.e = _number(raw.get("e", cfg.e), "e")
@@ -290,13 +298,13 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     levels = prob.levels
     r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus, prob.rep)
     r_int = verify_gpEp(levels, prob.ops)
-    per_level = [{"n": lv.n, "k": lv.k, "residual_eigen_relation": a, "residual_intertwining": b}
-                 for lv, a, b in zip(levels, r_eig.tolist(), r_int.tolist())]
-    zm = zero_mode_annihilation(levels[0], prob.ops)
+    per_level = [{"n": n, "k": k, "residual_eigen_relation": a, "residual_intertwining": b}
+                 for n, (k, a, b) in enumerate(zip(levels.k.tolist(), r_eig.tolist(),
+                                                   r_int.tolist()))]
+    zm = zero_mode_annihilation(levels, prob.ops)
 
     gram = orthonormality_matrix(levels, prob.ops)
-    expected = np.diag([p for lv in levels for p in lv.projector.diagonal()])
-    ortho_dev = float(np.abs(gram - expected).max())
+    ortho_dev = float(np.abs(gram - np.diag(levels.projector)).max())
 
     checks = {
         "eigen_relation": _check(r_eig.max(), cfg.tol_residual),
@@ -326,8 +334,8 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     H_r, grading = restricted_hamiltonian(fw)
     report = transform_hamiltonian(fw.W, H_r, beta=grading)
     expected = sorted(
-        g * (lv.k + cfg.mass ** 2) ** 0.5
-        for lv, sl in zip(fw.levels, fw.cluster_slices)
+        g * (k + cfg.mass ** 2) ** 0.5
+        for k, sl in zip(fw.levels.k.tolist(), fw.cluster_slices)
         for g in grading[sl]
     )
     eig_err = float(np.abs(np.sort(report.eigenvalues) - np.array(expected)).max())
@@ -341,8 +349,8 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     residuals = verify_main_claim(fw, fw.levels)
     rep_gap = float(np.abs(residuals - verify_main_claim(other, other.levels)).max())
 
-    per_level = [{"n": lv.n, "k": lv.k, "residual_main_claim": r}
-                 for lv, r in zip(fw.levels, residuals.tolist())]
+    per_level = [{"n": n, "k": k, "residual_main_claim": r}
+                 for n, (k, r) in enumerate(zip(fw.levels.k.tolist(), residuals.tolist()))]
     checks = {
         "unitarity": _check(unit, 1e-10),
         "projector_commutation": _check(proj, 1e-10),
@@ -369,7 +377,7 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
 
     fw = prob.fw
     # the 1/m slopes need m^2 >> k on every level: m = 4, 8, 16 up to k_max = 16
-    scale = max(4.0, max(lv.k for lv in fw.levels) ** 0.5)
+    scale = max(4.0, float(fw.levels.k.max()) ** 0.5)
     masses = [scale, 2.0 * scale, 4.0 * scale]
 
     bd_rows = []
@@ -383,7 +391,7 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
     bd_slope = float(np.polyfit(np.log(masses),
                                 np.log([r["odd_after"] for r in bd_rows]), 1)[0])
 
-    k = prob.levels[1].k
+    k = float(prob.levels.k[1])
     series_rows = []
     for m in masses:
         exact = (k + m * m) ** 0.5

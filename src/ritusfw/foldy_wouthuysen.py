@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -51,7 +51,7 @@ from scipy.linalg import expm
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
 from .operators import GridOperators
-from .ritus_basis import RitusLevel, RitusLevels, times_blocks
+from .ritus_basis import RitusLevels, times_blocks
 
 __all__ = [
     "FWOperator",
@@ -86,29 +86,36 @@ def theta(k: float, m: float) -> float:
 class FWOperator:
     """The exact field FW operator U = 1 + B (W - 1) B^T (2N x 2N), kept as factors.
 
-    levels are the stacked levels U was built from and span_columns the
-    columns of their E that span the resolved span B (``span``, E's
-    populated columns scaled to be ell^2-orthonormal), W the block-diagonal
-    L x L matrix holding one 2x2 (or 1x1) rotation per level at
-    cluster_slices, span_grading the gamma^0 grading of the span columns,
-    K = B^T X B the spatial Dirac operator compressed to the span, and rep
-    the gamma representation U was built in.  ``apply`` applies U to grid
-    vectors; ``factors`` holds the L x L factors its checks read.
+    levels are the levels U was built from, W the block-diagonal L x L
+    matrix holding one 2x2 (or 1x1) rotation per level at cluster_slices,
+    K = B^T X B the spatial Dirac operator compressed to the resolved span B
+    (``span``, the populated columns of the levels' E scaled to be
+    ell^2-orthonormal), and rep the gamma representation U was built in.
+    The span's columns, their grading and the clusters follow from the
+    levels.  ``apply`` applies U to grid vectors; ``factors`` holds the
+    L x L factors its checks read.
     """
 
     mass: float
-    levels: RitusLevels
-    span_columns: tuple = field(repr=False)
-    span_grading: np.ndarray = field(repr=False)
+    levels: RitusLevels = field(repr=False)
     W: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
-    cluster_slices: tuple
     rep: GammaRep = field(repr=False)
 
     @property
     def span(self) -> np.ndarray:
         """B, gathered from the levels' E on each read: E holds the same numbers."""
-        return _gather_span(self.levels, self.span_columns)
+        return _gather_span(self.levels)
+
+    @property
+    def span_grading(self) -> np.ndarray:
+        """The gamma^0 grading of the span columns: +1 on spinor slot 0, -1 on slot 1."""
+        return np.where(np.flatnonzero(self.levels.projector) % 2, -1.0, 1.0)
+
+    @property
+    def cluster_slices(self) -> tuple:
+        """Each level's columns of the span: one for the zero mode, then two per level."""
+        return (slice(0, 1), *(slice(2 * n - 1, 2 * n + 1) for n in range(1, len(self.levels))))
 
     @cached_property
     def factors(self):
@@ -153,60 +160,41 @@ def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _gather_span(levels: RitusLevels, columns) -> np.ndarray:
-    """The given columns of the levels' E, scaled to be ell^2-orthonormal (C order)."""
-    B = np.ascontiguousarray(levels.E[:, columns])
-    B *= math.sqrt(levels[0].grid.h)
+def _gather_span(levels: RitusLevels) -> np.ndarray:
+    """The populated columns of the levels' E, scaled to be ell^2-orthonormal (C order)."""
+    B = np.ascontiguousarray(levels.E[:, levels.projector > 0])
+    B *= math.sqrt(levels.grid.h)
     return B
 
 
-def field_fw_from_levels(
-    levels: Sequence[RitusLevel],
-    ops: GridOperators,
-    m: float,
-) -> FWOperator:
-    """Assemble the exact field FW operator from levels; only their E_p and k enter.
+def field_fw_from_levels(levels: RitusLevels, ops: GridOperators, m: float) -> FWOperator:
+    """Assemble the exact field FW operator from levels; only their E and k enter.
 
-    The span B holds the populated columns of the stacked E, scaled to be
-    ell^2-orthonormal; the operator keeps their indices, not a copy.  Each
-    level's rotation angle is theta(k_n) times the coupling
+    The span B holds the populated columns of E, scaled to be
+    ell^2-orthonormal: the zero mode's column, then both columns of each
+    later level.  Level n's rotation angle is theta(k_n) times the coupling
     x_n = (K_01 - K_10) / 2 of its diagonal block of K = B^T X B (the mean
     of the two entries kills K's rounding-level symmetric part).
     """
-    levels = RitusLevels(levels)
-    if not levels[0].grid.same_as(ops.grid):
+    if not levels.grid.same_as(ops.grid):
         raise ArgumentError("levels and operators use different grids")
-    columns, grading, slices = [], [], []
-    for i, lv in enumerate(levels):
-        if lv.k < 0:
-            # only reachable through a flagged zero mode the solver kept negative
-            raise DiscretizationError(
-                f"level {lv.n} has k = {lv.k:.3e} < 0: the zero mode is not "
-                "resolved inside the zero-mode clamp; refine the grid"
-            )
-        slices.append(slice(len(columns), len(columns) + len(lv.populated)))
-        columns.extend(2 * i + c for c in lv.populated)
-        grading.extend(1.0 if c == 0 else -1.0 for c in lv.populated)
+    negative = np.flatnonzero(levels.k < 0)
+    if negative.size:
+        # only reachable through a flagged zero mode the solver kept negative
+        n = negative[0]
+        raise DiscretizationError(
+            f"level {n} has k = {levels.k[n]:.3e} < 0: the zero mode is not "
+            "resolved inside the zero-mode clamp; refine the grid"
+        )
 
-    B = _gather_span(levels, columns)
+    B = _gather_span(levels)
     K = B.T @ (ops.X @ B)
-    W = np.eye(len(columns))
-    for lv, sl in zip(levels, slices):
-        if sl.stop - sl.start == 2:
-            i, j = sl.start, sl.start + 1
-            a = theta(lv.k, m) * 0.5 * (K[i, j] - K[j, i])
-            W[sl, sl] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
-
-    return FWOperator(
-        mass=m,
-        levels=levels,
-        span_columns=tuple(columns),
-        span_grading=np.array(grading),
-        W=W,
-        K=K,
-        cluster_slices=tuple(slices),
-        rep=ops.rep,
-    )
+    W = np.eye(B.shape[1])
+    for n, k in enumerate(levels.k[1:].tolist(), start=1):
+        i, j = 2 * n - 1, 2 * n         # level n's columns of the span
+        a = theta(k, m) * 0.5 * (K[i, j] - K[j, i])
+        W[i:j + 1, i:j + 1] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
+    return FWOperator(mass=m, levels=levels, W=W, K=K, rep=ops.rep)
 
 
 def _span_norm(R: np.ndarray, C: np.ndarray) -> float:
@@ -289,7 +277,7 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
 # ----------------------------------------------------------------------
 
 
-def verify_main_claim(fw: FWOperator, levels: Sequence[RitusLevel]) -> np.ndarray:
+def verify_main_claim(fw: FWOperator, levels: RitusLevels) -> np.ndarray:
     """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F of each level.
 
     U is the exact field FW operator, applied once to the stacked E; U_free
@@ -297,9 +285,8 @@ def verify_main_claim(fw: FWOperator, levels: Sequence[RitusLevel]) -> np.ndarra
     |p| = sqrt(k), with the mass and gamma representation U was built with
     (real: cos + sin gamma^2, and gamma^2 is real).
     """
-    levels = RitusLevels(levels)
     E = levels.E
-    free = np.array([free_fw(lv.k, fw.mass, fw.rep).real for lv in levels])
+    free = np.array([free_fw(k, fw.mass, fw.rep).real for k in levels.k.tolist()])
     UE = fw.apply(E)        # the span apply gathers is freed before the block product
     residual = times_blocks(E, free)                # Fortran order, as E
     np.subtract(UE, residual, out=residual)

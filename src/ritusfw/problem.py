@@ -4,7 +4,7 @@ The paper's claim is one chain: the two channel spectra, the Ritus levels
 E_p paired from them, and the exact field FW operator U assembled from the
 levels.  ``Problem`` holds the inputs of that chain and builds each link on
 first use, once: the grid, both channel spectra, the grid operators, the
-levels at the problem's p0 (stacked, as RitusLevels), and U from those
+levels at the problem's p0 (one RitusLevels record), and U from those
 levels.
 A link whose build raises a RitusFWError keeps that error and re-raises it,
 so it is not rebuilt by every reader.  The CLI, the tests and the README all
@@ -20,7 +20,7 @@ from .errors import RitusFWError
 from .field_profiles import FieldProfile
 from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
-from .ritus_basis import RitusLevels, assemble_level
+from .ritus_basis import RitusLevels, assemble_levels
 from .spectral_grid import GridConfig, build_grid, solve_channel
 
 __all__ = ["Problem"]
@@ -64,7 +64,7 @@ class Problem:
     """Physical and grid inputs; grid, spectra, ops, levels and fw are built lazily.
 
     Levels 0..n_max are resolved; ``levels`` carry the off-shell energy p0,
-    ``fw`` is built from their E_p and k at mass m.  Every input is
+    ``fw`` is built from their E and k at mass m.  Every input is
     required: the default run lives in the CLI's ``RunConfig`` alone.
     """
 
@@ -100,8 +100,7 @@ class Problem:
 
     @_link
     def levels(self) -> RitusLevels:
-        return RitusLevels(assemble_level(self.spec_plus, self.spec_minus, n, self.p0, self.ops)
-                           for n in range(self.n_max + 1))
+        return assemble_levels(self.spec_plus, self.spec_minus, self.n_max, self.p0, self.ops)
 
     @_link
     def fw(self):

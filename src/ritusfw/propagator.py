@@ -26,7 +26,7 @@ import numpy as np
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
 from .operators import GridOperators
-from .ritus_basis import BarMomentum, RitusLevel, RitusLevels, dirac_overlap
+from .ritus_basis import BarMomentum, RitusLevels, dirac_overlap
 
 __all__ = [
     "diagonal_propagator",
@@ -55,30 +55,24 @@ def diagonal_propagator(pbar: BarMomentum, m: float, rep: GammaRep) -> np.ndarra
     return Stilde
 
 
-def _conditioning_guard(levels: Sequence[RitusLevel], p0: float, m: float) -> None:
-    for lv in levels:
-        E_on = math.sqrt(lv.k + m * m)
-        dist = abs(abs(p0) - E_on)
-        if dist < 1e-3:
-            raise ConditioningError(
-                f"p0 = {p0:.6g} is within {dist:.2e} of the on-shell energy "
-                f"sqrt(k_{lv.n} + m^2) = {E_on:.6g}; solve too ill-conditioned"
-            )
-
-
-def _factor(levels: Sequence[RitusLevel], p0: float, m: float, operators: GridOperators):
-    """The banded solve of (gamma.Pi - m) at p0, after the guards."""
-    if not levels:
-        raise ArgumentError("need at least one level")
-    for lv in levels:
-        if not lv.grid.same_as(operators.grid):
-            raise ArgumentError("levels and operators use different grids")
-    _conditioning_guard(levels, p0, m)
+def _factor(levels: RitusLevels, p0: float, m: float, operators: GridOperators):
+    """The banded solve of (gamma.Pi - m) at p0, refused within 1e-3 of any level's shell."""
+    if not levels.grid.same_as(operators.grid):
+        raise ArgumentError("levels and operators use different grids")
+    E_on = np.sqrt(levels.k + m * m)
+    dist = np.abs(abs(p0) - E_on)
+    close = np.flatnonzero(dist < 1e-3)
+    if close.size:
+        n = close[0]
+        raise ConditioningError(
+            f"p0 = {p0:.6g} is within {dist[n]:.2e} of the on-shell energy "
+            f"sqrt(k_{n} + m^2) = {E_on[n]:.6g}; solve too ill-conditioned"
+        )
     return operators.dirac_solver(p0, m)
 
 
 def project_propagator(
-    levels: Sequence[RitusLevel],
+    levels: RitusLevels,
     p0: float,
     m: float,
     operators: GridOperators,
@@ -89,17 +83,15 @@ def project_propagator(
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
-    levels = RitusLevels(levels)
     solve = _factor(levels, p0, m, operators)
-    E = levels.E
-    L = len(levels)
+    E, L = levels.E, len(levels)
     # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
     blocks = dirac_overlap(E, solve(E), operators).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
     diagonal = blocks[np.arange(L), np.arange(L)]
 
-    free = np.array([diagonal_propagator(BarMomentum(p0, lv.pbar.p2), m, operators.rep)
-                     for lv in levels])
-    P = np.array([lv.projector for lv in levels])
+    free = np.array([diagonal_propagator(BarMomentum(p0, pbar.p2), m, operators.rep)
+                     for pbar in levels.pbar])
+    P = levels.projector.reshape(L, 2)[:, :, None] * np.eye(2)     # each level's Pi(n)
     norms = np.linalg.norm(blocks, axis=(2, 3))
     np.fill_diagonal(norms, 0.0)
 
@@ -113,7 +105,7 @@ def project_propagator(
 
 
 def pole_sweep(
-    levels: Sequence[RitusLevel],
+    levels: RitusLevels,
     n_target: int,
     m: float,
     operators: GridOperators,
@@ -126,20 +118,20 @@ def pole_sweep(
     (expected 1) plus the sweep rows.  Each p0 solves for the target level's
     two columns alone; the conditioning guard still covers every level.
     """
-    target = next((lv for lv in levels if lv.n == n_target), None)
-    if target is None:
+    if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
-    E_on = math.sqrt(target.k + m * m)
+    k, Ep = float(levels.k[n_target]), levels.Ep(n_target)
+    E_on = math.sqrt(k + m * m)
 
     rows = []
     for d in distances:
         p0 = E_on - d
-        Z = _factor(levels, p0, m, operators)(target.Ep)
+        Z = _factor(levels, p0, m, operators)(Ep)
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(dirac_overlap(target.Ep, Z, operators))),
-            "offshellness": abs(p0 * p0 - (target.k + m * m)),
+            "block_norm": float(np.linalg.norm(dirac_overlap(Ep, Z, operators))),
+            "offshellness": abs(p0 * p0 - (k + m * m)),
         })
 
     lx = np.log([r["offshellness"] for r in rows])

@@ -14,10 +14,11 @@ X E_p = E_p (sqrt(k) gamma^2): the entry of h E_p^T X E_p that couples the
 two slots gets the sign of gamma^2's entry there, so the intertwining holds
 with the non-negative branch of sqrt(k).
 
-The levels of one run are held stacked, as ``RitusLevels``: one (2N, 2L)
-matrix E = [E_0 | E_1 | ...], of which each level's E_p is a view.  Every
-check over the levels is one function of E: the grid operator acts on E
-once, the free-form side is E times the block-diagonal matrix of the
+The levels of one run are one record, ``RitusLevels``: the (2N, 2L) matrix
+E = [E_0 | E_1 | ...] and the labels k_n, with the run's p0, p_y and grid;
+level n is the column pair 2n, 2n + 1.  ``assemble_levels`` writes E once.
+Every check over the levels is one function of E: the grid operator acts
+on E once, the free-form side is E times the block-diagonal matrix of the
 levels' 2x2 blocks (``times_blocks``), and the per-level residuals are the
 norms of the column pairs of the one result.
 """
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,8 @@ from .spectral_grid import Grid, ScalarSpectrum
 
 __all__ = [
     "BarMomentum",
-    "RitusLevel",
     "RitusLevels",
-    "assemble_level",
+    "assemble_levels",
     "times_blocks",
     "verify_eigen_relation",
     "verify_gpEp",
@@ -71,78 +69,66 @@ class BarMomentum:
         return self.p0 * rep.gamma[0] - self.p2 * rep.gamma[2]
 
 
-@dataclass(frozen=True)
-class RitusLevel:
-    """One assembled level: E_p, its quantum numbers, and bookkeeping.
+@dataclass(frozen=True, eq=False)
+class RitusLevels:
+    """The levels 0..L-1 of one run: E, the labels k, and where the zero mode sits.
 
-    Ep has shape (2N, 2); for n = 0 the unpopulated column is zero.
-    populated lists the columns of Ep that carry a channel function.
-    """
-
-    n: int
-    p0: float
-    p_y: float
-    k: float
-    Ep: np.ndarray
-    grid: Grid
-    zero_channel: int
-    channel_eigenvalues: tuple
-    populated: tuple
-
-    @property
-    def pbar(self) -> BarMomentum:
-        return BarMomentum(self.p0, math.sqrt(max(self.k, 0.0)))
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Pi(n), the diagonal 0/1 matrix of Ep's populated columns: the identity
-        for n >= 1, rank 1 on the slot carrying the zero mode for n = 0."""
-        return np.diag([float(c in self.populated) for c in range(2)])
-
-
-class RitusLevels(tuple):
-    """Levels on one grid, with their E_p stacked once.
-
-    E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order; each
-    level's Ep is the view of its column pair 2i, 2i + 1, which the Fortran
-    order keeps contiguous.  E is read-only, and so is every Ep view: the
-    operators built from E (the FW span) read it again later.  Indexing and
-    iteration give the RitusLevel records; a slice is a plain tuple.  A
-    sequence of levels stacks into a new E, with each level's Ep replaced
-    by its view; a RitusLevels passes through unchanged.  The levels keep
-    their own p0 and p_y.
+    E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order, so that
+    level n's E_p, ``Ep(n)``, is the contiguous column pair 2n, 2n + 1; it
+    is read-only, since the operators built from E (the FW span) read it
+    again later.  Level n carries the label k[n] and
+    pbar = (p0, 0, sqrt(k[n])).  The zero-mode channel's functions fill the
+    columns 2n + zero_slot, its partner's the other column of each pair
+    n >= 1; level 0's column 1 - zero_slot is zero.
     """
 
     E: np.ndarray
+    k: np.ndarray
+    p0: float
+    p_y: float
+    grid: Grid
+    zero_channel: int
+    zero_slot: int
 
-    def __new__(cls, levels: Sequence[RitusLevel]):
-        if isinstance(levels, RitusLevels):
-            return levels
-        levels = tuple(levels)
-        if not levels:
-            raise ArgumentError("need at least one level")
-        first = levels[0]
-        for lv in levels[1:]:
-            if not lv.grid.same_as(first.grid):
-                raise ArgumentError("stacked levels need a shared grid")
-        E = np.empty((2 * first.grid.n_points, 2 * len(levels)), order="F")
-        for i, lv in enumerate(levels):
-            E[:, 2 * i:2 * i + 2] = lv.Ep
-        E.flags.writeable = False
-        self = super().__new__(cls, (replace(lv, Ep=E[:, 2 * i:2 * i + 2])
-                                     for i, lv in enumerate(levels)))
-        self.E = E
-        return self
+    def __post_init__(self):
+        if self.k.size == 0 or self.E.shape[1] != 2 * self.k.size:
+            raise ArgumentError(
+                f"need two columns of E per level and at least one level, got "
+                f"{self.E.shape[1]} columns for {self.k.size} levels"
+            )
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def Ep(self, n: int) -> np.ndarray:
+        """Level n's (2N, 2) E_p, a view of E."""
+        return self.E[:, 2 * n:2 * n + 2]
+
+    @property
+    def pbar(self) -> list:
+        """Each level's BarMomentum(p0, sqrt(k)), a negative k (a flagged zero mode) read as 0."""
+        return [BarMomentum(self.p0, p2) for p2 in np.sqrt(np.maximum(self.k, 0.0)).tolist()]
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The diagonal of diag(Pi(0), ..., Pi(L-1)), Pi(n) the spin projector of level n.
+
+        Pi(n) is the 0/1 diagonal of E_p's populated columns: the identity
+        for n >= 1, rank 1 on the zero mode's slot for n = 0.
+        """
+        P = np.ones(self.E.shape[1])
+        P[1 - self.zero_slot] = 0.0
+        return P
 
     def norms(self, R: np.ndarray) -> np.ndarray:
-        """sqrt(h) ||R_i||_F of each column pair R_i of a (2N, 2L) R, e.g. a residual.
+        """sqrt(h) ||R_n||_F of each column pair R_n of a (2N, 2L) R, e.g. a residual.
 
         Each norm sums its pair in R's memory order: contiguously for a
         Fortran-ordered R, row by row (through a copy) for a C-ordered one.
         """
-        sqh = math.sqrt(self[0].grid.h)
-        return np.array([sqh * float(np.linalg.norm(R[:, 2 * i:2 * i + 2]))
-                         for i in range(len(self))])
+        sqh = math.sqrt(self.grid.h)
+        return np.array([sqh * float(np.linalg.norm(R[:, 2 * n:2 * n + 2]))
+                         for n in range(len(self))])
 
 
 def times_blocks(E: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -162,23 +148,24 @@ def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:
     return +1 if spec_plus.eigenvalues[0] <= spec_minus.eigenvalues[0] else -1
 
 
-def assemble_level(
+def assemble_levels(
     spec_plus: ScalarSpectrum,
     spec_minus: ScalarSpectrum,
-    n: int,
+    n_max: int,
     p0: float,
     ops: GridOperators,
-) -> RitusLevel:
-    """Build E_p for level n from the two channel spectra.
+) -> RitusLevels:
+    """Build the levels 0..n_max from the two channel spectra, in one E.
 
-    n = 0 takes the zero-mode channel's ground state alone; n >= 1 pairs the
-    zero-mode channel's level n with the partner channel's level n-1 (the
-    eigenvalues must agree within PAIRING_TOL relative) and averages k.
-    The spinor slots follow ops.rep, and ops.X aligns the signs; ops must
-    share the spectra's grid, p_y and charge.
+    Level 0 takes the zero-mode channel's ground state alone; level n >= 1
+    pairs the zero-mode channel's level n with the partner channel's level
+    n-1 (the eigenvalues must agree within PAIRING_TOL relative, checked for
+    all levels at once) and averages k.  The spinor slots follow ops.rep,
+    and ops.X aligns the signs; ops must share the spectra's grid, p_y and
+    charge.
     """
-    if n < 0:
-        raise ArgumentError(f"level must be non-negative, got {n}")
+    if n_max < 0:
+        raise ArgumentError(f"n_max must be non-negative, got {n_max}")
     if spec_plus.sigma != +1 or spec_minus.sigma != -1:
         raise ArgumentError("pass the sigma=+1 spectrum first and sigma=-1 second")
     if not spec_plus.grid.same_as(spec_minus.grid):
@@ -189,62 +176,43 @@ def assemble_level(
             or ops.e != spec_plus.e):
         raise ArgumentError("operators and spectra differ in grid, p_y or charge")
 
-    grid = spec_plus.grid
-    N = grid.n_points
+    N, L = spec_plus.grid.n_points, n_max + 1
     zc = _zero_channel(spec_plus, spec_minus)
     spec_zero = spec_plus if zc > 0 else spec_minus
     spec_other = spec_minus if zc > 0 else spec_plus
-    slots = channel_slots(ops.rep)
-    Ep = np.zeros((2 * N, 2), order="F")
+    if L > spec_zero.eigenvalues.size or n_max > spec_other.eigenvalues.size:
+        raise TruncationError(
+            f"level {n_max} needs channel levels ({n_max}, {n_max - 1}); not all stored"
+        )
+    k_zero, k_other = spec_zero.eigenvalues[1:L], spec_other.eigenvalues[:n_max]
+    mismatch = np.abs(k_zero - k_other) / np.maximum(
+        np.maximum(np.abs(k_zero), np.abs(k_other)), 1e-300)
+    unpaired = np.flatnonzero(mismatch > PAIRING_TOL)
+    if unpaired.size:
+        i = unpaired[0]
+        raise PairingError(
+            f"partner eigenvalues k={k_zero[i]:.9g} and k={k_other[i]:.9g} differ by "
+            f"{mismatch[i]:.2e} relative (> {PAIRING_TOL:.0e}); channels do not pair"
+        )
+    k = np.concatenate([spec_zero.eigenvalues[:1], 0.5 * (k_zero + k_other)])
 
-    if n == 0:
-        if spec_zero.eigenvalues.size < 1:
-            raise TruncationError("zero-mode channel has no stored level")
-        k = float(spec_zero.eigenvalues[0])
-        slot = slots[zc]
-        Ep[slot * N:(slot + 1) * N, slot] = spec_zero.eigenfunctions[:, 0]
-        channel_eigs = (k,)
-        populated = (slot,)
-    else:
-        if n >= spec_zero.eigenvalues.size or (n - 1) >= spec_other.eigenvalues.size:
-            raise TruncationError(
-                f"level {n} needs channel levels ({n}, {n - 1}); not all stored"
-            )
-        k_zero = float(spec_zero.eigenvalues[n])
-        k_other = float(spec_other.eigenvalues[n - 1])
-        mismatch = abs(k_zero - k_other) / max(abs(k_zero), abs(k_other), 1e-300)
-        if mismatch > PAIRING_TOL:
-            raise PairingError(
-                f"partner eigenvalues k={k_zero:.9g} and k={k_other:.9g} differ by "
-                f"{mismatch:.2e} relative (> {PAIRING_TOL:.0e}); channels do not pair"
-            )
-        k = 0.5 * (k_zero + k_other)
-
-        a, b = slots[zc], slots[-zc]
-        v = spec_other.eigenfunctions[:, n - 1]     # partner channel, level n-1
-        Ep[a * N:(a + 1) * N, a] = spec_zero.eigenfunctions[:, n]
-
-        # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p,
-        # v^T X_ba u with X's block (b, a), has the sign of gamma^2[b, a];
-        # flip v before placing it, so no -0.0
-        Xu = band_product(ops.X.blocks[b][a], Ep[a * N:(a + 1) * N, a])
-        if float(v @ Xu) * ops.rep.gamma[2][b, a].real < 0:
-            v = -v
-        Ep[b * N:(b + 1) * N, b] = v
-        channel_eigs = (k_zero, k_other)
-        populated = (0, 1)
-
-    return RitusLevel(
-        n=n,
-        p0=float(p0),
-        p_y=ops.p_y,
-        k=k,
-        Ep=Ep,
-        grid=grid,
-        zero_channel=zc,
-        channel_eigenvalues=channel_eigs,
-        populated=populated,
-    )
+    # the zero-mode channel's level n in column 2n + a, the partner's level
+    # n-1 in column 2n + b; level 0's column b stays zero
+    a = channel_slots(ops.rep)[zc]
+    b = 1 - a
+    E = np.zeros((2 * N, 2 * L), order="F")
+    E[a * N:(a + 1) * N, a::2] = spec_zero.eigenfunctions[:, :L]
+    # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p,
+    # v^T X_ba u with X's block (b, a), has the sign of gamma^2[b, a];
+    # flip v before placing it, so no -0.0
+    v = spec_other.eigenfunctions[:, :n_max]
+    # level 0's column rides along, so that the product never has no columns
+    Xu = band_product(ops.X.blocks[b][a], E[a * N:(a + 1) * N, a::2])[:, 1:]
+    flip = np.einsum("ij,ij->j", v, Xu) * ops.rep.gamma[2][b, a].real < 0
+    E[b * N:(b + 1) * N, b + 2::2] = np.where(flip, -v, v)
+    E.flags.writeable = False
+    return RitusLevels(E=E, k=k, p0=float(p0), p_y=ops.p_y, grid=spec_plus.grid,
+                       zero_channel=zc, zero_slot=a)
 
 
 # ----------------------------------------------------------------------
@@ -252,46 +220,43 @@ def assemble_level(
 # ----------------------------------------------------------------------
 
 
-def verify_eigen_relation(levels: Sequence[RitusLevel], spec_plus: ScalarSpectrum,
+def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
                           spec_minus: ScalarSpectrum, rep: GammaRep) -> np.ndarray:
     """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F of each level.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
     drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
-    channel Hamiltonian that channel_slots(rep) places there, once on the
-    stacked E.
+    channel Hamiltonian that channel_slots(rep) places there, once on E.
     """
-    levels = RitusLevels(levels)
-    E, N = levels.E, levels[0].grid.n_points
+    E, N = levels.E, levels.grid.n_points
     slots = channel_slots(rep)
     residual = np.zeros(E.shape)  # C order, as H @ E_p of one level: its norm sums row by row
     for spec in (spec_plus, spec_minus):
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
         band_product(spec.hamiltonian, E[rows], out=residual[rows], symmetric=True)  # Pi-tilde^2 E
-    np.subtract(np.repeat([lv.p0**2 for lv in levels], 2) * E, residual, out=residual)
-    residual -= np.repeat([lv.pbar.squared for lv in levels], 2) * E
+    np.subtract(levels.p0**2 * E, residual, out=residual)
+    residual -= np.repeat([pbar.squared for pbar in levels.pbar], 2) * E
     return levels.norms(residual) / levels.norms(E)
 
 
-def verify_gpEp(levels: Sequence[RitusLevel], operators: GridOperators) -> np.ndarray:
+def verify_gpEp(levels: RitusLevels, operators: GridOperators) -> np.ndarray:
     """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F of each level."""
-    levels = RitusLevels(levels)
     E = levels.E
     XE = operators.X @ E
     residual = operators.g0diag[:, None] * E        # Fortran order, as E
-    residual *= np.repeat([lv.p0 for lv in levels], 2)
+    residual *= levels.p0
     residual -= XE                                  # (gamma.Pi) E
     del XE                                          # one grid-sized temporary at a time
     # gamma.pbar is real: gamma^0 and gamma^2 are
-    residual -= times_blocks(E, np.array([lv.pbar.slash(operators.rep).real for lv in levels]))
+    residual -= times_blocks(E, np.array([pbar.slash(operators.rep).real for pbar in levels.pbar]))
     return levels.norms(residual) / levels.norms(E)
 
 
-def zero_mode_annihilation(level: RitusLevel, operators: GridOperators) -> float:
+def zero_mode_annihilation(levels: RitusLevels, operators: GridOperators) -> float:
     """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone."""
-    sqh = math.sqrt(level.grid.h)
-    return ((sqh * float(np.linalg.norm(operators.X @ level.Ep)))
-            / (sqh * float(np.linalg.norm(level.Ep))))
+    sqh, E0 = math.sqrt(levels.grid.h), levels.Ep(0)
+    return ((sqh * float(np.linalg.norm(operators.X @ E0)))
+            / (sqh * float(np.linalg.norm(E0))))
 
 
 def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
@@ -307,34 +272,23 @@ def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.
     return (g0 @ G.reshape(-1, 2, G.shape[1])).reshape(G.shape)
 
 
-def orthonormality_matrix(levels: Sequence[RitusLevel], operators: GridOperators) -> np.ndarray:
+def orthonormality_matrix(levels: RitusLevels, operators: GridOperators) -> np.ndarray:
     """Gram matrix of Dirac-adjoint overlaps, blocks gamma^0 E_i^dag gamma^0 E_j.
 
     Diagonal blocks equal the spin projector Pi(n_i); everything else
     vanishes to quadrature accuracy.  Shape (2L, 2L), complex.
     """
-    if not levels:
-        return np.zeros((0, 0), dtype=complex)
-    levels = RitusLevels(levels)
-    for lv in levels[1:]:
-        if lv.p0 != levels[0].p0 or lv.p_y != levels[0].p_y:
-            raise ArgumentError("orthonormality_matrix needs shared (p0, p_y)")
-    seen = [lv.n for lv in levels]
-    if len(set(seen)) != len(seen):
-        warnings.warn("duplicate levels passed to orthonormality_matrix", stacklevel=2)
     return dirac_overlap(levels.E, levels.E, operators)
 
 
-def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
+def completeness_residual(levels: RitusLevels, test: np.ndarray,
                           operators: GridOperators) -> float:
     """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||."""
     test = np.asarray(test)
     nrm = float(np.linalg.norm(test))
     if nrm == 0.0:
         raise ArgumentError("test function is identically zero")
-    if not levels:
-        return 1.0
-    E = RitusLevels(levels).E
+    E = levels.E
     return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], operators)[:, 0])) / nrm
 
 
@@ -343,17 +297,16 @@ def completeness_residual(levels: Sequence[RitusLevel], test: np.ndarray,
 # ----------------------------------------------------------------------
 
 
-def export_levels_csv(levels: Sequence[RitusLevel], m: float, path) -> None:
+def export_levels_csv(levels: RitusLevels, m: float, path) -> None:
     """CSV columns n,k,p0,py,E_D."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["n", "k", "p0", "py", "E_D"])
-        for lv in levels:
-            E_D = math.sqrt(lv.k + m * m)
+        for n, k in enumerate(levels.k.tolist()):
             wr.writerow([
-                lv.n,
-                format(lv.k, ".12g"),
-                format(lv.p0, ".12g"),
-                format(lv.p_y, ".12g"),
-                format(E_D, ".12g"),
+                n,
+                format(k, ".12g"),
+                format(levels.p0, ".12g"),
+                format(levels.p_y, ".12g"),
+                format(math.sqrt(k + m * m), ".12g"),
             ])

@@ -173,6 +173,18 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
                  id="n_max-boolean"),
     pytest.param("spectrum", {"profile": {"kind": "uniform", "B": True}},
                  "profile B must be a number, got True", id="B-boolean"),
+    # a profile key its kind does not read, which the report would echo unused
+    pytest.param("spectrum", {"profile": {"kind": "uniform", "alpha": 0.3}},
+                 "profile key 'alpha' is not read by the uniform profile", id="uniform-alpha"),
+    pytest.param("spectrum", {"profile": {"kind": "uniform", "path": "nope.csv"}},
+                 "profile key 'path'", id="uniform-path"),
+    pytest.param("spectrum", {"profile": {"kind": "exponential", "path": "t.csv"}},
+                 "profile key 'path' is not read by the exponential profile",
+                 id="exponential-path"),
+    pytest.param("spectrum", {"profile": {"kind": "tabulated", "path": "t.csv", "B": 2.0}},
+                 "profile key 'B' is not read by the tabulated profile", id="tabulated-B"),
+    pytest.param("spectrum", {"profile": {"kind": "uniform", "gauge": 1}},
+                 "profile key 'gauge'", id="profile-unknown-key"),
 ]
 
 
@@ -306,6 +318,19 @@ def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, flag, key):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert key in proc.stderr
+
+
+def test_eB_flag_on_a_tabulated_profile_exits_two(tmp_path):
+    # a table fixes W itself: --eB would be echoed as a B the run never used
+    table = tmp_path / "W.csv"
+    table.write_text("x,W\n" + "".join(f"{x / 10!r},{x / 10!r}\n" for x in range(-120, 121)))
+    cfg = write_config(tmp_path / "cfg.json", profile={"kind": "tabulated", "path": str(table)})
+    proc = run_cli("spectrum", "--config", str(cfg), "--eB", "5", "--out", str(tmp_path / "out"),
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert not (tmp_path / "out").exists()
+    assert "profile key 'B' is not read by the tabulated profile" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_spectrum_builds_no_levels(tmp_path):

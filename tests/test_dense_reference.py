@@ -8,13 +8,12 @@ N=384 over the profile kinds, the sign of eB and p_y, and on derandomized
 draws up to N=2048 and n_max=16 against both numpy.linalg.eigh and ARPACK
 (scipy's eigsh, the solver the package ran before its own Lanczos).  No run
 goes through SuperLU: the propagator and the channel solve use LAPACK band
-kernels.
+kernels; tests/test_package.py checks that a run never imports scipy.sparse.
 """
 
 import dataclasses
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ritusfw import cli, spectral_grid
 from ritusfw.clifford import make_rep
@@ -105,15 +104,16 @@ def test_project_propagator_matches_dense_lu(uni):
     # the reference factors the dense matrix in the interleaved order, as
     # test_banded_solve_matches_dense_lu does: in the block order, partial
     # pivoting grows U by ~4e4 and leaves a residual ~2e-9 at the walls
-    K, E = dense_K(ops, P0, MASS), np.hstack([lv.Ep for lv in levels])
+    K = dense_K(ops, P0, MASS)
+    E = np.hstack([levels.Ep(n) for n in range(len(levels))])
     order = interleaved_order(ops.x.size)
     Z = np.empty_like(E)
     Z[order] = lu_solve(lu_factor(K[np.ix_(order, order)]), E[order])
     g0 = uni.rep.gamma[0]
     h = uni.grid.h
-    for i, lv in enumerate(levels):
+    for i in range(len(levels)):
         for j in range(len(levels)):
-            ref = g0 @ (h * (lv.Ep.T @ (ops.g0diag[:, None] * Z[:, 2 * j:2 * j + 2])))
+            ref = g0 @ (h * (levels.Ep(i).T @ (ops.g0diag[:, None] * Z[:, 2 * j:2 * j + 2])))
             assert np.abs(res["blocks"][i, j] - ref).max() < 1e-12
 
 
@@ -129,8 +129,8 @@ def test_banded_solve_matches_dense_lu(uni, uni_second, expo, which, near_pole):
     prob = {"uniform-first": uni, "uniform-second": uni_second, "exponential": expo}[which]
     ops, levels = prob.ops, prob.levels
     # the pole sweep's closest p0 to the on-shell energy of level 1
-    p0 = math.sqrt(levels[1].k + MASS**2) - 0.0125 if near_pole else P0
-    E = np.hstack([lv.Ep for lv in levels])
+    p0 = math.sqrt(levels.k[1] + MASS**2) - 0.0125 if near_pole else P0
+    E = np.hstack([levels.Ep(n) for n in range(len(levels))])
     Z = ops.dirac_solver(p0, MASS)(E)
     K = dense_K(ops, p0, MASS)
     # backward stable: the residual is rounding relative to |K| |Z|
@@ -156,9 +156,9 @@ def test_interleaved_gamma_dot_pi_has_half_bandwidth_five(uni, uni_second, varia
 def test_orthonormality_matrix_matches_blockwise_overlaps(uni):
     levels = uni.levels
     gram = orthonormality_matrix(levels, uni.ops)
-    for i, lv_i in enumerate(levels):
-        for j, lv_j in enumerate(levels):
-            block = dirac_overlap(lv_i.Ep, lv_j.Ep, uni.ops)
+    for i in range(len(levels)):
+        for j in range(len(levels)):
+            block = dirac_overlap(levels.Ep(i), levels.Ep(j), uni.ops)
             assert np.abs(gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] - block).max() < 1e-14
 
 
@@ -167,20 +167,6 @@ def cap_threads(monkeypatch):
     for var in ("RFW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-
-
-def test_default_all_passes_without_superlu(tmp_path, monkeypatch):
-    def no_superlu(*args, **kwargs):
-        raise AssertionError("SuperLU called")
-
-    # every module that bound splu, scipy's own ARPACK wrapper among them
-    for module in list(sys.modules.values()):
-        if vars(module).get("splu") is splu:
-            monkeypatch.setattr(module, "splu", no_superlu)
-    cap_threads(monkeypatch)
-    out = tmp_path / "d"
-    assert cli.main(["all", "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["status"] == "pass"
 
 
 def not_positive_definite(band, *args, **kwargs):

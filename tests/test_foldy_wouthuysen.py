@@ -81,33 +81,37 @@ def test_field_fw_commutes_with_cluster_projectors(uni):
 
 
 def test_field_fw_identity_on_zero_mode(uni):
-    E0 = uni.fw.levels[0].Ep[:, 0].real
+    E0 = uni.fw.levels.Ep(0)[:, 0]
     assert np.abs(uni.fw.apply(E0) - E0).max() < 1e-12
 
 
 def test_field_fw_requires_levels(uni):
+    levels = uni.levels
     with pytest.raises(ArgumentError):
-        field_fw_from_levels([], uni.ops, MASS)
+        field_fw_from_levels(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
+                             uni.ops, MASS)
 
 
 def test_field_fw_rejects_negative_k(uni):
     # a zero mode the solver kept negative (flagged) cannot enter theta(k)
-    bad = dataclasses.replace(uni.levels[0], k=-2e-8)
+    k = uni.levels.k.copy()
+    k[0] = -2e-8
     with pytest.raises(DiscretizationError, match="level 0 has k = -2.000e-08 < 0"):
-        field_fw_from_levels([bad, *uni.levels[1:]], uni.ops, MASS)
+        field_fw_from_levels(dataclasses.replace(uni.levels, k=k), uni.ops, MASS)
 
 
 def test_field_fw_ignores_the_level_energy(uni):
-    # U reads each level's E_p and k only: relabeling p0 leaves W unchanged
-    moved = [dataclasses.replace(lv, p0=math.sqrt(lv.k + MASS**2)) for lv in uni.levels]
-    assert np.array_equal(field_fw_from_levels(moved, uni.ops, MASS).W, uni.fw.W)
+    # U reads the levels' E and k only: relabeling p0 leaves W unchanged
+    for n in (0, 1, len(uni.levels) - 1):
+        moved = dataclasses.replace(uni.levels, p0=math.sqrt(uni.levels.k[n] + MASS**2))
+        assert np.array_equal(field_fw_from_levels(moved, uni.ops, MASS).W, uni.fw.W)
 
 
 def test_restricted_hamiltonian_eigenvalues(uni):
     H_r, grading = restricted_hamiltonian(uni.fw)
     expected = sorted(
-        g * math.sqrt(lv.k + MASS**2)
-        for lv, sl in zip(uni.fw.levels, uni.fw.cluster_slices)
+        g * math.sqrt(k + MASS**2)
+        for k, sl in zip(uni.fw.levels.k, uni.fw.cluster_slices)
         for g in grading[sl]
     )
     assert_allclose(np.sort(eigvalsh(H_r)), expected, atol=1e-5)
@@ -129,8 +133,8 @@ def test_three_routes_agree(uni):
     report = transform_hamiltonian(uni.fw.W, H_r, beta=grading)
     a = np.sort(report.eigenvalues)
     b = np.sort(eigvalsh(H_r))
-    c = np.sort([g * math.sqrt(lv.k + MASS**2)
-                 for lv, sl in zip(uni.fw.levels, uni.fw.cluster_slices)
+    c = np.sort([g * math.sqrt(k + MASS**2)
+                 for k, sl in zip(uni.fw.levels.k, uni.fw.cluster_slices)
                  for g in grading[sl]])
     assert_allclose(a, b, atol=1e-10)
     assert_allclose(b, c, atol=1e-5)
@@ -154,11 +158,12 @@ def test_main_claim_agrees_across_reps(uni, uni_second):
 
 def test_column_sign_convention_is_load_bearing(uni):
     # flipping one ladder-aligned column must break the factorization
-    lv = uni.fw.levels[2]
-    flipped = lv.Ep.copy()
-    flipped[:, 1] *= -1.0
-    bad = dataclasses.replace(lv, Ep=flipped)
-    assert verify_main_claim(uni.fw, [bad])[0] > 0.1
+    levels = uni.fw.levels
+    flipped = np.array(levels.E, order="F")
+    flipped[:, 2 * 2 + 1] *= -1.0       # level 2's second column
+    res = verify_main_claim(uni.fw, dataclasses.replace(levels, E=flipped))
+    assert res[2] > 0.1
+    assert np.delete(res, 2).max() < 5e-6
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from ritusfw import problem as problem_module
 from ritusfw.cli import RunConfig, run
-from ritusfw.ritus_basis import assemble_level
+from ritusfw.ritus_basis import assemble_levels
 
 # at N=256 the default config's level 2 does not pair
 PAIRING = ("PairingError: partner eigenvalues k=3.99999431 and k=3.99999841 differ "
@@ -12,16 +12,16 @@ PAIRING = ("PairingError: partner eigenvalues k=3.99999431 and k=3.99999841 diff
 def test_failed_link_is_built_once_and_reraised(monkeypatch):
     calls = []
 
-    def counting(spec_plus, spec_minus, n, *args, **kwargs):
-        calls.append(n)
-        return assemble_level(spec_plus, spec_minus, n, *args, **kwargs)
+    def counting(spec_plus, spec_minus, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return assemble_levels(spec_plus, spec_minus, n_max, *args, **kwargs)
 
-    monkeypatch.setattr(problem_module, "assemble_level", counting)
+    monkeypatch.setattr(problem_module, "assemble_levels", counting)
     report, ok = run("all", RunConfig(grid_n=256))
     assert not ok
     sections = report["sections"]
     assert "error" not in sections["spectrum"]
     for name in ("verify-ritus", "fw-exact", "fw-series", "propagator"):
         assert sections[name] == {"error": PAIRING, "checks": {}}
-    # one pass over the levels, stopped at the one that does not pair
-    assert calls == [0, 1, 2]
+    # one assembly of all levels, which names the first that does not pair
+    assert calls == [8]

@@ -1,5 +1,6 @@
 """Propagator blocks in the Ritus basis vs the closed 2x2 free form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from ritusfw import operators
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError, PoleError
+from ritusfw.operators import GridOperators
 from ritusfw.propagator import (diagonal_propagator, export_pole_sweep_csv,
                                 pole_sweep, project_propagator)
 from ritusfw.ritus_basis import BarMomentum
@@ -74,7 +76,7 @@ def test_block_singular_values_across_reps(uni, uni_second):
 
 
 def test_conditioning_guard(uni):
-    near = math.sqrt(uni.levels[1].k + MASS**2) - 1e-4
+    near = math.sqrt(uni.levels.k[1] + MASS**2) - 1e-4
     with pytest.raises(ConditioningError):
         project_propagator(uni.levels, near, MASS, uni.ops)
 
@@ -89,8 +91,13 @@ def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
 
 
 def test_project_propagator_validation(uni):
+    levels = uni.levels
     with pytest.raises(ArgumentError):
-        project_propagator([], P0, MASS, uni.ops)
+        project_propagator(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
+                           P0, MASS, uni.ops)
+    wider = dataclasses.replace(uni.grid, x_max=uni.grid.x_max + 1.0)
+    with pytest.raises(ArgumentError, match="different grids"):
+        project_propagator(levels, P0, MASS, GridOperators(uni.rep, uni.profile, 0.0, 1.0, wider))
 
 
 def test_pole_sweep_exponent(uni):

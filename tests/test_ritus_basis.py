@@ -1,7 +1,7 @@
 """Level assembly, orthonormality, intertwining, completeness, exports."""
 
 import dataclasses
-import warnings
+import math
 
 import numpy as np
 import pytest
@@ -16,45 +16,46 @@ from ritusfw.foldy_wouthuysen import (projector_commutation_residual, restricted
                                       unitarity_residual, verify_main_claim)
 from ritusfw.operators import GridOperators, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
-from ritusfw.ritus_basis import (assemble_level, completeness_residual, export_levels_csv,
+from ritusfw.ritus_basis import (assemble_levels, completeness_residual, export_levels_csv,
                                  orthonormality_matrix, verify_eigen_relation,
                                  verify_gpEp, zero_mode_annihilation)
 from ritusfw.spectral_grid import GridConfig
 
 
 def test_zero_level_structure(uni):
-    lv = uni.levels[0]
-    assert lv.n == 0 and lv.zero_channel == +1
-    assert np.array_equal(lv.projector, np.diag([1.0, 0.0]))
+    levels = uni.levels
+    assert levels.zero_channel == +1 and levels.zero_slot == 0
+    assert np.array_equal(levels.projector[:2], [1.0, 0.0])
     # single populated column on slot 0, nothing anywhere else
-    N = uni.grid.n_points
-    assert np.all(lv.Ep[N:, :] == 0.0)
-    assert np.all(lv.Ep[:, 1] == 0.0)
-    assert lv.k == 0.0
+    N, E0 = uni.grid.n_points, levels.Ep(0)
+    assert np.all(E0[N:, :] == 0.0)
+    assert np.all(E0[:, 1] == 0.0)
+    assert levels.k[0] == 0.0
 
 
 def test_higher_levels_pair_channels(uni):
-    for n in range(1, len(uni.levels)):
-        lv = uni.levels[n]
-        assert np.array_equal(lv.projector, np.eye(2))
-        k_zero, k_other = lv.channel_eigenvalues
-        assert lv.k == pytest.approx(0.5 * (k_zero + k_other))
-        assert abs(k_zero - k_other) / k_zero < 1e-6
+    levels = uni.levels
+    L = len(levels)
+    assert np.all(levels.projector[2:] == 1.0)
+    # the zero mode lives in sigma = +1: its level n pairs with sigma = -1's level n - 1
+    k_zero, k_other = uni.spec_plus.eigenvalues[1:L], uni.spec_minus.eigenvalues[:L - 1]
+    assert_allclose(levels.k[1:], 0.5 * (k_zero + k_other), rtol=1e-15)
+    assert np.all(np.abs(k_zero - k_other) / k_zero < 1e-6)
 
 
 def test_level_columns_quadrature_orthonormal(uni):
     h = uni.grid.h
-    for lv in uni.levels[1:]:
-        G = h * (lv.Ep.T @ lv.Ep)
-        assert_allclose(G, np.eye(2), atol=1e-10)
+    for n in range(1, len(uni.levels)):
+        Ep = uni.levels.Ep(n)
+        assert_allclose(h * (Ep.T @ Ep), np.eye(2), atol=1e-10)
 
 
 def test_sigma_order_is_enforced(uni):
     with pytest.raises(ArgumentError):
-        assemble_level(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
+        assemble_levels(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
     shifted = GridOperators(uni.rep, uni.profile, 0.5, 1.0, uni.grid)
     with pytest.raises(ArgumentError):       # operators built at another p_y
-        assemble_level(uni.spec_plus, uni.spec_minus, 1, 0.0, shifted)
+        assemble_levels(uni.spec_plus, uni.spec_minus, 1, 0.0, shifted)
 
 
 def test_pairing_mismatch_detected(uni):
@@ -62,33 +63,17 @@ def test_pairing_mismatch_detected(uni):
     vals[0] *= 1.01
     doctored = dataclasses.replace(uni.spec_minus, eigenvalues=vals)
     with pytest.raises(PairingError):
-        assemble_level(uni.spec_plus, doctored, 1, 0.0, uni.ops)
+        assemble_levels(uni.spec_plus, doctored, 1, 0.0, uni.ops)
 
 
 def test_truncation_when_level_not_stored(uni):
     with pytest.raises(TruncationError):
-        assemble_level(uni.spec_plus, uni.spec_minus, 40, 0.0, uni.ops)
+        assemble_levels(uni.spec_plus, uni.spec_minus, 40, 0.0, uni.ops)
 
 
 def test_orthonormality_blocks_are_projectors(uni):
     G = orthonormality_matrix(uni.levels, uni.ops)
-    expected = np.zeros_like(G)
-    for i, lv in enumerate(uni.levels):
-        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = lv.projector
-    assert np.abs(G - expected).max() < 1e-9
-
-
-def test_duplicate_levels_warn(uni):
-    with pytest.warns(UserWarning):
-        orthonormality_matrix([uni.levels[1], uni.levels[1]], uni.ops)
-
-
-def test_orthonormality_needs_shared_energy_and_py(uni):
-    # the Gram matrix compares levels at one (p0, p_y); the stack itself does not
-    for change in ({"p0": uni.levels[1].p0 + 1.0}, {"p_y": uni.levels[1].p_y + 1.0}):
-        moved = [uni.levels[0], dataclasses.replace(uni.levels[1], **change)]
-        with pytest.raises(ArgumentError, match="shared"):
-            orthonormality_matrix(moved, uni.ops)
+    assert np.abs(G - np.diag(uni.levels.projector)).max() < 1e-9
 
 
 def test_eigen_relation_residual_small(uni):
@@ -102,7 +87,7 @@ def test_intertwining_residual_small(uni):
 
 
 def test_zero_mode_annihilation_small(uni):
-    assert zero_mode_annihilation(uni.levels[0], uni.ops) < 5e-7
+    assert zero_mode_annihilation(uni.levels, uni.ops) < 5e-7
 
 
 def test_residuals_identical_across_reps(uni, uni_second):
@@ -112,23 +97,28 @@ def test_residuals_identical_across_reps(uni, uni_second):
 
 
 def test_wrong_pbar_is_detected(uni):
-    lv = uni.levels[2]
-    base = verify_gpEp(uni.levels, uni.ops)[2]
-    # pbar is built from (p0, k): relabel k so that pbar_2 = sqrt(k) + 0.1
-    off = dataclasses.replace(lv, k=(lv.pbar.p2 + 0.1) ** 2)
-    assert off.pbar.p0 == lv.pbar.p0 and off.pbar.p2 == pytest.approx(lv.pbar.p2 + 0.1)
-    assert verify_gpEp([off], uni.ops)[0] > 100 * base
+    levels = uni.levels
+    base = verify_gpEp(levels, uni.ops)
+    # pbar is built from (p0, k): relabel k_2 so that pbar_2 = sqrt(k_2) + 0.1
+    k = levels.k.copy()
+    k[2] = (levels.pbar[2].p2 + 0.1) ** 2
+    off = dataclasses.replace(levels, k=k)
+    assert off.pbar[2].p0 == levels.pbar[2].p0
+    assert off.pbar[2].p2 == pytest.approx(levels.pbar[2].p2 + 0.1)
+    res = verify_gpEp(off, uni.ops)
+    assert res[2] > 100 * base[2]
+    assert np.array_equal(np.delete(res, 2), np.delete(base, 2))
 
 
 def test_projector_is_populated_columns(uni, uni_second):
-    for lv in uni.levels + uni_second.levels:
-        P = lv.projector
-        populated = [float(np.any(lv.Ep[:, c] != 0.0)) for c in range(2)]
-        assert np.array_equal(P, np.diag(populated))
-        assert np.array_equal(P @ P, P)
-        assert np.array_equal(lv.Ep @ P, lv.Ep)
+    for levels in (uni.levels, uni_second.levels):
+        P = levels.projector
+        populated = [float(np.any(levels.E[:, c] != 0.0)) for c in range(levels.E.shape[1])]
+        assert np.array_equal(P, populated)
+        assert np.array_equal(levels.E * P, levels.E)
+        assert P[1 - levels.zero_slot] == 0.0
     # the second representation hosts the zero mode on the other slot
-    assert np.array_equal(uni_second.levels[0].projector, np.diag([0.0, 1.0]))
+    assert np.array_equal(uni_second.levels.projector[:2], [0.0, 1.0])
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -147,12 +137,14 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     # partner's level n - 1 as A^T (zero channel sigma = +1) or A (sigma = -1)
     A = ops.D1.copy()
     A[2] = ops.M  # D1's band has an empty diagonal
-    slots = channel_slots(prob.rep)
-    for lv in prob.levels[1:]:
-        a, b = slots[lv.zero_channel], slots[-lv.zero_channel]
-        u, v = lv.Ep[a * N:(a + 1) * N, a], lv.Ep[b * N:(b + 1) * N, b]
+    slots, levels = channel_slots(prob.rep), prob.levels
+    zc = levels.zero_channel
+    a, b = slots[zc], slots[-zc]
+    assert levels.zero_slot == a
+    for n in range(1, len(levels)):
+        u, v = levels.Ep(n)[a * N:(a + 1) * N, a], levels.Ep(n)[b * N:(b + 1) * N, b]
         # v A^T u is u A v
-        overlap = u @ band_product(A, v) if lv.zero_channel > 0 else v @ band_product(A, u)
+        overlap = u @ band_product(A, v) if zc > 0 else v @ band_product(A, u)
         assert h * float(overlap) > 0
     assert verify_gpEp(prob.levels, ops).max() < 1e-5
 
@@ -161,21 +153,22 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     for sigma, V in zip((+1, -1), susy_partner_potentials(profile, p_y, e)):
         blocks[slots[sigma]] = channel_hamiltonian(V(prob.grid.x), h)
     residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
-    for lv, res in zip(prob.levels, residuals):
-        pi_tilde2_Ep = np.zeros(lv.Ep.shape)
+    for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
+        Ep, p0, p2 = levels.Ep(n), levels.p0, math.sqrt(max(k, 0.0))
+        pi_tilde2_Ep = np.zeros(Ep.shape)
         for s, H in enumerate(blocks):
-            band_product(H, lv.Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N],
+            band_product(H, Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N],
                          symmetric=True)
-        diff = (lv.pbar.p0**2 * lv.Ep - pi_tilde2_Ep) - lv.pbar.squared * lv.Ep
+        diff = (p0**2 * Ep - pi_tilde2_Ep) - (p0**2 - p2**2) * Ep
         ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
-               / (np.sqrt(h) * float(np.linalg.norm(lv.Ep))))
+               / (np.sqrt(h) * float(np.linalg.norm(Ep))))
         assert res == ref and res < 1e-5
 
     try:
         fw = prob.fw
     except DiscretizationError:
         # the documented refusal: the solver kept a negative zero mode
-        assert prob.levels[0].k < 0
+        assert levels.k[0] < 0
         return
     B = fw.span
     for m in (1.0, 4.0):
@@ -212,8 +205,11 @@ def test_completeness_improves_with_levels(uni):
     test_vec[:N] = bump
     test_vec[N:] = 0.3 * np.roll(bump, 5)
     test_vec /= np.sqrt(uni.grid.h) * np.linalg.norm(test_vec)
-    residuals = [completeness_residual(uni.levels[:j], test_vec, uni.ops)
-                 for j in (1, 3, len(uni.levels))]
+    levels = uni.levels
+    residuals = [completeness_residual(
+                     dataclasses.replace(levels, E=levels.E[:, :2 * j], k=levels.k[:j]),
+                     test_vec, uni.ops)
+                 for j in (1, 3, len(levels))]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 0.05
 
@@ -221,8 +217,11 @@ def test_completeness_improves_with_levels(uni):
 def test_completeness_validation(uni):
     with pytest.raises(ArgumentError):
         completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points), uni.ops)
-    full = completeness_residual([], np.ones(2 * uni.grid.n_points), uni.ops)
-    assert full == 1.0
+    # no level at all, or E and k of different lengths, is no record of levels
+    levels = uni.levels
+    for E, k in ((levels.E[:, :0], levels.k[:0]), (levels.E[:, :4], levels.k[:3])):
+        with pytest.raises(ArgumentError, match="two columns of E per level"):
+            dataclasses.replace(levels, E=E, k=k)
 
 
 def test_levels_csv(tmp_path, uni):
@@ -233,14 +232,15 @@ def test_levels_csv(tmp_path, uni):
     assert len(lines) == 1 + len(uni.levels)
     row = lines[2].split(",")
     assert int(row[0]) == 1
-    assert float(row[4]) == pytest.approx(np.sqrt(uni.levels[1].k + 1.0))
+    assert float(row[1]) == pytest.approx(uni.levels.k[1], rel=1e-11)
+    assert (float(row[2]), float(row[3])) == (uni.p0, uni.p_y)
+    assert float(row[4]) == pytest.approx(np.sqrt(uni.levels.k[1] + 1.0))
 
 
 def test_gauge_center_shift_preserves_levels(uni):
     # p_y shifts the magnetic center; spectra and residuals are unchanged
     prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
-    lv = prob.levels[2]
-    assert lv.k == pytest.approx(4.0, abs=1e-5)
+    assert prob.levels.k[2] == pytest.approx(4.0, abs=1e-5)
     assert verify_gpEp(prob.levels, prob.ops)[2] < 1e-5
     peak = prob.grid.x[np.argmax(np.abs(prob.spec_plus.eigenfunctions[:, 0]))]
     assert abs(peak - 1.2) < 0.1

@@ -39,29 +39,41 @@ def problems(request):
     return first, first.other_rep()
 
 
+def pbar(levels, n):
+    return BarMomentum(levels.p0, np.sqrt(max(levels.k[n], 0.0)))
+
+
 def eigen_relation_loop(prob, levels):
     N, slots = prob.grid.n_points, channel_slots(prob.rep)
     out = []
-    for lv in levels:
-        PiE = np.empty_like(lv.Ep)
+    for n in range(len(levels)):
+        Ep, pb = levels.Ep(n), pbar(levels, n)
+        PiE = np.empty_like(Ep)
         for spec in (prob.spec_plus, prob.spec_minus):
             rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-            PiE[rows] = band_product(spec.hamiltonian, lv.Ep[rows], symmetric=True)
-        residual = (lv.pbar.p0**2 * lv.Ep - PiE) - lv.pbar.squared * lv.Ep
-        out.append(np.linalg.norm(residual) / np.linalg.norm(lv.Ep))
+            PiE[rows] = band_product(spec.hamiltonian, Ep[rows], symmetric=True)
+        residual = (pb.p0**2 * Ep - PiE) - pb.squared * Ep
+        out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
     return np.array(out)
 
 
 def intertwining_loop(prob, levels):
     ops = prob.ops
-    return np.array([np.linalg.norm(lv.pbar.p0 * (ops.g0diag[:, None] * lv.Ep) - ops.X @ lv.Ep
-                                    - lv.Ep @ lv.pbar.slash(prob.rep)) / np.linalg.norm(lv.Ep)
-                     for lv in levels])
+    out = []
+    for n in range(len(levels)):
+        Ep, pb = levels.Ep(n), pbar(levels, n)
+        residual = pb.p0 * (ops.g0diag[:, None] * Ep) - ops.X @ Ep - Ep @ pb.slash(prob.rep)
+        out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
+    return np.array(out)
 
 
 def main_claim_loop(fw):
-    return np.array([np.linalg.norm(fw.apply(lv.Ep) - lv.Ep @ free_fw(lv.k, fw.mass, fw.rep))
-                     / np.linalg.norm(lv.Ep) for lv in fw.levels])
+    out = []
+    for n, k in enumerate(fw.levels.k):
+        Ep = fw.levels.Ep(n)
+        out.append(np.linalg.norm(fw.apply(Ep) - Ep @ free_fw(k, fw.mass, fw.rep))
+                   / np.linalg.norm(Ep))
+    return np.array(out)
 
 
 def propagator_loop(prob):
@@ -70,22 +82,24 @@ def propagator_loop(prob):
     solve = ops.dirac_solver(P0, MASS)
     L = len(levels)
     blocks = np.empty((L, L, 2, 2), dtype=complex)
-    for j, lv_j in enumerate(levels):
-        Z = solve(np.array(lv_j.Ep))
-        for i, lv_i in enumerate(levels):
-            blocks[i, j] = dirac_overlap(lv_i.Ep, Z, ops)
-    diagonal_error = max(
-        float(np.abs(blocks[i, i] - lv.projector @ diagonal_propagator(
-            BarMomentum(P0, lv.pbar.p2), MASS, prob.rep) @ lv.projector).max())
-        for i, lv in enumerate(levels))
+    for j in range(L):
+        Z = solve(np.array(levels.Ep(j)))
+        for i in range(L):
+            blocks[i, j] = dirac_overlap(levels.Ep(i), Z, ops)
+    diagonal_error = 0.0
+    for i in range(L):
+        # the spin projector: the populated columns of E_p
+        P = np.diag([float(np.any(levels.Ep(i)[:, c] != 0.0)) for c in range(2)])
+        free = diagonal_propagator(BarMomentum(P0, pbar(levels, i).p2), MASS, prob.rep)
+        diagonal_error = max(diagonal_error, float(np.abs(blocks[i, i] - P @ free @ P).max()))
     cross = max(float(np.linalg.norm(blocks[i, j])) for i in range(L) for j in range(L) if i != j)
     return blocks, diagonal_error, cross
 
 
 def test_stacked_eigen_relation_and_intertwining_match_level_loops(problems):
     for prob in problems:
-        # the problem's levels share p0; relabeled on shell, each level has its own
-        on_shell = [dataclasses.replace(lv, p0=np.sqrt(lv.k + MASS**2)) for lv in prob.levels]
+        # the problem's p0, and the levels relabeled to the on-shell energy of the top one
+        on_shell = dataclasses.replace(prob.levels, p0=np.sqrt(prob.levels.k[-1] + MASS**2))
         for levels in (prob.levels, on_shell):
             ref = eigen_relation_loop(prob, levels)
             res = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus, prob.rep)
@@ -120,29 +134,38 @@ def test_closed_form_rotations_match_expm(problems):
         for m in (0.5, MASS, 4.0):
             fw = field_fw_from_levels(prob.levels, prob.ops, m)
             ref = np.zeros_like(fw.W)
-            for lv, sl in zip(fw.levels, fw.cluster_slices):
+            for k, sl in zip(fw.levels.k, fw.cluster_slices):
                 X_nn = fw.K[sl, sl]
-                ref[sl, sl] = expm(theta(lv.k, m) * 0.5 * (X_nn - X_nn.T))
+                ref[sl, sl] = expm(theta(k, m) * 0.5 * (X_nn - X_nn.T))
             assert np.abs(fw.W - ref).max() <= 1e-15
             assert np.array_equal(fw.W == 0.0, ref == 0.0)
 
 
 def test_levels_share_one_stack(problems):
     for prob in problems:
-        levels = prob.levels
+        levels, N = prob.levels, prob.grid.n_points
+        L = len(levels)
         assert isinstance(levels, RitusLevels) and levels.E.flags.f_contiguous
-        for i, lv in enumerate(levels):
-            assert lv.Ep.flags.f_contiguous and np.shares_memory(lv.Ep, levels.E)
-            assert np.array_equal(lv.Ep, levels.E[:, 2 * i:2 * i + 2])
-        # any other sequence of levels stacks into a copy; a stack passes through
-        copy = RitusLevels(list(levels))
-        assert np.array_equal(copy.E, levels.E) and not np.shares_memory(copy.E, levels.E)
-        assert RitusLevels(levels) is levels
+        assert levels.E.shape == (2 * N, 2 * L) and levels.k.shape == (L,)
+        for n in range(L):
+            Ep = levels.Ep(n)
+            assert Ep.flags.f_contiguous and np.shares_memory(Ep, levels.E)
+        # the zero-mode channel's level n in column 2n + a, the partner's
+        # level n - 1 (up to its sign) in column 2n + b, and nothing else
+        a, b = levels.zero_slot, 1 - levels.zero_slot
+        spec_zero, spec_other = ((prob.spec_plus, prob.spec_minus) if levels.zero_channel > 0
+                                 else (prob.spec_minus, prob.spec_plus))
+        assert np.array_equal(levels.E[a * N:(a + 1) * N, a::2], spec_zero.eigenfunctions[:, :L])
+        assert np.array_equal(np.abs(levels.E[b * N:(b + 1) * N, b + 2::2]),
+                              np.abs(spec_other.eigenfunctions[:, :L - 1]))
+        assert not levels.E[b * N:(b + 1) * N, a::2].any()
+        assert not levels.E[a * N:(a + 1) * N, b::2].any()
+        assert not levels.E[:, b].any()
         # operators built from E read it again later, so neither E nor a view takes writes
         with pytest.raises(ValueError, match="read-only"):
-            levels[0].Ep[0, 0] = 1.0
+            levels.Ep(0)[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            copy.E[0, 0] = 1.0
+            levels.E[0, 0] = 1.0
 
 
 def test_times_blocks_is_the_block_diagonal_product(rng):
