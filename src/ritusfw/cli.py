@@ -1,7 +1,7 @@
 """Batch runner: wires JSON/flag configuration to the verification suites.
 
 Heavy imports (numpy, scipy, the numeric submodules) happen inside the
-command functions, after the BLAS thread cap from RFW_THREADS is in place.
+command functions, after ``main`` has pinned BLAS to one thread.
 Reports are JSON with sorted keys and 12-significant-digit floats, so two
 identical runs produce byte-identical output; CSV detail files land next to
 the report when ``--out`` names a directory.
@@ -40,10 +40,10 @@ _TOP_KEYS = {"profile", "e", "mass", "p_y", "p0", "grid", "n_max",
 
 
 def _cap_threads() -> None:
-    n = os.environ.get("RFW_THREADS", "1")
+    """Pin BLAS to one thread: a product's rounding, so a report's bytes, depends on the count."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+        os.environ[var] = "1"
 
 
 @dataclass
@@ -148,8 +148,12 @@ class RunConfig:
         return value
 
     def echo(self) -> dict:
+        """The config as the report states it, a table's path resolved, not as given."""
+        profile = {"kind": self.profile_kind, **self.profile_params}
+        if "path" in profile:
+            profile["path"] = os.path.realpath(profile["path"])
         return {
-            "profile": {"kind": self.profile_kind, **self.profile_params},
+            "profile": profile,
             "e": self.e, "mass": self.mass, "p_y": self.p_y, "p0": self.p0,
             "grid": {"N": self.grid_n, "padding": self.padding},
             "n_max": self.n_max,
@@ -331,14 +335,12 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
+    # W and K on E's populated columns; column c belongs to level c // 2
+    populated = np.flatnonzero(fw.levels.projector)
     H_r, grading = restricted_hamiltonian(fw)
-    report = transform_hamiltonian(fw.W, H_r, beta=grading)
-    expected = sorted(
-        g * (k + cfg.mass ** 2) ** 0.5
-        for k, sl in zip(fw.levels.k.tolist(), fw.cluster_slices)
-        for g in grading[sl]
-    )
-    eig_err = float(np.abs(np.sort(report.eigenvalues) - np.array(expected)).max())
+    report = transform_hamiltonian(fw.W[np.ix_(populated, populated)], H_r, beta=grading)
+    expected = np.sort(grading * np.sqrt(np.repeat(fw.levels.k, 2)[populated] + cfg.mass ** 2))
+    eig_err = float(np.abs(np.sort(report.eigenvalues) - expected).max())
     ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
 
     # the same residuals from the other representation; its levels are

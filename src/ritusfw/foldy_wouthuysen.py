@@ -10,27 +10,25 @@ which block-diagonalizes H = gamma^0 (gamma.p + m) into gamma^0 sqrt(p^2+m^2).
 In a static magnetic field the same construction goes through with |p|
 replaced by the square root of Pi-tilde^2 = (gamma^0 gamma.Pi)^2: the angle
 function theta(k) = arctan(sqrt(k)/m) / (2 sqrt(k)) is applied spectrally.
-Numerically the operator is built cluster by cluster on the resolved span:
-each paired level contributes a 2x2 generator X_nn = B_n^T X B_n, exactly
-real antisymmetric because the spatial Dirac operator X is, so
-X_nn = x_n J with J = [[0, 1], [-1, 0]], and its exponential is the rotation
+In the Ritus basis this is the free form, one 2x2 rotation per level.  On
+the grid the levels are the columns of E = [E_0 | E_1 | ...] (2N x 2L,
+ell^2-orthonormal after scaling by sqrt(h)), and X acts on E once, giving
+K = h E^T X E.  Level n's 2x2 block of K, at columns (2n, 2n + 1), is real
+antisymmetric because the spatial Dirac operator X is, so it is x_n J with
+J = [[0, 1], [-1, 0]], and its exponential is the rotation
 
-    W_n = expm(theta_n X_nn) = [[cos a_n, sin a_n], [-sin a_n, cos a_n]],
+    W_n = expm(theta_n x_n J) = [[cos a_n, sin a_n], [-sin a_n, cos a_n]],
     a_n = theta_n x_n,
 
-taken in closed form.  U = 1 + sum_n B_n (W_n - 1) B_n^T
-is exactly unitary, commutes with the eigenprojectors by construction, and
-is the identity on the zero-mode cluster (a 1x1 antisymmetric block is 0,
-so W_0 = 1).  Off the resolved span U acts as the identity.  U is never
-formed: it is kept as the factors B = [B_0 | B_1 | ...] (2N x L) and the
-block-diagonal W = diag(W_n) (L x L), U = 1 + B (W - 1) B^T, and applied as
-that low-rank update of the identity.  Its checks reduce to L x L algebra on
-W - 1, B^T B and the thin QR factor of B, computed once per operator, and W
-itself is U compressed to the resolved span.  X acts on B once, giving
-K = B^T X B: its diagonal 2x2 blocks are the generators X_nn, and the
-restricted Hamiltonian is L x L for any mass.  The main claim applies U
-once to the stacked levels E and compares with E times the block-diagonal
-free rotations.
+taken in closed form.  The zero mode's block is the identity, and its
+empty column of E is exactly 0.  So U = 1 + h E (W - 1) E^T, with
+W = diag(W_0, W_1, ...) (2L x 2L), is exactly unitary, commutes with the
+level projectors by construction, and is the identity off the span of the
+levels.  U is never formed: it is kept as E and W.  One Gram matrix
+G = h E^T E serves the main claim, U E = E + E ((W - 1) G), and the checks,
+which are 2L x 2L algebra on W - 1, G and its Cholesky factor, and 2L x 4
+algebra per level.  On E's populated columns W is U compressed to the span
+of the levels, and the restricted Hamiltonian is K + m graded by gamma^0.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -84,16 +82,14 @@ def theta(k: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class FWOperator:
-    """The exact field FW operator U = 1 + B (W - 1) B^T (2N x 2N), kept as factors.
+    """The exact field FW operator U = 1 + h E (W - 1) E^T (2N x 2N), kept as factors.
 
-    levels are the levels U was built from, W the block-diagonal L x L
-    matrix holding one 2x2 (or 1x1) rotation per level at cluster_slices,
-    K = B^T X B the spatial Dirac operator compressed to the resolved span B
-    (``span``, the populated columns of the levels' E scaled to be
-    ell^2-orthonormal), and rep the gamma representation U was built in.
-    The span's columns, their grading and the clusters follow from the
-    levels.  ``apply`` applies U to grid vectors; ``factors`` holds the
-    L x L factors its checks read.
+    levels are the levels U was built from, and E their stacked matrix.  W
+    is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
+    (2n, 2n + 1) and the identity on the zero mode's block.
+    K = h E^T X E is the spatial Dirac operator on the levels, rep the gamma
+    representation U was built in.  ``apply`` applies U to grid vectors;
+    ``factors`` holds the 2L x 2L factors its checks read.
     """
 
     mass: float
@@ -102,31 +98,29 @@ class FWOperator:
     K: np.ndarray = field(repr=False)
     rep: GammaRep = field(repr=False)
 
-    @property
-    def span(self) -> np.ndarray:
-        """B, gathered from the levels' E on each read: E holds the same numbers."""
-        return _gather_span(self.levels)
-
-    @property
-    def span_grading(self) -> np.ndarray:
-        """The gamma^0 grading of the span columns: +1 on spinor slot 0, -1 on slot 1."""
-        return np.where(np.flatnonzero(self.levels.projector) % 2, -1.0, 1.0)
-
-    @property
-    def cluster_slices(self) -> tuple:
-        """Each level's columns of the span: one for the zero mode, then two per level."""
-        return (slice(0, 1), *(slice(2 * n - 1, 2 * n + 1) for n in range(1, len(self.levels))))
-
     @cached_property
     def factors(self):
-        """(D, G, R): D = W - 1, G = B^T B and the thin QR factor R of B, built on first read."""
-        B = self.span
-        return self.W - np.eye(self.W.shape[0]), B.T @ B, np.linalg.qr(B, mode="r")
+        """(D, G, R), built on first read: D = W - 1, G = h E^T E and G = R^T R.
+
+        G's empty zero-mode row and column are exactly 0; 1 - projector sets
+        its diagonal entry there to 1.  That leaves every product with D
+        unchanged, since D is 0 on that row and column, and makes R, the
+        upper Cholesky factor, that of the populated columns alone next to
+        a 1.  So ||h E C E^T||_2 = ||R C R^T||_2 for any C that is 0 on the
+        empty row and column.
+        """
+        E = self.levels.E
+        G = self.levels.grid.h * (E.T @ E) + np.diag(1.0 - self.levels.projector)
+        return self.W - np.eye(E.shape[1]), G, np.linalg.cholesky(G).T
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """U V = V + B ((W - 1)(B^T V)) for a grid vector or matrix V."""
-        B = self.span
-        UV = B @ ((self.W - np.eye(self.W.shape[0])) @ (B.T @ V))
+        """U V = V + E ((W - 1)(h E^T V)) for a grid vector or matrix V.
+
+        For V = E itself, h E^T V is the Gram matrix G of ``factors``.
+        """
+        D, G, _ = self.factors
+        E = self.levels.E
+        UV = E @ (D @ (G if V is E else self.levels.grid.h * (E.T @ V)))
         UV += V                     # in place: one grid-sized array per product
         return UV
 
@@ -160,21 +154,12 @@ def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _gather_span(levels: RitusLevels) -> np.ndarray:
-    """The populated columns of the levels' E, scaled to be ell^2-orthonormal (C order)."""
-    B = np.ascontiguousarray(levels.E[:, levels.projector > 0])
-    B *= math.sqrt(levels.grid.h)
-    return B
-
-
 def field_fw_from_levels(levels: RitusLevels, ops: GridOperators, m: float) -> FWOperator:
     """Assemble the exact field FW operator from levels; only their E and k enter.
 
-    The span B holds the populated columns of E, scaled to be
-    ell^2-orthonormal: the zero mode's column, then both columns of each
-    later level.  Level n's rotation angle is theta(k_n) times the coupling
-    x_n = (K_01 - K_10) / 2 of its diagonal block of K = B^T X B (the mean
-    of the two entries kills K's rounding-level symmetric part).
+    Level n's rotation angle is theta(k_n) times the coupling
+    x_n = (K_01 - K_10) / 2 of its diagonal block of K = h E^T X E (the
+    mean of the two entries kills K's rounding-level symmetric part).
     """
     if not levels.grid.same_as(ops.grid):
         raise ArgumentError("levels and operators use different grids")
@@ -187,48 +172,49 @@ def field_fw_from_levels(levels: RitusLevels, ops: GridOperators, m: float) -> F
             "resolved inside the zero-mode clamp; refine the grid"
         )
 
-    B = _gather_span(levels)
-    K = B.T @ (ops.X @ B)
-    W = np.eye(B.shape[1])
+    E = levels.E
+    K = levels.grid.h * (E.T @ (ops.X @ E))
+    W = np.eye(E.shape[1])
     for n, k in enumerate(levels.k[1:].tolist(), start=1):
-        i, j = 2 * n - 1, 2 * n         # level n's columns of the span
+        i, j = 2 * n, 2 * n + 1         # level n's columns of E
         a = theta(k, m) * 0.5 * (K[i, j] - K[j, i])
         W[i:j + 1, i:j + 1] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
     return FWOperator(mass=m, levels=levels, W=W, K=K, rep=ops.rep)
 
 
-def _span_norm(R: np.ndarray, C: np.ndarray) -> float:
-    """||B C B^T||_2 = ||R C R^T||_2, since B = Q R with orthonormal Q."""
-    return float(np.linalg.norm(R @ C @ R.T, 2))
-
-
 def unitarity_residual(fw: FWOperator) -> float:
     """Spectral norm ||U^dag U - 1||_2.
 
-    With D = W - 1 and G = B^T B,
-    U^T U - 1 = B (D + D^T + D^T G D) B^T, whose spectral norm is that of
-    the L x L matrix R C R^T (R from a thin QR of B): exact, and never below
-    the largest entry of U^T U - 1.
+    With D = W - 1 and G = h E^T E,
+    U^T U - 1 = h E (D + D^T + D^T G D) E^T, whose spectral norm is that of
+    the 2L x 2L matrix R C R^T (G = R^T R): exact, and never below the
+    largest entry of U^T U - 1.
     """
     D, G, R = fw.factors
-    return _span_norm(R, D + D.T + D.T @ G @ D)
+    return float(np.linalg.norm(R @ (D + D.T + D.T @ G @ D) @ R.T, 2))
 
 
 def projector_commutation_residual(fw: FWOperator) -> float:
-    """max over resolved clusters n of the spectral norm ||[U, P_n]||_2.
+    """max over levels n of the spectral norm ||[U, P_n]||_2.
 
-    P_n = B_n B_n^T = B E_n B^T with E_n the L x L selector of cluster n, so
-    [U, P_n] = B (D G E_n - E_n G D) B^T with D = W - 1 and G = B^T B; its
-    norm is taken exactly from the L x L factors, as in unitarity_residual.
+    P_n = h E S_n E^T with S_n the selector of level n's columns, so
+    [U, P_n] = h E C_n E^T with C_n = D G S_n - S_n G D, and
+    R C_n R^T = P Q^T with the 2L x 4 factors P = [(R D G) S_n, -R S_n]
+    and Q = [R S_n, (R D^T G) S_n] (each S_n keeping two columns).  With
+    thin QRs P = Q_P T_P and Q = Q_Q T_Q, the norm is ||T_P T_Q^T||_2, a
+    4 x 4 matrix per level.
     """
     D, G, R = fw.factors
-    worst = 0.0
-    for sl in fw.cluster_slices:
-        E = np.zeros(G.shape[0])
-        E[sl] = 1.0
-        C = (D @ G) * E[None, :] - E[:, None] * (G @ D)
-        worst = max(worst, _span_norm(R, C))
-    return worst
+    L = len(fw.levels)
+
+    def per_level(A):               # (2L, 2L) -> (L, 2L, 2): level n's columns of A
+        return A.reshape(-1, L, 2).transpose(1, 0, 2)
+
+    Rn = per_level(R)
+    P = np.concatenate([per_level(R @ D @ G), -Rn], axis=2)
+    Q = np.concatenate([Rn, per_level(R @ D.T @ G)], axis=2)
+    T = np.linalg.qr(P, mode="r") @ np.linalg.qr(Q, mode="r").transpose(0, 2, 1)
+    return float(np.linalg.norm(T, 2, axis=(1, 2)).max())
 
 
 # ----------------------------------------------------------------------
@@ -250,8 +236,9 @@ def transform_hamiltonian(U: np.ndarray, H: np.ndarray, beta: np.ndarray) -> FWH
     """U H U^dag for a dense U, with even/odd norms and spectrum.
 
     beta is the diagonal gamma^0 grading (+/-1 per basis vector).  For the
-    field operator pass U = fw.W, H and beta from restricted_hamiltonian:
-    W is U compressed to the resolved span.
+    field operator pass fw.W on E's populated columns (where
+    levels.projector is 1), and H and beta from restricted_hamiltonian:
+    there W is U compressed to the span of the levels.
     """
     if U.shape != H.shape:
         raise ArgumentError(f"dimension mismatch: U {U.shape} vs H {H.shape}")
@@ -259,17 +246,20 @@ def transform_hamiltonian(U: np.ndarray, H: np.ndarray, beta: np.ndarray) -> FWH
 
 
 def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
-    """(H_r, beta_r): the Dirac Hamiltonian compressed to the resolved span.
+    """(H_r, beta_r): the Dirac Hamiltonian compressed to the span of the levels.
 
-    H_r = B^T H_D B with H_D = gamma^0 (gamma.Pi + m); beta_r is the exact
-    gamma^0 grading of the span columns.  Each column lives on one spinor
-    slot, so H_r = diag(beta_r) (K + m): L x L work for any mass.
+    H_r = h E^T H_D E on E's populated columns (where levels.projector is
+    1), with H_D = gamma^0 (gamma.Pi + m); beta_r is the exact gamma^0
+    grading of those columns, +1 on spinor slot 0 and -1 on slot 1.  Each
+    column lives on one spinor slot, so H_r = diag(beta_r) (K + m) there:
+    L x L work for any mass.
     """
     mm = fw.mass if m is None else m
-    beta = fw.span_grading
-    H_r = beta[:, None] * fw.K + mm * np.diag(beta)
+    populated = np.flatnonzero(fw.levels.projector)
+    beta = np.where(populated % 2, -1.0, 1.0)
+    H_r = beta[:, None] * fw.K[np.ix_(populated, populated)] + mm * np.diag(beta)
     H_r = 0.5 * (H_r + H_r.T)
-    return H_r, beta.copy()
+    return H_r, beta
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +277,7 @@ def verify_main_claim(fw: FWOperator, levels: RitusLevels) -> np.ndarray:
     """
     E = levels.E
     free = np.array([free_fw(k, fw.mass, fw.rep).real for k in levels.k.tolist()])
-    UE = fw.apply(E)        # the span apply gathers is freed before the block product
+    UE = fw.apply(E)
     residual = times_blocks(E, free)                # Fortran order, as E
     np.subtract(UE, residual, out=residual)
     return levels.norms(residual) / levels.norms(E)

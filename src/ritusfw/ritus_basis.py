@@ -75,8 +75,8 @@ class RitusLevels:
 
     E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order, so that
     level n's E_p, ``Ep(n)``, is the contiguous column pair 2n, 2n + 1; it
-    is read-only, since the operators built from E (the FW span) read it
-    again later.  Level n carries the label k[n] and
+    is read-only, since the operators built on E (the field FW operator)
+    read it again later.  Level n carries the label k[n] and
     pbar = (p0, 0, sqrt(k[n])).  The zero-mode channel's functions fill the
     columns 2n + zero_slot, its partner's the other column of each pair
     n >= 1; level 0's column 1 - zero_slot is zero.

@@ -16,8 +16,8 @@ import ritusfw
 
 
 def child_env():
-    """``os.environ`` plus the package location on PYTHONPATH and RFW_THREADS=1."""
+    """``os.environ`` plus the package location on PYTHONPATH."""
     package_root = str(Path(ritusfw.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     path = os.pathsep.join([package_root, inherited]) if inherited else package_root
-    return dict(os.environ, PYTHONPATH=path, RFW_THREADS="1")
+    return dict(os.environ, PYTHONPATH=path)

@@ -146,14 +146,13 @@ def test_criterion_05_intertwining():
 def test_criterion_06_exact_fw():
     b = production_problem()
     unit = unitarity_residual(b.fw)
+    # W and K on E's populated columns; column c belongs to level c // 2
+    populated = np.flatnonzero(b.levels.projector)
     H_r, grading = restricted_hamiltonian(b.fw)
-    report = transform_hamiltonian(b.fw.W, H_r, beta=grading)
-    expected = sorted(
-        g * math.sqrt(k + MASS * MASS)
-        for k, sl in zip(b.fw.levels.k, b.fw.cluster_slices)
-        for g in grading[sl]
-    )
-    eig_err = float(np.abs(np.sort(report.eigenvalues) - np.array(expected)).max())
+    report = transform_hamiltonian(b.fw.W[np.ix_(populated, populated)], H_r, beta=grading)
+    k = np.repeat(b.levels.k, 2)[populated]
+    expected = np.sort([g * math.sqrt(kc + MASS * MASS) for kc, g in zip(k, grading)])
+    eig_err = float(np.abs(np.sort(report.eigenvalues) - expected).max())
     ratio = report.odd_part_norm / report.even_part_norm
     ok = unit < 1e-10 and eig_err < 1e-6 and ratio < 1e-6
     emit(6, ok, f"unitarity = {unit:.1e} (tol 1e-10), "

@@ -1,6 +1,8 @@
 """End-to-end CLI runs in subprocesses: determinism, exit codes, schemas."""
 
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -223,20 +225,54 @@ def test_fw_series_masses_stay_4_8_16_up_to_k_16(overrides):
     assert [row["m"] for row in report["results"]["bd"]] == [4.0, 8.0, 16.0]
 
 
-def test_all_factors_the_span_once(monkeypatch):
-    # unitarity and projector commutation share one thin QR of the span; the
-    # other representation's operator, read only by the main claim, factors nothing
-    calls = []
+def test_all_factors_no_grid_sized_matrix(monkeypatch):
+    # the field FW checks factor the 2L x 2L Gram matrix and 2L x 4 pairs per
+    # level: no QR in `all` takes a matrix with more than 2L rows
+    rows = []
     qr = np.linalg.qr
 
-    def counting_qr(*args, **kwargs):
-        calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+    def recording_qr(a, *args, **kwargs):
+        rows.append(np.shape(a)[-2])
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    report, ok = run("all", RunConfig())
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    cfg = RunConfig()
+    report, ok = run("all", cfg)
     assert ok
-    assert len(calls) == 1
+    assert rows and max(rows) <= 2 * (cfg.n_max + 1)
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # rfw pins BLAS to one thread whatever the environment asks; at 65
+    # levels on N = 16384, two threads moved rounding-level residuals
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(RFW + ["all", "--levels", "64", "--grid-n", "16384",
+                                     "--out", str(out)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_table_by_relative_and_absolute_path_gives_identical_reports(tmp_path, monkeypatch):
+    # the report echoes a table's resolved path, not the path as given
+    table = tmp_path / "table.csv"
+    xs = [-16.0 + 0.2 * i for i in range(161)]
+    table.write_text("x,W\n" + "".join(f"{x!r},{x + 0.003 * math.sin(0.5 * x)!r}\n"
+                                       for x in xs))
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for path in ("table.csv", str(table)):
+        report, ok = run("spectrum", RunConfig(profile_kind="tabulated",
+                                               profile_params={"path": path}))
+        assert ok
+        assert report["config"]["profile"]["path"] == os.path.realpath(table)
+        reports.append(cli.emit_report(report, tmp_path / "report.json"))
+    assert reports[0] == reports[1]
 
 
 def test_fw_series_masses_follow_k_max():
@@ -293,7 +329,7 @@ def test_main_reads_a_table_once(tmp_path, monkeypatch):
         return load(path)
 
     monkeypatch.setattr(field_profiles, "load_tabulated_csv", counting_load)
-    # main() sets the thread variables it finds unset; keep them test-local
+    # main() pins the thread variables to 1; keep them test-local
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "1")

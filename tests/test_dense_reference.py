@@ -3,15 +3,18 @@
 The library never forms a dense N x N or 2N x 2N matrix; the dense forms of
 U, G0 X, gamma.Pi - m and the channel Hamiltonians live here only, as
 references: for the FW and propagator paths on the N=640 bundle, for the
-shift-invert Lanczos channel solve (against numpy.linalg.eigh) at N=256 and
-N=384 over the profile kinds, the sign of eB and p_y, and on derandomized
-draws up to N=2048 and n_max=16 against both numpy.linalg.eigh and ARPACK
-(scipy's eigsh, the solver the package ran before its own Lanczos).  No run
-goes through SuperLU: the propagator and the channel solve use LAPACK band
-kernels; tests/test_package.py checks that a run never imports scipy.sparse.
+level commutators [U, P_n] at n_max = 8 and 32 on the smallest grids that
+build those levels, for the shift-invert Lanczos channel solve (against
+numpy.linalg.eigh) at N=256 and N=384 over the profile kinds, the sign of
+eB and p_y, and on derandomized draws up to N=2048 and n_max=16 against
+both numpy.linalg.eigh and ARPACK (scipy's eigsh, the solver the package
+ran before its own Lanczos).  No run goes through SuperLU: the propagator
+and the channel solve use LAPACK band kernels; tests/test_package.py checks
+that a run never imports scipy.sparse.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -26,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ritusfw import cli, spectral_grid
 from ritusfw.clifford import make_rep
-from ritusfw.errors import DiscretizationError
+from ritusfw.errors import DiscretizationError, RitusFWError
 from ritusfw.field_profiles import (exponential_profile,
                                     susy_partner_potentials, tabulated_profile,
                                     uniform_profile)
@@ -47,8 +50,8 @@ MASS = 1.0
 
 
 def dense_U(fw):
-    B, W = fw.span, fw.W
-    return np.eye(B.shape[0]) + B @ (W - np.eye(W.shape[0])) @ B.T
+    E, W, h = fw.levels.E, fw.W, fw.levels.grid.h
+    return np.eye(E.shape[0]) + h * (E @ (W - np.eye(W.shape[0])) @ E.T)
 
 
 def dense_G0(ops):
@@ -60,14 +63,30 @@ def dense_unitarity(fw):
     return float(np.abs(U.T @ U - np.eye(U.shape[0])).max())
 
 
+def level_commutators(fw):
+    """([U, P_n], [E_p, U^T E_p]) of each level n, with P_n = h E_p E_p^T.
+
+    The dense commutator is U P_n - P_n U = h ((U E_p) E_p^T - E_p (U^T E_p)^T),
+    so its rows lie in the span of the second matrix's columns.
+    """
+    U, h = dense_U(fw), fw.levels.grid.h
+    for n in range(len(fw.levels)):
+        Ep = fw.levels.Ep(n)
+        rows = np.hstack([Ep, U.T @ Ep])
+        C = np.hstack([U @ Ep, -Ep]) @ rows.T
+        C *= h
+        yield C, rows
+
+
 def dense_commutation(fw):
-    U = dense_U(fw)
-    worst = 0.0
-    for sl in fw.cluster_slices:
-        Bn = fw.span[:, sl]
-        P = Bn @ Bn.T
-        worst = max(worst, float(np.abs(U @ P - P @ U).max()))
-    return worst
+    return max(float(np.abs(C).max()) for C, _ in level_commutators(fw))
+
+
+def dense_commutation_norm(fw):
+    """max over levels of ||[U, P_n]||_2, exact: C vanishes off its row space, so
+    ||C||_2 = ||C Q||_2 for an orthonormal Q spanning it."""
+    return max(float(np.linalg.norm(C @ np.linalg.qr(rows)[0], 2))
+               for C, rows in level_commutators(fw))
 
 
 def test_fw_operator_matches_dense_low_rank_form(uni, rng):
@@ -79,9 +98,10 @@ def test_fw_operator_matches_dense_low_rank_form(uni, rng):
 
 def test_restricted_hamiltonian_matches_dense(uni):
     fw, ops = uni.fw, uni.ops
+    # the populated columns of E: all but the zero mode's empty one
+    B = math.sqrt(uni.grid.h) * uni.levels.E[:, uni.levels.projector > 0]
     for m in (MASS, 4.0):
         H_r, grading = restricted_hamiltonian(fw, m)
-        B = fw.span
         ref = B.T @ ((dense_G0(ops) @ dense_spinor(ops.X)) @ B) + m * np.diag(grading)
         ref = 0.5 * (ref + ref.T)
         assert np.abs(H_r - ref).max() < 1e-12
@@ -163,8 +183,8 @@ def test_orthonormality_matrix_matches_blockwise_overlaps(uni):
 
 
 def cap_threads(monkeypatch):
-    # main() sets the thread variables it finds unset; keep them test-local
-    for var in ("RFW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+    # main() pins the thread variables to 1; keep them test-local
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
 
@@ -196,11 +216,10 @@ def test_residuals_not_below_dense_max_entry(uni, where):
     fw = uni.fw
     W = fw.W.copy()
     if where == "cluster":
-        sl = fw.cluster_slices[3]
+        sl = slice(6, 8)                    # level 3's columns
         W[sl, sl] += 1e-6 * np.array([[1.0, 0.5], [-0.25, 2.0]])
     else:
-        a, b = fw.cluster_slices[2].start, fw.cluster_slices[4].start
-        W[a, b] = 1e-6
+        W[4, 8] = 1e-6                      # level 2's first column, level 4's
     bad = dataclasses.replace(fw, W=W)
 
     unit, unit_ref = unitarity_residual(bad), dense_unitarity(bad)
@@ -209,11 +228,39 @@ def test_residuals_not_below_dense_max_entry(uni, where):
 
     comm, comm_ref = projector_commutation_residual(bad), dense_commutation(bad)
     if where == "cluster":
-        # a perturbation inside one cluster block still commutes with P_n
+        # a perturbation inside one level's block still commutes with P_n
         assert comm < 1e-12 and comm_ref < 1e-12
     else:
         assert comm_ref > 1e-10
         assert comm >= comm_ref
+
+
+@functools.lru_cache(maxsize=None)
+def small_problem(n_max, variant):
+    """The smallest grid, a multiple of 32, on which levels 0..n_max build."""
+    for N in range(32 * math.ceil(4 * (n_max + 1) / 32), 1025, 32):
+        prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
+                       p0=P0, n_max=n_max, grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+        try:
+            prob.fw
+        except RitusFWError:
+            continue
+        return prob
+    raise AssertionError(f"no grid up to N = 1024 builds levels 0..{n_max}")
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+@pytest.mark.parametrize("n_max", [8, 32])
+def test_projector_commutation_matches_dense_spectral_norm(n_max, variant):
+    fw = small_problem(n_max, variant).fw
+    assert abs(projector_commutation_residual(fw) - dense_commutation_norm(fw)) < 1e-14
+    # and on a W that does not commute: level 2's first column coupled to level 4's
+    W = fw.W.copy()
+    W[4, 8] = 1e-6
+    bad = dataclasses.replace(fw, W=W)
+    ref = dense_commutation_norm(bad)
+    assert ref > 1e-7
+    assert abs(projector_commutation_residual(bad) - ref) < 1e-14
 
 
 def test_no_dense_grid_matrix_allocated(uni):

@@ -52,7 +52,7 @@ def loaded_in_child(imports, names, then="pass"):
 
 
 def test_cli_import_loads_no_numerics():
-    # main() caps the BLAS threads from RFW_THREADS before numpy loads
+    # main() pins BLAS to one thread, which works only before numpy loads
     assert loaded_in_child(["ritusfw.cli"], ("numpy", "scipy")) == []
 
 

@@ -170,29 +170,34 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         # the documented refusal: the solver kept a negative zero mode
         assert levels.k[0] < 0
         return
-    B = fw.span
+    E, populated = levels.E, np.flatnonzero(levels.projector)
+    grading = np.where(populated % 2, -1.0, 1.0)
     for m in (1.0, 4.0):
-        H_r = B.T @ (ops.g0diag[:, None] * (ops.X @ B)) + m * np.diag(fw.span_grading)
+        H_r = h * (E.T @ (ops.g0diag[:, None] * (ops.X @ E)))[np.ix_(populated, populated)]
+        H_r += m * np.diag(grading)
         assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
     main = verify_main_claim(fw, fw.levels)
     assert main.max() < 1e-5
 
     # U applied as the low-rank update, and both residuals from a fresh
-    # factorization of the span, bit for bit
+    # factorization of the Gram matrix: unitarity bit for bit, and the
+    # commutators' rank-4 norms against the 2L x 2L ones
     D = fw.W - np.eye(fw.W.shape[0])
     V = np.random.default_rng(N).standard_normal((2 * N, 3))
     for vec in (V, V[:, 0]):
-        assert np.array_equal(fw.apply(vec), vec + B @ (D @ (B.T @ vec)))
-    G, R = B.T @ B, np.linalg.qr(B, mode="r")
+        assert np.array_equal(fw.apply(vec), vec + E @ (D @ (h * (E.T @ vec))))
+    G = h * (E.T @ E)
+    G[1 - levels.zero_slot, 1 - levels.zero_slot] = 1.0     # the empty column's 0
+    R = np.linalg.cholesky(G).T
     unit = float(np.linalg.norm(R @ (D + D.T + D.T @ G @ D) @ R.T, 2))
     proj = 0.0
-    for sl in fw.cluster_slices:
+    for n in range(len(levels)):
         sel = np.zeros(G.shape[0])
-        sel[sl] = 1.0
+        sel[2 * n:2 * n + 2] = 1.0
         C = (D @ G) * sel[None, :] - sel[:, None] * (G @ D)
         proj = max(proj, float(np.linalg.norm(R @ C @ R.T, 2)))
     assert unitarity_residual(fw) == unit < 1e-10
-    assert projector_commutation_residual(fw) == proj < 1e-10
+    assert abs(projector_commutation_residual(fw) - proj) < 1e-14 and proj < 1e-10
     other = prob.other_rep().fw
     assert np.abs(main - verify_main_claim(other, other.levels)).max() < 1e-8
 

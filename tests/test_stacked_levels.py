@@ -129,12 +129,14 @@ def test_stacked_propagator_blocks_match_pair_loop(problems):
 
 def test_closed_form_rotations_match_expm(problems):
     # each 2x2 block of W is expm(theta_n X_nn) with X_nn the antisymmetrized
-    # diagonal block of K = B^T X B; off the blocks W is exactly zero
+    # diagonal block of K = h E^T X E (0 on the zero mode's, so W_0 = 1);
+    # off the blocks W is exactly zero
     for prob in problems:
         for m in (0.5, MASS, 4.0):
             fw = field_fw_from_levels(prob.levels, prob.ops, m)
             ref = np.zeros_like(fw.W)
-            for k, sl in zip(fw.levels.k, fw.cluster_slices):
+            for n, k in enumerate(fw.levels.k):
+                sl = slice(2 * n, 2 * n + 2)
                 X_nn = fw.K[sl, sl]
                 ref[sl, sl] = expm(theta(k, m) * 0.5 * (X_nn - X_nn.T))
             assert np.abs(fw.W - ref).max() <= 1e-15
