@@ -129,14 +129,18 @@ class RunConfig:
 
         Its superpotential c + (eB/alpha) exp(-alpha x) is shape invariant,
         with k_n = c^2 - (|c| - n|alpha|)^2 for those n (Cooper, Khare &
-        Sukhatme, Phys. Rep. 251, 1995).
+        Sukhatme, Phys. Rep. 251, 1995).  Both channels solve n_max + 1
+        levels, and the partner channel binds one level fewer than the
+        zero-mode channel, so n_max + 1 < |c|/|alpha|.
         """
         c = self.p_y - self.e * B / alpha
         ratio = abs(c) / abs(alpha)
-        if self.n_max >= ratio:
+        if self.n_max + 1 >= ratio:
+            bound = math.ceil(ratio)
             raise ConfigurationError(
-                f"n_max = {self.n_max} asks for {self.n_max + 1} levels, but the exponential "
-                f"field binds {math.ceil(ratio)} (levels n < |c|/|alpha| = {ratio:.6g}, "
+                f"n_max = {self.n_max} asks for {self.n_max + 1} levels of each channel, but "
+                f"the exponential field binds {bound} in the zero-mode channel and "
+                f"{bound - 1} in its partner (levels n < |c|/|alpha| = {ratio:.6g}, "
                 f"c = p_y - eB/alpha = {c:.6g})"
             )
 
@@ -344,12 +348,9 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
 
     # the same residuals from the other representation; its levels are
-    # re-assembled but share the channel spectra, so k_n cannot drift.  Its U
-    # is built before either check, so that the two checks' grid-sized
-    # temporaries come back to back and reuse the same memory.
-    other = prob.other_rep().fw
-    residuals = verify_main_claim(fw, fw.levels)
-    rep_gap = float(np.abs(residuals - verify_main_claim(other, other.levels)).max())
+    # re-assembled but share the channel spectra, so k_n cannot drift
+    residuals = verify_main_claim(fw)
+    rep_gap = float(np.abs(residuals - verify_main_claim(prob.other_rep().fw)).max())
 
     per_level = [{"n": n, "k": k, "residual_main_claim": r}
                  for n, (k, r) in enumerate(zip(fw.levels.k.tolist(), residuals.tolist()))]

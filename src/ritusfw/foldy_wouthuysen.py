@@ -24,11 +24,11 @@ taken in closed form.  The zero mode's block is the identity, and its
 empty column of E is exactly 0.  So U = 1 + h E (W - 1) E^T, with
 W = diag(W_0, W_1, ...) (2L x 2L), is exactly unitary, commutes with the
 level projectors by construction, and is the identity off the span of the
-levels.  U is never formed: it is kept as E and W.  One Gram matrix
-G = h E^T E serves the main claim, U E = E + E ((W - 1) G), and the checks,
-which are 2L x 2L algebra on W - 1, G and its Cholesky factor, and 2L x 4
-algebra per level.  On E's populated columns W is U compressed to the span
-of the levels, and the restricted Hamiltonian is K + m graded by gamma^0.
+levels.  U is never formed, nor applied: it is kept as E and W.  Every check
+is 2L x 2L algebra on W - 1, G = h E^T E and its Cholesky factor R, or 2L x 4
+algebra per level; the main claim reads U E - E F = E (1 + (W - 1) G - F),
+F the free rotations.  On E's populated columns W is U compressed to the
+span of the levels, and the restricted Hamiltonian is K + m graded by gamma^0.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -49,7 +49,7 @@ from scipy.linalg import expm
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
 from .operators import GridOperators
-from .ritus_basis import RitusLevels, times_blocks
+from .ritus_basis import RitusLevels
 
 __all__ = [
     "FWOperator",
@@ -88,8 +88,8 @@ class FWOperator:
     is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
     (2n, 2n + 1) and the identity on the zero mode's block.
     K = h E^T X E is the spatial Dirac operator on the levels, rep the gamma
-    representation U was built in.  ``apply`` applies U to grid vectors;
-    ``factors`` holds the 2L x 2L factors its checks read.
+    representation U was built in.  ``factors`` holds the 2L x 2L factors
+    every check reads.
     """
 
     mass: float
@@ -112,17 +112,6 @@ class FWOperator:
         E = self.levels.E
         G = self.levels.grid.h * (E.T @ E) + np.diag(1.0 - self.levels.projector)
         return self.W - np.eye(E.shape[1]), G, np.linalg.cholesky(G).T
-
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        """U V = V + E ((W - 1)(h E^T V)) for a grid vector or matrix V.
-
-        For V = E itself, h E^T V is the Gram matrix G of ``factors``.
-        """
-        D, G, _ = self.factors
-        E = self.levels.E
-        UV = E @ (D @ (G if V is E else self.levels.grid.h * (E.T @ V)))
-        UV += V                     # in place: one grid-sized array per product
-        return UV
 
 
 @dataclass(frozen=True)
@@ -267,20 +256,24 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
 # ----------------------------------------------------------------------
 
 
-def verify_main_claim(fw: FWOperator, levels: RitusLevels) -> np.ndarray:
-    """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F of each level.
+def verify_main_claim(fw: FWOperator) -> np.ndarray:
+    """|| U E_p - E_p U_free(pbar) ||_F / ||E_p||_F of each level, from fw.factors.
 
-    U is the exact field FW operator, applied once to the stacked E; U_free
-    is built independently from the closed-form free rotation at
+    U_free is built independently from the closed-form free rotation at
     |p| = sqrt(k), with the mass and gamma representation U was built with
-    (real: cos + sin gamma^2, and gamma^2 is real).
+    (real: cos + sin gamma^2, and gamma^2 is real).  With (D, G, R) =
+    fw.factors, U E - E F = E C, C = 1 + D G - F, F = blockdiag(U_free).
+    C is 0 on E's empty zero-mode row (D is 0 there and U_free(0) = 1), so
+    sqrt(h) ||E C_n||_F = ||R C_n||_F on level n's columns; sqrt(h) ||E_p||_F
+    comes from G's diagonal on the populated columns.
     """
-    E = levels.E
-    free = np.array([free_fw(k, fw.mass, fw.rep).real for k in levels.k.tolist()])
-    UE = fw.apply(E)
-    residual = times_blocks(E, free)                # Fortran order, as E
-    np.subtract(UE, residual, out=residual)
-    return levels.norms(residual) / levels.norms(E)
+    D, G, R = fw.factors
+    L = len(fw.levels)
+    free = np.array([free_fw(k, fw.mass, fw.rep).real for k in fw.levels.k.tolist()])
+    C = D @ G
+    C.reshape(L, 2, L, 2)[range(L), :, range(L), :] += np.eye(2) - free
+    residual = np.linalg.norm((R @ C).reshape(-1, L, 2), axis=(0, 2))
+    return residual / np.sqrt((np.diag(G) * fw.levels.projector).reshape(L, 2).sum(axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -86,15 +86,15 @@ def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None,
     Each entry of the result is 0, or its value in ``out``, plus the terms
     of its row in ascending column order: the order in which a
     compressed-sparse-row product sums a row's stored entries, so that the
-    two agree bit for bit.  The result is C-ordered.  The rows go in blocks
-    of about _BLOCK entries, so that a block's terms stay in cache, and a
-    diagonal whose entries are all equal (a stencil coefficient) scales a
-    block as one number.
+    two agree bit for bit.  The result and each block's term take x's memory
+    order, so no x (the levels' Fortran-ordered E) is copied.  The rows go in
+    blocks of about _BLOCK entries, so that a block's terms stay in cache,
+    and a diagonal whose entries are all equal (a stencil coefficient)
+    scales a block as one number.
     """
     n = ab.shape[1]
     u = ab.shape[0] - 1 if symmetric else ab.shape[0] // 2
-    x = np.ascontiguousarray(x)
-    y = np.zeros(x.shape) if out is None else out
+    y = np.zeros_like(x, dtype=float) if out is None else out
     terms = []
     for d in range(-u, u + 1):  # column offset j - i
         lo, hi = max(-d, 0), n - max(d, 0)  # the rows this diagonal reaches
@@ -109,7 +109,7 @@ def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None,
             a = a[:, None]
         terms.append((d, lo, hi, a, constant))
     rows = max(1, _BLOCK // x[0].size)
-    term = np.empty((min(rows, n),) + x.shape[1:])
+    term = np.empty_like(x, dtype=float, shape=(min(rows, n),) + x.shape[1:])
     for r0 in range(0, n, rows):
         for d, lo, hi, a, constant in terms:
             i0, i1 = max(lo, r0), min(hi, r0 + rows)
@@ -190,14 +190,15 @@ class SpinorBand:
     """A 2N x 2N operator in the block spinor order, as its 2 x 2 blocks.
 
     blocks[s][t] is block (s, t) in general band storage, or None for a zero
-    block.  ``X @ v`` sums each row's terms in ascending column order.
+    block.  ``X @ v`` sums each row's terms in ascending column order, into
+    a result in v's memory order.
     """
 
     blocks: tuple
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         N = v.shape[0] // 2
-        out = np.zeros(v.shape)
+        out = np.zeros_like(v, dtype=float)
         for s, row in enumerate(self.blocks):
             for t, ab in enumerate(row):
                 if ab is not None:

@@ -123,8 +123,8 @@ class RitusLevels:
     def norms(self, R: np.ndarray) -> np.ndarray:
         """sqrt(h) ||R_n||_F of each column pair R_n of a (2N, 2L) R, e.g. a residual.
 
-        Each norm sums its pair in R's memory order: contiguously for a
-        Fortran-ordered R, row by row (through a copy) for a C-ordered one.
+        R is laid out as E, in Fortran order, so each pair is contiguous and
+        its norm sums it column by column.
         """
         sqh = math.sqrt(self.grid.h)
         return np.array([sqh * float(np.linalg.norm(R[:, 2 * n:2 * n + 2]))
@@ -230,7 +230,7 @@ def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
     """
     E, N = levels.E, levels.grid.n_points
     slots = channel_slots(rep)
-    residual = np.zeros(E.shape)  # C order, as H @ E_p of one level: its norm sums row by row
+    residual = np.zeros_like(E)     # Fortran order, as E
     for spec in (spec_plus, spec_minus):
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
         band_product(spec.hamiltonian, E[rows], out=residual[rows], symmetric=True)  # Pi-tilde^2 E

@@ -23,9 +23,10 @@ slightly negative one inside the truncation window (-ZERO_CLAMP, 0).
 
 Grid sizing: the domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
-k-estimate), extended by a padding factor, and further extended until the
-WKB decay integral int sqrt(V - k_est) dx exceeds ``decay_exponent`` so
-that Dirichlet-wall eigenvalue shifts stay well below the stencil error.
+k-estimate, kept below the exponential field's plateau), extended by a
+padding factor, and further extended until the WKB decay integral
+int sqrt(V - k_est) dx exceeds ``decay_exponent`` so that Dirichlet-wall
+eigenvalue shifts stay well below the stencil error.
 Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
 of vectorized potential calls.
 """
@@ -249,6 +250,15 @@ def build_grid(
     curv = (vmin_curve[j - 1] - 2 * vmin_curve[j] + vmin_curve[j + 1]) / dx**2
     omega = math.sqrt(max(curv, 1e-12) / 2.0)
     k_est = v_min + (2 * (n_max + 1) + 3) * omega
+    if profile.kind == "exponential":
+        # the field binds k_n = c^2 - (|c| - n|alpha|)^2, c = p_y - eB/alpha,
+        # below its plateau c^2, where a harmonic k_est may lie above it: cap
+        # k_est midway between the plateau and the highest level either
+        # channel solves, k_{n_max + 1}
+        B, alpha = profile.params["B"], profile.params["alpha"]
+        c = p_y - e * B / alpha
+        top = c * c - max(abs(c) - (n_max + 1) * abs(alpha), 0.0) ** 2
+        k_est = min(k_est, 0.5 * (c * c + top))
 
     # sublevel set of the *shallower* channel at k_est, then padding; both
     # walks stay on the lattice xs[i0] +- k*step and share one step budget

@@ -74,9 +74,9 @@ def intertwining(b):
 
 def main_claim(b):
     """Criterion 7's numbers: main-claim residual per level, representation gap."""
-    res = verify_main_claim(b.fw, b.fw.levels)
+    res = verify_main_claim(b.fw)
     b2 = b.other_rep()
-    res2 = verify_main_claim(b2.fw, b2.fw.levels)
+    res2 = verify_main_claim(b2.fw)
     return res.tolist(), float(np.abs(res - res2).max())
 
 

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -396,31 +395,38 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
         assert sections[name]["checks"]
 
 
-@pytest.mark.parametrize("B,n_max,k_est", [(1.0, 1, 6.81), (-1.0, 3, 11.31)])
-def test_potential_plateau_below_level_estimate_exits_two(tmp_path, B, n_max, k_est):
-    # at alpha = 0.5 the potential levels off at (eB/alpha)^2 = 4 near
-    # x = 2000, below the level estimate k_est; the field binds levels 0..3,
-    # so validation lets n_max <= 3 through to the grid sizing
-    cfg = write_config(tmp_path / "cfg.json", n_max=n_max,
-                       profile={"kind": "exponential", "B": B, "alpha": 0.5})
-    proc = run_cli("spectrum", "--config", str(cfg), cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    found = re.search(r"levels off at V = ([\d.]+) near x = ([\d.]+), .* k_est = ([\d.]+)",
-                      proc.stderr)
-    assert found, proc.stderr
-    V, x, k = map(float, found.groups())
-    assert V == pytest.approx(4.0) and 1900 < x < 2000
-    assert k == pytest.approx(k_est, abs=0.01)
+@pytest.mark.parametrize("B", [1.0, -1.0])
+@pytest.mark.parametrize("n_max,N,code", [(1, 1024, 0), (1, 2048, 0), (1, 4096, 0),
+                                          (2, 1024, 1), (2, 2048, 0), (2, 4096, 0)])
+def test_shallow_exponential_well_runs(B, n_max, N, code):
+    # at alpha = 0.5 the potential levels off at c^2 = (eB/alpha)^2 = 4, and
+    # the field binds k = 0, 1.75, 3 and 3.75; the grid sizing keeps its level
+    # estimate below the plateau, so `all` runs.  n_max = 2 on N = 1024 keeps
+    # a negative zero mode, the documented refusal of the FW sections
+    cfg = RunConfig(profile_kind="exponential", profile_params={"B": B, "alpha": 0.5},
+                    n_max=n_max, grid_n=N)
+    report, ok = run("all", cfg)
+    assert ok == (code == 0)
+    if code:
+        assert report["sections"]["fw-exact"]["error"].startswith(
+            "DiscretizationError: level 0 has k = ")
+    else:
+        levels = report["sections"]["verify-ritus"]["results"]["levels"]
+        assert [row["k"] for row in levels] == pytest.approx([0.0, 1.75, 3.0][:n_max + 1],
+                                                             abs=1e-3)
 
 
 @pytest.mark.parametrize("B", [1.0, -1.0])
 def test_exponential_run_beyond_bound_state_count_exits_two(tmp_path, B):
-    # |c|/|alpha| = |0 - B/0.5| / 0.5 = 4: levels 0..3 are bound, 9 are asked for
-    cfg = write_config(tmp_path / "cfg.json", n_max=8,
-                       profile={"kind": "exponential", "B": B, "alpha": 0.5})
-    proc = run_cli("all", "--config", str(cfg), "--out", str(tmp_path / "out"), cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert not (tmp_path / "out").exists()
-    assert "asks for 9 levels, but the exponential field binds 4" in proc.stderr
+    # |c|/|alpha| = |0 - B/0.5| / 0.5 = 4: the zero-mode channel binds levels
+    # 0..3 and its partner 0..2, and each channel solves n_max + 1 levels
+    for n_max in (3, 8):
+        cfg = write_config(tmp_path / "cfg.json", n_max=n_max,
+                           profile={"kind": "exponential", "B": B, "alpha": 0.5})
+        proc = run_cli("all", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+        assert (f"asks for {n_max + 1} levels of each channel, but the exponential field "
+                "binds 4 in the zero-mode channel and 3 in its partner") in proc.stderr

@@ -33,9 +33,9 @@ from ritusfw.errors import DiscretizationError, RitusFWError
 from ritusfw.field_profiles import (exponential_profile,
                                     susy_partner_potentials, tabulated_profile,
                                     uniform_profile)
-from ritusfw.foldy_wouthuysen import (projector_commutation_residual,
-                                      restricted_hamiltonian,
-                                      unitarity_residual)
+from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
+                                      restricted_hamiltonian, unitarity_residual,
+                                      verify_main_claim)
 from ritusfw.operators import BAND, band_product, channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
@@ -90,10 +90,33 @@ def dense_commutation_norm(fw):
 
 
 def test_fw_operator_matches_dense_low_rank_form(uni, rng):
-    U = dense_U(uni.fw)
+    # the operator's factors against the dense U: V + E (D (h E^T V)) on grid
+    # vectors, and U E = E (1 + D G), the form the main claim reads
+    U, fw = dense_U(uni.fw), uni.fw
+    D, G, _ = fw.factors
+    E, h = fw.levels.E, fw.levels.grid.h
     V = rng.standard_normal((U.shape[0], 3))
-    assert np.abs(uni.fw.apply(V) - U @ V).max() < 1e-13
-    assert np.abs(uni.fw.apply(V[:, 0]) - U @ V[:, 0]).max() < 1e-13
+    for vec in (V, V[:, 0]):
+        assert np.abs(vec + E @ (D @ (h * (E.T @ vec))) - U @ vec).max() < 1e-13
+    assert np.abs(E @ (np.eye(G.shape[0]) + D @ G) - U @ E).max() < 1e-13
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+def test_main_claim_from_factors_matches_dense_grid_residual(variant):
+    # ||U E_p - E_p U_free|| / ||E_p|| with the dense U on the grid, against
+    # the 2L x 2L form the operator's factors give
+    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS, p0=P0,
+                   n_max=8, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
+    fw = prob.fw
+    U = dense_U(fw)
+    ref = np.array([
+        np.linalg.norm(U @ fw.levels.Ep(n) - fw.levels.Ep(n) @ free_fw(k, MASS, fw.rep).real)
+        / np.linalg.norm(fw.levels.Ep(n))
+        for n, k in enumerate(fw.levels.k.tolist())])
+    res = verify_main_claim(fw)
+    assert res.shape == ref.shape == (9,)
+    assert abs(res[0] - ref[0]) < 1e-14
+    assert np.all(np.abs(res[1:] - ref[1:]) <= 1e-6 * ref[1:])
 
 
 def test_restricted_hamiltonian_matches_dense(uni):

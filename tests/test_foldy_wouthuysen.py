@@ -81,8 +81,15 @@ def test_field_fw_commutes_with_cluster_projectors(uni):
 
 
 def test_field_fw_identity_on_zero_mode(uni):
-    E0 = uni.fw.levels.Ep(0)[:, 0]
-    assert np.abs(uni.fw.apply(E0) - E0).max() < 1e-12
+    # through the dense U = 1 + h E (W - 1) E^T, and through the factors'
+    # U E = E (1 + D G), which the main claim reads
+    fw = uni.fw
+    E, h = fw.levels.E, fw.levels.grid.h
+    D, G, _ = fw.factors
+    U = np.eye(E.shape[0]) + h * (E @ (fw.W - np.eye(fw.W.shape[0])) @ E.T)
+    z = fw.levels.zero_slot                         # E_0's populated column
+    assert np.abs(U @ E[:, z] - E[:, z]).max() < 1e-12
+    assert np.abs(E @ (np.eye(G.shape[0]) + D @ G)[:, z] - E[:, z]).max() < 1e-12
 
 
 def test_field_fw_requires_levels(uni):
@@ -152,13 +159,13 @@ def test_transform_shape_validation(uni):
 
 
 def test_main_claim_all_levels(uni):
-    worst = verify_main_claim(uni.fw, uni.fw.levels).max()
+    worst = verify_main_claim(uni.fw).max()
     assert worst < 5e-6
 
 
 def test_main_claim_agrees_across_reps(uni, uni_second):
-    r1 = verify_main_claim(uni.fw, uni.fw.levels)
-    r2 = verify_main_claim(uni_second.fw, uni_second.fw.levels)
+    r1 = verify_main_claim(uni.fw)
+    r2 = verify_main_claim(uni_second.fw)
     assert np.abs(r1 - r2).max() < 1e-12
 
 
@@ -167,7 +174,8 @@ def test_column_sign_convention_is_load_bearing(uni):
     levels = uni.fw.levels
     flipped = np.array(levels.E, order="F")
     flipped[:, 2 * 2 + 1] *= -1.0       # level 2's second column
-    res = verify_main_claim(uni.fw, dataclasses.replace(levels, E=flipped))
+    res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, E=flipped),
+                                                 uni.ops, MASS))
     assert res[2] > 0.1
     assert np.delete(res, 2).max() < 5e-6
 

@@ -1,5 +1,7 @@
 """Grid operator structure: stencils, antisymmetry, block layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -166,21 +168,45 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
     ops, N, h = prob.ops, prob.grid.n_points, prob.grid.h
     E = prob.levels.E  # Fortran order, as every check applies its operator to it
     rng = np.random.default_rng(7)
-    vectors = (E, E[:, 3], rng.standard_normal((2 * N, 5)))
+    # E, its C-ordered copy, a column and a C-ordered block: each product
+    # comes back in its input's memory order, with the same bits
+    vectors = (E, np.ascontiguousarray(E), E[:, 3], rng.standard_normal((2 * N, 5)))
     D1 = csr_first_derivative(N, h)
     for v in vectors:
-        assert same_bits(band_product(ops.D1, v[:N]), D1 @ v[:N])
+        assert same_bits_and_order(band_product(ops.D1, v[:N]), D1 @ v[:N], v)
     # the run's M, and the same M with an exact zero, which CSR stores as an entry
     M0 = ops.M.copy()
     M0[N // 3] = 0.0
     for M, X in ((ops.M, ops.X), (M0, gamma_dot_pi_spatial(prob.rep, ops.D1, M0))):
         ref = csr_x(prob.rep, D1, M)
         for v in vectors:
-            assert same_bits(X @ v, ref @ v)
+            assert same_bits_and_order(X @ v, ref @ v, v)
     for spec, V in zip((prob.spec_plus, prob.spec_minus),
                        susy_partner_potentials(profile, p_y, 1.0)):
         H = csr_channel_hamiltonian(V(prob.grid.x), h)
         for v in vectors:
             for rows in (slice(0, N), slice(N, 2 * N)):
-                assert same_bits(band_product(spec.hamiltonian, v[rows], symmetric=True),
-                                 H @ v[rows])
+                assert same_bits_and_order(
+                    band_product(spec.hamiltonian, v[rows], symmetric=True), H @ v[rows], v)
+
+
+def same_bits_and_order(result, ref, v):
+    """result has ref's bits and v's memory order (a column counts as both)."""
+    return (same_bits(result, ref) and result.flags.f_contiguous == v.flags.f_contiguous
+            and result.flags.c_contiguous == (v.ndim == 1 or v.flags.c_contiguous))
+
+
+def test_band_product_on_the_levels_makes_no_copy():
+    # X @ E at n_max = 64 on N = 16384: the result is the one grid-sized array
+    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
+                   n_max=64, grid_config=GridConfig(n_points=16384), tol_eig=1e-6)
+    E = prob.levels.E
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        XE = prob.ops.X @ E
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert XE.flags.f_contiguous
+    assert peak < 1.25 * E.nbytes, (peak, E.nbytes)

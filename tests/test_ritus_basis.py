@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, TruncationError
 from ritusfw.field_profiles import exponential_profile, susy_partner_potentials, uniform_profile
-from ritusfw.foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
-                                      unitarity_residual, verify_main_claim)
+from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
+                                      restricted_hamiltonian, unitarity_residual,
+                                      verify_main_claim)
 from ritusfw.operators import GridOperators, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import (assemble_levels, completeness_residual, export_levels_csv,
@@ -155,7 +156,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
         Ep, p0, p2 = levels.Ep(n), levels.p0, math.sqrt(max(k, 0.0))
-        pi_tilde2_Ep = np.zeros(Ep.shape)
+        pi_tilde2_Ep = np.zeros_like(Ep)            # Fortran order, as E
         for s, H in enumerate(blocks):
             band_product(H, Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N],
                          symmetric=True)
@@ -176,16 +177,29 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         H_r = h * (E.T @ (ops.g0diag[:, None] * (ops.X @ E)))[np.ix_(populated, populated)]
         H_r += m * np.diag(grading)
         assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
-    main = verify_main_claim(fw, fw.levels)
+    main = verify_main_claim(fw)
     assert main.max() < 1e-5
 
-    # U applied as the low-rank update, and both residuals from a fresh
-    # factorization of the Gram matrix: unitarity bit for bit, and the
-    # commutators' rank-4 norms against the 2L x 2L ones
+    # U applied on the grid as the low-rank update V + E (D (h E^T V)): it
+    # keeps the norm of grid vectors, and its main-claim residuals agree with
+    # the 2L x 2L ones; both other residuals from a fresh factorization of the
+    # Gram matrix: unitarity bit for bit, and the commutators' rank-4 norms
+    # against the 2L x 2L ones
     D = fw.W - np.eye(fw.W.shape[0])
+
+    def apply_U(vec):
+        return vec + E @ (D @ (h * (E.T @ vec)))
+
     V = np.random.default_rng(N).standard_normal((2 * N, 3))
     for vec in (V, V[:, 0]):
-        assert np.array_equal(fw.apply(vec), vec + E @ (D @ (h * (E.T @ vec))))
+        assert_allclose(np.linalg.norm(apply_U(vec), axis=0), np.linalg.norm(vec, axis=0),
+                        rtol=1e-12)
+    UE = apply_U(E)
+    for n, k in enumerate(levels.k.tolist()):
+        Ep = levels.Ep(n)
+        ref = (np.linalg.norm(UE[:, 2 * n:2 * n + 2] - Ep @ free_fw(k, 1.0, fw.rep).real)
+               / np.linalg.norm(Ep))
+        assert abs(main[n] - ref) <= 1e-14 + 1e-6 * ref
     G = h * (E.T @ E)
     G[1 - levels.zero_slot, 1 - levels.zero_slot] = 1.0     # the empty column's 0
     R = np.linalg.cholesky(G).T
@@ -199,7 +213,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     assert unitarity_residual(fw) == unit < 1e-10
     assert abs(projector_commutation_residual(fw) - proj) < 1e-14 and proj < 1e-10
     other = prob.other_rep().fw
-    assert np.abs(main - verify_main_claim(other, other.levels)).max() < 1e-8
+    assert np.abs(main - verify_main_claim(other)).max() < 1e-8
 
 
 def test_completeness_improves_with_levels(uni):

@@ -1,5 +1,7 @@
 """Channel eigensolver against analytic Landau levels and a Morse-type chain."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -172,6 +174,22 @@ def test_solver_argument_validation(uni):
         solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=0)
     with pytest.raises(TruncationError):
         solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=grid.n_points // 2)
+
+
+def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch):
+    # the field binds levels 0..3 only, so at n_max = 3 the partner's top
+    # level sits on the plateau: the sublevel walk never ends, and the step
+    # guard names the plateau (validation refuses this n_max first)
+    monkeypatch.setattr(spectral_grid, "_GUARD", 20_000)
+    with pytest.raises(ConfigurationError) as err:
+        build_grid(exponential_profile(1.0, 0.5), 0.0, 3)
+    found = re.search(r"levels off at V = ([\d.]+) near x = ([\d.]+), below the level "
+                      r"estimate k_est = ([\d.]+) for n_max = 3: .* within 20,000 grid steps",
+                      str(err.value))
+    assert found, str(err.value)
+    V, x, k = map(float, found.groups())
+    assert V == pytest.approx(4.0, abs=1e-3) and 15 < x < 25
+    assert k == 4.0
 
 
 def test_unresolvable_levels_hit_the_wall():
