@@ -100,9 +100,20 @@ class RunConfig:
                 raise ConfigurationError(
                     f"profile key {key!r} is not read by the {self.profile_kind} profile, "
                     f"which reads {', '.join(keys)}")
-        if self.profile_kind == "exponential":
-            self._check_bound_states(self.profile_number("B"), self.profile_number("alpha"))
-        return self.field_profile()
+        profile = self.field_profile()
+        if profile.kind == "exponential":
+            from .field_profiles import bound_levels  # here: `import ritusfw.cli` stays numpy-free
+
+            # both channels solve n_max + 1 levels, and the partner binds one fewer
+            bound, rule = bound_levels(profile, self.e, self.p_y)
+            if bound == 0:
+                raise ConfigurationError(f"the exponential field binds no level: {rule}")
+            if self.n_max + 1 >= bound:
+                raise ConfigurationError(
+                    f"n_max = {self.n_max} asks for {self.n_max + 1} levels of each channel, "
+                    f"but the exponential field binds {bound} in the zero-mode channel and "
+                    f"{bound - 1} in its partner ({rule})")
+        return profile
 
     def field_profile(self) -> FieldProfile:
         """The field profile of this config; a table is loaded, and a bad one exits 2."""
@@ -123,26 +134,6 @@ class RunConfig:
         except (OSError, ValueError, ArgumentError) as exc:
             raise ConfigurationError(
                 f"profile.path {path!r} is not a usable x,W table: {exc}") from None
-
-    def _check_bound_states(self, B: float, alpha: float) -> None:
-        """The exponential field binds only the levels n < |c|/|alpha|, c = p_y - eB/alpha.
-
-        Its superpotential c + (eB/alpha) exp(-alpha x) is shape invariant,
-        with k_n = c^2 - (|c| - n|alpha|)^2 for those n (Cooper, Khare &
-        Sukhatme, Phys. Rep. 251, 1995).  Both channels solve n_max + 1
-        levels, and the partner channel binds one level fewer than the
-        zero-mode channel, so n_max + 1 < |c|/|alpha|.
-        """
-        c = self.p_y - self.e * B / alpha
-        ratio = abs(c) / abs(alpha)
-        if self.n_max + 1 >= ratio:
-            bound = math.ceil(ratio)
-            raise ConfigurationError(
-                f"n_max = {self.n_max} asks for {self.n_max + 1} levels of each channel, but "
-                f"the exponential field binds {bound} in the zero-mode channel and "
-                f"{bound - 1} in its partner (levels n < |c|/|alpha| = {ratio:.6g}, "
-                f"c = p_y - eB/alpha = {c:.6g})"
-            )
 
     def profile_number(self, key: str) -> float:
         """Profile parameter ``key`` (B or alpha) as a finite nonzero float."""
@@ -273,7 +264,7 @@ def _window_check(value: float, lo: float, hi: float) -> dict:
 
 
 def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
-    from .field_profiles import analytic_landau_levels
+    from .field_profiles import analytic_levels
     from .spectral_grid import export_spectrum_csv
 
     results = {
@@ -285,11 +276,11 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     }
     checks = {}
     if prob.profile.kind == "uniform":
-        B = prob.profile.params["B"]
         err = 0.0
         for spec in (prob.spec_plus, prob.spec_minus):
             for n, k in enumerate(spec.eigenvalues):
-                err = max(err, abs(k - analytic_landau_levels(cfg.e, B, n, spec.sigma)))
+                err = max(err, abs(k - analytic_levels(prob.profile, cfg.e, cfg.p_y, n,
+                                                       spec.sigma)))
         checks["spectrum_error"] = _check(err, cfg.tol_eig)
     if outdir is not None:
         export_spectrum_csv([prob.spec_plus, prob.spec_minus], outdir / "spectrum.csv")

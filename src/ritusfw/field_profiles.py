@@ -16,14 +16,18 @@ CubicSpline's bit for bit, and no run imports scipy's interpolation package,
 which loads about two hundred more scipy modules.
 
 The supersymmetric partner potentials entering the squared spatial Dirac
-operator are V_sigma(x) = (p_y - e W(x))^2 - sigma e W'(x).
+operator are V_sigma(x) = M(x)^2 - sigma e W'(x), M = p_y - e W(x).  This
+module alone knows the closed forms: Landau levels, and the exponential
+field's shape-invariant Morse chain (Cooper, Khare & Sukhatme, Phys. Rep.
+251, 1995, 267).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -37,8 +41,9 @@ __all__ = [
     "tabulated_profile",
     "load_tabulated_csv",
     "evaluate_potential",
-    "susy_partner_potentials",
-    "analytic_landau_levels",
+    "channel_potentials",
+    "analytic_levels",
+    "bound_levels",
 ]
 
 
@@ -163,34 +168,60 @@ def evaluate_potential(profile: FieldProfile, x):
     raise ArgumentError(f"unknown profile kind {profile.kind!r}")
 
 
-def susy_partner_potentials(profile: FieldProfile, p_y: float, e: float):
-    """Partner potentials V_sigma(x) = (p_y - e W(x))^2 - sigma e W'(x).
+def channel_potentials(profile: FieldProfile, p_y: float, e: float, x):
+    """(M, V_plus, V_minus) at x from one (W, W'): M = p_y - e W, V_sigma = M^2 - sigma e W'.
 
-    Returns (V_plus, V_minus): callables accepting scalar or array x.
     sigma = +1 maps to the upper spinor component (gamma^0 = sigma_3 ordering).
     """
-
-    def make(sigma: int) -> Callable:
-        def V(x):
-            W, Wp = evaluate_potential(profile, x)
-            return (p_y - e * W) ** 2 - sigma * e * Wp
-
-        return V
-
-    return make(+1), make(-1)
+    W, Wp = evaluate_potential(profile, x)
+    M = p_y - e * W
+    M2, eWp = M ** 2, e * Wp
+    return M, M2 - eWp, M2 + eWp
 
 
-def analytic_landau_levels(e: float, B: float, n: int, sigma: int) -> float:
-    """Closed-form eigenvalue of the uniform-field channel Hamiltonian.
+def _morse_chain(profile: FieldProfile, e: float, p_y: float):
+    """(c, eB/alpha) of the exponential field's M = c + (eB/alpha) e^{-alpha x}."""
+    lam = e * profile.params["B"] / profile.params["alpha"]
+    return p_y - lam, lam
 
-    k = (2n + 1)|eB| - sigma * sign(eB) * |eB|, so the sigma = sign(eB)
-    channel carries the zero mode (n = 0 -> k = 0) and levels 2n|eB|.
+
+def bound_levels(profile: FieldProfile, e: float, p_y: float) -> Tuple[int, str]:
+    """(K, rule): the exponential field's zero-mode channel binds levels 0..K-1, its partner 0..K-2.
+
+    It has a zero mode, and binds the levels n < |c|/|alpha|, only when c = p_y - eB/alpha
+    and eB/alpha have opposite signs; rule says which holds.  Another kind raises.
+    """
+    if profile.kind != "exponential":
+        raise UnsupportedProfileError(f"the {profile.kind} profile has no closed-form bound count")
+    c, lam = _morse_chain(profile, e, p_y)
+    if c * lam >= 0:
+        return 0, (f"a zero mode needs c = p_y - eB/alpha = {c:.6g} and eB/alpha = {lam:.6g} "
+                   "of opposite signs")
+    ratio = abs(c) / abs(profile.params["alpha"])
+    return math.ceil(ratio), f"levels n < |c|/|alpha| = {ratio:.6g}, c = p_y - eB/alpha = {c:.6g}"
+
+
+def analytic_levels(profile: FieldProfile, e: float, p_y: float, n: int, sigma: int) -> float:
+    """Closed-form eigenvalue of level n of the channel Hamiltonian sigma.
+
+    The zero-mode channel sigma = sign(eB) takes k_n, its partner k_{n+1}.
+    Uniform: k_n = 2n|eB|.  Exponential: k_n = c^2 - (|c| - n|alpha|)^2,
+    c = p_y - eB/alpha; a level that ``bound_levels`` does not count, and
+    n = inf, reads the plateau c^2.  A table raises UnsupportedProfileError.
     """
     if n < 0:
         raise ArgumentError(f"level must be non-negative, got {n}")
     if sigma not in (1, -1):
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma}")
-    eB = e * B
-    if eB == 0.0:
-        raise UnsupportedProfileError("analytic levels require eB != 0")
-    return (2 * n + 1) * abs(eB) - sigma * np.sign(eB) * abs(eB)
+    if profile.kind == "uniform":
+        eB = e * profile.params["B"]
+        if eB == 0.0:
+            raise UnsupportedProfileError("analytic levels require eB != 0")
+        return (2 * n + 1) * abs(eB) - sigma * np.sign(eB) * abs(eB)
+    if profile.kind != "exponential":
+        raise UnsupportedProfileError(f"the {profile.kind} profile has no closed-form levels")
+    c, lam = _morse_chain(profile, e, p_y)
+    if c * lam >= 0:
+        return c * c  # no zero mode: nothing is bound
+    n += sigma * e * profile.params["B"] < 0  # the partner channel starts one level up
+    return c * c - max(abs(c) - n * abs(profile.params["alpha"]), 0.0) ** 2

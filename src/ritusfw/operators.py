@@ -55,13 +55,12 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .clifford import GammaRep
 from .errors import ConditioningError
-from .field_profiles import FieldProfile, evaluate_potential
+from .field_profiles import FieldProfile, channel_potentials
 
 __all__ = [
     "band_product",
     "first_derivative",
     "channel_hamiltonian",
-    "kinetic_diagonal",
     "SpinorBand",
     "gamma_dot_pi_spatial",
     "channel_slots",
@@ -149,12 +148,6 @@ def channel_hamiltonian(V: np.ndarray, h: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # gauge-covariant building blocks
 # ----------------------------------------------------------------------
-
-
-def kinetic_diagonal(profile: FieldProfile, p_y: float, e: float, x: np.ndarray) -> np.ndarray:
-    """M(x) = p_y - e W(x), the y-momentum shifted by the gauge function."""
-    W, _ = evaluate_potential(profile, x)
-    return p_y - e * W
 
 
 def _gamma0_diagonal(rep: GammaRep, N: int) -> np.ndarray:
@@ -245,7 +238,7 @@ class GridOperators:
         h = grid.h
         self.x, self.h = x, h
         self.D1 = first_derivative(x.size, h)
-        self.M = kinetic_diagonal(profile, p_y, e, x)
+        self.M = channel_potentials(profile, p_y, e, x)[0]
         self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
 

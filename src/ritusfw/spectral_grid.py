@@ -25,7 +25,7 @@ Grid sizing: the domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
 k-estimate, kept below the exponential field's plateau), extended by a
 padding factor, and further extended until the WKB decay integral
-int sqrt(V - k_est) dx exceeds ``decay_exponent`` so that Dirichlet-wall
+int sqrt(V - k_est) dx exceeds DECAY_EXPONENT so that Dirichlet-wall
 eigenvalue shifts stay well below the stencil error.
 Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
 of vectorized potential calls.
@@ -47,9 +47,9 @@ from .errors import (
     ConfigurationError,
     DiscretizationError,
     TruncationError,
+    UnsupportedProfileError,
 )
-from .field_profiles import (FieldProfile, analytic_landau_levels, evaluate_potential,
-                             susy_partner_potentials)
+from .field_profiles import FieldProfile, analytic_levels, channel_potentials
 from .operators import channel_hamiltonian
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "export_spectrum_csv",
 ]
 
+DECAY_EXPONENT = 10.0  # WKB tail integral target at the walls
 ZERO_CLAMP = 1e-8  # negative eigenvalues above -ZERO_CLAMP are clamped to 0
 ZERO_ROUNDING = 16  # |k| <= ZERO_ROUNDING * eps * ||H|| is clamped to 0
 SHIFT_GAP = 1e-2  # relative distance of the Lanczos shift below min V
@@ -110,7 +111,6 @@ class GridConfig:
 
     n_points: int = 1024
     padding: float = 1.5
-    decay_exponent: float = 10.0  # WKB tail integral target at the walls
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def build_grid(
     The domain covers {x : V_sigma(x) <= k_estimate} for both channels,
     extended by config.padding, then extended further if the WKB decay
     integral from the k_estimate turning point to the wall falls short of
-    config.decay_exponent on either side.  A table bounds the domain: if it
+    DECAY_EXPONENT on either side.  A table bounds the domain: if it
     ends before the integral reaches the target, TruncationError names the
     decay reached.
     """
@@ -227,9 +227,9 @@ def build_grid(
     clip = profile.kind == "tabulated"
 
     def vmin(x):
-        # min over sigma of V_sigma = (p_y - eW)^2 - sigma eW', from one (W, W')
-        W, Wp = evaluate_potential(profile, x)
-        return (p_y - e * W) ** 2 - np.abs(e * Wp)
+        # the shallower channel's potential, from one (W, W')
+        _, Vp, Vm = channel_potentials(profile, p_y, e, x)
+        return np.minimum(Vp, Vm)
 
     # widen until the minimum of the sampled potential is interior
     for _ in range(60):
@@ -251,14 +251,12 @@ def build_grid(
     omega = math.sqrt(max(curv, 1e-12) / 2.0)
     k_est = v_min + (2 * (n_max + 1) + 3) * omega
     if profile.kind == "exponential":
-        # the field binds k_n = c^2 - (|c| - n|alpha|)^2, c = p_y - eB/alpha,
-        # below its plateau c^2, where a harmonic k_est may lie above it: cap
-        # k_est midway between the plateau and the highest level either
-        # channel solves, k_{n_max + 1}
-        B, alpha = profile.params["B"], profile.params["alpha"]
-        c = p_y - e * B / alpha
-        top = c * c - max(abs(c) - (n_max + 1) * abs(alpha), 0.0) ** 2
-        k_est = min(k_est, 0.5 * (c * c + top))
+        # the field binds its levels below a plateau, where a harmonic k_est
+        # may lie above it: cap k_est midway between the plateau and the
+        # highest level either channel solves
+        plateau = analytic_levels(profile, e, p_y, math.inf, 1)
+        top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
+        k_est = min(k_est, 0.5 * (plateau + top))
 
     # sublevel set of the *shallower* channel at k_est, then padding; both
     # walks stay on the lattice xs[i0] +- k*step and share one step budget
@@ -289,14 +287,14 @@ def build_grid(
     lo, hi = center - reach, center + reach
     if clip:
         lo, hi = max(lo, domain[0]), min(hi, domain[1])
-    target = config.decay_exponent
+    target = DECAY_EXPONENT
     wall_a, decay_a = _wkb_walk(vmin, k_est, xa, -1.0, step, target, lo, hi)
     wall_b, decay_b = _wkb_walk(vmin, k_est, xb, +1.0, step, target, lo, hi)
     if clip and min(decay_a, decay_b) < target:
         edge, decay = (lo, decay_a) if decay_a < decay_b else (hi, decay_b)
         raise TruncationError(
             f"the table ends at x = {edge:.6g}, where the WKB decay int sqrt(V - k_est) dx "
-            f"reaches {decay:.3g} of the decay_exponent {target:.3g} that levels "
+            f"reaches {decay:.3g} of the decay target {target:.3g} that levels "
             f"0..{n_max} need: extend the table"
         )
     a, b = min(a, wall_a), max(b, wall_b)
@@ -339,8 +337,7 @@ def solve_channel(
     if n_levels > N // 4:
         raise TruncationError(f"{n_levels} levels cannot be resolved on {N} points")
 
-    Vp, Vm = susy_partner_potentials(profile, p_y, e)
-    V = (Vp if sigma > 0 else Vm)(grid.x)
+    V = channel_potentials(profile, p_y, e, grid.x)[1 if sigma > 0 else 2]
     # -D2 is positive definite, so every eigenvalue lies above min V and the
     # lowest levels are the largest eigenvalues of (H - shift)^-1
     v_min = float(V.min())
@@ -487,9 +484,11 @@ def convergence_study(
 ) -> dict:
     """Refinement study of k_n on a fixed domain.
 
-    Errors are measured against the analytic uniform-field value when
-    available, else against the Richardson extrapolation of the finest
-    pair.  Returns a dict with rows (N, h, k, error) and observed orders.
+    Errors are measured against the closed form ``analytic_levels`` where
+    the profile has one (uniform and exponential), else, for a table,
+    against the Richardson extrapolation of the finest pair.  Returns a dict
+    with rows (N, h, k, error) and the observed order, the slope of
+    log error against log h.
     """
     if len(N_list) < 2:
         raise ArgumentError("need at least two grid sizes for a convergence study")
@@ -498,11 +497,7 @@ def convergence_study(
 
     # one fixed, wall-safe domain for every N (otherwise boundary shifts
     # alias into the order estimate)
-    domain = build_grid(
-        profile, p_y, n_max=n + 2,
-        config=GridConfig(n_points=max(N_list), padding=1.5, decay_exponent=12.0),
-        e=e,
-    )
+    domain = build_grid(profile, p_y, n_max=n + 2, config=GridConfig(n_points=max(N_list)), e=e)
 
     ks = []
     for N in N_list:
@@ -510,23 +505,16 @@ def convergence_study(
         spec = solve_channel(profile, p_y, e, sigma, g, n_levels=n + 1, tol_eig=1e-3)
         ks.append(float(spec.eigenvalues[n]))
 
-    if profile.kind == "uniform":
-        ref = analytic_landau_levels(e, profile.params["B"], n, sigma)
+    try:
+        ref = analytic_levels(profile, e, p_y, n, sigma)
         ref_source = "analytic"
-    else:
+    except UnsupportedProfileError:
         r = (N_list[-1] - 1) / (N_list[-2] - 1)
         ref = (ks[-1] * r**4 - ks[-2]) / (r**4 - 1.0)
         ref_source = "richardson"
 
     hs = [(domain.x_max - domain.x_min) / (N - 1) for N in N_list]
     errs = [abs(k - ref) for k in ks]
-
-    orders = []
-    for i in range(len(N_list) - 1):
-        if errs[i] > 0 and errs[i + 1] > 0:
-            orders.append(math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1]))
-        else:
-            orders.append(float("nan"))
 
     good = [(math.log(h), math.log(er)) for h, er in zip(hs, errs) if er > 0]
     if len(good) >= 2:
@@ -536,15 +524,12 @@ def convergence_study(
         slope = float("nan")
 
     return {
-        "n": n,
-        "sigma": sigma,
         "reference": float(ref),
         "reference_source": ref_source,
         "rows": [
             {"N": int(N), "h": float(h), "k": float(k), "error": float(er)}
             for N, h, k, er in zip(N_list, hs, ks, errs)
         ],
-        "orders": orders,
         "order": slope,
     }
 

@@ -430,3 +430,24 @@ def test_exponential_run_beyond_bound_state_count_exits_two(tmp_path, B):
         assert not (tmp_path / "out").exists()
         assert (f"asks for {n_max + 1} levels of each channel, but the exponential field "
                 "binds 4 in the zero-mode channel and 3 in its partner") in proc.stderr
+
+
+@pytest.mark.parametrize("B,alpha", [(1.0, 0.1), (1.0, -0.1), (-1.0, 0.1), (-1.0, -0.1)])
+def test_exponential_field_without_zero_mode_exits_two(tmp_path, B, alpha):
+    # M = p_y - eW = c + (eB/alpha) e^{-alpha x}, c = p_y - eB/alpha: at p_y = 0
+    # the signs of c and eB/alpha are opposite and the field binds levels; at
+    # p_y = 1.1 eB/alpha they agree, and it binds none
+    lam = B / alpha
+    for p_y, code in ((0.0, 0), (1.1 * lam, 2)):
+        cfg = write_config(tmp_path / "cfg.json", p_y=p_y, grid={"N": 512},
+                           profile={"kind": "exponential", "B": B, "alpha": alpha})
+        out = tmp_path / f"out{code}"
+        proc = run_cli("all", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert not out.exists()
+            assert proc.stderr == (
+                "rfw: the exponential field binds no level: a zero mode needs "
+                f"c = p_y - eB/alpha = {p_y - lam:.6g} and eB/alpha = {lam:.6g} of opposite "
+                "signs\n")

@@ -30,9 +30,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from ritusfw import cli, spectral_grid
 from ritusfw.clifford import make_rep
 from ritusfw.errors import DiscretizationError, RitusFWError
-from ritusfw.field_profiles import (exponential_profile,
-                                    susy_partner_potentials, tabulated_profile,
-                                    uniform_profile)
+from ritusfw.field_profiles import (channel_potentials, exponential_profile,
+                                    tabulated_profile, uniform_profile)
 from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
                                       restricted_hamiltonian, unitarity_residual,
                                       verify_main_claim)
@@ -323,7 +322,7 @@ PROFILES = {
 
 
 def channel_potential(profile, p_y, sigma, grid):
-    return susy_partner_potentials(profile, p_y, 1.0)[0 if sigma > 0 else 1](grid.x)
+    return channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
 
 
 def solver_conventions(vals, vecs, V, h):

@@ -1,16 +1,17 @@
 """Gauge profiles: W, W' = B, partner potentials, analytic level formulas."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ritusfw.errors import ArgumentError, DomainError
-from ritusfw.field_profiles import (analytic_landau_levels,
+from ritusfw.errors import ArgumentError, DomainError, UnsupportedProfileError
+from ritusfw.field_profiles import (analytic_levels, bound_levels, channel_potentials,
                                     evaluate_potential, exponential_profile,
-                                    load_tabulated_csv,
-                                    susy_partner_potentials, tabulated_profile,
+                                    load_tabulated_csv, tabulated_profile,
                                     uniform_profile)
 
 XS = np.linspace(-3.0, 3.0, 41)
@@ -140,10 +141,11 @@ def test_csv_loader_round_trip(tmp_path):
 def test_partner_potentials_formula(sigma):
     prof = exponential_profile(1.0, 0.25)
     p_y, e = 0.4, 1.0
-    Vp, Vm = susy_partner_potentials(prof, p_y, e)
+    M, Vp, Vm = channel_potentials(prof, p_y, e, XS)
     W, Wp = evaluate_potential(prof, XS)
-    V = Vp(XS) if sigma > 0 else Vm(XS)
-    assert_allclose(V, (p_y - e * W) ** 2 - sigma * e * Wp, rtol=1e-14)
+    assert np.array_equal(M, p_y - e * W)
+    V = Vp if sigma > 0 else Vm
+    assert np.array_equal(V, (p_y - e * W) ** 2 - sigma * e * Wp)
 
 
 @pytest.mark.parametrize(
@@ -159,11 +161,66 @@ def test_partner_potentials_formula(sigma):
     ],
 )
 def test_analytic_landau_levels(e, B, n, sigma, expected):
-    assert analytic_landau_levels(e, B, n, sigma) == pytest.approx(expected, abs=1e-14)
+    # the Landau levels do not depend on p_y
+    for p_y in (0.0, 0.7):
+        assert analytic_levels(uniform_profile(B), e, p_y, n, sigma) == pytest.approx(
+            expected, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "B,alpha,p_y,e",
+    [(1.0, 0.1, 0.0, 1.0), (1.0, 0.1, 0.6, 1.0), (-1.0, 0.1, -0.4, 1.0),
+     (1.0, -0.25, 0.9, 1.0), (-1.0, -0.1, 0.3, -2.0)],
+)
+def test_analytic_morse_levels(B, alpha, p_y, e):
+    # M = p_y - eW = c + (eB/alpha) e^{-alpha x}: k_n = c^2 - (|c| - n|alpha|)^2 in
+    # the channel sigma = sign(eB), and k_{n+1} in its partner
+    c = p_y - e * B / alpha
+    zero = 1 if e * B > 0 else -1
+    for n in range(4):
+        k = [c * c - (abs(c) - m * abs(alpha)) ** 2 for m in (n, n + 1)]
+        assert analytic_levels(exponential_profile(B, alpha), e, p_y, n, zero) == pytest.approx(
+            k[0], abs=1e-12)
+        assert analytic_levels(exponential_profile(B, alpha), e, p_y, n, -zero) == pytest.approx(
+            k[1], abs=1e-12)
+    assert analytic_levels(exponential_profile(B, alpha), e, p_y, 0, zero) == 0.0
+
+
+def test_morse_levels_past_the_bound_count_read_the_plateau():
+    # |c|/|alpha| = 2/0.5 = 4: levels 0..3 are bound, level 4 and up sit at c^2 = 4
+    prof = exponential_profile(1.0, 0.5)
+    assert bound_levels(prof, 1.0, 0.0)[0] == 4
+    assert [analytic_levels(prof, 1.0, 0.0, n, +1) for n in range(6)] == [
+        0.0, 1.75, 3.0, 3.75, 4.0, 4.0]
+    assert analytic_levels(prof, 1.0, 0.0, 3, -1) == 4.0
+    assert analytic_levels(prof, 1.0, 0.0, math.inf, +1) == 4.0
+
+
+@pytest.mark.parametrize("B,alpha,p_y,bound", [
+    (1.0, 0.1, 0.0, 100), (1.0, 0.1, 0.55, 95), (1.0, 0.1, 10.0, 0), (1.0, 0.1, 11.0, 0),
+    (1.0, -0.1, -11.0, 0), (1.0, -0.1, 0.0, 100), (-1.0, -0.1, 11.0, 0), (-1.0, 0.1, -11.0, 0),
+])
+def test_bound_levels_need_opposite_signs(B, alpha, p_y, bound):
+    # the zero mode exists only when c = p_y - eB/alpha and eB/alpha have
+    # opposite signs; without it the field binds nothing, and every level
+    # reads the plateau c^2
+    prof = exponential_profile(B, alpha)
+    count, rule = bound_levels(prof, 1.0, p_y)
+    assert count == bound
+    if not bound:
+        assert "opposite signs" in rule
+        c = p_y - B / alpha
+        assert analytic_levels(prof, 1.0, p_y, 0, 1 if B > 0 else -1) == c * c
 
 
 def test_level_formula_validation():
     with pytest.raises(ArgumentError):
-        analytic_landau_levels(1.0, 1.0, -1, +1)
+        analytic_levels(uniform_profile(1.0), 1.0, 0.0, -1, +1)
     with pytest.raises(ArgumentError):
-        analytic_landau_levels(1.0, 1.0, 0, 2)
+        analytic_levels(uniform_profile(1.0), 1.0, 0.0, 0, 2)
+    table = tabulated_profile(XS, XS)
+    with pytest.raises(UnsupportedProfileError):
+        analytic_levels(table, 1.0, 0.0, 0, +1)
+    for prof in (table, uniform_profile(1.0)):
+        with pytest.raises(UnsupportedProfileError):
+            bound_levels(prof, 1.0, 0.0)

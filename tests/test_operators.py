@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg.lapack import dgbtrf
 
 from ritusfw.clifford import make_rep
-from ritusfw.field_profiles import exponential_profile, susy_partner_potentials, uniform_profile
+from ritusfw.field_profiles import channel_potentials, exponential_profile, uniform_profile
 from ritusfw.operators import (BAND, band_product, channel_hamiltonian, channel_slots,
-                               first_derivative, gamma_dot_pi_spatial, kinetic_diagonal)
+                               first_derivative, gamma_dot_pi_spatial)
 
 from ritusfw.problem import Problem
 from ritusfw.spectral_grid import GridConfig
@@ -44,7 +44,7 @@ def test_stencil_orders_on_smooth_function():
 def test_kinetic_diagonal_values():
     prof = uniform_profile(2.0)
     x = np.linspace(-1, 1, 11)
-    M = kinetic_diagonal(prof, 0.3, 1.5, x)
+    M = channel_potentials(prof, 0.3, 1.5, x)[0]
     assert_allclose(M, 0.3 - 1.5 * 2.0 * x, rtol=1e-14)
 
 
@@ -182,8 +182,8 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
         for v in vectors:
             assert same_bits_and_order(X @ v, ref @ v, v)
     for spec, V in zip((prob.spec_plus, prob.spec_minus),
-                       susy_partner_potentials(profile, p_y, 1.0)):
-        H = csr_channel_hamiltonian(V(prob.grid.x), h)
+                       channel_potentials(profile, p_y, 1.0, prob.grid.x)[1:]):
+        H = csr_channel_hamiltonian(V, h)
         for v in vectors:
             for rows in (slice(0, N), slice(N, 2 * N)):
                 assert same_bits_and_order(

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, TruncationError
-from ritusfw.field_profiles import exponential_profile, susy_partner_potentials, uniform_profile
+from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponential_profile,
+                                    uniform_profile)
 from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
                                       restricted_hamiltonian, unitarity_residual,
                                       verify_main_claim)
@@ -128,11 +129,15 @@ def test_projector_is_populated_columns(uni, uni_second):
        alpha=st.sampled_from([None, 0.1, -0.1]), N=st.sampled_from([640, 768, 1024]))
 def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, alpha, N):
     # alpha None draws the uniform field, otherwise the exponential one; past
-    # the levels, the same draw checks the eigen relation and the field FW
-    # operator's invariants
+    # the levels, the same draw checks the closed-form spectra, the eigen
+    # relation and the field FW operator's invariants
     profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
     prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, p0=0.3, n_max=8,
                    grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+    for spec in (prob.spec_plus, prob.spec_minus):
+        for n, k in enumerate(spec.eigenvalues.tolist()):
+            exact = analytic_levels(profile, e, p_y, n, spec.sigma)
+            assert abs(k - exact) <= 1e-6 * max(1.0, k), (spec.sigma, n, k, exact)
     ops, h = prob.ops, prob.grid.h
     # the ladder A = D1 + diag(M) maps the zero channel's level n onto the
     # partner's level n - 1 as A^T (zero channel sigma = +1) or A (sigma = -1)
@@ -151,8 +156,8 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
 
     # Pi-tilde^2 assembled here: blockdiag of the channel Hamiltonians, by slot
     blocks = [None, None]
-    for sigma, V in zip((+1, -1), susy_partner_potentials(profile, p_y, e)):
-        blocks[slots[sigma]] = channel_hamiltonian(V(prob.grid.x), h)
+    for sigma, V in zip((+1, -1), channel_potentials(profile, p_y, e, prob.grid.x)[1:]):
+        blocks[slots[sigma]] = channel_hamiltonian(V, h)
     residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
         Ep, p0, p2 = levels.Ep(n), levels.p0, math.sqrt(max(k, 0.0))

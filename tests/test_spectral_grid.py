@@ -10,7 +10,7 @@ from ritusfw import field_profiles, spectral_grid
 from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
-from ritusfw.field_profiles import (exponential_profile, tabulated_profile,
+from ritusfw.field_profiles import (analytic_levels, exponential_profile, tabulated_profile,
                                     uniform_profile)
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
@@ -67,9 +67,8 @@ def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y
         return evaluate(prof, x)
 
     monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
-    monkeypatch.setattr(spectral_grid, "evaluate_potential", counting)
     build_grid(profile, p_y, n_max, GridConfig(n_points=256))
-    assert len(calls) <= 32
+    assert 0 < len(calls) <= 32
     assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
 
@@ -152,18 +151,18 @@ def test_eigenvalues_independent_of_py(uni):
 
 
 def test_morse_chain_for_exponential_profile():
-    # closed form for W = B(e^{ax}-1)/a: k_n = 2nB - n^2 a^2, partner
-    # channel shifted by one (shape invariance)
-    B, a = 1.0, 0.1
-    prof = exponential_profile(B, a)
-    grid = build_grid(prof, 0.0, 5, GridConfig(n_points=768))
-    sp = solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=5)
-    sm = solve_channel(prof, 0.0, 1.0, -1, grid, n_levels=5)
-    for n, k in enumerate(sp.eigenvalues):
-        assert abs(k - (2 * n * B - n * n * a * a)) < 1e-6
-    for j, k in enumerate(sm.eigenvalues):
-        m = j + 1
-        assert abs(k - (2 * m * B - m * m * a * a)) < 1e-6
+    # W = (B/a)(1 - e^{-ax}): the shape-invariant chain, with the partner
+    # channel shifted by one level; at p_y = 0 and eB = 1, k_n = 2nB - n^2 a^2
+    a = 0.1
+    assert analytic_levels(exponential_profile(1.0, a), 1.0, 0.0, 3, +1) == pytest.approx(
+        6 - 9 * a * a, abs=1e-12)
+    for B, p_y in ((1.0, 0.0), (1.0, 0.8), (-1.0, -0.5)):
+        prof = exponential_profile(B, a)
+        grid = build_grid(prof, p_y, 5, GridConfig(n_points=768))
+        for sigma in (+1, -1):
+            spec = solve_channel(prof, p_y, 1.0, sigma, grid, n_levels=5)
+            for n, k in enumerate(spec.eigenvalues):
+                assert abs(k - analytic_levels(prof, 1.0, p_y, n, sigma)) < 1e-6, (B, p_y, n)
 
 
 def test_solver_argument_validation(uni):
@@ -218,11 +217,21 @@ def test_convergence_study_uniform_order_four():
     assert errors == sorted(errors, reverse=True)
 
 
-def test_convergence_study_richardson_for_exponential():
+def test_convergence_study_analytic_for_exponential():
     st = convergence_study(exponential_profile(1.0, 0.1), 0.0, 1.0, +1, 2,
                            [128, 256, 512])
+    assert st["reference_source"] == "analytic"
+    assert st["reference"] == pytest.approx(2 * 2 * 1.0 - 4 * 0.01, abs=1e-12)
+    assert 3.5 < st["order"] < 4.5
+
+
+def test_convergence_study_richardson_for_table():
+    # W = x tabulated: a table has no closed form, so the reference is the
+    # Richardson extrapolation, here of the uniform field's k_2 = 4
+    xs = np.linspace(-16.0, 16.0, 321)
+    st = convergence_study(tabulated_profile(xs, xs), 0.0, 1.0, +1, 2, [128, 256, 512])
     assert st["reference_source"] == "richardson"
-    assert st["reference"] == pytest.approx(2 * 2 * 1.0 - 4 * 0.01, abs=1e-6)
+    assert st["reference"] == pytest.approx(4.0, abs=1e-6)
     assert 3.5 < st["order"] < 4.5
 
 
