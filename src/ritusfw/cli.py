@@ -3,8 +3,9 @@
 Heavy imports (numpy, scipy, the numeric submodules) happen inside the
 command functions, after ``main`` has pinned BLAS to one thread.
 Reports are JSON with sorted keys and 12-significant-digit floats, so two
-identical runs produce byte-identical output; CSV detail files land next to
-the report when ``--out`` names a directory.
+identical runs produce byte-identical output; CSV detail files, written here
+alone and with the same 12 digits, land next to the report when ``--out``
+names a directory.
 
 Exit codes: 0 all configured checks pass, 1 a residual exceeded its
 tolerance (report still written) or the computation aborted, 2 usage or
@@ -16,6 +17,7 @@ sections still run, and the report is written with exit code 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -253,6 +255,15 @@ def emit_report(results: dict, path=None) -> bytes:
     return data
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """One CSV detail file, its floats to 12 significant digits as in the report."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([format(v, ".12g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+
+
 def _check(value: float, threshold: float) -> dict:
     return {"value": float(value), "threshold": float(threshold),
             "pass": bool(float(value) <= float(threshold))}
@@ -265,7 +276,6 @@ def _window_check(value: float, lo: float, hi: float) -> dict:
 
 def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     from .field_profiles import analytic_levels
-    from .spectral_grid import export_spectrum_csv
 
     results = {
         "grid": {"x_min": prob.grid.x_min, "x_max": prob.grid.x_max,
@@ -283,15 +293,16 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
                                                        spec.sigma)))
         checks["spectrum_error"] = _check(err, cfg.tol_eig)
     if outdir is not None:
-        export_spectrum_csv([prob.spec_plus, prob.spec_minus], outdir / "spectrum.csv")
+        _write_csv(outdir / "spectrum.csv", ("sigma", "n", "k"),
+                   [(spec.sigma, n, k) for spec in (prob.spec_plus, prob.spec_minus)
+                    for n, k in enumerate(spec.eigenvalues.tolist())])
     return {"results": results, "checks": checks}
 
 
 def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
-    from .ritus_basis import (export_levels_csv, orthonormality_matrix,
-                              verify_eigen_relation, verify_gpEp,
+    from .ritus_basis import (orthonormality_matrix, verify_eigen_relation, verify_gpEp,
                               zero_mode_annihilation)
 
     levels = prob.levels
@@ -312,7 +323,9 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
         "orthonormality": _check(ortho_dev, cfg.tol_residual),
     }
     if outdir is not None:
-        export_levels_csv(levels, cfg.mass, outdir / "levels.csv")
+        _write_csv(outdir / "levels.csv", ("n", "k", "p0", "py", "E_D"),
+                   [(n, k, levels.p0, levels.p_y, math.sqrt(k + cfg.mass * cfg.mass))
+                    for n, k in enumerate(levels.k.tolist())])
     return {"results": {"levels": per_level,
                         "zero_mode_annihilation": zm,
                         "orthonormality_deviation": ortho_dev},
@@ -410,7 +423,7 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
 
 
 def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
-    from .propagator import export_pole_sweep_csv, pole_sweep, project_propagator
+    from .propagator import pole_sweep, project_propagator
 
     res = project_propagator(prob.levels, cfg.p0, cfg.mass, prob.ops)
     sweep = pole_sweep(prob.levels, n_target=1, m=cfg.mass, operators=prob.ops)
@@ -420,7 +433,8 @@ def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> di
         "pole_exponent": _window_check(sweep["exponent"], 0.9, 1.1),
     }
     if outdir is not None:
-        export_pole_sweep_csv(sweep, outdir / "pole_sweep.csv")
+        _write_csv(outdir / "pole_sweep.csv", ("p0", "n", "block_norm"),
+                   [(r["p0"], r["n"], r["block_norm"]) for r in sweep["rows"]])
     return {"results": {"p0": cfg.p0,
                         "diagonal_error": res["diagonal_error"],
                         "cross_norm": res["cross_norm"],

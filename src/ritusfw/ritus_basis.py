@@ -4,9 +4,11 @@ A level n >= 1 combines the zero-mode channel's level n with the partner
 channel's level n-1 (the supersymmetric pair sharing the eigenvalue k).
 The two functions are placed on the spinor slots dictated by the gamma
 representation, giving a (2N) x 2 matrix E_p that diagonalizes (gamma.Pi)^2
-and intertwines gamma.Pi with the free contraction gamma.pbar at
-pbar = (p0, 0, sqrt(k)).  The level n = 0 is the zero mode: one column,
-k = 0, annihilated by the spatial Dirac operator.
+and intertwines gamma.Pi with the free contraction gamma^mu pbar_mu at
+pbar = (p0, 0, sqrt(k)).  The free side depends on a level through k alone,
+so it is held as arrays over the levels: p2 = sqrt(k) and the (L, 2, 2)
+blocks gamma^mu pbar_mu of ``free_slash``.  The level n = 0 is the zero
+mode: one column, k = 0, annihilated by the spatial Dirac operator.
 
 Sign conventions: the scalar solver fixes each phi's overall phase; on top
 of that the paired column is sign-aligned by the intertwining itself,
@@ -25,7 +27,6 @@ norms of the column pairs of the one result.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,9 @@ from .operators import GridOperators, band_product, channel_slots
 from .spectral_grid import Grid, ScalarSpectrum
 
 __all__ = [
-    "BarMomentum",
     "RitusLevels",
     "assemble_levels",
+    "free_slash",
     "times_blocks",
     "verify_eigen_relation",
     "verify_gpEp",
@@ -47,26 +48,9 @@ __all__ = [
     "dirac_overlap",
     "orthonormality_matrix",
     "completeness_residual",
-    "export_levels_csv",
 ]
 
 PAIRING_TOL = 1e-6     # relative gap allowed between a level's partner eigenvalues
-
-
-@dataclass(frozen=True)
-class BarMomentum:
-    """Effective momentum pbar = (p0, 0, p2); a level's is (p0, 0, sqrt(k))."""
-
-    p0: float
-    p2: float
-
-    @property
-    def squared(self) -> float:
-        return self.p0**2 - self.p2**2
-
-    def slash(self, rep: GammaRep) -> np.ndarray:
-        """gamma.pbar = p0 gamma^0 - p2 gamma^2."""
-        return self.p0 * rep.gamma[0] - self.p2 * rep.gamma[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +61,7 @@ class RitusLevels:
     level n's E_p, ``Ep(n)``, is the contiguous column pair 2n, 2n + 1; it
     is read-only, since the operators built on E (the field FW operator)
     read it again later.  Level n carries the label k[n] and
-    pbar = (p0, 0, sqrt(k[n])).  The zero-mode channel's functions fill the
+    pbar = (p0, 0, p2[n]).  The zero-mode channel's functions fill the
     columns 2n + zero_slot, its partner's the other column of each pair
     n >= 1; level 0's column 1 - zero_slot is zero.
     """
@@ -105,9 +89,9 @@ class RitusLevels:
         return self.E[:, 2 * n:2 * n + 2]
 
     @property
-    def pbar(self) -> list:
-        """Each level's BarMomentum(p0, sqrt(k)), a negative k (a flagged zero mode) read as 0."""
-        return [BarMomentum(self.p0, p2) for p2 in np.sqrt(np.maximum(self.k, 0.0)).tolist()]
+    def p2(self) -> np.ndarray:
+        """Each level's pbar_2 = sqrt(k), a negative k (a flagged zero mode) read as 0."""
+        return np.sqrt(np.maximum(self.k, 0.0))
 
     @property
     def projector(self) -> np.ndarray:
@@ -129,6 +113,14 @@ class RitusLevels:
         sqh = math.sqrt(self.grid.h)
         return np.array([sqh * float(np.linalg.norm(R[:, 2 * n:2 * n + 2]))
                          for n in range(len(self))])
+
+
+def free_slash(p0: float, p2: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """The (L, 2, 2) blocks gamma^mu pbar_mu = p0 gamma^0 - p2 gamma^2, one per entry of p2.
+
+    Real: gamma^0 and gamma^2 are, in both representations.
+    """
+    return p0 * rep.gamma[0].real - p2[:, None, None] * rep.gamma[2].real
 
 
 def times_blocks(E: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -235,20 +227,24 @@ def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
         band_product(spec.hamiltonian, E[rows], out=residual[rows], symmetric=True)  # Pi-tilde^2 E
     np.subtract(levels.p0**2 * E, residual, out=residual)
-    residual -= np.repeat([pbar.squared for pbar in levels.pbar], 2) * E
+    # pbar^2 = p0^2 - p2^2, p2 squared by libm's pow as a float's ** is (p2 * p2 can
+    # differ in its last bit, and the residual is a cancellation down to 1e-10)
+    residual -= np.repeat(levels.p0**2 - np.float_power(levels.p2, 2), 2) * E
     return levels.norms(residual) / levels.norms(E)
 
 
 def verify_gpEp(levels: RitusLevels, operators: GridOperators) -> np.ndarray:
-    """Intertwining residual || (gamma.Pi) E_p - E_p (gamma.pbar) ||_F / ||E_p||_F of each level."""
+    """Intertwining residual || (gamma.Pi) E_p - E_p gamma^mu pbar_mu ||_F / ||E_p||_F, per level.
+
+    The free side is one batched product with the levels' ``free_slash`` blocks.
+    """
     E = levels.E
     XE = operators.X @ E
     residual = operators.g0diag[:, None] * E        # Fortran order, as E
     residual *= levels.p0
     residual -= XE                                  # (gamma.Pi) E
     del XE                                          # one grid-sized temporary at a time
-    # gamma.pbar is real: gamma^0 and gamma^2 are
-    residual -= times_blocks(E, np.array([pbar.slash(operators.rep).real for pbar in levels.pbar]))
+    residual -= times_blocks(E, free_slash(levels.p0, levels.p2, operators.rep))
     return levels.norms(residual) / levels.norms(E)
 
 
@@ -290,23 +286,3 @@ def completeness_residual(levels: RitusLevels, test: np.ndarray,
         raise ArgumentError("test function is identically zero")
     E = levels.E
     return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], operators)[:, 0])) / nrm
-
-
-# ----------------------------------------------------------------------
-# exports
-# ----------------------------------------------------------------------
-
-
-def export_levels_csv(levels: RitusLevels, m: float, path) -> None:
-    """CSV columns n,k,p0,py,E_D."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "k", "p0", "py", "E_D"])
-        for n, k in enumerate(levels.k.tolist()):
-            wr.writerow([
-                n,
-                format(k, ".12g"),
-                format(levels.p0, ".12g"),
-                format(levels.p_y, ".12g"),
-                format(math.sqrt(k + m * m), ".12g"),
-            ])

@@ -33,7 +33,6 @@ of vectorized potential calls.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -59,7 +58,6 @@ __all__ = [
     "build_grid",
     "solve_channel",
     "convergence_study",
-    "export_spectrum_csv",
 ]
 
 DECAY_EXPONENT = 10.0  # WKB tail integral target at the walls
@@ -532,18 +530,3 @@ def convergence_study(
         ],
         "order": slope,
     }
-
-
-# ----------------------------------------------------------------------
-# exports
-# ----------------------------------------------------------------------
-
-
-def export_spectrum_csv(spectra: Sequence[ScalarSpectrum], path) -> None:
-    """CSV columns sigma,n,k for one or more channels."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["sigma", "n", "k"])
-        for spec in spectra:
-            for n, k in enumerate(spec.eigenvalues):
-                wr.writerow([spec.sigma, n, format(float(k), ".12g")])

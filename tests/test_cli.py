@@ -395,6 +395,48 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
         assert sections[name]["checks"]
 
 
+def test_p0_just_off_a_high_levels_shell_keeps_every_section():
+    # p0 sits 1.1e-3 above level 8's shell (k_8 = 128), just outside the
+    # conditioning guard: the closed-form propagator fails its checks there
+    # and the report keeps every section's checks
+    report, ok = run("all", RunConfig(profile_params={"B": 8.0}, p0=11.35892))
+    assert not ok and report["status"] == "fail"
+    for name, section in report["sections"].items():
+        assert "error" not in section, name
+        assert section["checks"], name
+    assert not report["sections"]["propagator"]["checks"]["diagonal_blocks"]["pass"]
+
+
+def test_detail_csvs_hold_the_reports_values(tmp_path):
+    cfg = RunConfig(grid_n=256, n_max=3, p_y=0.25)
+    report, _ = run("all", cfg, outdir=tmp_path)
+    sections = report["sections"]
+
+    def rows(name, header):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header
+        return [line.split(",") for line in lines[1:]]
+
+    def digits(value):
+        return format(value, ".12g")
+
+    spectrum = sections["spectrum"]["results"]
+    expected = [["1", str(n), digits(k)] for n, k in enumerate(spectrum["sigma_plus"])]
+    expected += [["-1", str(n), digits(k)] for n, k in enumerate(spectrum["sigma_minus"])]
+    assert rows("spectrum.csv", "sigma,n,k") == expected
+
+    levels = sections["verify-ritus"]["results"]["levels"]
+    assert rows("levels.csv", "n,k,p0,py,E_D") == [
+        [str(row["n"]), digits(row["k"]), "0.3", "0.25", digits(math.sqrt(row["k"] + 1.0))]
+        for row in levels]
+    assert len(levels) == cfg.n_max + 1
+
+    pole_rows = sections["propagator"]["results"]["pole_rows"]
+    assert rows("pole_sweep.csv", "p0,n,block_norm") == [
+        [digits(row["p0"]), "1", digits(row["block_norm"])] for row in pole_rows]
+    assert len(pole_rows) == 5
+
+
 @pytest.mark.parametrize("B", [1.0, -1.0])
 @pytest.mark.parametrize("n_max,N,code", [(1, 1024, 0), (1, 2048, 0), (1, 4096, 0),
                                           (2, 1024, 1), (2, 2048, 0), (2, 4096, 0)])

@@ -1,6 +1,7 @@
 """Propagator blocks in the Ritus basis vs the closed 2x2 free form."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,44 +9,54 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ritusfw import operators
+from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError, PoleError
 from ritusfw.operators import GridOperators
-from ritusfw.propagator import (diagonal_propagator, export_pole_sweep_csv,
-                                pole_sweep, project_propagator)
-from ritusfw.ritus_basis import BarMomentum
+from ritusfw.propagator import diagonal_propagator, pole_sweep, project_propagator
+from ritusfw.ritus_basis import free_slash
 
 P0 = 0.3
 MASS = 1.0
+KS = [0.0, 2.0, 6.0]
 
 
 def test_diagonal_propagator_hand_value():
     rep = make_rep("first")
-    pb = BarMomentum(p0=P0, p2=0.0)
-    S = diagonal_propagator(pb, MASS, rep)
+    S = diagonal_propagator(P0, np.zeros(1), MASS, rep)
     denom = P0**2 - 1.0
-    expected = np.array([[(P0 + 1.0) / denom, 0.0],
-                         [0.0, (-P0 + 1.0) / denom]])
+    expected = np.array([[[(P0 + 1.0) / denom, 0.0],
+                          [0.0, (-P0 + 1.0) / denom]]])
     assert_allclose(S, expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("variant", ["first", "second"])
-@pytest.mark.parametrize("k", [0.0, 2.0, 6.0])
-def test_diagonal_propagator_inverts(variant, k):
+@functools.lru_cache(maxsize=None)
+def batched(variant):
+    """One batched call per representation over all of KS: rep, p2, gamma.pbar and S."""
     rep = make_rep(variant)
-    pb = BarMomentum(p0=P0, p2=math.sqrt(k))
-    S = diagonal_propagator(pb, MASS, rep)
-    g_pbar = pb.p0 * rep.gamma[0] - pb.p2 * rep.gamma[2]
-    assert np.array_equal(pb.slash(rep), g_pbar)
-    assert pb.squared == pytest.approx(P0**2 - k, abs=1e-14)
-    assert_allclose(S @ (g_pbar - MASS * np.eye(2)), np.eye(2), atol=1e-12)
+    p2 = np.sqrt(KS)
+    return rep, p2, free_slash(P0, p2, rep), diagonal_propagator(P0, p2, MASS, rep)
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+@pytest.mark.parametrize("k", KS)
+def test_diagonal_propagator_inverts(variant, k):
+    rep, p2, g_pbar, S = batched(variant)
+    n = KS.index(k)
+    assert g_pbar.shape == S.shape == (len(KS), 2, 2)
+    assert np.array_equal(g_pbar[n], (P0 * rep.gamma[0] - p2[n] * rep.gamma[2]).real)
+    assert_allclose(S[n] @ (g_pbar[n] - MASS * np.eye(2)), np.eye(2), atol=1e-12)
+    # the closed form over pbar^2 - m^2 = P0^2 - k - m^2, and the direct 2x2 inversion
+    assert_allclose(S[n], (g_pbar[n] + MASS * np.eye(2)) / (P0**2 - k - MASS**2), rtol=1e-14)
+    direct = np.linalg.inv(g_pbar[n] - MASS * np.eye(2))
+    assert np.abs(S[n] - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
 def test_pole_error_on_shell():
     rep = make_rep("first")
-    pb = BarMomentum(p0=math.sqrt(2.0 + MASS**2), p2=math.sqrt(2.0))   # on shell
-    with pytest.raises(PoleError) as exc:
-        diagonal_propagator(pb, MASS, rep)
+    p2 = np.array([0.0, math.sqrt(2.0), math.sqrt(2.0)])
+    with pytest.raises(PoleError, match="level 1") as exc:        # the first on shell
+        diagonal_propagator(math.sqrt(2.0 + MASS**2), p2, MASS, rep)
     assert exc.value.distance <= 1e-8
 
 
@@ -114,13 +125,14 @@ def test_pole_sweep_exponent(uni):
         pole_sweep(uni.levels, 99, MASS, uni.ops)
 
 
-def test_pole_sweep_csv(tmp_path, uni):
-    sweep = pole_sweep(uni.levels, 1, MASS, uni.ops, distances=(0.2, 0.1))
-    path = tmp_path / "sweep.csv"
-    export_pole_sweep_csv(sweep, path)
-    lines = path.read_text().strip().splitlines()
+def test_pole_sweep_csv(tmp_path):
+    # the `propagator` section writes pole_sweep.csv next to its report
+    report, _ = run("propagator", RunConfig(grid_n=256, n_max=3), outdir=tmp_path)
+    pole_rows = report["results"]["pole_rows"]
+    lines = (tmp_path / "pole_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "p0,n,block_norm"
-    assert len(lines) == 3
+    assert len(lines) == 1 + len(pole_rows)
     p0, n, norm = lines[1].split(",")
     assert int(n) == 1
     assert float(norm) > 0
+    assert float(p0) == pytest.approx(pole_rows[0]["p0"], rel=1e-11)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, TruncationError
 from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponential_profile,
@@ -18,7 +19,7 @@ from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
                                       verify_main_claim)
 from ritusfw.operators import GridOperators, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
-from ritusfw.ritus_basis import (assemble_levels, completeness_residual, export_levels_csv,
+from ritusfw.ritus_basis import (assemble_levels, completeness_residual,
                                  orthonormality_matrix, verify_eigen_relation,
                                  verify_gpEp, zero_mode_annihilation)
 from ritusfw.spectral_grid import GridConfig
@@ -103,10 +104,11 @@ def test_wrong_pbar_is_detected(uni):
     base = verify_gpEp(levels, uni.ops)
     # pbar is built from (p0, k): relabel k_2 so that pbar_2 = sqrt(k_2) + 0.1
     k = levels.k.copy()
-    k[2] = (levels.pbar[2].p2 + 0.1) ** 2
+    k[2] = (levels.p2[2] + 0.1) ** 2
     off = dataclasses.replace(levels, k=k)
-    assert off.pbar[2].p0 == levels.pbar[2].p0
-    assert off.pbar[2].p2 == pytest.approx(levels.pbar[2].p2 + 0.1)
+    assert off.p0 == levels.p0
+    assert off.p2[2] == pytest.approx(levels.p2[2] + 0.1)
+    assert np.array_equal(np.delete(off.p2, 2), np.delete(levels.p2, 2))
     res = verify_gpEp(off, uni.ops)
     assert res[2] > 100 * base[2]
     assert np.array_equal(np.delete(res, 2), np.delete(base, 2))
@@ -248,17 +250,19 @@ def test_completeness_validation(uni):
             dataclasses.replace(levels, E=E, k=k)
 
 
-def test_levels_csv(tmp_path, uni):
-    path = tmp_path / "levels.csv"
-    export_levels_csv(uni.levels, 1.0, path)
-    lines = path.read_text().strip().splitlines()
+def test_levels_csv(tmp_path):
+    # the `verify-ritus` section writes levels.csv next to its report
+    cfg = RunConfig(grid_n=256, n_max=3, p_y=0.25)
+    report, _ = run("verify-ritus", cfg, outdir=tmp_path)
+    levels = report["results"]["levels"]
+    lines = (tmp_path / "levels.csv").read_text().strip().splitlines()
     assert lines[0] == "n,k,p0,py,E_D"
-    assert len(lines) == 1 + len(uni.levels)
+    assert len(lines) == 1 + len(levels) == 1 + cfg.n_max + 1
     row = lines[2].split(",")
     assert int(row[0]) == 1
-    assert float(row[1]) == pytest.approx(uni.levels.k[1], rel=1e-11)
-    assert (float(row[2]), float(row[3])) == (uni.p0, uni.p_y)
-    assert float(row[4]) == pytest.approx(np.sqrt(uni.levels.k[1] + 1.0))
+    assert float(row[1]) == pytest.approx(levels[1]["k"], rel=1e-11)
+    assert (float(row[2]), float(row[3])) == (cfg.p0, cfg.p_y)
+    assert float(row[4]) == pytest.approx(np.sqrt(levels[1]["k"] + 1.0))
 
 
 def test_gauge_center_shift_preserves_levels(uni):

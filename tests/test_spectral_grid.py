@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ritusfw import field_profiles, spectral_grid
+from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
@@ -15,8 +16,7 @@ from ritusfw.field_profiles import (analytic_levels, exponential_profile, tabula
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, GridConfig, build_grid,
-                                   convergence_study, export_spectrum_csv,
-                                   solve_channel)
+                                   convergence_study, solve_channel)
 
 
 def test_grid_validation():
@@ -243,13 +243,13 @@ def test_convergence_study_validation():
         convergence_study(prof, 0.0, 1.0, +1, 2, [512, 256])
 
 
-def test_spectrum_csv_round_trip(tmp_path, uni):
-    path = tmp_path / "spec.csv"
-    export_spectrum_csv([uni.spec_plus, uni.spec_minus], path)
-    lines = path.read_text().strip().splitlines()
+def test_spectrum_csv_round_trip(tmp_path):
+    # the `spectrum` section writes spectrum.csv next to its report
+    report, _ = run("spectrum", RunConfig(grid_n=256, n_max=3), outdir=tmp_path)
+    results = report["results"]
+    lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "sigma,n,k"
-    assert len(lines) == 1 + 2 * (uni.spec_plus.eigenvalues.size)
+    assert len(lines) == 1 + len(results["sigma_plus"]) + len(results["sigma_minus"])
     sigma, n, k = lines[1].split(",")
     assert (sigma, n) == ("1", "0")
-    assert float(k) == uni.spec_plus.eigenvalues[0]
-
+    assert float(k) == pytest.approx(results["sigma_plus"][0], rel=1e-11, abs=1e-12)

@@ -12,6 +12,7 @@ units of ||E_p|| alone.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ritusfw.foldy_wouthuysen import field_fw_from_levels, free_fw, theta, verif
 from ritusfw.operators import band_product, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import diagonal_propagator, project_propagator
-from ritusfw.ritus_basis import (BarMomentum, RitusLevels, dirac_overlap, times_blocks,
+from ritusfw.ritus_basis import (RitusLevels, dirac_overlap, times_blocks,
                                  verify_eigen_relation, verify_gpEp)
 from ritusfw.spectral_grid import GridConfig
 
@@ -39,20 +40,21 @@ def problems(request):
     return first, first.other_rep()
 
 
-def pbar(levels, n):
-    return BarMomentum(levels.p0, np.sqrt(max(levels.k[n], 0.0)))
+def p2(levels, n):
+    """Level n's pbar_2 = sqrt(k) as a float, a negative k read as 0; its ** 2 is libm's pow."""
+    return math.sqrt(max(float(levels.k[n]), 0.0))
 
 
 def eigen_relation_loop(prob, levels):
     N, slots = prob.grid.n_points, channel_slots(prob.rep)
     out = []
     for n in range(len(levels)):
-        Ep, pb = levels.Ep(n), pbar(levels, n)
+        Ep = levels.Ep(n)
         PiE = np.empty_like(Ep)
         for spec in (prob.spec_plus, prob.spec_minus):
             rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
             PiE[rows] = band_product(spec.hamiltonian, Ep[rows], symmetric=True)
-        residual = (pb.p0**2 * Ep - PiE) - pb.squared * Ep
+        residual = (levels.p0**2 * Ep - PiE) - (levels.p0**2 - p2(levels, n)**2) * Ep
         out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
     return np.array(out)
 
@@ -61,8 +63,9 @@ def intertwining_loop(prob, levels):
     ops = prob.ops
     out = []
     for n in range(len(levels)):
-        Ep, pb = levels.Ep(n), pbar(levels, n)
-        residual = pb.p0 * (ops.g0diag[:, None] * Ep) - ops.X @ Ep - Ep @ pb.slash(prob.rep)
+        Ep = levels.Ep(n)
+        g_pbar = levels.p0 * prob.rep.gamma[0] - p2(levels, n) * prob.rep.gamma[2]
+        residual = levels.p0 * (ops.g0diag[:, None] * Ep) - ops.X @ Ep - Ep @ g_pbar
         out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
     return np.array(out)
 
@@ -94,7 +97,7 @@ def propagator_loop(prob):
     for i in range(L):
         # the spin projector: the populated columns of E_p
         P = np.diag([float(np.any(levels.Ep(i)[:, c] != 0.0)) for c in range(2)])
-        free = diagonal_propagator(BarMomentum(P0, pbar(levels, i).p2), MASS, prob.rep)
+        free = diagonal_propagator(P0, np.array([p2(levels, i)]), MASS, prob.rep)[0]
         diagonal_error = max(diagonal_error, float(np.abs(blocks[i, i] - P @ free @ P).max()))
     cross = max(float(np.linalg.norm(blocks[i, j])) for i in range(L) for j in range(L) if i != j)
     return blocks, diagonal_error, cross
