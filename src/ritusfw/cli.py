@@ -306,14 +306,14 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
                               zero_mode_annihilation)
 
     levels = prob.levels
-    r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus, prob.rep)
-    r_int = verify_gpEp(levels, prob.ops)
+    r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus)
+    r_int = verify_gpEp(levels)
     per_level = [{"n": n, "k": k, "residual_eigen_relation": a, "residual_intertwining": b}
                  for n, (k, a, b) in enumerate(zip(levels.k.tolist(), r_eig.tolist(),
                                                    r_int.tolist()))]
-    zm = zero_mode_annihilation(levels, prob.ops)
+    zm = zero_mode_annihilation(levels)
 
-    gram = orthonormality_matrix(levels, prob.ops)
+    gram = orthonormality_matrix(levels)
     ortho_dev = float(np.abs(gram - np.diag(levels.projector)).max())
 
     checks = {
@@ -324,7 +324,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     }
     if outdir is not None:
         _write_csv(outdir / "levels.csv", ("n", "k", "p0", "py", "E_D"),
-                   [(n, k, levels.p0, levels.p_y, math.sqrt(k + cfg.mass * cfg.mass))
+                   [(n, k, levels.p0, levels.ops.p_y, math.sqrt(k + cfg.mass * cfg.mass))
                     for n, k in enumerate(levels.k.tolist())])
     return {"results": {"levels": per_level,
                         "zero_mode_annihilation": zm,
@@ -383,8 +383,15 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
                                    restricted_hamiltonian)
 
     fw = prob.fw
-    # the 1/m slopes need m^2 >> k on every level: m = 4, 8, 16 up to k_max = 16
-    scale = max(4.0, float(fw.levels.k.max()) ** 0.5)
+    # masses s, 2s, 4s, s the largest of three floors: m^2 >= k on every
+    # level, for the bd slope; m^2 >= 2 k_1 on the level the series reads, so
+    # that its next Taylor term rules its error; and 8 sqrt(k_1), capped at
+    # 4.  Where that last floor sets s (a weak field), k_1/m^2 >= 1/1024 keeps
+    # the order-3 error k_1^3/16m^5 over 1e5 times the rounding of
+    # sqrt(k_1 + m^2), about eps m.  Up to k_max = 16, with k_1 >= 1/4, the
+    # masses are 4, 8, 16
+    k = float(fw.levels.k[1])
+    scale = max(float(fw.levels.k.max()) ** 0.5, (2.0 * k) ** 0.5, min(4.0, 8.0 * k ** 0.5))
     masses = [scale, 2.0 * scale, 4.0 * scale]
 
     bd_rows = []
@@ -398,7 +405,6 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
     bd_slope = float(np.polyfit(np.log(masses),
                                 np.log([r["odd_after"] for r in bd_rows]), 1)[0])
 
-    k = float(prob.levels.k[1])
     series_rows = []
     for m in masses:
         exact = (k + m * m) ** 0.5
@@ -425,8 +431,8 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
 def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     from .propagator import pole_sweep, project_propagator
 
-    res = project_propagator(prob.levels, cfg.p0, cfg.mass, prob.ops)
-    sweep = pole_sweep(prob.levels, n_target=1, m=cfg.mass, operators=prob.ops)
+    res = project_propagator(prob.levels, cfg.p0, cfg.mass)
+    sweep = pole_sweep(prob.levels, n_target=1, m=cfg.mass)
     checks = {
         "diagonal_blocks": _check(res["diagonal_error"], cfg.tol_residual),
         "cross_blocks": _check(res["cross_norm"], cfg.tol_residual),

@@ -12,7 +12,8 @@ replaced by the square root of Pi-tilde^2 = (gamma^0 gamma.Pi)^2: the angle
 function theta(k) = arctan(sqrt(k)/m) / (2 sqrt(k)) is applied spectrally.
 In the Ritus basis this is the free form, one 2x2 rotation per level.  On
 the grid the levels are the columns of E = [E_0 | E_1 | ...] (2N x 2L,
-ell^2-orthonormal after scaling by sqrt(h)), and X acts on E once, giving
+ell^2-orthonormal after scaling by sqrt(h)), and the levels' own X
+(levels.ops.X, in their gamma representation) acts on E once, giving
 K = h E^T X E.  Level n's 2x2 block of K, at columns (2n, 2n + 1), is real
 antisymmetric because the spatial Dirac operator X is, so it is x_n J with
 J = [[0, 1], [-1, 0]], and its exponential is the rotation
@@ -48,7 +49,6 @@ from scipy.linalg import expm
 
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
-from .operators import GridOperators
 from .ritus_basis import RitusLevels
 
 __all__ = [
@@ -84,19 +84,18 @@ def theta(k: float, m: float) -> float:
 class FWOperator:
     """The exact field FW operator U = 1 + h E (W - 1) E^T (2N x 2N), kept as factors.
 
-    levels are the levels U was built from, and E their stacked matrix.  W
-    is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
+    levels are the levels U was built from, E their stacked matrix and
+    levels.ops the grid operators and gamma representation U was built in.
+    W is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
     (2n, 2n + 1) and the identity on the zero mode's block.
-    K = h E^T X E is the spatial Dirac operator on the levels, rep the gamma
-    representation U was built in.  ``factors`` holds the 2L x 2L factors
-    every check reads.
+    K = h E^T X E is the spatial Dirac operator on the levels.  ``factors``
+    holds the 2L x 2L factors every check reads.
     """
 
     mass: float
     levels: RitusLevels = field(repr=False)
     W: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
-    rep: GammaRep = field(repr=False)
 
     @cached_property
     def factors(self):
@@ -110,7 +109,7 @@ class FWOperator:
         empty row and column.
         """
         E = self.levels.E
-        G = self.levels.grid.h * (E.T @ E) + np.diag(1.0 - self.levels.projector)
+        G = self.levels.ops.h * (E.T @ E) + np.diag(1.0 - self.levels.projector)
         return self.W - np.eye(E.shape[1]), G, np.linalg.cholesky(G).T
 
 
@@ -143,15 +142,13 @@ def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def field_fw_from_levels(levels: RitusLevels, ops: GridOperators, m: float) -> FWOperator:
-    """Assemble the exact field FW operator from levels; only their E and k enter.
+def field_fw_from_levels(levels: RitusLevels, m: float) -> FWOperator:
+    """Assemble the exact field FW operator from levels: their E, k and X enter.
 
     Level n's rotation angle is theta(k_n) times the coupling
     x_n = (K_01 - K_10) / 2 of its diagonal block of K = h E^T X E (the
     mean of the two entries kills K's rounding-level symmetric part).
     """
-    if not levels.grid.same_as(ops.grid):
-        raise ArgumentError("levels and operators use different grids")
     negative = np.flatnonzero(levels.k < 0)
     if negative.size:
         # only reachable through a flagged zero mode the solver kept negative
@@ -162,13 +159,13 @@ def field_fw_from_levels(levels: RitusLevels, ops: GridOperators, m: float) -> F
         )
 
     E = levels.E
-    K = levels.grid.h * (E.T @ (ops.X @ E))
+    K = levels.ops.h * (E.T @ (levels.ops.X @ E))
     W = np.eye(E.shape[1])
     for n, k in enumerate(levels.k[1:].tolist(), start=1):
         i, j = 2 * n, 2 * n + 1         # level n's columns of E
         a = theta(k, m) * 0.5 * (K[i, j] - K[j, i])
         W[i:j + 1, i:j + 1] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
-    return FWOperator(mass=m, levels=levels, W=W, K=K, rep=ops.rep)
+    return FWOperator(mass=m, levels=levels, W=W, K=K)
 
 
 def unitarity_residual(fw: FWOperator) -> float:
@@ -269,7 +266,8 @@ def verify_main_claim(fw: FWOperator) -> np.ndarray:
     """
     D, G, R = fw.factors
     L = len(fw.levels)
-    free = np.array([free_fw(k, fw.mass, fw.rep).real for k in fw.levels.k.tolist()])
+    rep = fw.levels.ops.rep
+    free = np.array([free_fw(k, fw.mass, rep).real for k in fw.levels.k.tolist()])
     C = D @ G
     C.reshape(L, 2, L, 2)[range(L), :, range(L), :] += np.eye(2) - free
     residual = np.linalg.norm((R @ C).reshape(-1, L, 2), axis=(0, 2))

@@ -1,11 +1,11 @@
 """Grid realizations of the differential operators.
 
 Every operator here is a band on a uniform grid with Dirichlet boundaries,
-held in LAPACK band storage (Anderson et al., LAPACK Users' Guide, 3rd
-ed., 1999); no operator is ever stored dense.  A general band keeps the
-entry (i, j) at ab[u + i - j, j] for half-bandwidth u on both sides; a
-symmetric band keeps its upper u + 1 rows only, as xPBTRF takes it.  Every
-product with a band goes through ``band_product``.  Conventions shared by
+held in LAPACK general band storage (Anderson et al., LAPACK Users'
+Guide, 3rd ed., 1999); no operator is ever stored dense.  A band keeps the
+entry (i, j) at ab[u + i - j, j] for half-bandwidth u on both sides, so the
+upper u + 1 rows of a symmetric band are its upper storage, as xPBTRF
+takes it.  Every product with a band goes through ``band_product``.  Conventions shared by
 the rest of the package:
 
 * spinor (x) grid ordering: a grid spinor v has layout
@@ -76,13 +76,10 @@ _BLOCK = 1 << 15  # entries of x per block of rows in band_product (256 KiB)
 # ----------------------------------------------------------------------
 
 
-def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None,
-                 symmetric: bool = False) -> np.ndarray:
+def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """A @ x for the square band matrix A held in ``ab``; x is (n,) or (n, c).
 
-    ab is A's general band storage, 2u + 1 rows, or with ``symmetric`` its
-    upper band storage, u + 1 rows, which serves the lower diagonals too.
-    Each entry of the result is 0, or its value in ``out``, plus the terms
+    ab is A's general band storage, 2u + 1 rows.  Each entry of the result is 0, or its value in ``out``, plus the terms
     of its row in ascending column order: the order in which a
     compressed-sparse-row product sums a row's stored entries, so that the
     two agree bit for bit.  The result and each block's term take x's memory
@@ -92,15 +89,12 @@ def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None,
     scales a block as one number.
     """
     n = ab.shape[1]
-    u = ab.shape[0] - 1 if symmetric else ab.shape[0] // 2
+    u = ab.shape[0] // 2
     y = np.zeros_like(x, dtype=float) if out is None else out
     terms = []
     for d in range(-u, u + 1):  # column offset j - i
         lo, hi = max(-d, 0), n - max(d, 0)  # the rows this diagonal reaches
-        if symmetric:
-            a = ab[u - abs(d), lo + max(d, 0):hi + max(d, 0)]
-        else:
-            a = ab[u - d, lo + d:hi + d]
+        a = ab[u - d, lo + d:hi + d]
         constant = x.ndim == 2 and a.size > 0 and a.min() == a.max()
         if constant:
             a = a[0]
@@ -134,14 +128,15 @@ def first_derivative(N: int, h: float) -> np.ndarray:
 def channel_hamiltonian(V: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order H = -d^2/dx^2 + diag(V), exactly symmetric (Dirichlet).
 
-    Upper band storage, (3, N), as xPBTRF takes it: superdiagonals 2 and 1,
-    then the diagonal.
+    General band storage, (5, N): the offset j - i = d diagonal is row
+    2 - d.  Its top three rows, superdiagonals 2 and 1 and the diagonal,
+    are its upper storage, as xPBTRF takes it.
     """
     c0 = 30.0 / (12.0 * h * h)
     c1 = -16.0 / (12.0 * h * h)
     c2 = 1.0 / (12.0 * h * h)
-    ab = np.zeros((3, V.size))
-    ab[0, 2:], ab[1, 1:], ab[2] = c2, c1, c0 + V
+    ab = np.zeros((5, V.size))
+    ab[0, 2:], ab[1, 1:], ab[2], ab[3, :-1], ab[4, :-2] = c2, c1, c0 + V, c1, c2
     return ab
 
 

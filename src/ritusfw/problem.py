@@ -104,7 +104,7 @@ class Problem:
 
     @_link
     def fw(self):
-        return field_fw_from_levels(self.levels, self.ops, self.m)
+        return field_fw_from_levels(self.levels, self.m)
 
     def other_rep(self) -> "Problem":
         """The same problem in the other gamma representation.

@@ -11,7 +11,7 @@ vanish to quadrature accuracy.
 
 With the spinor components interleaved, gamma.Pi - m is a band matrix of
 half-width 5, factored once per p0 by banded Gaussian elimination with
-partial pivoting (``GridOperators.dirac_solver``, LAPACK xGBTRF/xGBTRS;
+partial pivoting (the levels' ``ops.dirac_solver``, LAPACK xGBTRF/xGBTRS;
 Golub & Van Loan, Matrix Computations, section 4.3): O(N) time and memory
 per p0, and deterministic.
 """
@@ -25,7 +25,6 @@ import numpy as np
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
-from .operators import GridOperators
 from .ritus_basis import RitusLevels, dirac_overlap, free_slash
 
 __all__ = [
@@ -53,10 +52,8 @@ def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> n
     return (free_slash(p0, p2, rep) + m * np.eye(2)) * (1.0 / denom)[:, None, None]
 
 
-def _factor(levels: RitusLevels, p0: float, m: float, operators: GridOperators):
+def _factor(levels: RitusLevels, p0: float, m: float):
     """The banded solve of (gamma.Pi - m) at p0, refused within 1e-3 of any level's shell."""
-    if not levels.grid.same_as(operators.grid):
-        raise ArgumentError("levels and operators use different grids")
     E_on = np.sqrt(levels.k + m * m)
     dist = np.abs(abs(p0) - E_on)
     close = np.flatnonzero(dist < 1e-3)
@@ -66,28 +63,23 @@ def _factor(levels: RitusLevels, p0: float, m: float, operators: GridOperators):
             f"p0 = {p0:.6g} is within {dist[n]:.2e} of the on-shell energy "
             f"sqrt(k_{n} + m^2) = {E_on[n]:.6g}; solve too ill-conditioned"
         )
-    return operators.dirac_solver(p0, m)
+    return levels.ops.dirac_solver(p0, m)
 
 
-def project_propagator(
-    levels: RitusLevels,
-    p0: float,
-    m: float,
-    operators: GridOperators,
-) -> dict:
+def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     """Grid-inverted propagator between Ritus levels, as Dirac-adjoint overlaps.
 
     Returns a dict with the (L, L) array of 2x2 blocks, the worst
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
-    solve = _factor(levels, p0, m, operators)
-    E, L = levels.E, len(levels)
+    solve = _factor(levels, p0, m)
+    E, L, ops = levels.E, len(levels), levels.ops
     # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
-    blocks = dirac_overlap(E, solve(E), operators).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
+    blocks = dirac_overlap(E, solve(E), ops).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
     diagonal = blocks[np.arange(L), np.arange(L)]
 
-    free = diagonal_propagator(p0, levels.p2, m, operators.rep)
+    free = diagonal_propagator(p0, levels.p2, m, ops.rep)
     P = levels.projector.reshape(L, 2)[:, :, None] * np.eye(2)     # each level's Pi(n)
     norms = np.linalg.norm(blocks, axis=(2, 3))
     np.fill_diagonal(norms, 0.0)
@@ -104,7 +96,6 @@ def pole_sweep(
     levels: RitusLevels,
     n_target: int,
     m: float,
-    operators: GridOperators,
     distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125),
 ) -> dict:
     """Approach the on-shell energy of one level and fit the pole exponent.
@@ -122,11 +113,11 @@ def pole_sweep(
     rows = []
     for d in distances:
         p0 = E_on - d
-        Z = _factor(levels, p0, m, operators)(Ep)
+        Z = _factor(levels, p0, m)(Ep)
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(dirac_overlap(Ep, Z, operators))),
+            "block_norm": float(np.linalg.norm(dirac_overlap(Ep, Z, levels.ops))),
             "offshellness": abs(p0 * p0 - (k + m * m)),
         })
 

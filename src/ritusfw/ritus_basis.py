@@ -17,12 +17,13 @@ two slots gets the sign of gamma^2's entry there, so the intertwining holds
 with the non-negative branch of sqrt(k).
 
 The levels of one run are one record, ``RitusLevels``: the (2N, 2L) matrix
-E = [E_0 | E_1 | ...] and the labels k_n, with the run's p0, p_y and grid;
-level n is the column pair 2n, 2n + 1.  ``assemble_levels`` writes E once.
-Every check over the levels is one function of E: the grid operator acts
-on E once, the free-form side is E times the block-diagonal matrix of the
-levels' 2x2 blocks (``times_blocks``), and the per-level residuals are the
-norms of the column pairs of the one result.
+E = [E_0 | E_1 | ...] and the labels k_n, with the run's p0 and the
+``GridOperators`` E was built with (its grid, p_y and gamma
+representation); level n is the column pair 2n, 2n + 1.  ``assemble_levels``
+writes E once.  Every check over the levels is one function of the record:
+the grid operator acts on E once, the free-form side is E times the
+block-diagonal matrix of the levels' 2x2 blocks (``times_blocks``), and the
+per-level residuals are the norms of the column pairs of the one result.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .clifford import GammaRep
 from .errors import ArgumentError, PairingError, TruncationError
 from .operators import GridOperators, band_product, channel_slots
-from .spectral_grid import Grid, ScalarSpectrum
+from .spectral_grid import ScalarSpectrum
 
 __all__ = [
     "RitusLevels",
@@ -55,22 +56,23 @@ PAIRING_TOL = 1e-6     # relative gap allowed between a level's partner eigenval
 
 @dataclass(frozen=True, eq=False)
 class RitusLevels:
-    """The levels 0..L-1 of one run: E, the labels k, and where the zero mode sits.
+    """The levels 0..L-1 of one run: E, the labels k, the operators, the zero mode's place.
 
     E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order, so that
     level n's E_p, ``Ep(n)``, is the contiguous column pair 2n, 2n + 1; it
     is read-only, since the operators built on E (the field FW operator)
     read it again later.  Level n carries the label k[n] and
-    pbar = (p0, 0, p2[n]).  The zero-mode channel's functions fill the
-    columns 2n + zero_slot, its partner's the other column of each pair
-    n >= 1; level 0's column 1 - zero_slot is zero.
+    pbar = (p0, 0, p2[n]).  ops are the grid operators E was built with:
+    every check over the levels reads its grid, p_y and gamma representation
+    there.  The zero-mode channel's functions fill the columns
+    2n + zero_slot, its partner's the other column of each pair n >= 1;
+    level 0's column 1 - zero_slot is zero.
     """
 
     E: np.ndarray
     k: np.ndarray
     p0: float
-    p_y: float
-    grid: Grid
+    ops: GridOperators
     zero_channel: int
     zero_slot: int
 
@@ -110,7 +112,7 @@ class RitusLevels:
         R is laid out as E, in Fortran order, so each pair is contiguous and
         its norm sums it column by column.
         """
-        sqh = math.sqrt(self.grid.h)
+        sqh = math.sqrt(self.ops.h)
         return np.array([sqh * float(np.linalg.norm(R[:, 2 * n:2 * n + 2]))
                          for n in range(len(self))])
 
@@ -154,18 +156,17 @@ def assemble_levels(
     n-1 (the eigenvalues must agree within PAIRING_TOL relative, checked for
     all levels at once) and averages k.  The spinor slots follow ops.rep,
     and ops.X aligns the signs; ops must share the spectra's grid, p_y and
-    charge.
+    charge, and the levels keep them.
     """
     if n_max < 0:
         raise ArgumentError(f"n_max must be non-negative, got {n_max}")
     if spec_plus.sigma != +1 or spec_minus.sigma != -1:
         raise ArgumentError("pass the sigma=+1 spectrum first and sigma=-1 second")
-    if not spec_plus.grid.same_as(spec_minus.grid):
-        raise PairingError("channel spectra were computed on different grids")
+    if spec_plus.grid != spec_minus.grid:
+        raise PairingError("channel spectra were computed on two grids")
     if abs(spec_plus.p_y - spec_minus.p_y) > 0 or spec_plus.e != spec_minus.e:
         raise PairingError("channel spectra differ in p_y or charge")
-    if (not ops.grid.same_as(spec_plus.grid) or ops.p_y != spec_plus.p_y
-            or ops.e != spec_plus.e):
+    if ops.grid != spec_plus.grid or ops.p_y != spec_plus.p_y or ops.e != spec_plus.e:
         raise ArgumentError("operators and spectra differ in grid, p_y or charge")
 
     N, L = spec_plus.grid.n_points, n_max + 1
@@ -203,8 +204,7 @@ def assemble_levels(
     flip = np.einsum("ij,ij->j", v, Xu) * ops.rep.gamma[2][b, a].real < 0
     E[b * N:(b + 1) * N, b + 2::2] = np.where(flip, -v, v)
     E.flags.writeable = False
-    return RitusLevels(E=E, k=k, p0=float(p0), p_y=ops.p_y, grid=spec_plus.grid,
-                       zero_channel=zc, zero_slot=a)
+    return RitusLevels(E=E, k=k, p0=float(p0), ops=ops, zero_channel=zc, zero_slot=a)
 
 
 # ----------------------------------------------------------------------
@@ -213,19 +213,20 @@ def assemble_levels(
 
 
 def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
-                          spec_minus: ScalarSpectrum, rep: GammaRep) -> np.ndarray:
+                          spec_minus: ScalarSpectrum) -> np.ndarray:
     """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F of each level.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
     drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
-    channel Hamiltonian that channel_slots(rep) places there, once on E.
+    channel Hamiltonian that channel_slots places there in the levels'
+    representation, once on E.
     """
-    E, N = levels.E, levels.grid.n_points
-    slots = channel_slots(rep)
+    E, N = levels.E, levels.ops.grid.n_points
+    slots = channel_slots(levels.ops.rep)
     residual = np.zeros_like(E)     # Fortran order, as E
     for spec in (spec_plus, spec_minus):
         rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-        band_product(spec.hamiltonian, E[rows], out=residual[rows], symmetric=True)  # Pi-tilde^2 E
+        band_product(spec.hamiltonian, E[rows], out=residual[rows])  # Pi-tilde^2 E
     np.subtract(levels.p0**2 * E, residual, out=residual)
     # pbar^2 = p0^2 - p2^2, p2 squared by libm's pow as a float's ** is (p2 * p2 can
     # differ in its last bit, and the residual is a cancellation down to 1e-10)
@@ -233,25 +234,25 @@ def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
     return levels.norms(residual) / levels.norms(E)
 
 
-def verify_gpEp(levels: RitusLevels, operators: GridOperators) -> np.ndarray:
+def verify_gpEp(levels: RitusLevels) -> np.ndarray:
     """Intertwining residual || (gamma.Pi) E_p - E_p gamma^mu pbar_mu ||_F / ||E_p||_F, per level.
 
     The free side is one batched product with the levels' ``free_slash`` blocks.
     """
-    E = levels.E
-    XE = operators.X @ E
-    residual = operators.g0diag[:, None] * E        # Fortran order, as E
+    E, ops = levels.E, levels.ops
+    XE = ops.X @ E
+    residual = ops.g0diag[:, None] * E              # Fortran order, as E
     residual *= levels.p0
     residual -= XE                                  # (gamma.Pi) E
     del XE                                          # one grid-sized temporary at a time
-    residual -= times_blocks(E, free_slash(levels.p0, levels.p2, operators.rep))
+    residual -= times_blocks(E, free_slash(levels.p0, levels.p2, ops.rep))
     return levels.norms(residual) / levels.norms(E)
 
 
-def zero_mode_annihilation(levels: RitusLevels, operators: GridOperators) -> float:
+def zero_mode_annihilation(levels: RitusLevels) -> float:
     """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone."""
-    sqh, E0 = math.sqrt(levels.grid.h), levels.Ep(0)
-    return ((sqh * float(np.linalg.norm(operators.X @ E0)))
+    sqh, E0 = math.sqrt(levels.ops.h), levels.Ep(0)
+    return ((sqh * float(np.linalg.norm(levels.ops.X @ E0)))
             / (sqh * float(np.linalg.norm(E0))))
 
 
@@ -268,21 +269,20 @@ def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.
     return (g0 @ G.reshape(-1, 2, G.shape[1])).reshape(G.shape)
 
 
-def orthonormality_matrix(levels: RitusLevels, operators: GridOperators) -> np.ndarray:
+def orthonormality_matrix(levels: RitusLevels) -> np.ndarray:
     """Gram matrix of Dirac-adjoint overlaps, blocks gamma^0 E_i^dag gamma^0 E_j.
 
     Diagonal blocks equal the spin projector Pi(n_i); everything else
     vanishes to quadrature accuracy.  Shape (2L, 2L), complex.
     """
-    return dirac_overlap(levels.E, levels.E, operators)
+    return dirac_overlap(levels.E, levels.E, levels.ops)
 
 
-def completeness_residual(levels: RitusLevels, test: np.ndarray,
-                          operators: GridOperators) -> float:
+def completeness_residual(levels: RitusLevels, test: np.ndarray) -> float:
     """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||."""
     test = np.asarray(test)
     nrm = float(np.linalg.norm(test))
     if nrm == 0.0:
         raise ArgumentError("test function is identically zero")
     E = levels.E
-    return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], operators)[:, 0])) / nrm
+    return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], levels.ops)[:, 0])) / nrm

@@ -95,13 +95,6 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    def same_as(self, other: "Grid") -> bool:
-        return (
-            self.n_points == other.n_points
-            and math.isclose(self.x_min, other.x_min, rel_tol=0, abs_tol=1e-12)
-            and math.isclose(self.x_max, other.x_max, rel_tol=0, abs_tol=1e-12)
-        )
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -121,7 +114,7 @@ class ScalarSpectrum:
     sample lies in the left tail, where rounding cannot flip the sign; the
     global peak would not do, since the mirror peaks of an odd state in a
     symmetric well tie up to rounding.  hamiltonian is -D2 + diag(V_sigma),
-    the matrix the pairs solve, in upper band storage (3, N) as
+    the matrix the pairs solve, in general band storage (5, N) as
     ``channel_hamiltonian`` returns it; on the channel's spinor slot it is
     Pi-tilde^2.
     """
@@ -342,7 +335,7 @@ def solve_channel(
     shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
     v0 = np.random.default_rng(0).standard_normal(N)
     H = channel_hamiltonian(V, grid.h)
-    band = H.copy()
+    band = H[:3].copy()                 # the upper storage xPBTRF takes
     band[2] -= shift
     chol, info = dpbtrf(band, overwrite_ab=True)
     if info != 0:

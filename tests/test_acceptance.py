@@ -68,8 +68,8 @@ def production_problem(n_points=N_POINTS):
 
 def intertwining(b):
     """Criterion 5's numbers: worst intertwining residual, zero-mode annihilation."""
-    return (float(verify_gpEp(b.levels, b.ops).max()),
-            zero_mode_annihilation(b.levels, b.ops))
+    return (float(verify_gpEp(b.levels).max()),
+            zero_mode_annihilation(b.levels))
 
 
 def main_claim(b):
@@ -129,7 +129,7 @@ def test_criterion_03_susy_pairing():
 
 def test_criterion_04_ritus_diagonalization():
     b = production_problem()
-    res = float(verify_eigen_relation(b.levels, b.spec_plus, b.spec_minus, b.rep).max())
+    res = float(verify_eigen_relation(b.levels, b.spec_plus, b.spec_minus).max())
     ok = res < 1e-6
     emit(4, ok, f"max ||(gamma.Pi)^2 E - pbar^2 E|| / ||E|| = {res:.3e} (tol 1e-06)")
     assert ok
@@ -197,8 +197,8 @@ def test_criterion_08_series_consistency():
 
 def test_criterion_09_propagator():
     b = production_problem()
-    res = project_propagator(b.levels, P0, MASS, b.ops)
-    sweep = pole_sweep(b.levels, n_target=1, m=MASS, operators=b.ops)
+    res = project_propagator(b.levels, P0, MASS)
+    sweep = pole_sweep(b.levels, n_target=1, m=MASS)
     diag = res["diagonal_error"]
     cross = res["cross_norm"]
     expo = sweep["exponent"]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -217,8 +218,9 @@ def test_non_numeric_config_value_names_its_key(tmp_path, key):
                   "grid_n": 1536}, id="exponential-N1536"),
 ])
 def test_fw_series_masses_stay_4_8_16_up_to_k_16(overrides):
-    # k_max is 15.9999994 and 15.36 here, so the ladder {1, 2, 4} max(4, sqrt(k_max))
-    # is the fixed {4, 8, 16} and the section keeps its bytes
+    # k_1 is about 2 and k_max 15.9999994 and 15.36 here, so the scale
+    # max(sqrt(k_max), sqrt(2 k_1), min(4, 8 sqrt(k_1))) is 4, the ladder
+    # {1, 2, 4} times it the fixed {4, 8, 16}, and the section keeps its bytes
     report, ok = run("fw-series", RunConfig(**overrides))
     assert ok
     assert [row["m"] for row in report["results"]["bd"]] == [4.0, 8.0, 16.0]
@@ -405,6 +407,20 @@ def test_p0_just_off_a_high_levels_shell_keeps_every_section():
         assert "error" not in section, name
         assert section["checks"], name
     assert not report["sections"]["propagator"]["checks"]["diagonal_blocks"]["pass"]
+
+
+@pytest.mark.parametrize("B,n_max", [(1e-3, 8), (1e-3, 2), (8.0, 1)])
+def test_fw_series_passes_in_a_weak_field_and_a_strong_one(tmp_path, B, n_max):
+    # at eB = 1e-3 the order-3 error k_1^3/16m^5 at m = 4, 8, 16 sank below the
+    # rounding of sqrt(k_1 + m^2), and with n_max = 2 it was exactly 0, so the
+    # slope's log wrote NaN into the report; at eB = 8 with one level
+    # k_1/m^2 was 1 at the lightest mass, outside the series' reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, ok = run("all", RunConfig(profile_params={"B": B}, n_max=n_max))
+        data = cli.emit_report(report, tmp_path / "report.json")
+    assert ok, report["sections"]["fw-series"]["checks"]
+    assert b"NaN" not in data
 
 
 def test_detail_csvs_hold_the_reports_values(tmp_path):

@@ -49,7 +49,7 @@ MASS = 1.0
 
 
 def dense_U(fw):
-    E, W, h = fw.levels.E, fw.W, fw.levels.grid.h
+    E, W, h = fw.levels.E, fw.W, fw.levels.ops.h
     return np.eye(E.shape[0]) + h * (E @ (W - np.eye(W.shape[0])) @ E.T)
 
 
@@ -68,7 +68,7 @@ def level_commutators(fw):
     The dense commutator is U P_n - P_n U = h ((U E_p) E_p^T - E_p (U^T E_p)^T),
     so its rows lie in the span of the second matrix's columns.
     """
-    U, h = dense_U(fw), fw.levels.grid.h
+    U, h = dense_U(fw), fw.levels.ops.h
     for n in range(len(fw.levels)):
         Ep = fw.levels.Ep(n)
         rows = np.hstack([Ep, U.T @ Ep])
@@ -93,7 +93,7 @@ def test_fw_operator_matches_dense_low_rank_form(uni, rng):
     # vectors, and U E = E (1 + D G), the form the main claim reads
     U, fw = dense_U(uni.fw), uni.fw
     D, G, _ = fw.factors
-    E, h = fw.levels.E, fw.levels.grid.h
+    E, h = fw.levels.E, fw.levels.ops.h
     V = rng.standard_normal((U.shape[0], 3))
     for vec in (V, V[:, 0]):
         assert np.abs(vec + E @ (D @ (h * (E.T @ vec))) - U @ vec).max() < 1e-13
@@ -106,12 +106,12 @@ def test_main_claim_from_factors_matches_dense_grid_residual(variant):
     # the 2L x 2L form the operator's factors give
     prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS, p0=P0,
                    n_max=8, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
-    fw = prob.fw
+    fw, levels = prob.fw, prob.levels
     U = dense_U(fw)
     ref = np.array([
-        np.linalg.norm(U @ fw.levels.Ep(n) - fw.levels.Ep(n) @ free_fw(k, MASS, fw.rep).real)
-        / np.linalg.norm(fw.levels.Ep(n))
-        for n, k in enumerate(fw.levels.k.tolist())])
+        np.linalg.norm(U @ levels.Ep(n) - levels.Ep(n) @ free_fw(k, MASS, levels.ops.rep).real)
+        / np.linalg.norm(levels.Ep(n))
+        for n, k in enumerate(levels.k.tolist())])
     res = verify_main_claim(fw)
     assert res.shape == ref.shape == (9,)
     assert abs(res[0] - ref[0]) < 1e-14
@@ -142,7 +142,7 @@ def interleaved_order(N):
 
 def test_project_propagator_matches_dense_lu(uni):
     ops, levels = uni.ops, uni.levels
-    res = project_propagator(levels, P0, MASS, ops)
+    res = project_propagator(levels, P0, MASS)
     # the reference factors the dense matrix in the interleaved order, as
     # test_banded_solve_matches_dense_lu does: in the block order, partial
     # pivoting grows U by ~4e4 and leaves a residual ~2e-9 at the walls
@@ -197,7 +197,7 @@ def test_interleaved_gamma_dot_pi_has_half_bandwidth_five(uni, uni_second, varia
 
 def test_orthonormality_matrix_matches_blockwise_overlaps(uni):
     levels = uni.levels
-    gram = orthonormality_matrix(levels, uni.ops)
+    gram = orthonormality_matrix(levels)
     for i in range(len(levels)):
         for j in range(len(levels)):
             block = dirac_overlap(levels.Ep(i), levels.Ep(j), uni.ops)
@@ -299,7 +299,7 @@ def test_no_dense_grid_matrix_allocated(uni):
         unitarity_residual(fw)
         projector_commutation_residual(fw)
         restricted_hamiltonian(fw)
-        project_propagator(prob.levels, P0, MASS, prob.ops)
+        project_propagator(prob.levels, P0, MASS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,7 +344,7 @@ def solver_conventions(vals, vecs, V, h):
 def dense_channel(profile, p_y, sigma, grid, n_levels=N_LEVELS):
     """Lowest eigenpairs of the dense channel Hamiltonian, with the solver's conventions."""
     V = channel_potential(profile, p_y, sigma, grid)
-    vals, vecs = np.linalg.eigh(dense(channel_hamiltonian(V, grid.h), symmetric=True))
+    vals, vecs = np.linalg.eigh(dense(channel_hamiltonian(V, grid.h)))
     return solver_conventions(vals[:n_levels], vecs[:, :n_levels], V, grid.h)
 
 
@@ -354,12 +354,12 @@ def arpack_channel(profile, p_y, sigma, grid, n_levels):
     N, H = V.size, channel_hamiltonian(V, grid.h)
     v_min = float(V.min())
     shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
-    band = H.copy()
+    band = H[:3].copy()
     band[2] -= shift
     chol, info = dpbtrf(band)
     assert info == 0
     vals, vecs = eigsh(
-        LinearOperator((N, N), matvec=lambda v: band_product(H, v, symmetric=True), dtype=float),
+        LinearOperator((N, N), matvec=lambda v: band_product(H, v), dtype=float),
         k=n_levels, sigma=shift, which="LM", v0=np.random.default_rng(0).standard_normal(N),
         tol=0, OPinv=LinearOperator((N, N), matvec=lambda v: dpbtrs(chol, v)[0], dtype=float))
     order = np.argsort(vals)

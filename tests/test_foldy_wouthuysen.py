@@ -84,7 +84,7 @@ def test_field_fw_identity_on_zero_mode(uni):
     # through the dense U = 1 + h E (W - 1) E^T, and through the factors'
     # U E = E (1 + D G), which the main claim reads
     fw = uni.fw
-    E, h = fw.levels.E, fw.levels.grid.h
+    E, h = fw.levels.E, fw.levels.ops.h
     D, G, _ = fw.factors
     U = np.eye(E.shape[0]) + h * (E @ (fw.W - np.eye(fw.W.shape[0])) @ E.T)
     z = fw.levels.zero_slot                         # E_0's populated column
@@ -96,7 +96,7 @@ def test_field_fw_requires_levels(uni):
     levels = uni.levels
     with pytest.raises(ArgumentError):
         field_fw_from_levels(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
-                             uni.ops, MASS)
+                             MASS)
 
 
 def test_field_fw_rejects_negative_k(uni):
@@ -104,14 +104,14 @@ def test_field_fw_rejects_negative_k(uni):
     k = uni.levels.k.copy()
     k[0] = -2e-8
     with pytest.raises(DiscretizationError, match="level 0 has k = -2.000e-08 < 0"):
-        field_fw_from_levels(dataclasses.replace(uni.levels, k=k), uni.ops, MASS)
+        field_fw_from_levels(dataclasses.replace(uni.levels, k=k), MASS)
 
 
 def test_field_fw_ignores_the_level_energy(uni):
-    # U reads the levels' E and k only: relabeling p0 leaves W unchanged
+    # U reads the levels' E, k and X only: relabeling p0 leaves W unchanged
     for n in (0, 1, len(uni.levels) - 1):
         moved = dataclasses.replace(uni.levels, p0=math.sqrt(uni.levels.k[n] + MASS**2))
-        assert np.array_equal(field_fw_from_levels(moved, uni.ops, MASS).W, uni.fw.W)
+        assert np.array_equal(field_fw_from_levels(moved, MASS).W, uni.fw.W)
 
 
 def populated_W(fw):
@@ -174,8 +174,7 @@ def test_column_sign_convention_is_load_bearing(uni):
     levels = uni.fw.levels
     flipped = np.array(levels.E, order="F")
     flipped[:, 2 * 2 + 1] *= -1.0       # level 2's second column
-    res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, E=flipped),
-                                                 uni.ops, MASS))
+    res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, E=flipped), MASS))
     assert res[2] > 0.1
     assert np.delete(res, 2).max() < 5e-6
 

@@ -31,12 +31,13 @@ def test_stencil_orders_on_smooth_function():
         x = np.arange(N) * h
         D1 = first_derivative(N, h)
         # the channel Hamiltonian at V = 0, as the channel solve builds it
-        # upper band storage: the corner that lies outside the matrix is zero
+        # general band storage: the corners that lie outside the matrix are zero
         D2 = channel_hamiltonian(np.zeros(N), h)
         assert not D2[0, :2].any() and not D2[1, :1].any()
+        assert not D2[3, -1:].any() and not D2[4, -2:].any()
         err1 = np.abs(band_product(D1, np.sin(x)) - np.cos(x))[4:-4].max()
         # the operator is -d^2/dx^2, so it maps sin to +sin
-        err2 = np.abs(band_product(D2, np.sin(x), symmetric=True) - np.sin(x))[4:-4].max()
+        err2 = np.abs(band_product(D2, np.sin(x)) - np.sin(x))[4:-4].max()
         assert err1 < 0.5 * h**4
         assert err2 < 0.5 * h**4
 
@@ -78,8 +79,7 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni, uni_second):
         lhs = np.empty_like(vec)
         for spec in (prob.spec_plus, prob.spec_minus):
             s = channel_slots(prob.rep)[spec.sigma]
-            lhs[s * N:(s + 1) * N] = band_product(spec.hamiltonian, vec[s * N:(s + 1) * N],
-                                                  symmetric=True)
+            lhs[s * N:(s + 1) * N] = band_product(spec.hamiltonian, vec[s * N:(s + 1) * N])
         rhs = -(prob.ops.X @ (prob.ops.X @ vec))
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
@@ -187,7 +187,7 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
         for v in vectors:
             for rows in (slice(0, N), slice(N, 2 * N)):
                 assert same_bits_and_order(
-                    band_product(spec.hamiltonian, v[rows], symmetric=True), H @ v[rows], v)
+                    band_product(spec.hamiltonian, v[rows]), H @ v[rows], v)
 
 
 def same_bits_and_order(result, ref, v):

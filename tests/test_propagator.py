@@ -12,7 +12,6 @@ from ritusfw import operators
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError, PoleError
-from ritusfw.operators import GridOperators
 from ritusfw.propagator import diagonal_propagator, pole_sweep, project_propagator
 from ritusfw.ritus_basis import free_slash
 
@@ -61,7 +60,7 @@ def test_pole_error_on_shell():
 
 
 def test_projected_diagonal_matches_free_form(uni):
-    res = project_propagator(uni.levels, P0, MASS, uni.ops)
+    res = project_propagator(uni.levels, P0, MASS)
     assert res["diagonal_error"] < 1e-5
     assert res["cross_norm"] < 1e-5
     # zero-mode block: projector cuts the free form to its populated slot
@@ -71,8 +70,8 @@ def test_projected_diagonal_matches_free_form(uni):
 
 
 def test_block_singular_values_across_reps(uni, uni_second):
-    r1 = project_propagator(uni.levels, P0, MASS, uni.ops)
-    r2 = project_propagator(uni_second.levels, P0, MASS, uni_second.ops)
+    r1 = project_propagator(uni.levels, P0, MASS)
+    r2 = project_propagator(uni_second.levels, P0, MASS)
     # n >= 1 blocks carry the full 2x2 form; their Gram matrices differ only
     # by a diagonal sign conjugation, so the singular values agree
     for i in range(1, len(uni.levels)):
@@ -89,7 +88,7 @@ def test_block_singular_values_across_reps(uni, uni_second):
 def test_conditioning_guard(uni):
     near = math.sqrt(uni.levels.k[1] + MASS**2) - 1e-4
     with pytest.raises(ConditioningError):
-        project_propagator(uni.levels, near, MASS, uni.ops)
+        project_propagator(uni.levels, near, MASS)
 
 
 def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
@@ -98,31 +97,28 @@ def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
 
     monkeypatch.setattr(operators, "dgbtrf", zero_pivot)
     with pytest.raises(ConditioningError, match="pivot 7"):
-        project_propagator(uni.levels, P0, MASS, uni.ops)
+        project_propagator(uni.levels, P0, MASS)
 
 
 def test_project_propagator_validation(uni):
     levels = uni.levels
     with pytest.raises(ArgumentError):
         project_propagator(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
-                           P0, MASS, uni.ops)
-    wider = dataclasses.replace(uni.grid, x_max=uni.grid.x_max + 1.0)
-    with pytest.raises(ArgumentError, match="different grids"):
-        project_propagator(levels, P0, MASS, GridOperators(uni.rep, uni.profile, 0.0, 1.0, wider))
+                           P0, MASS)
 
 
 def test_pole_sweep_exponent(uni):
-    sweep = pole_sweep(uni.levels, 1, MASS, uni.ops)
+    sweep = pole_sweep(uni.levels, 1, MASS)
     assert 0.9 < sweep["exponent"] < 1.1
     norms = [row["block_norm"] for row in sweep["rows"]]
     assert norms == sorted(norms)
     # solving the target level alone gives the full projection's block
     for row in sweep["rows"]:
-        full = project_propagator(uni.levels, row["p0"], MASS, uni.ops)
+        full = project_propagator(uni.levels, row["p0"], MASS)
         assert_allclose(row["block_norm"], np.linalg.norm(full["blocks"][1, 1]),
                         rtol=1e-13, atol=0)
     with pytest.raises(ArgumentError):
-        pole_sweep(uni.levels, 99, MASS, uni.ops)
+        pole_sweep(uni.levels, 99, MASS)
 
 
 def test_pole_sweep_csv(tmp_path):

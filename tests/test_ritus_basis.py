@@ -53,6 +53,14 @@ def test_level_columns_quadrature_orthonormal(uni):
         assert_allclose(h * (Ep.T @ Ep), np.eye(2), atol=1e-10)
 
 
+def test_levels_carry_their_operators(uni, uni_second):
+    # every check over the levels reads the operators E was built with
+    assert uni.levels.ops is uni.ops
+    assert uni_second.rep.variant == "second"
+    assert uni_second.levels.ops is uni_second.ops
+    assert uni_second.fw.levels.ops.rep.variant == "second"
+
+
 def test_sigma_order_is_enforced(uni):
     with pytest.raises(ArgumentError):
         assemble_levels(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
@@ -75,33 +83,33 @@ def test_truncation_when_level_not_stored(uni):
 
 
 def test_orthonormality_blocks_are_projectors(uni):
-    G = orthonormality_matrix(uni.levels, uni.ops)
+    G = orthonormality_matrix(uni.levels)
     assert np.abs(G - np.diag(uni.levels.projector)).max() < 1e-9
 
 
 def test_eigen_relation_residual_small(uni):
-    worst = verify_eigen_relation(uni.levels, uni.spec_plus, uni.spec_minus, uni.rep).max()
+    worst = verify_eigen_relation(uni.levels, uni.spec_plus, uni.spec_minus).max()
     assert worst < 5e-6
 
 
 def test_intertwining_residual_small(uni):
-    worst = verify_gpEp(uni.levels, uni.ops).max()
+    worst = verify_gpEp(uni.levels).max()
     assert worst < 1e-5
 
 
 def test_zero_mode_annihilation_small(uni):
-    assert zero_mode_annihilation(uni.levels, uni.ops) < 5e-7
+    assert zero_mode_annihilation(uni.levels) < 5e-7
 
 
 def test_residuals_identical_across_reps(uni, uni_second):
-    r1 = verify_gpEp(uni.levels, uni.ops)[:4]
-    r2 = verify_gpEp(uni_second.levels, uni_second.ops)[:4]
+    r1 = verify_gpEp(uni.levels)[:4]
+    r2 = verify_gpEp(uni_second.levels)[:4]
     assert np.abs(r1 - r2).max() < 1e-12
 
 
 def test_wrong_pbar_is_detected(uni):
     levels = uni.levels
-    base = verify_gpEp(levels, uni.ops)
+    base = verify_gpEp(levels)
     # pbar is built from (p0, k): relabel k_2 so that pbar_2 = sqrt(k_2) + 0.1
     k = levels.k.copy()
     k[2] = (levels.p2[2] + 0.1) ** 2
@@ -109,7 +117,7 @@ def test_wrong_pbar_is_detected(uni):
     assert off.p0 == levels.p0
     assert off.p2[2] == pytest.approx(levels.p2[2] + 0.1)
     assert np.array_equal(np.delete(off.p2, 2), np.delete(levels.p2, 2))
-    res = verify_gpEp(off, uni.ops)
+    res = verify_gpEp(off)
     assert res[2] > 100 * base[2]
     assert np.array_equal(np.delete(res, 2), np.delete(base, 2))
 
@@ -154,19 +162,18 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         # v A^T u is u A v
         overlap = u @ band_product(A, v) if zc > 0 else v @ band_product(A, u)
         assert h * float(overlap) > 0
-    assert verify_gpEp(prob.levels, ops).max() < 1e-5
+    assert verify_gpEp(prob.levels).max() < 1e-5
 
     # Pi-tilde^2 assembled here: blockdiag of the channel Hamiltonians, by slot
     blocks = [None, None]
     for sigma, V in zip((+1, -1), channel_potentials(profile, p_y, e, prob.grid.x)[1:]):
         blocks[slots[sigma]] = channel_hamiltonian(V, h)
-    residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus, prob.rep)
+    residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
         Ep, p0, p2 = levels.Ep(n), levels.p0, math.sqrt(max(k, 0.0))
         pi_tilde2_Ep = np.zeros_like(Ep)            # Fortran order, as E
         for s, H in enumerate(blocks):
-            band_product(H, Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N],
-                         symmetric=True)
+            band_product(H, Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N])
         diff = (p0**2 * Ep - pi_tilde2_Ep) - (p0**2 - p2**2) * Ep
         ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
                / (np.sqrt(h) * float(np.linalg.norm(Ep))))
@@ -204,8 +211,8 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     UE = apply_U(E)
     for n, k in enumerate(levels.k.tolist()):
         Ep = levels.Ep(n)
-        ref = (np.linalg.norm(UE[:, 2 * n:2 * n + 2] - Ep @ free_fw(k, 1.0, fw.rep).real)
-               / np.linalg.norm(Ep))
+        U_free = free_fw(k, 1.0, fw.levels.ops.rep).real
+        ref = np.linalg.norm(UE[:, 2 * n:2 * n + 2] - Ep @ U_free) / np.linalg.norm(Ep)
         assert abs(main[n] - ref) <= 1e-14 + 1e-6 * ref
     G = h * (E.T @ E)
     G[1 - levels.zero_slot, 1 - levels.zero_slot] = 1.0     # the empty column's 0
@@ -234,7 +241,7 @@ def test_completeness_improves_with_levels(uni):
     levels = uni.levels
     residuals = [completeness_residual(
                      dataclasses.replace(levels, E=levels.E[:, :2 * j], k=levels.k[:j]),
-                     test_vec, uni.ops)
+                     test_vec)
                  for j in (1, 3, len(levels))]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] < 0.05
@@ -242,7 +249,7 @@ def test_completeness_improves_with_levels(uni):
 
 def test_completeness_validation(uni):
     with pytest.raises(ArgumentError):
-        completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points), uni.ops)
+        completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points))
     # no level at all, or E and k of different lengths, is no record of levels
     levels = uni.levels
     for E, k in ((levels.E[:, :0], levels.k[:0]), (levels.E[:, :4], levels.k[:3])):
@@ -269,6 +276,6 @@ def test_gauge_center_shift_preserves_levels(uni):
     # p_y shifts the magnetic center; spectra and residuals are unchanged
     prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
     assert prob.levels.k[2] == pytest.approx(4.0, abs=1e-5)
-    assert verify_gpEp(prob.levels, prob.ops)[2] < 1e-5
+    assert verify_gpEp(prob.levels)[2] < 1e-5
     peak = prob.grid.x[np.argmax(np.abs(prob.spec_plus.eigenfunctions[:, 0]))]
     assert abs(peak - 1.2) < 0.1

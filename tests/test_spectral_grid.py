@@ -25,8 +25,8 @@ def test_grid_validation():
     g = Grid(x_min=-1.0, x_max=1.0, n_points=101)
     assert g.h == pytest.approx(0.02)
     assert g.x[0] == -1.0 and g.x[-1] == 1.0
-    assert g.same_as(Grid(-1.0, 1.0, 101))
-    assert not g.same_as(Grid(-1.0, 1.0, 102))
+    assert g == Grid(-1.0, 1.0, 101)
+    assert g != Grid(-1.0, 1.0, 102)
 
 
 def test_build_grid_requires_levels():
@@ -82,7 +82,7 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     uniform = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=1024))
     assert -L <= prob.grid.x_min and prob.grid.x_max <= L
     assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
-    assert verify_gpEp(prob.levels, prob.ops).max() < 1e-5
+    assert verify_gpEp(prob.levels).max() < 1e-5
 
 
 def test_table_ending_before_the_wkb_target_is_a_truncation_error():

@@ -53,7 +53,7 @@ def eigen_relation_loop(prob, levels):
         PiE = np.empty_like(Ep)
         for spec in (prob.spec_plus, prob.spec_minus):
             rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-            PiE[rows] = band_product(spec.hamiltonian, Ep[rows], symmetric=True)
+            PiE[rows] = band_product(spec.hamiltonian, Ep[rows])
         residual = (levels.p0**2 * Ep - PiE) - (levels.p0**2 - p2(levels, n)**2) * Ep
         out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
     return np.array(out)
@@ -72,13 +72,13 @@ def intertwining_loop(prob, levels):
 
 def main_claim_loop(fw):
     """U E_p - E_p U_free on the grid, U applied as V + E (D (h E^T V)), D = W - 1."""
-    E, h = fw.levels.E, fw.levels.grid.h
+    E, h = fw.levels.E, fw.levels.ops.h
     D = fw.W - np.eye(fw.W.shape[0])
     out = []
     for n, k in enumerate(fw.levels.k):
         Ep = fw.levels.Ep(n)
         UEp = Ep + E @ (D @ (h * (E.T @ Ep)))
-        out.append(np.linalg.norm(UEp - Ep @ free_fw(k, fw.mass, fw.rep))
+        out.append(np.linalg.norm(UEp - Ep @ free_fw(k, fw.mass, fw.levels.ops.rep))
                    / np.linalg.norm(Ep))
     return np.array(out)
 
@@ -109,10 +109,10 @@ def test_stacked_eigen_relation_and_intertwining_match_level_loops(problems):
         on_shell = dataclasses.replace(prob.levels, p0=np.sqrt(prob.levels.k[-1] + MASS**2))
         for levels in (prob.levels, on_shell):
             ref = eigen_relation_loop(prob, levels)
-            res = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus, prob.rep)
+            res = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus)
             assert np.all(np.abs(res - ref) <= TOL * ref)
             ref = intertwining_loop(prob, levels)
-            assert np.all(np.abs(verify_gpEp(levels, prob.ops) - ref) <= TOL * ref)
+            assert np.all(np.abs(verify_gpEp(levels) - ref) <= TOL * ref)
 
 
 def test_stacked_main_claim_matches_level_loop(problems):
@@ -124,7 +124,7 @@ def test_stacked_main_claim_matches_level_loop(problems):
 
 def test_stacked_propagator_blocks_match_pair_loop(problems):
     for prob in problems:
-        res = project_propagator(prob.levels, P0, MASS, prob.ops)
+        res = project_propagator(prob.levels, P0, MASS)
         blocks, diagonal_error, cross = propagator_loop(prob)
         scale = np.abs(blocks).max()
         assert np.abs(res["blocks"] - blocks).max() <= TOL * scale
@@ -140,7 +140,7 @@ def test_closed_form_rotations_match_expm(problems):
     # off the blocks W is exactly zero
     for prob in problems:
         for m in (0.5, MASS, 4.0):
-            fw = field_fw_from_levels(prob.levels, prob.ops, m)
+            fw = field_fw_from_levels(prob.levels, m)
             ref = np.zeros_like(fw.W)
             for n, k in enumerate(fw.levels.k):
                 sl = slice(2 * n, 2 * n + 2)
