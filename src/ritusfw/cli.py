@@ -302,8 +302,7 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
 def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
     import numpy as np
 
-    from .ritus_basis import (orthonormality_matrix, verify_eigen_relation, verify_gpEp,
-                              zero_mode_annihilation)
+    from .ritus_basis import verify_eigen_relation, verify_gpEp, zero_mode_annihilation
 
     levels = prob.levels
     r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus)
@@ -313,8 +312,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
                                                    r_int.tolist()))]
     zm = zero_mode_annihilation(levels)
 
-    gram = orthonormality_matrix(levels)
-    ortho_dev = float(np.abs(gram - np.diag(levels.projector)).max())
+    ortho_dev = float(np.abs(levels.gram - np.diag(levels.projector)).max())
 
     checks = {
         "eigen_relation": _check(r_eig.max(), cfg.tol_residual),

@@ -11,12 +11,13 @@ In a static magnetic field the same construction goes through with |p|
 replaced by the square root of Pi-tilde^2 = (gamma^0 gamma.Pi)^2: the angle
 function theta(k) = arctan(sqrt(k)/m) / (2 sqrt(k)) is applied spectrally.
 In the Ritus basis this is the free form, one 2x2 rotation per level.  On
-the grid the levels are the columns of E = [E_0 | E_1 | ...] (2N x 2L,
-ell^2-orthonormal after scaling by sqrt(h)), and the levels' own X
-(levels.ops.X, in their gamma representation) acts on E once, giving
-K = h E^T X E.  Level n's 2x2 block of K, at columns (2n, 2n + 1), is real
-antisymmetric because the spatial Dirac operator X is, so it is x_n J with
-J = [[0, 1], [-1, 0]], and its exponential is the rotation
+the grid the levels are E = [E_0 | E_1 | ...] (2N x 2L, ell^2-orthonormal
+after scaling by sqrt(h)), held as its slot blocks F[s]; the levels' own X
+couples the two slots only, so K = h E^T X E is the cross-slot products
+h F[s]^T X_st F[t].  Level n's 2x2 block of K, at
+columns (2n, 2n + 1), is real antisymmetric because the spatial Dirac
+operator X is, so it is x_n J with J = [[0, 1], [-1, 0]], and its
+exponential is the rotation
 
     W_n = expm(theta_n x_n J) = [[cos a_n, sin a_n], [-sin a_n, cos a_n]],
     a_n = theta_n x_n,
@@ -25,11 +26,12 @@ taken in closed form.  The zero mode's block is the identity, and its
 empty column of E is exactly 0.  So U = 1 + h E (W - 1) E^T, with
 W = diag(W_0, W_1, ...) (2L x 2L), is exactly unitary, commutes with the
 level projectors by construction, and is the identity off the span of the
-levels.  U is never formed, nor applied: it is kept as E and W.  Every check
-is 2L x 2L algebra on W - 1, G = h E^T E and its Cholesky factor R, or 2L x 4
-algebra per level; the main claim reads U E - E F = E (1 + (W - 1) G - F),
-F the free rotations.  On E's populated columns W is U compressed to the
-span of the levels, and the restricted Hamiltonian is K + m graded by gamma^0.
+levels.  U is never formed, nor applied: it is kept as the levels and W.
+Every check is 2L x 2L algebra on W - 1, the levels' Gram matrix
+G = h E^T E and its Cholesky factor R, or 2L x 4 algebra per level; the
+main claim reads U E - E F = E (1 + (W - 1) G - F), F the free rotations.
+On E's populated columns W is U compressed to the span of the levels, and
+the restricted Hamiltonian is K + m graded by gamma^0.
 
 The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
 with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
@@ -84,7 +86,7 @@ def theta(k: float, m: float) -> float:
 class FWOperator:
     """The exact field FW operator U = 1 + h E (W - 1) E^T (2N x 2N), kept as factors.
 
-    levels are the levels U was built from, E their stacked matrix and
+    levels are the levels U was built from, E = [E_0 | E_1 | ...], and
     levels.ops the grid operators and gamma representation U was built in.
     W is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
     (2n, 2n + 1) and the identity on the zero mode's block.
@@ -101,16 +103,15 @@ class FWOperator:
     def factors(self):
         """(D, G, R), built on first read: D = W - 1, G = h E^T E and G = R^T R.
 
-        G's empty zero-mode row and column are exactly 0; 1 - projector sets
-        its diagonal entry there to 1.  That leaves every product with D
-        unchanged, since D is 0 on that row and column, and makes R, the
-        upper Cholesky factor, that of the populated columns alone next to
-        a 1.  So ||h E C E^T||_2 = ||R C R^T||_2 for any C that is 0 on the
+        G is the levels' Gram matrix, whose empty zero-mode row and column
+        are exactly 0; 1 - projector sets its diagonal entry there to 1.
+        That leaves every product with D unchanged, since D is 0 on that row
+        and column, and makes R, the upper Cholesky factor, that of the
+        populated columns alone next to a 1.  So ||h E C E^T||_2 = ||R C R^T||_2 for any C that is 0 on the
         empty row and column.
         """
-        E = self.levels.E
-        G = self.levels.ops.h * (E.T @ E) + np.diag(1.0 - self.levels.projector)
-        return self.W - np.eye(E.shape[1]), G, np.linalg.cholesky(G).T
+        G = self.levels.gram + np.diag(1.0 - self.levels.projector)
+        return self.W - np.eye(G.shape[0]), G, np.linalg.cholesky(G).T
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,12 @@ def free_fw(k: float, m: float, rep: GammaRep) -> np.ndarray:
 
 
 def field_fw_from_levels(levels: RitusLevels, m: float) -> FWOperator:
-    """Assemble the exact field FW operator from levels: their E, k and X enter.
+    """Assemble the exact field FW operator from levels: their slot blocks, k and X enter.
 
     Level n's rotation angle is theta(k_n) times the coupling
     x_n = (K_01 - K_10) / 2 of its diagonal block of K = h E^T X E (the
-    mean of the two entries kills K's rounding-level symmetric part).
+    mean of the two entries kills K's rounding-level symmetric part).  K's
+    same-slot entries are exactly 0.
     """
     negative = np.flatnonzero(levels.k < 0)
     if negative.size:
@@ -158,11 +160,12 @@ def field_fw_from_levels(levels: RitusLevels, m: float) -> FWOperator:
             "resolved inside the zero-mode clamp; refine the grid"
         )
 
-    E = levels.E
-    K = levels.ops.h * (E.T @ (levels.ops.X @ E))
-    W = np.eye(E.shape[1])
+    K = np.zeros((2 * len(levels), 2 * len(levels)))
+    for s, t in ((0, 1), (1, 0)):
+        K[s::2, t::2] = levels.ops.h * (levels.F[s].T @ levels.cross(s))
+    W = np.eye(K.shape[0])
     for n, k in enumerate(levels.k[1:].tolist(), start=1):
-        i, j = 2 * n, 2 * n + 1         # level n's columns of E
+        i, j = 2 * n, 2 * n + 1         # level n's columns of E, on slots 0 and 1
         a = theta(k, m) * 0.5 * (K[i, j] - K[j, i])
         W[i:j + 1, i:j + 1] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
     return FWOperator(mass=m, levels=levels, W=W, K=K)
@@ -262,7 +265,7 @@ def verify_main_claim(fw: FWOperator) -> np.ndarray:
     fw.factors, U E - E F = E C, C = 1 + D G - F, F = blockdiag(U_free).
     C is 0 on E's empty zero-mode row (D is 0 there and U_free(0) = 1), so
     sqrt(h) ||E C_n||_F = ||R C_n||_F on level n's columns; sqrt(h) ||E_p||_F
-    comes from G's diagonal on the populated columns.
+    comes from the levels' Gram matrix.
     """
     D, G, R = fw.factors
     L = len(fw.levels)
@@ -271,7 +274,7 @@ def verify_main_claim(fw: FWOperator) -> np.ndarray:
     C = D @ G
     C.reshape(L, 2, L, 2)[range(L), :, range(L), :] += np.eye(2) - free
     residual = np.linalg.norm((R @ C).reshape(-1, L, 2), axis=(0, 2))
-    return residual / np.sqrt((np.diag(G) * fw.levels.projector).reshape(L, 2).sum(axis=1))
+    return residual / np.sqrt(fw.levels.sq_norms)
 
 
 # ----------------------------------------------------------------------

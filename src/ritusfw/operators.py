@@ -16,8 +16,8 @@ the rest of the package:
   which interleaves the components, q = 2i + s for grid point i and spinor
   slot s, so that the two slots of one point are neighbours and the matrix
   has half-bandwidth ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors
-  it with LAPACK's banded LU (xGBTRF/xGBTRS) and takes and returns
-  block-ordered spinors.
+  it with LAPACK's banded LU (xGBTRF/xGBTRS) and solves in that
+  interleaved order.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix
@@ -83,7 +83,7 @@ def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None) -> np.nd
     of its row in ascending column order: the order in which a
     compressed-sparse-row product sums a row's stored entries, so that the
     two agree bit for bit.  The result and each block's term take x's memory
-    order, so no x (the levels' Fortran-ordered E) is copied.  The rows go in
+    order, so no x (a level block, or a view of one) is copied.  The rows go in
     blocks of about _BLOCK entries, so that a block's terms stay in cache,
     and a diagonal whose entries are all equal (a stencil coefficient)
     scales a block as one number.
@@ -217,9 +217,9 @@ def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> Spinor
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h and M, arrays of length N; D1, the (5, N) general band
-    of the first derivative; X, the ``SpinorBand`` of the spatial Dirac
-    operator; g0diag, the +/-1 diagonal of gamma^0 (x) 1_N (length 2N).
+    Attributes: x, h and M, arrays of length N; X, the ``SpinorBand`` of the
+    spatial Dirac operator; g0diag, the +/-1 diagonal of gamma^0 (x) 1_N
+    (length 2N).
     Pi-tilde^2 lives on the spectra: on each spinor slot it is the
     channel's ScalarSpectrum.hamiltonian.
     """
@@ -232,9 +232,8 @@ class GridOperators:
         x = grid.x
         h = grid.h
         self.x, self.h = x, h
-        self.D1 = first_derivative(x.size, h)
         self.M = channel_potentials(profile, p_y, e, x)[0]
-        self.X = gamma_dot_pi_spatial(rep, self.D1, self.M)
+        self.X = gamma_dot_pi_spatial(rep, first_derivative(x.size, h), self.M)
         self.g0diag = _gamma0_diagonal(rep, x.size)
 
     def dirac_band(self, p0: float, m: float) -> np.ndarray:
@@ -266,21 +265,17 @@ class GridOperators:
         """Solves with gamma.Pi - m at p0: one banded LU with partial pivoting.
 
         The LU of ``dirac_band`` is computed here, once (LAPACK xGBTRF).  The
-        returned function maps (2N, c) right-hand sides in the block spinor
-        order to the solutions in the same order (xGBTRS in the interleaved
-        order).  An exactly zero pivot raises ConditioningError.
+        returned function solves (2N, c) right-hand sides in the interleaved
+        order q = 2i + s (xGBTRS), in place when they are a Fortran-ordered
+        float array.  An exactly zero pivot raises ConditioningError.
         """
         lu, piv, info = dgbtrf(self.dirac_band(p0, m), BAND, BAND, overwrite_ab=True)
         if info > 0:
             raise ConditioningError(
                 f"gamma.Pi - m is singular at p0 = {p0:.6g}: pivot {info} of its banded LU is 0"
             )
-        N = self.x.size
 
-        def solve(E: np.ndarray) -> np.ndarray:
-            rhs = np.empty(E.shape, order="F")
-            rhs[0::2], rhs[1::2] = E[:N], E[N:]
-            Z, _ = dgbtrs(lu, BAND, BAND, rhs, piv, overwrite_b=True)
-            return np.concatenate([Z[0::2], Z[1::2]])
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return dgbtrs(lu, BAND, BAND, rhs, piv, overwrite_b=True)[0]
 
         return solve

@@ -64,7 +64,7 @@ class Problem:
     """Physical and grid inputs; grid, spectra, ops, levels and fw are built lazily.
 
     Levels 0..n_max are resolved; ``levels`` carry the off-shell energy p0,
-    ``fw`` is built from their E and k at mass m.  Every input is
+    ``fw`` is built from their slot blocks and k at mass m.  Every input is
     required: the default run lives in the CLI's ``RunConfig`` alone.
     """
 

@@ -13,7 +13,8 @@ With the spinor components interleaved, gamma.Pi - m is a band matrix of
 half-width 5, factored once per p0 by banded Gaussian elimination with
 partial pivoting (the levels' ``ops.dirac_solver``, LAPACK xGBTRF/xGBTRS;
 Golub & Van Loan, Matrix Computations, section 4.3): O(N) time and memory
-per p0, and deterministic.
+per p0, and deterministic.  The right-hand sides are written from the
+level blocks straight into that order, and the overlaps read per slot.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError, PoleError
-from .ritus_basis import RitusLevels, dirac_overlap, free_slash
+from .ritus_basis import RitusLevels, free_slash
 
 __all__ = [
     "diagonal_propagator",
@@ -66,6 +67,24 @@ def _factor(levels: RitusLevels, p0: float, m: float):
     return levels.ops.dirac_solver(p0, m)
 
 
+def _overlaps(levels: RitusLevels, solve, n: slice) -> np.ndarray:
+    """The Dirac-adjoint overlaps gamma^0 E_i^T gamma^0 Z_j of levels i, j in n, Z = solve(E).
+
+    E is written in the solver's interleaved order, F[t][:, j] on the rows
+    t::2 of column 2j + t.  The two gamma^0 cancel on each slot, so row
+    2i + s of the (2l, 2l) result is h F[s][:, i]^T Z[s::2].
+    """
+    F = [f[:, n] for f in levels.F]
+    rhs = np.zeros((2 * F[0].shape[0], 2 * F[0].shape[1]), order="F")
+    for s, f in enumerate(F):
+        rhs[s::2, s::2] = f
+    Z = solve(rhs)
+    out = np.empty((rhs.shape[1], rhs.shape[1]))
+    for s, f in enumerate(F):
+        out[s::2] = levels.ops.h * (f.T @ Z[s::2])
+    return out
+
+
 def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     """Grid-inverted propagator between Ritus levels, as Dirac-adjoint overlaps.
 
@@ -74,12 +93,12 @@ def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     block norm.
     """
     solve = _factor(levels, p0, m)
-    E, L, ops = levels.E, len(levels), levels.ops
+    L = len(levels)
     # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
-    blocks = dirac_overlap(E, solve(E), ops).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
+    blocks = _overlaps(levels, solve, slice(None)).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
     diagonal = blocks[np.arange(L), np.arange(L)]
 
-    free = diagonal_propagator(p0, levels.p2, m, ops.rep)
+    free = diagonal_propagator(p0, levels.p2, m, levels.ops.rep)
     P = levels.projector.reshape(L, 2)[:, :, None] * np.eye(2)     # each level's Pi(n)
     norms = np.linalg.norm(blocks, axis=(2, 3))
     np.fill_diagonal(norms, 0.0)
@@ -107,17 +126,17 @@ def pole_sweep(
     """
     if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
-    k, Ep = float(levels.k[n_target]), levels.Ep(n_target)
+    k = float(levels.k[n_target])
     E_on = math.sqrt(k + m * m)
 
     rows = []
     for d in distances:
         p0 = E_on - d
-        Z = _factor(levels, p0, m)(Ep)
+        block = _overlaps(levels, _factor(levels, p0, m), slice(n_target, n_target + 1))
         rows.append({
             "p0": float(p0),
             "n": int(n_target),
-            "block_norm": float(np.linalg.norm(dirac_overlap(Ep, Z, levels.ops))),
+            "block_norm": float(np.linalg.norm(block)),
             "offshellness": abs(p0 * p0 - (k + m * m)),
         })
 

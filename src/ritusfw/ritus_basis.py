@@ -16,20 +16,22 @@ X E_p = E_p (sqrt(k) gamma^2): the entry of h E_p^T X E_p that couples the
 two slots gets the sign of gamma^2's entry there, so the intertwining holds
 with the non-negative branch of sqrt(k).
 
-The levels of one run are one record, ``RitusLevels``: the (2N, 2L) matrix
-E = [E_0 | E_1 | ...] and the labels k_n, with the run's p0 and the
-``GridOperators`` E was built with (its grid, p_y and gamma
-representation); level n is the column pair 2n, 2n + 1.  ``assemble_levels``
-writes E once.  Every check over the levels is one function of the record:
-the grid operator acts on E once, the free-form side is E times the
-block-diagonal matrix of the levels' 2x2 blocks (``times_blocks``), and the
-per-level residuals are the norms of the column pairs of the one result.
+Each column of E_p lives on one spinor slot, so ``RitusLevels`` holds the
+levels as two (N, L) blocks F[s], one per slot, with the labels k_n, the
+run's p0 and the ``GridOperators`` they were built with.  The zero-mode
+channel's block is a view of its eigenfunctions; the partner's is the one
+copy.  A channel Hamiltonian acts on its own slot's block, X (which only
+couples the two slots) maps one block onto the other slot, and the Gram
+matrix G = h E^T E is the per-slot products h F[s]^T F[s], built once.  A
+2L x 2L matrix over the levels keeps the column order of E = [E_0 | E_1 |
+...]: column 2n + s is level n's function on slot s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +44,9 @@ __all__ = [
     "RitusLevels",
     "assemble_levels",
     "free_slash",
-    "times_blocks",
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
-    "dirac_overlap",
-    "orthonormality_matrix",
     "completeness_residual",
 ]
 
@@ -56,20 +55,18 @@ PAIRING_TOL = 1e-6     # relative gap allowed between a level's partner eigenval
 
 @dataclass(frozen=True, eq=False)
 class RitusLevels:
-    """The levels 0..L-1 of one run: E, the labels k, the operators, the zero mode's place.
+    """The levels 0..L-1 of one run: their two slot blocks, the labels k, the operators.
 
-    E is the (2N, 2L) matrix [E_0 | E_1 | ...] in Fortran order, so that
-    level n's E_p, ``Ep(n)``, is the contiguous column pair 2n, 2n + 1; it
-    is read-only, since the operators built on E (the field FW operator)
-    read it again later.  Level n carries the label k[n] and
-    pbar = (p0, 0, p2[n]).  ops are the grid operators E was built with:
-    every check over the levels reads its grid, p_y and gamma representation
-    there.  The zero-mode channel's functions fill the columns
-    2n + zero_slot, its partner's the other column of each pair n >= 1;
-    level 0's column 1 - zero_slot is zero.
+    F = (F[0], F[1]), two read-only (N, L) blocks: column n of F[s] is level
+    n's function on spinor slot s.  F[zero_slot] is a view of the zero-mode
+    channel's eigenfunctions; the other block holds the partner channel's,
+    sign-aligned, after a zero column for level 0.  Level n carries the label
+    k[n] and pbar = (p0, 0, p2[n]).  ops are the grid operators the levels
+    were built with: every check over the levels reads its grid, p_y and
+    gamma representation there.
     """
 
-    E: np.ndarray
+    F: tuple
     k: np.ndarray
     p0: float
     ops: GridOperators
@@ -77,18 +74,14 @@ class RitusLevels:
     zero_slot: int
 
     def __post_init__(self):
-        if self.k.size == 0 or self.E.shape[1] != 2 * self.k.size:
+        if self.k.size == 0 or any(f.shape[1] != self.k.size for f in self.F):
             raise ArgumentError(
-                f"need two columns of E per level and at least one level, got "
-                f"{self.E.shape[1]} columns for {self.k.size} levels"
+                f"need one column per level in each slot block and at least one level, got "
+                f"{[f.shape[1] for f in self.F]} columns for {self.k.size} levels"
             )
 
     def __len__(self) -> int:
         return self.k.size
-
-    def Ep(self, n: int) -> np.ndarray:
-        """Level n's (2N, 2) E_p, a view of E."""
-        return self.E[:, 2 * n:2 * n + 2]
 
     @property
     def p2(self) -> np.ndarray:
@@ -102,19 +95,32 @@ class RitusLevels:
         Pi(n) is the 0/1 diagonal of E_p's populated columns: the identity
         for n >= 1, rank 1 on the zero mode's slot for n = 0.
         """
-        P = np.ones(self.E.shape[1])
+        P = np.ones(2 * len(self))
         P[1 - self.zero_slot] = 0.0
         return P
 
-    def norms(self, R: np.ndarray) -> np.ndarray:
-        """sqrt(h) ||R_n||_F of each column pair R_n of a (2N, 2L) R, e.g. a residual.
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = h E^T E (2L x 2L, read-only) from the per-slot products h F[s]^T F[s].
 
-        R is laid out as E, in Fortran order, so each pair is contiguous and
-        its norm sums it column by column.
+        Its entries coupling two slots, and the zero mode's empty row and
+        column, are exactly 0.  It is also the Dirac-adjoint Gram matrix
+        gamma^0 E^T gamma^0 E: the two diagonal gamma^0 cancel on each slot.
         """
-        sqh = math.sqrt(self.ops.h)
-        return np.array([sqh * float(np.linalg.norm(R[:, 2 * n:2 * n + 2]))
-                         for n in range(len(self))])
+        G = np.zeros((2 * len(self), 2 * len(self)))
+        for s, f in enumerate(self.F):
+            G[s::2, s::2] = self.ops.h * (f.T @ f)
+        G.flags.writeable = False
+        return G
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """h ||E_p||_F^2 of each level: the trace of its 2x2 diagonal block of the Gram matrix."""
+        return np.diag(self.gram).reshape(-1, 2).sum(axis=1)
+
+    def cross(self, s: int) -> np.ndarray:
+        """X F[t] on slot s, t = 1 - s: X has no same-slot blocks, so this is X E's slot s."""
+        return band_product(self.ops.X.blocks[s][1 - s], self.F[1 - s])
 
 
 def free_slash(p0: float, p2: np.ndarray, rep: GammaRep) -> np.ndarray:
@@ -123,18 +129,6 @@ def free_slash(p0: float, p2: np.ndarray, rep: GammaRep) -> np.ndarray:
     Real: gamma^0 and gamma^2 are, in both representations.
     """
     return p0 * rep.gamma[0].real - p2[:, None, None] * rep.gamma[2].real
-
-
-def times_blocks(E: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """E @ blockdiag(S_0, ..., S_{L-1}) for a (2N, 2L) E and (L, 2, 2) blocks S.
-
-    One batched product of each column pair with its block: O(N L), where
-    the dense block-diagonal product would be O(N L^2).
-    """
-    n_rows, L = E.shape[0], S.shape[0]
-    out = np.empty((L, 2, n_rows))      # the (n_rows, 2L) result in Fortran order
-    np.matmul(E.reshape(n_rows, L, 2).transpose(1, 0, 2), S, out=out.transpose(0, 2, 1))
-    return out.transpose(2, 0, 1).reshape(n_rows, 2 * L)
 
 
 def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:
@@ -149,7 +143,7 @@ def assemble_levels(
     p0: float,
     ops: GridOperators,
 ) -> RitusLevels:
-    """Build the levels 0..n_max from the two channel spectra, in one E.
+    """Build the levels 0..n_max from the two channel spectra, as two slot blocks.
 
     Level 0 takes the zero-mode channel's ground state alone; level n >= 1
     pairs the zero-mode channel's level n with the partner channel's level
@@ -169,7 +163,7 @@ def assemble_levels(
     if ops.grid != spec_plus.grid or ops.p_y != spec_plus.p_y or ops.e != spec_plus.e:
         raise ArgumentError("operators and spectra differ in grid, p_y or charge")
 
-    N, L = spec_plus.grid.n_points, n_max + 1
+    L = n_max + 1
     zc = _zero_channel(spec_plus, spec_minus)
     spec_zero = spec_plus if zc > 0 else spec_minus
     spec_other = spec_minus if zc > 0 else spec_plus
@@ -189,27 +183,35 @@ def assemble_levels(
         )
     k = np.concatenate([spec_zero.eigenvalues[:1], 0.5 * (k_zero + k_other)])
 
-    # the zero-mode channel's level n in column 2n + a, the partner's level
-    # n-1 in column 2n + b; level 0's column b stays zero
+    # the zero-mode channel's level n on slot a, the partner's level n-1 on
+    # slot b; level 0's column of slot b stays zero
     a = channel_slots(ops.rep)[zc]
     b = 1 - a
-    E = np.zeros((2 * N, 2 * L), order="F")
-    E[a * N:(a + 1) * N, a::2] = spec_zero.eigenfunctions[:, :L]
+    F = [None, None]
+    F[a] = spec_zero.eigenfunctions[:, :L]
+    F[b] = np.zeros_like(F[a])
     # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p,
     # v^T X_ba u with X's block (b, a), has the sign of gamma^2[b, a];
-    # flip v before placing it, so no -0.0
+    # flip v before placing it, so no -0.0.  Level 0's column of u rides
+    # along, so that the product never has no columns
     v = spec_other.eigenfunctions[:, :n_max]
-    # level 0's column rides along, so that the product never has no columns
-    Xu = band_product(ops.X.blocks[b][a], E[a * N:(a + 1) * N, a::2])[:, 1:]
+    Xu = band_product(ops.X.blocks[b][a], F[a])[:, 1:]
     flip = np.einsum("ij,ij->j", v, Xu) * ops.rep.gamma[2][b, a].real < 0
-    E[b * N:(b + 1) * N, b + 2::2] = np.where(flip, -v, v)
-    E.flags.writeable = False
-    return RitusLevels(E=E, k=k, p0=float(p0), ops=ops, zero_channel=zc, zero_slot=a)
+    F[b][:, 1:] = np.where(flip, -v, v)
+    for f in F:
+        f.flags.writeable = False
+    return RitusLevels(F=tuple(F), k=k, p0=float(p0), ops=ops, zero_channel=zc, zero_slot=a)
 
 
 # ----------------------------------------------------------------------
 # verification operations
 # ----------------------------------------------------------------------
+
+
+def _relative(levels: RitusLevels, residuals) -> np.ndarray:
+    """||R_n||_F / ||E_p||_F of each level n, R_n the n-th columns of the per-slot residuals."""
+    sq = sum(np.einsum("ij,ij->j", r, r) for r in residuals)
+    return np.sqrt(levels.ops.h * sq / levels.sq_norms)
 
 
 def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
@@ -219,70 +221,52 @@ def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
     drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
     channel Hamiltonian that channel_slots places there in the levels'
-    representation, once on E.
+    representation, so each channel's Hamiltonian acts on its own slot's block.
     """
-    E, N = levels.E, levels.ops.grid.n_points
     slots = channel_slots(levels.ops.rep)
-    residual = np.zeros_like(E)     # Fortran order, as E
-    for spec in (spec_plus, spec_minus):
-        rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-        band_product(spec.hamiltonian, E[rows], out=residual[rows])  # Pi-tilde^2 E
-    np.subtract(levels.p0**2 * E, residual, out=residual)
     # pbar^2 = p0^2 - p2^2, p2 squared by libm's pow as a float's ** is (p2 * p2 can
     # differ in its last bit, and the residual is a cancellation down to 1e-10)
-    residual -= np.repeat(levels.p0**2 - np.float_power(levels.p2, 2), 2) * E
-    return levels.norms(residual) / levels.norms(E)
+    pbar2 = levels.p0**2 - np.float_power(levels.p2, 2)
+    residuals = []
+    for spec in (spec_plus, spec_minus):
+        f = levels.F[slots[spec.sigma]]
+        residuals.append((levels.p0**2 * f - band_product(spec.hamiltonian, f)) - pbar2 * f)
+    return _relative(levels, residuals)
 
 
 def verify_gpEp(levels: RitusLevels) -> np.ndarray:
     """Intertwining residual || (gamma.Pi) E_p - E_p gamma^mu pbar_mu ||_F / ||E_p||_F, per level.
 
-    The free side is one batched product with the levels' ``free_slash`` blocks.
+    gamma.Pi = p0 gamma^0 - X and gamma^mu pbar_mu = p0 gamma^0 - p2 gamma^2.
+    gamma^0 is diagonal, so its terms cancel exactly on each slot, and
+    gamma^2 couples the two slots as X does: the residual on slot s is
+    X F[t] - p2 gamma^2[s, t] F[s], t = 1 - s.
     """
-    E, ops = levels.E, levels.ops
-    XE = ops.X @ E
-    residual = ops.g0diag[:, None] * E              # Fortran order, as E
-    residual *= levels.p0
-    residual -= XE                                  # (gamma.Pi) E
-    del XE                                          # one grid-sized temporary at a time
-    residual -= times_blocks(E, free_slash(levels.p0, levels.p2, ops.rep))
-    return levels.norms(residual) / levels.norms(E)
+    g2 = levels.ops.rep.gamma[2].real
+    return _relative(levels, [levels.cross(s) - (levels.p2 * g2[s, 1 - s]) * levels.F[s]
+                              for s in (0, 1)])
 
 
 def zero_mode_annihilation(levels: RitusLevels) -> float:
-    """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone."""
-    sqh, E0 = math.sqrt(levels.ops.h), levels.Ep(0)
-    return ((sqh * float(np.linalg.norm(levels.ops.X @ E0)))
-            / (sqh * float(np.linalg.norm(E0))))
+    """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone.
 
-
-def dirac_overlap(E: np.ndarray, Z: np.ndarray, operators: GridOperators) -> np.ndarray:
-    """The Dirac-adjoint overlaps gamma^0 E_i^dag gamma^0 Z (quadrature weight h).
-
-    E stacks the (2N, 2) matrices E_i of L levels side by side, Z has 2N
-    rows.  All overlaps come from the one product h E^dag (g0diag * Z);
-    gamma^0 then acts on each pair of rows.  Rows 2i, 2i+1 of the (2L, c)
-    result belong to E_i, one column per column of Z.
+    E_0 lives on the zero slot a alone, so X E_0 is X's block (b, a) on it.
     """
-    g0, g0diag, h = operators.rep.gamma[0], operators.g0diag, operators.h
-    G = h * (E.conj().T @ (g0diag[:, None] * Z))
-    return (g0 @ G.reshape(-1, 2, G.shape[1])).reshape(G.shape)
-
-
-def orthonormality_matrix(levels: RitusLevels) -> np.ndarray:
-    """Gram matrix of Dirac-adjoint overlaps, blocks gamma^0 E_i^dag gamma^0 E_j.
-
-    Diagonal blocks equal the spin projector Pi(n_i); everything else
-    vanishes to quadrature accuracy.  Shape (2L, 2L), complex.
-    """
-    return dirac_overlap(levels.E, levels.E, levels.ops)
+    a = levels.zero_slot
+    sqh, u = math.sqrt(levels.ops.h), levels.F[a][:, 0]
+    return ((sqh * float(np.linalg.norm(band_product(levels.ops.X.blocks[1 - a][a], u))))
+            / (sqh * float(np.linalg.norm(u))))
 
 
 def completeness_residual(levels: RitusLevels, test: np.ndarray) -> float:
-    """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||."""
+    """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||, test in the block order.
+
+    The two gamma^0 of Ebar_p cancel, so each slot of test is projected on its block.
+    """
     test = np.asarray(test)
     nrm = float(np.linalg.norm(test))
     if nrm == 0.0:
         raise ArgumentError("test function is identically zero")
-    E = levels.E
-    return float(np.linalg.norm(test - E @ dirac_overlap(E, test[:, None], levels.ops)[:, 0])) / nrm
+    rest = [t - f @ (levels.ops.h * (f.T @ t))
+            for f, t in zip(levels.F, np.split(test, 2))]
+    return float(np.linalg.norm(np.concatenate(rest))) / nrm

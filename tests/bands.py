@@ -1,8 +1,10 @@
-"""Dense references for the package's band operators, built from the storage itself.
+"""Dense references for the package's band operators and levels, built from the storage itself.
 
 A band keeps the entry (i, j) at ab[u + i - j, j], with 2u + 1 rows.  These
 helpers read each entry off that definition, independently of
-``operators.band_product``.
+``operators.band_product``.  The levels are held as two (N, L) slot blocks
+F[s]; ``dense_E`` lays them out as the (2N, 2L) matrix E = [E_0 | E_1 | ...]
+that the dense references read.
 """
 
 import numpy as np
@@ -24,3 +26,22 @@ def dense_spinor(X):
     N = next(b for row in X.blocks for b in row if b is not None).shape[1]
     return np.block([[np.zeros((N, N)) if b is None else dense(b) for b in row]
                      for row in X.blocks])
+
+
+def dense_E(levels, n=slice(None)):
+    """The levels n's E_p side by side, (2N, 2l) in Fortran order.
+
+    Column 2i + s is level i's function on spinor slot s: F[s][:, i] in the
+    rows of slot s, zero in the other slot's.
+    """
+    F = [f[:, n] for f in levels.F]
+    N, L = F[0].shape
+    E = np.zeros((2 * N, 2 * L), order="F")
+    for s, f in enumerate(F):
+        E[s * N:(s + 1) * N, s::2] = f
+    return E
+
+
+def Ep(levels, n):
+    """Level n's (2N, 2) E_p."""
+    return dense_E(levels, slice(n, n + 1))

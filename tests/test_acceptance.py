@@ -21,7 +21,7 @@ import pytest
 
 from child_env import child_env
 from ritusfw.clifford import anticommutator, check_product_identity, make_rep
-from ritusfw.field_profiles import uniform_profile
+from ritusfw.field_profiles import exponential_profile, uniform_profile
 from ritusfw.foldy_wouthuysen import (
     bd_iteration,
     fw_series_hamiltonian,
@@ -230,16 +230,31 @@ def test_criterion_10_determinism(tmp_path):
     assert ok
 
 
-@pytest.mark.parametrize("n_points", [4096, 16384])
-def test_criteria_05_07_at_large_n(n_points):
+def fine_grid_problem(alpha, p_y):
+    """The exponential (Morse-type) field B = 1 on the 1536-point grid, as `rfw all` runs it."""
+    return Problem(exponential_profile(1.0, alpha), make_rep("first"), p_y=p_y, e=1.0, m=MASS,
+                   p0=P0, n_max=N_MAX, grid_config=GridConfig(n_points=1536), tol_eig=1e-6)
+
+
+LARGE_N = {
+    "4096": lambda: production_problem(4096),
+    "16384": lambda: production_problem(16384),
+    "fine_grid": lambda: fine_grid_problem(0.1, 0.0),
+    "fine_grid_mirrored": lambda: fine_grid_problem(-0.1, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_N))
+def test_criteria_05_07_at_large_n(case):
     # the zero mode sits at rounding level here; clamped to 0, it keeps the
-    # level-0 residuals at rounding level too
-    b = production_problem(n_points)
+    # level-0 residuals at rounding level too.  The fine_grid cases run the
+    # same criteria on the Morse-type field, at their thresholds
+    b = LARGE_N[case]()
     res, zero = intertwining(b)
     assert res < 1e-5 and zero < 1e-8
     res, gap = main_claim(b)
     assert max(res) < 1e-6 and gap < 1e-8
-    if n_points == 16384:
+    if case == "16384":
         assert res[0] < 1e-9
 
 

@@ -1,10 +1,12 @@
 """The banded, low-rank and Lanczos paths against dense references.
 
-The library never forms a dense N x N or 2N x 2N matrix; the dense forms of
-U, G0 X, gamma.Pi - m and the channel Hamiltonians live here only, as
+The library never forms a dense N x N or 2N x 2N matrix, nor the levels'
+(2N, 2L) E; the dense forms of U, E, G0 X, gamma.Pi - m and the channel
+Hamiltonians live here (and in tests/bands.py) only, as
 references: for the FW and propagator paths on the N=640 bundle, for the
 level commutators [U, P_n] at n_max = 8 and 32 on the smallest grids that
-build those levels, for the shift-invert Lanczos channel solve (against
+build those levels, for the grid Dirac operator's doubler ladder at N=256
+and N=512, for the shift-invert Lanczos channel solve (against
 numpy.linalg.eigh) at N=256 and N=384 over the profile kinds, the sign of
 eB and p_y, and on derandomized draws up to N=2048 and n_max=16 against
 both numpy.linalg.eigh and ARPACK (scipy's eigsh, the solver the package
@@ -35,21 +37,20 @@ from ritusfw.field_profiles import (channel_potentials, exponential_profile,
 from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
                                       restricted_hamiltonian, unitarity_residual,
                                       verify_main_claim)
-from ritusfw.operators import BAND, band_product, channel_hamiltonian
+from ritusfw.operators import BAND, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
-from ritusfw.ritus_basis import dirac_overlap, orthonormality_matrix
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING,
                                    GridConfig, build_grid, solve_channel)
 
-from bands import dense, dense_spinor
+from bands import Ep, dense, dense_E, dense_spinor
 
 P0 = 0.3
 MASS = 1.0
 
 
 def dense_U(fw):
-    E, W, h = fw.levels.E, fw.W, fw.levels.ops.h
+    E, W, h = dense_E(fw.levels), fw.W, fw.levels.ops.h
     return np.eye(E.shape[0]) + h * (E @ (W - np.eye(W.shape[0])) @ E.T)
 
 
@@ -70,9 +71,9 @@ def level_commutators(fw):
     """
     U, h = dense_U(fw), fw.levels.ops.h
     for n in range(len(fw.levels)):
-        Ep = fw.levels.Ep(n)
-        rows = np.hstack([Ep, U.T @ Ep])
-        C = np.hstack([U @ Ep, -Ep]) @ rows.T
+        E_p = Ep(fw.levels, n)
+        rows = np.hstack([E_p, U.T @ E_p])
+        C = np.hstack([U @ E_p, -E_p]) @ rows.T
         C *= h
         yield C, rows
 
@@ -93,7 +94,7 @@ def test_fw_operator_matches_dense_low_rank_form(uni, rng):
     # vectors, and U E = E (1 + D G), the form the main claim reads
     U, fw = dense_U(uni.fw), uni.fw
     D, G, _ = fw.factors
-    E, h = fw.levels.E, fw.levels.ops.h
+    E, h = dense_E(fw.levels), fw.levels.ops.h
     V = rng.standard_normal((U.shape[0], 3))
     for vec in (V, V[:, 0]):
         assert np.abs(vec + E @ (D @ (h * (E.T @ vec))) - U @ vec).max() < 1e-13
@@ -109,8 +110,8 @@ def test_main_claim_from_factors_matches_dense_grid_residual(variant):
     fw, levels = prob.fw, prob.levels
     U = dense_U(fw)
     ref = np.array([
-        np.linalg.norm(U @ levels.Ep(n) - levels.Ep(n) @ free_fw(k, MASS, levels.ops.rep).real)
-        / np.linalg.norm(levels.Ep(n))
+        np.linalg.norm(U @ Ep(levels, n) - Ep(levels, n) @ free_fw(k, MASS, levels.ops.rep).real)
+        / np.linalg.norm(Ep(levels, n))
         for n, k in enumerate(levels.k.tolist())])
     res = verify_main_claim(fw)
     assert res.shape == ref.shape == (9,)
@@ -121,7 +122,7 @@ def test_main_claim_from_factors_matches_dense_grid_residual(variant):
 def test_restricted_hamiltonian_matches_dense(uni):
     fw, ops = uni.fw, uni.ops
     # the populated columns of E: all but the zero mode's empty one
-    B = math.sqrt(uni.grid.h) * uni.levels.E[:, uni.levels.projector > 0]
+    B = math.sqrt(uni.grid.h) * dense_E(uni.levels)[:, uni.levels.projector > 0]
     for m in (MASS, 4.0):
         H_r, grading = restricted_hamiltonian(fw, m)
         ref = B.T @ ((dense_G0(ops) @ dense_spinor(ops.X)) @ B) + m * np.diag(grading)
@@ -147,7 +148,7 @@ def test_project_propagator_matches_dense_lu(uni):
     # test_banded_solve_matches_dense_lu does: in the block order, partial
     # pivoting grows U by ~4e4 and leaves a residual ~2e-9 at the walls
     K = dense_K(ops, P0, MASS)
-    E = np.hstack([levels.Ep(n) for n in range(len(levels))])
+    E = dense_E(levels)
     order = interleaved_order(ops.x.size)
     Z = np.empty_like(E)
     Z[order] = lu_solve(lu_factor(K[np.ix_(order, order)]), E[order])
@@ -155,7 +156,7 @@ def test_project_propagator_matches_dense_lu(uni):
     h = uni.grid.h
     for i in range(len(levels)):
         for j in range(len(levels)):
-            ref = g0 @ (h * (levels.Ep(i).T @ (ops.g0diag[:, None] * Z[:, 2 * j:2 * j + 2])))
+            ref = g0 @ (h * (Ep(levels, i).T @ (ops.g0diag[:, None] * Z[:, 2 * j:2 * j + 2])))
             assert np.abs(res["blocks"][i, j] - ref).max() < 1e-12
 
 
@@ -172,17 +173,17 @@ def test_banded_solve_matches_dense_lu(uni, uni_second, expo, which, near_pole):
     ops, levels = prob.ops, prob.levels
     # the pole sweep's closest p0 to the on-shell energy of level 1
     p0 = math.sqrt(levels.k[1] + MASS**2) - 0.0125 if near_pole else P0
-    E = np.hstack([levels.Ep(n) for n in range(len(levels))])
-    Z = ops.dirac_solver(p0, MASS)(E)
-    K = dense_K(ops, p0, MASS)
+    # the solver takes and returns the interleaved order q = 2i + s
+    order = interleaved_order(ops.x.size)
+    E = np.asfortranarray(dense_E(levels)[order])
+    Z = ops.dirac_solver(p0, MASS)(E.copy(order="F"))
+    K = dense_K(ops, p0, MASS)[np.ix_(order, order)]
     # backward stable: the residual is rounding relative to |K| |Z|
     assert np.abs(K @ Z - E).max() < 1e-14 * np.abs(K).sum(axis=1).max() * np.abs(Z).max()
     # the dense reference factors the same matrix in the interleaved order:
     # in the block order, partial pivoting grows the entries of U by ~4e4 on
     # the N=640 uniform bundle and leaves a residual ~2e-9
-    order = interleaved_order(ops.x.size)
-    ref = np.empty_like(Z)
-    ref[order] = lu_solve(lu_factor(K[np.ix_(order, order)]), E[order])
+    ref = lu_solve(lu_factor(K), E)
     assert np.abs(Z - ref).max() < 1e-12 * np.abs(ref).max()
 
 
@@ -195,13 +196,14 @@ def test_interleaved_gamma_dot_pi_has_half_bandwidth_five(uni, uni_second, varia
     assert np.abs(q - r).max() == BAND
 
 
-def test_orthonormality_matrix_matches_blockwise_overlaps(uni):
-    levels = uni.levels
-    gram = orthonormality_matrix(levels)
-    for i in range(len(levels)):
-        for j in range(len(levels)):
-            block = dirac_overlap(levels.Ep(i), levels.Ep(j), uni.ops)
-            assert np.abs(gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] - block).max() < 1e-14
+def test_orthonormality_matrix_matches_blockwise_overlaps(uni, uni_second):
+    # the levels' Gram matrix is the Dirac-adjoint one, gamma^0 E_i^dag gamma^0 E_j
+    for prob in (uni, uni_second):
+        levels, g0, h = prob.levels, prob.rep.gamma[0], prob.grid.h
+        for i in range(len(levels)):
+            for j in range(len(levels)):
+                block = g0 @ (h * (Ep(levels, i).T @ (prob.ops.g0diag[:, None] * Ep(levels, j))))
+                assert np.abs(levels.gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] - block).max() < 1e-14
 
 
 def cap_threads(monkeypatch):
@@ -283,6 +285,41 @@ def test_projector_commutation_matches_dense_spectral_norm(n_max, variant):
     ref = dense_commutation_norm(bad)
     assert ref > 1e-7
     assert abs(projector_commutation_residual(bad) - ref) < 1e-14
+
+
+# ----------------------------------------------------------------------
+# the grid Dirac operator's doubler ladder
+# ----------------------------------------------------------------------
+
+DOUBLER_RUNGS = 7   # the rungs n = 1..7 of the ladder, below 25 |eB|
+
+
+@pytest.mark.parametrize("N, n_max", [(256, 2), (512, 4)])
+def test_doubler_ladder_and_its_overlap_with_the_levels(N, n_max):
+    # D1's symbol (8 sin t - sin 2t) / 6h vanishes at t = pi, so the grid's
+    # -X^2 = X^T X carries, beside the Landau levels 2n|eB|, a ladder
+    # (10/3) n |eB| of grid-alternating eigenvectors, in pairs (one per slot).
+    # The channel Hamiltonians' D2 stencil is 16/(3h^2) at t = pi: a doubler's
+    # Rayleigh quotient under them is far above its eigenvalue, and the levels,
+    # built from them, hold no doubler beyond rounding.  Here |eB| = 1
+    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
+                   n_max=n_max, grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+    X = dense_spinor(prob.ops.X)
+    lam, V = np.linalg.eigh(X.T @ X)
+    H = np.zeros_like(X)
+    for spec in (prob.spec_plus, prob.spec_minus):
+        s = channel_slots(prob.rep)[spec.sigma]
+        H[s * N:(s + 1) * N, s * N:(s + 1) * N] = dense(spec.hamiltonian)
+    doubler = np.einsum("ij,ij->j", V, H @ V) > 10 * (lam + 1)
+    # the zero doubler is degenerate with the physical zero mode, and eigh mixes the two
+    doubler &= lam > 1.0
+    ladder = lam[doubler]
+    for n in (1, 2, 3):
+        assert np.all(np.abs(ladder[2 * n - 2:2 * n] / (10 / 3 * n) - 1) < 5e-3), ladder[:6]
+    low = doubler & (lam < 10 / 3 * (DOUBLER_RUNGS + 0.5))
+    assert low.sum() == 2 * DOUBLER_RUNGS
+    overlap = math.sqrt(prob.grid.h) * np.abs(dense_E(prob.levels).T @ V[:, low])
+    assert overlap.max() <= 1e-8
 
 
 def test_no_dense_grid_matrix_allocated(uni):

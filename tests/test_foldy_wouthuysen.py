@@ -18,6 +18,8 @@ from ritusfw.foldy_wouthuysen import (bd_iteration, field_fw_from_levels, free_f
                                       unitarity_residual, verify_main_claim)
 from ritusfw.operators import channel_slots
 
+from bands import dense_E
+
 MASS = 1.0
 
 
@@ -84,7 +86,7 @@ def test_field_fw_identity_on_zero_mode(uni):
     # through the dense U = 1 + h E (W - 1) E^T, and through the factors'
     # U E = E (1 + D G), which the main claim reads
     fw = uni.fw
-    E, h = fw.levels.E, fw.levels.ops.h
+    E, h = dense_E(fw.levels), fw.levels.ops.h
     D, G, _ = fw.factors
     U = np.eye(E.shape[0]) + h * (E @ (fw.W - np.eye(fw.W.shape[0])) @ E.T)
     z = fw.levels.zero_slot                         # E_0's populated column
@@ -95,8 +97,8 @@ def test_field_fw_identity_on_zero_mode(uni):
 def test_field_fw_requires_levels(uni):
     levels = uni.levels
     with pytest.raises(ArgumentError):
-        field_fw_from_levels(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
-                             MASS)
+        field_fw_from_levels(dataclasses.replace(levels, F=tuple(f[:, :0] for f in levels.F),
+                                                 k=levels.k[:0]), MASS)
 
 
 def test_field_fw_rejects_negative_k(uni):
@@ -172,9 +174,10 @@ def test_main_claim_agrees_across_reps(uni, uni_second):
 def test_column_sign_convention_is_load_bearing(uni):
     # flipping one ladder-aligned column must break the factorization
     levels = uni.fw.levels
-    flipped = np.array(levels.E, order="F")
-    flipped[:, 2 * 2 + 1] *= -1.0       # level 2's second column
-    res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, E=flipped), MASS))
+    flipped = [np.array(f) for f in levels.F]
+    flipped[1][:, 2] *= -1.0            # level 2's column on slot 1
+    res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, F=tuple(flipped)),
+                                                 MASS))
     assert res[2] > 0.1
     assert np.delete(res, 2).max() < 5e-6
 

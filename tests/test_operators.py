@@ -16,7 +16,7 @@ from ritusfw.operators import (BAND, band_product, channel_hamiltonian, channel_
 from ritusfw.problem import Problem
 from ritusfw.spectral_grid import GridConfig
 
-from bands import dense, dense_spinor
+from bands import dense, dense_E, dense_spinor
 
 
 def test_first_derivative_exactly_antisymmetric():
@@ -111,14 +111,15 @@ def test_grid_operators_bundle_consistency(uni, uni_second):
     N = uni.grid.n_points
     # the off-diagonal blocks of X are the ladder A = D1 + diag(M) and -A^T:
     # [[0, A], [-A^T, 0]] in the first representation, [[0, -A^T], [A, 0]] in the second
-    A = dense(uni.ops.D1) + np.diag(uni.ops.M)
+    D1 = first_derivative(N, uni.grid.h)
+    A = dense(D1) + np.diag(uni.ops.M)
     for ops, upper, lower in ((uni.ops, A, -A.T), (uni_second.ops, -A.T, A)):
         X = dense_spinor(ops.X)
         assert not X[:N, :N].any() and not X[N:, N:].any()
         assert np.array_equal(X[:N, N:], upper) and np.array_equal(X[N:, :N], lower)
     ops = uni.ops
     assert dense_spinor(ops.X).shape == (2 * N, 2 * N)
-    rebuilt = gamma_dot_pi_spatial(uni.rep, ops.D1, ops.M)
+    rebuilt = gamma_dot_pi_spatial(uni.rep, D1, ops.M)
     assert np.array_equal(dense_spinor(ops.X), dense_spinor(rebuilt))
 
 
@@ -166,19 +167,21 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
     prob = Problem(profile, make_rep(variant), p_y=p_y, e=1.0, m=1.0, p0=0.3, n_max=4,
                    grid_config=GridConfig(n_points=512), tol_eig=1e-6)
     ops, N, h = prob.ops, prob.grid.n_points, prob.grid.h
-    E = prob.levels.E  # Fortran order, as every check applies its operator to it
+    E = dense_E(prob.levels)  # Fortran order
     rng = np.random.default_rng(7)
-    # E, its C-ordered copy, a column and a C-ordered block: each product
-    # comes back in its input's memory order, with the same bits
-    vectors = (E, np.ascontiguousarray(E), E[:, 3], rng.standard_normal((2 * N, 5)))
-    D1 = csr_first_derivative(N, h)
+    # E, its C-ordered copy, a column, a C-ordered block and the levels' two
+    # slot blocks stacked (C order, as the checks apply operators to them):
+    # each product comes back in its input's memory order, with the same bits
+    vectors = (E, np.ascontiguousarray(E), E[:, 3], rng.standard_normal((2 * N, 5)),
+               np.concatenate(prob.levels.F))
+    D1, D1_csr = first_derivative(N, h), csr_first_derivative(N, h)
     for v in vectors:
-        assert same_bits_and_order(band_product(ops.D1, v[:N]), D1 @ v[:N], v)
+        assert same_bits_and_order(band_product(D1, v[:N]), D1_csr @ v[:N], v)
     # the run's M, and the same M with an exact zero, which CSR stores as an entry
     M0 = ops.M.copy()
     M0[N // 3] = 0.0
-    for M, X in ((ops.M, ops.X), (M0, gamma_dot_pi_spatial(prob.rep, ops.D1, M0))):
-        ref = csr_x(prob.rep, D1, M)
+    for M, X in ((ops.M, ops.X), (M0, gamma_dot_pi_spatial(prob.rep, D1, M0))):
+        ref = csr_x(prob.rep, D1_csr, M)
         for v in vectors:
             assert same_bits_and_order(X @ v, ref @ v, v)
     for spec, V in zip((prob.spec_plus, prob.spec_minus),
@@ -197,16 +200,17 @@ def same_bits_and_order(result, ref, v):
 
 
 def test_band_product_on_the_levels_makes_no_copy():
-    # X @ E at n_max = 64 on N = 16384: the result is the one grid-sized array
+    # X on a slot block at n_max = 64 on N = 16384: the result is the one
+    # grid-sized array
     prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
                    n_max=64, grid_config=GridConfig(n_points=16384), tol_eig=1e-6)
-    E = prob.levels.E
+    levels = prob.levels
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        XE = prob.ops.X @ E
+        XF = levels.cross(1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert XE.flags.f_contiguous
-    assert peak < 1.25 * E.nbytes, (peak, E.nbytes)
+    assert XF.flags.c_contiguous and XF.shape == levels.F[0].shape
+    assert peak < 1.25 * XF.nbytes, (peak, XF.nbytes)

@@ -103,8 +103,8 @@ def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
 def test_project_propagator_validation(uni):
     levels = uni.levels
     with pytest.raises(ArgumentError):
-        project_propagator(dataclasses.replace(levels, E=levels.E[:, :0], k=levels.k[:0]),
-                           P0, MASS)
+        project_propagator(dataclasses.replace(levels, F=tuple(f[:, :0] for f in levels.F),
+                                               k=levels.k[:0]), P0, MASS)
 
 
 def test_pole_sweep_exponent(uni):

@@ -17,12 +17,14 @@ from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponen
 from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
                                       restricted_hamiltonian, unitarity_residual,
                                       verify_main_claim)
-from ritusfw.operators import GridOperators, band_product, channel_hamiltonian, channel_slots
+from ritusfw.operators import (GridOperators, band_product, channel_hamiltonian, channel_slots,
+                               first_derivative)
 from ritusfw.problem import Problem
-from ritusfw.ritus_basis import (assemble_levels, completeness_residual,
-                                 orthonormality_matrix, verify_eigen_relation,
+from ritusfw.ritus_basis import (assemble_levels, completeness_residual, verify_eigen_relation,
                                  verify_gpEp, zero_mode_annihilation)
 from ritusfw.spectral_grid import GridConfig
+
+from bands import Ep, dense_E
 
 
 def test_zero_level_structure(uni):
@@ -30,7 +32,7 @@ def test_zero_level_structure(uni):
     assert levels.zero_channel == +1 and levels.zero_slot == 0
     assert np.array_equal(levels.projector[:2], [1.0, 0.0])
     # single populated column on slot 0, nothing anywhere else
-    N, E0 = uni.grid.n_points, levels.Ep(0)
+    N, E0 = uni.grid.n_points, Ep(levels, 0)
     assert np.all(E0[N:, :] == 0.0)
     assert np.all(E0[:, 1] == 0.0)
     assert levels.k[0] == 0.0
@@ -49,12 +51,12 @@ def test_higher_levels_pair_channels(uni):
 def test_level_columns_quadrature_orthonormal(uni):
     h = uni.grid.h
     for n in range(1, len(uni.levels)):
-        Ep = uni.levels.Ep(n)
-        assert_allclose(h * (Ep.T @ Ep), np.eye(2), atol=1e-10)
+        E_p = Ep(uni.levels, n)
+        assert_allclose(h * (E_p.T @ E_p), np.eye(2), atol=1e-10)
 
 
 def test_levels_carry_their_operators(uni, uni_second):
-    # every check over the levels reads the operators E was built with
+    # every check over the levels reads the operators they were built with
     assert uni.levels.ops is uni.ops
     assert uni_second.rep.variant == "second"
     assert uni_second.levels.ops is uni_second.ops
@@ -83,7 +85,7 @@ def test_truncation_when_level_not_stored(uni):
 
 
 def test_orthonormality_blocks_are_projectors(uni):
-    G = orthonormality_matrix(uni.levels)
+    G = uni.levels.gram
     assert np.abs(G - np.diag(uni.levels.projector)).max() < 1e-9
 
 
@@ -124,10 +126,10 @@ def test_wrong_pbar_is_detected(uni):
 
 def test_projector_is_populated_columns(uni, uni_second):
     for levels in (uni.levels, uni_second.levels):
-        P = levels.projector
-        populated = [float(np.any(levels.E[:, c] != 0.0)) for c in range(levels.E.shape[1])]
+        P, E = levels.projector, dense_E(levels)
+        populated = [float(np.any(E[:, c] != 0.0)) for c in range(E.shape[1])]
         assert np.array_equal(P, populated)
-        assert np.array_equal(levels.E * P, levels.E)
+        assert np.array_equal(E * P, E)
         assert P[1 - levels.zero_slot] == 0.0
     # the second representation hosts the zero mode on the other slot
     assert np.array_equal(uni_second.levels.projector[:2], [0.0, 1.0])
@@ -151,14 +153,14 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     ops, h = prob.ops, prob.grid.h
     # the ladder A = D1 + diag(M) maps the zero channel's level n onto the
     # partner's level n - 1 as A^T (zero channel sigma = +1) or A (sigma = -1)
-    A = ops.D1.copy()
+    A = first_derivative(N, h)
     A[2] = ops.M  # D1's band has an empty diagonal
     slots, levels = channel_slots(prob.rep), prob.levels
     zc = levels.zero_channel
     a, b = slots[zc], slots[-zc]
     assert levels.zero_slot == a
     for n in range(1, len(levels)):
-        u, v = levels.Ep(n)[a * N:(a + 1) * N, a], levels.Ep(n)[b * N:(b + 1) * N, b]
+        u, v = levels.F[a][:, n], levels.F[b][:, n]
         # v A^T u is u A v
         overlap = u @ band_product(A, v) if zc > 0 else v @ band_product(A, u)
         assert h * float(overlap) > 0
@@ -170,14 +172,13 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         blocks[slots[sigma]] = channel_hamiltonian(V, h)
     residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
-        Ep, p0, p2 = levels.Ep(n), levels.p0, math.sqrt(max(k, 0.0))
-        pi_tilde2_Ep = np.zeros_like(Ep)            # Fortran order, as E
+        E_p, p0, p2 = Ep(levels, n), levels.p0, math.sqrt(max(k, 0.0))
+        pi_tilde2_Ep = np.zeros_like(E_p)
         for s, H in enumerate(blocks):
-            band_product(H, Ep[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N])
-        diff = (p0**2 * Ep - pi_tilde2_Ep) - (p0**2 - p2**2) * Ep
-        ref = ((np.sqrt(h) * float(np.linalg.norm(diff)))
-               / (np.sqrt(h) * float(np.linalg.norm(Ep))))
-        assert res == ref and res < 1e-5
+            band_product(H, E_p[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N])
+        diff = (p0**2 * E_p - pi_tilde2_Ep) - (p0**2 - p2**2) * E_p
+        ref = np.linalg.norm(diff) / np.linalg.norm(E_p)
+        assert abs(res - ref) <= 1e-14 * ref and res < 1e-5
 
     try:
         fw = prob.fw
@@ -185,12 +186,15 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         # the documented refusal: the solver kept a negative zero mode
         assert levels.k[0] < 0
         return
-    E, populated = levels.E, np.flatnonzero(levels.projector)
+    E, populated = dense_E(levels), np.flatnonzero(levels.projector)
     grading = np.where(populated % 2, -1.0, 1.0)
     for m in (1.0, 4.0):
         H_r = h * (E.T @ (ops.g0diag[:, None] * (ops.X @ E)))[np.ix_(populated, populated)]
         H_r += m * np.diag(grading)
-        assert np.array_equal(restricted_hamiltonian(fw, m)[0], 0.5 * (H_r + H_r.T))
+        # K comes from the per-slot products, the reference from the dense E:
+        # the two sum in different orders
+        H_r = 0.5 * (H_r + H_r.T)
+        assert np.abs(restricted_hamiltonian(fw, m)[0] - H_r).max() <= 1e-14 * np.abs(H_r).max()
     main = verify_main_claim(fw)
     assert main.max() < 1e-5
 
@@ -210,11 +214,13 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
                         rtol=1e-12)
     UE = apply_U(E)
     for n, k in enumerate(levels.k.tolist()):
-        Ep = levels.Ep(n)
+        E_p = E[:, 2 * n:2 * n + 2]
         U_free = free_fw(k, 1.0, fw.levels.ops.rep).real
-        ref = np.linalg.norm(UE[:, 2 * n:2 * n + 2] - Ep @ U_free) / np.linalg.norm(Ep)
+        ref = np.linalg.norm(UE[:, 2 * n:2 * n + 2] - E_p @ U_free) / np.linalg.norm(E_p)
         assert abs(main[n] - ref) <= 1e-14 + 1e-6 * ref
-    G = h * (E.T @ E)
+    # the levels' Gram matrix is the dense h E^T E, up to the order of its sums
+    assert np.abs(levels.gram - h * (E.T @ E)).max() < 1e-14
+    G = np.array(levels.gram)
     G[1 - levels.zero_slot, 1 - levels.zero_slot] = 1.0     # the empty column's 0
     R = np.linalg.cholesky(G).T
     unit = float(np.linalg.norm(R @ (D + D.T + D.T @ G @ D) @ R.T, 2))
@@ -240,7 +246,8 @@ def test_completeness_improves_with_levels(uni):
     test_vec /= np.sqrt(uni.grid.h) * np.linalg.norm(test_vec)
     levels = uni.levels
     residuals = [completeness_residual(
-                     dataclasses.replace(levels, E=levels.E[:, :2 * j], k=levels.k[:j]),
+                     dataclasses.replace(levels, F=tuple(f[:, :j] for f in levels.F),
+                                         k=levels.k[:j]),
                      test_vec)
                  for j in (1, 3, len(levels))]
     assert residuals[0] > residuals[1] > residuals[2]
@@ -250,11 +257,11 @@ def test_completeness_improves_with_levels(uni):
 def test_completeness_validation(uni):
     with pytest.raises(ArgumentError):
         completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points))
-    # no level at all, or E and k of different lengths, is no record of levels
+    # no level at all, or blocks and k of different lengths, is no record of levels
     levels = uni.levels
-    for E, k in ((levels.E[:, :0], levels.k[:0]), (levels.E[:, :4], levels.k[:3])):
-        with pytest.raises(ArgumentError, match="two columns of E per level"):
-            dataclasses.replace(levels, E=E, k=k)
+    for j, k in ((0, levels.k[:0]), (2, levels.k[:3])):
+        with pytest.raises(ArgumentError, match="one column per level in each slot block"):
+            dataclasses.replace(levels, F=tuple(f[:, :j] for f in levels.F), k=k)
 
 
 def test_levels_csv(tmp_path):

@@ -1,14 +1,14 @@
-"""The stacked level checks against per-level loops, and the closed-form rotations against expm.
+"""The level checks on the slot blocks against per-level loops, and the rotations against expm.
 
-Every check over the levels acts once on the stacked E = [E_0 | E_1 | ...].
-The loops here redo each check one level (or one pair of levels) at a time,
-and scipy.linalg.expm redoes each field FW rotation; both are references
-only.  The residuals are relative to ||E_p||, so a difference of 1e-14
-between two of them is 1e-14 of ||E_p||.  The eigen relation and the
-intertwining also agree to 1e-14 of their own value; the main claim's
-residual is a cancellation of O(1) columns down to 1e-9 .. 1e-16, and the
-stacked product rounds its last bits differently, so it is compared in
-units of ||E_p|| alone.
+Every check over the levels acts once on their two (N, L) slot blocks F[s].
+The loops here redo each check one level (or one pair of levels) at a time
+on the dense (2N, 2) E_p, and scipy.linalg.expm redoes each field FW
+rotation; both are references only.  The residuals are relative to
+||E_p||, so a difference of 1e-14 between two of them is 1e-14 of ||E_p||.
+The eigen relation and the intertwining also agree to 1e-14 of their own
+value; the main claim's residual is a cancellation of O(1) columns down to
+1e-9 .. 1e-16, and the products on the blocks round their last bits
+differently, so it is compared in units of ||E_p|| alone.
 """
 
 import dataclasses
@@ -24,9 +24,10 @@ from ritusfw.foldy_wouthuysen import field_fw_from_levels, free_fw, theta, verif
 from ritusfw.operators import band_product, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import diagonal_propagator, project_propagator
-from ritusfw.ritus_basis import (RitusLevels, dirac_overlap, times_blocks,
-                                 verify_eigen_relation, verify_gpEp)
+from ritusfw.ritus_basis import RitusLevels, verify_eigen_relation, verify_gpEp
 from ritusfw.spectral_grid import GridConfig
+
+from bands import Ep, dense_E
 
 P0 = 0.3
 MASS = 1.0
@@ -49,13 +50,13 @@ def eigen_relation_loop(prob, levels):
     N, slots = prob.grid.n_points, channel_slots(prob.rep)
     out = []
     for n in range(len(levels)):
-        Ep = levels.Ep(n)
-        PiE = np.empty_like(Ep)
+        E_p = Ep(levels, n)
+        PiE = np.empty_like(E_p)
         for spec in (prob.spec_plus, prob.spec_minus):
             rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-            PiE[rows] = band_product(spec.hamiltonian, Ep[rows])
-        residual = (levels.p0**2 * Ep - PiE) - (levels.p0**2 - p2(levels, n)**2) * Ep
-        out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
+            PiE[rows] = band_product(spec.hamiltonian, E_p[rows])
+        residual = (levels.p0**2 * E_p - PiE) - (levels.p0**2 - p2(levels, n)**2) * E_p
+        out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
 
 
@@ -63,40 +64,50 @@ def intertwining_loop(prob, levels):
     ops = prob.ops
     out = []
     for n in range(len(levels)):
-        Ep = levels.Ep(n)
+        E_p = Ep(levels, n)
         g_pbar = levels.p0 * prob.rep.gamma[0] - p2(levels, n) * prob.rep.gamma[2]
-        residual = levels.p0 * (ops.g0diag[:, None] * Ep) - ops.X @ Ep - Ep @ g_pbar
-        out.append(np.linalg.norm(residual) / np.linalg.norm(Ep))
+        residual = levels.p0 * (ops.g0diag[:, None] * E_p) - ops.X @ E_p - E_p @ g_pbar
+        out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
 
 
 def main_claim_loop(fw):
     """U E_p - E_p U_free on the grid, U applied as V + E (D (h E^T V)), D = W - 1."""
-    E, h = fw.levels.E, fw.levels.ops.h
+    E, h = dense_E(fw.levels), fw.levels.ops.h
     D = fw.W - np.eye(fw.W.shape[0])
     out = []
     for n, k in enumerate(fw.levels.k):
-        Ep = fw.levels.Ep(n)
-        UEp = Ep + E @ (D @ (h * (E.T @ Ep)))
-        out.append(np.linalg.norm(UEp - Ep @ free_fw(k, fw.mass, fw.levels.ops.rep))
-                   / np.linalg.norm(Ep))
+        E_p = E[:, 2 * n:2 * n + 2]
+        UEp = E_p + E @ (D @ (h * (E.T @ E_p)))
+        out.append(np.linalg.norm(UEp - E_p @ free_fw(k, fw.mass, fw.levels.ops.rep))
+                   / np.linalg.norm(E_p))
     return np.array(out)
 
 
 def propagator_loop(prob):
-    """The (L, L, 2, 2) blocks, one solve per level and one overlap per pair, and their checks."""
+    """The (L, L, 2, 2) blocks, one solve per level and one overlap per pair, and their checks.
+
+    Each solve goes through the block spinor order: E_p is interleaved for
+    the solver and its solution de-interleaved again.  Each overlap is the
+    Dirac adjoint gamma^0 E_i^dag gamma^0 Z with both gamma^0 applied.
+    """
     ops, levels = prob.ops, prob.levels
     solve = ops.dirac_solver(P0, MASS)
-    L = len(levels)
+    N, L = prob.grid.n_points, len(levels)
+    g0, h = prob.rep.gamma[0], prob.grid.h
     blocks = np.empty((L, L, 2, 2), dtype=complex)
     for j in range(L):
-        Z = solve(np.array(levels.Ep(j)))
+        E_j = Ep(levels, j)
+        rhs = np.empty_like(E_j)
+        rhs[0::2], rhs[1::2] = E_j[:N], E_j[N:]
+        Z_int = solve(rhs)
+        Z = np.concatenate([Z_int[0::2], Z_int[1::2]])
         for i in range(L):
-            blocks[i, j] = dirac_overlap(levels.Ep(i), Z, ops)
+            blocks[i, j] = g0 @ (h * (Ep(levels, i).T @ (ops.g0diag[:, None] * Z)))
     diagonal_error = 0.0
     for i in range(L):
         # the spin projector: the populated columns of E_p
-        P = np.diag([float(np.any(levels.Ep(i)[:, c] != 0.0)) for c in range(2)])
+        P = np.diag([float(np.any(Ep(levels, i)[:, c] != 0.0)) for c in range(2)])
         free = diagonal_propagator(P0, np.array([p2(levels, i)]), MASS, prob.rep)[0]
         diagonal_error = max(diagonal_error, float(np.abs(blocks[i, i] - P @ free @ P).max()))
     cross = max(float(np.linalg.norm(blocks[i, j])) for i in range(L) for j in range(L) if i != j)
@@ -151,38 +162,42 @@ def test_closed_form_rotations_match_expm(problems):
 
 
 def test_levels_share_one_stack(problems):
+    # the levels are two (N, L) slot blocks: the zero-mode channel's is its
+    # spectrum's eigenfunction stack itself, the partner's is the one copy
     for prob in problems:
         levels, N = prob.levels, prob.grid.n_points
         L = len(levels)
-        assert isinstance(levels, RitusLevels) and levels.E.flags.f_contiguous
-        assert levels.E.shape == (2 * N, 2 * L) and levels.k.shape == (L,)
-        for n in range(L):
-            Ep = levels.Ep(n)
-            assert Ep.flags.f_contiguous and np.shares_memory(Ep, levels.E)
-        # the zero-mode channel's level n in column 2n + a, the partner's
-        # level n - 1 (up to its sign) in column 2n + b, and nothing else
+        assert isinstance(levels, RitusLevels) and levels.k.shape == (L,)
+        assert isinstance(levels.F, tuple) and [f.shape for f in levels.F] == [(N, L)] * 2
         a, b = levels.zero_slot, 1 - levels.zero_slot
         spec_zero, spec_other = ((prob.spec_plus, prob.spec_minus) if levels.zero_channel > 0
                                  else (prob.spec_minus, prob.spec_plus))
-        assert np.array_equal(levels.E[a * N:(a + 1) * N, a::2], spec_zero.eigenfunctions[:, :L])
-        assert np.array_equal(np.abs(levels.E[b * N:(b + 1) * N, b + 2::2]),
-                              np.abs(spec_other.eigenfunctions[:, :L - 1]))
-        assert not levels.E[b * N:(b + 1) * N, a::2].any()
-        assert not levels.E[a * N:(a + 1) * N, b::2].any()
-        assert not levels.E[:, b].any()
-        # operators built from E read it again later, so neither E nor a view takes writes
+        assert np.shares_memory(levels.F[a], spec_zero.eigenfunctions)
+        assert np.array_equal(levels.F[a], spec_zero.eigenfunctions[:, :L])
+        # the partner's level n - 1 in column n, up to its sign, and a zero column 0
+        assert not np.shares_memory(levels.F[b], spec_other.eigenfunctions)
+        assert not levels.F[b][:, 0].any()
+        v = spec_other.eigenfunctions[:, :L - 1]
+        partner = levels.F[b][:, 1:]
+        assert np.all((partner == v).all(axis=0) | (partner == -v).all(axis=0))
+        # operators built from the levels read them again later, so no block takes writes
+        for f in levels.F:
+            with pytest.raises(ValueError, match="read-only"):
+                f[0, 0] = 1.0
+        assert spec_zero.eigenfunctions.flags.writeable
+
+
+def test_gram_and_K_are_slot_structured(problems):
+    # G = h E^T E has no entry coupling two slots, K = h E^T X E none within a
+    # slot; both agree with the dense products over the (2N, 2L) E
+    for prob in problems:
+        levels, fw = prob.levels, prob.fw
+        G, K = levels.gram, fw.K
+        assert not G[0::2, 1::2].any() and not G[1::2, 0::2].any()
+        assert not K[0::2, 0::2].any() and not K[1::2, 1::2].any()
+        assert fw.factors[1][1 - levels.zero_slot, 1 - levels.zero_slot] == 1.0
         with pytest.raises(ValueError, match="read-only"):
-            levels.Ep(0)[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            levels.E[0, 0] = 1.0
-
-
-def test_times_blocks_is_the_block_diagonal_product(rng):
-    E = np.asfortranarray(rng.standard_normal((40, 6)))
-    S = rng.standard_normal((3, 2, 2))
-    dense = np.zeros((6, 6))
-    for i in range(3):
-        dense[2 * i:2 * i + 2, 2 * i:2 * i + 2] = S[i]
-    assert np.abs(times_blocks(E, S) - E @ dense).max() <= 1e-15 * np.abs(E).max()
-    assert np.array_equal(times_blocks(np.ascontiguousarray(E), S), times_blocks(E, S))
-
+            G[0, 0] = 1.0
+        E, h = dense_E(levels), prob.grid.h
+        assert np.abs(G - h * (E.T @ E)).max() <= TOL
+        assert np.abs(K - h * (E.T @ (prob.ops.X @ E))).max() <= TOL * np.abs(K).max()
