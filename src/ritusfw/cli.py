@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from . import __version__
 from .errors import ConfigurationError, RitusFWError
 
 if TYPE_CHECKING:
     from .field_profiles import FieldProfile
     from .problem import Problem
-
-_VERSION = "0.1.0"
 
 # the parameters each profile kind reads; a config may give no other
 _KIND_KEYS = {"uniform": ("B",), "exponential": ("B", "alpha"), "tabulated": ("path",)}
@@ -69,8 +68,10 @@ class RunConfig:
 
         Returns the field profile, so that a run reads its table only here.
         """
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
+        # the checks square the mass and p0, so each needs a finite square
+        if not (math.isfinite(self.mass * self.mass) and self.mass > 0):
+            raise ConfigurationError(
+                f"mass must be positive with a finite square, got {self.mass}")
         if self.n_max < 1:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
         if self.grid_n < 64:
@@ -87,9 +88,11 @@ class RunConfig:
                            ("tolerances.residual", self.tol_residual)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be positive and finite, got {value}")
-        for key, value in (("e", self.e), ("p_y", self.p_y), ("p0", self.p0)):
+        for key, value in (("e", self.e), ("p_y", self.p_y)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{key} must be finite, got {value}")
+        if not math.isfinite(self.p0 * self.p0):
+            raise ConfigurationError(f"p0 must have a finite square, got {self.p0}")
         if self.e == 0:
             raise ConfigurationError("e must be nonzero: the field does not couple at e = 0")
         if self.rep not in ("first", "second"):
@@ -480,7 +483,7 @@ def _run(command: str, cfg: RunConfig, profile: FieldProfile, outdir: Optional[P
     prob = Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
                    cfg.n_max, GridConfig(n_points=cfg.grid_n, padding=cfg.padding),
                    cfg.tol_eig)
-    report = {"version": _VERSION, "command": command, "config": cfg.echo()}
+    report = {"version": __version__, "command": command, "config": cfg.echo()}
     if command == "all":
         ok = True
         sections = {}

@@ -8,16 +8,16 @@ upper u + 1 rows of a symmetric band are its upper storage, as xPBTRF
 takes it.  Every product with a band goes through ``band_product``.  Conventions shared by
 the rest of the package:
 
-* spinor (x) grid ordering: a grid spinor v has layout
-  ``v = [upper component (N values), lower component (N values)]``,
-  i.e. a spinor 2x2 matrix c acting with a grid N x N matrix D is the
-  Kronecker product c (x) D, whose block (s, t) is c[s, t] D.  The one
-  exception is the band of gamma.Pi - m (``GridOperators.dirac_band``),
-  which interleaves the components, q = 2i + s for grid point i and spinor
-  slot s, so that the two slots of one point are neighbours and the matrix
-  has half-bandwidth ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors
-  it with LAPACK's banded LU (xGBTRF/xGBTRS) and solves in that
-  interleaved order.
+* spinor slots: a grid spinor has two slots s = 0, 1 of N values each, and
+  a spinor 2x2 matrix c acting with a grid N x N matrix D is the Kronecker
+  product c (x) D, whose block (s, t) is c[s, t] D.  The levels and X are
+  held per slot, so only ``ritus_basis.completeness_residual`` takes a
+  spinor in the block order ``[slot 0 (N values), slot 1 (N values)]``.
+  The band of gamma.Pi - m (``GridOperators.dirac_band``) interleaves the
+  slots, q = 2i + s for grid point i and spinor slot s, so that the two
+  slots of one point are neighbours and the matrix has half-bandwidth
+  ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors it with LAPACK's
+  banded LU (xGBTRF/xGBTRS) and solves in that interleaved order.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix
@@ -40,15 +40,13 @@ with the real 2x2 coefficients c1 = -i gamma^1 and c2 = gamma^2, so X is
 exactly real antisymmetric for both representations, and
 Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
 Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
-which channel depends on the representation).  X is kept as its blocks
-(``SpinorBand``): block (s, t) is the band c1[s, t] D1 with c2[s, t] M on
-its diagonal.  gamma^0 = sigma_3 in both representations, so
-gamma^0 (x) 1_N is kept as its +/-1 diagonal g0diag.
+which channel depends on the representation).  c1 and c2 vanish on their
+diagonals, so X couples the two slots only and is kept as its two
+cross-slot bands: X[s] is block (s, 1 - s), the band c1[s, t] D1 with
+c2[s, t] M on its diagonal, t = 1 - s.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -61,7 +59,6 @@ __all__ = [
     "band_product",
     "first_derivative",
     "channel_hamiltonian",
-    "SpinorBand",
     "gamma_dot_pi_spatial",
     "channel_slots",
     "BAND",
@@ -145,14 +142,6 @@ def channel_hamiltonian(V: np.ndarray, h: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _gamma0_diagonal(rep: GammaRep, N: int) -> np.ndarray:
-    """The +/-1 diagonal of gamma^0 (x) 1_N; gamma^0 must be real diagonal."""
-    g0 = rep.gamma[0]
-    if np.any(g0 != np.diag(np.diag(g0)).real):
-        raise AssertionError("gamma^0 expected real diagonal")
-    return np.repeat(np.diag(g0).real, N)
-
-
 def channel_slots(rep: GammaRep) -> dict:
     """Map spin channel sigma -> spinor slot index for this representation.
 
@@ -170,43 +159,22 @@ def _spinor_coefficients(rep: GammaRep) -> tuple:
     c1, c2 = -1j * rep.gamma[1], rep.gamma[2]
     if np.any(c1.imag) or np.any(c2.imag):
         raise AssertionError("gamma^1 expected imaginary and gamma^2 real")
+    if np.any(np.diag(c1)) or np.any(np.diag(c2)):
+        raise AssertionError("gamma^1 and gamma^2 expected off-diagonal: X couples slots only")
     return c1.real, c2.real
 
 
-@dataclass(frozen=True, eq=False)
-class SpinorBand:
-    """A 2N x 2N operator in the block spinor order, as its 2 x 2 blocks.
+def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> tuple:
+    """X = c1 (x) D1 + c2 (x) diag(M) as its two cross-slot bands (X[0], X[1]).
 
-    blocks[s][t] is block (s, t) in general band storage, or None for a zero
-    block.  ``X @ v`` sums each row's terms in ascending column order, into
-    a result in v's memory order.
-    """
-
-    blocks: tuple
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        N = v.shape[0] // 2
-        out = np.zeros_like(v, dtype=float)
-        for s, row in enumerate(self.blocks):
-            for t, ab in enumerate(row):
-                if ab is not None:
-                    band_product(ab, v[t * N:(t + 1) * N], out=out[s * N:(s + 1) * N])
-        return out
-
-
-def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> SpinorBand:
-    """X = c1 (x) D1 + c2 (x) diag(M); real antisymmetric.
-
-    Block (s, t) is the band c1[s, t] D1 with c2[s, t] M on its diagonal
-    (D1 has none), for each (s, t) where c1 or c2 is nonzero.
+    X[s] is block (s, t), t = 1 - s: the band c1[s, t] D1 with c2[s, t] M on
+    its diagonal (D1 has none).  X is real antisymmetric: X[1] = -X[0]^T.
     """
     c1, c2 = _spinor_coefficients(rep)
-    blocks = [[None, None], [None, None]]
-    for s, t in zip(*np.nonzero((c1 != 0) | (c2 != 0))):
-        ab = c1[s, t] * D1
-        ab[2] = c2[s, t] * M
-        blocks[s][t] = ab
-    return SpinorBand(tuple(map(tuple, blocks)))
+    X = (c1[0, 1] * D1, c1[1, 0] * D1)
+    for s, ab in enumerate(X):
+        ab[2] = c2[s, 1 - s] * M
+    return X
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +185,9 @@ def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> Spinor
 class GridOperators:
     """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
 
-    Attributes: x, h and M, arrays of length N; X, the ``SpinorBand`` of the
-    spatial Dirac operator; g0diag, the +/-1 diagonal of gamma^0 (x) 1_N
-    (length 2N).
+    Attributes: h, the grid step; M, the array of length N of M(x); X, the
+    spatial Dirac operator as its two cross-slot bands (X[0], X[1]), each
+    (5, N) (``gamma_dot_pi_spatial``).
     Pi-tilde^2 lives on the spectra: on each spinor slot it is the
     channel's ScalarSpectrum.hamiltonian.
     """
@@ -229,36 +197,32 @@ class GridOperators:
         self.p_y = float(p_y)
         self.e = float(e)
         self.grid = grid
-        x = grid.x
-        h = grid.h
-        self.x, self.h = x, h
-        self.M = channel_potentials(profile, p_y, e, x)[0]
-        self.X = gamma_dot_pi_spatial(rep, first_derivative(x.size, h), self.M)
-        self.g0diag = _gamma0_diagonal(rep, x.size)
+        self.h = grid.h
+        self.M = channel_potentials(profile, p_y, e, grid.x)[0]
+        self.X = gamma_dot_pi_spatial(rep, first_derivative(self.M.size, self.h), self.M)
 
     def dirac_band(self, p0: float, m: float) -> np.ndarray:
-        """gamma.Pi - m = p0 G0 - X - m at energy p0, in LAPACK general band storage.
+        """gamma.Pi - m = p0 gamma^0 - X - m at energy p0, in LAPACK general band storage.
 
-        The interleaved order q = 2i + s takes entry (i, i + d) of X's block
-        (s, t) to (q, r) = (2i + s, 2(i + d) + t), so -X fills the rows
-        2*BAND - 2d + s - t; X couples the two slots only, so these are the
-        odd offsets q - r = +/-1, +/-3, +/-5.  p0 g0diag - m is the
+        The interleaved order q = 2i + s takes entry (i, i + d) of X[s], X's
+        block (s, t) with t = 1 - s, to (q, r) = (2i + s, 2(i + d) + t), so
+        -X fills the rows 2*BAND - 2d + s - t: the odd offsets q - r = +/-1,
+        +/-3, +/-5.  gamma^0 is diagonal (it anticommutes with gamma^1 and
+        gamma^2, which couple the two slots), so p0 gamma^0 - m is the
         diagonal.  D1 reaches d = +/-2, so the half-bandwidth is BAND = 5 on
         both sides.  Entry (q, r) sits at ab[2*BAND + q - r, r]; the BAND
         rows on top are the room xGBTRF needs for fill-in.  Shape
         (4*BAND + 1, 2N), in Fortran order, so that xGBTRF factors it in
         place.
         """
-        N = self.x.size
+        N = self.M.size
         ab = np.zeros((4 * BAND + 1, 2 * N), order="F")
-        for s, row in enumerate(self.X.blocks):
-            for t, xb in enumerate(row):
-                if xb is None:
-                    continue
-                for d in range(-2, 3):
-                    lo, hi = max(d, 0), N + min(d, 0)
-                    ab[2 * BAND - 2 * d + s - t, 2 * lo + t:2 * hi + t:2] = -xb[2 - d, lo:hi]
-        ab[2 * BAND] = (p0 * self.g0diag - m).reshape(2, -1).T.ravel()
+        for s, xb in enumerate(self.X):
+            t = 1 - s
+            for d in range(-2, 3):
+                lo, hi = max(d, 0), N + min(d, 0)
+                ab[2 * BAND - 2 * d + s - t, 2 * lo + t:2 * hi + t:2] = -xb[2 - d, lo:hi]
+        ab[2 * BAND] = np.tile(p0 * np.diag(self.rep.gamma[0]).real - m, N)
         return ab
 
     def dirac_solver(self, p0: float, m: float):

@@ -119,8 +119,8 @@ class RitusLevels:
         return np.diag(self.gram).reshape(-1, 2).sum(axis=1)
 
     def cross(self, s: int) -> np.ndarray:
-        """X F[t] on slot s, t = 1 - s: X has no same-slot blocks, so this is X E's slot s."""
-        return band_product(self.ops.X.blocks[s][1 - s], self.F[1 - s])
+        """X E's slot s, X[s] F[t] with t = 1 - s: X couples the two slots only."""
+        return band_product(self.ops.X[s], self.F[1 - s])
 
 
 def free_slash(p0: float, p2: np.ndarray, rep: GammaRep) -> np.ndarray:
@@ -191,11 +191,11 @@ def assemble_levels(
     F[a] = spec_zero.eigenfunctions[:, :L]
     F[b] = np.zeros_like(F[a])
     # X E_p = E_p (sqrt(k) gamma^2): the (b, a) coupling of E_p^T X E_p,
-    # v^T X_ba u with X's block (b, a), has the sign of gamma^2[b, a];
+    # v^T X[b] u with X's block (b, a), has the sign of gamma^2[b, a];
     # flip v before placing it, so no -0.0.  Level 0's column of u rides
     # along, so that the product never has no columns
     v = spec_other.eigenfunctions[:, :n_max]
-    Xu = band_product(ops.X.blocks[b][a], F[a])[:, 1:]
+    Xu = band_product(ops.X[b], F[a])[:, 1:]
     flip = np.einsum("ij,ij->j", v, Xu) * ops.rep.gamma[2][b, a].real < 0
     F[b][:, 1:] = np.where(flip, -v, v)
     for f in F:
@@ -240,7 +240,7 @@ def verify_gpEp(levels: RitusLevels) -> np.ndarray:
     gamma.Pi = p0 gamma^0 - X and gamma^mu pbar_mu = p0 gamma^0 - p2 gamma^2.
     gamma^0 is diagonal, so its terms cancel exactly on each slot, and
     gamma^2 couples the two slots as X does: the residual on slot s is
-    X F[t] - p2 gamma^2[s, t] F[s], t = 1 - s.
+    X[s] F[t] - p2 gamma^2[s, t] F[s], t = 1 - s.
     """
     g2 = levels.ops.rep.gamma[2].real
     return _relative(levels, [levels.cross(s) - (levels.p2 * g2[s, 1 - s]) * levels.F[s]
@@ -250,11 +250,11 @@ def verify_gpEp(levels: RitusLevels) -> np.ndarray:
 def zero_mode_annihilation(levels: RitusLevels) -> float:
     """|| (gamma.Pi - gamma^0 p0) E_0 ||_F / ||E_0||_F, i.e. the spatial part alone.
 
-    E_0 lives on the zero slot a alone, so X E_0 is X's block (b, a) on it.
+    E_0 lives on the zero slot a alone, so X E_0 is X[b], X's block (b, a), on it.
     """
     a = levels.zero_slot
     sqh, u = math.sqrt(levels.ops.h), levels.F[a][:, 0]
-    return ((sqh * float(np.linalg.norm(band_product(levels.ops.X.blocks[1 - a][a], u))))
+    return ((sqh * float(np.linalg.norm(band_product(levels.ops.X[1 - a], u))))
             / (sqh * float(np.linalg.norm(u))))
 
 

@@ -419,7 +419,8 @@ def _shift_invert_lanczos(chol: np.ndarray, shift: float, v0: np.ndarray, k: int
     Ritz vectors and the last Lanczos vector, and T becomes diag(theta)
     bordered by beta s_j; until the first restart T is tridiagonal.
     Returns (eigenvalues, unit eigenvectors as columns), lowest eigenvalue
-    first; raises DiscretizationError after ``restarts`` restarts.
+    first; raises DiscretizationError after ``restarts`` restarts, or when a
+    new vector's norm beta is not a positive finite number (a breakdown).
     """
     eps = np.finfo(float).eps
     Q = np.empty((m + 1, v0.size))  # the basis, one vector per row
@@ -437,6 +438,9 @@ def _shift_invert_lanczos(chol: np.ndarray, shift: float, v0: np.ndarray, k: int
             w -= c @ Q[:j + 1]
             T[j, j] = alpha + c[j]
             beta = float(np.linalg.norm(w))
+            if not (0.0 < beta < math.inf):
+                raise DiscretizationError(f"shift-invert Lanczos broke down at step {j}: "
+                                          f"the new vector's norm is {beta:.3g}")
             Q[j + 1] = w / beta
             if j + 1 < m:
                 T[j, j + 1] = T[j + 1, j] = beta

@@ -2,7 +2,9 @@
 
 A band keeps the entry (i, j) at ab[u + i - j, j], with 2u + 1 rows.  These
 helpers read each entry off that definition, independently of
-``operators.band_product``.  The levels are held as two (N, L) slot blocks
+``operators.band_product``.  X is held as its two cross-slot bands, X[s]
+its block (s, 1 - s); ``dense_spinor`` lays them out as the dense 2N x 2N X
+in the block spinor order.  The levels are held as two (N, L) slot blocks
 F[s]; ``dense_E`` lays them out as the (2N, 2L) matrix E = [E_0 | E_1 | ...]
 that the dense references read.
 """
@@ -22,10 +24,14 @@ def dense(ab):
 
 
 def dense_spinor(X):
-    """The dense 2N x 2N matrix of a ``SpinorBand``; a None block is zero."""
-    N = next(b for row in X.blocks for b in row if b is not None).shape[1]
-    return np.block([[np.zeros((N, N)) if b is None else dense(b) for b in row]
-                     for row in X.blocks])
+    """The dense 2N x 2N matrix [[0, X[0]], [X[1], 0]] of the cross-slot band pair X."""
+    Z = np.zeros((X[0].shape[1],) * 2)
+    return np.block([[Z, dense(X[0])], [dense(X[1]), Z]])
+
+
+def g0_diagonal(ops):
+    """The +/-1 diagonal of gamma^0 (x) 1_N, length 2N in the block spinor order."""
+    return np.repeat(np.diag(ops.rep.gamma[0]).real, ops.grid.n_points)
 
 
 def dense_E(levels, n=slice(None)):

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ritusfw
 from child_env import child_env
 from ritusfw import cli, field_profiles
 from ritusfw.cli import RunConfig, load_config, run
@@ -56,7 +57,7 @@ def test_report_contents_and_csv_schema(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["status"] == "pass"
     assert report["command"] == "spectrum"
-    assert "version" in report
+    assert report["version"] == ritusfw.__version__
     assert report["config"]["grid"]["N"] == 256
     ks = report["results"]["sigma_plus"]
     # at N=256 the zero mode resolves to ~1e-7, outside the exact-zero clamp
@@ -348,6 +349,9 @@ def test_main_reads_a_table_once(tmp_path, monkeypatch):
     pytest.param("--eB=inf", "B", id="eB-inf"),
     pytest.param("--py=nan", "p_y", id="py-nan"),
     pytest.param("--p0=nan", "p0", id="p0-nan"),
+    # finite, but the checks take the square: p0^2 and m^2 overflow
+    pytest.param("--p0=1.5e154", "p0", id="p0-square-overflows"),
+    pytest.param("--mass=1e160", "mass", id="mass-square-overflows"),
 ])
 def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, flag, key):
     cfg = write_config(tmp_path / "cfg.json")
@@ -395,6 +399,26 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
     for name in ("spectrum", "verify-ritus", "fw-exact", "fw-series"):
         assert "error" not in sections[name]
         assert sections[name]["checks"]
+
+
+def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
+    # a padding of 1e100 passes validation, but on that domain the first
+    # Lanczos vector's norm underflows to 0: each section records the
+    # breakdown, and the report is written without a traceback
+    cfg = write_config(tmp_path / "cfg.json", grid={"N": 256, "padding": 1e100})
+    out = tmp_path / "d"
+    proc = run_cli("all", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail"
+    sections = report["sections"]
+    assert sorted(sections) == ["fw-exact", "fw-series", "propagator", "spectrum",
+                                "verify-ritus"]
+    for name, section in sections.items():
+        assert section["error"].startswith(
+            "DiscretizationError: shift-invert Lanczos broke down"), name
+        assert section["checks"] == {}, name
 
 
 def test_p0_just_off_a_high_levels_shell_keeps_every_section():

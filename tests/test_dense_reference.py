@@ -43,7 +43,7 @@ from ritusfw.propagator import project_propagator
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING,
                                    GridConfig, build_grid, solve_channel)
 
-from bands import Ep, dense, dense_E, dense_spinor
+from bands import Ep, dense, dense_E, dense_spinor, g0_diagonal
 
 P0 = 0.3
 MASS = 1.0
@@ -55,7 +55,7 @@ def dense_U(fw):
 
 
 def dense_G0(ops):
-    return np.kron(ops.rep.gamma[0].real, np.eye(ops.x.size))
+    return np.kron(ops.rep.gamma[0].real, np.eye(ops.grid.n_points))
 
 
 def dense_unitarity(fw):
@@ -131,7 +131,7 @@ def test_restricted_hamiltonian_matches_dense(uni):
 
 
 def dense_K(ops, p0, m):
-    return p0 * dense_G0(ops) - dense_spinor(ops.X) - m * np.eye(2 * ops.x.size)
+    return p0 * dense_G0(ops) - dense_spinor(ops.X) - m * np.eye(2 * ops.grid.n_points)
 
 
 def interleaved_order(N):
@@ -149,14 +149,14 @@ def test_project_propagator_matches_dense_lu(uni):
     # pivoting grows U by ~4e4 and leaves a residual ~2e-9 at the walls
     K = dense_K(ops, P0, MASS)
     E = dense_E(levels)
-    order = interleaved_order(ops.x.size)
+    order = interleaved_order(ops.grid.n_points)
     Z = np.empty_like(E)
     Z[order] = lu_solve(lu_factor(K[np.ix_(order, order)]), E[order])
-    g0 = uni.rep.gamma[0]
+    g0, g0Z = uni.rep.gamma[0], g0_diagonal(ops)[:, None] * Z
     h = uni.grid.h
     for i in range(len(levels)):
         for j in range(len(levels)):
-            ref = g0 @ (h * (Ep(levels, i).T @ (ops.g0diag[:, None] * Z[:, 2 * j:2 * j + 2])))
+            ref = g0 @ (h * (Ep(levels, i).T @ g0Z[:, 2 * j:2 * j + 2]))
             assert np.abs(res["blocks"][i, j] - ref).max() < 1e-12
 
 
@@ -174,7 +174,7 @@ def test_banded_solve_matches_dense_lu(uni, uni_second, expo, which, near_pole):
     # the pole sweep's closest p0 to the on-shell energy of level 1
     p0 = math.sqrt(levels.k[1] + MASS**2) - 0.0125 if near_pole else P0
     # the solver takes and returns the interleaved order q = 2i + s
-    order = interleaved_order(ops.x.size)
+    order = interleaved_order(ops.grid.n_points)
     E = np.asfortranarray(dense_E(levels)[order])
     Z = ops.dirac_solver(p0, MASS)(E.copy(order="F"))
     K = dense_K(ops, p0, MASS)[np.ix_(order, order)]
@@ -190,7 +190,7 @@ def test_banded_solve_matches_dense_lu(uni, uni_second, expo, which, near_pole):
 @pytest.mark.parametrize("variant", ["first", "second"])
 def test_interleaved_gamma_dot_pi_has_half_bandwidth_five(uni, uni_second, variant):
     ops = (uni if variant == "first" else uni_second).ops
-    order = interleaved_order(ops.x.size)
+    order = interleaved_order(ops.grid.n_points)
     q, r = np.nonzero(dense_K(ops, P0, MASS)[np.ix_(order, order)])
     assert BAND == 5
     assert np.abs(q - r).max() == BAND
@@ -200,9 +200,10 @@ def test_orthonormality_matrix_matches_blockwise_overlaps(uni, uni_second):
     # the levels' Gram matrix is the Dirac-adjoint one, gamma^0 E_i^dag gamma^0 E_j
     for prob in (uni, uni_second):
         levels, g0, h = prob.levels, prob.rep.gamma[0], prob.grid.h
+        g0E = g0_diagonal(prob.ops)[:, None] * dense_E(levels)
         for i in range(len(levels)):
             for j in range(len(levels)):
-                block = g0 @ (h * (Ep(levels, i).T @ (prob.ops.g0diag[:, None] * Ep(levels, j))))
+                block = g0 @ (h * (Ep(levels, i).T @ g0E[:, 2 * j:2 * j + 2]))
                 assert np.abs(levels.gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] - block).max() < 1e-14
 
 

@@ -16,7 +16,7 @@ from ritusfw.operators import (BAND, band_product, channel_hamiltonian, channel_
 from ritusfw.problem import Problem
 from ritusfw.spectral_grid import GridConfig
 
-from bands import dense, dense_E, dense_spinor
+from bands import dense, dense_E, dense_spinor, g0_diagonal
 
 
 def test_first_derivative_exactly_antisymmetric():
@@ -62,7 +62,7 @@ def test_spatial_contraction_real_antisymmetric(variant, uni):
     D1 = first_derivative(64, 0.1)
     M = np.linspace(-2, 2, 64)
     X = gamma_dot_pi_spatial(rep, D1, M)
-    assert all(b.dtype == np.float64 for row in X.blocks for b in row if b is not None)
+    assert len(X) == 2 and all(b.dtype == np.float64 and b.shape == (5, 64) for b in X)
     X = dense_spinor(X)
     assert np.array_equal(X, -X.T)
 
@@ -80,7 +80,8 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni, uni_second):
         for spec in (prob.spec_plus, prob.spec_minus):
             s = channel_slots(prob.rep)[spec.sigma]
             lhs[s * N:(s + 1) * N] = band_product(spec.hamiltonian, vec[s * N:(s + 1) * N])
-        rhs = -(prob.ops.X @ (prob.ops.X @ vec))
+        X = dense_spinor(prob.ops.X)
+        rhs = -(X @ (X @ vec))
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() < 1e-5 * max(scale, 1.0)
 
@@ -100,7 +101,7 @@ def test_gamma_dot_pi_full_blocks(uni, uni_second):
             K[q, r] = ab[2 * BAND + q - r, r]
         order = np.concatenate([np.arange(0, 2 * N, 2), np.arange(1, 2 * N, 2)])
         K = K[np.ix_(order, order)]
-        ref = p0 * np.diag(ops.g0diag) - dense_spinor(ops.X) - m * np.eye(2 * N)
+        ref = p0 * np.diag(g0_diagonal(ops)) - dense_spinor(ops.X) - m * np.eye(2 * N)
         assert np.array_equal(K, ref)
         # Fortran order: xGBTRF factors the band in place, with no copy
         lu, _, info = dgbtrf(ab, BAND, BAND, overwrite_ab=True)
@@ -121,6 +122,18 @@ def test_grid_operators_bundle_consistency(uni, uni_second):
     assert dense_spinor(ops.X).shape == (2 * N, 2 * N)
     rebuilt = gamma_dot_pi_spatial(uni.rep, D1, ops.M)
     assert np.array_equal(dense_spinor(ops.X), dense_spinor(rebuilt))
+
+
+def test_channel_slots_place_the_ladder_in_X(uni, uni_second):
+    # channel sigma's slot s holds X[s] = D1 + sigma M, bit for bit: the
+    # ladder A on the sigma = +1 slot, -A^T = D1 - M on the sigma = -1 slot
+    for prob in (uni, uni_second):
+        ops, N, h = prob.ops, prob.grid.n_points, prob.grid.h
+        assert len(ops.X) == 2 and all(b.shape == (5, N) for b in ops.X)
+        for sigma, s in channel_slots(prob.rep).items():
+            ref = first_derivative(N, h)
+            ref[2] = sigma * ops.M
+            assert same_bits(ops.X[s], ref)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +196,10 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
     for M, X in ((ops.M, ops.X), (M0, gamma_dot_pi_spatial(prob.rep, D1, M0))):
         ref = csr_x(prob.rep, D1_csr, M)
         for v in vectors:
-            assert same_bits_and_order(X @ v, ref @ v, v)
+            # slot s of X v is X[s] on slot 1 - s
+            for s in (0, 1):
+                assert same_bits_and_order(band_product(X[s], v[(1 - s) * N:(2 - s) * N]),
+                                           (ref @ v)[s * N:(s + 1) * N], v)
     for spec, V in zip((prob.spec_plus, prob.spec_minus),
                        channel_potentials(profile, p_y, 1.0, prob.grid.x)[1:]):
         H = csr_channel_hamiltonian(V, h)

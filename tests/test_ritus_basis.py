@@ -24,7 +24,7 @@ from ritusfw.ritus_basis import (assemble_levels, completeness_residual, verify_
                                  verify_gpEp, zero_mode_annihilation)
 from ritusfw.spectral_grid import GridConfig
 
-from bands import Ep, dense_E
+from bands import Ep, dense_E, dense_spinor, g0_diagonal
 
 
 def test_zero_level_structure(uni):
@@ -188,8 +188,9 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         return
     E, populated = dense_E(levels), np.flatnonzero(levels.projector)
     grading = np.where(populated % 2, -1.0, 1.0)
+    XE = dense_spinor(ops.X) @ E
     for m in (1.0, 4.0):
-        H_r = h * (E.T @ (ops.g0diag[:, None] * (ops.X @ E)))[np.ix_(populated, populated)]
+        H_r = h * (E.T @ (g0_diagonal(ops)[:, None] * XE))[np.ix_(populated, populated)]
         H_r += m * np.diag(grading)
         # K comes from the per-slot products, the reference from the dense E:
         # the two sum in different orders

@@ -27,7 +27,7 @@ from ritusfw.propagator import diagonal_propagator, project_propagator
 from ritusfw.ritus_basis import RitusLevels, verify_eigen_relation, verify_gpEp
 from ritusfw.spectral_grid import GridConfig
 
-from bands import Ep, dense_E
+from bands import Ep, dense_E, dense_spinor, g0_diagonal
 
 P0 = 0.3
 MASS = 1.0
@@ -61,12 +61,14 @@ def eigen_relation_loop(prob, levels):
 
 
 def intertwining_loop(prob, levels):
-    ops = prob.ops
+    ops, N, g0 = prob.ops, prob.grid.n_points, g0_diagonal(prob.ops)
     out = []
     for n in range(len(levels)):
         E_p = Ep(levels, n)
         g_pbar = levels.p0 * prob.rep.gamma[0] - p2(levels, n) * prob.rep.gamma[2]
-        residual = levels.p0 * (ops.g0diag[:, None] * E_p) - ops.X @ E_p - E_p @ g_pbar
+        # X E_p on the block order: X[s] on slot 1 - s lands on slot s
+        XE = np.concatenate([band_product(ops.X[0], E_p[N:]), band_product(ops.X[1], E_p[:N])])
+        residual = levels.p0 * (g0[:, None] * E_p) - XE - E_p @ g_pbar
         out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
 
@@ -94,7 +96,7 @@ def propagator_loop(prob):
     ops, levels = prob.ops, prob.levels
     solve = ops.dirac_solver(P0, MASS)
     N, L = prob.grid.n_points, len(levels)
-    g0, h = prob.rep.gamma[0], prob.grid.h
+    g0, g0_diag, h = prob.rep.gamma[0], g0_diagonal(ops)[:, None], prob.grid.h
     blocks = np.empty((L, L, 2, 2), dtype=complex)
     for j in range(L):
         E_j = Ep(levels, j)
@@ -103,7 +105,7 @@ def propagator_loop(prob):
         Z_int = solve(rhs)
         Z = np.concatenate([Z_int[0::2], Z_int[1::2]])
         for i in range(L):
-            blocks[i, j] = g0 @ (h * (Ep(levels, i).T @ (ops.g0diag[:, None] * Z)))
+            blocks[i, j] = g0 @ (h * (Ep(levels, i).T @ (g0_diag * Z)))
     diagonal_error = 0.0
     for i in range(L):
         # the spin projector: the populated columns of E_p
@@ -200,4 +202,5 @@ def test_gram_and_K_are_slot_structured(problems):
             G[0, 0] = 1.0
         E, h = dense_E(levels), prob.grid.h
         assert np.abs(G - h * (E.T @ E)).max() <= TOL
-        assert np.abs(K - h * (E.T @ (prob.ops.X @ E))).max() <= TOL * np.abs(K).max()
+        XE = dense_spinor(prob.ops.X) @ E
+        assert np.abs(K - h * (E.T @ XE)).max() <= TOL * np.abs(K).max()
