@@ -308,7 +308,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     from .ritus_basis import verify_eigen_relation, verify_gpEp, zero_mode_annihilation
 
     levels = prob.levels
-    r_eig = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus)
+    r_eig = verify_eigen_relation(levels)
     r_int = verify_gpEp(levels)
     per_level = [{"n": n, "k": k, "residual_eigen_relation": a, "residual_intertwining": b}
                  for n, (k, a, b) in enumerate(zip(levels.k.tolist(), r_eig.tolist(),

@@ -73,12 +73,12 @@ _BLOCK = 1 << 15  # entries of x per block of rows in band_product (256 KiB)
 # ----------------------------------------------------------------------
 
 
-def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for the square band matrix A held in ``ab``; x is (n,) or (n, c).
 
-    ab is A's general band storage, 2u + 1 rows.  Each entry of the result is 0, or its value in ``out``, plus the terms
-    of its row in ascending column order: the order in which a
-    compressed-sparse-row product sums a row's stored entries, so that the
+    ab is A's general band storage, 2u + 1 rows.  Each entry of the result is
+    0 plus the terms of its row in ascending column order: the order in which
+    a compressed-sparse-row product sums a row's stored entries, so that the
     two agree bit for bit.  The result and each block's term take x's memory
     order, so no x (a level block, or a view of one) is copied.  The rows go in
     blocks of about _BLOCK entries, so that a block's terms stay in cache,
@@ -87,7 +87,7 @@ def band_product(ab: np.ndarray, x: np.ndarray, out: np.ndarray = None) -> np.nd
     """
     n = ab.shape[1]
     u = ab.shape[0] // 2
-    y = np.zeros_like(x, dtype=float) if out is None else out
+    y = np.zeros_like(x, dtype=float)
     terms = []
     for d in range(-u, u + 1):  # column offset j - i
         lo, hi = max(-d, 0), n - max(d, 0)  # the rows this diagonal reaches
@@ -183,22 +183,23 @@ def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> tuple:
 
 
 class GridOperators:
-    """Precomputed grid operators for one (rep, profile, p_y, e, grid) combo.
+    """The field on the grid for one (rep, profile, p_y, e, grid), from one channel_potentials call.
 
-    Attributes: h, the grid step; M, the array of length N of M(x); X, the
-    spatial Dirac operator as its two cross-slot bands (X[0], X[1]), each
-    (5, N) (``gamma_dot_pi_spatial``).
-    Pi-tilde^2 lives on the spectra: on each spinor slot it is the
-    channel's ScalarSpectrum.hamiltonian.
+    Attributes: h, the grid step; M, the array of length N of M(x); V[sigma]
+    and H[sigma], sigma = +1, -1, each channel's potential and Hamiltonian
+    band (``channel_hamiltonian``): the channel solves read H, which is
+    Pi-tilde^2 on the channel's spinor slot; X, the spatial Dirac operator as
+    its two cross-slot bands (X[0], X[1]), each (5, N) (``gamma_dot_pi_spatial``).
     """
 
     def __init__(self, rep: GammaRep, profile: FieldProfile, p_y: float, e: float, grid):
         self.rep = rep
         self.p_y = float(p_y)
-        self.e = float(e)
         self.grid = grid
         self.h = grid.h
-        self.M = channel_potentials(profile, p_y, e, grid.x)[0]
+        self.M, *V = channel_potentials(profile, p_y, e, grid.x)
+        self.V = dict(zip((+1, -1), V))
+        self.H = {sigma: channel_hamiltonian(v, self.h) for sigma, v in self.V.items()}
         self.X = gamma_dot_pi_spatial(rep, first_derivative(self.M.size, self.h), self.M)
 
     def dirac_band(self, p0: float, m: float) -> np.ndarray:

@@ -1,11 +1,11 @@
 """One verification problem: its inputs, and the chain built from them.
 
-The paper's claim is one chain: the two channel spectra, the Ritus levels
-E_p paired from them, and the exact field FW operator U assembled from the
-levels.  ``Problem`` holds the inputs of that chain and builds each link on
-first use, once: the grid, both channel spectra, the grid operators, the
-levels at the problem's p0 (one RitusLevels record), and U from those
-levels.
+The paper's claim is one chain: the field on the grid, the two channel
+spectra, the Ritus levels E_p paired from them, and the exact field FW
+operator U assembled from the levels.  ``Problem`` holds the inputs of that
+chain and builds each link on first use, once: the grid, the grid operators,
+both channel spectra from the operators' H, the levels at the problem's p0
+(one RitusLevels record), and U from those levels.
 A link whose build raises a RitusFWError keeps that error and re-raises it,
 so it is not rebuilt by every reader.  The CLI, the tests and the README all
 build through it.
@@ -61,7 +61,7 @@ class _link:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Physical and grid inputs; grid, spectra, ops, levels and fw are built lazily.
+    """Physical and grid inputs; grid, ops, spectra, levels and fw are built lazily.
 
     Levels 0..n_max are resolved; ``levels`` carry the off-shell energy p0,
     ``fw`` is built from their slot blocks and k at mass m.  Every input is
@@ -82,9 +82,13 @@ class Problem:
     def grid(self):
         return build_grid(self.profile, self.p_y, self.n_max, self.grid_config, e=self.e)
 
+    @_link
+    def ops(self) -> GridOperators:
+        return GridOperators(self.rep, self.profile, self.p_y, self.e, self.grid)
+
     def _channel(self, sigma: int):
-        return solve_channel(self.profile, self.p_y, self.e, sigma, self.grid,
-                             n_levels=self.n_max + 1, tol_eig=self.tol_eig)
+        ops = self.ops
+        return solve_channel(ops.H[sigma], ops.V[sigma], ops.h, sigma, self.n_max + 1, self.tol_eig)
 
     @_link
     def spec_plus(self):
@@ -93,10 +97,6 @@ class Problem:
     @_link
     def spec_minus(self):
         return self._channel(-1)
-
-    @_link
-    def ops(self) -> GridOperators:
-        return GridOperators(self.rep, self.profile, self.p_y, self.e, self.grid)
 
     @_link
     def levels(self) -> RitusLevels:

@@ -34,6 +34,8 @@ __all__ = [
     "pole_sweep",
 ]
 
+POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = sqrt(k + m^2) is refused
+
 
 def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> np.ndarray:
     """The (L, 2, 2) closed forms S(pbar) = (gamma^mu pbar_mu + m)/(pbar^2 - m^2).
@@ -54,10 +56,10 @@ def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> n
 
 
 def _factor(levels: RitusLevels, p0: float, m: float):
-    """The banded solve of (gamma.Pi - m) at p0, refused within 1e-3 of any level's shell."""
+    """The banded solve of (gamma.Pi - m) at p0, refused within POLE_GUARD of any level's shell."""
     E_on = np.sqrt(levels.k + m * m)
     dist = np.abs(abs(p0) - E_on)
-    close = np.flatnonzero(dist < 1e-3)
+    close = np.flatnonzero(dist < POLE_GUARD)
     if close.size:
         n = close[0]
         raise ConditioningError(
@@ -122,16 +124,24 @@ def pole_sweep(
     p0 = sqrt(k_n + m^2) - d for each distance d; fits
     log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
     (expected 1) plus the sweep rows.  Each p0 solves for the target level's
-    two columns alone; the conditioning guard still covers every level.
+    two columns alone; the conditioning guard still covers every level.  A
+    p0 that lies within POLE_GUARD of another level's shell is skipped; if
+    fewer than 3 points are left, ConditioningError names those shells.
     """
     if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     k = float(levels.k[n_target])
     E_on = math.sqrt(k + m * m)
+    shells = np.sqrt(levels.k + m * m)
 
-    rows = []
+    rows, crowding = [], set()
     for d in distances:
         p0 = E_on - d
+        close = np.flatnonzero(np.abs(abs(p0) - shells) < POLE_GUARD)    # as _factor refuses
+        close = close[close != n_target]
+        if close.size:
+            crowding.update(close.tolist())
+            continue
         block = _overlaps(levels, _factor(levels, p0, m), slice(n_target, n_target + 1))
         rows.append({
             "p0": float(p0),
@@ -139,6 +149,12 @@ def pole_sweep(
             "block_norm": float(np.linalg.norm(block)),
             "offshellness": abs(p0 * p0 - (k + m * m)),
         })
+    if crowding and len(rows) < 3:
+        raise ConditioningError(
+            f"the sweep toward level {n_target}'s shell keeps {len(rows)} of {len(distances)} "
+            f"points, fewer than 3: the others lie within {POLE_GUARD:g} of "
+            + ", ".join(f"sqrt(k_{n} + m^2) = {shells[n]:.6g}" for n in sorted(crowding))
+        )
 
     lx = np.log([r["offshellness"] for r in rows])
     ly = np.log([r["block_norm"] for r in rows])

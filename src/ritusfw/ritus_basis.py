@@ -62,8 +62,8 @@ class RitusLevels:
     channel's eigenfunctions; the other block holds the partner channel's,
     sign-aligned, after a zero column for level 0.  Level n carries the label
     k[n] and pbar = (p0, 0, p2[n]).  ops are the grid operators the levels
-    were built with: every check over the levels reads its grid, p_y and
-    gamma representation there.
+    were built with: every check over the levels reads its grid, p_y,
+    operators and gamma representation there.
     """
 
     F: tuple
@@ -149,19 +149,13 @@ def assemble_levels(
     pairs the zero-mode channel's level n with the partner channel's level
     n-1 (the eigenvalues must agree within PAIRING_TOL relative, checked for
     all levels at once) and averages k.  The spinor slots follow ops.rep,
-    and ops.X aligns the signs; ops must share the spectra's grid, p_y and
-    charge, and the levels keep them.
+    and ops.X aligns the signs.  The spectra are the eigenpairs of ops.H,
+    and the levels keep ops.
     """
     if n_max < 0:
         raise ArgumentError(f"n_max must be non-negative, got {n_max}")
     if spec_plus.sigma != +1 or spec_minus.sigma != -1:
         raise ArgumentError("pass the sigma=+1 spectrum first and sigma=-1 second")
-    if spec_plus.grid != spec_minus.grid:
-        raise PairingError("channel spectra were computed on two grids")
-    if abs(spec_plus.p_y - spec_minus.p_y) > 0 or spec_plus.e != spec_minus.e:
-        raise PairingError("channel spectra differ in p_y or charge")
-    if ops.grid != spec_plus.grid or ops.p_y != spec_plus.p_y or ops.e != spec_plus.e:
-        raise ArgumentError("operators and spectra differ in grid, p_y or charge")
 
     L = n_max + 1
     zc = _zero_channel(spec_plus, spec_minus)
@@ -214,23 +208,22 @@ def _relative(levels: RitusLevels, residuals) -> np.ndarray:
     return np.sqrt(levels.ops.h * sq / levels.sq_norms)
 
 
-def verify_eigen_relation(levels: RitusLevels, spec_plus: ScalarSpectrum,
-                          spec_minus: ScalarSpectrum) -> np.ndarray:
+def verify_eigen_relation(levels: RitusLevels) -> np.ndarray:
     """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F of each level.
 
     (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
     drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
-    channel Hamiltonian that channel_slots places there in the levels'
-    representation, so each channel's Hamiltonian acts on its own slot's block.
+    channel Hamiltonian levels.ops.H[sigma] of the channel that
+    channel_slots places there, so each acts on its own slot's block.
     """
     slots = channel_slots(levels.ops.rep)
     # pbar^2 = p0^2 - p2^2, p2 squared by libm's pow as a float's ** is (p2 * p2 can
     # differ in its last bit, and the residual is a cancellation down to 1e-10)
     pbar2 = levels.p0**2 - np.float_power(levels.p2, 2)
     residuals = []
-    for spec in (spec_plus, spec_minus):
-        f = levels.F[slots[spec.sigma]]
-        residuals.append((levels.p0**2 * f - band_product(spec.hamiltonian, f)) - pbar2 * f)
+    for sigma in (+1, -1):
+        f = levels.F[slots[sigma]]
+        residuals.append((levels.p0**2 * f - band_product(levels.ops.H[sigma], f)) - pbar2 * f)
     return _relative(levels, residuals)
 
 

@@ -3,10 +3,10 @@
 The eigenpairs (k_n, phi_n) of the two spin channels are the raw material
 for the Ritus construction.  Discretization is fourth-order central
 differences with Dirichlet boundaries, one symmetric pentadiagonal band per
-channel.  Its lowest eigenpairs come from Lanczos in shift-invert mode with
-full reorthogonalization and thick restarts (``_shift_invert_lanczos``;
-Ericsson & Ruhe, Math. Comp. 35, 1980, 1251; Wu & Simon, SIAM J. Matrix
-Anal. Appl. 22, 2000, 602).  The shift sits just below min V: the discrete
+channel (``GridOperators.H``).  Its lowest eigenpairs come from Lanczos in
+shift-invert mode with full reorthogonalization and thick restarts
+(``_shift_invert_lanczos``; Ericsson & Ruhe, Math. Comp. 35, 1980, 1251; Wu
+& Simon, SIAM J. Matrix Anal. Appl. 22, 2000, 602).  The shift sits just below min V: the discrete
 -D2 is positive definite, so every eigenvalue lies above min V and the
 lowest levels are the largest of (H - shift)^-1.  H - shift is therefore
 symmetric positive definite, and (H - shift)^-1 is applied through a banded
@@ -34,7 +34,7 @@ of vectorized potential calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -113,19 +113,13 @@ class ScalarSpectrum:
     the left where |phi_n| exceeds PHASE_THRESHOLD times its peak.  That
     sample lies in the left tail, where rounding cannot flip the sign; the
     global peak would not do, since the mirror peaks of an odd state in a
-    symmetric well tie up to rounding.  hamiltonian is -D2 + diag(V_sigma),
-    the matrix the pairs solve, in general band storage (5, N) as
-    ``channel_hamiltonian`` returns it; on the channel's spinor slot it is
-    Pi-tilde^2.
+    symmetric well tie up to rounding.  The Hamiltonian the pairs solve is
+    the grid operators' H[sigma].
     """
 
     sigma: int
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    grid: Grid
-    p_y: float
-    e: float
-    hamiltonian: np.ndarray = field(repr=False, compare=False)
     flags: tuple = ()
 
     def sign_changes(self, n: int) -> int:
@@ -296,19 +290,20 @@ def build_grid(
 
 
 def solve_channel(
-    profile: FieldProfile,
-    p_y: float,
-    e: float,
+    H: np.ndarray,
+    V: np.ndarray,
+    h: float,
     sigma: int,
-    grid: Grid,
     n_levels: int,
     tol_eig: float = 1e-6,
 ) -> ScalarSpectrum:
-    """Lowest ``n_levels`` eigenpairs of -d^2/dx^2 + V_sigma (count semantics).
+    """Lowest ``n_levels`` eigenpairs of one channel's H = -d^2/dx^2 + V (count semantics).
 
     Parameters
     ----------
-    sigma : +1 or -1, selects the partner potential.
+    H, V : the channel's band, as ``channel_hamiltonian(V, h)`` returns it
+        (``GridOperators.H[sigma]``), and its potential; h : the grid step.
+    sigma : +1 or -1, the channel the spectrum and its flags name.
     n_levels : number of eigenpairs (levels 0 .. n_levels-1).
     tol_eig : eigenvalues below -tol_eig abort with DiscretizationError;
         values in (-ZERO_CLAMP, 0) or within the rounding bound
@@ -324,17 +319,15 @@ def solve_channel(
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma}")
     if n_levels < 1:
         raise ArgumentError(f"n_levels must be >= 1, got {n_levels}")
-    N = grid.n_points
+    N = V.size
     if n_levels > N // 4:
         raise TruncationError(f"{n_levels} levels cannot be resolved on {N} points")
 
-    V = channel_potentials(profile, p_y, e, grid.x)[1 if sigma > 0 else 2]
     # -D2 is positive definite, so every eigenvalue lies above min V and the
     # lowest levels are the largest eigenvalues of (H - shift)^-1
     v_min = float(V.min())
     shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
     v0 = np.random.default_rng(0).standard_normal(N)
-    H = channel_hamiltonian(V, grid.h)
     band = H[:3].copy()                 # the upper storage xPBTRF takes
     band[2] -= shift
     chol, info = dpbtrf(band, overwrite_ab=True)
@@ -362,7 +355,7 @@ def solve_channel(
             "discretization inconsistent with a bound-state problem"
         )
     # rounding bound of an exact zero mode, with ||H|| bounded from the stencil
-    bound = ZERO_ROUNDING * np.finfo(float).eps * (16.0 / (3.0 * grid.h**2) + float(np.abs(V).max()))
+    bound = ZERO_ROUNDING * np.finfo(float).eps * (16.0 / (3.0 * h**2) + float(np.abs(V).max()))
     clamp = (np.abs(vals) <= bound) | ((vals > -ZERO_CLAMP) & (vals < 0.0))
     below = ~clamp & (vals < 0.0)
     above = ~clamp & (vals > 0.0) & (vals <= tol_eig)
@@ -379,21 +372,12 @@ def solve_channel(
     vals = np.where(clamp, 0.0, vals)
 
     # normalize under quadrature weight h and fix the sign convention
-    vecs = vecs / math.sqrt(grid.h)
+    vecs = vecs / math.sqrt(h)
     mags = np.abs(vecs)
     first = np.argmax(mags > PHASE_THRESHOLD * mags.max(axis=0), axis=0)
     vecs = vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
-    return ScalarSpectrum(
-        sigma=sigma,
-        eigenvalues=vals,
-        eigenfunctions=vecs,
-        grid=grid,
-        p_y=p_y,
-        e=e,
-        hamiltonian=H,
-        flags=tuple(flags),
-    )
+    return ScalarSpectrum(sigma=sigma, eigenvalues=vals, eigenfunctions=vecs, flags=tuple(flags))
 
 
 def _shift_invert_lanczos(chol: np.ndarray, shift: float, v0: np.ndarray, k: int,
@@ -497,7 +481,8 @@ def convergence_study(
     ks = []
     for N in N_list:
         g = Grid(domain.x_min, domain.x_max, N)
-        spec = solve_channel(profile, p_y, e, sigma, g, n_levels=n + 1, tol_eig=1e-3)
+        V = channel_potentials(profile, p_y, e, g.x)[1 if sigma > 0 else 2]
+        spec = solve_channel(channel_hamiltonian(V, g.h), V, g.h, sigma, n + 1, tol_eig=1e-3)
         ks.append(float(spec.eigenvalues[n]))
 
     try:

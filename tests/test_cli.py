@@ -433,6 +433,19 @@ def test_p0_just_off_a_high_levels_shell_keeps_every_section():
     assert not report["sections"]["propagator"]["checks"]["diagonal_blocks"]["pass"]
 
 
+def test_pole_sweep_skips_the_points_on_a_lower_levels_shell(tmp_path):
+    # at m = 10 the sweep toward level 1's shell sqrt(2 + m^2) = 10.0995
+    # passes p0 = 9.9995, 5e-4 below level 0's shell m: that point is skipped
+    out = tmp_path / "d"
+    proc = run_cli("all", "--mass", "10", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    propagator = json.loads((out / "report.json").read_text())["sections"]["propagator"]
+    rows = propagator["results"]["pole_rows"]
+    assert len(rows) == 4 and all(abs(row["p0"] - 10.0) > 1e-3 for row in rows)
+    assert propagator["checks"]["pole_exponent"]["pass"]
+    assert len((out / "pole_sweep.csv").read_text().splitlines()) == 1 + 4
+
+
 @pytest.mark.parametrize("B,n_max", [(1e-3, 8), (1e-3, 2), (8.0, 1)])
 def test_fw_series_passes_in_a_weak_field_and_a_strong_one(tmp_path, B, n_max):
     # at eB = 1e-3 the order-3 error k_1^3/16m^5 at m = 4, 8, 16 sank below the

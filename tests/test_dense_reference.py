@@ -221,7 +221,7 @@ def not_positive_definite(band, *args, **kwargs):
 def test_cholesky_failure_is_a_discretization_error(uni, monkeypatch):
     monkeypatch.setattr(spectral_grid, "dpbtrf", not_positive_definite)
     with pytest.raises(DiscretizationError, match="not positive definite"):
-        solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+        channel_solve(uni.profile, 0.0, +1, uni.grid)
 
 
 def test_cholesky_failure_under_all(tmp_path, monkeypatch):
@@ -308,9 +308,9 @@ def test_doubler_ladder_and_its_overlap_with_the_levels(N, n_max):
     X = dense_spinor(prob.ops.X)
     lam, V = np.linalg.eigh(X.T @ X)
     H = np.zeros_like(X)
-    for spec in (prob.spec_plus, prob.spec_minus):
-        s = channel_slots(prob.rep)[spec.sigma]
-        H[s * N:(s + 1) * N, s * N:(s + 1) * N] = dense(spec.hamiltonian)
+    for sigma, band in prob.ops.H.items():
+        s = channel_slots(prob.rep)[sigma]
+        H[s * N:(s + 1) * N, s * N:(s + 1) * N] = dense(band)
     doubler = np.einsum("ij,ij->j", V, H @ V) > 10 * (lam + 1)
     # the zero doubler is degenerate with the physical zero mode, and eigh mixes the two
     doubler &= lam > 1.0
@@ -363,6 +363,12 @@ def channel_potential(profile, p_y, sigma, grid):
     return channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
 
 
+def channel_solve(profile, p_y, sigma, grid, n_levels=N_LEVELS, tol_eig=1e-6):
+    """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
+    V = channel_potential(profile, p_y, sigma, grid)
+    return solve_channel(channel_hamiltonian(V, grid.h), V, grid.h, sigma, n_levels, tol_eig)
+
+
 def solver_conventions(vals, vecs, V, h):
     """The solver's zero-mode clamp, quadrature norm and phase rule, applied here on their own.
 
@@ -411,7 +417,7 @@ def test_channel_solve_matches_dense_eigh(name, p_y, N):
     profile = PROFILES[name]
     grid = build_grid(profile, p_y, N_LEVELS - 1, GridConfig(n_points=N))
     for sigma in (+1, -1):
-        spec = solve_channel(profile, p_y, 1.0, sigma, grid, N_LEVELS, tol_eig=1e-3)
+        spec = channel_solve(profile, p_y, sigma, grid, tol_eig=1e-3)
         vals, vecs = dense_channel(profile, p_y, sigma, grid)
         assert np.abs(spec.eigenvalues - vals).max() < 1e-10
         assert np.abs(spec.eigenfunctions - vecs).max() < 1e-8
@@ -437,7 +443,7 @@ KINDS = {
 def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, n_max):
     profile = KINDS[kind](sign)
     grid = build_grid(profile, p_y, n_max, GridConfig(n_points=N))
-    spec = solve_channel(profile, p_y, 1.0, sigma, grid, n_max + 1, tol_eig=1e-3)
+    spec = channel_solve(profile, p_y, sigma, grid, n_max + 1, tol_eig=1e-3)
     V = channel_potential(profile, p_y, sigma, grid)
     # dense eigh is backward stable only: its eigenvalues carry an error of
     # up to about eps ||H||, ~2e-11 at N=2048, on top of which the Lanczos
@@ -454,7 +460,7 @@ def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, 
 @pytest.mark.parametrize("m", [N_LEVELS + 1, N_LEVELS + 5])
 def test_thick_restarts_reach_the_unrestarted_pairs(uni, monkeypatch, m):
     # a basis of m vectors needs thick restarts before the 7 levels converge
-    ref = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+    ref = channel_solve(uni.profile, 0.0, +1, uni.grid)
 
     def small_basis(chol, shift, v0, k, _, restarts):
         with pytest.raises(DiscretizationError, match="did not converge"):
@@ -462,7 +468,7 @@ def test_thick_restarts_reach_the_unrestarted_pairs(uni, monkeypatch, m):
         return LANCZOS(chol, shift, v0, k, m, 200)
 
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", small_basis)
-    spec = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+    spec = channel_solve(uni.profile, 0.0, +1, uni.grid)
     assert np.abs(spec.eigenvalues - ref.eigenvalues).max() < 1e-12 * ref.eigenvalues.max()
     assert np.abs(spec.eigenfunctions - ref.eigenfunctions).max() < 1e-8
 
@@ -475,7 +481,7 @@ def no_convergence(chol, shift, v0, k, m, restarts):
 def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", no_convergence)
     with pytest.raises(DiscretizationError, match="did not converge"):
-        solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, N_LEVELS)
+        channel_solve(uni.profile, 0.0, +1, uni.grid)
 
 
 def test_lanczos_no_convergence_under_all(tmp_path, monkeypatch):
@@ -497,7 +503,7 @@ def test_channel_solve_allocates_no_dense_matrix(uni):
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            solve_channel(uni.profile, 0.0, 1.0, sigma, uni.grid, N_LEVELS)
+            solve_channel(uni.ops.H[sigma], uni.ops.V[sigma], uni.ops.h, sigma, N_LEVELS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

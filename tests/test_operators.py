@@ -77,9 +77,9 @@ def test_pi_tilde_squared_matches_minus_X_squared_in_action(uni, uni_second):
     vec = np.concatenate([phi, 0.5 * phi])
     for prob in (uni, uni_second):
         lhs = np.empty_like(vec)
-        for spec in (prob.spec_plus, prob.spec_minus):
-            s = channel_slots(prob.rep)[spec.sigma]
-            lhs[s * N:(s + 1) * N] = band_product(spec.hamiltonian, vec[s * N:(s + 1) * N])
+        for sigma, H in prob.ops.H.items():
+            s = channel_slots(prob.rep)[sigma]
+            lhs[s * N:(s + 1) * N] = band_product(H, vec[s * N:(s + 1) * N])
         X = dense_spinor(prob.ops.X)
         rhs = -(X @ (X @ vec))
         scale = np.abs(lhs).max()
@@ -200,13 +200,11 @@ def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
             for s in (0, 1):
                 assert same_bits_and_order(band_product(X[s], v[(1 - s) * N:(2 - s) * N]),
                                            (ref @ v)[s * N:(s + 1) * N], v)
-    for spec, V in zip((prob.spec_plus, prob.spec_minus),
-                       channel_potentials(profile, p_y, 1.0, prob.grid.x)[1:]):
+    for sigma, V in zip((+1, -1), channel_potentials(profile, p_y, 1.0, prob.grid.x)[1:]):
         H = csr_channel_hamiltonian(V, h)
         for v in vectors:
             for rows in (slice(0, N), slice(N, 2 * N)):
-                assert same_bits_and_order(
-                    band_product(spec.hamiltonian, v[rows]), H @ v[rows], v)
+                assert same_bits_and_order(band_product(ops.H[sigma], v[rows]), H @ v[rows], v)
 
 
 def same_bits_and_order(result, ref, v):

@@ -1,5 +1,8 @@
 """Problem builds each link of the chain once, a failed one included."""
 
+import numpy as np
+
+from ritusfw import field_profiles
 from ritusfw import problem as problem_module
 from ritusfw.cli import RunConfig, run
 from ritusfw.ritus_basis import assemble_levels
@@ -25,3 +28,30 @@ def test_failed_link_is_built_once_and_reraised(monkeypatch):
         assert sections[name] == {"error": PAIRING, "checks": {}}
     # one assembly of all levels, which names the first that does not pair
     assert calls == [8]
+
+
+def test_all_evaluates_the_field_on_the_grid_twice(monkeypatch):
+    # GridOperators evaluates M and both V_sigma once for the problem, and
+    # once for the other representation fw-exact compares against; the
+    # channel solves read the operators' Hamiltonians
+    samples = []
+    evaluate = field_profiles.evaluate_potential
+
+    def recording(profile, x):
+        samples.append((np.size(x), np.min(x), np.max(x)))
+        return evaluate(profile, x)
+
+    monkeypatch.setattr(field_profiles, "evaluate_potential", recording)
+    report, ok = run("all", RunConfig())
+    assert ok
+    grid = report["sections"]["spectrum"]["results"]["grid"]
+    assert samples.count((grid["N"], grid["x_min"], grid["x_max"])) == 2
+
+
+def test_other_rep_holds_the_channel_hamiltonians_bit_for_bit(uni, uni_second):
+    # the two share their spectra, solved from uni's channel Hamiltonians
+    assert uni_second.spec_plus is uni.spec_plus and uni_second.spec_minus is uni.spec_minus
+    assert uni_second.ops is not uni.ops
+    for sigma in (+1, -1):
+        assert uni_second.ops.H[sigma].tobytes() == uni.ops.H[sigma].tobytes()
+        assert uni_second.ops.V[sigma].tobytes() == uni.ops.V[sigma].tobytes()

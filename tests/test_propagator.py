@@ -121,6 +121,19 @@ def test_pole_sweep_exponent(uni):
         pole_sweep(uni.levels, 99, MASS)
 
 
+def test_pole_sweep_skips_p0_near_another_shell(uni):
+    # level 1's sweep, with two points placed 5e-4 from level 0's shell m
+    levels = uni.levels
+    gap = math.sqrt(levels.k[1] + MASS**2) - MASS
+    crowded = (gap + 5e-4, gap - 5e-4)
+    sweep = pole_sweep(levels, 1, MASS, distances=crowded + (0.2, 0.1, 0.05))
+    assert [row["p0"] for row in sweep["rows"]] == [
+        row["p0"] for row in pole_sweep(levels, 1, MASS, distances=(0.2, 0.1, 0.05))["rows"]]
+    with pytest.raises(ConditioningError, match=r"keeps 2 of 4 points, fewer than 3: .* "
+                                                r"sqrt\(k_0 \+ m\^2\) = 1\b"):
+        pole_sweep(levels, 1, MASS, distances=crowded + (0.2, 0.1))
+
+
 def test_pole_sweep_csv(tmp_path):
     # the `propagator` section writes pole_sweep.csv next to its report
     report, _ = run("propagator", RunConfig(grid_n=256, n_max=3), outdir=tmp_path)

@@ -66,9 +66,12 @@ def test_levels_carry_their_operators(uni, uni_second):
 def test_sigma_order_is_enforced(uni):
     with pytest.raises(ArgumentError):
         assemble_levels(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
+    # operators built at another p_y: the levels assemble, and the
+    # intertwining check refuses them (0.5 where the run's own read 2.7e-6)
     shifted = GridOperators(uni.rep, uni.profile, 0.5, 1.0, uni.grid)
-    with pytest.raises(ArgumentError):       # operators built at another p_y
-        assemble_levels(uni.spec_plus, uni.spec_minus, 1, 0.0, shifted)
+    levels = assemble_levels(uni.spec_plus, uni.spec_minus, uni.n_max, 0.0, shifted)
+    assert verify_gpEp(levels).min() > 0.1
+    assert verify_gpEp(uni.levels).max() < 1e-5
 
 
 def test_pairing_mismatch_detected(uni):
@@ -90,7 +93,7 @@ def test_orthonormality_blocks_are_projectors(uni):
 
 
 def test_eigen_relation_residual_small(uni):
-    worst = verify_eigen_relation(uni.levels, uni.spec_plus, uni.spec_minus).max()
+    worst = verify_eigen_relation(uni.levels).max()
     assert worst < 5e-6
 
 
@@ -170,12 +173,11 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     blocks = [None, None]
     for sigma, V in zip((+1, -1), channel_potentials(profile, p_y, e, prob.grid.x)[1:]):
         blocks[slots[sigma]] = channel_hamiltonian(V, h)
-    residuals = verify_eigen_relation(prob.levels, prob.spec_plus, prob.spec_minus)
+    residuals = verify_eigen_relation(prob.levels)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
         E_p, p0, p2 = Ep(levels, n), levels.p0, math.sqrt(max(k, 0.0))
-        pi_tilde2_Ep = np.zeros_like(E_p)
-        for s, H in enumerate(blocks):
-            band_product(H, E_p[s * N:(s + 1) * N], out=pi_tilde2_Ep[s * N:(s + 1) * N])
+        pi_tilde2_Ep = np.concatenate([band_product(H, E_p[s * N:(s + 1) * N])
+                                       for s, H in enumerate(blocks)])
         diff = (p0**2 * E_p - pi_tilde2_Ep) - (p0**2 - p2**2) * E_p
         ref = np.linalg.norm(diff) / np.linalg.norm(E_p)
         assert abs(res - ref) <= 1e-14 * ref and res < 1e-5

@@ -11,12 +11,19 @@ from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
-from ritusfw.field_profiles import (analytic_levels, exponential_profile, tabulated_profile,
-                                    uniform_profile)
+from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponential_profile,
+                                    tabulated_profile, uniform_profile)
+from ritusfw.operators import channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, GridConfig, build_grid,
                                    convergence_study, solve_channel)
+
+
+def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
+    """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
+    V = channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
+    return solve_channel(channel_hamiltonian(V, grid.h), V, grid.h, sigma, n_levels, tol_eig)
 
 
 def test_grid_validation():
@@ -120,7 +127,7 @@ def test_zero_mode_rounding_clamp(uni, monkeypatch, raw, clamped, flagged):
         return vals, vecs
 
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", shifted)
-    spec = solve_channel(uni.profile, 0.0, 1.0, +1, uni.grid, 4)
+    spec = solve_channel(uni.ops.H[+1], uni.ops.V[+1], uni.ops.h, +1, 4)
     assert spec.eigenvalues[0] == (0.0 if clamped else raw)
     assert bool(spec.flags) == flagged
 
@@ -146,7 +153,7 @@ def test_phase_convention_positive_peak(uni):
 def test_eigenvalues_independent_of_py(uni):
     prof = uniform_profile(1.0)
     grid = build_grid(prof, 0.9, 4, GridConfig(n_points=512))
-    spec = solve_channel(prof, 0.9, 1.0, +1, grid, n_levels=5)
+    spec = channel_solve(prof, 0.9, +1, grid, n_levels=5)
     assert_allclose(spec.eigenvalues, uni.spec_plus.eigenvalues[:5], atol=1e-5)
 
 
@@ -160,19 +167,19 @@ def test_morse_chain_for_exponential_profile():
         prof = exponential_profile(B, a)
         grid = build_grid(prof, p_y, 5, GridConfig(n_points=768))
         for sigma in (+1, -1):
-            spec = solve_channel(prof, p_y, 1.0, sigma, grid, n_levels=5)
+            spec = channel_solve(prof, p_y, sigma, grid, n_levels=5)
             for n, k in enumerate(spec.eigenvalues):
                 assert abs(k - analytic_levels(prof, 1.0, p_y, n, sigma)) < 1e-6, (B, p_y, n)
 
 
 def test_solver_argument_validation(uni):
-    prof, grid = uni.profile, uni.grid
+    H, V, h = uni.ops.H[+1], uni.ops.V[+1], uni.ops.h
     with pytest.raises(ArgumentError):
-        solve_channel(prof, 0.0, 1.0, 0, grid, n_levels=3)
+        solve_channel(H, V, h, 0, n_levels=3)
     with pytest.raises(ArgumentError):
-        solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=0)
+        solve_channel(H, V, h, +1, n_levels=0)
     with pytest.raises(TruncationError):
-        solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=grid.n_points // 2)
+        solve_channel(H, V, h, +1, n_levels=V.size // 2)
 
 
 def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch):
@@ -195,7 +202,7 @@ def test_unresolvable_levels_hit_the_wall():
     prof = uniform_profile(1.0)
     grid = build_grid(prof, 0.0, 1, GridConfig(n_points=128))
     with pytest.raises(TruncationError):
-        solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=30)
+        channel_solve(prof, 0.0, +1, grid, n_levels=30)
 
 
 def test_tiny_tolerance_rejects_coarse_zero_mode():
@@ -204,7 +211,7 @@ def test_tiny_tolerance_rejects_coarse_zero_mode():
     prof = uniform_profile(1.0)
     grid = build_grid(prof, 0.0, 2, GridConfig(n_points=128))
     with pytest.raises(DiscretizationError):
-        solve_channel(prof, 0.0, 1.0, +1, grid, n_levels=3, tol_eig=1e-14)
+        channel_solve(prof, 0.0, +1, grid, n_levels=3, tol_eig=1e-14)
 
 
 def test_convergence_study_uniform_order_four():

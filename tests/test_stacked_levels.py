@@ -52,9 +52,9 @@ def eigen_relation_loop(prob, levels):
     for n in range(len(levels)):
         E_p = Ep(levels, n)
         PiE = np.empty_like(E_p)
-        for spec in (prob.spec_plus, prob.spec_minus):
-            rows = slice(slots[spec.sigma] * N, (slots[spec.sigma] + 1) * N)
-            PiE[rows] = band_product(spec.hamiltonian, E_p[rows])
+        for sigma, H in prob.ops.H.items():
+            rows = slice(slots[sigma] * N, (slots[sigma] + 1) * N)
+            PiE[rows] = band_product(H, E_p[rows])
         residual = (levels.p0**2 * E_p - PiE) - (levels.p0**2 - p2(levels, n)**2) * E_p
         out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
@@ -122,7 +122,7 @@ def test_stacked_eigen_relation_and_intertwining_match_level_loops(problems):
         on_shell = dataclasses.replace(prob.levels, p0=np.sqrt(prob.levels.k[-1] + MASS**2))
         for levels in (prob.levels, on_shell):
             ref = eigen_relation_loop(prob, levels)
-            res = verify_eigen_relation(levels, prob.spec_plus, prob.spec_minus)
+            res = verify_eigen_relation(levels)
             assert np.all(np.abs(res - ref) <= TOL * ref)
             ref = intertwining_loop(prob, levels)
             assert np.all(np.abs(verify_gpEp(levels) - ref) <= TOL * ref)
