@@ -33,11 +33,9 @@ if TYPE_CHECKING:
     from .field_profiles import FieldProfile
     from .problem import Problem
 
-# the parameters each profile kind reads; a config may give no other
-_KIND_KEYS = {"uniform": ("B",), "exponential": ("B", "alpha"), "tabulated": ("path",)}
-_PROFILE_DEFAULTS = {"B": 1.0, "alpha": 0.1}
-_TOP_KEYS = {"profile", "e", "mass", "p_y", "p0", "grid", "n_max",
-             "tolerances", "rep", "out"}
+# the parameters each profile kind reads, with their defaults; a config may give no other
+_KIND_KEYS = {"uniform": {"B": 1.0}, "exponential": {"B": 1.0, "alpha": 0.1},
+              "tabulated": {"path": None}}
 
 
 def _cap_threads() -> None:
@@ -88,6 +86,10 @@ class RunConfig:
                            ("tolerances.residual", self.tol_residual)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be positive and finite, got {value}")
+        rounding = sys.float_info.epsilon * self.mass  # that of each level's sqrt(k + m^2)
+        if rounding > self.tol_eig:
+            raise ConfigurationError(f"mass = {self.mass} rounds at eps*mass = {rounding:.3g}, "
+                                     f"above tolerances.eig = {self.tol_eig}")
         for key, value in (("e", self.e), ("p_y", self.p_y)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{key} must be finite, got {value}")
@@ -126,11 +128,15 @@ class RunConfig:
         from . import field_profiles as fp
         from .errors import ArgumentError
 
-        if self.profile_kind == "uniform":
-            return fp.uniform_profile(B=self.profile_number("B"))
-        if self.profile_kind == "exponential":
-            return fp.exponential_profile(B=self.profile_number("B"),
-                                          alpha=self.profile_number("alpha"))
+        make = {"uniform": fp.uniform_profile, "exponential": fp.exponential_profile}
+        if self.profile_kind in make:
+            params = {key: _number(self.profile_params.get(key, default), f"profile {key}")
+                      for key, default in _KIND_KEYS[self.profile_kind].items()}
+            for key, value in params.items():
+                if not (math.isfinite(value) and value != 0):
+                    raise ConfigurationError(
+                        f"profile {key} must be finite and nonzero, got {value}")
+            return make[self.profile_kind](**params)
         path = self.profile_params.get("path")
         if not isinstance(path, str):
             raise ConfigurationError(f"profile.path must name an x,W table, got {path!r}")
@@ -140,26 +146,16 @@ class RunConfig:
             raise ConfigurationError(
                 f"profile.path {path!r} is not a usable x,W table: {exc}") from None
 
-    def profile_number(self, key: str) -> float:
-        """Profile parameter ``key`` (B or alpha) as a finite nonzero float."""
-        value = _number(self.profile_params.get(key, _PROFILE_DEFAULTS[key]), f"profile {key}")
-        if not (math.isfinite(value) and value != 0):
-            raise ConfigurationError(f"profile {key} must be finite and nonzero, got {value}")
-        return value
-
     def echo(self) -> dict:
         """The config as the report states it, a table's path resolved, not as given."""
         profile = {"kind": self.profile_kind, **self.profile_params}
         if "path" in profile:
             profile["path"] = os.path.realpath(profile["path"])
-        return {
-            "profile": profile,
-            "e": self.e, "mass": self.mass, "p_y": self.p_y, "p0": self.p0,
-            "grid": {"N": self.grid_n, "padding": self.padding},
-            "n_max": self.n_max,
-            "tolerances": {"eig": self.tol_eig, "residual": self.tol_residual},
-            "rep": self.rep,
-        }
+
+        def block(schema):
+            return {key: block(entry) if isinstance(entry, dict) else getattr(self, entry[0])
+                    for key, entry in schema.items()}
+        return {"profile": profile, **block(_SCHEMA)}
 
 
 def _number(raw, key: str) -> float:
@@ -170,6 +166,8 @@ def _number(raw, key: str) -> float:
     if not isinstance(raw, bool):
         try:
             return float(raw)
+        except OverflowError:  # an integer beyond the float range reads as 1e400 does
+            return math.inf if raw > 0 else -math.inf
         except (TypeError, ValueError):
             pass
     raise ConfigurationError(f"{key} must be a number, got {raw!r}")
@@ -183,8 +181,36 @@ def _integer(raw, key: str) -> int:
     return int(value)
 
 
+# each JSON path of a config, nested as in the file, to its RunConfig field and
+# parser; `profile` (keys by kind) and `out` (not echoed) are read beside it
+_SCHEMA = {
+    "e": ("e", _number),
+    "mass": ("mass", _number),
+    "p_y": ("p_y", _number),
+    "p0": ("p0", _number),
+    "grid": {"N": ("grid_n", _integer), "padding": ("padding", _number)},
+    "n_max": ("n_max", _integer),
+    "tolerances": {"eig": ("tol_eig", _number), "residual": ("tol_residual", _number)},
+    "rep": ("rep", lambda raw, key: str(raw)),
+}
+
+
+def _assign(cfg: RunConfig, raw: dict, schema: dict, prefix: str = "") -> None:
+    """Set cfg's fields from raw by schema; a key schema lacks is an error naming its path."""
+    for key, value in raw.items():
+        entry, path = schema.get(key), prefix + key
+        if entry is None:
+            raise ConfigurationError(f"unknown config key {path!r}")
+        if isinstance(entry, tuple):
+            setattr(cfg, entry[0], entry[1](value, path))
+        elif isinstance(value, dict):
+            _assign(cfg, value, entry, path + ".")
+        else:
+            raise ConfigurationError(f"{path} must be a JSON object, got {value!r}")
+
+
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file; unknown keys are configuration errors.
+    """Parse a JSON config file by _SCHEMA; a key it lacks, at any level, is an error.
 
     A profile key its kind does not read is rejected by RunConfig.validate,
     which also sees the --eB flag.
@@ -196,35 +222,17 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    for key in ("profile", "grid", "tolerances"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise ConfigurationError(f"{key} must be a JSON object, got {raw[key]!r}")
-
     cfg = RunConfig()
-    try:
-        prof = raw.get("profile", {})
-        if prof:
-            cfg.profile_kind = str(prof.get("kind", cfg.profile_kind))
-            cfg.profile_params = {k: v for k, v in prof.items() if k != "kind"}
-        cfg.e = _number(raw.get("e", cfg.e), "e")
-        cfg.mass = _number(raw.get("mass", cfg.mass), "mass")
-        cfg.p_y = _number(raw.get("p_y", cfg.p_y), "p_y")
-        cfg.p0 = _number(raw.get("p0", cfg.p0), "p0")
-        grid = raw.get("grid", {})
-        cfg.grid_n = _integer(grid.get("N", cfg.grid_n), "grid.N")
-        cfg.padding = _number(grid.get("padding", cfg.padding), "grid.padding")
-        cfg.n_max = _integer(raw.get("n_max", cfg.n_max), "n_max")
-        tol = raw.get("tolerances", {})
-        cfg.tol_eig = _number(tol.get("eig", cfg.tol_eig), "tolerances.eig")
-        cfg.tol_residual = _number(tol.get("residual", cfg.tol_residual), "tolerances.residual")
-        cfg.rep = str(raw.get("rep", cfg.rep))
-        if raw.get("out") is not None:
-            cfg.out = str(raw["out"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
+    prof = raw.pop("profile", {})
+    if not isinstance(prof, dict):
+        raise ConfigurationError(f"profile must be a JSON object, got {prof!r}")
+    out = raw.pop("out", None)
+    _assign(cfg, raw, _SCHEMA)
+    if prof:
+        cfg.profile_kind = str(prof.get("kind", cfg.profile_kind))
+        cfg.profile_params = {k: v for k, v in prof.items() if k != "kind"}
+    if out is not None:
+        cfg.out = str(out)
     return cfg
 
 

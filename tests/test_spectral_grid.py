@@ -11,8 +11,8 @@ from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
-from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponential_profile,
-                                    tabulated_profile, uniform_profile)
+from ritusfw.field_profiles import (analytic_levels, channel_potentials, evaluate_potential,
+                                    exponential_profile, tabulated_profile, uniform_profile)
 from ritusfw.operators import channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
@@ -90,6 +90,23 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     assert -L <= prob.grid.x_min and prob.grid.x_max <= L
     assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
     assert verify_gpEp(prob.levels).max() < 1e-5
+
+
+@pytest.mark.parametrize("field", [uniform_profile(1.0), exponential_profile(1.0, 0.1)],
+                         ids=["uniform", "exponential"])
+def test_table_of_a_closed_form_field_reaches_its_levels(field):
+    # W sampled on [-16, 16], wide enough for the WKB walls of level 8: the
+    # spline and the table's walls keep the closed form's levels within
+    # tol_eig, on a grid where the field itself reads about 5e-8 from them
+    xs = np.linspace(-16.0, 16.0, 321)
+    table = tabulated_profile(xs, evaluate_potential(field, xs)[0])
+    for profile in (field, table):
+        prob = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3, n_max=8,
+                       grid_config=GridConfig(n_points=2048), tol_eig=1e-6)
+        for spec in (prob.spec_plus, prob.spec_minus):
+            levels = [analytic_levels(field, 1.0, 0.0, n, spec.sigma) for n in range(9)]
+            assert_allclose(spec.eigenvalues, levels, rtol=0,
+                            atol=1e-6 if profile is table else 1e-7)
 
 
 def test_table_ending_before_the_wkb_target_is_a_truncation_error():
