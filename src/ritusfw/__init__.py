@@ -14,7 +14,6 @@ from .errors import (
     DiscretizationError,
     DomainError,
     PairingError,
-    PoleError,
     RitusFWError,
     TruncationError,
     UnsupportedProfileError,
@@ -44,7 +43,6 @@ __all__ = [
     "TruncationError",
     "PairingError",
     "DiscretizationError",
-    "PoleError",
     "ConditioningError",
     *_SUBMODULES,
 ]

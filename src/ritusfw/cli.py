@@ -54,7 +54,6 @@ class RunConfig:
     p_y: float = 0.0
     p0: float = 0.3
     grid_n: int = 1024
-    padding: float = 1.5
     n_max: int = 8
     tol_eig: float = 1e-6
     tol_residual: float = 1e-5
@@ -79,9 +78,6 @@ class RunConfig:
                 f"n_max = {self.n_max} asks for {self.n_max + 1} levels, but grid.N = "
                 f"{self.grid_n} resolves at most N // 4 = {self.grid_n // 4}"
             )
-        if not (math.isfinite(self.padding) and self.padding > 0):
-            raise ConfigurationError(
-                f"grid.padding must be positive and finite, got {self.padding}")
         for key, value in (("tolerances.eig", self.tol_eig),
                            ("tolerances.residual", self.tol_residual)):
             if not (math.isfinite(value) and value > 0):
@@ -147,8 +143,12 @@ class RunConfig:
                 f"profile.path {path!r} is not a usable x,W table: {exc}") from None
 
     def echo(self) -> dict:
-        """The config as the report states it, a table's path resolved, not as given."""
-        profile = {"kind": self.profile_kind, **self.profile_params}
+        """The config as the report states it, a table's path resolved, not as given.
+
+        A profile parameter the config leaves out is stated at the default the run read.
+        """
+        profile = {"kind": self.profile_kind, **_KIND_KEYS[self.profile_kind],
+                   **self.profile_params}
         if "path" in profile:
             profile["path"] = os.path.realpath(profile["path"])
 
@@ -188,7 +188,7 @@ _SCHEMA = {
     "mass": ("mass", _number),
     "p_y": ("p_y", _number),
     "p0": ("p0", _number),
-    "grid": {"N": ("grid_n", _integer), "padding": ("padding", _number)},
+    "grid": {"N": ("grid_n", _integer)},
     "n_max": ("n_max", _integer),
     "tolerances": {"eig": ("tol_eig", _number), "residual": ("tol_residual", _number)},
     "rep": ("rep", lambda raw, key: str(raw)),
@@ -486,11 +486,9 @@ def _run(command: str, cfg: RunConfig, profile: FieldProfile, outdir: Optional[P
     """``run`` on a field profile already built from cfg."""
     from .clifford import make_rep
     from .problem import Problem
-    from .spectral_grid import GridConfig
 
     prob = Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
-                   cfg.n_max, GridConfig(n_points=cfg.grid_n, padding=cfg.padding),
-                   cfg.tol_eig)
+                   cfg.n_max, cfg.grid_n, cfg.tol_eig)
     report = {"version": __version__, "command": command, "config": cfg.echo()}
     if command == "all":
         ok = True

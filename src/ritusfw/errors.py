@@ -33,13 +33,5 @@ class DiscretizationError(RitusFWError):
     """The discretization produced eigenvalues inconsistent with a bound-state problem."""
 
 
-class PoleError(RitusFWError):
-    """Propagator requested on (or too close to) the mass shell."""
-
-    def __init__(self, message: str, distance: float):
-        super().__init__(message)
-        self.distance = distance
-
-
 class ConditioningError(RitusFWError):
     """Linear solve would be dominated by a nearby pole."""

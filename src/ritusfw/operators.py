@@ -11,13 +11,12 @@ the rest of the package:
 * spinor slots: a grid spinor has two slots s = 0, 1 of N values each, and
   a spinor 2x2 matrix c acting with a grid N x N matrix D is the Kronecker
   product c (x) D, whose block (s, t) is c[s, t] D.  The levels and X are
-  held per slot, so only ``ritus_basis.completeness_residual`` takes a
-  spinor in the block order ``[slot 0 (N values), slot 1 (N values)]``.
-  The band of gamma.Pi - m (``GridOperators.dirac_band``) interleaves the
-  slots, q = 2i + s for grid point i and spinor slot s, so that the two
-  slots of one point are neighbours and the matrix has half-bandwidth
-  ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors it with LAPACK's
-  banded LU (xGBTRF/xGBTRS) and solves in that interleaved order.
+  held per slot.  The band of gamma.Pi - m (``GridOperators.dirac_band``)
+  interleaves the slots, q = 2i + s for grid point i and spinor slot s, so
+  that the two slots of one point are neighbours and the matrix has
+  half-bandwidth ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors it
+  with LAPACK's banded LU (xGBTRF/xGBTRS) and solves in that interleaved
+  order.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix

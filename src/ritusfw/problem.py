@@ -21,7 +21,7 @@ from .field_profiles import FieldProfile
 from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
 from .ritus_basis import RitusLevels, assemble_levels
-from .spectral_grid import GridConfig, build_grid, solve_channel
+from .spectral_grid import build_grid, solve_channel
 
 __all__ = ["Problem"]
 
@@ -63,9 +63,10 @@ class _link:
 class Problem:
     """Physical and grid inputs; grid, ops, spectra, levels and fw are built lazily.
 
-    Levels 0..n_max are resolved; ``levels`` carry the off-shell energy p0,
-    ``fw`` is built from their slot blocks and k at mass m.  Every input is
-    required: the default run lives in the CLI's ``RunConfig`` alone.
+    Levels 0..n_max are resolved on an n_points grid; ``levels`` carry the
+    off-shell energy p0, ``fw`` is built from their slot blocks and k at
+    mass m.  Every input is required: the default run lives in the CLI's
+    ``RunConfig`` alone.
     """
 
     profile: FieldProfile
@@ -75,12 +76,12 @@ class Problem:
     m: float
     p0: float
     n_max: int
-    grid_config: GridConfig
+    n_points: int
     tol_eig: float
 
     @_link
     def grid(self):
-        return build_grid(self.profile, self.p_y, self.n_max, self.grid_config, e=self.e)
+        return build_grid(self.profile, self.p_y, self.n_max, self.n_points, e=self.e)
 
     @_link
     def ops(self) -> GridOperators:

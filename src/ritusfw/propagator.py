@@ -19,13 +19,12 @@ level blocks straight into that order, and the overlaps read per slot.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .clifford import GammaRep
-from .errors import ArgumentError, ConditioningError, PoleError
+from .errors import ArgumentError, ConditioningError
 from .ritus_basis import RitusLevels, free_slash
 
 __all__ = [
@@ -34,30 +33,29 @@ __all__ = [
     "pole_sweep",
 ]
 
-POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = sqrt(k + m^2) is refused
+POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = _shells(levels, m) is refused
 
 
 def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> np.ndarray:
     """The (L, 2, 2) closed forms S(pbar) = (gamma^mu pbar_mu + m)/(pbar^2 - m^2).
 
-    Real, one block per entry of p2, at pbar = (p0, 0, p2).  Raises
-    PoleError naming the first level on shell.
+    Real, one block per entry of p2, at pbar = (p0, 0, p2).  Off every shell
+    by the guard of ``project_propagator``, which keeps |pbar^2 - m^2| at
+    least POLE_GUARD (|p0| + sqrt(p2^2 + m^2)).
     """
     denom = p0**2 - np.float_power(p2, 2) - m * m     # pbar^2 as verify_eigen_relation squares it
-    on_shell = np.flatnonzero(np.abs(denom) <= 1e-8)
-    if on_shell.size:
-        n = on_shell[0]
-        raise PoleError(
-            f"level {n}: pbar^2 - m^2 = {denom[n]:.3e} is on shell (|pbar^2 - m^2| <= 1e-8)",
-            distance=abs(float(denom[n])),
-        )
     # times 1/denom, as numpy divides a complex by a real: the report's digits rest on it
     return (free_slash(p0, p2, rep) + m * np.eye(2)) * (1.0 / denom)[:, None, None]
 
 
+def _shells(levels: RitusLevels, m: float) -> np.ndarray:
+    """Each level's on-shell energy sqrt(p2^2 + m^2), a negative k read as 0 as p2 reads it."""
+    return np.sqrt(np.maximum(levels.k, 0.0) + m * m)
+
+
 def _factor(levels: RitusLevels, p0: float, m: float):
     """The banded solve of (gamma.Pi - m) at p0, refused within POLE_GUARD of any level's shell."""
-    E_on = np.sqrt(levels.k + m * m)
+    E_on = _shells(levels, m)
     dist = np.abs(abs(p0) - E_on)
     close = np.flatnonzero(dist < POLE_GUARD)
     if close.size:
@@ -131,8 +129,8 @@ def pole_sweep(
     if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     k = float(levels.k[n_target])
-    E_on = math.sqrt(k + m * m)
-    shells = np.sqrt(levels.k + m * m)
+    shells = _shells(levels, m)
+    E_on = float(shells[n_target])
 
     rows, crowding = [], set()
     for d in distances:

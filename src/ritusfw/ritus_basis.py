@@ -47,7 +47,6 @@ __all__ = [
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
-    "completeness_residual",
 ]
 
 PAIRING_TOL = 1e-6     # relative gap allowed between a level's partner eigenvalues
@@ -249,17 +248,3 @@ def zero_mode_annihilation(levels: RitusLevels) -> float:
     sqh, u = math.sqrt(levels.ops.h), levels.F[a][:, 0]
     return ((sqh * float(np.linalg.norm(band_product(levels.ops.X[1 - a], u))))
             / (sqh * float(np.linalg.norm(u))))
-
-
-def completeness_residual(levels: RitusLevels, test: np.ndarray) -> float:
-    """|| test - sum_p E_p (quadrature of Ebar_p test) || / || test ||, test in the block order.
-
-    The two gamma^0 of Ebar_p cancel, so each slot of test is projected on its block.
-    """
-    test = np.asarray(test)
-    nrm = float(np.linalg.norm(test))
-    if nrm == 0.0:
-        raise ArgumentError("test function is identically zero")
-    rest = [t - f @ (levels.ops.h * (f.T @ t))
-            for f, t in zip(levels.F, np.split(test, 2))]
-    return float(np.linalg.norm(np.concatenate(rest))) / nrm

@@ -23,10 +23,11 @@ slightly negative one inside the truncation window (-ZERO_CLAMP, 0).
 
 Grid sizing: the domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
-k-estimate, kept below the exponential field's plateau), extended by a
-padding factor, and further extended until the WKB decay integral
-int sqrt(V - k_est) dx exceeds DECAY_EXPONENT so that Dirichlet-wall
-eigenvalue shifts stay well below the stencil error.
+k-estimate, kept below the exponential field's plateau), widened by the
+factor PADDING about its center, and further extended until the WKB decay
+integral int sqrt(V - k_est) dx exceeds DECAY_EXPONENT so that
+Dirichlet-wall eigenvalue shifts stay well below the stencil error.  The
+grid's one free number is its point count N.
 Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
 of vectorized potential calls.
 """
@@ -53,13 +54,13 @@ from .operators import channel_hamiltonian
 
 __all__ = [
     "Grid",
-    "GridConfig",
     "ScalarSpectrum",
     "build_grid",
     "solve_channel",
     "convergence_study",
 ]
 
+PADDING = 1.5  # the sublevel set is widened by this factor about its center
 DECAY_EXPONENT = 10.0  # WKB tail integral target at the walls
 ZERO_CLAMP = 1e-8  # negative eigenvalues above -ZERO_CLAMP are clamped to 0
 ZERO_ROUNDING = 16  # |k| <= ZERO_ROUNDING * eps * ||H|| is clamped to 0
@@ -94,14 +95,6 @@ class Grid:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Knobs for build_grid."""
-
-    n_points: int = 1024
-    padding: float = 1.5
 
 
 @dataclass(frozen=True)
@@ -194,17 +187,17 @@ def build_grid(
     profile: FieldProfile,
     p_y: float,
     n_max: int,
-    config: GridConfig = GridConfig(),
+    n_points: int,
     e: float = 1.0,
 ) -> Grid:
-    """Size the grid so levels 0..n_max are resolved in both channels.
+    """Size an n_points grid so levels 0..n_max are resolved in both channels.
 
     The domain covers {x : V_sigma(x) <= k_estimate} for both channels,
-    extended by config.padding, then extended further if the WKB decay
-    integral from the k_estimate turning point to the wall falls short of
-    DECAY_EXPONENT on either side.  A table bounds the domain: if it
-    ends before the integral reaches the target, TruncationError names the
-    decay reached.
+    widened by PADDING, then extended further if the WKB decay integral
+    from the k_estimate turning point to the wall falls short of
+    DECAY_EXPONENT on either side.  A table bounds the domain: if it ends
+    before the integral reaches the target, TruncationError names the decay
+    reached.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -262,8 +255,8 @@ def build_grid(
 
     center = 0.5 * (xa + xb)
     half = 0.5 * (xb - xa)
-    a = center - config.padding * half
-    b = center + config.padding * half
+    a = center - PADDING * half
+    b = center + PADDING * half
 
     # WKB check: walls deep enough that int sqrt(V - k_est) from the
     # turning point reaches the target; extend only where padding fell short.
@@ -286,7 +279,7 @@ def build_grid(
     if clip:
         a, b = max(a, domain[0]), min(b, domain[1])
 
-    return Grid(x_min=a, x_max=b, n_points=config.n_points)
+    return Grid(x_min=a, x_max=b, n_points=n_points)
 
 
 def solve_channel(
@@ -476,7 +469,7 @@ def convergence_study(
 
     # one fixed, wall-safe domain for every N (otherwise boundary shifts
     # alias into the order estimate)
-    domain = build_grid(profile, p_y, n_max=n + 2, config=GridConfig(n_points=max(N_list)), e=e)
+    domain = build_grid(profile, p_y, n + 2, max(N_list), e=e)
 
     ks = []
     for N in N_list:

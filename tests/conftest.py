@@ -14,13 +14,12 @@ import pytest
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
 from ritusfw.problem import Problem
-from ritusfw.spectral_grid import GridConfig
 
 
 @pytest.fixture(scope="session")
 def uni():
     return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
-                   n_max=6, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
+                   n_max=6, n_points=640, tol_eig=1e-6)
 
 
 @pytest.fixture(scope="session")

@@ -158,10 +158,6 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
                  "alpha", id="alpha-zero"),
     pytest.param("all", {"tolerances": {"eig": float("nan"), "residual": 1e-3}},
                  "tolerances.eig", id="eig-nan"),
-    pytest.param("all", {"grid": {"N": 256, "padding": float("inf")}}, "grid.padding",
-                 id="padding-inf"),
-    pytest.param("all", {"grid": {"N": 256, "padding": float("nan")}}, "grid.padding",
-                 id="padding-nan"),
     pytest.param("all", {"grid": {"N": 1024}, "n_max": 300}, "n_max", id="n_max-above-quarter-N"),
     pytest.param("all", {"grid": {"N": 64.7}}, "grid.N", id="N-fractional"),
     pytest.param("all", {"n_max": 2.9}, "n_max", id="n_max-fractional"),
@@ -197,6 +193,9 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
     pytest.param("all", {"grid": {"n": 256}}, "unknown config key 'grid.n'", id="grid-typo"),
     pytest.param("all", {"tolerances": {"eigen": 1e-3}},
                  "unknown config key 'tolerances.eigen'", id="tolerances-typo"),
+    # the grid's one number is N; its padding is the constant spectral_grid.PADDING
+    pytest.param("all", {"grid": {"N": 256, "padding": 1.5}},
+                 "unknown config key 'grid.padding'", id="padding-unknown"),
     # eps * mass = 2.2e-6 exceeds tolerances.eig
     pytest.param("all", {"mass": 1e10, "tolerances": {"eig": 1e-6, "residual": 1e-5}},
                  "mass = 10000000000.0 rounds", id="mass-above-floor"),
@@ -214,7 +213,7 @@ def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides,
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("key", ["e", "mass", "p_y", "p0", "grid.N", "grid.padding", "n_max",
+@pytest.mark.parametrize("key", ["e", "mass", "p_y", "p0", "grid.N", "n_max",
                                  "tolerances.eig", "tolerances.residual"])
 def test_non_numeric_config_value_names_its_key(tmp_path, key):
     section, _, name = key.rpartition(".")
@@ -228,7 +227,7 @@ def test_non_numeric_config_value_names_its_key(tmp_path, key):
 @pytest.mark.parametrize("cfg", [
     pytest.param(RunConfig(), id="default"),
     pytest.param(RunConfig(profile_kind="exponential", profile_params={"B": -2.0, "alpha": 0.05},
-                           e=0.5, mass=3.0, p_y=0.25, p0=0.7, grid_n=2048, padding=2.0,
+                           e=0.5, mass=3.0, p_y=0.25, p0=0.7, grid_n=2048,
                            n_max=5, tol_eig=1e-7, tol_residual=1e-4, rep="second"),
                  id="every-field-off-default"),
 ])
@@ -238,6 +237,22 @@ def test_a_config_file_of_the_echo_loads_the_same_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.echo()))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("profile,echoed", [
+    pytest.param({"kind": "exponential"}, {"kind": "exponential", "B": 1.0, "alpha": 0.1},
+                 id="both-defaults"),
+    pytest.param({"kind": "exponential", "B": 2}, {"kind": "exponential", "B": 2, "alpha": 0.1},
+                 id="integer-B-kept"),
+    pytest.param({"kind": "uniform"}, {"kind": "uniform", "B": 1.0}, id="uniform-default"),
+])
+def test_the_echo_states_the_profile_parameters_a_run_defaults(tmp_path, profile, echoed):
+    # a parameter the config leaves out is echoed at the default the run
+    # reads; one it gives is echoed as given
+    path = write_config(tmp_path / "cfg.json", profile=profile)
+    echo = load_config(path).echo()["profile"]
+    assert echo == echoed
+    assert [type(echo[key]) for key in echoed] == [type(v) for v in echoed.values()]
 
 
 @pytest.mark.parametrize("mass,code", [(10.0, 0), (1e9, 0), (1e10, 2), (1e100, 2), (1e154, 2)])
@@ -440,10 +455,11 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
 
 
 def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
-    # a padding of 1e100 passes validation, but on that domain the first
-    # Lanczos vector's norm underflows to 0: each section records the
-    # breakdown, and the report is written without a traceback
-    cfg = write_config(tmp_path / "cfg.json", grid={"N": 256, "padding": 1e100})
+    # at N = 512 the zero mode's eigenvalue stays at -7.1e-8, below
+    # -tolerances.eig = -1e-8: the channel solve aborts, each section records
+    # that, and the report is written without a traceback
+    cfg = write_config(tmp_path / "cfg.json", profile={"kind": "uniform", "B": 8.0},
+                       grid={"N": 512}, n_max=4, tolerances={"eig": 1e-8, "residual": 1e-5})
     out = tmp_path / "d"
     proc = run_cli("all", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 1
@@ -455,7 +471,7 @@ def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
                                 "verify-ritus"]
     for name, section in sections.items():
         assert section["error"].startswith(
-            "DiscretizationError: shift-invert Lanczos broke down"), name
+            "DiscretizationError: eigenvalue -7.138e-08 below -tol_eig"), name
         assert section["checks"] == {}, name
 
 

@@ -41,7 +41,7 @@ from ritusfw.operators import BAND, band_product, channel_hamiltonian, channel_s
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING,
-                                   GridConfig, build_grid, solve_channel)
+                                   build_grid, solve_channel)
 
 from bands import Ep, dense, dense_E, dense_spinor, g0_diagonal
 
@@ -106,7 +106,7 @@ def test_main_claim_from_factors_matches_dense_grid_residual(variant):
     # ||U E_p - E_p U_free|| / ||E_p|| with the dense U on the grid, against
     # the 2L x 2L form the operator's factors give
     prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS, p0=P0,
-                   n_max=8, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
+                   n_max=8, n_points=640, tol_eig=1e-6)
     fw, levels = prob.fw, prob.levels
     U = dense_U(fw)
     ref = np.array([
@@ -163,7 +163,7 @@ def test_project_propagator_matches_dense_lu(uni):
 @pytest.fixture(scope="module")
 def expo():
     return Problem(exponential_profile(1.0, 0.1), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
-                   p0=P0, n_max=6, grid_config=GridConfig(n_points=640), tol_eig=1e-6)
+                   p0=P0, n_max=6, n_points=640, tol_eig=1e-6)
 
 
 @pytest.mark.parametrize("near_pole", [False, True])
@@ -265,7 +265,7 @@ def small_problem(n_max, variant):
     """The smallest grid, a multiple of 32, on which levels 0..n_max build."""
     for N in range(32 * math.ceil(4 * (n_max + 1) / 32), 1025, 32):
         prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
-                       p0=P0, n_max=n_max, grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+                       p0=P0, n_max=n_max, n_points=N, tol_eig=1e-6)
         try:
             prob.fw
         except RitusFWError:
@@ -304,7 +304,7 @@ def test_doubler_ladder_and_its_overlap_with_the_levels(N, n_max):
     # Rayleigh quotient under them is far above its eigenvalue, and the levels,
     # built from them, hold no doubler beyond rounding.  Here |eB| = 1
     prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
-                   n_max=n_max, grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+                   n_max=n_max, n_points=N, tol_eig=1e-6)
     X = dense_spinor(prob.ops.X)
     lam, V = np.linalg.eigh(X.T @ X)
     H = np.zeros_like(X)
@@ -415,7 +415,7 @@ def arpack_channel(profile, p_y, sigma, grid, n_levels):
 @pytest.mark.parametrize("name", list(PROFILES))
 def test_channel_solve_matches_dense_eigh(name, p_y, N):
     profile = PROFILES[name]
-    grid = build_grid(profile, p_y, N_LEVELS - 1, GridConfig(n_points=N))
+    grid = build_grid(profile, p_y, N_LEVELS - 1, N)
     for sigma in (+1, -1):
         spec = channel_solve(profile, p_y, sigma, grid, tol_eig=1e-3)
         vals, vecs = dense_channel(profile, p_y, sigma, grid)
@@ -442,7 +442,7 @@ KINDS = {
        n_max=st.integers(1, 16))
 def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, n_max):
     profile = KINDS[kind](sign)
-    grid = build_grid(profile, p_y, n_max, GridConfig(n_points=N))
+    grid = build_grid(profile, p_y, n_max, N)
     spec = channel_solve(profile, p_y, sigma, grid, n_max + 1, tol_eig=1e-3)
     V = channel_potential(profile, p_y, sigma, grid)
     # dense eigh is backward stable only: its eigenvalues carry an error of
@@ -481,6 +481,17 @@ def no_convergence(chol, shift, v0, k, m, restarts):
 def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", no_convergence)
     with pytest.raises(DiscretizationError, match="did not converge"):
+        channel_solve(uni.profile, 0.0, +1, uni.grid)
+
+
+def test_lanczos_breakdown_is_a_discretization_error(uni, monkeypatch):
+    # a start vector of norm 0 makes the first Lanczos vector not finite
+    def zero_start(chol, shift, v0, k, m, restarts):
+        with np.errstate(invalid="ignore"):
+            return LANCZOS(chol, shift, np.zeros_like(v0), k, m, restarts)
+
+    monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", zero_start)
+    with pytest.raises(DiscretizationError, match="broke down at step 0"):
         channel_solve(uni.profile, 0.0, +1, uni.grid)
 
 

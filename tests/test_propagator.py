@@ -2,7 +2,10 @@
 
 import dataclasses
 import functools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +14,11 @@ from numpy.testing import assert_allclose
 from ritusfw import operators
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
-from ritusfw.errors import ArgumentError, ConditioningError, PoleError
+from ritusfw.errors import ArgumentError, ConditioningError
 from ritusfw.propagator import diagonal_propagator, pole_sweep, project_propagator
 from ritusfw.ritus_basis import free_slash
+
+from child_env import child_env
 
 P0 = 0.3
 MASS = 1.0
@@ -51,12 +56,19 @@ def test_diagonal_propagator_inverts(variant, k):
     assert np.abs(S[n] - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
-def test_pole_error_on_shell():
-    rep = make_rep("first")
-    p2 = np.array([0.0, math.sqrt(2.0), math.sqrt(2.0)])
-    with pytest.raises(PoleError, match="level 1") as exc:        # the first on shell
-        diagonal_propagator(math.sqrt(2.0 + MASS**2), p2, MASS, rep)
-    assert exc.value.distance <= 1e-8
+def test_a_flagged_negative_zero_mode_shell_is_refused_by_the_guard(tmp_path):
+    # at N = 512 the zero mode stays a flagged k_0 = -7.1e-8; its shell is
+    # sqrt(max(k_0, 0) + m^2) = m, where the closed form's p2 = 0 puts it, so
+    # p0 = m is refused by the conditioning guard, with no sqrt of a negative
+    proc = subprocess.run(
+        [sys.executable, "-m", "ritusfw.cli", "all", "--eB", "8", "--mass", "1e-6",
+         "--grid-n", "512", "--levels", "4", "--p0", "1e-6"],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["sections"]["propagator"]["error"]
+    assert error.startswith("ConditioningError: ") and "k_0" in error, error
+    for text in (proc.stdout, proc.stderr):
+        assert "PoleError" not in text and "RuntimeWarning" not in text
 
 
 def test_projected_diagonal_matches_free_form(uni):

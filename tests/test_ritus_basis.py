@@ -1,4 +1,4 @@
-"""Level assembly, orthonormality, intertwining, completeness, exports."""
+"""Level assembly, orthonormality, intertwining, exports."""
 
 import dataclasses
 import math
@@ -20,9 +20,8 @@ from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
 from ritusfw.operators import (GridOperators, band_product, channel_hamiltonian, channel_slots,
                                first_derivative)
 from ritusfw.problem import Problem
-from ritusfw.ritus_basis import (assemble_levels, completeness_residual, verify_eigen_relation,
-                                 verify_gpEp, zero_mode_annihilation)
-from ritusfw.spectral_grid import GridConfig
+from ritusfw.ritus_basis import (assemble_levels, verify_eigen_relation, verify_gpEp,
+                                 zero_mode_annihilation)
 
 from bands import Ep, dense_E, dense_spinor, g0_diagonal
 
@@ -148,7 +147,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     # relation and the field FW operator's invariants
     profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
     prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, p0=0.3, n_max=8,
-                   grid_config=GridConfig(n_points=N), tol_eig=1e-6)
+                   n_points=N, tol_eig=1e-6)
     for spec in (prob.spec_plus, prob.spec_minus):
         for n, k in enumerate(spec.eigenvalues.tolist()):
             exact = analytic_levels(profile, e, p_y, n, spec.sigma)
@@ -239,27 +238,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     assert np.abs(main - verify_main_claim(other)).max() < 1e-8
 
 
-def test_completeness_improves_with_levels(uni):
-    N = uni.grid.n_points
-    x = uni.grid.x
-    bump = np.exp(-0.5 * (x - 0.4) ** 2)
-    test_vec = np.zeros(2 * N, dtype=complex)
-    test_vec[:N] = bump
-    test_vec[N:] = 0.3 * np.roll(bump, 5)
-    test_vec /= np.sqrt(uni.grid.h) * np.linalg.norm(test_vec)
-    levels = uni.levels
-    residuals = [completeness_residual(
-                     dataclasses.replace(levels, F=tuple(f[:, :j] for f in levels.F),
-                                         k=levels.k[:j]),
-                     test_vec)
-                 for j in (1, 3, len(levels))]
-    assert residuals[0] > residuals[1] > residuals[2]
-    assert residuals[2] < 0.05
-
-
 def test_completeness_validation(uni):
-    with pytest.raises(ArgumentError):
-        completeness_residual(uni.levels, np.zeros(2 * uni.grid.n_points))
     # no level at all, or blocks and k of different lengths, is no record of levels
     levels = uni.levels
     for j, k in ((0, levels.k[:0]), (2, levels.k[:3])):
@@ -284,7 +263,7 @@ def test_levels_csv(tmp_path):
 
 def test_gauge_center_shift_preserves_levels(uni):
     # p_y shifts the magnetic center; spectra and residuals are unchanged
-    prob = dataclasses.replace(uni, p_y=1.2, n_max=3, grid_config=GridConfig(n_points=512))
+    prob = dataclasses.replace(uni, p_y=1.2, n_max=3, n_points=512)
     assert prob.levels.k[2] == pytest.approx(4.0, abs=1e-5)
     assert verify_gpEp(prob.levels)[2] < 1e-5
     peak = prob.grid.x[np.argmax(np.abs(prob.spec_plus.eigenfunctions[:, 0]))]

@@ -16,7 +16,7 @@ from ritusfw.field_profiles import (analytic_levels, channel_potentials, evaluat
 from ritusfw.operators import channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
-from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, GridConfig, build_grid,
+from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, build_grid,
                                    convergence_study, solve_channel)
 
 
@@ -38,18 +38,18 @@ def test_grid_validation():
 
 def test_build_grid_requires_levels():
     with pytest.raises(ConfigurationError):
-        build_grid(uniform_profile(1.0), 0.0, 0)
+        build_grid(uniform_profile(1.0), 0.0, 0, 1024)
 
 
 def test_build_grid_centers_on_py_over_eB():
-    grid = build_grid(uniform_profile(1.0), 0.8, 3, GridConfig(n_points=256))
+    grid = build_grid(uniform_profile(1.0), 0.8, 3, 256)
     center = 0.5 * (grid.x_min + grid.x_max)
     assert abs(center - 0.8) < 0.05
 
 
 def test_build_grid_widens_with_levels():
-    g4 = build_grid(uniform_profile(1.0), 0.0, 4, GridConfig(n_points=256))
-    g8 = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=256))
+    g4 = build_grid(uniform_profile(1.0), 0.0, 4, 256)
+    g8 = build_grid(uniform_profile(1.0), 0.0, 8, 256)
     assert g8.x_max - g8.x_min > g4.x_max - g4.x_min
 
 
@@ -74,7 +74,7 @@ def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y
         return evaluate(prof, x)
 
     monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
-    build_grid(profile, p_y, n_max, GridConfig(n_points=256))
+    build_grid(profile, p_y, n_max, 256)
     assert 0 < len(calls) <= 32
     assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
@@ -85,8 +85,8 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     # WKB walls do, inside the table, and the top level intertwines
     xs = np.linspace(-L, L, int(20 * L) + 1)
     prob = Problem(tabulated_profile(xs, xs), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
-                   p0=0.3, n_max=8, grid_config=GridConfig(n_points=1024), tol_eig=1e-6)
-    uniform = build_grid(uniform_profile(1.0), 0.0, 8, GridConfig(n_points=1024))
+                   p0=0.3, n_max=8, n_points=1024, tol_eig=1e-6)
+    uniform = build_grid(uniform_profile(1.0), 0.0, 8, 1024)
     assert -L <= prob.grid.x_min and prob.grid.x_max <= L
     assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
     assert verify_gpEp(prob.levels).max() < 1e-5
@@ -102,7 +102,7 @@ def test_table_of_a_closed_form_field_reaches_its_levels(field):
     table = tabulated_profile(xs, evaluate_potential(field, xs)[0])
     for profile in (field, table):
         prob = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3, n_max=8,
-                       grid_config=GridConfig(n_points=2048), tol_eig=1e-6)
+                       n_points=2048, tol_eig=1e-6)
         for spec in (prob.spec_plus, prob.spec_minus):
             levels = [analytic_levels(field, 1.0, 0.0, n, spec.sigma) for n in range(9)]
             assert_allclose(spec.eigenvalues, levels, rtol=0,
@@ -113,7 +113,7 @@ def test_table_ending_before_the_wkb_target_is_a_truncation_error():
     xs = np.linspace(-5.0, 5.0, 101)
     with pytest.raises(TruncationError, match=r"the table ends at x = -?5, where the WKB "
                                               r"decay .* reaches 0\.55"):
-        build_grid(tabulated_profile(xs, xs), 0.0, 8, GridConfig(n_points=1024))
+        build_grid(tabulated_profile(xs, xs), 0.0, 8, 1024)
 
 
 @pytest.mark.parametrize("sigma,offset", [(+1, 0), (-1, 2)])
@@ -169,7 +169,7 @@ def test_phase_convention_positive_peak(uni):
 
 def test_eigenvalues_independent_of_py(uni):
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.9, 4, GridConfig(n_points=512))
+    grid = build_grid(prof, 0.9, 4, 512)
     spec = channel_solve(prof, 0.9, +1, grid, n_levels=5)
     assert_allclose(spec.eigenvalues, uni.spec_plus.eigenvalues[:5], atol=1e-5)
 
@@ -182,7 +182,7 @@ def test_morse_chain_for_exponential_profile():
         6 - 9 * a * a, abs=1e-12)
     for B, p_y in ((1.0, 0.0), (1.0, 0.8), (-1.0, -0.5)):
         prof = exponential_profile(B, a)
-        grid = build_grid(prof, p_y, 5, GridConfig(n_points=768))
+        grid = build_grid(prof, p_y, 5, 768)
         for sigma in (+1, -1):
             spec = channel_solve(prof, p_y, sigma, grid, n_levels=5)
             for n, k in enumerate(spec.eigenvalues):
@@ -205,7 +205,7 @@ def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch)
     # guard names the plateau (validation refuses this n_max first)
     monkeypatch.setattr(spectral_grid, "_GUARD", 20_000)
     with pytest.raises(ConfigurationError) as err:
-        build_grid(exponential_profile(1.0, 0.5), 0.0, 3)
+        build_grid(exponential_profile(1.0, 0.5), 0.0, 3, 1024)
     found = re.search(r"levels off at V = ([\d.]+) near x = ([\d.]+), below the level "
                       r"estimate k_est = ([\d.]+) for n_max = 3: .* within 20,000 grid steps",
                       str(err.value))
@@ -217,7 +217,7 @@ def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch)
 
 def test_unresolvable_levels_hit_the_wall():
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.0, 1, GridConfig(n_points=128))
+    grid = build_grid(prof, 0.0, 1, 128)
     with pytest.raises(TruncationError):
         channel_solve(prof, 0.0, +1, grid, n_levels=30)
 
@@ -226,7 +226,7 @@ def test_tiny_tolerance_rejects_coarse_zero_mode():
     # at N=128 the raw zero-mode eigenvalue is slightly negative; an
     # unrealistically tight tol_eig must turn that into a hard error
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.0, 2, GridConfig(n_points=128))
+    grid = build_grid(prof, 0.0, 2, 128)
     with pytest.raises(DiscretizationError):
         channel_solve(prof, 0.0, +1, grid, n_levels=3, tol_eig=1e-14)
 

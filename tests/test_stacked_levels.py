@@ -25,7 +25,6 @@ from ritusfw.operators import band_product, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import diagonal_propagator, project_propagator
 from ritusfw.ritus_basis import RitusLevels, verify_eigen_relation, verify_gpEp
-from ritusfw.spectral_grid import GridConfig
 
 from bands import Ep, dense_E, dense_spinor, g0_diagonal
 
@@ -37,7 +36,7 @@ TOL = 1e-14
 @pytest.fixture(scope="module", params=[8, 32], ids=lambda n: f"n_max={n}")
 def problems(request):
     first = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
-                    n_max=request.param, grid_config=GridConfig(n_points=1024), tol_eig=1e-6)
+                    n_max=request.param, n_points=1024, tol_eig=1e-6)
     return first, first.other_rep()
 
 
