@@ -82,7 +82,7 @@ class RunConfig:
                            ("tolerances.residual", self.tol_residual)):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{key} must be positive and finite, got {value}")
-        rounding = sys.float_info.epsilon * self.mass  # that of each level's sqrt(k + m^2)
+        rounding = sys.float_info.epsilon * self.mass  # that of each level's shell
         if rounding > self.tol_eig:
             raise ConfigurationError(f"mass = {self.mass} rounds at eps*mass = {rounding:.3g}, "
                                      f"above tolerances.eig = {self.tol_eig}")
@@ -333,8 +333,8 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
     }
     if outdir is not None:
         _write_csv(outdir / "levels.csv", ("n", "k", "p0", "py", "E_D"),
-                   [(n, k, levels.p0, levels.ops.p_y, math.sqrt(k + cfg.mass * cfg.mass))
-                    for n, k in enumerate(levels.k.tolist())])
+                   [(n, k, levels.p0, levels.ops.p_y, E) for n, (k, E)
+                    in enumerate(zip(levels.k.tolist(), levels.shells(cfg.mass).tolist()))])
     return {"results": {"levels": per_level,
                         "zero_mode_annihilation": zm,
                         "orthonormality_deviation": ortho_dev},
@@ -356,7 +356,7 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
     populated = np.flatnonzero(fw.levels.projector)
     H_r, grading = restricted_hamiltonian(fw)
     report = transform_hamiltonian(fw.W[np.ix_(populated, populated)], H_r, beta=grading)
-    expected = np.sort(grading * np.sqrt(np.repeat(fw.levels.k, 2)[populated] + cfg.mass ** 2))
+    expected = np.sort(grading * np.repeat(fw.levels.shells(cfg.mass), 2)[populated])
     eig_err = float(np.abs(np.sort(report.eigenvalues) - expected).max())
     ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
 

@@ -7,7 +7,8 @@ The check: factor (gamma.Pi - m) on the grid once at fixed off-shell p0,
 solve for the Ritus level columns, take their Dirac-adjoint overlaps, and
 compare the diagonal blocks against the free form (the spin projector cuts
 the zero-mode block down to its populated slot).  Cross-level blocks must
-vanish to quadrature accuracy.
+vanish to quadrature accuracy.  A p0 within POLE_GUARD of a level's shell
+sqrt(max(k_n, 0) + m^2), ``RitusLevels.shells``, is refused.
 
 With the spinor components interleaved, gamma.Pi - m is a band matrix of
 half-width 5, factored once per p0 by banded Gaussian elimination with
@@ -27,13 +28,9 @@ from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError
 from .ritus_basis import RitusLevels, free_slash
 
-__all__ = [
-    "diagonal_propagator",
-    "project_propagator",
-    "pole_sweep",
-]
+__all__ = ["diagonal_propagator", "project_propagator", "pole_sweep"]
 
-POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = _shells(levels, m) is refused
+POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = levels.shells(m) is refused
 
 
 def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> np.ndarray:
@@ -41,28 +38,27 @@ def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> n
 
     Real, one block per entry of p2, at pbar = (p0, 0, p2).  Off every shell
     by the guard of ``project_propagator``, which keeps |pbar^2 - m^2| at
-    least POLE_GUARD (|p0| + sqrt(p2^2 + m^2)).
+    least POLE_GUARD (|p0| + shell), shell = sqrt(p2^2 + m^2).
     """
     denom = p0**2 - np.float_power(p2, 2) - m * m     # pbar^2 as verify_eigen_relation squares it
     # times 1/denom, as numpy divides a complex by a real: the report's digits rest on it
     return (free_slash(p0, p2, rep) + m * np.eye(2)) * (1.0 / denom)[:, None, None]
 
 
-def _shells(levels: RitusLevels, m: float) -> np.ndarray:
-    """Each level's on-shell energy sqrt(p2^2 + m^2), a negative k read as 0 as p2 reads it."""
-    return np.sqrt(np.maximum(levels.k, 0.0) + m * m)
+def _near(p0: float, shells: np.ndarray) -> np.ndarray:
+    """The levels n, in order, with ||p0| - shells[n]| < POLE_GUARD: the one pole check."""
+    return np.flatnonzero(np.abs(abs(p0) - shells) < POLE_GUARD)
 
 
 def _factor(levels: RitusLevels, p0: float, m: float):
     """The banded solve of (gamma.Pi - m) at p0, refused within POLE_GUARD of any level's shell."""
-    E_on = _shells(levels, m)
-    dist = np.abs(abs(p0) - E_on)
-    close = np.flatnonzero(dist < POLE_GUARD)
+    shells = levels.shells(m)
+    close = _near(p0, shells)
     if close.size:
         n = close[0]
         raise ConditioningError(
-            f"p0 = {p0:.6g} is within {dist[n]:.2e} of the on-shell energy "
-            f"sqrt(k_{n} + m^2) = {E_on[n]:.6g}; solve too ill-conditioned"
+            f"p0 = {p0:.6g} is within {abs(abs(p0) - shells[n]):.2e} of the on-shell energy "
+            f"sqrt(max(k_{n}, 0) + m^2) = {shells[n]:.6g}; solve too ill-conditioned"
         )
     return levels.ops.dirac_solver(p0, m)
 
@@ -111,16 +107,12 @@ def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     }
 
 
-def pole_sweep(
-    levels: RitusLevels,
-    n_target: int,
-    m: float,
-    distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125),
-) -> dict:
+def pole_sweep(levels: RitusLevels, n_target: int, m: float,
+               distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125)) -> dict:
     """Approach the on-shell energy of one level and fit the pole exponent.
 
-    p0 = sqrt(k_n + m^2) - d for each distance d; fits
-    log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
+    p0 = sqrt(max(k_n, 0) + m^2) - d (``levels.shells``) for each distance d;
+    fits log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
     (expected 1) plus the sweep rows.  Each p0 solves for the target level's
     two columns alone; the conditioning guard still covers every level.  A
     p0 that lies within POLE_GUARD of another level's shell is skipped; if
@@ -129,13 +121,13 @@ def pole_sweep(
     if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     k = float(levels.k[n_target])
-    shells = _shells(levels, m)
+    shells = levels.shells(m)
     E_on = float(shells[n_target])
 
     rows, crowding = [], set()
     for d in distances:
         p0 = E_on - d
-        close = np.flatnonzero(np.abs(abs(p0) - shells) < POLE_GUARD)    # as _factor refuses
+        close = _near(p0, shells)
         close = close[close != n_target]
         if close.size:
             crowding.update(close.tolist())
@@ -151,7 +143,7 @@ def pole_sweep(
         raise ConditioningError(
             f"the sweep toward level {n_target}'s shell keeps {len(rows)} of {len(distances)} "
             f"points, fewer than 3: the others lie within {POLE_GUARD:g} of "
-            + ", ".join(f"sqrt(k_{n} + m^2) = {shells[n]:.6g}" for n in sorted(crowding))
+            + ", ".join(f"sqrt(max(k_{n}, 0) + m^2) = {shells[n]:.6g}" for n in sorted(crowding))
         )
 
     lx = np.log([r["offshellness"] for r in rows])

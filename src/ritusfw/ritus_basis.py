@@ -6,9 +6,10 @@ The two functions are placed on the spinor slots dictated by the gamma
 representation, giving a (2N) x 2 matrix E_p that diagonalizes (gamma.Pi)^2
 and intertwines gamma.Pi with the free contraction gamma^mu pbar_mu at
 pbar = (p0, 0, sqrt(k)).  The free side depends on a level through k alone,
-so it is held as arrays over the levels: p2 = sqrt(k) and the (L, 2, 2)
-blocks gamma^mu pbar_mu of ``free_slash``.  The level n = 0 is the zero
-mode: one column, k = 0, annihilated by the spatial Dirac operator.
+so it is held as arrays over the levels: p2 = sqrt(k), the (L, 2, 2) blocks
+gamma^mu pbar_mu of ``free_slash`` and the shells sqrt(max(k, 0) + m^2) of
+``RitusLevels.shells``, which every check reads.  The level n = 0 is the
+zero mode: one column, k = 0, annihilated by the spatial Dirac operator.
 
 Sign conventions: the scalar solver fixes each phi's overall phase; on top
 of that the paired column is sign-aligned by the intertwining itself,
@@ -86,6 +87,10 @@ class RitusLevels:
     def p2(self) -> np.ndarray:
         """Each level's pbar_2 = sqrt(k), a negative k (a flagged zero mode) read as 0."""
         return np.sqrt(np.maximum(self.k, 0.0))
+
+    def shells(self, m: float) -> np.ndarray:
+        """Each level's on-shell energy sqrt(p2^2 + m^2) = sqrt(max(k, 0) + m^2) at mass m."""
+        return np.sqrt(np.maximum(self.k, 0.0) + m * m)
 
     @property
     def projector(self) -> np.ndarray:

@@ -1,15 +1,18 @@
 """End-to-end CLI runs in subprocesses: determinism, exit codes, schemas."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ritusfw
@@ -532,10 +535,14 @@ def test_detail_csvs_hold_the_reports_values(tmp_path):
     expected += [["-1", str(n), digits(k)] for n, k in enumerate(spectrum["sigma_minus"])]
     assert rows("spectrum.csv", "sigma,n,k") == expected
 
+    # E_D is the level's shell sqrt(max(k, 0) + m^2): N = 256 keeps a flagged
+    # k_0 = -1.2e-7, whose shell is m
     levels = sections["verify-ritus"]["results"]["levels"]
     assert rows("levels.csv", "n,k,p0,py,E_D") == [
-        [str(row["n"]), digits(row["k"]), "0.3", "0.25", digits(math.sqrt(row["k"] + 1.0))]
+        [str(row["n"]), digits(row["k"]), "0.3", "0.25",
+         digits(math.sqrt(max(row["k"], 0.0) + 1.0))]
         for row in levels]
+    assert levels[0]["k"] < 0 and rows("levels.csv", "n,k,p0,py,E_D")[0][4] == "1"
     assert len(levels) == cfg.n_max + 1
 
     pole_rows = sections["propagator"]["results"]["pole_rows"]
@@ -607,18 +614,102 @@ CLAIMS = [("verify-ritus", "intertwining"), ("fw-exact", "main_claim"),
           ("propagator", "cross_blocks")]
 
 
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """CI's tabulated field W = +-(x + 0.003 sin(0.5 x)) on [-16, 16], one table per sign."""
+    root = tmp_path_factory.mktemp("tables")
+    xs = [-16.0 + 0.2 * i for i in range(161)]
+    paths = {}
+    for sign in (1.0, -1.0):
+        paths[sign] = root / f"W{sign:+.0f}.csv"
+        paths[sign].write_text("x,W\n" + "".join(
+            f"{x!r},{sign * (x + 0.003 * math.sin(0.5 * x))!r}\n" for x in xs))
+    return paths
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(kind=st.sampled_from(["uniform", "exponential"]), alpha=st.floats(0.05, 0.1),
-       B=st.sampled_from([1.0, -1.0]), p_y=st.floats(-1.0, 1.0),
+@given(kind=st.sampled_from(["uniform", "exponential", "tabulated"]),
+       alpha=st.floats(0.05, 0.1), B=st.sampled_from([1.0, -1.0]), p_y=st.floats(-1.0, 1.0),
        rep=st.sampled_from(["first", "second"]), N=st.sampled_from(range(640, 4097, 128)))
-def test_claims_hold_across_the_parameter_space(kind, alpha, B, p_y, rep, N):
+def test_claims_hold_across_the_parameter_space(tables, kind, alpha, B, p_y, rep, N):
     # N = 512 keeps a negative zero mode that the FW sections refuse; at N = 640
     # and 768 spectrum_error and eigenvalue_match fail on resolution, so only the
-    # claims that the grid's resolution does not set are asserted
-    params = {"B": B} if kind == "uniform" else {"B": B, "alpha": alpha}
+    # claims that the grid's resolution does not set are asserted.  A table's
+    # sign is B's
+    params = {"uniform": {"B": B}, "exponential": {"B": B, "alpha": alpha},
+              "tabulated": {"path": str(tables[B])}}[kind]
     cfg = RunConfig(profile_kind=kind, profile_params=params, p_y=p_y, rep=rep, grid_n=N)
     cfg.validate()
     report, _ = run("all", cfg)
     sections = report["sections"]
     for section, check in CLAIMS:
         assert sections[section]["checks"][check]["pass"], (section, check, sections[section])
+
+
+# the detail file each section writes with --out, beside report.json
+SECTION_CSV = {"spectrum": "spectrum.csv", "verify-ritus": "levels.csv",
+               "propagator": "pole_sweep.csv"}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# eB = 8 on N = 512 keeps a flagged k_0 = -7.1e-8 below -m^2, and p0 = m is its shell
+@example(command="all", rep="first", eB=8.0, mass=1e-6, N=512, n_max=4, at="m")
+@given(command=st.sampled_from(sorted(cli._COMMANDS) + ["all"]),
+       rep=st.sampled_from(["first", "second"]),
+       eB=st.sampled_from([1e-3, 1.0, 8.0, -1e-3, -1.0, -8.0]),
+       # 4.4e9 and 4.6e9 lie just under and just over eps * mass = tolerances.eig
+       mass=st.sampled_from([1e-6, 1.0, 4.4e9, 4.6e9]),
+       N=st.sampled_from([256, 512, 1024]), n_max=st.integers(1, 4),
+       at=st.sampled_from(["0.3", "m", "shell", "shell+", "doubler"]))
+def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
+        scratch, command, rep, eB, mass, N, n_max, at):
+    # the exit-code contract, run in-process: 0 or 1 with a report and the CSV
+    # of every section that ran without an error, or 2 with nothing written.
+    # p0 is drawn on level 1's shell sqrt(2|eB| + m^2), 1.1e-3 above it, on
+    # level 0's shell m, or on the grid's doubler pole sqrt((10/3)|eB| + m^2)
+    shell = math.sqrt(2 * abs(eB) + mass * mass)
+    p0 = {"0.3": 0.3, "m": mass, "shell": shell, "shell+": shell + 1.1e-3,
+          "doubler": math.sqrt(10 / 3 * abs(eB) + mass * mass)}[at]
+    out = scratch / "out"
+    argv = [command, "--rep", rep, "--eB", repr(eB), "--mass", repr(mass), "--grid-n", str(N),
+            "--levels", str(n_max), "--p0", repr(p0), "--out", str(out)]
+    saved = {var: os.environ.get(var) for var in THREAD_VARS}
+    stderr = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 1, 2), code
+        assert not caught, [str(w.message) for w in caught]
+        if code == 2:
+            assert not out.exists()
+            assert stderr.getvalue().startswith("rfw: ")
+            return
+        files = {path.name for path in out.iterdir()}
+        if "report.json" not in files:
+            # a single command that aborts reports its error on stderr alone
+            assert command != "all" and code == 1 and not files, files
+            assert stderr.getvalue().startswith("rfw: ") and "Error: " in stderr.getvalue()
+            return
+        report = json.loads((out / "report.json").read_text())
+        sections = report["sections"] if command == "all" else {command: report}
+        assert files == {"report.json"} | {SECTION_CSV[name] for name, section in sections.items()
+                                           if name in SECTION_CSV and "error" not in section}
+        assert (code == 0) == (report["status"] == "pass")
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value

@@ -142,7 +142,7 @@ def test_pole_sweep_skips_p0_near_another_shell(uni):
     assert [row["p0"] for row in sweep["rows"]] == [
         row["p0"] for row in pole_sweep(levels, 1, MASS, distances=(0.2, 0.1, 0.05))["rows"]]
     with pytest.raises(ConditioningError, match=r"keeps 2 of 4 points, fewer than 3: .* "
-                                                r"sqrt\(k_0 \+ m\^2\) = 1\b"):
+                                                r"sqrt\(max\(k_0, 0\) \+ m\^2\) = 1\b"):
         pole_sweep(levels, 1, MASS, distances=crowded + (0.2, 0.1))
 
 
