@@ -7,11 +7,11 @@ identical runs produce byte-identical output; CSV detail files, written here
 alone and with the same 12 digits, land next to the report when ``--out``
 names a directory.
 
-Exit codes: 0 all configured checks pass, 1 a residual exceeded its
-tolerance (report still written) or the computation aborted, 2 usage or
-configuration error (nothing written).  Under ``all`` a section that aborts
-is recorded in the report as ``{"error": ..., "checks": {}}``, the other
-sections still run, and the report is written with exit code 1.
+Every command runs through ``run``, one rule for all: a section that aborts
+is recorded as ``{"error": ..., "checks": {}}`` and the other sections still
+run.  Files are written only after every section has run.  Exit codes: 0
+all configured checks pass, 1 a check failed or a section aborted (report
+written), 2 usage or configuration error (nothing written).
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def _window_check(value: float, lo: float, hi: float) -> dict:
             "pass": bool(lo <= float(value) <= hi)}
 
 
-def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
+def _cmd_spectrum(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     from .field_profiles import analytic_levels
 
     results = {
@@ -303,14 +303,12 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
                 err = max(err, abs(k - analytic_levels(prob.profile, cfg.e, cfg.p_y, n,
                                                        spec.sigma)))
         checks["spectrum_error"] = _check(err, cfg.tol_eig)
-    if outdir is not None:
-        _write_csv(outdir / "spectrum.csv", ("sigma", "n", "k"),
-                   [(spec.sigma, n, k) for spec in (prob.spec_plus, prob.spec_minus)
-                    for n, k in enumerate(spec.eigenvalues.tolist())])
-    return {"results": results, "checks": checks}
+    rows = [(spec.sigma, n, k) for spec in (prob.spec_plus, prob.spec_minus)
+            for n, k in enumerate(spec.eigenvalues.tolist())]
+    return {"results": results, "checks": checks}, {"spectrum.csv": (("sigma", "n", "k"), rows)}
 
 
-def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
+def _cmd_verify_ritus(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
     from .ritus_basis import verify_eigen_relation, verify_gpEp, zero_mode_annihilation
@@ -331,17 +329,16 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> 
         "zero_mode_annihilation": _check(zm, cfg.tol_residual),
         "orthonormality": _check(ortho_dev, cfg.tol_residual),
     }
-    if outdir is not None:
-        _write_csv(outdir / "levels.csv", ("n", "k", "p0", "py", "E_D"),
-                   [(n, k, levels.p0, levels.ops.p_y, E) for n, (k, E)
-                    in enumerate(zip(levels.k.tolist(), levels.shells(cfg.mass).tolist()))])
-    return {"results": {"levels": per_level,
-                        "zero_mode_annihilation": zm,
-                        "orthonormality_deviation": ortho_dev},
-            "checks": checks}
+    rows = [(n, k, levels.p0, levels.ops.p_y, E) for n, (k, E)
+            in enumerate(zip(levels.k.tolist(), levels.shells(cfg.mass).tolist()))]
+    return ({"results": {"levels": per_level,
+                         "zero_mode_annihilation": zm,
+                         "orthonormality_deviation": ortho_dev},
+             "checks": checks},
+            {"levels.csv": (("n", "k", "p0", "py", "E_D"), rows)})
 
 
-def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
+def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
     from .foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
@@ -382,10 +379,10 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict
                         "even_part_norm": report.even_part_norm,
                         "transformed_eigenvalues": list(np.sort(report.eigenvalues)),
                         "rep_agreement_gap": rep_gap},
-            "checks": checks}
+            "checks": checks}, {}
 
 
-def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
+def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
     from .foldy_wouthuysen import (bd_iteration, fw_series_hamiltonian,
@@ -434,10 +431,10 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dic
     return {"results": {"bd": bd_rows, "bd_slope": bd_slope,
                         "series": series_rows, "series_slope": series_slope,
                         "level_k": k},
-            "checks": checks}
+            "checks": checks}, {}
 
 
-def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> dict:
+def _cmd_propagator(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     from .propagator import pole_sweep, project_propagator
 
     res = project_propagator(prob.levels, cfg.p0, cfg.mass)
@@ -447,18 +444,18 @@ def _cmd_propagator(cfg: RunConfig, prob: Problem, outdir: Optional[Path]) -> di
         "cross_blocks": _check(res["cross_norm"], cfg.tol_residual),
         "pole_exponent": _window_check(sweep["exponent"], 0.9, 1.1),
     }
-    if outdir is not None:
-        _write_csv(outdir / "pole_sweep.csv", ("p0", "n", "block_norm"),
-                   [(r["p0"], r["n"], r["block_norm"]) for r in sweep["rows"]])
-    return {"results": {"p0": cfg.p0,
-                        "diagonal_error": res["diagonal_error"],
-                        "cross_norm": res["cross_norm"],
-                        "diagonal_block_norms": res["diagonal_norms"],
-                        "pole_exponent": sweep["exponent"],
-                        "pole_rows": sweep["rows"]},
-            "checks": checks}
+    rows = [(r["p0"], r["n"], r["block_norm"]) for r in sweep["rows"]]
+    return ({"results": {"p0": cfg.p0,
+                         "diagonal_error": res["diagonal_error"],
+                         "cross_norm": res["cross_norm"],
+                         "diagonal_block_norms": res["diagonal_norms"],
+                         "pole_exponent": sweep["exponent"],
+                         "pole_rows": sweep["rows"]},
+             "checks": checks},
+            {"pole_sweep.csv": (("p0", "n", "block_norm"), rows)})
 
 
+# each section takes (cfg, prob) and returns its report section and its CSVs by file name
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "verify-ritus": _cmd_verify_ritus,
@@ -468,47 +465,41 @@ _COMMANDS = {
 }
 
 
-def _all_pass(section: dict) -> bool:
-    return all(c.get("pass", False) for c in section["checks"].values())
-
-
 def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
-    """Execute a command against a fresh Problem. Returns (report, ok).
+    """Validate cfg, run the sections command names on one Problem. Returns (report, ok).
 
-    For ``all``, a RitusFWError other than a ConfigurationError raised inside
-    one section is recorded as that section's ``error`` (with no checks) and
-    fails the run; the other sections still run.
+    ``all`` names the five sections, any other command its own.  A
+    RitusFWError other than a ConfigurationError raised inside a section is
+    recorded as that section's ``error`` (with no checks) and fails the run;
+    the other sections still run.  Only after every section has run is
+    outdir created and each section's CSV written into it, so a run that
+    raises writes nothing.
     """
-    return _run(command, cfg, cfg.field_profile(), outdir)
-
-
-def _run(command: str, cfg: RunConfig, profile: FieldProfile, outdir: Optional[Path]):
-    """``run`` on a field profile already built from cfg."""
     from .clifford import make_rep
     from .problem import Problem
 
-    prob = Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
+    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
                    cfg.n_max, cfg.grid_n, cfg.tol_eig)
+    sections, tables = {}, {}
+    for name in _COMMANDS if command == "all" else [command]:
+        try:
+            sections[name], section_tables = _COMMANDS[name](cfg, prob)
+        except ConfigurationError:
+            raise
+        except RitusFWError as exc:
+            sections[name] = {"error": f"{type(exc).__name__}: {exc}", "checks": {}}
+            continue
+        tables.update(section_tables)
+    ok = all("error" not in section and all(c.get("pass", False)
+                                            for c in section["checks"].values())
+             for section in sections.values())
     report = {"version": __version__, "command": command, "config": cfg.echo()}
-    if command == "all":
-        ok = True
-        sections = {}
-        for name, fn in _COMMANDS.items():
-            try:
-                sections[name] = fn(cfg, prob, outdir)
-            except ConfigurationError:
-                raise
-            except RitusFWError as exc:
-                sections[name] = {"error": f"{type(exc).__name__}: {exc}", "checks": {}}
-                ok = False
-                continue
-            ok = ok and _all_pass(sections[name])
-        report["sections"] = sections
-    else:
-        section = _COMMANDS[command](cfg, prob, outdir)
-        report.update(section)
-        ok = _all_pass(section)
+    report.update({"sections": sections} if command == "all" else sections[command])
     report["status"] = "pass" if ok else "fail"
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(outdir / name, header, rows)
     return report, ok
 
 
@@ -543,25 +534,12 @@ def main(argv=None) -> int:
             val = getattr(args, name)
             if val is not None:
                 setattr(cfg, name, val)
-        profile = cfg.validate()
-        outdir = None
-        if cfg.out is not None:
-            outdir = Path(cfg.out)
-            outdir.mkdir(parents=True, exist_ok=True)
+        outdir = Path(cfg.out) if cfg.out is not None else None
+        report, ok = run(args.command, cfg, outdir)
+        emit_report(report, outdir / "report.json" if outdir is not None else None)
     except (ConfigurationError, OSError) as exc:
         print(f"rfw: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        report, ok = _run(args.command, cfg, profile, outdir)
-    except ConfigurationError as exc:
-        print(f"rfw: {exc}", file=sys.stderr)
-        return 2
-    except RitusFWError as exc:
-        print(f"rfw: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
-    emit_report(report, outdir / "report.json" if outdir is not None else None)
     return 0 if ok else 1
 
 

@@ -457,6 +457,35 @@ def test_all_records_failed_section_and_runs_the_others(tmp_path):
         assert sections[name]["checks"]
 
 
+# the detail file each section writes with --out, beside report.json
+SECTION_CSV = {"spectrum": "spectrum.csv", "verify-ritus": "levels.csv",
+               "propagator": "pole_sweep.csv"}
+
+
+def test_each_single_command_reports_its_section_of_all(tmp_path):
+    # one runner for every command: a section does not depend on what an
+    # earlier section built, and writes the same CSV alone as under `all`
+    whole, ok = run("all", RunConfig(), tmp_path / "all")
+    assert ok
+    for command, section in whole["sections"].items():
+        single, _ = run(command, RunConfig(), tmp_path / command)
+        assert single["results"] == section["results"], command
+        assert single["checks"] == section["checks"], command
+    for command, name in SECTION_CSV.items():
+        assert (tmp_path / command / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("all", RunConfig(mass=-1.0), "mass must be positive", id="negative-mass"),
+    pytest.param("spectrum", RunConfig(n_max=300), "n_max = 300", id="n_max-above-quarter-N"),
+])
+def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key):
+    # the library entry validates, so no section runs and nothing is written
+    with pytest.raises(ConfigurationError, match=key):
+        run(command, cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
     # at N = 512 the zero mode's eigenvalue stays at -7.1e-8, below
     # -tolerances.eig = -1e-8: the channel solve aborts, each section records
@@ -646,9 +675,6 @@ def test_claims_hold_across_the_parameter_space(tables, kind, alpha, B, p_y, rep
         assert sections[section]["checks"][check]["pass"], (section, check, sections[section])
 
 
-# the detail file each section writes with --out, beside report.json
-SECTION_CSV = {"spectrum": "spectrum.csv", "verify-ritus": "levels.csv",
-               "propagator": "pole_sweep.csv"}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
@@ -661,6 +687,10 @@ def scratch(tmp_path_factory):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 # eB = 8 on N = 512 keeps a flagged k_0 = -7.1e-8 below -m^2, and p0 = m is its shell
 @example(command="all", rep="first", eB=8.0, mass=1e-6, N=512, n_max=4, at="m")
+# a single command whose section aborts: p0 = m is level 0's shell
+@example(command="propagator", rep="first", eB=1.0, mass=1.0, N=1024, n_max=4, at="m")
+# a field too weak for the grid sizing, which refuses it after validation passed
+@example(command="spectrum", rep="first", eB=1e-9, mass=1.0, N=256, n_max=1, at="0.3")
 @given(command=st.sampled_from(sorted(cli._COMMANDS) + ["all"]),
        rep=st.sampled_from(["first", "second"]),
        eB=st.sampled_from([1e-3, 1.0, 8.0, -1e-3, -1.0, -8.0]),
@@ -691,21 +721,25 @@ def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
                 code = exc.code
         assert code in (0, 1, 2), code
         assert not caught, [str(w.message) for w in caught]
+        if abs(eB) < 1e-3:  # weaker than any drawn field: the grid sizing refuses it
+            assert code == 2
         if code == 2:
             assert not out.exists()
             assert stderr.getvalue().startswith("rfw: ")
             return
         files = {path.name for path in out.iterdir()}
-        if "report.json" not in files:
-            # a single command that aborts reports its error on stderr alone
-            assert command != "all" and code == 1 and not files, files
-            assert stderr.getvalue().startswith("rfw: ") and "Error: " in stderr.getvalue()
-            return
         report = json.loads((out / "report.json").read_text())
         sections = report["sections"] if command == "all" else {command: report}
         assert files == {"report.json"} | {SECTION_CSV[name] for name, section in sections.items()
                                            if name in SECTION_CSV and "error" not in section}
         assert (code == 0) == (report["status"] == "pass")
+        if command == "propagator" and at == "m":
+            # p0 = m is level 0's shell: the guard refuses it wherever the levels
+            # build, and a single command's error sits at the report's top level
+            assert report["status"] == "fail" and report["checks"] == {}
+            assert "pole_sweep.csv" not in files
+            assert report["error"].startswith(
+                ("ConditioningError: ", "PairingError: ", "DiscretizationError: ")), report
     finally:
         shutil.rmtree(out, ignore_errors=True)
         for var, value in saved.items():
