@@ -341,21 +341,25 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
 def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
-    from .foldy_wouthuysen import (projector_commutation_residual, restricted_hamiltonian,
-                                   transform_hamiltonian, unitarity_residual,
+    from .foldy_wouthuysen import (graded_norms, projector_commutation_residual,
+                                   restricted_hamiltonian, unitarity_residual,
                                    verify_main_claim)
 
     fw = prob.fw
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
-    # W and K on E's populated columns; column c belongs to level c // 2
+    # W and K on E's populated columns, where W is U compressed to the span
+    # of the levels; column c belongs to level c // 2
     populated = np.flatnonzero(fw.levels.projector)
     H_r, grading = restricted_hamiltonian(fw)
-    report = transform_hamiltonian(fw.W[np.ix_(populated, populated)], H_r, beta=grading)
+    W_r = fw.W[np.ix_(populated, populated)]
+    T = W_r @ H_r @ W_r.T
+    even, odd = graded_norms(T, grading)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (T + T.T))  # ascending
     expected = np.sort(grading * np.repeat(fw.levels.shells(cfg.mass), 2)[populated])
-    eig_err = float(np.abs(np.sort(report.eigenvalues) - expected).max())
-    ratio = report.odd_part_norm / max(report.even_part_norm, 1e-300)
+    eig_err = float(np.abs(eigenvalues - expected).max())
+    ratio = odd / max(even, 1e-300)
 
     # the same residuals from the other representation; its levels are
     # re-assembled but share the channel spectra, so k_n cannot drift
@@ -375,9 +379,9 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     return {"results": {"levels": per_level,
                         "unitarity_residual": unit,
                         "projector_commutation_residual": proj,
-                        "odd_part_norm": report.odd_part_norm,
-                        "even_part_norm": report.even_part_norm,
-                        "transformed_eigenvalues": list(np.sort(report.eigenvalues)),
+                        "odd_part_norm": odd,
+                        "even_part_norm": even,
+                        "transformed_eigenvalues": list(eigenvalues),
                         "rep_agreement_gap": rep_gap},
             "checks": checks}, {}
 
@@ -385,7 +389,7 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
 def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
-    from .foldy_wouthuysen import (bd_iteration, fw_series_hamiltonian,
+    from .foldy_wouthuysen import (bd_step, fw_series_hamiltonian, graded_norms,
                                    restricted_hamiltonian)
 
     fw = prob.fw
@@ -403,11 +407,8 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     bd_rows = []
     for m in masses:
         H_r, grading = restricted_hamiltonian(fw, m)
-        mask = np.outer(grading, grading) < 0
-        odd_before = float(np.linalg.norm(np.where(mask, H_r, 0.0)))
-        step = bd_iteration(H_r, m, steps=1, beta=grading)[0]
-        bd_rows.append({"m": m, "odd_before": odd_before,
-                        "odd_after": step.odd_part_norm})
+        bd_rows.append({"m": m, "odd_before": graded_norms(H_r, grading)[1],
+                        "odd_after": graded_norms(bd_step(H_r, m, grading), grading)[1]})
     bd_slope = float(np.polyfit(np.log(masses),
                                 np.log([r["odd_after"] for r in bd_rows]), 1)[0])
 
@@ -473,11 +474,15 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     recorded as that section's ``error`` (with no checks) and fails the run;
     the other sections still run.  Only after every section has run is
     outdir created and each section's CSV written into it, so a run that
-    raises writes nothing.
+    raises writes nothing.  A file target (each CSV and report.json) that
+    exists and is not a regular file is refused before the first byte.
     """
     from .clifford import make_rep
     from .problem import Problem
 
+    if command != "all" and command not in _COMMANDS:
+        raise ConfigurationError(f"unknown command {command!r}; choose one of "
+                                 f"{', '.join([*_COMMANDS, 'all'])}")
     prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
                    cfg.n_max, cfg.grid_n, cfg.tol_eig)
     sections, tables = {}, {}
@@ -497,6 +502,9 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     report.update({"sections": sections} if command == "all" else sections[command])
     report["status"] = "pass" if ok else "fail"
     if outdir is not None:
+        for target in [outdir / name for name in tables] + [outdir / "report.json"]:
+            if target.exists() and not target.is_file():
+                raise ConfigurationError(f"{target} exists and is not a regular file")
         outdir.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in tables.items():
             _write_csv(outdir / name, header, rows)

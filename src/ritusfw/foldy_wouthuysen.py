@@ -1,4 +1,4 @@
-"""Foldy-Wouthuysen transformations: free, exact-in-field, and 1/m iteration.
+"""Foldy-Wouthuysen transformations: free, exact-in-field, and one 1/m step.
 
 The free transform is the closed-form 2x2 rotation
 
@@ -33,10 +33,10 @@ main claim reads U E - E F = E (1 + (W - 1) G - F), F the free rotations.
 On E's populated columns W is U compressed to the span of the levels, and
 the restricted Hamiltonian is K + m graded by gamma^0.
 
-The 1/m route (bd_iteration) applies the textbook step U_j = exp(i S_j)
-with S_j = -i beta O_j / (2m), O_j the gamma^0-odd part of the current
-Hamiltonian; for a static field each step suppresses the odd part by two
-more powers of 1/m.
+The 1/m route (bd_step) applies one textbook step U = exp(i S) with
+S = -i beta O / (2m), O the gamma^0-odd part of the Hamiltonian; for a
+static field the step suppresses the odd part by two more powers of 1/m.
+graded_norms is the one gamma^0-grading split, read by both routes.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -55,13 +55,12 @@ from .ritus_basis import RitusLevels
 
 __all__ = [
     "FWOperator",
-    "FWHamiltonianReport",
     "theta",
     "free_fw",
     "field_fw_from_levels",
-    "transform_hamiltonian",
+    "graded_norms",
     "verify_main_claim",
-    "bd_iteration",
+    "bd_step",
     "fw_series_hamiltonian",
     "unitarity_residual",
     "projector_commutation_residual",
@@ -112,15 +111,6 @@ class FWOperator:
         """
         G = self.levels.gram + np.diag(1.0 - self.levels.projector)
         return self.W - np.eye(G.shape[0]), G, np.linalg.cholesky(G).T
-
-
-@dataclass(frozen=True)
-class FWHamiltonianReport:
-    """The gamma^0-grading split and spectrum of a transformed Hamiltonian."""
-
-    even_part_norm: float
-    odd_part_norm: float
-    eigenvalues: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -207,31 +197,15 @@ def projector_commutation_residual(fw: FWOperator) -> float:
 
 
 # ----------------------------------------------------------------------
-# conjugation, gradings, reports
+# restricted Hamiltonian and its gamma^0 grading
 # ----------------------------------------------------------------------
 
 
-def _graded_report(T: np.ndarray, beta: np.ndarray) -> FWHamiltonianReport:
-    """Even/odd norms of T under the diagonal grading beta, and its spectrum."""
+def graded_norms(T: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """(even, odd): Frobenius norms of T's parts under the diagonal grading beta (+/-1)."""
     mask = np.outer(beta, beta) > 0
-    return FWHamiltonianReport(
-        even_part_norm=float(np.linalg.norm(np.where(mask, T, 0.0))),
-        odd_part_norm=float(np.linalg.norm(np.where(mask, 0.0, T))),
-        eigenvalues=np.linalg.eigvalsh(0.5 * (T + T.conj().T)),
-    )
-
-
-def transform_hamiltonian(U: np.ndarray, H: np.ndarray, beta: np.ndarray) -> FWHamiltonianReport:
-    """U H U^dag for a dense U, with even/odd norms and spectrum.
-
-    beta is the diagonal gamma^0 grading (+/-1 per basis vector).  For the
-    field operator pass fw.W on E's populated columns (where
-    levels.projector is 1), and H and beta from restricted_hamiltonian:
-    there W is U compressed to the span of the levels.
-    """
-    if U.shape != H.shape:
-        raise ArgumentError(f"dimension mismatch: U {U.shape} vs H {H.shape}")
-    return _graded_report(U @ H @ U.conj().T, beta)
+    return (float(np.linalg.norm(np.where(mask, T, 0.0))),
+            float(np.linalg.norm(np.where(mask, 0.0, T))))
 
 
 def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
@@ -282,33 +256,17 @@ def verify_main_claim(fw: FWOperator) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def bd_iteration(
-    H: np.ndarray,
-    m: float,
-    steps: int,
-    beta: np.ndarray,
-) -> List[FWHamiltonianReport]:
-    """Successive 1/m block-diagonalization steps.
+def bd_step(H: np.ndarray, m: float, beta: np.ndarray) -> np.ndarray:
+    """One 1/m block-diagonalization step: U H U^T with U = expm(beta O / (2m)).
 
-    Step j: split H = even + odd by the beta grading, apply
-    U_j = exp(i S_j) with S_j = -i beta O_j/(2m), i.e. U_j = expm(beta O_j/(2m)).
-    Returns one report per step (after applying that step).
+    O is H's odd part under the beta grading, so U = exp(i S) with
+    S = -i beta O / (2m).
     """
-    if steps < 1:
-        raise ArgumentError(f"steps must be >= 1, got {steps}")
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
-    mask = np.outer(beta, beta) > 0
-
-    reports = []
-    cur = np.asarray(H, dtype=float)
-    for _ in range(steps):
-        odd = np.where(mask, 0.0, cur)
-        gen = (beta[:, None] * odd) / (2.0 * m)      # beta O / 2m, antisymmetric
-        U = expm(gen)
-        cur = U @ cur @ U.T
-        reports.append(_graded_report(cur, beta))
-    return reports
+    odd = np.where(np.outer(beta, beta) > 0, 0.0, H)
+    U = expm((beta[:, None] * odd) / (2.0 * m))      # beta O / 2m, antisymmetric
+    return U @ H @ U.T
 
 
 def fw_series_hamiltonian(k: float, m: float, order: int) -> float:

@@ -141,8 +141,9 @@ def _sublevel_walk(vmin, k_est, x0, step, budget, domain=None):
     """Step from x0 while vmin <= k_est, at most ``budget`` steps.
 
     Returns (last covered point, steps taken).  On a tabulated ``domain`` the
-    first point outside it is evaluated only once every point before it is
-    covered, so the walk raises DomainError exactly where a scalar walk would.
+    walk also stops at the last lattice point inside it, so the point one
+    step past the one returned lies outside the table exactly when the
+    sublevel set reaches the table's edge.
     """
     taken, chunk = 0, _CHUNK
     while taken < budget:
@@ -152,11 +153,9 @@ def _sublevel_walk(vmin, k_est, x0, step, budget, domain=None):
             outside = np.flatnonzero((xs < domain[0]) | (xs > domain[1]))
             n_in = int(outside[0]) if outside.size else xs.size
         stop = np.flatnonzero(~(vmin(xs[:n_in]) <= k_est))
-        if stop.size:
-            i = int(stop[0])
+        i = int(stop[0]) if stop.size else n_in
+        if i < xs.size:
             return (xs[i - 1] if i else x0), taken + i
-        if n_in < xs.size:
-            vmin(xs[n_in:n_in + 1])  # raises DomainError
         x0, taken = xs[-1], taken + xs.size
         chunk = min(2 * chunk, _CHUNK_MAX)
     return x0, taken
@@ -242,9 +241,15 @@ def build_grid(
     domain = profile.domain_hint if clip else None
     xa, left = _sublevel_walk(vmin, k_est, xs[i0], -step, _GUARD, domain)
     xb, right = _sublevel_walk(vmin, k_est, xs[i0], step, _GUARD - left, domain)
+    if clip and (xa - step < domain[0] or xb + step > domain[1]):
+        edge = domain[0] if xa - step < domain[0] else domain[1]
+        raise TruncationError(
+            f"the table ends at x = {edge:.6g}, inside the sublevel set V <= k_est = "
+            f"{k_est:.6g} of levels 0..{n_max}: extend the table"
+        )
     if left + right >= _GUARD:
-        # a growing potential leaves the sublevel set and a table ends in a
-        # DomainError, so the budget runs out on a plateau below k_est
+        # a growing potential leaves the sublevel set and a table's walks stop
+        # at its edges, so the budget runs out on a plateau below k_est
         x_end = xa if left >= _GUARD else xb
         v_end = float(vmin(np.array([x_end]))[0])
         raise ConfigurationError(

@@ -478,12 +478,29 @@ def test_each_single_command_reports_its_section_of_all(tmp_path):
 @pytest.mark.parametrize("command,cfg,key", [
     pytest.param("all", RunConfig(mass=-1.0), "mass must be positive", id="negative-mass"),
     pytest.param("spectrum", RunConfig(n_max=300), "n_max = 300", id="n_max-above-quarter-N"),
+    # the command is checked first, before the config that is also unusable here
+    pytest.param("bogus", RunConfig(mass=-1.0), "unknown command 'bogus'; choose one of "
+                 "spectrum, verify-ritus, fw-exact, fw-series, propagator, all",
+                 id="unknown-command"),
 ])
 def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key):
     # the library entry validates, so no section runs and nothing is written
     with pytest.raises(ConfigurationError, match=key):
         run(command, cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["levels.csv", "report.json"])
+def test_a_target_that_is_not_a_regular_file_exits_two_writing_nothing(tmp_path, name):
+    # every target is checked before the first byte, so not even the
+    # spectrum.csv that comes before levels.csv is written
+    out = tmp_path / "d"
+    (out / name).mkdir(parents=True)
+    proc = run_cli("all", "--grid-n", "512", "--levels", "2", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("rfw: ") and str(out / name) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [path.name for path in out.iterdir()] == [name]
 
 
 def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):

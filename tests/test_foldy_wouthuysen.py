@@ -10,11 +10,10 @@ from scipy.linalg import eigvalsh, expm
 
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError
-from ritusfw.foldy_wouthuysen import (bd_iteration, field_fw_from_levels, free_fw,
-                                      fw_series_hamiltonian,
+from ritusfw.foldy_wouthuysen import (bd_step, field_fw_from_levels, free_fw,
+                                      fw_series_hamiltonian, graded_norms,
                                       projector_commutation_residual,
                                       restricted_hamiltonian, theta,
-                                      transform_hamiltonian,
                                       unitarity_residual, verify_main_claim)
 from ritusfw.operators import channel_slots
 
@@ -116,10 +115,16 @@ def test_field_fw_ignores_the_level_energy(uni):
         assert np.array_equal(field_fw_from_levels(moved, MASS).W, uni.fw.W)
 
 
-def populated_W(fw):
-    """W on E's populated columns, those restricted_hamiltonian keeps."""
+def transformed(fw, H_r):
+    """W H_r W^T, with W on E's populated columns, those restricted_hamiltonian keeps."""
     populated = np.flatnonzero(fw.levels.projector)
-    return fw.W[np.ix_(populated, populated)]
+    W = fw.W[np.ix_(populated, populated)]
+    return W @ H_r @ W.T
+
+
+def spectrum(T):
+    """Eigenvalues of T's symmetric part, ascending."""
+    return eigvalsh(0.5 * (T + T.T))
 
 
 def dispersion(fw, grading):
@@ -134,30 +139,31 @@ def test_restricted_hamiltonian_eigenvalues(uni):
     assert_allclose(np.sort(eigvalsh(H_r)), dispersion(uni.fw, grading), atol=1e-5)
 
 
+def test_graded_norms_hand_value():
+    # beta = (1, -1): the diagonal is even, the off-diagonal odd
+    even, odd = graded_norms(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0]))
+    assert even == pytest.approx(math.hypot(1.0, 4.0), rel=1e-15)
+    assert odd == pytest.approx(math.hypot(2.0, 3.0), rel=1e-15)
+
+
 def test_transform_block_diagonalizes(uni):
     H_r, grading = restricted_hamiltonian(uni.fw)
-    report = transform_hamiltonian(populated_W(uni.fw), H_r, beta=grading)
-    assert report.odd_part_norm < 1e-6 * report.even_part_norm
+    T = transformed(uni.fw, H_r)
+    even, odd = graded_norms(T, grading)
+    assert odd < 1e-6 * even
     # unitary conjugation preserves the spectrum
-    assert_allclose(np.sort(report.eigenvalues), np.sort(eigvalsh(H_r)),
-                    atol=1e-10)
+    assert_allclose(spectrum(T), eigvalsh(H_r), atol=1e-10)
 
 
 def test_three_routes_agree(uni):
     # (a) transformed eigenvalues, (b) direct eigenvalues of the restricted
     # Hamiltonian, (c) the dispersion +-sqrt(k_n + m^2)
     H_r, grading = restricted_hamiltonian(uni.fw)
-    report = transform_hamiltonian(populated_W(uni.fw), H_r, beta=grading)
-    a = np.sort(report.eigenvalues)
-    b = np.sort(eigvalsh(H_r))
+    a = spectrum(transformed(uni.fw, H_r))
+    b = eigvalsh(H_r)
     c = dispersion(uni.fw, grading)
     assert_allclose(a, b, atol=1e-10)
     assert_allclose(b, c, atol=1e-5)
-
-
-def test_transform_shape_validation(uni):
-    with pytest.raises(ArgumentError):
-        transform_hamiltonian(uni.fw.W, np.eye(3), beta=np.ones(3))
 
 
 def test_main_claim_all_levels(uni):
@@ -187,27 +193,25 @@ def test_column_sign_convention_is_load_bearing(uni):
 # ----------------------------------------------------------------------
 
 
-def test_bd_iteration_odd_norm_scaling(uni):
+def test_bd_step_odd_norm_scaling(uni):
     masses = [4.0, 8.0, 16.0]
     odd = []
     for m in masses:
         H_r, grading = restricted_hamiltonian(uni.fw, m)
-        step = bd_iteration(H_r, m, steps=1, beta=grading)[0]
-        odd.append(step.odd_part_norm)
+        odd.append(graded_norms(bd_step(H_r, m, grading), grading)[1])
     slope = np.polyfit(np.log(masses), np.log(odd), 1)[0]
     assert -2.2 < slope < -1.8
 
 
-def test_bd_iteration_monotone_and_validated(uni):
+def test_bd_step_monotone_and_validated(uni):
+    # a second step shrinks the odd part further and keeps the spectrum
     H_r, grading = restricted_hamiltonian(uni.fw, 4.0)
-    reports = bd_iteration(H_r, 4.0, steps=2, beta=grading)
-    assert reports[1].odd_part_norm < reports[0].odd_part_norm
-    assert_allclose(np.sort(reports[-1].eigenvalues),
-                    np.sort(eigvalsh(H_r)), atol=1e-10)
+    once = bd_step(H_r, 4.0, grading)
+    twice = bd_step(once, 4.0, grading)
+    assert graded_norms(twice, grading)[1] < graded_norms(once, grading)[1]
+    assert_allclose(spectrum(twice), eigvalsh(H_r), atol=1e-10)
     with pytest.raises(ArgumentError):
-        bd_iteration(H_r, 4.0, steps=0, beta=grading)
-    with pytest.raises(ArgumentError):
-        bd_iteration(H_r, -1.0, steps=1, beta=grading)
+        bd_step(H_r, -1.0, grading)
 
 
 def test_series_values_and_remainder():

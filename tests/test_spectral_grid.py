@@ -116,6 +116,21 @@ def test_table_ending_before_the_wkb_target_is_a_truncation_error():
         build_grid(tabulated_profile(xs, xs), 0.0, 8, 1024)
 
 
+@pytest.mark.parametrize("p_y,edge", [(0.0, "-3"), (2.0, "3")])
+def test_table_ending_inside_the_sublevel_set_is_a_truncation_error(tmp_path, p_y, edge):
+    # W = x on [-3, 3]: V <= k_est = 20 spans about p_y +- 4.6, past both
+    # edges at p_y = 0 (the left one is named) and past the right one at p_y = 2
+    xs = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(TruncationError, match=rf"the table ends at x = {edge}, inside the "
+                                              r"sublevel set V <= k_est = \S+ of levels 0\.\.8"):
+        build_grid(tabulated_profile(xs, xs), p_y, 8, 1024)
+    table = tmp_path / "W.csv"
+    table.write_text("x,W\n" + "".join(f"{x!r},{x!r}\n" for x in xs.tolist()))
+    cfg = RunConfig(profile_kind="tabulated", profile_params={"path": str(table)}, p_y=p_y)
+    report, ok = run("spectrum", cfg)
+    assert not ok and report["error"].startswith(f"TruncationError: the table ends at x = {edge},")
+
+
 @pytest.mark.parametrize("sigma,offset", [(+1, 0), (-1, 2)])
 def test_uniform_landau_levels(uni, sigma, offset):
     spec = uni.spec_plus if sigma > 0 else uni.spec_minus
