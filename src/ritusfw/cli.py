@@ -107,6 +107,13 @@ class RunConfig:
         if profile.kind == "exponential":
             from .field_profiles import bound_levels  # here: `import ritusfw.cli` stays numpy-free
 
+            # the closed forms square c = p_y - eB/alpha and count levels below |c|/|alpha|
+            B, alpha = profile.params["B"], profile.params["alpha"]
+            c = self.p_y - self.e * B / alpha
+            if not (math.isfinite(c * c) and math.isfinite(abs(c) / abs(alpha))):
+                raise ConfigurationError(
+                    f"profile B = {B} and alpha = {alpha} give c = p_y - eB/alpha = {c:.6g}, "
+                    "which needs a finite square and a finite |c|/|alpha|")
             # both channels solve n_max + 1 levels, and the partner binds one fewer
             bound, rule = bound_levels(profile, self.e, self.p_y)
             if bound == 0:

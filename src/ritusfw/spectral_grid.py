@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -47,17 +47,14 @@ from .errors import (
     ConfigurationError,
     DiscretizationError,
     TruncationError,
-    UnsupportedProfileError,
 )
 from .field_profiles import FieldProfile, analytic_levels, channel_potentials
-from .operators import channel_hamiltonian
 
 __all__ = [
     "Grid",
     "ScalarSpectrum",
     "build_grid",
     "solve_channel",
-    "convergence_study",
 ]
 
 PADDING = 1.5  # the sublevel set is widened by this factor about its center
@@ -182,6 +179,8 @@ def _wkb_walk(vmin, k_est, x0, direction, step, target, lo, hi):
         chunk = min(2 * chunk, _CHUNK_MAX)
 
 
+# a field too strong for floats samples an inf or nan potential, refused without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def build_grid(
     profile: FieldProfile,
     p_y: float,
@@ -196,7 +195,9 @@ def build_grid(
     from the k_estimate turning point to the wall falls short of
     DECAY_EXPONENT on either side.  A table bounds the domain: if it ends
     before the integral reaches the target, TruncationError names the decay
-    reached.
+    reached.  The domain depends on the field and n_max alone: n_points only
+    stamps the Grid.  A potential that overflows, so that k_estimate is not
+    finite, raises ConfigurationError.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -234,6 +235,11 @@ def build_grid(
         plateau = analytic_levels(profile, e, p_y, math.inf, 1)
         top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
         k_est = min(k_est, 0.5 * (plateau + top))
+    if not math.isfinite(k_est):
+        raise ConfigurationError(
+            f"the field's potential overflows: V = {v_min:.6g} at its sampled minimum and "
+            f"curvature {curv:.6g} give the level estimate k_est = {k_est:.6g} for n_max = {n_max}"
+        )
 
     # sublevel set of the *shallower* channel at k_est, then padding; both
     # walks stay on the lattice xs[i0] +- k*step and share one step budget
@@ -449,64 +455,3 @@ def _shift_invert_lanczos(chol: np.ndarray, shift: float, v0: np.ndarray, k: int
         f"shift-invert Lanczos did not converge for {k} levels: {done} of {k} Ritz pairs "
         f"met the tolerance after {restarts} thick restarts of a {m}-vector basis"
     )
-
-
-def convergence_study(
-    profile: FieldProfile,
-    p_y: float,
-    e: float,
-    sigma: int,
-    n: int,
-    N_list: Sequence[int],
-) -> dict:
-    """Refinement study of k_n on a fixed domain.
-
-    Errors are measured against the closed form ``analytic_levels`` where
-    the profile has one (uniform and exponential), else, for a table,
-    against the Richardson extrapolation of the finest pair.  Returns a dict
-    with rows (N, h, k, error) and the observed order, the slope of
-    log error against log h.
-    """
-    if len(N_list) < 2:
-        raise ArgumentError("need at least two grid sizes for a convergence study")
-    if sorted(N_list) != list(N_list):
-        raise ArgumentError("N_list must be ascending")
-
-    # one fixed, wall-safe domain for every N (otherwise boundary shifts
-    # alias into the order estimate)
-    domain = build_grid(profile, p_y, n + 2, max(N_list), e=e)
-
-    ks = []
-    for N in N_list:
-        g = Grid(domain.x_min, domain.x_max, N)
-        V = channel_potentials(profile, p_y, e, g.x)[1 if sigma > 0 else 2]
-        spec = solve_channel(channel_hamiltonian(V, g.h), V, g.h, sigma, n + 1, tol_eig=1e-3)
-        ks.append(float(spec.eigenvalues[n]))
-
-    try:
-        ref = analytic_levels(profile, e, p_y, n, sigma)
-        ref_source = "analytic"
-    except UnsupportedProfileError:
-        r = (N_list[-1] - 1) / (N_list[-2] - 1)
-        ref = (ks[-1] * r**4 - ks[-2]) / (r**4 - 1.0)
-        ref_source = "richardson"
-
-    hs = [(domain.x_max - domain.x_min) / (N - 1) for N in N_list]
-    errs = [abs(k - ref) for k in ks]
-
-    good = [(math.log(h), math.log(er)) for h, er in zip(hs, errs) if er > 0]
-    if len(good) >= 2:
-        lh, le = np.array(good).T
-        slope = float(np.polyfit(lh, le, 1)[0])
-    else:
-        slope = float("nan")
-
-    return {
-        "reference": float(ref),
-        "reference_source": ref_source,
-        "rows": [
-            {"N": int(N), "h": float(h), "k": float(k), "error": float(er)}
-            for N, h, k, er in zip(N_list, hs, ks, errs)
-        ],
-        "order": slope,
-    }

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from child_env import child_env
+from ladder import observed_order, refinement_ladder
 from ritusfw.clifford import anticommutator, check_product_identity, make_rep
 from ritusfw.field_profiles import exponential_profile, uniform_profile
 from ritusfw.foldy_wouthuysen import (
@@ -37,7 +38,6 @@ from ritusfw.ritus_basis import (
     verify_gpEp,
     zero_mode_annihilation,
 )
-from ritusfw.spectral_grid import convergence_study
 
 N_POINTS = 1024
 N_MAX = 8
@@ -104,9 +104,9 @@ def test_criterion_02_landau_spectrum():
     for n in range(N_MAX + 1):
         err = max(err, abs(b.spec_plus.eigenvalues[n] - 2.0 * n))
         err = max(err, abs(b.spec_minus.eigenvalues[n] - 2.0 * (n + 1)))
-    study = convergence_study(b.profile, 0.0, 1.0, sigma=+1, n=4,
-                              N_list=[256, 512, 1024])
-    order = study["order"]
+    # the observed order of k_4 = 8 eB on N = 256, 512, 1024 over one domain
+    hs, ks = refinement_ladder(b.profile, 4, [256, 512, 1024])
+    order = observed_order(hs, [abs(k - 2.0 * 4) for k in ks])
     ok = err < 1e-6 and abs(order - 4.0) < 0.5
     emit(2, ok, f"max|k_n - 2n eB| = {err:.3e} (tol 1e-06), "
                 f"observed order {order:.3f} (4 +/- 0.5)")

@@ -482,6 +482,17 @@ def test_each_single_command_reports_its_section_of_all(tmp_path):
     pytest.param("bogus", RunConfig(mass=-1.0), "unknown command 'bogus'; choose one of "
                  "spectrum, verify-ritus, fw-exact, fw-series, propagator, all",
                  id="unknown-command"),
+    # the exponential field's c = p_y - eB/alpha: a square that overflows, or
+    # a level count |c|/|alpha| that does
+    *(pytest.param("all", RunConfig(e=e, profile_kind="exponential", profile_params=params),
+                   r"profile B = \S+ and alpha = \S+ give c = p_y - eB/alpha = ", id=name)
+      for name, e, params in [("exponential-alpha-1e-160", 1.0, {"B": 1.0, "alpha": 1e-160}),
+                              ("exponential-alpha-1e-250", 1.0, {"B": 1e-150, "alpha": 1e-250}),
+                              ("exponential-B-1e100", 1.0, {"B": 1e100, "alpha": 1e-100}),
+                              ("exponential-e-1e160", 1e160, {})]),
+    # a uniform field whose potential overflows in the grid sizing, after validation
+    pytest.param("spectrum", RunConfig(profile_params={"B": 1e300}),
+                 "the field's potential overflows", id="uniform-potential-overflows"),
 ])
 def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key):
     # the library entry validates, so no section runs and nothing is written
@@ -708,6 +719,8 @@ def scratch(tmp_path_factory):
 @example(command="propagator", rep="first", eB=1.0, mass=1.0, N=1024, n_max=4, at="m")
 # a field too weak for the grid sizing, which refuses it after validation passed
 @example(command="spectrum", rep="first", eB=1e-9, mass=1.0, N=256, n_max=1, at="0.3")
+# a field whose potential overflows: the grid sizing refuses it, with no numpy warning
+@example(command="spectrum", rep="first", eB=1e300, mass=1.0, N=256, n_max=1, at="0.3")
 @given(command=st.sampled_from(sorted(cli._COMMANDS) + ["all"]),
        rep=st.sampled_from(["first", "second"]),
        eB=st.sampled_from([1e-3, 1.0, 8.0, -1e-3, -1.0, -8.0]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ladder import observed_order, refinement_ladder
 from ritusfw import field_profiles, spectral_grid
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
@@ -16,8 +17,7 @@ from ritusfw.field_profiles import (analytic_levels, channel_potentials, evaluat
 from ritusfw.operators import channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
-from ritusfw.spectral_grid import (PHASE_THRESHOLD, Grid, build_grid,
-                                   convergence_study, solve_channel)
+from ritusfw.spectral_grid import PHASE_THRESHOLD, Grid, build_grid, solve_channel
 
 
 def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
@@ -246,40 +246,38 @@ def test_tiny_tolerance_rejects_coarse_zero_mode():
         channel_solve(prof, 0.0, +1, grid, n_levels=3, tol_eig=1e-14)
 
 
-def test_convergence_study_uniform_order_four():
-    st = convergence_study(uniform_profile(1.0), 0.0, 1.0, +1, 2,
-                           [128, 256, 512])
-    assert st["reference_source"] == "analytic"
-    assert st["reference"] == pytest.approx(4.0, abs=1e-9)
-    assert 3.5 < st["order"] < 4.5
-    errors = [row["error"] for row in st["rows"]]
+TABLE_16 = np.linspace(-16.0, 16.0, 321)
+
+
+@pytest.mark.parametrize("profile", [uniform_profile(1.0), exponential_profile(1.0, 0.1),
+                                     tabulated_profile(TABLE_16, TABLE_16)],
+                         ids=["uniform", "exponential", "table"])
+def test_build_grid_domain_does_not_depend_on_n(profile):
+    # N only stamps the grid, so a refinement ladder keeps its walls
+    grids = [build_grid(profile, 0.0, 8, N) for N in (256, 1024, 4096)]
+    assert {(g.x_min, g.x_max) for g in grids} == {(grids[0].x_min, grids[0].x_max)}
+
+
+@pytest.mark.parametrize("profile,k2", [
+    (uniform_profile(1.0), 4.0),
+    (exponential_profile(1.0, 0.1), 2 * 2 * 1.0 - 4 * 0.01),  # 2nB - n^2 alpha^2
+    (tabulated_profile(TABLE_16, TABLE_16), 4.0),  # W = x: the uniform field's k_2
+], ids=["uniform", "exponential", "table"])
+def test_refinement_ladder_order_four(profile, k2):
+    # a closed form is the reference; a table has none, so its reference is
+    # the Richardson extrapolation of the finest pair
+    N_list = [128, 256, 512]
+    hs, ks = refinement_ladder(profile, 2, N_list)
+    if profile.kind == "tabulated":
+        r = (N_list[-1] - 1) / (N_list[-2] - 1)
+        ref = (ks[-1] * r**4 - ks[-2]) / (r**4 - 1.0)
+        assert ref == pytest.approx(k2, abs=1e-6)
+    else:
+        ref = analytic_levels(profile, 1.0, 0.0, 2, +1)
+        assert ref == pytest.approx(k2, abs=1e-12)
+    errors = [abs(k - ref) for k in ks]
     assert errors == sorted(errors, reverse=True)
-
-
-def test_convergence_study_analytic_for_exponential():
-    st = convergence_study(exponential_profile(1.0, 0.1), 0.0, 1.0, +1, 2,
-                           [128, 256, 512])
-    assert st["reference_source"] == "analytic"
-    assert st["reference"] == pytest.approx(2 * 2 * 1.0 - 4 * 0.01, abs=1e-12)
-    assert 3.5 < st["order"] < 4.5
-
-
-def test_convergence_study_richardson_for_table():
-    # W = x tabulated: a table has no closed form, so the reference is the
-    # Richardson extrapolation, here of the uniform field's k_2 = 4
-    xs = np.linspace(-16.0, 16.0, 321)
-    st = convergence_study(tabulated_profile(xs, xs), 0.0, 1.0, +1, 2, [128, 256, 512])
-    assert st["reference_source"] == "richardson"
-    assert st["reference"] == pytest.approx(4.0, abs=1e-6)
-    assert 3.5 < st["order"] < 4.5
-
-
-def test_convergence_study_validation():
-    prof = uniform_profile(1.0)
-    with pytest.raises(ArgumentError):
-        convergence_study(prof, 0.0, 1.0, +1, 2, [256])
-    with pytest.raises(ArgumentError):
-        convergence_study(prof, 0.0, 1.0, +1, 2, [512, 256])
+    assert 3.5 < observed_order(hs, errors) < 4.5
 
 
 def test_spectrum_csv_round_trip(tmp_path):
