@@ -9,9 +9,9 @@ names a directory.
 
 Every command runs through ``run``, one rule for all: a section that aborts
 is recorded as ``{"error": ..., "checks": {}}`` and the other sections still
-run.  Files are written only after every section has run.  Exit codes: 0
-all configured checks pass, 1 a check failed or a section aborted (report
-written), 2 usage or configuration error (nothing written).
+run.  Files are written only after every section has run, all or none.
+Exit codes: 0 all configured checks pass, 1 a check failed or a section
+aborted (report written), 2 usage or configuration error (nothing written).
 """
 
 from __future__ import annotations
@@ -104,6 +104,11 @@ class RunConfig:
                     f"profile key {key!r} is not read by the {self.profile_kind} profile, "
                     f"which reads {', '.join(keys)}")
         profile = self.field_profile()
+        B = profile.params.get("B")
+        if profile.kind == "uniform" and not 0 < abs(self.e * B) < math.inf:
+            # the grid is sized in the field's length |eB|^-1/2
+            raise ConfigurationError(f"e = {self.e} and profile B = {B} give eB = {self.e * B}, "
+                                     "which must be finite and nonzero")
         if profile.kind == "exponential":
             from .field_profiles import bound_levels  # here: `import ritusfw.cli` stays numpy-free
 
@@ -480,8 +485,8 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     RitusFWError other than a ConfigurationError raised inside a section is
     recorded as that section's ``error`` (with no checks) and fails the run;
     the other sections still run.  Only after every section has run is
-    outdir created and each section's CSV written into it, so a run that
-    raises writes nothing.  A file target (each CSV and report.json) that
+    outdir created and each section's CSV and report.json written into it,
+    all or none, so a run that raises writes nothing.  A file target that
     exists and is not a regular file is refused before the first byte.
     """
     from .clifford import make_rep
@@ -509,12 +514,24 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     report.update({"sections": sections} if command == "all" else sections[command])
     report["status"] = "pass" if ok else "fail"
     if outdir is not None:
-        for target in [outdir / name for name in tables] + [outdir / "report.json"]:
+        # each file goes to a temporary sibling, and all move into place only
+        # once every write has succeeded: a failed write changes no target
+        names = [*tables, "report.json"]
+        for target in [outdir / name for name in names]:
             if target.exists() and not target.is_file():
                 raise ConfigurationError(f"{target} exists and is not a regular file")
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            _write_csv(outdir / name, header, rows)
+        staged = [outdir / f".{name}.tmp" for name in names]
+        try:
+            for name, tmp in zip(tables, staged):
+                _write_csv(tmp, *tables[name])
+            emit_report(report, staged[-1])
+        except BaseException:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
+            raise
+        for name, tmp in zip(names, staged):
+            os.replace(tmp, outdir / name)
     return report, ok
 
 
@@ -551,7 +568,8 @@ def main(argv=None) -> int:
                 setattr(cfg, name, val)
         outdir = Path(cfg.out) if cfg.out is not None else None
         report, ok = run(args.command, cfg, outdir)
-        emit_report(report, outdir / "report.json" if outdir is not None else None)
+        if outdir is None:
+            emit_report(report)
     except (ConfigurationError, OSError) as exc:
         print(f"rfw: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ The supersymmetric partner potentials entering the squared spatial Dirac
 operator are V_sigma(x) = M(x)^2 - sigma e W'(x), M = p_y - e W(x).  This
 module alone knows the closed forms: Landau levels, and the exponential
 field's shape-invariant Morse chain (Cooper, Khare & Sukhatme, Phys. Rep.
-251, 1995, 267).
+251, 1995, 267); and each field's length, which sizes the grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ArgumentError, DomainError, UnsupportedProfileError
+from .errors import ArgumentError, ConfigurationError, DomainError, UnsupportedProfileError
 
 __all__ = [
     "FieldProfile",
@@ -44,16 +44,17 @@ __all__ = [
     "channel_potentials",
     "analytic_levels",
     "bound_levels",
+    "field_scales",
 ]
 
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Gauge function W(x) and its parameters."""
+    """Gauge function W(x), its parameters, and its domain: the line, or a table's span."""
 
     kind: str                      # "uniform" | "exponential" | "tabulated"
     params: dict
-    domain_hint: Optional[Tuple[float, float]] = None
+    domain: Tuple[float, float] = (-math.inf, math.inf)
     # tabulated only: row i holds the cubic on [x_i, x_{i+1}], see _not_a_knot_table
     _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -112,7 +113,7 @@ def tabulated_profile(x: np.ndarray, W: np.ndarray) -> FieldProfile:
     return FieldProfile(
         kind="tabulated",
         params={"x": x, "W": W},
-        domain_hint=(float(x[0]), float(x[-1])),
+        domain=(float(x[0]), float(x[-1])),
         _table=_not_a_knot_table(x, W),
     )
 
@@ -151,7 +152,7 @@ def evaluate_potential(profile: FieldProfile, x):
         # (1 - e^{-ax})/a via expm1 keeps the small-alpha limit accurate.
         return -B * np.expm1(-a * x) / a, B * np.exp(-a * x)
     if profile.kind == "tabulated":
-        lo, hi = profile.domain_hint
+        lo, hi = profile.domain
         x = np.asarray(x, dtype=float)
         if np.any(x < lo) or np.any(x > hi):
             raise DomainError(
@@ -225,3 +226,35 @@ def analytic_levels(profile: FieldProfile, e: float, p_y: float, n: int, sigma: 
         return c * c  # no zero mode: nothing is bound
     n += sigma * e * profile.params["B"] < 0  # the partner channel starts one level up
     return c * c - max(abs(c) - n * abs(profile.params["alpha"]), 0.0) ** 2
+
+
+def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
+    """(window, ell, cap): what grid sizing knows of the field before it samples.
+
+    ell is the field's length (its levels lie about 1/ell^2 apart), the window
+    x0 +- ell brackets the potential minimum, and cap bounds the level estimate.
+    Uniform: x0 = p_y/eB, ell = |eB|^-1/2.  Exponential: M(x0) = 0, ell =
+    |alpha c|^-1/2 (M' = alpha c there), and cap midway between the plateau c^2
+    and level n_max of either channel.  Table: the window is its span, and ell
+    = (V''/2)^-1/4 at its lowest knot, at most the span.
+    """
+    if profile.kind == "uniform":
+        eB = e * profile.params["B"]
+        ell = abs(eB) ** -0.5
+        return (p_y / eB - ell, p_y / eB + ell), ell, math.inf
+    if profile.kind == "exponential":
+        c, lam = _morse_chain(profile, e, p_y)
+        if c * lam >= 0:
+            raise ConfigurationError(
+                f"the exponential field binds no level: {bound_levels(profile, e, p_y)[1]}")
+        alpha = profile.params["alpha"]
+        x0, ell = -math.log1p(-p_y / lam) / alpha, abs(alpha * c) ** -0.5
+        top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
+        return (x0 - ell, x0 + ell), ell, 0.5 * (c * c + top)
+    x = profile.params["x"]
+    v = np.minimum(*channel_potentials(profile, p_y, e, x)[1:])  # the shallower channel
+    i = min(max(int(np.argmin(v)), 1), x.size - 2)
+    slopes = np.diff(v[i - 1:i + 2]) / np.diff(x[i - 1:i + 2])
+    curv = 2 * (slopes[1] - slopes[0]) / (x[i + 1] - x[i - 1])
+    span = x[-1] - x[0]
+    return profile.domain, min(span, (curv / 2) ** -0.25) if curv > 0 else span, math.inf

@@ -89,7 +89,8 @@ class Problem:
 
     def _channel(self, sigma: int):
         ops = self.ops
-        return solve_channel(ops.H[sigma], ops.V[sigma], ops.h, sigma, self.n_max + 1, self.tol_eig)
+        return solve_channel(ops.H[sigma], ops.V[sigma], self.grid, sigma, self.n_max + 1,
+                             self.tol_eig)
 
     @_link
     def spec_plus(self):

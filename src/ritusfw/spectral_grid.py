@@ -29,7 +29,8 @@ integral int sqrt(V - k_est) dx exceeds DECAY_EXPONENT so that
 Dirichlet-wall eigenvalue shifts stay well below the stencil error.  The
 grid's one free number is its point count N.
 Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
-of vectorized potential calls.
+of vectorized potential calls.  Every length of the sizing is a multiple of
+the field's length ell (``field_profiles.field_scales``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     DiscretizationError,
     TruncationError,
 )
-from .field_profiles import FieldProfile, analytic_levels, channel_potentials
+from .field_profiles import FieldProfile, channel_potentials, field_scales
 
 __all__ = [
     "Grid",
@@ -73,11 +74,12 @@ _CHUNK_MAX = 1 << 17  # ... up to this many points
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1D grid with Dirichlet boundaries."""
+    """Uniform 1D grid with Dirichlet boundaries, sized in the field's length ``length``."""
 
     x_min: float
     x_max: float
     n_points: int
+    length: float
 
     def __post_init__(self):
         if self.n_points < 64:
@@ -118,37 +120,23 @@ class ScalarSpectrum:
         return int(np.sum(np.sign(live[1:]) != np.sign(live[:-1])))
 
 
-def _scan_window(profile: FieldProfile, p_y: float, e: float):
-    """Initial bracket for the potential minimum."""
-    if profile.kind == "tabulated":
-        return profile.domain_hint
-    if profile.kind == "uniform":
-        B = profile.params["B"]
-        center = p_y / (e * B) if e * B != 0 else 0.0
-        return center - 1.0, center + 1.0
-    return -1.0, 1.0
-
-
 def _lattice(x0: float, step: float, n: int) -> np.ndarray:
     """x0 and the n points after it on x0 + k*step, summed in a scalar walk's order."""
     return np.cumsum(np.concatenate(([x0], np.full(n, step))))
 
 
-def _sublevel_walk(vmin, k_est, x0, step, budget, domain=None):
+def _sublevel_walk(vmin, k_est, x0, step, budget, domain):
     """Step from x0 while vmin <= k_est, at most ``budget`` steps.
 
-    Returns (last covered point, steps taken).  On a tabulated ``domain`` the
-    walk also stops at the last lattice point inside it, so the point one
-    step past the one returned lies outside the table exactly when the
-    sublevel set reaches the table's edge.
+    Returns (last covered point, steps taken).  The walk also stops at the
+    last lattice point inside ``domain``, so the point one step past the one
+    returned lies outside it exactly when the sublevel set reaches its edge.
     """
     taken, chunk = 0, _CHUNK
     while taken < budget:
         xs = _lattice(x0, step, min(chunk, budget - taken))[1:]
-        n_in = xs.size
-        if domain is not None:
-            outside = np.flatnonzero((xs < domain[0]) | (xs > domain[1]))
-            n_in = int(outside[0]) if outside.size else xs.size
+        outside = np.flatnonzero((xs < domain[0]) | (xs > domain[1]))
+        n_in = int(outside[0]) if outside.size else xs.size
         stop = np.flatnonzero(~(vmin(xs[:n_in]) <= k_est))
         i = int(stop[0]) if stop.size else n_in
         if i < xs.size:
@@ -193,48 +181,33 @@ def build_grid(
     The domain covers {x : V_sigma(x) <= k_estimate} for both channels,
     widened by PADDING, then extended further if the WKB decay integral
     from the k_estimate turning point to the wall falls short of
-    DECAY_EXPONENT on either side.  A table bounds the domain: if it ends
-    before the integral reaches the target, TruncationError names the decay
-    reached.  The domain depends on the field and n_max alone: n_points only
-    stamps the Grid.  A potential that overflows, so that k_estimate is not
-    finite, raises ConfigurationError.
+    DECAY_EXPONENT on either side.  The minimum is sampled on x0 +- ell, and
+    the walks step at least 1e-3 ell.  The profile's domain bounds the grid:
+    if a table ends inside the sublevel set, or before the integral reaches
+    the target, TruncationError names the edge.  The domain depends on the
+    field and n_max alone: n_points only stamps the Grid.  A potential that
+    overflows, so that k_estimate is not finite, raises ConfigurationError.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    lo, hi = _scan_window(profile, p_y, e)
-    clip = profile.kind == "tabulated"
+    (lo, hi), ell, cap = field_scales(profile, e, p_y, n_max)
+    domain = profile.domain
 
     def vmin(x):
         # the shallower channel's potential, from one (W, W')
         _, Vp, Vm = channel_potentials(profile, p_y, e, x)
         return np.minimum(Vp, Vm)
 
-    # widen until the minimum of the sampled potential is interior
-    for _ in range(60):
-        xs = np.linspace(lo, hi, 4001)
-        vmin_curve = vmin(xs)
-        i0 = int(np.argmin(vmin_curve))
-        if 0 < i0 < xs.size - 1 or clip:
-            break
-        span = hi - lo
-        lo, hi = lo - span, hi + span
-    else:
-        raise ConfigurationError("could not bracket the potential minimum")
-
+    xs = np.linspace(lo, hi, 4001)
+    vmin_curve = vmin(xs)
+    i0 = int(np.argmin(vmin_curve))
     v_min = float(vmin_curve[i0])
     # local curvature -> harmonic level-spacing estimate
     dx = xs[1] - xs[0]
     j = min(max(i0, 1), xs.size - 2)
     curv = (vmin_curve[j - 1] - 2 * vmin_curve[j] + vmin_curve[j + 1]) / dx**2
-    omega = math.sqrt(max(curv, 1e-12) / 2.0)
-    k_est = v_min + (2 * (n_max + 1) + 3) * omega
-    if profile.kind == "exponential":
-        # the field binds its levels below a plateau, where a harmonic k_est
-        # may lie above it: cap k_est midway between the plateau and the
-        # highest level either channel solves
-        plateau = analytic_levels(profile, e, p_y, math.inf, 1)
-        top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
-        k_est = min(k_est, 0.5 * (plateau + top))
+    omega = math.sqrt(max(curv, 0.0) / 2.0)
+    k_est = min(v_min + (2 * (n_max + 1) + 3) * omega, cap)
     if not math.isfinite(k_est):
         raise ConfigurationError(
             f"the field's potential overflows: V = {v_min:.6g} at its sampled minimum and "
@@ -243,11 +216,10 @@ def build_grid(
 
     # sublevel set of the *shallower* channel at k_est, then padding; both
     # walks stay on the lattice xs[i0] +- k*step and share one step budget
-    step = max(dx, 1e-3)
-    domain = profile.domain_hint if clip else None
+    step = max(dx, 1e-3 * ell)
     xa, left = _sublevel_walk(vmin, k_est, xs[i0], -step, _GUARD, domain)
     xb, right = _sublevel_walk(vmin, k_est, xs[i0], step, _GUARD - left, domain)
-    if clip and (xa - step < domain[0] or xb + step > domain[1]):
+    if xa - step < domain[0] or xb + step > domain[1]:
         edge = domain[0] if xa - step < domain[0] else domain[1]
         raise TruncationError(
             f"the table ends at x = {edge:.6g}, inside the sublevel set V <= k_est = "
@@ -271,32 +243,28 @@ def build_grid(
 
     # WKB check: walls deep enough that int sqrt(V - k_est) from the
     # turning point reaches the target; extend only where padding fell short.
-    # On a table the walks stop at its edges and must reach the target.
-    reach = 1e4 * max(half, 1.0)
-    lo, hi = center - reach, center + reach
-    if clip:
-        lo, hi = max(lo, domain[0]), min(hi, domain[1])
+    # The walks stop at the domain's edges, and there must reach the target.
+    reach = 1e4 * max(half, ell)
+    lo, hi = max(center - reach, domain[0]), min(center + reach, domain[1])
     target = DECAY_EXPONENT
     wall_a, decay_a = _wkb_walk(vmin, k_est, xa, -1.0, step, target, lo, hi)
     wall_b, decay_b = _wkb_walk(vmin, k_est, xb, +1.0, step, target, lo, hi)
-    if clip and min(decay_a, decay_b) < target:
-        edge, decay = (lo, decay_a) if decay_a < decay_b else (hi, decay_b)
+    edge, decay = (lo, decay_a) if decay_a < decay_b else (hi, decay_b)
+    if decay < target and edge in domain:
         raise TruncationError(
             f"the table ends at x = {edge:.6g}, where the WKB decay int sqrt(V - k_est) dx "
             f"reaches {decay:.3g} of the decay target {target:.3g} that levels "
             f"0..{n_max} need: extend the table"
         )
-    a, b = min(a, wall_a), max(b, wall_b)
-    if clip:
-        a, b = max(a, domain[0]), min(b, domain[1])
+    a, b = max(min(a, wall_a), domain[0]), min(max(b, wall_b), domain[1])
 
-    return Grid(x_min=a, x_max=b, n_points=n_points)
+    return Grid(x_min=a, x_max=b, n_points=n_points, length=ell)
 
 
 def solve_channel(
     H: np.ndarray,
     V: np.ndarray,
-    h: float,
+    grid: Grid,
     sigma: int,
     n_levels: int,
     tol_eig: float = 1e-6,
@@ -305,8 +273,9 @@ def solve_channel(
 
     Parameters
     ----------
-    H, V : the channel's band, as ``channel_hamiltonian(V, h)`` returns it
-        (``GridOperators.H[sigma]``), and its potential; h : the grid step.
+    H, V : the channel's band, as ``channel_hamiltonian(V, grid.h)`` returns it
+        (``GridOperators.H[sigma]``), and its potential; grid : the grid they
+        live on, whose step and field length the solve reads.
     sigma : +1 or -1, the channel the spectrum and its flags name.
     n_levels : number of eigenpairs (levels 0 .. n_levels-1).
     tol_eig : eigenvalues below -tol_eig abort with DiscretizationError;
@@ -323,14 +292,15 @@ def solve_channel(
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma}")
     if n_levels < 1:
         raise ArgumentError(f"n_levels must be >= 1, got {n_levels}")
-    N = V.size
+    N, h = V.size, grid.h
     if n_levels > N // 4:
         raise TruncationError(f"{n_levels} levels cannot be resolved on {N} points")
 
     # -D2 is positive definite, so every eigenvalue lies above min V and the
-    # lowest levels are the largest eigenvalues of (H - shift)^-1
+    # lowest levels are the largest eigenvalues of (H - shift)^-1; the gap is
+    # SHIFT_GAP at least in the field's energy unit 1/length^2
     v_min = float(V.min())
-    shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
+    shift = v_min - SHIFT_GAP * max(grid.length ** -2, abs(v_min))
     v0 = np.random.default_rng(0).standard_normal(N)
     band = H[:3].copy()                 # the upper storage xPBTRF takes
     band[2] -= shift

@@ -22,7 +22,7 @@ def refinement_ladder(profile, n, N_list):
     for N in N_list:
         ops = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
                       n_max=n + 2, n_points=N, tol_eig=1e-3).ops
-        spec = solve_channel(ops.H[+1], ops.V[+1], ops.h, +1, n + 1, 1e-3)
+        spec = solve_channel(ops.H[+1], ops.V[+1], ops.grid, +1, n + 1, 1e-3)
         hs.append(ops.h)
         ks.append(float(spec.eigenvalues[n]))
     return hs, ks

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -493,6 +494,11 @@ def test_each_single_command_reports_its_section_of_all(tmp_path):
     # a uniform field whose potential overflows in the grid sizing, after validation
     pytest.param("spectrum", RunConfig(profile_params={"B": 1e300}),
                  "the field's potential overflows", id="uniform-potential-overflows"),
+    # a uniform field whose e*B overflows, or underflows to 0: the field has no length
+    *(pytest.param("all", RunConfig(e=e, profile_params={"B": e}),
+                   re.escape(f"e = {e} and profile B = {e} give eB = {e * e}, which must be "
+                             "finite and nonzero"), id=name)
+      for name, e in [("uniform-eB-overflows", 1e200), ("uniform-eB-underflows", 1e-200)]),
 ])
 def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key):
     # the library entry validates, so no section runs and nothing is written
@@ -514,6 +520,31 @@ def test_a_target_that_is_not_a_regular_file_exits_two_writing_nothing(tmp_path,
     assert [path.name for path in out.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+def test_a_failed_write_leaves_every_target_as_it_was(tmp_path, monkeypatch, capsys, earlier):
+    # the second CSV write fails: every file goes to a temporary sibling
+    # first, so no target is created or changed, and no temporary is left
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # main pins them; the test restores them
+    out = tmp_path / "d"
+    argv = ["all", "--grid-n", "512", "--levels", "2", "--out", str(out)]
+    if earlier:
+        assert cli.main([*argv, "--p0", "0.4"]) == 0
+    before = {path.name: path.read_bytes() for path in out.glob("*")}
+    write_csv, written = cli._write_csv, []
+
+    def second_fails(path, header, rows):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(f"no space left on device: {path.name}")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", second_fails)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("rfw: no space left on device: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
     # at N = 512 the zero mode's eigenvalue stays at -7.1e-8, below
     # -tolerances.eig = -1e-8: the channel solve aborts, each section records
@@ -531,7 +562,7 @@ def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
                                 "verify-ritus"]
     for name, section in sections.items():
         assert section["error"].startswith(
-            "DiscretizationError: eigenvalue -7.138e-08 below -tol_eig"), name
+            "DiscretizationError: eigenvalue -7.131e-08 below -tol_eig"), name
         assert section["checks"] == {}, name
 
 
@@ -717,13 +748,13 @@ def scratch(tmp_path_factory):
 @example(command="all", rep="first", eB=8.0, mass=1e-6, N=512, n_max=4, at="m")
 # a single command whose section aborts: p0 = m is level 0's shell
 @example(command="propagator", rep="first", eB=1.0, mass=1.0, N=1024, n_max=4, at="m")
-# a field too weak for the grid sizing, which refuses it after validation passed
+# a weak field, sized in its own length |eB|^-1/2 = 3.2e4
 @example(command="spectrum", rep="first", eB=1e-9, mass=1.0, N=256, n_max=1, at="0.3")
 # a field whose potential overflows: the grid sizing refuses it, with no numpy warning
 @example(command="spectrum", rep="first", eB=1e300, mass=1.0, N=256, n_max=1, at="0.3")
 @given(command=st.sampled_from(sorted(cli._COMMANDS) + ["all"]),
        rep=st.sampled_from(["first", "second"]),
-       eB=st.sampled_from([1e-3, 1.0, 8.0, -1e-3, -1.0, -8.0]),
+       eB=st.sampled_from([s * m for m in (1e-9, 1e-6, 1e-3, 1.0, 8.0, 1e3) for s in (1, -1)]),
        # 4.4e9 and 4.6e9 lie just under and just over eps * mass = tolerances.eig
        mass=st.sampled_from([1e-6, 1.0, 4.4e9, 4.6e9]),
        N=st.sampled_from([256, 512, 1024]), n_max=st.integers(1, 4),
@@ -738,7 +769,8 @@ def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
     p0 = {"0.3": 0.3, "m": mass, "shell": shell, "shell+": shell + 1.1e-3,
           "doubler": math.sqrt(10 / 3 * abs(eB) + mass * mass)}[at]
     out = scratch / "out"
-    argv = [command, "--rep", rep, "--eB", repr(eB), "--mass", repr(mass), "--grid-n", str(N),
+    # "--eB=" keeps argparse from reading -1e-09 as an option
+    argv = [command, "--rep", rep, f"--eB={eB!r}", "--mass", repr(mass), "--grid-n", str(N),
             "--levels", str(n_max), "--p0", repr(p0), "--out", str(out)]
     saved = {var: os.environ.get(var) for var in THREAD_VARS}
     stderr = io.StringIO()
@@ -751,8 +783,6 @@ def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
                 code = exc.code
         assert code in (0, 1, 2), code
         assert not caught, [str(w.message) for w in caught]
-        if abs(eB) < 1e-3:  # weaker than any drawn field: the grid sizing refuses it
-            assert code == 2
         if code == 2:
             assert not out.exists()
             assert stderr.getvalue().startswith("rfw: ")

@@ -366,7 +366,7 @@ def channel_potential(profile, p_y, sigma, grid):
 def channel_solve(profile, p_y, sigma, grid, n_levels=N_LEVELS, tol_eig=1e-6):
     """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
     V = channel_potential(profile, p_y, sigma, grid)
-    return solve_channel(channel_hamiltonian(V, grid.h), V, grid.h, sigma, n_levels, tol_eig)
+    return solve_channel(channel_hamiltonian(V, grid.h), V, grid, sigma, n_levels, tol_eig)
 
 
 def solver_conventions(vals, vecs, V, h):
@@ -397,7 +397,7 @@ def arpack_channel(profile, p_y, sigma, grid, n_levels):
     V = channel_potential(profile, p_y, sigma, grid)
     N, H = V.size, channel_hamiltonian(V, grid.h)
     v_min = float(V.min())
-    shift = v_min - SHIFT_GAP * max(1.0, abs(v_min))
+    shift = v_min - SHIFT_GAP * max(grid.length ** -2, abs(v_min))
     band = H[:3].copy()
     band[2] -= shift
     chol, info = dpbtrf(band)
@@ -514,7 +514,7 @@ def test_channel_solve_allocates_no_dense_matrix(uni):
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            solve_channel(uni.ops.H[sigma], uni.ops.V[sigma], uni.ops.h, sigma, N_LEVELS)
+            solve_channel(uni.ops.H[sigma], uni.ops.V[sigma], uni.grid, sigma, N_LEVELS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

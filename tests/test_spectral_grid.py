@@ -1,9 +1,12 @@
 """Channel eigensolver against analytic Landau levels and a Morse-type chain."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ladder import observed_order, refinement_ladder
@@ -23,17 +26,17 @@ from ritusfw.spectral_grid import PHASE_THRESHOLD, Grid, build_grid, solve_chann
 def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
     """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
     V = channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
-    return solve_channel(channel_hamiltonian(V, grid.h), V, grid.h, sigma, n_levels, tol_eig)
+    return solve_channel(channel_hamiltonian(V, grid.h), V, grid, sigma, n_levels, tol_eig)
 
 
 def test_grid_validation():
     with pytest.raises(ConfigurationError):
-        Grid(x_min=-1.0, x_max=1.0, n_points=32)
-    g = Grid(x_min=-1.0, x_max=1.0, n_points=101)
+        Grid(x_min=-1.0, x_max=1.0, n_points=32, length=1.0)
+    g = Grid(x_min=-1.0, x_max=1.0, n_points=101, length=1.0)
     assert g.h == pytest.approx(0.02)
     assert g.x[0] == -1.0 and g.x[-1] == 1.0
-    assert g == Grid(-1.0, 1.0, 101)
-    assert g != Grid(-1.0, 1.0, 102)
+    assert g == Grid(-1.0, 1.0, 101, 1.0)
+    assert g != Grid(-1.0, 1.0, 102, 1.0)
 
 
 def test_build_grid_requires_levels():
@@ -159,7 +162,7 @@ def test_zero_mode_rounding_clamp(uni, monkeypatch, raw, clamped, flagged):
         return vals, vecs
 
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", shifted)
-    spec = solve_channel(uni.ops.H[+1], uni.ops.V[+1], uni.ops.h, +1, 4)
+    spec = solve_channel(uni.ops.H[+1], uni.ops.V[+1], uni.grid, +1, 4)
     assert spec.eigenvalues[0] == (0.0 if clamped else raw)
     assert bool(spec.flags) == flagged
 
@@ -205,13 +208,13 @@ def test_morse_chain_for_exponential_profile():
 
 
 def test_solver_argument_validation(uni):
-    H, V, h = uni.ops.H[+1], uni.ops.V[+1], uni.ops.h
+    H, V, grid = uni.ops.H[+1], uni.ops.V[+1], uni.grid
     with pytest.raises(ArgumentError):
-        solve_channel(H, V, h, 0, n_levels=3)
+        solve_channel(H, V, grid, 0, n_levels=3)
     with pytest.raises(ArgumentError):
-        solve_channel(H, V, h, +1, n_levels=0)
+        solve_channel(H, V, grid, +1, n_levels=0)
     with pytest.raises(TruncationError):
-        solve_channel(H, V, h, +1, n_levels=V.size // 2)
+        solve_channel(H, V, grid, +1, n_levels=V.size // 2)
 
 
 def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch):
@@ -278,6 +281,39 @@ def test_refinement_ladder_order_four(profile, k2):
     errors = [abs(k - ref) for k in ks]
     assert errors == sorted(errors, reverse=True)
     assert 3.5 < observed_order(hs, errors) < 4.5
+
+
+def scaled_uniform_field(eB, p_y):
+    """((x_min - x0)/ell, (x_max - x0)/ell) and both channels' k_n/|eB|, n >= 1, at N = 1024.
+
+    tol_eig scales with |eB|, so that the absolute tolerance refuses no
+    strong field's zero mode.
+    """
+    prob = Problem(uniform_profile(eB), make_rep("first"), p_y=p_y, e=1.0, m=1.0, p0=0.3,
+                   n_max=8, n_points=1024, tol_eig=1e-6 * abs(eB))
+    x0, scale = p_y / eB, abs(eB) ** 0.5
+    walls = ((prob.grid.x_min - x0) * scale, (prob.grid.x_max - x0) * scale)
+    levels = [spec.eigenvalues[1:] / abs(eB) for spec in (prob.spec_plus, prob.spec_minus)]
+    return walls, np.concatenate(levels)
+
+
+unit_field = functools.lru_cache(scaled_uniform_field)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@example(log_eB=-9.0, sign=1.0, k=3.0)
+@example(log_eB=6.0, sign=-1.0, k=0.0)
+@given(log_eB=st.floats(-9.0, 6.0), sign=st.sampled_from([1.0, -1.0]),
+       k=st.sampled_from([0.0, 3.0]))
+def test_a_uniform_field_is_sized_in_its_own_length(log_eB, sign, k):
+    # x -> (x - x0)/ell, ell = |eB|^-1/2, maps a uniform field of any strength,
+    # at p_y = k/ell, onto eB = +-1 at p_y = k: the walls scale with ell and
+    # k_n with |eB|; k_0 is left to the absolute ZERO_CLAMP
+    eB = sign * 10.0 ** log_eB
+    walls, levels = scaled_uniform_field(eB, k * abs(eB) ** 0.5)
+    unit_walls, unit_levels = unit_field(sign, k)
+    assert_allclose(walls, unit_walls, rtol=1e-12, atol=0)
+    assert_allclose(levels, unit_levels, rtol=0, atol=1e-9)
 
 
 def test_spectrum_csv_round_trip(tmp_path):
