@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .errors import ConfigurationError, RitusFWError
+from .errors import ArgumentError, ConfigurationError, RitusFWError
 
 if TYPE_CHECKING:
     from .field_profiles import FieldProfile
@@ -103,38 +103,8 @@ class RunConfig:
                 raise ConfigurationError(
                     f"profile key {key!r} is not read by the {self.profile_kind} profile, "
                     f"which reads {', '.join(keys)}")
-        profile = self.field_profile()
-        B = profile.params.get("B")
-        if profile.kind == "uniform" and not 0 < abs(self.e * B) < math.inf:
-            # the grid is sized in the field's length |eB|^-1/2
-            raise ConfigurationError(f"e = {self.e} and profile B = {B} give eB = {self.e * B}, "
-                                     "which must be finite and nonzero")
-        if profile.kind == "exponential":
-            from .field_profiles import bound_levels  # here: `import ritusfw.cli` stays numpy-free
-
-            # the closed forms square c = p_y - eB/alpha and count levels below |c|/|alpha|
-            B, alpha = profile.params["B"], profile.params["alpha"]
-            c = self.p_y - self.e * B / alpha
-            if not (math.isfinite(c * c) and math.isfinite(abs(c) / abs(alpha))):
-                raise ConfigurationError(
-                    f"profile B = {B} and alpha = {alpha} give c = p_y - eB/alpha = {c:.6g}, "
-                    "which needs a finite square and a finite |c|/|alpha|")
-            # both channels solve n_max + 1 levels, and the partner binds one fewer
-            bound, rule = bound_levels(profile, self.e, self.p_y)
-            if bound == 0:
-                raise ConfigurationError(f"the exponential field binds no level: {rule}")
-            if self.n_max + 1 >= bound:
-                raise ConfigurationError(
-                    f"n_max = {self.n_max} asks for {self.n_max + 1} levels of each channel, "
-                    f"but the exponential field binds {bound} in the zero-mode channel and "
-                    f"{bound - 1} in its partner ({rule})")
-        return profile
-
-    def field_profile(self) -> FieldProfile:
-        """The field profile of this config; a table is loaded, and a bad one exits 2."""
         # imported here: `import ritusfw.cli` stays free of numpy
         from . import field_profiles as fp
-        from .errors import ArgumentError
 
         make = {"uniform": fp.uniform_profile, "exponential": fp.exponential_profile}
         if self.profile_kind in make:
@@ -144,15 +114,18 @@ class RunConfig:
                 if not (math.isfinite(value) and value != 0):
                     raise ConfigurationError(
                         f"profile {key} must be finite and nonzero, got {value}")
-            return make[self.profile_kind](**params)
-        path = self.profile_params.get("path")
-        if not isinstance(path, str):
-            raise ConfigurationError(f"profile.path must name an x,W table, got {path!r}")
-        try:
-            return fp.load_tabulated_csv(path)
-        except (OSError, ValueError, ArgumentError) as exc:
-            raise ConfigurationError(
-                f"profile.path {path!r} is not a usable x,W table: {exc}") from None
+            profile = make[self.profile_kind](**params)
+        else:
+            path = self.profile_params.get("path")
+            if not isinstance(path, str):
+                raise ConfigurationError(f"profile.path must name an x,W table, got {path!r}")
+            try:
+                profile = fp.load_tabulated_csv(path)
+            except (OSError, ValueError, ArgumentError) as exc:
+                raise ConfigurationError(
+                    f"profile.path {path!r} is not a usable x,W table: {exc}") from None
+        fp.field_scales(profile, self.e, self.p_y, self.n_max)  # refuses a field no grid can size
+        return profile
 
     def echo(self) -> dict:
         """The config as the report states it, a table's path resolved, not as given.
@@ -556,7 +529,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _cap_threads()
-    args = _build_parser().parse_args(argv)
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in ("--eB", "--mass", "--py", "--p0"):
+            # as --flag=value: argparse 3.10/3.11 reads a word such as -1e-9 as an option
+            word = f"{words.pop()}={word}"
+        words.append(word)
+    args = _build_parser().parse_args(words)
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()

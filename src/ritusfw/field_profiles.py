@@ -228,6 +228,8 @@ def analytic_levels(profile: FieldProfile, e: float, p_y: float, n: int, sigma: 
     return c * c - max(abs(c) - n * abs(profile.params["alpha"]), 0.0) ** 2
 
 
+# a table too strong for floats samples an inf potential, which build_grid refuses
+@np.errstate(over="ignore", invalid="ignore")
 def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
     """(window, ell, cap): what grid sizing knows of the field before it samples.
 
@@ -237,17 +239,36 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
     |alpha c|^-1/2 (M' = alpha c there), and cap midway between the plateau c^2
     and level n_max of either channel.  Table: the window is its span, and ell
     = (V''/2)^-1/4 at its lowest knot, at most the span.
+
+    It alone refuses, with ConfigurationError, a field no grid can size at
+    n_max: a uniform eB that is zero or not finite; an exponential c without a
+    finite square or |c|/|alpha|; an exponential field without a zero mode, or
+    that binds fewer than n_max + 1 levels in a channel.
     """
     if profile.kind == "uniform":
         eB = e * profile.params["B"]
+        if not 0 < abs(eB) < math.inf:
+            raise ConfigurationError(f"e = {e} and profile B = {profile.params['B']} give "
+                                     f"eB = {eB}, which must be finite and nonzero")
         ell = abs(eB) ** -0.5
         return (p_y / eB - ell, p_y / eB + ell), ell, math.inf
     if profile.kind == "exponential":
+        B, alpha = profile.params["B"], profile.params["alpha"]
         c, lam = _morse_chain(profile, e, p_y)
-        if c * lam >= 0:
+        # the closed forms square c and count levels below |c|/|alpha|
+        if not (math.isfinite(c * c) and math.isfinite(abs(c) / abs(alpha))):
             raise ConfigurationError(
-                f"the exponential field binds no level: {bound_levels(profile, e, p_y)[1]}")
-        alpha = profile.params["alpha"]
+                f"profile B = {B} and alpha = {alpha} give c = p_y - eB/alpha = {c:.6g}, "
+                "which needs a finite square and a finite |c|/|alpha|")
+        # both channels solve n_max + 1 levels, and the partner binds one fewer
+        bound, rule = bound_levels(profile, e, p_y)
+        if bound == 0:
+            raise ConfigurationError(f"the exponential field binds no level: {rule}")
+        if n_max + 1 >= bound:
+            raise ConfigurationError(
+                f"n_max = {n_max} asks for {n_max + 1} levels of each channel, "
+                f"but the exponential field binds {bound} in the zero-mode channel and "
+                f"{bound - 1} in its partner ({rule})")
         x0, ell = -math.log1p(-p_y / lam) / alpha, abs(alpha * c) ** -0.5
         top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
         return (x0 - ell, x0 + ell), ell, 0.5 * (c * c + top)

@@ -185,8 +185,9 @@ def build_grid(
     the walks step at least 1e-3 ell.  The profile's domain bounds the grid:
     if a table ends inside the sublevel set, or before the integral reaches
     the target, TruncationError names the edge.  The domain depends on the
-    field and n_max alone: n_points only stamps the Grid.  A potential that
-    overflows, so that k_estimate is not finite, raises ConfigurationError.
+    field and n_max alone: n_points only stamps the Grid.  ConfigurationError
+    refuses what ``field_scales`` refuses, a k_estimate that overflows, and
+    a sublevel set wider than _GUARD steps.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -209,10 +210,11 @@ def build_grid(
     omega = math.sqrt(max(curv, 0.0) / 2.0)
     k_est = min(v_min + (2 * (n_max + 1) + 3) * omega, cap)
     if not math.isfinite(k_est):
-        raise ConfigurationError(
-            f"the field's potential overflows: V = {v_min:.6g} at its sampled minimum and "
-            f"curvature {curv:.6g} give the level estimate k_est = {k_est:.6g} for n_max = {n_max}"
-        )
+        what = (f"its curvature V'' = {curv:.6g} at the sampled minimum V = {v_min:.6g}"
+                if math.isfinite(v_min) and not math.isfinite(curv) else
+                f"V = {v_min:.6g} at its sampled minimum")
+        raise ConfigurationError(f"the field's potential overflows: {what} gives the level "
+                                 f"estimate k_est = {k_est:.6g} for n_max = {n_max}")
 
     # sublevel set of the *shallower* channel at k_est, then padding; both
     # walks stay on the lattice xs[i0] +- k*step and share one step budget
@@ -226,14 +228,11 @@ def build_grid(
             f"{k_est:.6g} of levels 0..{n_max}: extend the table"
         )
     if left + right >= _GUARD:
-        # a growing potential leaves the sublevel set and a table's walks stop
-        # at its edges, so the budget runs out on a plateau below k_est
-        x_end = xa if left >= _GUARD else xb
-        v_end = float(vmin(np.array([x_end]))[0])
+        # only a sublevel set too wide to walk gets here: a uniform field at an absurd n_max
         raise ConfigurationError(
-            f"the potential levels off at V = {v_end:.6g} near x = {x_end:.6g}, below the "
-            f"level estimate k_est = {k_est:.6g} for n_max = {n_max}: the well does not "
-            f"bind levels 0..{n_max} within {_GUARD:,} grid steps"
+            f"the sublevel set V <= k_est = {k_est:.6g} of levels 0..{n_max} spans more than "
+            f"{_GUARD:,} grid steps of {step:.3g} (from x = {xa:.6g} to {xb:.6g} when the "
+            "walks stopped): too wide to size a grid"
         )
 
     center = 0.5 * (xa + xb)

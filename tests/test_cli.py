@@ -217,6 +217,27 @@ def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,path", [
+    ("--eB", "-1e-9", ("profile", "B")), ("--py", "-1e-3", ("p_y",)), ("--p0", "-1e-1", ("p0",)),
+    ("--mass", "-1e0", None),
+])
+def test_float_flags_take_negative_numbers_in_exponent_notation(tmp_path, flag, value, path):
+    # as the --flag=value form does: the value reaches the config, and a
+    # negative mass is refused by validation, not by the argument parser
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", flag, value, "--out", str(out), cwd=tmp_path)
+    if path is None:
+        assert proc.returncode == 2
+        assert proc.stderr == "rfw: mass must be positive with a finite square, got -1.0\n"
+        assert not out.exists()
+    else:
+        assert proc.returncode == 0, proc.stderr
+        echo = json.loads((out / "report.json").read_text())["config"]
+        for key in path:
+            echo = echo[key]
+        assert echo == float(value)
+
+
 @pytest.mark.parametrize("key", ["e", "mass", "p_y", "p0", "grid.N", "n_max",
                                  "tolerances.eig", "tolerances.residual"])
 def test_non_numeric_config_value_names_its_key(tmp_path, key):
@@ -504,6 +525,18 @@ def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key
     # the library entry validates, so no section runs and nothing is written
     with pytest.raises(ConfigurationError, match=key):
         run(command, cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_curvature_that_overflows_exits_two_naming_it(tmp_path):
+    # at eB = 1e154 the potential is finite at its minimum V = -eB, and its
+    # curvature 2 (eB)^2 is not: the message names the curvature, with no
+    # traceback and no warning
+    proc = run_cli("spectrum", "--eB", "1e154", "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == ("rfw: the field's potential overflows: its curvature V'' = inf at the "
+                           "sampled minimum V = -1e+154 gives the level estimate k_est = inf for "
+                           "n_max = 8\n")
     assert not (tmp_path / "out").exists()
 
 

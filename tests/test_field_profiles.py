@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ritusfw.errors import ArgumentError, DomainError, UnsupportedProfileError
+from ritusfw.errors import ArgumentError, ConfigurationError, DomainError, UnsupportedProfileError
 from ritusfw.field_profiles import (analytic_levels, bound_levels, channel_potentials,
-                                    evaluate_potential, exponential_profile,
+                                    evaluate_potential, exponential_profile, field_scales,
                                     load_tabulated_csv, tabulated_profile,
                                     uniform_profile)
 
@@ -211,6 +211,38 @@ def test_bound_levels_need_opposite_signs(B, alpha, p_y, bound):
         assert "opposite signs" in rule
         c = p_y - B / alpha
         assert analytic_levels(prof, 1.0, p_y, 0, 1 if B > 0 else -1) == c * c
+
+
+def test_field_scales_refuses_every_field_no_grid_can_size():
+    # one field per refusal, each with the message that RunConfig.validate
+    # prints for it: (profile, e, p_y, n_max, message)
+    uniform = ", which must be finite and nonzero"
+    morse = ", which needs a finite square and a finite |c|/|alpha|"
+    cases = [
+        (uniform_profile(1.0), 0.0, 0.0, 8, "e = 0.0 and profile B = 1.0 give eB = 0.0" + uniform),
+        (uniform_profile(1e-200), 1e-200, 0.0, 8,
+         "e = 1e-200 and profile B = 1e-200 give eB = 0.0" + uniform),
+        (uniform_profile(1e200), 1e200, 0.0, 8,
+         "e = 1e+200 and profile B = 1e+200 give eB = inf" + uniform),
+        # c^2 overflows; then c^2 is finite, but |c|/|alpha| overflows
+        (exponential_profile(1.0, 1e-160), 1.0, 0.0, 8,
+         "profile B = 1.0 and alpha = 1e-160 give c = p_y - eB/alpha = -1e+160" + morse),
+        (exponential_profile(1e-150, 1e-250), 1.0, 0.0, 8,
+         "profile B = 1e-150 and alpha = 1e-250 give c = p_y - eB/alpha = -1e+100" + morse),
+        (exponential_profile(1.0, 0.1), 1.0, 11.0, 8,
+         "the exponential field binds no level: a zero mode needs c = p_y - eB/alpha = 1 and "
+         "eB/alpha = 10 of opposite signs"),
+        (exponential_profile(1.0, 0.5), 1.0, 0.0, 3,
+         "n_max = 3 asks for 4 levels of each channel, but the exponential field binds 4 in the "
+         "zero-mode channel and 3 in its partner (levels n < |c|/|alpha| = 4, "
+         "c = p_y - eB/alpha = -2)"),
+    ]
+    for profile, e, p_y, n_max, message in cases:
+        with pytest.raises(ConfigurationError) as err:
+            field_scales(profile, e, p_y, n_max)
+        assert str(err.value) == message
+    # one level fewer fits: the partner's level 2 is k = 3.75, below the plateau c^2 = 4
+    assert field_scales(exponential_profile(1.0, 0.5), 1.0, 0.0, 2) == ((-1.0, 1.0), 1.0, 3.875)
 
 
 def test_level_formula_validation():

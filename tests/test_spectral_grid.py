@@ -2,6 +2,7 @@
 
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -217,20 +218,40 @@ def test_solver_argument_validation(uni):
         solve_channel(H, V, grid, +1, n_levels=V.size // 2)
 
 
-def test_potential_plateau_below_level_estimate_stops_at_step_guard(monkeypatch):
-    # the field binds levels 0..3 only, so at n_max = 3 the partner's top
-    # level sits on the plateau: the sublevel walk never ends, and the step
-    # guard names the plateau (validation refuses this n_max first)
+def test_exponential_field_past_its_bound_is_refused_before_any_walk(monkeypatch):
+    # the field binds levels 0..3 in its zero-mode channel and 0..2 in its
+    # partner, so n_max = 3 is refused by field_scales: validate, build_grid
+    # and a library Problem print one message, and none samples the potential
+    def no_sampling(*args):
+        raise AssertionError("the grid sizing sampled the potential")
+
+    monkeypatch.setattr(spectral_grid, "channel_potentials", no_sampling)
+    message = ("n_max = 3 asks for 4 levels of each channel, but the exponential field binds 4 "
+               "in the zero-mode channel and 3 in its partner (levels n < |c|/|alpha| = 4, "
+               "c = p_y - eB/alpha = -2)")
+    cfg = RunConfig(profile_kind="exponential", profile_params={"B": 1.0, "alpha": 0.5}, n_max=3)
+    profile = exponential_profile(1.0, 0.5)
+    problem = Problem(profile, make_rep("first"), 0.0, 1.0, 1.0, 0.3, 3, 1024, 1e-6)
+    for refuse in (cfg.validate, lambda: build_grid(profile, 0.0, 3, 1024),
+                   lambda: problem.grid):
+        with pytest.raises(ConfigurationError) as err:
+            refuse()
+        assert str(err.value) == message
+
+
+def test_sublevel_set_too_wide_to_walk_stops_at_step_guard(monkeypatch):
+    # at n_max = 48 the uniform field's sublevel set V <= k_est = 100 spans
+    # |x| <= 10.05, about 10,050 steps of 1e-3 a side: the guard stops the
+    # walks, and names the set, not a plateau the field does not have
     monkeypatch.setattr(spectral_grid, "_GUARD", 20_000)
     with pytest.raises(ConfigurationError) as err:
-        build_grid(exponential_profile(1.0, 0.5), 0.0, 3, 1024)
-    found = re.search(r"levels off at V = ([\d.]+) near x = ([\d.]+), below the level "
-                      r"estimate k_est = ([\d.]+) for n_max = 3: .* within 20,000 grid steps",
-                      str(err.value))
+        build_grid(uniform_profile(1.0), 0.0, 48, 1024)
+    found = re.fullmatch(r"the sublevel set V <= k_est = 100 of levels 0\.\.48 spans more than "
+                         r"20,000 grid steps of 0\.001 \(from x = (\S+) to (\S+) when the walks "
+                         r"stopped\): too wide to size a grid", str(err.value))
     assert found, str(err.value)
-    V, x, k = map(float, found.groups())
-    assert V == pytest.approx(4.0, abs=1e-3) and 15 < x < 25
-    assert k == 4.0
+    xa, xb = map(float, found.groups())
+    assert xa == pytest.approx(-10.05, abs=0.01) and xb - xa == pytest.approx(20.0, abs=0.01)
 
 
 def test_unresolvable_levels_hit_the_wall():
@@ -250,6 +271,23 @@ def test_tiny_tolerance_rejects_coarse_zero_mode():
 
 
 TABLE_16 = np.linspace(-16.0, 16.0, 321)
+
+
+@pytest.mark.parametrize("profile,named", [
+    # V = -eB at the minimum is finite, its sampled curvature 2 (eB)^2 is not
+    pytest.param(uniform_profile(1e154),
+                 "its curvature V'' = inf at the sampled minimum V = -1e+154", id="curvature"),
+    # M^2 overflows at every sample, the minimum's too
+    pytest.param(tabulated_profile(TABLE_16, 1e300 * (TABLE_16 + 0.05)),
+                 "V = inf at its sampled minimum", id="potential"),
+])
+def test_an_overflow_names_what_overflowed(profile, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError) as err:
+            build_grid(profile, 0.0, 8, 1024)
+    assert str(err.value).startswith(
+        f"the field's potential overflows: {named} gives the level estimate k_est = ")
 
 
 @pytest.mark.parametrize("profile", [uniform_profile(1.0), exponential_profile(1.0, 0.1),
