@@ -314,7 +314,7 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
         "zero_mode_annihilation": _check(zm, cfg.tol_residual),
         "orthonormality": _check(ortho_dev, cfg.tol_residual),
     }
-    rows = [(n, k, levels.p0, levels.ops.p_y, E) for n, (k, E)
+    rows = [(n, k, cfg.p0, levels.ops.p_y, E) for n, (k, E)
             in enumerate(zip(levels.k.tolist(), levels.shells(cfg.mass).tolist()))]
     return ({"results": {"levels": per_level,
                          "zero_mode_annihilation": zm,
@@ -468,8 +468,8 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     if command != "all" and command not in _COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}; choose one of "
                                  f"{', '.join([*_COMMANDS, 'all'])}")
-    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.p0,
-                   cfg.n_max, cfg.grid_n, cfg.tol_eig)
+    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.n_max,
+                   cfg.grid_n, cfg.tol_eig)
     sections, tables = {}, {}
     for name in _COMMANDS if command == "all" else [command]:
         try:
@@ -509,8 +509,9 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: main attaches a number to its flag by the flag's full name
     p = argparse.ArgumentParser(
-        prog="rfw",
+        prog="rfw", allow_abbrev=False,
         description="Ritus-basis construction and Foldy-Wouthuysen verification "
                     "for 2+1D Dirac fermions in static magnetic fields.",
     )

@@ -241,9 +241,9 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
     = (V''/2)^-1/4 at its lowest knot, at most the span.
 
     It alone refuses, with ConfigurationError, a field no grid can size at
-    n_max: a uniform eB that is zero or not finite; an exponential c without a
-    finite square or |c|/|alpha|; an exponential field without a zero mode, or
-    that binds fewer than n_max + 1 levels in a channel.
+    n_max: a uniform eB that is zero or not finite; an exponential field whose
+    c^2, |c|/|alpha| or length |alpha c|^-1/2 is not finite, that has no zero
+    mode, or that binds fewer than n_max + 1 levels in a channel.
     """
     if profile.kind == "uniform":
         eB = e * profile.params["B"]
@@ -269,6 +269,10 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
                 f"n_max = {n_max} asks for {n_max + 1} levels of each channel, "
                 f"but the exponential field binds {bound} in the zero-mode channel and "
                 f"{bound - 1} in its partner ({rule})")
+        if not 0 < abs(alpha * c) < math.inf:
+            raise ConfigurationError(
+                f"profile B = {B} and alpha = {alpha} give |alpha c| = {abs(alpha * c):.6g} "
+                f"(c = {c:.6g}), so the field's length |alpha c|^-1/2 is not finite")
         x0, ell = -math.log1p(-p_y / lam) / alpha, abs(alpha * c) ** -0.5
         top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
         return (x0 - ell, x0 + ell), ell, 0.5 * (c * c + top)

@@ -4,8 +4,8 @@ The paper's claim is one chain: the field on the grid, the two channel
 spectra, the Ritus levels E_p paired from them, and the exact field FW
 operator U assembled from the levels.  ``Problem`` holds the inputs of that
 chain and builds each link on first use, once: the grid, the grid operators,
-both channel spectra from the operators' H, the levels at the problem's p0
-(one RitusLevels record), and U from those levels.
+both channel spectra from the operators' H, the levels (one RitusLevels
+record; the propagator forms pbar from the p0 it is given), and U from them.
 A link whose build raises a RitusFWError keeps that error and re-raises it,
 so it is not rebuilt by every reader.  The CLI, the tests and the README all
 build through it.
@@ -63,10 +63,9 @@ class _link:
 class Problem:
     """Physical and grid inputs; grid, ops, spectra, levels and fw are built lazily.
 
-    Levels 0..n_max are resolved on an n_points grid; ``levels`` carry the
-    off-shell energy p0, ``fw`` is built from their slot blocks and k at
-    mass m.  Every input is required: the default run lives in the CLI's
-    ``RunConfig`` alone.
+    Levels 0..n_max are resolved on an n_points grid; ``fw`` is built from
+    their slot blocks and k at mass m.  Every input is required: the default
+    run lives in the CLI's ``RunConfig`` alone.
     """
 
     profile: FieldProfile
@@ -74,7 +73,6 @@ class Problem:
     p_y: float
     e: float
     m: float
-    p0: float
     n_max: int
     n_points: int
     tol_eig: float
@@ -102,7 +100,7 @@ class Problem:
 
     @_link
     def levels(self) -> RitusLevels:
-        return assemble_levels(self.spec_plus, self.spec_minus, self.n_max, self.p0, self.ops)
+        return assemble_levels(self.spec_plus, self.spec_minus, self.n_max, self.ops)
 
     @_link
     def fw(self):

@@ -40,7 +40,7 @@ def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> n
     by the guard of ``project_propagator``, which keeps |pbar^2 - m^2| at
     least POLE_GUARD (|p0| + shell), shell = sqrt(p2^2 + m^2).
     """
-    denom = p0**2 - np.float_power(p2, 2) - m * m     # pbar^2 as verify_eigen_relation squares it
+    denom = p0**2 - np.float_power(p2, 2) - m * m     # pbar^2 - m^2, p2 squared by libm's pow
     # times 1/denom, as numpy divides a complex by a real: the report's digits rest on it
     return (free_slash(p0, p2, rep) + m * np.eye(2)) * (1.0 / denom)[:, None, None]
 

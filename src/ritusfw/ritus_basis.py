@@ -5,9 +5,10 @@ channel's level n-1 (the supersymmetric pair sharing the eigenvalue k).
 The two functions are placed on the spinor slots dictated by the gamma
 representation, giving a (2N) x 2 matrix E_p that diagonalizes (gamma.Pi)^2
 and intertwines gamma.Pi with the free contraction gamma^mu pbar_mu at
-pbar = (p0, 0, sqrt(k)).  The free side depends on a level through k alone,
-so it is held as arrays over the levels: p2 = sqrt(k), the (L, 2, 2) blocks
-gamma^mu pbar_mu of ``free_slash`` and the shells sqrt(max(k, 0) + m^2) of
+pbar = (p0, 0, sqrt(k)), p0 the energy the propagator is given: the field is
+static, so the levels do not depend on p0.  The free side depends on a level
+through k alone, so it is held as arrays over the levels: p2 = sqrt(k), the
+(L, 2, 2) blocks of ``free_slash`` and the shells sqrt(max(k, 0) + m^2) of
 ``RitusLevels.shells``, which every check reads.  The level n = 0 is the
 zero mode: one column, k = 0, annihilated by the spatial Dirac operator.
 
@@ -18,8 +19,8 @@ two slots gets the sign of gamma^2's entry there, so the intertwining holds
 with the non-negative branch of sqrt(k).
 
 Each column of E_p lives on one spinor slot, so ``RitusLevels`` holds the
-levels as two (N, L) blocks F[s], one per slot, with the labels k_n, the
-run's p0 and the ``GridOperators`` they were built with.  The zero-mode
+levels as two (N, L) blocks F[s], one per slot, with the labels k_n and
+the ``GridOperators`` they were built with.  The zero-mode
 channel's block is a view of its eigenfunctions; the partner's is the one
 copy.  A channel Hamiltonian acts on its own slot's block, X (which only
 couples the two slots) maps one block onto the other slot, and the Gram
@@ -61,16 +62,14 @@ class RitusLevels:
     n's function on spinor slot s.  F[zero_slot] is a view of the zero-mode
     channel's eigenfunctions; the other block holds the partner channel's,
     sign-aligned, after a zero column for level 0.  Level n carries the label
-    k[n] and pbar = (p0, 0, p2[n]).  ops are the grid operators the levels
+    k[n], and p2[n] = sqrt(k[n]).  ops are the grid operators the levels
     were built with: every check over the levels reads its grid, p_y,
     operators and gamma representation there.
     """
 
     F: tuple
     k: np.ndarray
-    p0: float
     ops: GridOperators
-    zero_channel: int
     zero_slot: int
 
     def __post_init__(self):
@@ -144,7 +143,6 @@ def assemble_levels(
     spec_plus: ScalarSpectrum,
     spec_minus: ScalarSpectrum,
     n_max: int,
-    p0: float,
     ops: GridOperators,
 ) -> RitusLevels:
     """Build the levels 0..n_max from the two channel spectra, as two slot blocks.
@@ -198,7 +196,7 @@ def assemble_levels(
     F[b][:, 1:] = np.where(flip, -v, v)
     for f in F:
         f.flags.writeable = False
-    return RitusLevels(F=tuple(F), k=k, p0=float(p0), ops=ops, zero_channel=zc, zero_slot=a)
+    return RitusLevels(F=tuple(F), k=k, ops=ops, zero_slot=a)
 
 
 # ----------------------------------------------------------------------
@@ -213,21 +211,19 @@ def _relative(levels: RitusLevels, residuals) -> np.ndarray:
 
 
 def verify_eigen_relation(levels: RitusLevels) -> np.ndarray:
-    """|| (gamma.Pi)^2 E_p - pbar^2 E_p ||_F / ||E_p||_F of each level.
+    """|| Pi-tilde^2 E_p - max(k, 0) E_p ||_F / ||E_p||_F of each level.
 
-    (gamma.Pi)^2 is realized as p0^2 - Pi-tilde^2 on the grid, so the mass
-    drops out of the relation.  Pi-tilde^2 acts on each spinor slot as the
-    channel Hamiltonian levels.ops.H[sigma] of the channel that
-    channel_slots places there, so each acts on its own slot's block.
+    The grid realizes (gamma.Pi)^2 as the energy squared minus Pi-tilde^2,
+    so this is (gamma.Pi)^2 E_p = pbar^2 E_p with that square cancelled.
+    Pi-tilde^2 acts on each spinor slot as the channel Hamiltonian
+    levels.ops.H[sigma] of the channel that channel_slots places there.
     """
     slots = channel_slots(levels.ops.rep)
-    # pbar^2 = p0^2 - p2^2, p2 squared by libm's pow as a float's ** is (p2 * p2 can
-    # differ in its last bit, and the residual is a cancellation down to 1e-10)
-    pbar2 = levels.p0**2 - np.float_power(levels.p2, 2)
+    k = np.maximum(levels.k, 0.0)
     residuals = []
     for sigma in (+1, -1):
         f = levels.F[slots[sigma]]
-        residuals.append((levels.p0**2 * f - band_product(levels.ops.H[sigma], f)) - pbar2 * f)
+        residuals.append(band_product(levels.ops.H[sigma], f) - k * f)
     return _relative(levels, residuals)
 
 

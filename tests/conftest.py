@@ -18,7 +18,7 @@ from ritusfw.problem import Problem
 
 @pytest.fixture(scope="session")
 def uni():
-    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0, p0=0.3,
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
                    n_max=6, n_points=640, tol_eig=1e-6)
 
 

@@ -62,7 +62,7 @@ def emit(num, ok, detail):
 
 @functools.lru_cache(maxsize=None)
 def production_problem(n_points=N_POINTS):
-    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
                    n_max=N_MAX, n_points=n_points, tol_eig=1e-6)
 
 
@@ -233,7 +233,7 @@ def test_criterion_10_determinism(tmp_path):
 def fine_grid_problem(alpha, p_y):
     """The exponential (Morse-type) field B = 1 on the 1536-point grid, as `rfw all` runs it."""
     return Problem(exponential_profile(1.0, alpha), make_rep("first"), p_y=p_y, e=1.0, m=MASS,
-                   p0=P0, n_max=N_MAX, n_points=1536, tol_eig=1e-6)
+                   n_max=N_MAX, n_points=1536, tol_eig=1e-6)
 
 
 LARGE_N = {

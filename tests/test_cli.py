@@ -200,6 +200,12 @@ BAD_CONFIGS = [pytest.param(command, {"mass": -1.0}, "mass", id=command)
     # the grid's one number is N; its padding is the constant spectral_grid.PADDING
     pytest.param("all", {"grid": {"N": 256, "padding": 1.5}},
                  "unknown config key 'grid.padding'", id="padding-unknown"),
+    # alpha c underflows to 0, so the exponential field's length |alpha c|^-1/2 is not finite
+    pytest.param("spectrum", {"profile": {"kind": "exponential", "B": 1e-320, "alpha": 1e-170},
+                              "p_y": 1e-320 / 1e-170 - 1e4 * 1e-170},
+                 "rfw: profile B = 1e-320 and alpha = 1e-170 give |alpha c| = 0 "
+                 "(c = -1.35666e-166), so the field's length |alpha c|^-1/2 is not finite\n",
+                 id="exponential-length-underflows"),
     # eps * mass = 2.2e-6 exceeds tolerances.eig
     pytest.param("all", {"mass": 1e10, "tolerances": {"eig": 1e-6, "residual": 1e-5}},
                  "mass = 10000000000.0 rounds", id="mass-above-floor"),
@@ -538,6 +544,17 @@ def test_a_curvature_that_overflows_exits_two_naming_it(tmp_path):
                            "sampled minimum V = -1e+154 gives the level estimate k_est = inf for "
                            "n_max = 8\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_flag_takes_its_full_name_only(tmp_path):
+    # the parser refuses an abbreviation: main attaches a value such as -1e0
+    # only to a flag's full name
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", "--ma", "-1e0", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "rfw: error: unrecognized arguments: --ma -1e0"
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["levels.csv", "report.json"])

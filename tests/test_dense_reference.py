@@ -105,7 +105,7 @@ def test_fw_operator_matches_dense_low_rank_form(uni, rng):
 def test_main_claim_from_factors_matches_dense_grid_residual(variant):
     # ||U E_p - E_p U_free|| / ||E_p|| with the dense U on the grid, against
     # the 2L x 2L form the operator's factors give
-    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS, p0=P0,
+    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
                    n_max=8, n_points=640, tol_eig=1e-6)
     fw, levels = prob.fw, prob.levels
     U = dense_U(fw)
@@ -163,7 +163,7 @@ def test_project_propagator_matches_dense_lu(uni):
 @pytest.fixture(scope="module")
 def expo():
     return Problem(exponential_profile(1.0, 0.1), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
-                   p0=P0, n_max=6, n_points=640, tol_eig=1e-6)
+                   n_max=6, n_points=640, tol_eig=1e-6)
 
 
 @pytest.mark.parametrize("near_pole", [False, True])
@@ -265,7 +265,7 @@ def small_problem(n_max, variant):
     """The smallest grid, a multiple of 32, on which levels 0..n_max build."""
     for N in range(32 * math.ceil(4 * (n_max + 1) / 32), 1025, 32):
         prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
-                       p0=P0, n_max=n_max, n_points=N, tol_eig=1e-6)
+                       n_max=n_max, n_points=N, tol_eig=1e-6)
         try:
             prob.fw
         except RitusFWError:
@@ -303,7 +303,7 @@ def test_doubler_ladder_and_its_overlap_with_the_levels(N, n_max):
     # The channel Hamiltonians' D2 stencil is 16/(3h^2) at t = pi: a doubler's
     # Rayleigh quotient under them is far above its eigenvalue, and the levels,
     # built from them, hold no doubler beyond rounding.  Here |eB| = 1
-    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
+    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
                    n_max=n_max, n_points=N, tol_eig=1e-6)
     X = dense_spinor(prob.ops.X)
     lam, V = np.linalg.eigh(X.T @ X)

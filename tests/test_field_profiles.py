@@ -236,6 +236,10 @@ def test_field_scales_refuses_every_field_no_grid_can_size():
          "n_max = 3 asks for 4 levels of each channel, but the exponential field binds 4 in the "
          "zero-mode channel and 3 in its partner (levels n < |c|/|alpha| = 4, "
          "c = p_y - eB/alpha = -2)"),
+        # c^2 underflows and |c|/|alpha| is finite, but alpha c underflows to 0
+        (exponential_profile(1e-320, 1e-170), 1.0, 1e-320 / 1e-170 - 1e4 * 1e-170, 8,
+         "profile B = 1e-320 and alpha = 1e-170 give |alpha c| = 0 (c = -1.35666e-166), so the "
+         "field's length |alpha c|^-1/2 is not finite"),
     ]
     for profile, e, p_y, n_max, message in cases:
         with pytest.raises(ConfigurationError) as err:

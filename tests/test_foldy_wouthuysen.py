@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh, expm
 
+from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError
 from ritusfw.foldy_wouthuysen import (bd_step, field_fw_from_levels, free_fw,
@@ -108,11 +109,12 @@ def test_field_fw_rejects_negative_k(uni):
         field_fw_from_levels(dataclasses.replace(uni.levels, k=k), MASS)
 
 
-def test_field_fw_ignores_the_level_energy(uni):
-    # U reads the levels' E, k and X only: relabeling p0 leaves W unchanged
-    for n in (0, 1, len(uni.levels) - 1):
-        moved = dataclasses.replace(uni.levels, p0=math.sqrt(uni.levels.k[n] + MASS**2))
-        assert np.array_equal(field_fw_from_levels(moved, MASS).W, uni.fw.W)
+def test_field_fw_ignores_the_level_energy():
+    # U reads the levels' E, k and X only, and the levels hold no energy p0:
+    # fw-exact reports the same at the default p0 and on level 1's shell
+    sections = [run("fw-exact", RunConfig(p0=p0))[0] for p0 in (0.3, math.sqrt(2.0 + MASS**2))]
+    assert sections[0]["results"] == sections[1]["results"]
+    assert sections[0]["checks"] == sections[1]["checks"]
 
 
 def transformed(fw, H_r):

@@ -1,7 +1,7 @@
 """Level assembly, orthonormality, intertwining, exports."""
 
+import csv
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -20,15 +20,16 @@ from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
 from ritusfw.operators import (GridOperators, band_product, channel_hamiltonian, channel_slots,
                                first_derivative)
 from ritusfw.problem import Problem
-from ritusfw.ritus_basis import (assemble_levels, verify_eigen_relation, verify_gpEp,
-                                 zero_mode_annihilation)
+from ritusfw.ritus_basis import (RitusLevels, assemble_levels, verify_eigen_relation,
+                                 verify_gpEp, zero_mode_annihilation)
 
 from bands import Ep, dense_E, dense_spinor, g0_diagonal
 
 
 def test_zero_level_structure(uni):
     levels = uni.levels
-    assert levels.zero_channel == +1 and levels.zero_slot == 0
+    # the zero mode lives in sigma = +1, which the first representation places on slot 0
+    assert levels.zero_slot == channel_slots(uni.rep)[+1] == 0
     assert np.array_equal(levels.projector[:2], [1.0, 0.0])
     # single populated column on slot 0, nothing anywhere else
     N, E0 = uni.grid.n_points, Ep(levels, 0)
@@ -64,11 +65,11 @@ def test_levels_carry_their_operators(uni, uni_second):
 
 def test_sigma_order_is_enforced(uni):
     with pytest.raises(ArgumentError):
-        assemble_levels(uni.spec_minus, uni.spec_plus, 1, 0.0, uni.ops)
+        assemble_levels(uni.spec_minus, uni.spec_plus, 1, uni.ops)
     # operators built at another p_y: the levels assemble, and the
     # intertwining check refuses them (0.5 where the run's own read 2.7e-6)
     shifted = GridOperators(uni.rep, uni.profile, 0.5, 1.0, uni.grid)
-    levels = assemble_levels(uni.spec_plus, uni.spec_minus, uni.n_max, 0.0, shifted)
+    levels = assemble_levels(uni.spec_plus, uni.spec_minus, uni.n_max, shifted)
     assert verify_gpEp(levels).min() > 0.1
     assert verify_gpEp(uni.levels).max() < 1e-5
 
@@ -78,12 +79,12 @@ def test_pairing_mismatch_detected(uni):
     vals[0] *= 1.01
     doctored = dataclasses.replace(uni.spec_minus, eigenvalues=vals)
     with pytest.raises(PairingError):
-        assemble_levels(uni.spec_plus, doctored, 1, 0.0, uni.ops)
+        assemble_levels(uni.spec_plus, doctored, 1, uni.ops)
 
 
 def test_truncation_when_level_not_stored(uni):
     with pytest.raises(TruncationError):
-        assemble_levels(uni.spec_plus, uni.spec_minus, 40, 0.0, uni.ops)
+        assemble_levels(uni.spec_plus, uni.spec_minus, 40, uni.ops)
 
 
 def test_orthonormality_blocks_are_projectors(uni):
@@ -114,11 +115,10 @@ def test_residuals_identical_across_reps(uni, uni_second):
 def test_wrong_pbar_is_detected(uni):
     levels = uni.levels
     base = verify_gpEp(levels)
-    # pbar is built from (p0, k): relabel k_2 so that pbar_2 = sqrt(k_2) + 0.1
+    # pbar_2 is built from k: relabel k_2 so that pbar_2 = sqrt(k_2) + 0.1
     k = levels.k.copy()
     k[2] = (levels.p2[2] + 0.1) ** 2
     off = dataclasses.replace(levels, k=k)
-    assert off.p0 == levels.p0
     assert off.p2[2] == pytest.approx(levels.p2[2] + 0.1)
     assert np.array_equal(np.delete(off.p2, 2), np.delete(levels.p2, 2))
     res = verify_gpEp(off)
@@ -146,7 +146,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     # the levels, the same draw checks the closed-form spectra, the eigen
     # relation and the field FW operator's invariants
     profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
-    prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, p0=0.3, n_max=8,
+    prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, n_max=8,
                    n_points=N, tol_eig=1e-6)
     for spec in (prob.spec_plus, prob.spec_minus):
         for n, k in enumerate(spec.eigenvalues.tolist()):
@@ -158,9 +158,11 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     A = first_derivative(N, h)
     A[2] = ops.M  # D1's band has an empty diagonal
     slots, levels = channel_slots(prob.rep), prob.levels
-    zc = levels.zero_channel
+    # the zero channel is the one on the zero slot, and it hosts the lowest eigenvalue
+    zc = +1 if slots[+1] == levels.zero_slot else -1
     a, b = slots[zc], slots[-zc]
-    assert levels.zero_slot == a
+    spec = {+1: prob.spec_plus, -1: prob.spec_minus}
+    assert spec[zc].eigenvalues[0] <= spec[-zc].eigenvalues[0]
     for n in range(1, len(levels)):
         u, v = levels.F[a][:, n], levels.F[b][:, n]
         # v A^T u is u A v
@@ -174,10 +176,10 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         blocks[slots[sigma]] = channel_hamiltonian(V, h)
     residuals = verify_eigen_relation(prob.levels)
     for n, (k, res) in enumerate(zip(levels.k.tolist(), residuals)):
-        E_p, p0, p2 = Ep(levels, n), levels.p0, math.sqrt(max(k, 0.0))
+        E_p = Ep(levels, n)
         pi_tilde2_Ep = np.concatenate([band_product(H, E_p[s * N:(s + 1) * N])
                                        for s, H in enumerate(blocks)])
-        diff = (p0**2 * E_p - pi_tilde2_Ep) - (p0**2 - p2**2) * E_p
+        diff = pi_tilde2_Ep - max(k, 0.0) * E_p
         ref = np.linalg.norm(diff) / np.linalg.norm(E_p)
         assert abs(res - ref) <= 1e-14 * ref and res < 1e-5
 
@@ -259,6 +261,28 @@ def test_levels_csv(tmp_path):
     assert float(row[1]) == pytest.approx(levels[1]["k"], rel=1e-11)
     assert (float(row[2]), float(row[3])) == (cfg.p0, cfg.p_y)
     assert float(row[4]) == pytest.approx(np.sqrt(levels[1]["k"] + 1.0))
+
+
+def test_levels_do_not_depend_on_p0(tmp_path):
+    # the field is static, so p0 is a conserved label: neither the problem nor
+    # its levels hold it, verify-ritus reports the same at any p0, and
+    # levels.csv differs only in its p0 column
+    assert "p0" not in {f.name for f in dataclasses.fields(Problem)}
+    assert [f.name for f in dataclasses.fields(RitusLevels)] == ["F", "k", "ops", "zero_slot"]
+    reports, tables = [], []
+    for p0 in (0.3, 2.5):
+        out = tmp_path / repr(p0)
+        report, ok = run("verify-ritus", RunConfig(p0=p0), outdir=out)
+        assert ok
+        reports.append(report)
+        with open(out / "levels.csv", newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["checks"] == reports[1]["checks"]
+    for table, p0 in zip(tables, ("0.3", "2.5")):
+        assert [row[2] for row in table] == ["p0"] + [p0] * (len(table) - 1)
+    assert ([row[:2] + row[3:] for row in tables[0]]
+            == [row[:2] + row[3:] for row in tables[1]])
 
 
 def test_gauge_center_shift_preserves_levels(uni):

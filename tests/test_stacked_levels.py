@@ -11,7 +11,6 @@ value; the main claim's residual is a cancellation of O(1) columns down to
 differently, so it is compared in units of ||E_p|| alone.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,18 +34,19 @@ TOL = 1e-14
 
 @pytest.fixture(scope="module", params=[8, 32], ids=lambda n: f"n_max={n}")
 def problems(request):
-    first = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS, p0=P0,
+    first = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
                     n_max=request.param, n_points=1024, tol_eig=1e-6)
     return first, first.other_rep()
 
 
 def p2(levels, n):
-    """Level n's pbar_2 = sqrt(k) as a float, a negative k read as 0; its ** 2 is libm's pow."""
+    """Level n's pbar_2 = sqrt(k) as a float, a negative k read as 0."""
     return math.sqrt(max(float(levels.k[n]), 0.0))
 
 
-def eigen_relation_loop(prob, levels):
-    N, slots = prob.grid.n_points, channel_slots(prob.rep)
+def eigen_relation_loop(prob):
+    """Pi-tilde^2 E_p - max(k, 0) E_p per level, Pi-tilde^2 the channel Hamiltonian per slot."""
+    levels, N, slots = prob.levels, prob.grid.n_points, channel_slots(prob.rep)
     out = []
     for n in range(len(levels)):
         E_p = Ep(levels, n)
@@ -54,20 +54,21 @@ def eigen_relation_loop(prob, levels):
         for sigma, H in prob.ops.H.items():
             rows = slice(slots[sigma] * N, (slots[sigma] + 1) * N)
             PiE[rows] = band_product(H, E_p[rows])
-        residual = (levels.p0**2 * E_p - PiE) - (levels.p0**2 - p2(levels, n)**2) * E_p
+        residual = PiE - max(float(levels.k[n]), 0.0) * E_p
         out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
 
 
-def intertwining_loop(prob, levels):
-    ops, N, g0 = prob.ops, prob.grid.n_points, g0_diagonal(prob.ops)
+def intertwining_loop(prob, p0):
+    """(gamma.Pi) E_p - E_p gamma^mu pbar_mu per level at energy p0, pbar = (p0, 0, p2)."""
+    ops, levels, N, g0 = prob.ops, prob.levels, prob.grid.n_points, g0_diagonal(prob.ops)
     out = []
     for n in range(len(levels)):
         E_p = Ep(levels, n)
-        g_pbar = levels.p0 * prob.rep.gamma[0] - p2(levels, n) * prob.rep.gamma[2]
+        g_pbar = p0 * prob.rep.gamma[0] - p2(levels, n) * prob.rep.gamma[2]
         # X E_p on the block order: X[s] on slot 1 - s lands on slot s
         XE = np.concatenate([band_product(ops.X[0], E_p[N:]), band_product(ops.X[1], E_p[:N])])
-        residual = levels.p0 * (g0[:, None] * E_p) - XE - E_p @ g_pbar
+        residual = p0 * (g0[:, None] * E_p) - XE - E_p @ g_pbar
         out.append(np.linalg.norm(residual) / np.linalg.norm(E_p))
     return np.array(out)
 
@@ -117,14 +118,12 @@ def propagator_loop(prob):
 
 def test_stacked_eigen_relation_and_intertwining_match_level_loops(problems):
     for prob in problems:
-        # the problem's p0, and the levels relabeled to the on-shell energy of the top one
-        on_shell = dataclasses.replace(prob.levels, p0=np.sqrt(prob.levels.k[-1] + MASS**2))
-        for levels in (prob.levels, on_shell):
-            ref = eigen_relation_loop(prob, levels)
-            res = verify_eigen_relation(levels)
-            assert np.all(np.abs(res - ref) <= TOL * ref)
-            ref = intertwining_loop(prob, levels)
-            assert np.all(np.abs(verify_gpEp(levels) - ref) <= TOL * ref)
+        ref = eigen_relation_loop(prob)
+        assert np.all(np.abs(verify_eigen_relation(prob.levels) - ref) <= TOL * ref)
+        # p0 gamma^0 cancels on each slot: the run's p0 and the top level's on-shell energy
+        for p0 in (P0, math.sqrt(prob.levels.k[-1] + MASS**2)):
+            ref = intertwining_loop(prob, p0)
+            assert np.all(np.abs(verify_gpEp(prob.levels) - ref) <= TOL * ref)
 
 
 def test_stacked_main_claim_matches_level_loop(problems):
@@ -171,7 +170,9 @@ def test_levels_share_one_stack(problems):
         assert isinstance(levels, RitusLevels) and levels.k.shape == (L,)
         assert isinstance(levels.F, tuple) and [f.shape for f in levels.F] == [(N, L)] * 2
         a, b = levels.zero_slot, 1 - levels.zero_slot
-        spec_zero, spec_other = ((prob.spec_plus, prob.spec_minus) if levels.zero_channel > 0
+        # the zero-mode channel is the one channel_slots places on the zero slot
+        spec_zero, spec_other = ((prob.spec_plus, prob.spec_minus)
+                                 if channel_slots(prob.rep)[+1] == a
                                  else (prob.spec_minus, prob.spec_plus))
         assert np.shares_memory(levels.F[a], spec_zero.eigenfunctions)
         assert np.array_equal(levels.F[a], spec_zero.eigenfunctions[:, :L])
