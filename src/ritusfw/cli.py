@@ -203,7 +203,8 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # not JSON, not UTF-8, or nested deeper than the parser's recursion
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"malformed JSON config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -222,22 +223,14 @@ def load_config(path) -> RunConfig:
 
 
 def _canonical(obj):
-    """Recursively round floats to 12 significant digits for stable bytes."""
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
+    """Recursively round floats to 12 significant digits; json.dumps refuses an unknown type."""
     if isinstance(obj, float):
         return float(format(obj, ".12g"))
-    if isinstance(obj, int):
-        return obj
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _canonical(obj.tolist())
-    if hasattr(obj, "item"):
-        return _canonical(obj.item())
-    return str(obj)
+    return obj
 
 
 def emit_report(results: dict, path=None) -> bytes:
@@ -326,18 +319,18 @@ def _cmd_verify_ritus(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
 def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     import numpy as np
 
-    from .foldy_wouthuysen import (graded_norms, projector_commutation_residual,
-                                   restricted_hamiltonian, unitarity_residual,
-                                   verify_main_claim)
+    from .foldy_wouthuysen import (field_fw_from_levels, graded_norms,
+                                   projector_commutation_residual, restricted_hamiltonian,
+                                   unitarity_residual, verify_main_claim)
 
-    fw = prob.fw
+    fw = field_fw_from_levels(prob.levels, cfg.mass)
     unit = unitarity_residual(fw)
     proj = projector_commutation_residual(fw)
 
     # W and K on E's populated columns, where W is U compressed to the span
     # of the levels; column c belongs to level c // 2
     populated = np.flatnonzero(fw.levels.projector)
-    H_r, grading = restricted_hamiltonian(fw)
+    H_r, grading = restricted_hamiltonian(fw.levels, cfg.mass)
     W_r = fw.W[np.ix_(populated, populated)]
     T = W_r @ H_r @ W_r.T
     even, odd = graded_norms(T, grading)
@@ -349,7 +342,8 @@ def _cmd_fw_exact(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     # the same residuals from the other representation; its levels are
     # re-assembled but share the channel spectra, so k_n cannot drift
     residuals = verify_main_claim(fw)
-    rep_gap = float(np.abs(residuals - verify_main_claim(prob.other_rep().fw)).max())
+    other = field_fw_from_levels(prob.other_rep().levels, cfg.mass)
+    rep_gap = float(np.abs(residuals - verify_main_claim(other)).max())
 
     per_level = [{"n": n, "k": k, "residual_main_claim": r}
                  for n, (k, r) in enumerate(zip(fw.levels.k.tolist(), residuals.tolist()))]
@@ -377,7 +371,7 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     from .foldy_wouthuysen import (bd_step, fw_series_hamiltonian, graded_norms,
                                    restricted_hamiltonian)
 
-    fw = prob.fw
+    levels = prob.levels
     # masses s, 2s, 4s, s the largest of three floors: m^2 >= k on every
     # level, for the bd slope; m^2 >= 2 k_1 on the level the series reads, so
     # that its next Taylor term rules its error; and 8 sqrt(k_1), capped at
@@ -385,13 +379,13 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     # the order-3 error k_1^3/16m^5 over 1e5 times the rounding of
     # sqrt(k_1 + m^2), about eps m.  Up to k_max = 16, with k_1 >= 1/4, the
     # masses are 4, 8, 16
-    k = float(fw.levels.k[1])
-    scale = max(float(fw.levels.k.max()) ** 0.5, (2.0 * k) ** 0.5, min(4.0, 8.0 * k ** 0.5))
+    k = float(levels.k[1])
+    scale = max(float(levels.k.max()) ** 0.5, (2.0 * k) ** 0.5, min(4.0, 8.0 * k ** 0.5))
     masses = [scale, 2.0 * scale, 4.0 * scale]
 
     bd_rows = []
     for m in masses:
-        H_r, grading = restricted_hamiltonian(fw, m)
+        H_r, grading = restricted_hamiltonian(levels, m)
         bd_rows.append({"m": m, "odd_before": graded_norms(H_r, grading)[1],
                         "odd_after": graded_norms(bd_step(H_r, m, grading), grading)[1]})
     bd_slope = float(np.polyfit(np.log(masses),
@@ -468,8 +462,8 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     if command != "all" and command not in _COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}; choose one of "
                                  f"{', '.join([*_COMMANDS, 'all'])}")
-    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.mass, cfg.n_max,
-                   cfg.grid_n, cfg.tol_eig)
+    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.n_max, cfg.grid_n,
+                   cfg.tol_eig)
     sections, tables = {}, {}
     for name in _COMMANDS if command == "all" else [command]:
         try:
@@ -508,9 +502,14 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     return report, ok
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one `rfw:` line and exit 2, as bad input is
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # no abbreviations: main attaches a number to its flag by the flag's full name
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rfw", allow_abbrev=False,
         description="Ritus-basis construction and Foldy-Wouthuysen verification "
                     "for 2+1D Dirac fermions in static magnetic fields.",
@@ -536,9 +535,9 @@ def main(argv=None) -> int:
             # as --flag=value: argparse 3.10/3.11 reads a word such as -1e-9 as an option
             word = f"{words.pop()}={word}"
         words.append(word)
-    args = _build_parser().parse_args(words)
 
     try:
+        args = _build_parser().parse_args(words)
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.eB is not None:
             cfg.profile_params = dict(cfg.profile_params, B=args.eB)

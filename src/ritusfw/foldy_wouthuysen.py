@@ -12,9 +12,8 @@ replaced by the square root of Pi-tilde^2 = (gamma^0 gamma.Pi)^2: the angle
 function theta(k) = arctan(sqrt(k)/m) / (2 sqrt(k)) is applied spectrally.
 In the Ritus basis this is the free form, one 2x2 rotation per level.  On
 the grid the levels are E = [E_0 | E_1 | ...] (2N x 2L, ell^2-orthonormal
-after scaling by sqrt(h)), held as its slot blocks F[s]; the levels' own X
-couples the two slots only, so K = h E^T X E is the cross-slot products
-h F[s]^T X_st F[t].  Level n's 2x2 block of K, at
+after scaling by sqrt(h)), held as its slot blocks F[s], with the levels'
+K = h E^T X E.  Level n's 2x2 block of K, at
 columns (2n, 2n + 1), is real antisymmetric because the spatial Dirac
 operator X is, so it is x_n J with J = [[0, 1], [-1, 0]], and its
 exponential is the rotation
@@ -31,7 +30,7 @@ Every check is 2L x 2L algebra on W - 1, the levels' Gram matrix
 G = h E^T E and its Cholesky factor R, or 2L x 4 algebra per level; the
 main claim reads U E - E F = E (1 + (W - 1) G - F), F the free rotations.
 On E's populated columns W is U compressed to the span of the levels, and
-the restricted Hamiltonian is K + m graded by gamma^0.
+the restricted Hamiltonian, read from the levels alone, is K + m graded by gamma^0.
 
 The 1/m route (bd_step) applies one textbook step U = exp(i S) with
 S = -i beta O / (2m), O the gamma^0-odd part of the Hamiltonian; for a
@@ -44,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -88,15 +86,13 @@ class FWOperator:
     levels are the levels U was built from, E = [E_0 | E_1 | ...], and
     levels.ops the grid operators and gamma representation U was built in.
     W is block-diagonal, 2L x 2L, with level n's 2x2 rotation at columns
-    (2n, 2n + 1) and the identity on the zero mode's block.
-    K = h E^T X E is the spatial Dirac operator on the levels.  ``factors``
+    (2n, 2n + 1) and the identity on the zero mode's block.  ``factors``
     holds the 2L x 2L factors every check reads.
     """
 
     mass: float
     levels: RitusLevels = field(repr=False)
     W: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
 
     @cached_property
     def factors(self):
@@ -137,9 +133,9 @@ def field_fw_from_levels(levels: RitusLevels, m: float) -> FWOperator:
     """Assemble the exact field FW operator from levels: their slot blocks, k and X enter.
 
     Level n's rotation angle is theta(k_n) times the coupling
-    x_n = (K_01 - K_10) / 2 of its diagonal block of K = h E^T X E (the
-    mean of the two entries kills K's rounding-level symmetric part).  K's
-    same-slot entries are exactly 0.
+    x_n = (K_01 - K_10) / 2 of its diagonal block of the levels'
+    K = h E^T X E (the mean of the two entries kills K's rounding-level
+    symmetric part).
     """
     negative = np.flatnonzero(levels.k < 0)
     if negative.size:
@@ -150,15 +146,13 @@ def field_fw_from_levels(levels: RitusLevels, m: float) -> FWOperator:
             "resolved inside the zero-mode clamp; refine the grid"
         )
 
-    K = np.zeros((2 * len(levels), 2 * len(levels)))
-    for s, t in ((0, 1), (1, 0)):
-        K[s::2, t::2] = levels.ops.h * (levels.F[s].T @ levels.cross(s))
+    K = levels.K
     W = np.eye(K.shape[0])
     for n, k in enumerate(levels.k[1:].tolist(), start=1):
         i, j = 2 * n, 2 * n + 1         # level n's columns of E, on slots 0 and 1
         a = theta(k, m) * 0.5 * (K[i, j] - K[j, i])
         W[i:j + 1, i:j + 1] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
-    return FWOperator(mass=m, levels=levels, W=W, K=K)
+    return FWOperator(mass=m, levels=levels, W=W)
 
 
 def unitarity_residual(fw: FWOperator) -> float:
@@ -208,8 +202,8 @@ def graded_norms(T: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
             float(np.linalg.norm(np.where(mask, 0.0, T))))
 
 
-def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
-    """(H_r, beta_r): the Dirac Hamiltonian compressed to the span of the levels.
+def restricted_hamiltonian(levels: RitusLevels, m: float):
+    """(H_r, beta_r): the Dirac Hamiltonian at mass m compressed to the span of the levels.
 
     H_r = h E^T H_D E on E's populated columns (where levels.projector is
     1), with H_D = gamma^0 (gamma.Pi + m); beta_r is the exact gamma^0
@@ -217,10 +211,9 @@ def restricted_hamiltonian(fw: FWOperator, m: Optional[float] = None):
     column lives on one spinor slot, so H_r = diag(beta_r) (K + m) there:
     L x L work for any mass.
     """
-    mm = fw.mass if m is None else m
-    populated = np.flatnonzero(fw.levels.projector)
+    populated = np.flatnonzero(levels.projector)
     beta = np.where(populated % 2, -1.0, 1.0)
-    H_r = beta[:, None] * fw.K[np.ix_(populated, populated)] + mm * np.diag(beta)
+    H_r = beta[:, None] * levels.K[np.ix_(populated, populated)] + m * np.diag(beta)
     H_r = 0.5 * (H_r + H_r.T)
     return H_r, beta
 

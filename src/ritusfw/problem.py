@@ -1,14 +1,15 @@
 """One verification problem: its inputs, and the chain built from them.
 
 The paper's claim is one chain: the field on the grid, the two channel
-spectra, the Ritus levels E_p paired from them, and the exact field FW
-operator U assembled from the levels.  ``Problem`` holds the inputs of that
+spectra, and the Ritus levels E_p paired from them, which diagonalize
+(gamma.Pi)^2 and so hold no mass.  ``Problem`` holds the inputs of that
 chain and builds each link on first use, once: the grid, the grid operators,
-both channel spectra from the operators' H, the levels (one RitusLevels
-record; the propagator forms pbar from the p0 it is given), and U from them.
-A link whose build raises a RitusFWError keeps that error and re-raises it,
-so it is not rebuilt by every reader.  The CLI, the tests and the README all
-build through it.
+both channel spectra from the operators' H, and the levels (one RitusLevels
+record).  What reads a mass or an energy is built from the levels by its
+reader: the exact field FW operator U per mass, pbar from the propagator's
+p0.  A link whose build raises a RitusFWError keeps that error and re-raises
+it, so it is not rebuilt by every reader.  The CLI, the tests and the README
+all build through it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, replace
 from .clifford import GammaRep, make_rep
 from .errors import RitusFWError
 from .field_profiles import FieldProfile
-from .foldy_wouthuysen import field_fw_from_levels
 from .operators import GridOperators
 from .ritus_basis import RitusLevels, assemble_levels
 from .spectral_grid import build_grid, solve_channel
@@ -61,18 +61,16 @@ class _link:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Physical and grid inputs; grid, ops, spectra, levels and fw are built lazily.
+    """Physical and grid inputs; grid, ops, spectra and levels are built lazily.
 
-    Levels 0..n_max are resolved on an n_points grid; ``fw`` is built from
-    their slot blocks and k at mass m.  Every input is required: the default
-    run lives in the CLI's ``RunConfig`` alone.
+    Levels 0..n_max are resolved on an n_points grid.  Every input is
+    required: the default run lives in the CLI's ``RunConfig`` alone.
     """
 
     profile: FieldProfile
     rep: GammaRep
     p_y: float
     e: float
-    m: float
     n_max: int
     n_points: int
     tol_eig: float
@@ -101,10 +99,6 @@ class Problem:
     @_link
     def levels(self) -> RitusLevels:
         return assemble_levels(self.spec_plus, self.spec_minus, self.n_max, self.ops)
-
-    @_link
-    def fw(self):
-        return field_fw_from_levels(self.levels, self.m)
 
     def other_rep(self) -> "Problem":
         """The same problem in the other gamma representation.

@@ -23,10 +23,10 @@ levels as two (N, L) blocks F[s], one per slot, with the labels k_n and
 the ``GridOperators`` they were built with.  The zero-mode
 channel's block is a view of its eigenfunctions; the partner's is the one
 copy.  A channel Hamiltonian acts on its own slot's block, X (which only
-couples the two slots) maps one block onto the other slot, and the Gram
-matrix G = h E^T E is the per-slot products h F[s]^T F[s], built once.  A
-2L x 2L matrix over the levels keeps the column order of E = [E_0 | E_1 |
-...]: column 2n + s is level n's function on slot s.
+couples the two slots) maps one block onto the other slot; the Gram matrix
+G = h E^T E and K = h E^T X E are the blocks' per-slot and cross-slot products,
+each built once.  A 2L x 2L matrix over the levels keeps the column order
+of E = [E_0 | E_1 | ...]: column 2n + s is level n's function on slot s.
 """
 
 from __future__ import annotations
@@ -115,6 +115,15 @@ class RitusLevels:
             G[s::2, s::2] = self.ops.h * (f.T @ f)
         G.flags.writeable = False
         return G
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """K = h E^T X E (2L x 2L, read-only) from the cross-slot products h F[s]^T X[s] F[t]."""
+        K = np.zeros((2 * len(self), 2 * len(self)))
+        for s, t in ((0, 1), (1, 0)):
+            K[s::2, t::2] = self.ops.h * (self.F[s].T @ self.cross(s))
+        K.flags.writeable = False
+        return K
 
     @property
     def sq_norms(self) -> np.ndarray:

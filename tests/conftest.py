@@ -13,18 +13,25 @@ import pytest
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import uniform_profile
+from ritusfw.foldy_wouthuysen import field_fw_from_levels
 from ritusfw.problem import Problem
 
 
 @pytest.fixture(scope="session")
 def uni():
-    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=6, n_points=640, tol_eig=1e-6)
 
 
 @pytest.fixture(scope="session")
 def uni_second(uni):
     return uni.other_rep()
+
+
+@pytest.fixture(scope="session")
+def uni_fw(uni):
+    """The exact field FW operator of uni's levels at m = 1."""
+    return field_fw_from_levels(uni.levels, 1.0)
 
 
 @pytest.fixture()

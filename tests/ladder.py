@@ -20,7 +20,7 @@ def refinement_ladder(profile, n, N_list):
     """(h, k_n) of the sigma = +1 channel at p_y = 0, e = 1 on each N of N_list."""
     hs, ks = [], []
     for N in N_list:
-        ops = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, m=1.0,
+        ops = Problem(profile, make_rep("first"), p_y=0.0, e=1.0,
                       n_max=n + 2, n_points=N, tol_eig=1e-3).ops
         spec = solve_channel(ops.H[+1], ops.V[+1], ops.grid, +1, n + 1, 1e-3)
         hs.append(ops.h)

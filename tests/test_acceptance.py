@@ -25,6 +25,7 @@ from ritusfw.clifford import anticommutator, check_product_identity, make_rep
 from ritusfw.field_profiles import exponential_profile, uniform_profile
 from ritusfw.foldy_wouthuysen import (
     bd_step,
+    field_fw_from_levels,
     fw_series_hamiltonian,
     graded_norms,
     restricted_hamiltonian,
@@ -62,7 +63,7 @@ def emit(num, ok, detail):
 
 @functools.lru_cache(maxsize=None)
 def production_problem(n_points=N_POINTS):
-    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
+    return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=N_MAX, n_points=n_points, tol_eig=1e-6)
 
 
@@ -74,9 +75,8 @@ def intertwining(b):
 
 def main_claim(b):
     """Criterion 7's numbers: main-claim residual per level, representation gap."""
-    res = verify_main_claim(b.fw)
-    b2 = b.other_rep()
-    res2 = verify_main_claim(b2.fw)
+    res = verify_main_claim(field_fw_from_levels(b.levels, MASS))
+    res2 = verify_main_claim(field_fw_from_levels(b.other_rep().levels, MASS))
     return res.tolist(), float(np.abs(res - res2).max())
 
 
@@ -145,11 +145,12 @@ def test_criterion_05_intertwining():
 
 def test_criterion_06_exact_fw():
     b = production_problem()
-    unit = unitarity_residual(b.fw)
+    fw = field_fw_from_levels(b.levels, MASS)
+    unit = unitarity_residual(fw)
     # W and K on E's populated columns; column c belongs to level c // 2
     populated = np.flatnonzero(b.levels.projector)
-    H_r, grading = restricted_hamiltonian(b.fw)
-    W_r = b.fw.W[np.ix_(populated, populated)]
+    H_r, grading = restricted_hamiltonian(b.levels, MASS)
+    W_r = fw.W[np.ix_(populated, populated)]
     T = W_r @ H_r @ W_r.T
     even, odd = graded_norms(T, grading)
     k = np.repeat(b.levels.k, 2)[populated]
@@ -178,7 +179,7 @@ def test_criterion_08_series_consistency():
     reduced = True
     odd_after = []
     for m in masses:
-        H_r, grading = restricted_hamiltonian(b.fw, m)
+        H_r, grading = restricted_hamiltonian(b.levels, m)
         after = graded_norms(bd_step(H_r, m, grading), grading)[1]
         reduced = reduced and after < graded_norms(H_r, grading)[1]
         odd_after.append(after)
@@ -232,7 +233,7 @@ def test_criterion_10_determinism(tmp_path):
 
 def fine_grid_problem(alpha, p_y):
     """The exponential (Morse-type) field B = 1 on the 1536-point grid, as `rfw all` runs it."""
-    return Problem(exponential_profile(1.0, alpha), make_rep("first"), p_y=p_y, e=1.0, m=MASS,
+    return Problem(exponential_profile(1.0, alpha), make_rep("first"), p_y=p_y, e=1.0,
                    n_max=N_MAX, n_points=1536, tol_eig=1e-6)
 
 

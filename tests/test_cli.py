@@ -94,6 +94,22 @@ def test_malformed_config_exits_two_without_output(tmp_path):
     assert "config" in proc.stderr.lower() or "malformed" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("text,cause", [
+    (b'{"mass": 1.0\xff}',
+     "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_an_unreadable_config_exits_two_on_one_line(tmp_path, text, cause):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", "--config", str(bad), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"rfw: malformed JSON config {bad}: {cause}")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"grid": {"N": 256}, "unknown_knob": 3}))
@@ -552,9 +568,37 @@ def test_a_flag_takes_its_full_name_only(tmp_path):
     out = tmp_path / "out"
     proc = run_cli("spectrum", "--ma", "-1e0", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1] == "rfw: error: unrecognized arguments: --ma -1e0"
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "rfw: unrecognized arguments: --ma -1e0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["--grid-n", "1e3"], "argument --grid-n: invalid int value: '1e3'"),
+    (["--mass"], "argument --mass: expected one argument"),
+], ids=["unknown-flag", "bad-int", "no-value"])
+def test_a_usage_error_is_one_line_and_writes_nothing(tmp_path, args, message):
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", "--out", str(out), *args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"rfw: {message}\n"
+    assert not out.exists()
+
+
+def test_help_prints_the_usage_and_exits_zero(tmp_path):
+    proc = run_cli("--help", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: rfw ")
+
+
+def test_fw_series_runs_where_the_fw_operator_is_refused(tmp_path):
+    # at eB = 1e3 on the default grid fw-exact refuses U (a flagged negative
+    # zero mode); fw-series reads only the levels and its own three masses
+    out = tmp_path / "out"
+    proc = run_cli("fw-series", "--eB", "1e3", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["checks"]) == ["bd_slope", "series_bound", "series_slope"]
 
 
 @pytest.mark.parametrize("name", ["levels.csv", "report.json"])
@@ -827,10 +871,7 @@ def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
     try:
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
+            code = cli.main(argv)
         assert code in (0, 1, 2), code
         assert not caught, [str(w.message) for w in caught]
         if code == 2:

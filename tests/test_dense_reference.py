@@ -34,9 +34,9 @@ from ritusfw.clifford import make_rep
 from ritusfw.errors import DiscretizationError, RitusFWError
 from ritusfw.field_profiles import (channel_potentials, exponential_profile,
                                     tabulated_profile, uniform_profile)
-from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
-                                      restricted_hamiltonian, unitarity_residual,
-                                      verify_main_claim)
+from ritusfw.foldy_wouthuysen import (field_fw_from_levels, free_fw,
+                                      projector_commutation_residual, restricted_hamiltonian,
+                                      unitarity_residual, verify_main_claim)
 from ritusfw.operators import BAND, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
@@ -89,10 +89,10 @@ def dense_commutation_norm(fw):
                for C, rows in level_commutators(fw))
 
 
-def test_fw_operator_matches_dense_low_rank_form(uni, rng):
+def test_fw_operator_matches_dense_low_rank_form(uni_fw, rng):
     # the operator's factors against the dense U: V + E (D (h E^T V)) on grid
     # vectors, and U E = E (1 + D G), the form the main claim reads
-    U, fw = dense_U(uni.fw), uni.fw
+    U, fw = dense_U(uni_fw), uni_fw
     D, G, _ = fw.factors
     E, h = dense_E(fw.levels), fw.levels.ops.h
     V = rng.standard_normal((U.shape[0], 3))
@@ -105,9 +105,10 @@ def test_fw_operator_matches_dense_low_rank_form(uni, rng):
 def test_main_claim_from_factors_matches_dense_grid_residual(variant):
     # ||U E_p - E_p U_free|| / ||E_p|| with the dense U on the grid, against
     # the 2L x 2L form the operator's factors give
-    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
+    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0,
                    n_max=8, n_points=640, tol_eig=1e-6)
-    fw, levels = prob.fw, prob.levels
+    levels = prob.levels
+    fw = field_fw_from_levels(levels, MASS)
     U = dense_U(fw)
     ref = np.array([
         np.linalg.norm(U @ Ep(levels, n) - Ep(levels, n) @ free_fw(k, MASS, levels.ops.rep).real)
@@ -120,14 +121,32 @@ def test_main_claim_from_factors_matches_dense_grid_residual(variant):
 
 
 def test_restricted_hamiltonian_matches_dense(uni):
-    fw, ops = uni.fw, uni.ops
+    ops = uni.ops
     # the populated columns of E: all but the zero mode's empty one
     B = math.sqrt(uni.grid.h) * dense_E(uni.levels)[:, uni.levels.projector > 0]
     for m in (MASS, 4.0):
-        H_r, grading = restricted_hamiltonian(fw, m)
+        H_r, grading = restricted_hamiltonian(uni.levels, m)
         ref = B.T @ ((dense_G0(ops) @ dense_spinor(ops.X)) @ B) + m * np.diag(grading)
         ref = 0.5 * (ref + ref.T)
         assert np.abs(H_r - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+@pytest.mark.parametrize("N", [384, 512])
+def test_levels_K_matches_dense_with_or_without_U(N, variant):
+    # K = h E^T X E reads neither a mass nor k: at N = 384 the zero mode stays
+    # a flagged negative and U is refused, and the levels still hold K
+    prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0,
+                   n_max=4, n_points=N, tol_eig=1e-6)
+    levels = prob.levels
+    if N == 384:
+        assert levels.k[0] < 0
+        with pytest.raises(DiscretizationError, match="level 0 has k = "):
+            field_fw_from_levels(levels, MASS)
+    K, E = levels.K, dense_E(levels)
+    assert not K[0::2, 0::2].any() and not K[1::2, 1::2].any()
+    ref = prob.grid.h * (E.T @ (dense_spinor(prob.ops.X) @ E))
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(K).max()
 
 
 def dense_K(ops, p0, m):
@@ -162,7 +181,7 @@ def test_project_propagator_matches_dense_lu(uni):
 
 @pytest.fixture(scope="module")
 def expo():
-    return Problem(exponential_profile(1.0, 0.1), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
+    return Problem(exponential_profile(1.0, 0.1), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=6, n_points=640, tol_eig=1e-6)
 
 
@@ -237,8 +256,8 @@ def test_cholesky_failure_under_all(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["cluster", "cross"])
-def test_residuals_not_below_dense_max_entry(uni, where):
-    fw = uni.fw
+def test_residuals_not_below_dense_max_entry(uni_fw, where):
+    fw = uni_fw
     W = fw.W.copy()
     if where == "cluster":
         sl = slice(6, 8)                    # level 3's columns
@@ -261,23 +280,22 @@ def test_residuals_not_below_dense_max_entry(uni, where):
 
 
 @functools.lru_cache(maxsize=None)
-def small_problem(n_max, variant):
-    """The smallest grid, a multiple of 32, on which levels 0..n_max build."""
+def small_fw(n_max, variant):
+    """U at m = MASS on the smallest grid, a multiple of 32, on which levels 0..n_max build it."""
     for N in range(32 * math.ceil(4 * (n_max + 1) / 32), 1025, 32):
-        prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0, m=MASS,
+        prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0,
                        n_max=n_max, n_points=N, tol_eig=1e-6)
         try:
-            prob.fw
+            return field_fw_from_levels(prob.levels, MASS)
         except RitusFWError:
             continue
-        return prob
     raise AssertionError(f"no grid up to N = 1024 builds levels 0..{n_max}")
 
 
 @pytest.mark.parametrize("variant", ["first", "second"])
 @pytest.mark.parametrize("n_max", [8, 32])
 def test_projector_commutation_matches_dense_spectral_norm(n_max, variant):
-    fw = small_problem(n_max, variant).fw
+    fw = small_fw(n_max, variant)
     assert abs(projector_commutation_residual(fw) - dense_commutation_norm(fw)) < 1e-14
     # and on a W that does not commute: level 2's first column coupled to level 4's
     W = fw.W.copy()
@@ -303,7 +321,7 @@ def test_doubler_ladder_and_its_overlap_with_the_levels(N, n_max):
     # The channel Hamiltonians' D2 stencil is 16/(3h^2) at t = pi: a doubler's
     # Rayleigh quotient under them is far above its eigenvalue, and the levels,
     # built from them, hold no doubler beyond rounding.  Here |eB| = 1
-    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
+    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=n_max, n_points=N, tol_eig=1e-6)
     X = dense_spinor(prob.ops.X)
     lam, V = np.linalg.eigh(X.T @ X)
@@ -333,10 +351,10 @@ def test_no_dense_grid_matrix_allocated(uni):
         # a fresh problem on uni's grid and spectra builds its operators,
         # every level and U inside the traced region
         prob = uni.other_rep()
-        fw = prob.fw
+        fw = field_fw_from_levels(prob.levels, MASS)
         unitarity_residual(fw)
         projector_commutation_residual(fw)
-        restricted_hamiltonian(fw)
+        restricted_hamiltonian(prob.levels, MASS)
         project_propagator(prob.levels, P0, MASS)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -74,18 +74,18 @@ def test_free_fw_requires_nonnegative_k():
 # ----------------------------------------------------------------------
 
 
-def test_field_fw_unitary(uni):
-    assert unitarity_residual(uni.fw) < 1e-12
+def test_field_fw_unitary(uni_fw):
+    assert unitarity_residual(uni_fw) < 1e-12
 
 
-def test_field_fw_commutes_with_cluster_projectors(uni):
-    assert projector_commutation_residual(uni.fw) < 1e-12
+def test_field_fw_commutes_with_cluster_projectors(uni_fw):
+    assert projector_commutation_residual(uni_fw) < 1e-12
 
 
-def test_field_fw_identity_on_zero_mode(uni):
+def test_field_fw_identity_on_zero_mode(uni_fw):
     # through the dense U = 1 + h E (W - 1) E^T, and through the factors'
     # U E = E (1 + D G), which the main claim reads
-    fw = uni.fw
+    fw = uni_fw
     E, h = dense_E(fw.levels), fw.levels.ops.h
     D, G, _ = fw.factors
     U = np.eye(E.shape[0]) + h * (E @ (fw.W - np.eye(fw.W.shape[0])) @ E.T)
@@ -129,16 +129,16 @@ def spectrum(T):
     return eigvalsh(0.5 * (T + T.T))
 
 
-def dispersion(fw, grading):
+def dispersion(levels, grading):
     """+-sqrt(k_n + m^2) on each populated column, signed by its grading."""
-    k = np.repeat(fw.levels.k, 2)[fw.levels.projector > 0]
+    k = np.repeat(levels.k, 2)[levels.projector > 0]
     return np.sort(grading * np.sqrt(k + MASS**2))
 
 
 def test_restricted_hamiltonian_eigenvalues(uni):
-    H_r, grading = restricted_hamiltonian(uni.fw)
+    H_r, grading = restricted_hamiltonian(uni.levels, MASS)
     assert H_r.shape == (2 * len(uni.levels) - 1,) * 2
-    assert_allclose(np.sort(eigvalsh(H_r)), dispersion(uni.fw, grading), atol=1e-5)
+    assert_allclose(np.sort(eigvalsh(H_r)), dispersion(uni.levels, grading), atol=1e-5)
 
 
 def test_graded_norms_hand_value():
@@ -148,40 +148,40 @@ def test_graded_norms_hand_value():
     assert odd == pytest.approx(math.hypot(2.0, 3.0), rel=1e-15)
 
 
-def test_transform_block_diagonalizes(uni):
-    H_r, grading = restricted_hamiltonian(uni.fw)
-    T = transformed(uni.fw, H_r)
+def test_transform_block_diagonalizes(uni, uni_fw):
+    H_r, grading = restricted_hamiltonian(uni.levels, MASS)
+    T = transformed(uni_fw, H_r)
     even, odd = graded_norms(T, grading)
     assert odd < 1e-6 * even
     # unitary conjugation preserves the spectrum
     assert_allclose(spectrum(T), eigvalsh(H_r), atol=1e-10)
 
 
-def test_three_routes_agree(uni):
+def test_three_routes_agree(uni, uni_fw):
     # (a) transformed eigenvalues, (b) direct eigenvalues of the restricted
     # Hamiltonian, (c) the dispersion +-sqrt(k_n + m^2)
-    H_r, grading = restricted_hamiltonian(uni.fw)
-    a = spectrum(transformed(uni.fw, H_r))
+    H_r, grading = restricted_hamiltonian(uni.levels, MASS)
+    a = spectrum(transformed(uni_fw, H_r))
     b = eigvalsh(H_r)
-    c = dispersion(uni.fw, grading)
+    c = dispersion(uni.levels, grading)
     assert_allclose(a, b, atol=1e-10)
     assert_allclose(b, c, atol=1e-5)
 
 
-def test_main_claim_all_levels(uni):
-    worst = verify_main_claim(uni.fw).max()
+def test_main_claim_all_levels(uni_fw):
+    worst = verify_main_claim(uni_fw).max()
     assert worst < 5e-6
 
 
-def test_main_claim_agrees_across_reps(uni, uni_second):
-    r1 = verify_main_claim(uni.fw)
-    r2 = verify_main_claim(uni_second.fw)
+def test_main_claim_agrees_across_reps(uni_fw, uni_second):
+    r1 = verify_main_claim(uni_fw)
+    r2 = verify_main_claim(field_fw_from_levels(uni_second.levels, MASS))
     assert np.abs(r1 - r2).max() < 1e-12
 
 
 def test_column_sign_convention_is_load_bearing(uni):
     # flipping one ladder-aligned column must break the factorization
-    levels = uni.fw.levels
+    levels = uni.levels
     flipped = [np.array(f) for f in levels.F]
     flipped[1][:, 2] *= -1.0            # level 2's column on slot 1
     res = verify_main_claim(field_fw_from_levels(dataclasses.replace(levels, F=tuple(flipped)),
@@ -199,7 +199,7 @@ def test_bd_step_odd_norm_scaling(uni):
     masses = [4.0, 8.0, 16.0]
     odd = []
     for m in masses:
-        H_r, grading = restricted_hamiltonian(uni.fw, m)
+        H_r, grading = restricted_hamiltonian(uni.levels, m)
         odd.append(graded_norms(bd_step(H_r, m, grading), grading)[1])
     slope = np.polyfit(np.log(masses), np.log(odd), 1)[0]
     assert -2.2 < slope < -1.8
@@ -207,7 +207,7 @@ def test_bd_step_odd_norm_scaling(uni):
 
 def test_bd_step_monotone_and_validated(uni):
     # a second step shrinks the odd part further and keeps the spectrum
-    H_r, grading = restricted_hamiltonian(uni.fw, 4.0)
+    H_r, grading = restricted_hamiltonian(uni.levels, 4.0)
     once = bd_step(H_r, 4.0, grading)
     twice = bd_step(once, 4.0, grading)
     assert graded_norms(twice, grading)[1] < graded_norms(once, grading)[1]

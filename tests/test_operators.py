@@ -176,7 +176,7 @@ def same_bits(a, b):
 @pytest.mark.parametrize("variant", ["first", "second"])
 def test_band_products_equal_csr_products_bit_for_bit(variant, kind, p_y):
     profile = uniform_profile(1.0) if kind == "uniform" else exponential_profile(1.0, 0.1)
-    prob = Problem(profile, make_rep(variant), p_y=p_y, e=1.0, m=1.0, n_max=4,
+    prob = Problem(profile, make_rep(variant), p_y=p_y, e=1.0, n_max=4,
                    n_points=512, tol_eig=1e-6)
     ops, N, h = prob.ops, prob.grid.n_points, prob.grid.h
     E = dense_E(prob.levels)  # Fortran order
@@ -215,7 +215,7 @@ def same_bits_and_order(result, ref, v):
 def test_band_product_on_the_levels_makes_no_copy():
     # X on a slot block at n_max = 64 on N = 16384: the result is the one
     # grid-sized array
-    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
+    prob = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=64, n_points=16384, tol_eig=1e-6)
     levels = prob.levels
     tracemalloc.start()

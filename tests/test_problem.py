@@ -1,15 +1,42 @@
 """Problem builds each link of the chain once, a failed one included."""
 
+import dataclasses
+
 import numpy as np
 
 from ritusfw import field_profiles
 from ritusfw import problem as problem_module
 from ritusfw.cli import RunConfig, run
+from ritusfw.problem import Problem
 from ritusfw.ritus_basis import assemble_levels
 
 # at N=256 the default config's level 2 does not pair
 PAIRING = ("PairingError: partner eigenvalues k=3.99999431 and k=3.99999841 differ "
            "by 1.02e-06 relative (> 1e-06); channels do not pair")
+
+
+def test_the_chain_holds_no_mass():
+    # the levels diagonalize (gamma.Pi)^2, which holds no mass; U is built per
+    # mass from them, by the section that reads it
+    assert [f.name for f in dataclasses.fields(Problem)] == [
+        "profile", "rep", "p_y", "e", "n_max", "n_points", "tol_eig"]
+    links = [name for name, attr in vars(Problem).items()
+             if isinstance(attr, problem_module._link)]
+    assert links == ["grid", "ops", "spec_plus", "spec_minus", "levels"]
+
+
+def test_a_refused_fw_operator_hides_no_other_section():
+    # at eB = 1e3 on the default grid the zero mode stays a flagged negative,
+    # so fw-exact refuses U; fw-series reads the levels and masses alone
+    report, ok = run("all", RunConfig(profile_params={"B": 1e3}))
+    assert not ok
+    sections = report["sections"]
+    assert sections["fw-exact"]["checks"] == {}
+    assert sections["fw-exact"]["error"].startswith("DiscretizationError: level 0 has k = ")
+    series = sections["fw-series"]
+    assert "error" not in series
+    assert sorted(series["checks"]) == ["bd_slope", "series_bound", "series_slope"]
+    assert all(check["pass"] for check in series["checks"].values())
 
 
 def test_failed_link_is_built_once_and_reraised(monkeypatch):

@@ -14,9 +14,9 @@ from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, DiscretizationError, PairingError, TruncationError
 from ritusfw.field_profiles import (analytic_levels, channel_potentials, exponential_profile,
                                     uniform_profile)
-from ritusfw.foldy_wouthuysen import (free_fw, projector_commutation_residual,
-                                      restricted_hamiltonian, unitarity_residual,
-                                      verify_main_claim)
+from ritusfw.foldy_wouthuysen import (field_fw_from_levels, free_fw,
+                                      projector_commutation_residual, restricted_hamiltonian,
+                                      unitarity_residual, verify_main_claim)
 from ritusfw.operators import (GridOperators, band_product, channel_hamiltonian, channel_slots,
                                first_derivative)
 from ritusfw.problem import Problem
@@ -60,7 +60,6 @@ def test_levels_carry_their_operators(uni, uni_second):
     assert uni.levels.ops is uni.ops
     assert uni_second.rep.variant == "second"
     assert uni_second.levels.ops is uni_second.ops
-    assert uni_second.fw.levels.ops.rep.variant == "second"
 
 
 def test_sigma_order_is_enforced(uni):
@@ -146,7 +145,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
     # the levels, the same draw checks the closed-form spectra, the eigen
     # relation and the field FW operator's invariants
     profile = uniform_profile(sign) if alpha is None else exponential_profile(sign, alpha)
-    prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, m=1.0, n_max=8,
+    prob = Problem(profile, make_rep(variant), p_y=p_y, e=e, n_max=8,
                    n_points=N, tol_eig=1e-6)
     for spec in (prob.spec_plus, prob.spec_minus):
         for n, k in enumerate(spec.eigenvalues.tolist()):
@@ -184,7 +183,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         assert abs(res - ref) <= 1e-14 * ref and res < 1e-5
 
     try:
-        fw = prob.fw
+        fw = field_fw_from_levels(levels, 1.0)
     except DiscretizationError:
         # the documented refusal: the solver kept a negative zero mode
         assert levels.k[0] < 0
@@ -198,7 +197,8 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         # K comes from the per-slot products, the reference from the dense E:
         # the two sum in different orders
         H_r = 0.5 * (H_r + H_r.T)
-        assert np.abs(restricted_hamiltonian(fw, m)[0] - H_r).max() <= 1e-14 * np.abs(H_r).max()
+        H_lv = restricted_hamiltonian(levels, m)[0]
+        assert np.abs(H_lv - H_r).max() <= 1e-14 * np.abs(H_r).max()
     main = verify_main_claim(fw)
     assert main.max() < 1e-5
 
@@ -236,7 +236,7 @@ def test_partner_sign_and_intertwining_across_parameters(sign, e, p_y, variant, 
         proj = max(proj, float(np.linalg.norm(R @ C @ R.T, 2)))
     assert unitarity_residual(fw) == unit < 1e-10
     assert abs(projector_commutation_residual(fw) - proj) < 1e-14 and proj < 1e-10
-    other = prob.other_rep().fw
+    other = field_fw_from_levels(prob.other_rep().levels, 1.0)
     assert np.abs(main - verify_main_claim(other)).max() < 1e-8
 
 

@@ -88,7 +88,7 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     # W = x tabulated on [-L, L]: the walls sit where the uniform field's
     # WKB walls do, inside the table, and the top level intertwines
     xs = np.linspace(-L, L, int(20 * L) + 1)
-    prob = Problem(tabulated_profile(xs, xs), make_rep("first"), p_y=0.0, e=1.0, m=1.0,
+    prob = Problem(tabulated_profile(xs, xs), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=8, n_points=1024, tol_eig=1e-6)
     uniform = build_grid(uniform_profile(1.0), 0.0, 8, 1024)
     assert -L <= prob.grid.x_min and prob.grid.x_max <= L
@@ -105,7 +105,7 @@ def test_table_of_a_closed_form_field_reaches_its_levels(field):
     xs = np.linspace(-16.0, 16.0, 321)
     table = tabulated_profile(xs, evaluate_potential(field, xs)[0])
     for profile in (field, table):
-        prob = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, m=1.0, n_max=8,
+        prob = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, n_max=8,
                        n_points=2048, tol_eig=1e-6)
         for spec in (prob.spec_plus, prob.spec_minus):
             levels = [analytic_levels(field, 1.0, 0.0, n, spec.sigma) for n in range(9)]
@@ -231,7 +231,7 @@ def test_exponential_field_past_its_bound_is_refused_before_any_walk(monkeypatch
                "c = p_y - eB/alpha = -2)")
     cfg = RunConfig(profile_kind="exponential", profile_params={"B": 1.0, "alpha": 0.5}, n_max=3)
     profile = exponential_profile(1.0, 0.5)
-    problem = Problem(profile, make_rep("first"), 0.0, 1.0, 1.0, 3, 1024, 1e-6)
+    problem = Problem(profile, make_rep("first"), 0.0, 1.0, 3, 1024, 1e-6)
     for refuse in (cfg.validate, lambda: build_grid(profile, 0.0, 3, 1024),
                    lambda: problem.grid):
         with pytest.raises(ConfigurationError) as err:
@@ -327,7 +327,7 @@ def scaled_uniform_field(eB, p_y):
     tol_eig scales with |eB|, so that the absolute tolerance refuses no
     strong field's zero mode.
     """
-    prob = Problem(uniform_profile(eB), make_rep("first"), p_y=p_y, e=1.0, m=1.0,
+    prob = Problem(uniform_profile(eB), make_rep("first"), p_y=p_y, e=1.0,
                    n_max=8, n_points=1024, tol_eig=1e-6 * abs(eB))
     x0, scale = p_y / eB, abs(eB) ** 0.5
     walls = ((prob.grid.x_min - x0) * scale, (prob.grid.x_max - x0) * scale)

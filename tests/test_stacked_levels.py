@@ -34,7 +34,7 @@ TOL = 1e-14
 
 @pytest.fixture(scope="module", params=[8, 32], ids=lambda n: f"n_max={n}")
 def problems(request):
-    first = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0, m=MASS,
+    first = Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
                     n_max=request.param, n_points=1024, tol_eig=1e-6)
     return first, first.other_rep()
 
@@ -128,9 +128,10 @@ def test_stacked_eigen_relation_and_intertwining_match_level_loops(problems):
 
 def test_stacked_main_claim_matches_level_loop(problems):
     for prob in problems:
-        res = verify_main_claim(prob.fw)
+        fw = field_fw_from_levels(prob.levels, MASS)
+        res = verify_main_claim(fw)
         assert res.shape == (len(prob.levels),)
-        assert np.abs(res - main_claim_loop(prob.fw)).max() <= TOL
+        assert np.abs(res - main_claim_loop(fw)).max() <= TOL
 
 
 def test_stacked_propagator_blocks_match_pair_loop(problems):
@@ -155,7 +156,7 @@ def test_closed_form_rotations_match_expm(problems):
             ref = np.zeros_like(fw.W)
             for n, k in enumerate(fw.levels.k):
                 sl = slice(2 * n, 2 * n + 2)
-                X_nn = fw.K[sl, sl]
+                X_nn = prob.levels.K[sl, sl]
                 ref[sl, sl] = expm(theta(k, m) * 0.5 * (X_nn - X_nn.T))
             assert np.abs(fw.W - ref).max() <= 1e-15
             assert np.array_equal(fw.W == 0.0, ref == 0.0)
@@ -191,15 +192,17 @@ def test_levels_share_one_stack(problems):
 
 def test_gram_and_K_are_slot_structured(problems):
     # G = h E^T E has no entry coupling two slots, K = h E^T X E none within a
-    # slot; both agree with the dense products over the (2N, 2L) E
+    # slot; both are read-only and agree with the dense products over the (2N, 2L) E
     for prob in problems:
-        levels, fw = prob.levels, prob.fw
-        G, K = levels.gram, fw.K
+        levels = prob.levels
+        G, K = levels.gram, levels.K
         assert not G[0::2, 1::2].any() and not G[1::2, 0::2].any()
         assert not K[0::2, 0::2].any() and not K[1::2, 1::2].any()
+        fw = field_fw_from_levels(levels, MASS)
         assert fw.factors[1][1 - levels.zero_slot, 1 - levels.zero_slot] == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            G[0, 0] = 1.0
+        for A in (G, K):
+            with pytest.raises(ValueError, match="read-only"):
+                A[0, 0] = 1.0
         E, h = dense_E(levels), prob.grid.h
         assert np.abs(G - h * (E.T @ E)).max() <= TOL
         XE = dense_spinor(prob.ops.X) @ E
