@@ -4,7 +4,10 @@ for 2+1 dimensional Dirac fermions in static magnetic fields.
 The numeric API lives in the submodules (clifford, field_profiles,
 operators, spectral_grid, ritus_basis, foldy_wouthuysen, propagator,
 problem); import from them directly.  This package module stays import-light so
-the ``rfw`` entry point can cap BLAS threads before numpy loads.
+the ``rfw`` entry point can cap BLAS threads before numpy loads.  The numeric
+submodules import numpy at module level and scipy.linalg only inside the
+functions that call its LAPACK kernels, so importing any of them loads no
+scipy module: scipy loads at a run's first solve.
 """
 
 from .errors import (

@@ -1,7 +1,10 @@
 """Batch runner: wires JSON/flag configuration to the verification suites.
 
-Heavy imports (numpy, scipy, the numeric submodules) happen inside the
-command functions, after ``main`` has pinned BLAS to one thread.
+Heavy imports happen inside the functions that use them, after ``main`` has
+pinned BLAS to one thread: numpy and the numeric submodules when ``run``
+starts, and scipy.linalg, which costs more than twice numpy's import, at a
+run's first solve, inside the numeric function that calls its LAPACK
+kernel.  So input that validation refuses exits without loading scipy.
 Reports are JSON with sorted keys and 12-significant-digit floats, so two
 identical runs produce byte-identical output; CSV detail files, written here
 alone and with the same 12 digits, land next to the report when ``--out``

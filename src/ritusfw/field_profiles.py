@@ -13,7 +13,10 @@ and the second-to-last sample.  Its knot slopes solve one tridiagonal system
 scipy's CubicSpline builds it for n >= 4 samples, and each interval's cubic
 is summed in ascending powers as scipy's PPoly sums it.  So W and W' equal
 CubicSpline's bit for bit, and no run imports scipy's interpolation package,
-which loads about two hundred more scipy modules.
+which loads about two hundred more scipy modules.  This module imports
+numpy alone: scipy.linalg loads when a table's spline is built, and for the
+uniform and exponential kinds at a run's first solve, after every refusal
+of ``field_scales``.
 
 The supersymmetric partner potentials entering the squared spatial Dirac
 operator are V_sigma(x) = M(x)^2 - sigma e W'(x), M = p_y - e W(x).  This
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ArgumentError, ConfigurationError, DomainError, UnsupportedProfileError
 
@@ -80,6 +82,8 @@ def _not_a_knot_table(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     end rows, in CubicSpline's operation order.  The first two columns get
     + 0.0, the start value of PPoly's sum, which turns a -0.0 into 0.0.
     """
+    from scipy.linalg import solve_banded
+
     n = x.size
     dx = np.diff(x)
     slope = np.diff(W) / dx

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .clifford import GammaRep
 from .errors import ArgumentError, DiscretizationError
@@ -255,6 +254,8 @@ def bd_step(H: np.ndarray, m: float, beta: np.ndarray) -> np.ndarray:
     O is H's odd part under the beta grading, so U = exp(i S) with
     S = -i beta O / (2m).
     """
+    from scipy.linalg import expm
+
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
     odd = np.where(np.outer(beta, beta) > 0, 0.0, H)

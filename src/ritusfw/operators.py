@@ -48,7 +48,6 @@ c2[s, t] M on its diagonal, t = 1 - s.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .clifford import GammaRep
 from .errors import ConditioningError
@@ -233,6 +232,8 @@ class GridOperators:
         order q = 2i + s (xGBTRS), in place when they are a Fortran-ordered
         float array.  An exactly zero pivot raises ConditioningError.
         """
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
         lu, piv, info = dgbtrf(self.dirac_band(p0, m), BAND, BAND, overwrite_ab=True)
         if info > 0:
             raise ConditioningError(

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     ArgumentError,
@@ -93,7 +91,12 @@ class Grid:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The N points; a grid too large to hold is a ConfigurationError naming N."""
+        try:
+            return np.linspace(self.x_min, self.x_max, self.n_points)
+        except (MemoryError, ValueError) as exc:  # numpy's allocation or size refusal
+            raise ConfigurationError(
+                f"grid N = {self.n_points} points cannot be allocated: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,8 @@ def solve_channel(
     -------
     ScalarSpectrum with quadrature-normalized, phase-fixed eigenfunctions.
     """
+    from scipy.linalg.lapack import dpbtrf
+
     if sigma not in (1, -1):
         raise ArgumentError(f"sigma must be +1 or -1, got {sigma}")
     if n_levels < 1:
@@ -379,6 +384,9 @@ def _shift_invert_lanczos(chol: np.ndarray, shift: float, v0: np.ndarray, k: int
     first; raises DiscretizationError after ``restarts`` restarts, or when a
     new vector's norm beta is not a positive finite number (a breakdown).
     """
+    from scipy.linalg import eigh, eigh_tridiagonal
+    from scipy.linalg.lapack import dpbtrs
+
     eps = np.finfo(float).eps
     Q = np.empty((m + 1, v0.size))  # the basis, one vector per row
     T = np.zeros((m, m))

@@ -562,6 +562,17 @@ def test_a_curvature_that_overflows_exits_two_naming_it(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("N", [2 ** 62, 10 ** 20], ids=["2**62", "10**20"])
+def test_a_grid_too_large_to_hold_exits_two_naming_n(tmp_path, N):
+    # numpy refuses both sizes before it allocates anything
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", "--grid-n", str(N), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"rfw: grid N = {N} points cannot be allocated: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_flag_takes_its_full_name_only(tmp_path):
     # the parser refuses an abbreviation: main attaches a value such as -1e0
     # only to a flag's full name

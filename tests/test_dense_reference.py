@@ -238,13 +238,13 @@ def not_positive_definite(band, *args, **kwargs):
 
 
 def test_cholesky_failure_is_a_discretization_error(uni, monkeypatch):
-    monkeypatch.setattr(spectral_grid, "dpbtrf", not_positive_definite)
+    monkeypatch.setattr("scipy.linalg.lapack.dpbtrf", not_positive_definite)
     with pytest.raises(DiscretizationError, match="not positive definite"):
         channel_solve(uni.profile, 0.0, +1, uni.grid)
 
 
 def test_cholesky_failure_under_all(tmp_path, monkeypatch):
-    monkeypatch.setattr(spectral_grid, "dpbtrf", not_positive_definite)
+    monkeypatch.setattr("scipy.linalg.lapack.dpbtrf", not_positive_definite)
     cap_threads(monkeypatch)
     out = tmp_path / "d"
     assert cli.main(["all", "--grid-n", "256", "--out", str(out)]) == 1

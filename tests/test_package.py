@@ -3,11 +3,14 @@ and imports stay light."""
 
 import importlib
 import inspect
+import json
 import math
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ritusfw
 from child_env import child_env
@@ -54,6 +57,35 @@ def loaded_in_child(imports, names, then="pass"):
 def test_cli_import_loads_no_numerics():
     # main() pins BLAS to one thread, which works only before numpy loads
     assert loaded_in_child(["ritusfw.cli"], ("numpy", "scipy")) == []
+
+
+def test_submodule_imports_load_numpy_and_no_scipy():
+    # each scipy.linalg kernel is imported by the function that calls it, so
+    # scipy loads at a run's first solve; a submodule of scipy implies scipy
+    modules = [f"ritusfw.{name}" for name in ritusfw._SUBMODULES]
+    assert loaded_in_child(modules, ("numpy", "scipy")) == ["numpy"]
+
+
+@pytest.mark.parametrize("config", [
+    {"mass": 0.0},
+    {"n_max": 400},
+    # binds 4 levels in the zero-mode channel and 3 in its partner
+    {"profile": {"kind": "exponential", "B": 1.0, "alpha": 0.5}, "n_max": 3},
+], ids=["mass-0", "levels-400", "exponential-binds-too-few"])
+def test_refused_config_loads_no_scipy(tmp_path, config):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["spectrum", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    then = f"assert ritusfw.cli.main({argv!r}) == 2"
+    assert loaded_in_child(["ritusfw.cli"], ("scipy",), then) == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_spectrum_run_loads_scipy_linalg(tmp_path):
+    # the same path as the refusals above, so their empty lists are not vacuous
+    argv = ["spectrum", "--out", str(tmp_path / "out")]
+    then = f"assert ritusfw.cli.main({argv!r}) == 0"
+    assert loaded_in_child(["ritusfw.cli"], ("scipy.linalg",), then) == ["scipy.linalg"]
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 UNUSED_SCIPY = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",

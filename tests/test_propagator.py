@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ritusfw import operators
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError
@@ -107,7 +106,7 @@ def test_singular_pivot_is_a_conditioning_error(uni, monkeypatch):
     def zero_pivot(ab, kl, ku, **kwargs):
         return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
 
-    monkeypatch.setattr(operators, "dgbtrf", zero_pivot)
+    monkeypatch.setattr("scipy.linalg.lapack.dgbtrf", zero_pivot)
     with pytest.raises(ConditioningError, match="pivot 7"):
         project_propagator(uni.levels, P0, MASS)
 
