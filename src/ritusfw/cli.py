@@ -1,10 +1,10 @@
 """Batch runner: wires JSON/flag configuration to the verification suites.
 
 Heavy imports happen inside the functions that use them, after ``main`` has
-pinned BLAS to one thread: numpy and the numeric submodules when ``run``
-starts, and scipy.linalg, which costs more than twice numpy's import, at a
-run's first solve, inside the numeric function that calls its LAPACK
-kernel.  So input that validation refuses exits without loading scipy.
+pinned BLAS to one thread: numpy and the numeric submodules once ``run``
+has validated its config, and scipy.linalg, which costs more than twice
+numpy's import, at a run's first solve, inside the numeric function that
+calls its LAPACK kernel, so refused input exits without loading scipy.
 Reports are JSON with sorted keys and 12-significant-digit floats, so two
 identical runs produce byte-identical output; CSV detail files, written here
 alone and with the same 12 digits, land next to the report when ``--out``
@@ -270,7 +270,7 @@ def _cmd_spectrum(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     from .field_profiles import analytic_levels
 
     results = {
-        "grid": {"x_min": prob.grid.x_min, "x_max": prob.grid.x_max,
+        "grid": {"x_min": prob.grid.domain.x_min, "x_max": prob.grid.domain.x_max,
                  "N": prob.grid.n_points, "h": prob.grid.h},
         "sigma_plus": list(prob.spec_plus.eigenvalues),
         "sigma_minus": list(prob.spec_minus.eigenvalues),
@@ -459,14 +459,14 @@ def run(command: str, cfg: RunConfig, outdir: Optional[Path] = None):
     all or none, so a run that raises writes nothing.  A file target that
     exists and is not a regular file is refused before the first byte.
     """
-    from .clifford import make_rep
-    from .problem import Problem
-
     if command != "all" and command not in _COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}; choose one of "
                                  f"{', '.join([*_COMMANDS, 'all'])}")
-    prob = Problem(cfg.validate(), make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.n_max, cfg.grid_n,
-                   cfg.tol_eig)
+    profile = cfg.validate()
+    from .clifford import make_rep
+    from .problem import Problem
+
+    prob = Problem(profile, make_rep(cfg.rep), cfg.p_y, cfg.e, cfg.n_max, cfg.grid_n, cfg.tol_eig)
     sections, tables = {}, {}
     for name in _COMMANDS if command == "all" else [command]:
         try:

@@ -21,7 +21,7 @@ from .errors import RitusFWError
 from .field_profiles import FieldProfile
 from .operators import GridOperators
 from .ritus_basis import RitusLevels, assemble_levels
-from .spectral_grid import build_grid, solve_channel
+from .spectral_grid import Grid, build_grid, solve_channel
 
 __all__ = ["Problem"]
 
@@ -77,7 +77,7 @@ class Problem:
 
     @_link
     def grid(self):
-        return build_grid(self.profile, self.p_y, self.n_max, self.n_points, e=self.e)
+        return Grid(build_grid(self.profile, self.p_y, self.n_max, e=self.e), self.n_points)
 
     @_link
     def ops(self) -> GridOperators:
@@ -110,4 +110,10 @@ class Problem:
         # a link keeps its value in the instance dict; seed it
         vars(other).update(grid=self.grid, spec_plus=self.spec_plus,
                            spec_minus=self.spec_minus)
+        return other
+
+    def refined(self, n_points: int) -> "Problem":
+        """The same field on this problem's domain at n_points: the walls are not sized again."""
+        other = replace(self, n_points=n_points)
+        vars(other).update(grid=Grid(self.grid.domain, n_points))
         return other

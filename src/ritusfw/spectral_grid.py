@@ -21,13 +21,14 @@ ZERO_ROUNDING * eps * ||H||, with ||H|| <= 16/(3h^2) + max|V| from the
 stencil, is an exact zero mode up to rounding and is set to 0; so is a
 slightly negative one inside the truncation window (-ZERO_CLAMP, 0).
 
-Grid sizing: the domain covers the classical turning points of the
+Grid sizing: ``build_grid`` reads the field and n_max, never N, and returns
+the Domain; a Grid is that domain and a point count N, so every N of one
+field shares its walls.  The domain covers the classical turning points of the
 requested levels (sublevel set of both channel potentials at a harmonic
 k-estimate, kept below the exponential field's plateau), widened by the
 factor PADDING about its center, and further extended until the WKB decay
 integral int sqrt(V - k_est) dx exceeds DECAY_EXPONENT so that
-Dirichlet-wall eigenvalue shifts stay well below the stencil error.  The
-grid's one free number is its point count N.
+Dirichlet-wall eigenvalue shifts stay well below the stencil error.
 Both walks step along one lattice x0 +- k*step, sampled in doubling chunks
 of vectorized potential calls.  Every length of the sizing is a multiple of
 the field's length ell (``field_profiles.field_scales``).
@@ -50,6 +51,7 @@ from .errors import (
 from .field_profiles import FieldProfile, channel_potentials, field_scales
 
 __all__ = [
+    "Domain",
     "Grid",
     "ScalarSpectrum",
     "build_grid",
@@ -71,29 +73,38 @@ _CHUNK_MAX = 1 << 17  # ... up to this many points
 
 
 @dataclass(frozen=True)
-class Grid:
-    """Uniform 1D grid with Dirichlet boundaries, sized in the field's length ``length``."""
+class Domain:
+    """The walls [x_min, x_max] that ``build_grid`` sizes, in the field's length ``length``."""
 
     x_min: float
     x_max: float
-    n_points: int
     length: float
+
+    def __post_init__(self):
+        if not self.x_max > self.x_min:
+            raise ConfigurationError("grid needs x_max > x_min")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform 1D grid of n_points with Dirichlet walls at the domain's edges."""
+
+    domain: Domain
+    n_points: int
 
     def __post_init__(self):
         if self.n_points < 64:
             raise ConfigurationError(f"grid needs at least 64 points, got {self.n_points}")
-        if not self.x_max > self.x_min:
-            raise ConfigurationError("grid needs x_max > x_min")
 
     @property
     def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
+        return (self.domain.x_max - self.domain.x_min) / (self.n_points - 1)
 
     @property
     def x(self) -> np.ndarray:
         """The N points; a grid too large to hold is a ConfigurationError naming N."""
         try:
-            return np.linspace(self.x_min, self.x_max, self.n_points)
+            return np.linspace(self.domain.x_min, self.domain.x_max, self.n_points)
         except (MemoryError, ValueError) as exc:  # numpy's allocation or size refusal
             raise ConfigurationError(
                 f"grid N = {self.n_points} points cannot be allocated: {exc}") from None
@@ -176,10 +187,9 @@ def build_grid(
     profile: FieldProfile,
     p_y: float,
     n_max: int,
-    n_points: int,
     e: float = 1.0,
-) -> Grid:
-    """Size an n_points grid so levels 0..n_max are resolved in both channels.
+) -> Domain:
+    """Size the domain on which levels 0..n_max are resolved in both channels.
 
     The domain covers {x : V_sigma(x) <= k_estimate} for both channels,
     widened by PADDING, then extended further if the WKB decay integral
@@ -187,8 +197,7 @@ def build_grid(
     DECAY_EXPONENT on either side.  The minimum is sampled on x0 +- ell, and
     the walks step at least 1e-3 ell.  The profile's domain bounds the grid:
     if a table ends inside the sublevel set, or before the integral reaches
-    the target, TruncationError names the edge.  The domain depends on the
-    field and n_max alone: n_points only stamps the Grid.  ConfigurationError
+    the target, TruncationError names the edge.  ConfigurationError
     refuses what ``field_scales`` refuses, a k_estimate that overflows, and
     a sublevel set wider than _GUARD steps.
     """
@@ -260,7 +269,7 @@ def build_grid(
         )
     a, b = max(min(a, wall_a), domain[0]), min(max(b, wall_b), domain[1])
 
-    return Grid(x_min=a, x_max=b, n_points=n_points, length=ell)
+    return Domain(x_min=a, x_max=b, length=ell)
 
 
 def solve_channel(
@@ -304,7 +313,7 @@ def solve_channel(
     # lowest levels are the largest eigenvalues of (H - shift)^-1; the gap is
     # SHIFT_GAP at least in the field's energy unit 1/length^2
     v_min = float(V.min())
-    shift = v_min - SHIFT_GAP * max(grid.length ** -2, abs(v_min))
+    shift = v_min - SHIFT_GAP * max(grid.domain.length ** -2, abs(v_min))
     v0 = np.random.default_rng(0).standard_normal(N)
     band = H[:3].copy()                 # the upper storage xPBTRF takes
     band[2] -= shift

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from child_env import child_env
-from ladder import observed_order, refinement_ladder
+from ladder import observed_order
 from ritusfw.clifford import anticommutator, check_product_identity, make_rep
 from ritusfw.field_profiles import exponential_profile, uniform_profile
 from ritusfw.foldy_wouthuysen import (
@@ -62,9 +62,9 @@ def emit(num, ok, detail):
 
 
 @functools.lru_cache(maxsize=None)
-def production_problem(n_points=N_POINTS):
+def production_problem():
     return Problem(uniform_profile(1.0), make_rep("first"), p_y=0.0, e=1.0,
-                   n_max=N_MAX, n_points=n_points, tol_eig=1e-6)
+                   n_max=N_MAX, n_points=N_POINTS, tol_eig=1e-6)
 
 
 def intertwining(b):
@@ -105,8 +105,9 @@ def test_criterion_02_landau_spectrum():
         err = max(err, abs(b.spec_plus.eigenvalues[n] - 2.0 * n))
         err = max(err, abs(b.spec_minus.eigenvalues[n] - 2.0 * (n + 1)))
     # the observed order of k_4 = 8 eB on N = 256, 512, 1024 over one domain
-    hs, ks = refinement_ladder(b.profile, 4, [256, 512, 1024])
-    order = observed_order(hs, [abs(k - 2.0 * 4) for k in ks])
+    rungs = [b.refined(N) for N in (256, 512, 1024)]
+    errors = [abs(r.spec_plus.eigenvalues[4] - 2.0 * 4) for r in rungs]
+    order = observed_order([r.grid.h for r in rungs], errors)
     ok = err < 1e-6 and abs(order - 4.0) < 0.5
     emit(2, ok, f"max|k_n - 2n eB| = {err:.3e} (tol 1e-06), "
                 f"observed order {order:.3f} (4 +/- 0.5)")
@@ -238,8 +239,8 @@ def fine_grid_problem(alpha, p_y):
 
 
 LARGE_N = {
-    "4096": lambda: production_problem(4096),
-    "16384": lambda: production_problem(16384),
+    "4096": lambda: production_problem().refined(4096),
+    "16384": lambda: production_problem().refined(16384),
     "fine_grid": lambda: fine_grid_problem(0.1, 0.0),
     "fine_grid_mirrored": lambda: fine_grid_problem(-0.1, 0.5),
 }

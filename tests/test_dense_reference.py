@@ -40,7 +40,7 @@ from ritusfw.foldy_wouthuysen import (field_fw_from_levels, free_fw,
 from ritusfw.operators import BAND, band_product, channel_hamiltonian, channel_slots
 from ritusfw.problem import Problem
 from ritusfw.propagator import project_propagator
-from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING,
+from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING, Grid,
                                    build_grid, solve_channel)
 
 from bands import Ep, dense, dense_E, dense_spinor, g0_diagonal
@@ -282,11 +282,11 @@ def test_residuals_not_below_dense_max_entry(uni_fw, where):
 @functools.lru_cache(maxsize=None)
 def small_fw(n_max, variant):
     """U at m = MASS on the smallest grid, a multiple of 32, on which levels 0..n_max build it."""
+    base = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0,
+                   n_max=n_max, n_points=1024, tol_eig=1e-6)
     for N in range(32 * math.ceil(4 * (n_max + 1) / 32), 1025, 32):
-        prob = Problem(uniform_profile(1.0), make_rep(variant), p_y=0.0, e=1.0,
-                       n_max=n_max, n_points=N, tol_eig=1e-6)
         try:
-            return field_fw_from_levels(prob.levels, MASS)
+            return field_fw_from_levels(base.refined(N).levels, MASS)
         except RitusFWError:
             continue
     raise AssertionError(f"no grid up to N = 1024 builds levels 0..{n_max}")
@@ -415,7 +415,7 @@ def arpack_channel(profile, p_y, sigma, grid, n_levels):
     V = channel_potential(profile, p_y, sigma, grid)
     N, H = V.size, channel_hamiltonian(V, grid.h)
     v_min = float(V.min())
-    shift = v_min - SHIFT_GAP * max(grid.length ** -2, abs(v_min))
+    shift = v_min - SHIFT_GAP * max(grid.domain.length ** -2, abs(v_min))
     band = H[:3].copy()
     band[2] -= shift
     chol, info = dpbtrf(band)
@@ -433,7 +433,7 @@ def arpack_channel(profile, p_y, sigma, grid, n_levels):
 @pytest.mark.parametrize("name", list(PROFILES))
 def test_channel_solve_matches_dense_eigh(name, p_y, N):
     profile = PROFILES[name]
-    grid = build_grid(profile, p_y, N_LEVELS - 1, N)
+    grid = Grid(build_grid(profile, p_y, N_LEVELS - 1), N)
     for sigma in (+1, -1):
         spec = channel_solve(profile, p_y, sigma, grid, tol_eig=1e-3)
         vals, vecs = dense_channel(profile, p_y, sigma, grid)
@@ -460,7 +460,7 @@ KINDS = {
        n_max=st.integers(1, 16))
 def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, n_max):
     profile = KINDS[kind](sign)
-    grid = build_grid(profile, p_y, n_max, N)
+    grid = Grid(build_grid(profile, p_y, n_max), N)
     spec = channel_solve(profile, p_y, sigma, grid, n_max + 1, tol_eig=1e-3)
     V = channel_potential(profile, p_y, sigma, grid)
     # dense eigh is backward stable only: its eigenvalues carry an error of

@@ -3,10 +3,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from ritusfw import field_profiles
 from ritusfw import problem as problem_module
 from ritusfw.cli import RunConfig, run
+from ritusfw.clifford import make_rep
+from ritusfw.field_profiles import exponential_profile, tabulated_profile, uniform_profile
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import assemble_levels
 
@@ -82,3 +85,35 @@ def test_other_rep_holds_the_channel_hamiltonians_bit_for_bit(uni, uni_second):
     for sigma in (+1, -1):
         assert uni_second.ops.H[sigma].tobytes() == uni.ops.H[sigma].tobytes()
         assert uni_second.ops.V[sigma].tobytes() == uni.ops.V[sigma].tobytes()
+
+
+
+def held(prob):
+    """prob's grid, and the bytes of its ops' H, V and X and of both channel spectra."""
+    ops, specs = prob.ops, (prob.spec_plus, prob.spec_minus)
+    arrays = [*ops.H.values(), *ops.V.values(), *ops.X,
+              *[a for spec in specs for a in (spec.eigenvalues, spec.eigenfunctions)]]
+    return prob.grid, [a.tobytes() for a in arrays]
+
+
+CI_X = np.array([-16.0 + 0.2 * i for i in range(161)])
+
+
+@pytest.mark.parametrize("profile", [
+    uniform_profile(1.0), exponential_profile(1.0, 0.1),
+    tabulated_profile(CI_X, CI_X + 0.003 * np.sin(0.5 * CI_X)),  # CI's table
+], ids=["uniform", "exponential", "table"])
+def test_refined_is_the_fresh_problem_at_its_n(monkeypatch, profile):
+    # a ladder of one field sizes its domain once, and each rung holds what a
+    # Problem built at its N holds, byte for byte; replace() builds that fresh
+    # Problem from the rung's seven inputs
+    sized, build_grid = [], problem_module.build_grid
+    monkeypatch.setattr(problem_module, "build_grid",
+                        lambda *args, **kw: sized.append(args) or build_grid(*args, **kw))
+    base = Problem(profile, make_rep("first"), 0.0, 1.0, 4, 128, 1e-3)
+    rungs = [base.refined(N) for N in (128, 256, 512)]
+    ladder = [held(rung) for rung in rungs]
+    assert len(sized) == 1
+    assert ladder == [held(dataclasses.replace(rung)) for rung in rungs]
+    assert [rung.n_points for rung in rungs] == [128, 256, 512]
+    assert rungs[-1].other_rep().n_points == 512

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ladder import observed_order, refinement_ladder
+from ladder import observed_order
 from ritusfw import field_profiles, spectral_grid
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
@@ -21,7 +21,7 @@ from ritusfw.field_profiles import (analytic_levels, channel_potentials, evaluat
 from ritusfw.operators import channel_hamiltonian
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
-from ritusfw.spectral_grid import PHASE_THRESHOLD, Grid, build_grid, solve_channel
+from ritusfw.spectral_grid import PHASE_THRESHOLD, Domain, Grid, build_grid, solve_channel
 
 
 def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
@@ -31,29 +31,32 @@ def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
 
 
 def test_grid_validation():
+    domain = Domain(x_min=-1.0, x_max=1.0, length=1.0)
     with pytest.raises(ConfigurationError):
-        Grid(x_min=-1.0, x_max=1.0, n_points=32, length=1.0)
-    g = Grid(x_min=-1.0, x_max=1.0, n_points=101, length=1.0)
+        Domain(x_min=1.0, x_max=1.0, length=1.0)
+    with pytest.raises(ConfigurationError):
+        Grid(domain, n_points=32)
+    g = Grid(domain, n_points=101)
     assert g.h == pytest.approx(0.02)
     assert g.x[0] == -1.0 and g.x[-1] == 1.0
-    assert g == Grid(-1.0, 1.0, 101, 1.0)
-    assert g != Grid(-1.0, 1.0, 102, 1.0)
+    assert g == Grid(Domain(-1.0, 1.0, 1.0), 101)
+    assert g != Grid(domain, 102)
 
 
 def test_build_grid_requires_levels():
     with pytest.raises(ConfigurationError):
-        build_grid(uniform_profile(1.0), 0.0, 0, 1024)
+        build_grid(uniform_profile(1.0), 0.0, 0)
 
 
 def test_build_grid_centers_on_py_over_eB():
-    grid = build_grid(uniform_profile(1.0), 0.8, 3, 256)
-    center = 0.5 * (grid.x_min + grid.x_max)
+    domain = build_grid(uniform_profile(1.0), 0.8, 3)
+    center = 0.5 * (domain.x_min + domain.x_max)
     assert abs(center - 0.8) < 0.05
 
 
 def test_build_grid_widens_with_levels():
-    g4 = build_grid(uniform_profile(1.0), 0.0, 4, 256)
-    g8 = build_grid(uniform_profile(1.0), 0.0, 8, 256)
+    g4 = build_grid(uniform_profile(1.0), 0.0, 4)
+    g8 = build_grid(uniform_profile(1.0), 0.0, 8)
     assert g8.x_max - g8.x_min > g4.x_max - g4.x_min
 
 
@@ -78,7 +81,7 @@ def test_build_grid_samples_the_potential_in_few_calls(monkeypatch, profile, p_y
         return evaluate(prof, x)
 
     monkeypatch.setattr(field_profiles, "evaluate_potential", counting)
-    build_grid(profile, p_y, n_max, 256)
+    build_grid(profile, p_y, n_max)
     assert 0 < len(calls) <= 32
     assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
@@ -90,9 +93,9 @@ def test_tabulated_walls_reach_the_wkb_target(L):
     xs = np.linspace(-L, L, int(20 * L) + 1)
     prob = Problem(tabulated_profile(xs, xs), make_rep("first"), p_y=0.0, e=1.0,
                    n_max=8, n_points=1024, tol_eig=1e-6)
-    uniform = build_grid(uniform_profile(1.0), 0.0, 8, 1024)
-    assert -L <= prob.grid.x_min and prob.grid.x_max <= L
-    assert prob.grid.x_max == pytest.approx(uniform.x_max, abs=0.01)
+    walls, uniform = prob.grid.domain, build_grid(uniform_profile(1.0), 0.0, 8)
+    assert -L <= walls.x_min and walls.x_max <= L
+    assert walls.x_max == pytest.approx(uniform.x_max, abs=0.01)
     assert verify_gpEp(prob.levels).max() < 1e-5
 
 
@@ -117,7 +120,7 @@ def test_table_ending_before_the_wkb_target_is_a_truncation_error():
     xs = np.linspace(-5.0, 5.0, 101)
     with pytest.raises(TruncationError, match=r"the table ends at x = -?5, where the WKB "
                                               r"decay .* reaches 0\.55"):
-        build_grid(tabulated_profile(xs, xs), 0.0, 8, 1024)
+        build_grid(tabulated_profile(xs, xs), 0.0, 8)
 
 
 @pytest.mark.parametrize("p_y,edge", [(0.0, "-3"), (2.0, "3")])
@@ -127,7 +130,7 @@ def test_table_ending_inside_the_sublevel_set_is_a_truncation_error(tmp_path, p_
     xs = np.linspace(-3.0, 3.0, 61)
     with pytest.raises(TruncationError, match=rf"the table ends at x = {edge}, inside the "
                                               r"sublevel set V <= k_est = \S+ of levels 0\.\.8"):
-        build_grid(tabulated_profile(xs, xs), p_y, 8, 1024)
+        build_grid(tabulated_profile(xs, xs), p_y, 8)
     table = tmp_path / "W.csv"
     table.write_text("x,W\n" + "".join(f"{x!r},{x!r}\n" for x in xs.tolist()))
     cfg = RunConfig(profile_kind="tabulated", profile_params={"path": str(table)}, p_y=p_y)
@@ -188,7 +191,7 @@ def test_phase_convention_positive_peak(uni):
 
 def test_eigenvalues_independent_of_py(uni):
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.9, 4, 512)
+    grid = Grid(build_grid(prof, 0.9, 4), 512)
     spec = channel_solve(prof, 0.9, +1, grid, n_levels=5)
     assert_allclose(spec.eigenvalues, uni.spec_plus.eigenvalues[:5], atol=1e-5)
 
@@ -201,7 +204,7 @@ def test_morse_chain_for_exponential_profile():
         6 - 9 * a * a, abs=1e-12)
     for B, p_y in ((1.0, 0.0), (1.0, 0.8), (-1.0, -0.5)):
         prof = exponential_profile(B, a)
-        grid = build_grid(prof, p_y, 5, 768)
+        grid = Grid(build_grid(prof, p_y, 5), 768)
         for sigma in (+1, -1):
             spec = channel_solve(prof, p_y, sigma, grid, n_levels=5)
             for n, k in enumerate(spec.eigenvalues):
@@ -232,7 +235,7 @@ def test_exponential_field_past_its_bound_is_refused_before_any_walk(monkeypatch
     cfg = RunConfig(profile_kind="exponential", profile_params={"B": 1.0, "alpha": 0.5}, n_max=3)
     profile = exponential_profile(1.0, 0.5)
     problem = Problem(profile, make_rep("first"), 0.0, 1.0, 3, 1024, 1e-6)
-    for refuse in (cfg.validate, lambda: build_grid(profile, 0.0, 3, 1024),
+    for refuse in (cfg.validate, lambda: build_grid(profile, 0.0, 3),
                    lambda: problem.grid):
         with pytest.raises(ConfigurationError) as err:
             refuse()
@@ -245,7 +248,7 @@ def test_sublevel_set_too_wide_to_walk_stops_at_step_guard(monkeypatch):
     # walks, and names the set, not a plateau the field does not have
     monkeypatch.setattr(spectral_grid, "_GUARD", 20_000)
     with pytest.raises(ConfigurationError) as err:
-        build_grid(uniform_profile(1.0), 0.0, 48, 1024)
+        build_grid(uniform_profile(1.0), 0.0, 48)
     found = re.fullmatch(r"the sublevel set V <= k_est = 100 of levels 0\.\.48 spans more than "
                          r"20,000 grid steps of 0\.001 \(from x = (\S+) to (\S+) when the walks "
                          r"stopped\): too wide to size a grid", str(err.value))
@@ -256,7 +259,7 @@ def test_sublevel_set_too_wide_to_walk_stops_at_step_guard(monkeypatch):
 
 def test_unresolvable_levels_hit_the_wall():
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.0, 1, 128)
+    grid = Grid(build_grid(prof, 0.0, 1), 128)
     with pytest.raises(TruncationError):
         channel_solve(prof, 0.0, +1, grid, n_levels=30)
 
@@ -265,7 +268,7 @@ def test_tiny_tolerance_rejects_coarse_zero_mode():
     # at N=128 the raw zero-mode eigenvalue is slightly negative; an
     # unrealistically tight tol_eig must turn that into a hard error
     prof = uniform_profile(1.0)
-    grid = build_grid(prof, 0.0, 2, 128)
+    grid = Grid(build_grid(prof, 0.0, 2), 128)
     with pytest.raises(DiscretizationError):
         channel_solve(prof, 0.0, +1, grid, n_levels=3, tol_eig=1e-14)
 
@@ -285,18 +288,9 @@ def test_an_overflow_names_what_overflowed(profile, named):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError) as err:
-            build_grid(profile, 0.0, 8, 1024)
+            build_grid(profile, 0.0, 8)
     assert str(err.value).startswith(
         f"the field's potential overflows: {named} gives the level estimate k_est = ")
-
-
-@pytest.mark.parametrize("profile", [uniform_profile(1.0), exponential_profile(1.0, 0.1),
-                                     tabulated_profile(TABLE_16, TABLE_16)],
-                         ids=["uniform", "exponential", "table"])
-def test_build_grid_domain_does_not_depend_on_n(profile):
-    # N only stamps the grid, so a refinement ladder keeps its walls
-    grids = [build_grid(profile, 0.0, 8, N) for N in (256, 1024, 4096)]
-    assert {(g.x_min, g.x_max) for g in grids} == {(grids[0].x_min, grids[0].x_max)}
 
 
 @pytest.mark.parametrize("profile,k2", [
@@ -308,7 +302,10 @@ def test_refinement_ladder_order_four(profile, k2):
     # a closed form is the reference; a table has none, so its reference is
     # the Richardson extrapolation of the finest pair
     N_list = [128, 256, 512]
-    hs, ks = refinement_ladder(profile, 2, N_list)
+    base = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, n_max=4, n_points=N_list[0],
+                   tol_eig=1e-3)
+    rungs = [base.refined(N) for N in N_list]
+    hs, ks = [r.grid.h for r in rungs], [float(r.spec_plus.eigenvalues[2]) for r in rungs]
     if profile.kind == "tabulated":
         r = (N_list[-1] - 1) / (N_list[-2] - 1)
         ref = (ks[-1] * r**4 - ks[-2]) / (r**4 - 1.0)
@@ -330,7 +327,8 @@ def scaled_uniform_field(eB, p_y):
     prob = Problem(uniform_profile(eB), make_rep("first"), p_y=p_y, e=1.0,
                    n_max=8, n_points=1024, tol_eig=1e-6 * abs(eB))
     x0, scale = p_y / eB, abs(eB) ** 0.5
-    walls = ((prob.grid.x_min - x0) * scale, (prob.grid.x_max - x0) * scale)
+    domain = prob.grid.domain
+    walls = ((domain.x_min - x0) * scale, (domain.x_max - x0) * scale)
     levels = [spec.eigenvalues[1:] / abs(eB) for spec in (prob.spec_plus, prob.spec_minus)]
     return walls, np.concatenate(levels)
 
