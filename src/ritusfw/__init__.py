@@ -3,8 +3,9 @@ for 2+1 dimensional Dirac fermions in static magnetic fields.
 
 The numeric API lives in the submodules (clifford, field_profiles,
 operators, spectral_grid, ritus_basis, foldy_wouthuysen, propagator,
-problem); import from them directly.  This package module stays import-light so
-the ``rfw`` entry point can cap BLAS threads before numpy loads.  The numeric
+problem); import each by name, as ``from ritusfw.problem import Problem``.
+This package module holds only the errors and the version, so the ``rfw``
+entry point can cap BLAS threads before numpy loads.  The numeric
 submodules import numpy at module level and scipy.linalg only inside the
 functions that call its LAPACK kernels, so importing any of them loads no
 scipy module: scipy loads at a run's first solve.
@@ -24,18 +25,6 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (
-    "clifford",
-    "field_profiles",
-    "operators",
-    "spectral_grid",
-    "ritus_basis",
-    "foldy_wouthuysen",
-    "propagator",
-    "problem",
-    "cli",
-)
-
 __all__ = [
     "__version__",
     "RitusFWError",
@@ -47,13 +36,5 @@ __all__ = [
     "PairingError",
     "DiscretizationError",
     "ConditioningError",
-    *_SUBMODULES,
 ]
 
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -421,7 +421,7 @@ def _cmd_propagator(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
     from .propagator import pole_sweep, project_propagator
 
     res = project_propagator(prob.levels, cfg.p0, cfg.mass)
-    sweep = pole_sweep(prob.levels, n_target=1, m=cfg.mass)
+    sweep = pole_sweep(prob.levels, cfg.mass)
     checks = {
         "diagonal_blocks": _check(res["diagonal_error"], cfg.tol_residual),
         "cross_blocks": _check(res["cross_norm"], cfg.tol_residual),

@@ -23,26 +23,22 @@ the rest of the package:
   is exactly antisymmetric and the second-derivative matrix exactly
   symmetric, so discrete adjoints are exact transposes.
 
-The key factorized structure: with M(x) = p_y - e W(x) and the ladder
-operators
+The key factorized structure: with M(x) = p_y - e W(x), the spatial Dirac
+operator ("bold" gamma.Pi, the one entering H = gamma^0 (gamma.Pi + m)),
+X = gamma^1 (x) (-i D1) + gamma^2 (x) M, is the supersymmetric ladder pair
+(Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267)
 
-    A  = D1 + M,        A^T = -D1 + M,
+    A  = D1 + M,        -A^T = D1 - M,
 
-the spatial Dirac operator ("bold" gamma.Pi, the one entering
-H = gamma^0 (gamma.Pi + m)) is
-
-    X = gamma^1 (x) (-i D1) + gamma^2 (x) M = c1 (x) D1 + c2 (x) M
-      = [[0, A], [-A^T, 0]]          (first representation)
+    X = [[0, A], [-A^T, 0]]          (first representation)
       = [[0, -A^T], [A, 0]]          (second representation)
 
-with the real 2x2 coefficients c1 = -i gamma^1 and c2 = gamma^2, so X is
-exactly real antisymmetric for both representations, and
-Pi-tilde^2 = (gamma^0 X)^2 = -X^2 is block diagonal with the partner
-Hamiltonians -d^2/dx^2 + V_sigma on the two spinor slots (which slot hosts
-which channel depends on the representation).  c1 and c2 vanish on their
-diagonals, so X couples the two slots only and is kept as its two
-cross-slot bands: X[s] is block (s, 1 - s), the band c1[s, t] D1 with
-c2[s, t] M on its diagonal, t = 1 - s.
+A sits on the row of the slot that ``channel_slots`` gives sigma = +1, so
+slot s of X is D1 + sigma M for the channel sigma of that slot.  X is
+exactly real antisymmetric for both representations, and Pi-tilde^2 =
+(gamma^0 X)^2 = -X^2 is block diagonal with the partner Hamiltonians
+-d^2/dx^2 + V_sigma on the two spinor slots.  X couples the two slots only
+and is kept as its two cross-slot bands: X[s] is block (s, 1 - s).
 """
 
 from __future__ import annotations
@@ -152,26 +148,16 @@ def channel_slots(rep: GammaRep) -> dict:
     return {+1: 1, -1: 0}
 
 
-def _spinor_coefficients(rep: GammaRep) -> tuple:
-    """The real 2x2 coefficients (c1, c2) = (-i gamma^1, gamma^2) of D1 and M in X."""
-    c1, c2 = -1j * rep.gamma[1], rep.gamma[2]
-    if np.any(c1.imag) or np.any(c2.imag):
-        raise AssertionError("gamma^1 expected imaginary and gamma^2 real")
-    if np.any(np.diag(c1)) or np.any(np.diag(c2)):
-        raise AssertionError("gamma^1 and gamma^2 expected off-diagonal: X couples slots only")
-    return c1.real, c2.real
-
-
 def gamma_dot_pi_spatial(rep: GammaRep, D1: np.ndarray, M: np.ndarray) -> tuple:
-    """X = c1 (x) D1 + c2 (x) diag(M) as its two cross-slot bands (X[0], X[1]).
+    """X as its two cross-slot bands (X[0], X[1]): the ladder pair A and -A^T.
 
-    X[s] is block (s, t), t = 1 - s: the band c1[s, t] D1 with c2[s, t] M on
-    its diagonal (D1 has none).  X is real antisymmetric: X[1] = -X[0]^T.
+    X[s] is block (s, 1 - s): D1 with sigma M on its diagonal (D1 has none)
+    for the channel sigma that ``channel_slots`` puts on slot s.  X is real
+    antisymmetric: X[1] = -X[0]^T.
     """
-    c1, c2 = _spinor_coefficients(rep)
-    X = (c1[0, 1] * D1, c1[1, 0] * D1)
-    for s, ab in enumerate(X):
-        ab[2] = c2[s, 1 - s] * M
+    X = (D1.copy(), D1.copy())
+    for sigma, s in channel_slots(rep).items():
+        X[s][2] = sigma * M
     return X
 
 

@@ -20,8 +20,6 @@ level blocks straight into that order, and the overlaps read per slot.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .clifford import GammaRep
@@ -31,6 +29,8 @@ from .ritus_basis import RitusLevels, free_slash
 __all__ = ["diagonal_propagator", "project_propagator", "pole_sweep"]
 
 POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = levels.shells(m) is refused
+SWEEP_LEVEL = 1  # the level whose shell pole_sweep approaches
+SWEEP_DISTANCES = (0.2, 0.1, 0.05, 0.025, 0.0125)  # pole_sweep's distances below that shell
 
 
 def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> np.ndarray:
@@ -107,17 +107,18 @@ def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     }
 
 
-def pole_sweep(levels: RitusLevels, n_target: int, m: float,
-               distances: Sequence[float] = (0.2, 0.1, 0.05, 0.025, 0.0125)) -> dict:
-    """Approach the on-shell energy of one level and fit the pole exponent.
+def pole_sweep(levels: RitusLevels, m: float) -> dict:
+    """Approach the on-shell energy of level SWEEP_LEVEL and fit the pole exponent.
 
-    p0 = sqrt(max(k_n, 0) + m^2) - d (``levels.shells``) for each distance d;
-    fits log ||block_nn|| ~ -gamma * log |p0^2 - (k_n + m^2)| and returns gamma
-    (expected 1) plus the sweep rows.  Each p0 solves for the target level's
-    two columns alone; the conditioning guard still covers every level.  A
-    p0 that lies within POLE_GUARD of another level's shell is skipped; if
-    fewer than 3 points are left, ConditioningError names those shells.
+    p0 = sqrt(max(k_n, 0) + m^2) - d (``levels.shells``) for n = SWEEP_LEVEL
+    and each distance d in SWEEP_DISTANCES; fits log ||block_nn|| ~ -gamma *
+    log |p0^2 - (k_n + m^2)| and returns gamma (expected 1) plus the sweep
+    rows.  Each p0 solves for the target level's two columns alone; the
+    conditioning guard still covers every level.  A p0 that lies within
+    POLE_GUARD of another level's shell is skipped; if fewer than 3 points
+    are left, ConditioningError names those shells.
     """
+    n_target, distances = SWEEP_LEVEL, SWEEP_DISTANCES
     if not 0 <= n_target < len(levels):
         raise ArgumentError(f"level n={n_target} not among the supplied levels")
     k = float(levels.k[n_target])

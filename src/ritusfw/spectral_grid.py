@@ -128,11 +128,6 @@ class ScalarSpectrum:
     eigenfunctions: np.ndarray
     flags: tuple = ()
 
-    def sign_changes(self, n: int) -> int:
-        phi = self.eigenfunctions[:, n]
-        live = phi[np.abs(phi) > 1e-7 * np.abs(phi).max()]
-        return int(np.sum(np.sign(live[1:]) != np.sign(live[:-1])))
-
 
 def _lattice(x0: float, step: float, n: int) -> np.ndarray:
     """x0 and the n points after it on x0 + k*step, summed in a scalar walk's order."""

@@ -6,10 +6,15 @@ helpers read each entry off that definition, independently of
 its block (s, 1 - s); ``dense_spinor`` lays them out as the dense 2N x 2N X
 in the block spinor order.  The levels are held as two (N, L) slot blocks
 F[s]; ``dense_E`` lays them out as the (2N, 2L) matrix E = [E_0 | E_1 | ...]
-that the dense references read.
+that the dense references read.  ``channel_solve`` and ``sign_changes``
+are the channel-solve helpers the spectral tests share.
 """
 
 import numpy as np
+
+from ritusfw.field_profiles import channel_potentials
+from ritusfw.operators import channel_hamiltonian
+from ritusfw.spectral_grid import solve_channel
 
 
 def dense(ab):
@@ -51,3 +56,15 @@ def dense_E(levels, n=slice(None)):
 def Ep(levels, n):
     """Level n's (2N, 2) E_p."""
     return dense_E(levels, slice(n, n + 1))
+
+
+def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
+    """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
+    V = channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
+    return solve_channel(channel_hamiltonian(V, grid.h), V, grid, sigma, n_levels, tol_eig)
+
+
+def sign_changes(phi):
+    """The nodes of phi: its sign changes among the samples above 1e-7 of its peak."""
+    live = phi[np.abs(phi) > 1e-7 * np.abs(phi).max()]
+    return int(np.sum(np.sign(live[1:]) != np.sign(live[:-1])))

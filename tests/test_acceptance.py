@@ -200,7 +200,7 @@ def test_criterion_08_series_consistency():
 def test_criterion_09_propagator():
     b = production_problem()
     res = project_propagator(b.levels, P0, MASS)
-    sweep = pole_sweep(b.levels, n_target=1, m=MASS)
+    sweep = pole_sweep(b.levels, MASS)
     diag = res["diagonal_error"]
     cross = res["cross_norm"]
     expo = sweep["exponent"]

@@ -43,7 +43,7 @@ from ritusfw.propagator import project_propagator
 from ritusfw.spectral_grid import (PHASE_THRESHOLD, SHIFT_GAP, ZERO_CLAMP, ZERO_ROUNDING, Grid,
                                    build_grid, solve_channel)
 
-from bands import Ep, dense, dense_E, dense_spinor, g0_diagonal
+from bands import Ep, channel_solve, dense, dense_E, dense_spinor, g0_diagonal, sign_changes
 
 P0 = 0.3
 MASS = 1.0
@@ -240,7 +240,7 @@ def not_positive_definite(band, *args, **kwargs):
 def test_cholesky_failure_is_a_discretization_error(uni, monkeypatch):
     monkeypatch.setattr("scipy.linalg.lapack.dpbtrf", not_positive_definite)
     with pytest.raises(DiscretizationError, match="not positive definite"):
-        channel_solve(uni.profile, 0.0, +1, uni.grid)
+        channel_solve(uni.profile, 0.0, +1, uni.grid, N_LEVELS)
 
 
 def test_cholesky_failure_under_all(tmp_path, monkeypatch):
@@ -381,12 +381,6 @@ def channel_potential(profile, p_y, sigma, grid):
     return channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
 
 
-def channel_solve(profile, p_y, sigma, grid, n_levels=N_LEVELS, tol_eig=1e-6):
-    """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
-    V = channel_potential(profile, p_y, sigma, grid)
-    return solve_channel(channel_hamiltonian(V, grid.h), V, grid, sigma, n_levels, tol_eig)
-
-
 def solver_conventions(vals, vecs, V, h):
     """The solver's zero-mode clamp, quadrature norm and phase rule, applied here on their own.
 
@@ -435,13 +429,13 @@ def test_channel_solve_matches_dense_eigh(name, p_y, N):
     profile = PROFILES[name]
     grid = Grid(build_grid(profile, p_y, N_LEVELS - 1), N)
     for sigma in (+1, -1):
-        spec = channel_solve(profile, p_y, sigma, grid, tol_eig=1e-3)
+        spec = channel_solve(profile, p_y, sigma, grid, N_LEVELS, tol_eig=1e-3)
         vals, vecs = dense_channel(profile, p_y, sigma, grid)
         assert np.abs(spec.eigenvalues - vals).max() < 1e-10
         assert np.abs(spec.eigenfunctions - vecs).max() < 1e-8
         if name == "uniform+" and p_y == 0.0:
             # a skipped odd level would show up as a wrong node count
-            assert [spec.sign_changes(n) for n in range(N_LEVELS)] == list(range(N_LEVELS))
+            assert [sign_changes(phi) for phi in spec.eigenfunctions.T] == list(range(N_LEVELS))
 
 
 LANCZOS = spectral_grid._shift_invert_lanczos
@@ -478,7 +472,7 @@ def test_channel_solve_matches_dense_eigh_and_arpack(kind, sign, sigma, p_y, N, 
 @pytest.mark.parametrize("m", [N_LEVELS + 1, N_LEVELS + 5])
 def test_thick_restarts_reach_the_unrestarted_pairs(uni, monkeypatch, m):
     # a basis of m vectors needs thick restarts before the 7 levels converge
-    ref = channel_solve(uni.profile, 0.0, +1, uni.grid)
+    ref = channel_solve(uni.profile, 0.0, +1, uni.grid, N_LEVELS)
 
     def small_basis(chol, shift, v0, k, _, restarts):
         with pytest.raises(DiscretizationError, match="did not converge"):
@@ -486,7 +480,7 @@ def test_thick_restarts_reach_the_unrestarted_pairs(uni, monkeypatch, m):
         return LANCZOS(chol, shift, v0, k, m, 200)
 
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", small_basis)
-    spec = channel_solve(uni.profile, 0.0, +1, uni.grid)
+    spec = channel_solve(uni.profile, 0.0, +1, uni.grid, N_LEVELS)
     assert np.abs(spec.eigenvalues - ref.eigenvalues).max() < 1e-12 * ref.eigenvalues.max()
     assert np.abs(spec.eigenfunctions - ref.eigenfunctions).max() < 1e-8
 
@@ -499,7 +493,7 @@ def no_convergence(chol, shift, v0, k, m, restarts):
 def test_lanczos_no_convergence_is_a_discretization_error(uni, monkeypatch):
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", no_convergence)
     with pytest.raises(DiscretizationError, match="did not converge"):
-        channel_solve(uni.profile, 0.0, +1, uni.grid)
+        channel_solve(uni.profile, 0.0, +1, uni.grid, N_LEVELS)
 
 
 def test_lanczos_breakdown_is_a_discretization_error(uni, monkeypatch):
@@ -510,7 +504,7 @@ def test_lanczos_breakdown_is_a_discretization_error(uni, monkeypatch):
 
     monkeypatch.setattr(spectral_grid, "_shift_invert_lanczos", zero_start)
     with pytest.raises(DiscretizationError, match="broke down at step 0"):
-        channel_solve(uni.profile, 0.0, +1, uni.grid)
+        channel_solve(uni.profile, 0.0, +1, uni.grid, N_LEVELS)
 
 
 def test_lanczos_no_convergence_under_all(tmp_path, monkeypatch):

@@ -56,13 +56,19 @@ def test_channel_slots(variant, plus_slot):
 
 
 @pytest.mark.parametrize("variant", ["first", "second"])
-def test_spatial_contraction_real_antisymmetric(variant, uni):
+def test_spatial_contraction_real_antisymmetric(variant):
+    # X = gamma^1 (x) (-i D1) + gamma^2 (x) diag(M), from the representation's
+    # gamma matrices, bit for bit, on an M with an exact zero
     rep = make_rep(variant)
-    D1 = first_derivative(64, 0.1)
-    M = np.linspace(-2, 2, 64)
+    D1 = first_derivative(65, 0.1)
+    M = np.linspace(-2, 2, 65)
+    assert M[32] == 0.0
     X = gamma_dot_pi_spatial(rep, D1, M)
-    assert len(X) == 2 and all(b.dtype == np.float64 and b.shape == (5, 64) for b in X)
+    assert len(X) == 2 and all(b.dtype == np.float64 and b.shape == (5, 65) for b in X)
+    ref = np.kron(-1j * rep.gamma[1], dense(D1)) + np.kron(rep.gamma[2], np.diag(M))
+    assert not ref.imag.any()
     X = dense_spinor(X)
+    assert np.array_equal(X, ref.real)
     assert np.array_equal(X, -X.T)
 
 

@@ -87,6 +87,28 @@ def test_other_rep_holds_the_channel_hamiltonians_bit_for_bit(uni, uni_second):
         assert uni_second.ops.V[sigma].tobytes() == uni.ops.V[sigma].tobytes()
 
 
+CI_X = np.array([-16.0 + 0.2 * i for i in range(161)])
+CI_TABLE = tabulated_profile(CI_X, CI_X + 0.003 * np.sin(0.5 * CI_X))  # CI's table
+
+
+@pytest.mark.parametrize("profile", [
+    uniform_profile(1.0), uniform_profile(-1.0), exponential_profile(1.0, 0.1), CI_TABLE,
+], ids=["uniform+", "uniform-", "exponential", "table"])
+def test_other_rep_is_a_slot_swap(profile):
+    # the other representation swaps the two spinor slots, bit for bit: the
+    # level blocks and X's bands trade places, K's cross-slot blocks are
+    # exchanged, and the zero mode moves to the other slot
+    one = Problem(profile, make_rep("first"), 0.0, 1.0, 4, 512, 1e-3)
+    two = one.other_rep()
+    assert two.rep.variant == "second"
+    assert [f.tobytes() for f in two.levels.F] == [f.tobytes() for f in one.levels.F[::-1]]
+    assert [b.tobytes() for b in two.ops.X] == [b.tobytes() for b in one.ops.X[::-1]]
+    K1, K2 = one.levels.K, two.levels.K
+    assert K2[0::2, 1::2].tobytes() == K1[1::2, 0::2].tobytes()
+    assert K2[1::2, 0::2].tobytes() == K1[0::2, 1::2].tobytes()
+    assert two.levels.zero_slot == 1 - one.levels.zero_slot
+
+
 
 def held(prob):
     """prob's grid, and the bytes of its ops' H, V and X and of both channel spectra."""
@@ -96,12 +118,8 @@ def held(prob):
     return prob.grid, [a.tobytes() for a in arrays]
 
 
-CI_X = np.array([-16.0 + 0.2 * i for i in range(161)])
-
-
 @pytest.mark.parametrize("profile", [
-    uniform_profile(1.0), exponential_profile(1.0, 0.1),
-    tabulated_profile(CI_X, CI_X + 0.003 * np.sin(0.5 * CI_X)),  # CI's table
+    uniform_profile(1.0), exponential_profile(1.0, 0.1), CI_TABLE,
 ], ids=["uniform", "exponential", "table"])
 def test_refined_is_the_fresh_problem_at_its_n(monkeypatch, profile):
     # a ladder of one field sizes its domain once, and each rung holds what a

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError
+from ritusfw import propagator
 from ritusfw.propagator import diagonal_propagator, pole_sweep, project_propagator
 from ritusfw.ritus_basis import free_slash
 
@@ -119,7 +120,8 @@ def test_project_propagator_validation(uni):
 
 
 def test_pole_sweep_exponent(uni):
-    sweep = pole_sweep(uni.levels, 1, MASS)
+    sweep = pole_sweep(uni.levels, MASS)
+    assert [row["n"] for row in sweep["rows"]] == [1] * len(propagator.SWEEP_DISTANCES)
     assert 0.9 < sweep["exponent"] < 1.1
     norms = [row["block_norm"] for row in sweep["rows"]]
     assert norms == sorted(norms)
@@ -128,21 +130,28 @@ def test_pole_sweep_exponent(uni):
         full = project_propagator(uni.levels, row["p0"], MASS)
         assert_allclose(row["block_norm"], np.linalg.norm(full["blocks"][1, 1]),
                         rtol=1e-13, atol=0)
-    with pytest.raises(ArgumentError):
-        pole_sweep(uni.levels, 99, MASS)
+    # a level set without the sweep's level 1
+    one_level = dataclasses.replace(uni.levels, F=tuple(f[:, :1] for f in uni.levels.F),
+                                    k=uni.levels.k[:1])
+    with pytest.raises(ArgumentError, match="level n=1 not among"):
+        pole_sweep(one_level, MASS)
 
 
-def test_pole_sweep_skips_p0_near_another_shell(uni):
+def test_pole_sweep_skips_p0_near_another_shell(uni, monkeypatch):
     # level 1's sweep, with two points placed 5e-4 from level 0's shell m
     levels = uni.levels
     gap = math.sqrt(levels.k[1] + MASS**2) - MASS
     crowded = (gap + 5e-4, gap - 5e-4)
-    sweep = pole_sweep(levels, 1, MASS, distances=crowded + (0.2, 0.1, 0.05))
-    assert [row["p0"] for row in sweep["rows"]] == [
-        row["p0"] for row in pole_sweep(levels, 1, MASS, distances=(0.2, 0.1, 0.05))["rows"]]
+
+    def sweep(distances):
+        monkeypatch.setattr(propagator, "SWEEP_DISTANCES", distances)
+        return pole_sweep(levels, MASS)
+
+    assert [row["p0"] for row in sweep(crowded + (0.2, 0.1, 0.05))["rows"]] == [
+        row["p0"] for row in sweep((0.2, 0.1, 0.05))["rows"]]
     with pytest.raises(ConditioningError, match=r"keeps 2 of 4 points, fewer than 3: .* "
                                                 r"sqrt\(max\(k_0, 0\) \+ m\^2\) = 1\b"):
-        pole_sweep(levels, 1, MASS, distances=crowded + (0.2, 0.1))
+        sweep(crowded + (0.2, 0.1))
 
 
 def test_pole_sweep_csv(tmp_path):

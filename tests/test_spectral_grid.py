@@ -10,24 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bands import channel_solve, sign_changes
 from ladder import observed_order
 from ritusfw import field_profiles, spectral_grid
 from ritusfw.cli import RunConfig, run
 from ritusfw.clifford import make_rep
 from ritusfw.errors import (ArgumentError, ConfigurationError,
                             DiscretizationError, TruncationError)
-from ritusfw.field_profiles import (analytic_levels, channel_potentials, evaluate_potential,
-                                    exponential_profile, tabulated_profile, uniform_profile)
-from ritusfw.operators import channel_hamiltonian
+from ritusfw.field_profiles import (analytic_levels, evaluate_potential, exponential_profile,
+                                    tabulated_profile, uniform_profile)
 from ritusfw.problem import Problem
 from ritusfw.ritus_basis import verify_gpEp
 from ritusfw.spectral_grid import PHASE_THRESHOLD, Domain, Grid, build_grid, solve_channel
-
-
-def channel_solve(profile, p_y, sigma, grid, n_levels, tol_eig=1e-6):
-    """solve_channel on the channel Hamiltonian of (profile, p_y, sigma) on grid."""
-    V = channel_potentials(profile, p_y, 1.0, grid.x)[1 if sigma > 0 else 2]
-    return solve_channel(channel_hamiltonian(V, grid.h), V, grid, sigma, n_levels, tol_eig)
 
 
 def test_grid_validation():
@@ -174,8 +168,7 @@ def test_zero_mode_rounding_clamp(uni, monkeypatch, raw, clamped, flagged):
 def test_quadrature_norms_and_sturm_counts(uni):
     phi = uni.spec_plus.eigenfunctions
     assert_allclose(uni.grid.h * np.sum(phi**2, axis=0), 1.0, atol=1e-10)
-    for n in range(5):
-        assert uni.spec_plus.sign_changes(n) == n
+    assert [sign_changes(f) for f in phi.T[:5]] == list(range(5))
 
 
 def test_phase_convention_positive_peak(uni):
