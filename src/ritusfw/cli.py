@@ -396,12 +396,13 @@ def _cmd_fw_series(cfg: RunConfig, prob: Problem) -> tuple[dict, dict]:
 
     series_rows = []
     for m in masses:
-        exact = (k + m * m) ** 0.5
+        z = k / (m * m)     # the mass's own scale: no power of k or m underflows
+        exact = m * (1.0 + z) ** 0.5
         e2 = fw_series_hamiltonian(k, m, order=2)
         e3 = fw_series_hamiltonian(k, m, order=3)
         series_rows.append({"m": m, "exact": exact, "order2": e2, "order3": e3,
                             "error3": abs(e3 - exact),
-                            "remainder_bound": k ** 3 / (16.0 * m ** 5)})
+                            "remainder_bound": m * z ** 3 / 16.0})
     series_slope = float(np.polyfit(np.log(masses),
                                     np.log([r["error3"] for r in series_rows]), 1)[0])
 

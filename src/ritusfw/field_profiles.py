@@ -247,7 +247,10 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
     It alone refuses, with ConfigurationError, a field no grid can size at
     n_max: a uniform eB that is zero or not finite; an exponential field whose
     c^2, |c|/|alpha| or length |alpha c|^-1/2 is not finite, that has no zero
-    mode, or that binds fewer than n_max + 1 levels in a channel.
+    mode, or that binds fewer than n_max + 1 levels in a channel; and any
+    field whose length has no finite ell^4, beyond which the solver's
+    shift-invert Lanczos vectors overflow (a uniform |eB| below
+    1/sqrt(float max) = 7.46e-155).
     """
     if profile.kind == "uniform":
         eB = e * profile.params["B"]
@@ -255,8 +258,8 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
             raise ConfigurationError(f"e = {e} and profile B = {profile.params['B']} give "
                                      f"eB = {eB}, which must be finite and nonzero")
         ell = abs(eB) ** -0.5
-        return (p_y / eB - ell, p_y / eB + ell), ell, math.inf
-    if profile.kind == "exponential":
+        window, cap = (p_y / eB - ell, p_y / eB + ell), math.inf
+    elif profile.kind == "exponential":
         B, alpha = profile.params["B"], profile.params["alpha"]
         c, lam = _morse_chain(profile, e, p_y)
         # the closed forms square c and count levels below |c|/|alpha|
@@ -279,11 +282,19 @@ def field_scales(profile: FieldProfile, e: float, p_y: float, n_max: int):
                 f"(c = {c:.6g}), so the field's length |alpha c|^-1/2 is not finite")
         x0, ell = -math.log1p(-p_y / lam) / alpha, abs(alpha * c) ** -0.5
         top = max(analytic_levels(profile, e, p_y, n_max, sigma) for sigma in (1, -1))
-        return (x0 - ell, x0 + ell), ell, 0.5 * (c * c + top)
-    x = profile.params["x"]
-    v = np.minimum(*channel_potentials(profile, p_y, e, x)[1:])  # the shallower channel
-    i = min(max(int(np.argmin(v)), 1), x.size - 2)
-    slopes = np.diff(v[i - 1:i + 2]) / np.diff(x[i - 1:i + 2])
-    curv = 2 * (slopes[1] - slopes[0]) / (x[i + 1] - x[i - 1])
-    span = x[-1] - x[0]
-    return profile.domain, min(span, (curv / 2) ** -0.25) if curv > 0 else span, math.inf
+        window, cap = (x0 - ell, x0 + ell), 0.5 * (c * c + top)
+    else:
+        x = profile.params["x"]
+        v = np.minimum(*channel_potentials(profile, p_y, e, x)[1:])  # the shallower channel
+        i = min(max(int(np.argmin(v)), 1), x.size - 2)
+        slopes = np.diff(v[i - 1:i + 2]) / np.diff(x[i - 1:i + 2])
+        curv = 2 * (slopes[1] - slopes[0]) / (x[i + 1] - x[i - 1])
+        span = x[-1] - x[0]
+        window, cap = profile.domain, math.inf
+        ell = float(min(span, (curv / 2) ** -0.25) if curv > 0 else span)
+    # a product, not ell ** 4: a Python float's ** raises OverflowError where * gives inf
+    if not math.isfinite(ell * ell * ell * ell):
+        raise ConfigurationError(
+            f"the field's length ell = {ell:.6g} has no finite ell^4: the field is too weak "
+            "for the solver's floats")
+    return window, ell, cap

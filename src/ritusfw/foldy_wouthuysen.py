@@ -266,15 +266,18 @@ def bd_step(H: np.ndarray, m: float, beta: np.ndarray) -> np.ndarray:
 def fw_series_hamiltonian(k: float, m: float, order: int) -> float:
     """Truncated 1/m energy: order 2 -> m + k/2m; order 3 adds -k^2/8m^3.
 
-    The truncation error versus sqrt(k + m^2) is bounded by the next Taylor
-    term (k^3/16m^5 at order 3).
+    Computed in the mass's own scale z = k/m^2, as m (1 + z/2) and
+    m (1 + z/2 - z^2/8), so that no power of k or m underflows in a weak
+    field.  The truncation error versus sqrt(k + m^2) = m sqrt(1 + z) is
+    bounded by the next Taylor term (m z^3/16 = k^3/16m^5 at order 3).
     """
     if k < 0:
         raise ArgumentError(f"k must be non-negative, got {k}")
     if m <= 0:
         raise ArgumentError(f"mass must be positive, got {m}")
+    z = k / (m * m)
     if order == 2:
-        return m + k / (2.0 * m)
+        return m * (1.0 + z / 2.0)
     if order == 3:
-        return m + k / (2.0 * m) - k * k / (8.0 * m**3)
+        return m * (1.0 + z / 2.0 - z * z / 8.0)
     raise ArgumentError(f"unsupported series order {order}; choose 2 or 3")

@@ -11,12 +11,7 @@ the rest of the package:
 * spinor slots: a grid spinor has two slots s = 0, 1 of N values each, and
   a spinor 2x2 matrix c acting with a grid N x N matrix D is the Kronecker
   product c (x) D, whose block (s, t) is c[s, t] D.  The levels and X are
-  held per slot.  The band of gamma.Pi - m (``GridOperators.dirac_band``)
-  interleaves the slots, q = 2i + s for grid point i and spinor slot s, so
-  that the two slots of one point are neighbours and the matrix has
-  half-bandwidth ``BAND`` = 5.  ``GridOperators.dirac_solver`` factors it
-  with LAPACK's banded LU (xGBTRF/xGBTRS) and solves in that interleaved
-  order.
+  held per slot.
 * quadrature: uniform-weight sum h*sum(...), equal to the trapezoid rule up
   to boundary terms that vanish for Dirichlet-decayed functions.
 * stencils: fourth-order central differences.  The first-derivative matrix
@@ -46,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GammaRep
-from .errors import ConditioningError
 from .field_profiles import FieldProfile, channel_potentials
 
 __all__ = [
@@ -55,11 +49,9 @@ __all__ = [
     "channel_hamiltonian",
     "gamma_dot_pi_spatial",
     "channel_slots",
-    "BAND",
     "GridOperators",
 ]
 
-BAND = 5  # half-bandwidth of gamma.Pi - m in the interleaved spinor order
 _BLOCK = 1 << 15  # entries of x per block of rows in band_product (256 KiB)
 
 # ----------------------------------------------------------------------
@@ -185,48 +177,3 @@ class GridOperators:
         self.V = dict(zip((+1, -1), V))
         self.H = {sigma: channel_hamiltonian(v, self.h) for sigma, v in self.V.items()}
         self.X = gamma_dot_pi_spatial(rep, first_derivative(self.M.size, self.h), self.M)
-
-    def dirac_band(self, p0: float, m: float) -> np.ndarray:
-        """gamma.Pi - m = p0 gamma^0 - X - m at energy p0, in LAPACK general band storage.
-
-        The interleaved order q = 2i + s takes entry (i, i + d) of X[s], X's
-        block (s, t) with t = 1 - s, to (q, r) = (2i + s, 2(i + d) + t), so
-        -X fills the rows 2*BAND - 2d + s - t: the odd offsets q - r = +/-1,
-        +/-3, +/-5.  gamma^0 is diagonal (it anticommutes with gamma^1 and
-        gamma^2, which couple the two slots), so p0 gamma^0 - m is the
-        diagonal.  D1 reaches d = +/-2, so the half-bandwidth is BAND = 5 on
-        both sides.  Entry (q, r) sits at ab[2*BAND + q - r, r]; the BAND
-        rows on top are the room xGBTRF needs for fill-in.  Shape
-        (4*BAND + 1, 2N), in Fortran order, so that xGBTRF factors it in
-        place.
-        """
-        N = self.M.size
-        ab = np.zeros((4 * BAND + 1, 2 * N), order="F")
-        for s, xb in enumerate(self.X):
-            t = 1 - s
-            for d in range(-2, 3):
-                lo, hi = max(d, 0), N + min(d, 0)
-                ab[2 * BAND - 2 * d + s - t, 2 * lo + t:2 * hi + t:2] = -xb[2 - d, lo:hi]
-        ab[2 * BAND] = np.tile(p0 * np.diag(self.rep.gamma[0]).real - m, N)
-        return ab
-
-    def dirac_solver(self, p0: float, m: float):
-        """Solves with gamma.Pi - m at p0: one banded LU with partial pivoting.
-
-        The LU of ``dirac_band`` is computed here, once (LAPACK xGBTRF).  The
-        returned function solves (2N, c) right-hand sides in the interleaved
-        order q = 2i + s (xGBTRS), in place when they are a Fortran-ordered
-        float array.  An exactly zero pivot raises ConditioningError.
-        """
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-        lu, piv, info = dgbtrf(self.dirac_band(p0, m), BAND, BAND, overwrite_ab=True)
-        if info > 0:
-            raise ConditioningError(
-                f"gamma.Pi - m is singular at p0 = {p0:.6g}: pivot {info} of its banded LU is 0"
-            )
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return dgbtrs(lu, BAND, BAND, rhs, piv, overwrite_b=True)[0]
-
-        return solve

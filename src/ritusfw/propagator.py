@@ -10,12 +10,13 @@ the zero-mode block down to its populated slot).  Cross-level blocks must
 vanish to quadrature accuracy.  A p0 within POLE_GUARD of a level's shell
 sqrt(max(k_n, 0) + m^2), ``RitusLevels.shells``, is refused.
 
-With the spinor components interleaved, gamma.Pi - m is a band matrix of
-half-width 5, factored once per p0 by banded Gaussian elimination with
-partial pivoting (the levels' ``ops.dirac_solver``, LAPACK xGBTRF/xGBTRS;
-Golub & Van Loan, Matrix Computations, section 4.3): O(N) time and memory
-per p0, and deterministic.  The right-hand sides are written from the
-level blocks straight into that order, and the overlaps read per slot.
+With the spinor slots interleaved, q = 2i + s for grid point i and slot s,
+gamma.Pi - m is a band matrix of half-width BAND = 5 (``_dirac_band``),
+factored and solved once per p0 by banded Gaussian elimination with partial
+pivoting (``_solve``, LAPACK xGBTRF/xGBTRS; Golub & Van Loan, Matrix
+Computations, section 4.3): O(N) time and memory per p0, and deterministic.
+The right-hand sides are written from the level blocks straight into that
+order, and the overlaps read per slot.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import numpy as np
 
 from .clifford import GammaRep
 from .errors import ArgumentError, ConditioningError
-from .ritus_basis import RitusLevels, free_slash
+from .ritus_basis import RitusLevels
 
 __all__ = ["diagonal_propagator", "project_propagator", "pole_sweep"]
 
+BAND = 5  # half-bandwidth of gamma.Pi - m in the interleaved spinor order
 POLE_GUARD = 1e-3  # a p0 closer than this to a level's shell |p0| = levels.shells(m) is refused
 SWEEP_LEVEL = 1  # the level whose shell pole_sweep approaches
 SWEEP_DISTANCES = (0.2, 0.1, 0.05, 0.025, 0.0125)  # pole_sweep's distances below that shell
@@ -41,8 +43,10 @@ def diagonal_propagator(p0: float, p2: np.ndarray, m: float, rep: GammaRep) -> n
     least POLE_GUARD (|p0| + shell), shell = sqrt(p2^2 + m^2).
     """
     denom = p0**2 - np.float_power(p2, 2) - m * m     # pbar^2 - m^2, p2 squared by libm's pow
+    # gamma^mu pbar_mu = p0 gamma^0 - p2 gamma^2: gamma^0 and gamma^2 are real in both reps
+    slash = p0 * rep.gamma[0].real - p2[:, None, None] * rep.gamma[2].real
     # times 1/denom, as numpy divides a complex by a real: the report's digits rest on it
-    return (free_slash(p0, p2, rep) + m * np.eye(2)) * (1.0 / denom)[:, None, None]
+    return (slash + m * np.eye(2)) * (1.0 / denom)[:, None, None]
 
 
 def _near(p0: float, shells: np.ndarray) -> np.ndarray:
@@ -50,8 +54,39 @@ def _near(p0: float, shells: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.abs(abs(p0) - shells) < POLE_GUARD)
 
 
-def _factor(levels: RitusLevels, p0: float, m: float):
-    """The banded solve of (gamma.Pi - m) at p0, refused within POLE_GUARD of any level's shell."""
+def _dirac_band(levels: RitusLevels, p0: float, m: float) -> np.ndarray:
+    """gamma.Pi - m = p0 gamma^0 - X - m at energy p0, in LAPACK general band storage.
+
+    The interleaved order q = 2i + s takes entry (i, i + d) of X[s], X's
+    block (s, t) with t = 1 - s, to (q, r) = (2i + s, 2(i + d) + t), so -X
+    fills the rows 2*BAND - 2d + s - t: the odd offsets q - r = +/-1, +/-3,
+    +/-5.  gamma^0 is diagonal (it anticommutes with gamma^1 and gamma^2,
+    which couple the two slots), so p0 gamma^0 - m is the diagonal.  D1
+    reaches d = +/-2, so the half-bandwidth is BAND = 5 on both sides.
+    Entry (q, r) sits at ab[2*BAND + q - r, r]; the BAND rows on top are the
+    room xGBTRF needs for fill-in.  Shape (4*BAND + 1, 2N), in Fortran
+    order, so that xGBTRF factors it in place.
+    """
+    ops = levels.ops
+    N = ops.M.size
+    ab = np.zeros((4 * BAND + 1, 2 * N), order="F")
+    for s, xb in enumerate(ops.X):
+        t = 1 - s
+        for d in range(-2, 3):
+            lo, hi = max(d, 0), N + min(d, 0)
+            ab[2 * BAND - 2 * d + s - t, 2 * lo + t:2 * hi + t:2] = -xb[2 - d, lo:hi]
+    ab[2 * BAND] = np.tile(p0 * np.diag(ops.rep.gamma[0]).real - m, N)
+    return ab
+
+
+def _solve(levels: RitusLevels, p0: float, m: float, rhs: np.ndarray) -> np.ndarray:
+    """(gamma.Pi - m)^-1 rhs at p0, rhs (2N, c) in the interleaved order q = 2i + s.
+
+    Refused within POLE_GUARD of any level's shell.  One banded LU with
+    partial pivoting (xGBTRF), kept here and solved once (xGBTRS), in place
+    when rhs is a Fortran-ordered float array.  An exactly zero pivot raises
+    ConditioningError.
+    """
     shells = levels.shells(m)
     close = _near(p0, shells)
     if close.size:
@@ -60,11 +95,18 @@ def _factor(levels: RitusLevels, p0: float, m: float):
             f"p0 = {p0:.6g} is within {abs(abs(p0) - shells[n]):.2e} of the on-shell energy "
             f"sqrt(max(k_{n}, 0) + m^2) = {shells[n]:.6g}; solve too ill-conditioned"
         )
-    return levels.ops.dirac_solver(p0, m)
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    lu, piv, info = dgbtrf(_dirac_band(levels, p0, m), BAND, BAND, overwrite_ab=True)
+    if info > 0:
+        raise ConditioningError(
+            f"gamma.Pi - m is singular at p0 = {p0:.6g}: pivot {info} of its banded LU is 0"
+        )
+    return dgbtrs(lu, BAND, BAND, rhs, piv, overwrite_b=True)[0]
 
 
-def _overlaps(levels: RitusLevels, solve, n: slice) -> np.ndarray:
-    """The Dirac-adjoint overlaps gamma^0 E_i^T gamma^0 Z_j of levels i, j in n, Z = solve(E).
+def _overlaps(levels: RitusLevels, p0: float, m: float, n: slice) -> np.ndarray:
+    """The Dirac-adjoint overlaps gamma^0 E_i^T gamma^0 Z_j of levels i, j in n, Z = _solve(E).
 
     E is written in the solver's interleaved order, F[t][:, j] on the rows
     t::2 of column 2j + t.  The two gamma^0 cancel on each slot, so row
@@ -74,7 +116,7 @@ def _overlaps(levels: RitusLevels, solve, n: slice) -> np.ndarray:
     rhs = np.zeros((2 * F[0].shape[0], 2 * F[0].shape[1]), order="F")
     for s, f in enumerate(F):
         rhs[s::2, s::2] = f
-    Z = solve(rhs)
+    Z = _solve(levels, p0, m, rhs)
     out = np.empty((rhs.shape[1], rhs.shape[1]))
     for s, f in enumerate(F):
         out[s::2] = levels.ops.h * (f.T @ Z[s::2])
@@ -88,10 +130,9 @@ def project_propagator(levels: RitusLevels, p0: float, m: float) -> dict:
     diagonal-block deviation from the free form, and the worst cross-level
     block norm.
     """
-    solve = _factor(levels, p0, m)
     L = len(levels)
     # rows 2i, 2i+1 belong to level i, columns 2j, 2j+1 to level j
-    blocks = _overlaps(levels, solve, slice(None)).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
+    blocks = _overlaps(levels, p0, m, slice(None)).reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
     diagonal = blocks[np.arange(L), np.arange(L)]
 
     free = diagonal_propagator(p0, levels.p2, m, levels.ops.rep)
@@ -133,7 +174,7 @@ def pole_sweep(levels: RitusLevels, m: float) -> dict:
         if close.size:
             crowding.update(close.tolist())
             continue
-        block = _overlaps(levels, _factor(levels, p0, m), slice(n_target, n_target + 1))
+        block = _overlaps(levels, p0, m, slice(n_target, n_target + 1))
         rows.append({
             "p0": float(p0),
             "n": int(n_target),

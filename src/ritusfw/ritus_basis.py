@@ -7,10 +7,10 @@ representation, giving a (2N) x 2 matrix E_p that diagonalizes (gamma.Pi)^2
 and intertwines gamma.Pi with the free contraction gamma^mu pbar_mu at
 pbar = (p0, 0, sqrt(k)), p0 the energy the propagator is given: the field is
 static, so the levels do not depend on p0.  The free side depends on a level
-through k alone, so it is held as arrays over the levels: p2 = sqrt(k), the
-(L, 2, 2) blocks of ``free_slash`` and the shells sqrt(max(k, 0) + m^2) of
-``RitusLevels.shells``, which every check reads.  The level n = 0 is the
-zero mode: one column, k = 0, annihilated by the spatial Dirac operator.
+through k alone, so it is held as arrays over the levels: p2 = sqrt(k) and
+the shells sqrt(max(k, 0) + m^2) of ``RitusLevels.shells``, which every
+check reads.  The level n = 0 is the zero mode: one column, k = 0,
+annihilated by the spatial Dirac operator.
 
 Sign conventions: the scalar solver fixes each phi's overall phase; on top
 of that the paired column is sign-aligned by the intertwining itself,
@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import GammaRep
 from .errors import ArgumentError, PairingError, TruncationError
 from .operators import GridOperators, band_product, channel_slots
 from .spectral_grid import ScalarSpectrum
@@ -45,7 +44,6 @@ from .spectral_grid import ScalarSpectrum
 __all__ = [
     "RitusLevels",
     "assemble_levels",
-    "free_slash",
     "verify_eigen_relation",
     "verify_gpEp",
     "zero_mode_annihilation",
@@ -133,14 +131,6 @@ class RitusLevels:
     def cross(self, s: int) -> np.ndarray:
         """X E's slot s, X[s] F[t] with t = 1 - s: X couples the two slots only."""
         return band_product(self.ops.X[s], self.F[1 - s])
-
-
-def free_slash(p0: float, p2: np.ndarray, rep: GammaRep) -> np.ndarray:
-    """The (L, 2, 2) blocks gamma^mu pbar_mu = p0 gamma^0 - p2 gamma^2, one per entry of p2.
-
-    Real: gamma^0 and gamma^2 are, in both representations.
-    """
-    return p0 * rep.gamma[0].real - p2[:, None, None] * rep.gamma[2].real
 
 
 def _zero_channel(spec_plus: ScalarSpectrum, spec_minus: ScalarSpectrum) -> int:

@@ -859,7 +859,8 @@ def scratch(tmp_path_factory):
 @example(command="spectrum", rep="first", eB=1e300, mass=1.0, N=256, n_max=1, at="0.3")
 @given(command=st.sampled_from(sorted(cli._COMMANDS) + ["all"]),
        rep=st.sampled_from(["first", "second"]),
-       eB=st.sampled_from([s * m for m in (1e-9, 1e-6, 1e-3, 1.0, 8.0, 1e3) for s in (1, -1)]),
+       eB=st.sampled_from([s * m for m in (1e-160, 1e-120, 1e-9, 1e-6, 1e-3, 1.0, 8.0, 1e3)
+                           for s in (1, -1)]),
        # 4.4e9 and 4.6e9 lie just under and just over eps * mass = tolerances.eig
        mass=st.sampled_from([1e-6, 1.0, 4.4e9, 4.6e9]),
        N=st.sampled_from([256, 512, 1024]), n_max=st.integers(1, 4),
@@ -909,3 +910,26 @@ def test_every_input_exits_0_1_or_2_with_the_files_its_code_promises(
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = value
+
+
+@pytest.mark.parametrize("eB,code", [*((s * m, 0) for m in (1e-120, 1e-154, 8e-155) for s in (1, -1)),
+                                     (1e-160, 2), (-1e-160, 2), (5e-324, 2)])
+def test_a_weak_field_runs_or_exits_two_on_one_line(tmp_path, monkeypatch, capsys, eB, code):
+    # down to |eB| = 7.46e-155 the field's length ell = |eB|^-1/2 has a finite
+    # ell^4 and `all` passes, fw-series in its masses' own scale z = k/m^2;
+    # below, field_scales refuses the field before any numerics, where the
+    # shift-invert Lanczos vectors' norms overflowed
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # main pins them; the test restores them
+    out = tmp_path / "weak"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["all", f"--eB={eB!r}", "--out", str(out)]) == code
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    if code:
+        assert not out.exists()
+        assert err.startswith("rfw: the field's length ell = ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert json.loads((out / "report.json").read_text())["status"] == "pass"

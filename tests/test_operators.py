@@ -10,10 +10,11 @@ from scipy.linalg.lapack import dgbtrf
 
 from ritusfw.clifford import make_rep
 from ritusfw.field_profiles import channel_potentials, exponential_profile, uniform_profile
-from ritusfw.operators import (BAND, band_product, channel_hamiltonian, channel_slots,
+from ritusfw.operators import (band_product, channel_hamiltonian, channel_slots,
                                first_derivative, gamma_dot_pi_spatial)
 
 from ritusfw.problem import Problem
+from ritusfw.propagator import BAND, _dirac_band
 
 from bands import dense, dense_E, dense_spinor, g0_diagonal
 
@@ -96,8 +97,8 @@ def test_gamma_dot_pi_full_blocks(uni, uni_second):
     # exactly the dense p0 G0 - X - m in both representations
     p0, m = 0.7, 1.3
     N = uni.grid.n_points
-    for ops in (uni.ops, uni_second.ops):
-        ab = ops.dirac_band(p0, m)
+    for levels in (uni.levels, uni_second.levels):
+        ops, ab = levels.ops, _dirac_band(levels, p0, m)
         assert ab.shape == (4 * BAND + 1, 2 * N)
         assert not ab[:BAND].any()
         K = np.zeros((2 * N, 2 * N))

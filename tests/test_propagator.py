@@ -16,7 +16,6 @@ from ritusfw.clifford import make_rep
 from ritusfw.errors import ArgumentError, ConditioningError
 from ritusfw import propagator
 from ritusfw.propagator import diagonal_propagator, pole_sweep, project_propagator
-from ritusfw.ritus_basis import free_slash
 
 from child_env import child_env
 
@@ -39,7 +38,8 @@ def batched(variant):
     """One batched call per representation over all of KS: rep, p2, gamma.pbar and S."""
     rep = make_rep(variant)
     p2 = np.sqrt(KS)
-    return rep, p2, free_slash(P0, p2, rep), diagonal_propagator(P0, p2, MASS, rep)
+    g_pbar = P0 * rep.gamma[0].real - p2[:, None, None] * rep.gamma[2].real
+    return rep, p2, g_pbar, diagonal_propagator(P0, p2, MASS, rep)
 
 
 @pytest.mark.parametrize("variant", ["first", "second"])

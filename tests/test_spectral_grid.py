@@ -1,6 +1,7 @@
 """Channel eigensolver against analytic Landau levels and a Morse-type chain."""
 
 import functools
+import math
 import re
 import warnings
 
@@ -311,6 +312,94 @@ def test_refinement_ladder_order_four(profile, k2):
     assert 3.5 < observed_order(hs, errors) < 4.5
 
 
+# CI's tabulated field, W = x + 0.003 sin(x/2) on [-16, 16]
+CI_X = np.array([-16.0 + 0.2 * i for i in range(161)])
+CI_W = np.array([x + 0.003 * math.sin(0.5 * x) for x in CI_X])
+
+
+def integral_M(profile, p_y, e, x):
+    """int_0^x M dx', M = p_y - e W, in closed form: for a table, the spline's quartic antiderivative."""
+    if profile.kind == "uniform":
+        return p_y * x - e * profile.params["B"] * x * x / 2
+    if profile.kind == "exponential":
+        B, alpha = profile.params["B"], profile.params["alpha"]
+        lam = e * B / alpha
+        return (p_y - lam) * x - lam / alpha * np.expm1(-alpha * x)
+    # from the table's first knot: a constant, which the normalization drops
+    knots, table = profile.params["x"], profile._table
+    powers = np.arange(1, 5)    # c_j t^j integrates to c_j t^(j+1)/(j+1)
+    whole = (table * np.diff(knots)[:, None] ** powers / powers).sum(axis=1)
+    start = np.concatenate([[0.0], np.cumsum(whole)])
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+    t = x - knots[i]
+    return p_y * x - e * (start[i] + (table[i] * t[:, None] ** powers / powers).sum(axis=1))
+
+
+def zero_mode_error(prob):
+    """||phi_0 - psi_0|| sqrt(h): the solver's zero mode psi_0 against phi_0 ~ exp(-+int M dx).
+
+    A phi_0 = 0 or A^T phi_0 = 0, A = d/dx + M, whichever solution is
+    normalizable (Aharonov & Casher, Phys. Rev. A 19 (1979) 2461): the one
+    whose exponent peaks inside the walls.  It is positive, as the solver's
+    phase rule makes psi_0.
+    """
+    spec = min((prob.spec_plus, prob.spec_minus), key=lambda spec: spec.eigenvalues[0])
+    F = integral_M(prob.profile, prob.p_y, prob.e, prob.grid.x)
+    sign = 1.0 if 0 < int(np.argmax(F)) < F.size - 1 else -1.0
+    phi = np.exp(sign * F - (sign * F).max())
+    h = prob.grid.h
+    phi /= math.sqrt(h * (phi @ phi))
+    return math.sqrt(h) * float(np.linalg.norm(phi - spec.eigenfunctions[:, 0]))
+
+
+@pytest.mark.parametrize("profile", [
+    uniform_profile(1.0), uniform_profile(-1.0), exponential_profile(1.0, 0.1),
+    tabulated_profile(CI_X, CI_W),
+], ids=["uniform", "uniform-negative", "exponential", "ci-table"])
+def test_zero_mode_matches_its_closed_form_at_order_four(profile):
+    # the one continuum oracle of a table's eigenfunctions; measured errors
+    # 1.7e-8, 1.1e-9 and 6.8e-11 on N = 512, 1024 and 2048 (uniform and table)
+    base = Problem(profile, make_rep("first"), p_y=0.0, e=1.0, n_max=8, n_points=1024,
+                   tol_eig=1e-6)
+    rungs = [base.refined(N) for N in (512, 1024, 2048)]
+    errors = [zero_mode_error(r) for r in rungs]
+    assert errors[1] < 1e-8
+    assert 3.5 < observed_order([r.grid.h for r in rungs], errors) < 4.5
+
+
+def channel_eigenvalues(profile, p_y):
+    """Both channels' k_0..k_8 at N = 1024, sigma = +1 first."""
+    prob = Problem(profile, make_rep("first"), p_y=p_y, e=1.0, n_max=8, n_points=1024,
+                   tol_eig=1e-6)
+    return np.concatenate([prob.spec_plus.eigenvalues, prob.spec_minus.eigenvalues])
+
+
+def assert_same_spectrum(k, other):
+    assert np.all(np.abs(other - k) <= 1e-11 * np.maximum(1.0, np.abs(k))), other - k
+
+
+@pytest.mark.parametrize("p_y", [0.0, 0.3, -0.7])
+@pytest.mark.parametrize("c", [0.7, -1.3, 2.0])
+def test_a_gauge_shift_of_the_table_moves_no_eigenvalue(p_y, c):
+    # W -> W + c with p_y -> p_y + e c leaves M = p_y - e W, so every k_n;
+    # measured at most 8e-15 relative
+    k = channel_eigenvalues(tabulated_profile(CI_X, CI_W), p_y)
+    assert_same_spectrum(k, channel_eigenvalues(tabulated_profile(CI_X, CI_W + c), p_y + c))
+
+
+@pytest.mark.parametrize("p_y", [0.0, 0.3, -0.7])
+@pytest.mark.parametrize("kind", ["tabulated", "exponential"])
+def test_a_mirrored_field_keeps_every_eigenvalue(kind, p_y):
+    # W(x) -> -W(-x) with p_y -> -p_y takes M(x) to -M(-x) and V_sigma(x) to
+    # V_sigma(-x): each channel keeps its k_n.  The exponential field's mirror
+    # is alpha -> -alpha.  Measured at most 1.3e-13 relative
+    if kind == "tabulated":
+        field, mirror = tabulated_profile(CI_X, CI_W), tabulated_profile(-CI_X[::-1], -CI_W[::-1])
+    else:
+        field, mirror = exponential_profile(1.0, 0.1), exponential_profile(1.0, -0.1)
+    assert_same_spectrum(channel_eigenvalues(field, p_y), channel_eigenvalues(mirror, -p_y))
+
+
 def scaled_uniform_field(eB, p_y):
     """((x_min - x0)/ell, (x_max - x0)/ell) and both channels' k_n/|eB|, n >= 1, at N = 1024.
 
@@ -355,3 +444,15 @@ def test_spectrum_csv_round_trip(tmp_path):
     sigma, n, k = lines[1].split(",")
     assert (sigma, n) == ("1", "0")
     assert float(k) == pytest.approx(results["sigma_plus"][0], rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("eB", [s * m for m in (8e-155, 1e-154, 1e-120, 1e-60, 1e-9, 1e-3, 0.5, 8.0)
+                                for s in (1.0, -1.0)])
+def test_uniform_levels_over_eB_are_those_of_eB_1_down_to_the_weakest_field(eB):
+    # k_n/|eB|, n >= 1, of both channels against eB = 1's, the channels
+    # swapped for eB < 0, down to the weakest field field_scales admits:
+    # measured at most 3.3e-12
+    _, levels = unit_field(eB, 0.0)
+    if eB < 0:
+        levels = np.roll(levels, levels.size // 2)
+    assert np.abs(levels - unit_field(1.0, 0.0)[1]).max() < 1e-10

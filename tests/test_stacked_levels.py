@@ -22,7 +22,7 @@ from ritusfw.field_profiles import uniform_profile
 from ritusfw.foldy_wouthuysen import field_fw_from_levels, free_fw, theta, verify_main_claim
 from ritusfw.operators import band_product, channel_slots
 from ritusfw.problem import Problem
-from ritusfw.propagator import diagonal_propagator, project_propagator
+from ritusfw.propagator import _solve, diagonal_propagator, project_propagator
 from ritusfw.ritus_basis import RitusLevels, verify_eigen_relation, verify_gpEp
 
 from bands import Ep, dense_E, dense_spinor, g0_diagonal
@@ -94,7 +94,6 @@ def propagator_loop(prob):
     Dirac adjoint gamma^0 E_i^dag gamma^0 Z with both gamma^0 applied.
     """
     ops, levels = prob.ops, prob.levels
-    solve = ops.dirac_solver(P0, MASS)
     N, L = prob.grid.n_points, len(levels)
     g0, g0_diag, h = prob.rep.gamma[0], g0_diagonal(ops)[:, None], prob.grid.h
     blocks = np.empty((L, L, 2, 2), dtype=complex)
@@ -102,7 +101,7 @@ def propagator_loop(prob):
         E_j = Ep(levels, j)
         rhs = np.empty_like(E_j)
         rhs[0::2], rhs[1::2] = E_j[:N], E_j[N:]
-        Z_int = solve(rhs)
+        Z_int = _solve(levels, P0, MASS, rhs)
         Z = np.concatenate([Z_int[0::2], Z_int[1::2]])
         for i in range(L):
             blocks[i, j] = g0 @ (h * (Ep(levels, i).T @ (g0_diag * Z)))
