@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ritusfw
@@ -235,6 +235,7 @@ def test_nonpositive_mass_exits_two_without_output(tmp_path, command, overrides,
                    str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 2
     assert not (tmp_path / "out").exists()
+    assert proc.stderr.startswith("rfw: ") and proc.stderr.count("\n") == 1
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -313,18 +314,25 @@ def test_mass_whose_rounding_exceeds_the_eigenvalue_tolerance_is_refused(mass, c
         cfg.validate()
 
 
+EXPONENTIAL_N1536 = {"profile_kind": "exponential", "profile_params": {"B": 1.0, "alpha": 0.1},
+                     "grid_n": 1536}
+
+
 @pytest.mark.parametrize("overrides", [
     pytest.param({}, id="default"),
-    pytest.param({"profile_kind": "exponential", "profile_params": {"B": 1.0, "alpha": 0.1},
-                  "grid_n": 1536}, id="exponential-N1536"),
+    pytest.param(EXPONENTIAL_N1536, id="exponential-N1536"),
+    pytest.param({"rep": "second"}, id="default-second"),
+    pytest.param({**EXPONENTIAL_N1536, "rep": "second"}, id="exponential-N1536-second"),
 ])
 def test_fw_series_masses_stay_4_8_16_up_to_k_16(overrides):
     # k_1 is about 2 and k_max 15.9999994 and 15.36 here, so the scale
     # max(sqrt(k_max), sqrt(2 k_1), min(4, 8 sqrt(k_1))) is 4, the ladder
-    # {1, 2, 4} times it the fixed {4, 8, 16}, and the section keeps its bytes
-    report, ok = run("fw-series", RunConfig(**overrides))
-    assert ok
-    assert [row["m"] for row in report["results"]["bd"]] == [4.0, 8.0, 16.0]
+    # {1, 2, 4} times it the fixed {4, 8, 16}, and the section keeps its bytes.
+    # Every section of `all` passes on both configs, in either representation
+    report, ok = run("all", RunConfig(**overrides))
+    assert ok, report["sections"]
+    bd = report["sections"]["fw-series"]["results"]["bd"]
+    assert [row["m"] for row in bd] == [4.0, 8.0, 16.0]
 
 
 def test_all_factors_no_grid_sized_matrix(monkeypatch):
@@ -346,18 +354,19 @@ def test_all_factors_no_grid_sized_matrix(monkeypatch):
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # rfw pins BLAS to one thread whatever the environment asks; at 65
-    # levels on N = 16384, two threads moved rounding-level residuals
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    # levels on N = 16384, two threads moved rounding-level residuals.  33
+    # levels on that grid pass too
+    reports = {}
+    for n_max, threads in (("32", "1"), ("64", "1"), ("64", "2")):
+        out = tmp_path / f"levels{n_max}-threads{threads}"
         env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(RFW + ["all", "--levels", "64", "--grid-n", "16384",
+        proc = subprocess.run(RFW + ["all", "--levels", n_max, "--grid-n", "16384",
                                      "--out", str(out)],
                               capture_output=True, text=True, env=env, cwd=tmp_path,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+        reports[n_max, threads] = (out / "report.json").read_bytes()
+    assert reports["64", "1"] == reports["64", "2"]
 
 
 def test_table_by_relative_and_absolute_path_gives_identical_reports(tmp_path, monkeypatch):
@@ -441,7 +450,7 @@ def test_main_reads_a_table_once(tmp_path, monkeypatch):
 
 # the three mass cases keep their value as the id
 @pytest.mark.parametrize("flag,key", [
-    pytest.param("--mass=0", "mass", id="0"),
+    pytest.param("--mass=0", "mass must be positive", id="0"),
     pytest.param("--mass=nan", "mass", id="nan"),
     pytest.param("--mass=inf", "mass", id="inf"),
     pytest.param("--eB=0", "B", id="eB-0"),
@@ -455,9 +464,11 @@ def test_main_reads_a_table_once(tmp_path, monkeypatch):
 ])
 def test_zero_or_nonfinite_mass_flag_exits_two(tmp_path, flag, key):
     cfg = write_config(tmp_path / "cfg.json")
-    proc = run_cli("spectrum", "--config", str(cfg), flag, cwd=tmp_path)
+    out = tmp_path / "out"
+    proc = run_cli("spectrum", "--config", str(cfg), flag, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 2
-    assert proc.stdout == ""
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr.startswith("rfw: ") and "Traceback" not in proc.stderr
     assert key in proc.stderr
 
 
@@ -487,10 +498,20 @@ def test_spectrum_builds_no_levels(tmp_path):
 
 
 def test_all_records_failed_section_and_runs_the_others(tmp_path):
-    # p0 = 1 sits on the zero mode's mass shell, so only the propagator aborts
+    # p0 = 1 sits on the zero mode's mass shell, so only the propagator aborts.
+    # Run alone, the propagator puts its error at the report's top level
+    out = tmp_path / "single"
+    proc = run_cli("propagator", "--p0", "1.0", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "fail" and report["checks"] == {}
+    assert report["error"].startswith("ConditioningError: ")
+    assert not (out / "pole_sweep.csv").exists()
     out = tmp_path / "d"
     proc = run_cli("all", "--p0", "1.0", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "fail"
     sections = report["sections"]
@@ -544,8 +565,10 @@ def test_each_single_command_reports_its_section_of_all(tmp_path):
       for name, e in [("uniform-eB-overflows", 1e200), ("uniform-eB-underflows", 1e-200)]),
 ])
 def test_run_refuses_what_the_console_script_refuses(tmp_path, command, cfg, key):
-    # the library entry validates, so no section runs and nothing is written
-    with pytest.raises(ConfigurationError, match=key):
+    # the library entry validates, so no section runs, nothing is written,
+    # and no warning is raised on the way
+    with warnings.catch_warnings(), pytest.raises(ConfigurationError, match=key):
+        warnings.simplefilter("error")
         run(command, cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -653,30 +676,34 @@ def test_a_failed_write_leaves_every_target_as_it_was(tmp_path, monkeypatch, cap
 def test_lanczos_breakdown_is_recorded_in_every_section(tmp_path):
     # at N = 512 the zero mode's eigenvalue stays at -7.1e-8, below
     # -tolerances.eig = -1e-8: the channel solve aborts, each section records
-    # that, and the report is written without a traceback
+    # that, and the report is written without a traceback.  At eB = 1e6 on
+    # the default grid the zero mode reads -8.8e-4, below -tol_eig = -1e-6
     cfg = write_config(tmp_path / "cfg.json", profile={"kind": "uniform", "B": 8.0},
                        grid={"N": 512}, n_max=4, tolerances={"eig": 1e-8, "residual": 1e-5})
-    out = tmp_path / "d"
-    proc = run_cli("all", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    report = json.loads((out / "report.json").read_text())
-    assert report["status"] == "fail"
-    sections = report["sections"]
-    assert sorted(sections) == ["fw-exact", "fw-series", "propagator", "spectrum",
-                                "verify-ritus"]
-    for name, section in sections.items():
-        assert section["error"].startswith(
-            "DiscretizationError: eigenvalue -7.131e-08 below -tol_eig"), name
-        assert section["checks"] == {}, name
+    for args, eigenvalue in ((["--config", str(cfg)], "-7.131e-08"),
+                             (["--eB", "1e6"], "-8.808e-04")):
+        out = tmp_path / eigenvalue
+        proc = run_cli("all", *args, "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "fail"
+        sections = report["sections"]
+        assert sorted(sections) == ["fw-exact", "fw-series", "propagator", "spectrum",
+                                    "verify-ritus"]
+        for name, section in sections.items():
+            assert section["error"].startswith(
+                f"DiscretizationError: eigenvalue {eigenvalue} below -tol_eig"), name
+            assert section["checks"] == {}, name
 
 
-def test_p0_just_off_a_high_levels_shell_keeps_every_section():
+def test_p0_just_off_a_high_levels_shell_keeps_every_section(tmp_path):
     # p0 sits 1.1e-3 above level 8's shell (k_8 = 128), just outside the
     # conditioning guard: the closed-form propagator fails its checks there
-    # and the report keeps every section's checks
-    report, ok = run("all", RunConfig(profile_params={"B": 8.0}, p0=11.35892))
+    # and the report, written, keeps every section's checks
+    report, ok = run("all", RunConfig(profile_params={"B": 8.0}, p0=11.35892), tmp_path)
     assert not ok and report["status"] == "fail"
+    assert (tmp_path / "report.json").is_file()
     for name, section in report["sections"].items():
         assert "error" not in section, name
         assert section["checks"], name
@@ -696,12 +723,13 @@ def test_pole_sweep_skips_the_points_on_a_lower_levels_shell(tmp_path):
     assert len((out / "pole_sweep.csv").read_text().splitlines()) == 1 + 4
 
 
-@pytest.mark.parametrize("B,n_max", [(1e-3, 8), (1e-3, 2), (8.0, 1)])
+@pytest.mark.parametrize("B,n_max", [(1e-3, 8), (1e-3, 2), (8.0, 1), (1e-9, 8)])
 def test_fw_series_passes_in_a_weak_field_and_a_strong_one(tmp_path, B, n_max):
     # at eB = 1e-3 the order-3 error k_1^3/16m^5 at m = 4, 8, 16 sank below the
     # rounding of sqrt(k_1 + m^2), and with n_max = 2 it was exactly 0, so the
     # slope's log wrote NaN into the report; at eB = 8 with one level
-    # k_1/m^2 was 1 at the lightest mass, outside the series' reach
+    # k_1/m^2 was 1 at the lightest mass, outside the series' reach.  A field
+    # as weak as 1e-9 passes on a grid sized in its length |eB|^-1/2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, ok = run("all", RunConfig(profile_params={"B": B}, n_max=n_max))
@@ -809,7 +837,7 @@ CLAIMS = [("verify-ritus", "intertwining"), ("fw-exact", "main_claim"),
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """CI's tabulated field W = +-(x + 0.003 sin(0.5 x)) on [-16, 16], one table per sign."""
+    """The tabulated field W = +-(x + 0.003 sin(0.5 x)) on [-16, 16], one table per sign."""
     root = tmp_path_factory.mktemp("tables")
     xs = [-16.0 + 0.2 * i for i in range(161)]
     paths = {}
@@ -821,15 +849,22 @@ def tables(tmp_path_factory):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+# the two strengths the derandomized draws leave out, each at its lowest N
+@example(kind="uniform", alpha=0.1, B=-1.0, strength=8.0, p_y=0.7, rep="second", N=1024)
+@example(kind="uniform", alpha=0.1, B=1.0, strength=1e-3, p_y=-1.0, rep="first", N=640)
 @given(kind=st.sampled_from(["uniform", "exponential", "tabulated"]),
-       alpha=st.floats(0.05, 0.1), B=st.sampled_from([1.0, -1.0]), p_y=st.floats(-1.0, 1.0),
+       alpha=st.floats(0.05, 0.1), B=st.sampled_from([1.0, -1.0]),
+       strength=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 8.0]), p_y=st.floats(-1.0, 1.0),
        rep=st.sampled_from(["first", "second"]), N=st.sampled_from(range(640, 4097, 128)))
-def test_claims_hold_across_the_parameter_space(tables, kind, alpha, B, p_y, rep, N):
+def test_claims_hold_across_the_parameter_space(tables, kind, alpha, B, strength, p_y, rep, N):
     # N = 512 keeps a negative zero mode that the FW sections refuse; at N = 640
     # and 768 spectrum_error and eigenvalue_match fail on resolution, so only the
-    # claims that the grid's resolution does not set are asserted.  A table's
-    # sign is B's
-    params = {"uniform": {"B": B}, "exponential": {"B": B, "alpha": alpha},
+    # claims that the grid's resolution does not set are asserted.  The uniform
+    # field's eB is B times strength; at |eB| = 8 below N = 1024 the zero mode
+    # stays a flagged k_0 that fw-exact refuses (-4.6e-8 at N = 640), so that
+    # field is drawn from N = 1024.  A table's sign is B's
+    assume(strength < 8.0 or kind != "uniform" or N >= 1024)
+    params = {"uniform": {"B": B * strength}, "exponential": {"B": B, "alpha": alpha},
               "tabulated": {"path": str(tables[B])}}[kind]
     cfg = RunConfig(profile_kind=kind, profile_params=params, p_y=p_y, rep=rep, grid_n=N)
     cfg.validate()
@@ -853,6 +888,8 @@ def scratch(tmp_path_factory):
 @example(command="all", rep="first", eB=8.0, mass=1e-6, N=512, n_max=4, at="m")
 # a single command whose section aborts: p0 = m is level 0's shell
 @example(command="propagator", rep="first", eB=1.0, mass=1.0, N=1024, n_max=4, at="m")
+# the same at the default config's eight levels
+@example(command="propagator", rep="first", eB=1.0, mass=1.0, N=1024, n_max=8, at="m")
 # a weak field, sized in its own length |eB|^-1/2 = 3.2e4
 @example(command="spectrum", rep="first", eB=1e-9, mass=1.0, N=256, n_max=1, at="0.3")
 # a field whose potential overflows: the grid sizing refuses it, with no numpy warning

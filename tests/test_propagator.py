@@ -59,16 +59,26 @@ def test_diagonal_propagator_inverts(variant, k):
 def test_a_flagged_negative_zero_mode_shell_is_refused_by_the_guard(tmp_path):
     # at N = 512 the zero mode stays a flagged k_0 = -7.1e-8; its shell is
     # sqrt(max(k_0, 0) + m^2) = m, where the closed form's p2 = 0 puts it, so
-    # p0 = m is refused by the conditioning guard, with no sqrt of a negative
-    proc = subprocess.run(
-        [sys.executable, "-m", "ritusfw.cli", "all", "--eB", "8", "--mass", "1e-6",
-         "--grid-n", "512", "--levels", "4", "--p0", "1e-6"],
-        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    error = json.loads(proc.stdout)["sections"]["propagator"]["error"]
-    assert error.startswith("ConditioningError: ") and "k_0" in error, error
-    for text in (proc.stdout, proc.stderr):
-        assert "PoleError" not in text and "RuntimeWarning" not in text
+    # p0 = m is refused by the conditioning guard, with no sqrt of a negative.
+    # The report goes to stdout, or with --out beside the CSVs of the sections
+    # that ran, and levels.csv's E_D of level 0 is its shell m
+    argv = [sys.executable, "-m", "ritusfw.cli", "all", "--eB", "8", "--mass", "1e-6",
+            "--grid-n", "512", "--levels", "4", "--p0", "1e-6"]
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        proc = subprocess.run(argv + extra, capture_output=True, text=True, env=child_env(),
+                              cwd=tmp_path, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        report = proc.stdout if not extra else (out / "report.json").read_text()
+        error = json.loads(report)["sections"]["propagator"]["error"]
+        assert error.startswith("ConditioningError: ") and "k_0" in error, error
+        for text in (report, proc.stderr):
+            assert "PoleError" not in text and "RuntimeWarning" not in text
+        assert "Traceback" not in proc.stderr
+    assert sorted(path.name for path in out.iterdir()) == ["levels.csv", "report.json",
+                                                           "spectrum.csv"]
+    row = (out / "levels.csv").read_text().splitlines()[1].split(",")
+    assert (row[0], row[4]) == ("0", "1e-06")
 
 
 def test_projected_diagonal_matches_free_form(uni):
